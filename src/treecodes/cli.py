@@ -124,7 +124,21 @@ _IMM_CHOICES = {
 }
 
 
+# flags each property needs beyond --code (the rest have defaults)
+_REQUIRED_FLAGS = {
+    "neighborhood": ("partition",),
+    "eks": ("k",),
+    "chs": ("m", "l1"),
+    "ghk": ("k0",),
+}
+
+
 def cmd_verify(args) -> int:
+    missing = [f for f in _REQUIRED_FLAGS.get(args.property, ()) if getattr(args, f) is None]
+    if missing:
+        flags = ", ".join(f"--{f}" for f in missing)
+        print(f"usage: verify --property {args.property} requires {flags}", file=sys.stderr)
+        return EXIT_USAGE
     code = serialize.code_from_json(_load_json(args.code))
     cap = args.cap
     if args.property == "distance":

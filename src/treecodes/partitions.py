@@ -91,9 +91,6 @@ class DeficiencyLedger:
         return DeficiencyLedger(sets=tuple(norm), budget_used=total)
 
 
-EMPTY_LEDGER = DeficiencyLedger(sets=(), budget_used=0)
-
-
 @dataclass(frozen=True)
 class ImmediacySpec:
     """A monotone window-length function with its distance parameter and the

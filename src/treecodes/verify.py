@@ -3,8 +3,18 @@ decoding, and the three construction-specific immediacy conditions.
 
 Every checker is exhaustive within an evaluation budget (default 2^24 counted
 position evaluations; CapExceeded aborts mid-run so constructed violations can
-still be found early on large instances).  Thresholds are exact rationals and
-every failure carries a witness that re-verifies in isolation.
+still be found early on large instances).  The M*n evaluations of the message
+table are charged before any message is enumerated, so an instance too large
+for the cap is refused before it costs time or memory.  Thresholds are exact
+rationals and every failure carries a witness that re-verifies in isolation.
+
+The five pair conditions (distance, immediacy function, dyadic, aligned,
+quarter-split) share one engine, _sweep: per row x, bit-sliced counters over
+bitsets of message indices answer every window for all y > x at once, and a
+passing row is charged arithmetically what a pair-by-pair sweep spends.  A
+row with a violation, or whose cost would pass the cap, charges the pairs
+before its first such pair and hands that pair to the scalar evaluator
+_pair, so witnesses, evaluations and CapExceeded.used stay pair-by-pair.
 
 Each condition keeps its own window convention: the generic immediacy window
 is half-open [s, s+w); the dyadic-layered condition uses (s, s+2^l]; the
@@ -15,11 +25,13 @@ uses (i0, i0+2^(t+1)].
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .core import TreeCode, all_codewords
+from .core import TreeCode, all_codewords, ensure_message_space
 from .dyadic import as_fraction, floor_lg
 from .partitions import (
     DeficiencyLedger,
@@ -75,78 +87,196 @@ def _frac(x: Fraction) -> str:
 
 
 def _table(code: TreeCode, budget: _Budget):
+    sigma, n = code.input_alphabet.size, code.n
     cap_bits = math.log2(budget.cap)
-    table = all_codewords(code, cap_bits=cap_bits)
-    budget.spend(len(table) * code.n)
-    return table
+    ensure_message_space(sigma, n, cap_bits)
+    budget.spend(sigma**n * n)
+    return all_codewords(code, cap_bits=cap_bits)
+
+
+class _MessageBits:
+    """Bitsets over the message table (bit j is message j, lexicographic).
+
+    same_input[q][a]: the messages with input symbol a at position q, a
+    periodic pattern.  Codeword-symbol sets are built from per-position index
+    lists on first use, so memory grows with the rows a sweep reaches.
+    """
+
+    def __init__(self, code: TreeCode, budget: _Budget) -> None:
+        self.table = _table(code, budget)
+        self.sigma, self.size = code.input_alphabet.size, len(self.table)
+        self.all = (1 << self.size) - 1
+        self.same_input = []
+        for q in range(code.n):
+            run = self.size // self.sigma ** (q + 1)
+            repeat = self.all // ((1 << (run * self.sigma)) - 1)
+            self.same_input.append([(((1 << run) - 1) << (a * run)) * repeat
+                                    for a in range(self.sigma)])
+        self._symbols: Dict[Tuple[int, int], int] = {}
+        self._index: List[Dict[int, List[int]]] = [defaultdict(list) for _ in range(code.n)]
+        for j, (_, cw) in enumerate(self.table):
+            for col, s in zip(self._index, cw):
+                col[s].append(j)
+
+    def same_symbol(self, p: int, sym: int) -> int:
+        """Messages whose codeword symbol at position p is sym."""
+        bits = self._symbols.get((p, sym))
+        if bits is None:
+            buf = bytearray((self.size + 7) >> 3)
+            for j in self._index[p][sym]:
+                buf[j >> 3] |= 1 << (j & 7)
+            bits = self._symbols[(p, sym)] = int.from_bytes(buf, "little")
+        return bits
+
+
+def _add(slices: List[int], e: int) -> None:
+    """Add the 0/1 bitset e to a bit-sliced counter (slice k = bit k)."""
+    for k, s in enumerate(slices):
+        slices[k], e = s ^ e, s & e
+        if not e:
+            return
+    slices.append(e)
+
+
+def _below(slices: List[int], t: int, cand: int) -> int:
+    """Members of cand whose count is below t."""
+    if t >> len(slices):
+        return cand
+    lt, eq = 0, cand
+    for b in reversed(range(len(slices))):
+        if t >> b & 1:
+            lt |= eq & ~slices[b]
+            eq &= slices[b]
+        else:
+            eq &= ~slices[b]
+    return lt
+
+
+def _minimum(slices: List[int], cand: int) -> int:
+    """Smallest count among the (non-empty) members of cand."""
+    low = 0
+    for b in reversed(range(len(slices))):
+        if not _below(slices, low | 1 << b, cand):
+            low |= 1 << b
+    return low
+
+
+def _pair(budget, cands, pair_cost, fmt, x, cx, y, cy) -> Optional[dict]:
+    """The scalar evaluator: one pair, in the order and with the charges of a
+    pair-by-pair sweep; returns the first violated window's witness."""
+    budget.spend(pair_cost)
+    for a, sp, windows in cands:
+        if x[sp] == y[sp] or x[a:sp] != y[a:sp]:
+            continue
+        for lo, hi, t, cost, tag in windows:
+            cnt = sum(cx[p] != cy[p] for p in range(lo, hi))
+            budget.spend(cost)
+            if cnt < t:
+                return fmt(x, y, tag, cnt)
+    return None
+
+
+def _sweep(bits: _MessageBits, budget: _Budget, cands: Sequence[tuple], fmt: Callable,
+           pair_cost: int, stride: int = 1, want_min: bool = False):
+    """Every pair of rows i < j (the multiples of stride) against candidates
+    (a, sp, windows): the pairs whose inputs agree on [a, sp) and differ at
+    sp.  A window (lo, hi, t, cost, tag) is violated when fewer than t of the
+    codeword positions [lo, hi) differ; it costs `cost` per candidate pair
+    (on top of pair_cost per pair), and fmt(x, y, tag, count) is its witness.
+    Returns the first witness in pair-by-pair order, and with want_min the
+    least count/length over all candidate windows (exact when it passes)."""
+    table, size = bits.table, bits.size
+    keys: Dict[Tuple[int, int, int], int] = {}
+    links = [[keys.setdefault(w[:3], len(keys)) for w in ws] for _, _, ws in cands]
+    weights = [sum(w[3] for w in ws) for _, _, ws in cands]
+    # windows sharing an end share one counter, grown from that end
+    by_lo = len({k[0] for k in keys}) <= len({k[1] for k in keys})
+    groups: Dict[Tuple[int, int], list] = defaultdict(list)
+    for (lo, hi, t), ki in sorted(keys.items(), key=lambda kv: kv[0][1] - kv[0][0]):
+        groups[(lo, 1) if by_lo else (hi - 1, -1)].append((hi - lo, t, ki))
+    rows = bits.all // ((1 << stride) - 1)
+    best = Fraction(1)
+
+    for i in range(0, size, stride):
+        x, cx = table[i]
+        sh = i + 1  # bit k of a row bitset stands for message i + 1 + k
+        base = rows >> sh
+        found, per_key = [], [0] * len(keys)
+        prev, agree, q = -1, 0, 0
+        for (a, sp, _), ks in zip(cands, links):
+            if a != prev or sp < q:
+                prev, agree, q = a, base, a
+            while q < sp:
+                agree &= bits.same_input[q][x[q]] >> sh
+                q += 1
+            found.append(agree & ~(bits.same_input[sp][x[sp]] >> sh))
+            for ki in ks:
+                per_key[ki] |= found[-1]
+
+        def cost_below(k: int) -> int:
+            low = (1 << k) - 1
+            charged = sum((f & low).bit_count() * w for f, w in zip(found, weights))
+            return pair_cost * (base & low).bit_count() + charged
+
+        viol = 0
+        mask = (1 << (size - sh)) - 1
+        for (start, step), checks in groups.items():
+            slices: List[int] = []
+            added = 0
+            for w, t, ki in checks:
+                cand = per_key[ki]
+                if not cand:
+                    continue
+                for p in range(start + step * added, start + step * w, step):
+                    _add(slices, (bits.same_symbol(p, cx[p]) >> sh) ^ mask)
+                added = w
+                if t > 0:
+                    viol |= _below(slices, t, cand)
+                if want_min:
+                    best = min(best, Fraction(_minimum(slices, cand), w))
+
+        cost, room = cost_below(size - sh), budget.cap - budget.used
+        if not viol and cost <= room:
+            budget.spend(cost)
+            continue
+        stop = (viol & -viol).bit_length() - 1 if viol else size
+        if cost > room:  # the first pair whose charges pass the cap
+            stop = min(stop, bisect_right(range(1, size - sh + 1), room, key=cost_below))
+        budget.spend(cost_below(stop))
+        y, cy = table[i + 1 + stop]
+        witness = _pair(budget, cands, pair_cost, fmt, x, cx, y, cy)
+        if witness is None:
+            raise RuntimeError(f"sweep flagged pair ({i}, {i + 1 + stop}) but it passes")
+        return witness, best
+    return None, best
 
 
 def check_online_property(code: TreeCode, cap: int = DEFAULT_EVAL_CAP) -> Verdict:
-    """Codewords of any two messages agree strictly before the divergence
-    point; this is the defining constraint of tree-structured encoding."""
+    """Each codeword symbol is a function of the message prefix up to it:
+    encoding every message with independent char_fn calls reproduces the
+    table, which computes each prefix's symbol once and shares it."""
     budget = _Budget(cap)
-    table = _table(code, budget)
-    n = code.n
-    for i in range(len(table)):
-        xi, ci = table[i]
-        for j in range(i + 1, len(table)):
-            yj, cj = table[j]
-            s = 0
-            while xi[s] == yj[s]:
-                s += 1
-            budget.spend(s + 1)
-            for p in range(s):
-                if ci[p] != cj[p]:
-                    return Verdict(
-                        passed=False,
-                        witness={
-                            "x": list(xi),
-                            "y": list(yj),
-                            "s": s + 1,
-                            "disagree_at": p + 1,
-                        },
-                        evaluations=budget.used,
-                    )
+    for m, cw in _table(code, budget):
+        budget.spend(code.n)
+        fresh = code.encode(m)
+        for p in range(code.n):
+            if fresh[p] != cw[p]:
+                witness = {"x": list(m), "position": p + 1, "table_symbol": cw[p],
+                           "encoded_symbol": fresh[p]}
+                return Verdict(passed=False, witness=witness, evaluations=budget.used)
     return Verdict(passed=True, witness=None, evaluations=budget.used)
 
 
-def _depth_pairs_violation(
-    row: Sequence[Tuple[Tuple[int, ...], Tuple[int, ...]]],
-    d: int,
-    delta: Fraction,
-    budget: _Budget,
-) -> Tuple[Optional[dict], Fraction]:
-    """First violating same-depth vertex pair at depth d, plus the minimum
-    divergent distance seen (exact when no early exit happens)."""
-    min_seen = Fraction(1)
-    for i in range(len(row)):
-        xi, ci = row[i]
-        for j in range(i + 1, len(row)):
-            yj, cj = row[j]
-            s = 0
-            while xi[s] == yj[s]:
-                s += 1
-            cnt = 0
-            for p in range(s, d):
-                if ci[p] != cj[p]:
-                    cnt += 1
-            budget.spend(d - s)
-            h = Fraction(cnt, d - s)
-            if h < min_seen:
-                min_seen = h
-            if h < delta:
-                return (
-                    {
-                        "depth": d,
-                        "x": list(xi),
-                        "y": list(yj),
-                        "s": s + 1,
-                        "measured": _frac(h),
-                        "required": _frac(delta),
-                    },
-                    min_seen,
-                )
-    return None, min_seen
+def _distance_sweep(bits, budget, d: int, delta: Fraction, want_min: bool = False):
+    """Same-depth vertex pairs at depth d: the first violation of divergent
+    distance >= delta, and (want_min) the minimum divergent distance."""
+    cands = [(0, s, [(s, d, math.ceil(delta * (d - s)), d - s, s)]) for s in range(d)]
+
+    def fmt(x, y, s, cnt):
+        return dict(depth=d, x=list(x[:d]), y=list(y[:d]), s=s + 1,
+                    measured=_frac(Fraction(cnt, d - s)), required=_frac(delta))
+
+    return _sweep(bits, budget, cands, fmt, 0, bits.size // bits.sigma**d, want_min)
 
 
 def check_tree_distance(code: TreeCode, delta, cap: int = DEFAULT_EVAL_CAP) -> Verdict:
@@ -158,65 +288,35 @@ def check_tree_distance(code: TreeCode, delta, cap: int = DEFAULT_EVAL_CAP) -> V
     """
     delta = as_fraction(delta)
     budget = _Budget(cap)
-    table = _table(code, budget)
-    n = code.n
-    sigma = code.input_alphabet.size
-
+    bits = _MessageBits(code, budget)
     witness: Optional[dict] = None
-    for d in range(1, n):
-        stride = sigma ** (n - d)
-        row = [
-            (table[v * stride][0][:d], table[v * stride][1][:d]) for v in range(sigma**d)
-        ]
-        witness, _ = _depth_pairs_violation(row, d, delta, budget)
+    for d in range(1, code.n):
+        witness, _ = _distance_sweep(bits, budget, d, delta)
         if witness is not None:
             break
-    full_row = [(m, c) for m, c in table]
-    full_witness, full_min = _depth_pairs_violation(full_row, n, delta, budget)
-    if witness is None:
-        witness = full_witness
-    return Verdict(
-        passed=witness is None,
-        witness=witness,
-        details={
-            "full_messages_pass": full_witness is None,
-            "min_full_depth": _frac(full_min) if full_witness is None else None,
-        },
-        evaluations=budget.used,
-    )
+    full_witness, full_min = _distance_sweep(bits, budget, code.n, delta, want_min=True)
+    full_pass = full_witness is None
+    details = {"full_messages_pass": full_pass,
+               "min_full_depth": _frac(full_min) if full_pass else None}
+    return Verdict(passed=witness is None and full_pass, witness=witness or full_witness,
+                   details=details, evaluations=budget.used)
 
 
 def exact_distance(code: TreeCode, cap: int = DEFAULT_EVAL_CAP) -> Fraction:
     """Exact minimum divergent distance over all same-depth vertex pairs."""
     budget = _Budget(cap)
-    table = _table(code, budget)
-    n = code.n
-    sigma = code.input_alphabet.size
-    best = Fraction(1)
-    for d in range(1, n + 1):
-        stride = sigma ** (n - d)
-        row = [
-            (table[v * stride][0][:d], table[v * stride][1][:d]) for v in range(sigma**d)
-        ]
-        _, seen = _depth_pairs_violation(row, d, Fraction(-1), budget)
-        if seen < best:
-            best = seen
-    return best
+    bits = _MessageBits(code, budget)
+    depths = range(1, code.n + 1)
+    return min(_distance_sweep(bits, budget, d, Fraction(-1), True)[1] for d in depths)
 
 
-def _diff_positions(x: Tuple[int, ...], y: Tuple[int, ...]) -> List[int]:
-    return [p + 1 for p in range(len(x)) if x[p] != y[p]]
-
-
-def _char_diff_prefix_sums(cx: Tuple[int, ...], cy: Tuple[int, ...]) -> List[int]:
-    """psum[p] = number of disagreeing codeword positions among 1..p."""
-    psum = [0] * (len(cx) + 1)
-    acc = 0
-    for p in range(len(cx)):
-        if cx[p] != cy[p]:
-            acc += 1
-        psum[p + 1] = acc
-    return psum
+def _position_sweep(code, budget, windows_at, fmt, details) -> Verdict:
+    """A condition whose windows, windows_at(sp) in evaluation order, depend
+    only on the differing input position sp (1-based)."""
+    cands = [(sp - 1, sp - 1, windows_at(sp)) for sp in range(1, code.n + 1)]
+    witness, _ = _sweep(_MessageBits(code, budget), budget, cands, fmt, code.n)
+    return Verdict(passed=witness is None, witness=witness,
+                   details={} if witness else details, evaluations=budget.used)
 
 
 def check_immediacy_function(
@@ -226,7 +326,6 @@ def check_immediacy_function(
     and every window length Imm(k) fitting inside [s, n], the relative Hamming
     distance on [s, s+Imm(k)) is >= delta."""
     delta = as_fraction(delta)
-    budget = _Budget(cap)
     n = code.n
 
     # probe the window function until it outgrows n; a monotone plateau is
@@ -244,50 +343,16 @@ def check_immediacy_function(
             widths.append(w)
         prev = w
 
-    table = _table(code, budget)
-    for i in range(len(table)):
-        xi, ci = table[i]
-        for j in range(i + 1, len(table)):
-            yj, cj = table[j]
-            psum = _char_diff_prefix_sums(ci, cj)
-            budget.spend(n)
-            for s in _diff_positions(xi, yj):
-                for w in widths:
-                    if s + w > n + 1:
-                        break
-                    cnt = psum[s + w - 1] - psum[s - 1]
-                    budget.spend(1)
-                    if cnt < delta * w:
-                        return Verdict(
-                            passed=False,
-                            witness={
-                                "x": list(xi),
-                                "y": list(yj),
-                                "s": s,
-                                "window": [s, s + w],  # [s, s+w) half-open
-                                "measured": _frac(Fraction(cnt, w)),
-                                "required": _frac(delta),
-                            },
-                            evaluations=budget.used,
-                        )
-    return Verdict(
-        passed=True, witness=None, details={"widths": widths}, evaluations=budget.used
-    )
+    def windows_at(s):
+        fits = [w for w in widths if s + w <= n + 1]
+        return [(s - 1, s - 1 + w, math.ceil(delta * w), 1, (s, w)) for w in fits]
 
+    def fmt(x, y, tag, cnt):
+        s, w = tag  # window [s, s+w) half-open
+        return dict(x=list(x), y=list(y), s=s, window=[s, s + w],
+                    measured=_frac(Fraction(cnt, w)), required=_frac(delta))
 
-def _validate_ledger(p: LaminarPartition, ledger: Optional[DeficiencyLedger]) -> Dict[int, set]:
-    exempt: Dict[int, set] = {}
-    if ledger is None:
-        return exempt
-    for level, idxs in ledger.sets:
-        if not 1 <= level <= p.ell:
-            raise ValueError(f"ledger level {level} not in partition (ell = {p.ell})")
-        blocks = p.tagged[level - 1]
-        for i in idxs:
-            if not 0 <= i < len(blocks):
-                raise ValueError(f"ledger block {i} not in level {level}")
-        exempt[level] = set(idxs)
-    return exempt
+    return _position_sweep(code, _Budget(cap), windows_at, fmt, {"widths": widths})
 
 
 def check_neighborhood_decoding(
@@ -313,7 +378,10 @@ def check_neighborhood_decoding(
         raise ValueError(f"malformed partition: {report.structural_errors[:3]}")
     if code.n != p.n:
         raise ValueError(f"code length {code.n} != partition n = {p.n}")
-    exempt = _validate_ledger(p, ledger)
+    exempt: Dict[int, set] = {}
+    if ledger is not None:  # validated against p: it may belong to another partition
+        checked = DeficiencyLedger.for_partition(p, dict(ledger.sets))
+        exempt = {level: set(idxs) for level, idxs in checked.sets}
     budget = _Budget(cap)
     table = _table(code, budget)
 
@@ -368,6 +436,7 @@ def check_neighborhood_decoding(
     )
 
 
+
 def check_eks_condition(
     code: TreeCode, delta, k: int, cap: int = DEFAULT_EVAL_CAP
 ) -> Verdict:
@@ -379,37 +448,18 @@ def check_eks_condition(
     if code.n != 1 << k:
         raise ValueError(f"code length {code.n} != 2^k = {1 << k}")
     n = code.n
-    budget = _Budget(cap)
-    table = _table(code, budget)
-    for i in range(len(table)):
-        xi, ci = table[i]
-        for j in range(i + 1, len(table)):
-            yj, cj = table[j]
-            psum = _char_diff_prefix_sums(ci, cj)
-            budget.spend(n)
-            for sp in _diff_positions(xi, yj):
-                for ell in range(k):
-                    length = 1 << ell
-                    if sp > n - length:
-                        break
-                    s = ((sp + length - 1) >> ell) << ell
-                    cnt = psum[s + length] - psum[s]
-                    budget.spend(1)
-                    if cnt < delta * length:
-                        return Verdict(
-                            passed=False,
-                            witness={
-                                "x": list(xi),
-                                "y": list(yj),
-                                "s_prime": sp,
-                                "ell": ell,
-                                "window": [s + 1, s + length],  # (s, s+2^l] as 1-based closed
-                                "measured": cnt,
-                                "required": _frac(delta * length),
-                            },
-                            evaluations=budget.used,
-                        )
-    return Verdict(passed=True, witness=None, evaluations=budget.used)
+
+    def windows_at(sp):
+        scales = [(ell, -(-sp >> ell) << ell) for ell in range(k) if sp <= n - (1 << ell)]
+        return [(s, s + (1 << ell), math.ceil(delta * (1 << ell)), 1, (sp, ell, s))
+                for ell, s in scales]
+
+    def fmt(x, y, tag, cnt):
+        sp, ell, s = tag  # window (s, s+2^l] as 1-based closed
+        return dict(x=list(x), y=list(y), s_prime=sp, ell=ell, window=[s + 1, s + (1 << ell)],
+                    measured=cnt, required=_frac(delta * (1 << ell)))
+
+    return _position_sweep(code, _Budget(cap), windows_at, fmt, {})
 
 
 def check_ghk_condition(
@@ -437,42 +487,18 @@ def check_ghk_condition(
     m = m_frac.numerator
     ts = [t for t in range(floor_lg(m), lg_n)] if m <= n else []
 
-    budget = _Budget(cap)
-    table = _table(code, budget)
-    for i in range(len(table)):
-        xi, ci = table[i]
-        for j in range(i + 1, len(table)):
-            yj, cj = table[j]
-            psum = _char_diff_prefix_sums(ci, cj)
-            budget.spend(n)
-            for pos in _diff_positions(xi, yj):
-                for t in ts:
-                    if pos > n - (1 << t):
-                        break
-                    i0 = ((pos - 1) >> t) << t
-                    w = 1 << (t + 1)
-                    cnt = psum[i0 + w] - psum[i0]
-                    budget.spend(1)
-                    if cnt < delta * w:
-                        return Verdict(
-                            passed=False,
-                            witness={
-                                "x": list(xi),
-                                "y": list(yj),
-                                "i": pos,
-                                "t": t,
-                                "window": [i0 + 1, i0 + w],
-                                "measured": cnt,
-                                "required": _frac(delta * w),
-                            },
-                            evaluations=budget.used,
-                        )
-    return Verdict(
-        passed=True,
-        witness=None,
-        details={"m": m, "t_values": ts, "vacuous": not ts},
-        evaluations=budget.used,
-    )
+    def windows_at(pos):
+        starts = [(t, ((pos - 1) >> t) << t) for t in ts if pos <= n - (1 << t)]
+        return [(i0, i0 + (2 << t), math.ceil(delta * (2 << t)), 1, (pos, t, i0))
+                for t, i0 in starts]
+
+    def fmt(x, y, tag, cnt):
+        pos, t, i0 = tag
+        return dict(x=list(x), y=list(y), i=pos, t=t, window=[i0 + 1, i0 + (2 << t)],
+                    measured=cnt, required=_frac(delta * (2 << t)))
+
+    details = {"m": m, "t_values": ts, "vacuous": not ts}
+    return _position_sweep(code, _Budget(cap), windows_at, fmt, details)
 
 
 def check_chs_condition(
@@ -508,53 +534,27 @@ def check_chs_condition(
     derivation_scale_ok = all(ells[i] >= 16 for i in range(2, m + 2))
 
     budget = _Budget(cap)
-    table = _table(code, budget)
-    witness: Optional[dict] = None
-    for ii in range(len(table)):
-        xi, ci = table[ii]
-        for jj in range(ii + 1, len(table)):
-            yj, cj = table[jj]
-            diffs = _diff_positions(xi, yj)
-            psum = _char_diff_prefix_sums(ci, cj)
-            budget.spend(n)
-            for i in range(2, m + 2):
-                blen = ells[i] // 2
-                d_lo, d_hi = ells[i - 1] // 2, ells[i] // 2
-                seen_blocks: set = set()
-                for sp in diffs:
-                    if sp > n - blen:
-                        break  # rightmost block of this level: exempt
-                    bidx = (sp - 1) // blen
-                    if bidx in seen_blocks:
-                        continue
-                    seen_blocks.add(bidx)
-                    s = sp  # first disagreement in the block, diffs ascending
-                    for d in range(d_lo, d_hi + 1):
-                        cnt = psum[s + d] - psum[s - 1]
-                        budget.spend(1)
-                        if 3 * cnt < d:
-                            witness = {
-                                "x": list(xi),
-                                "y": list(yj),
-                                "level_i": i,
-                                "block": bidx,
-                                "s": s,
-                                "d": d,
-                                "interval": [s, s + d],
-                                "measured": cnt,
-                                "required": _frac(Fraction(d, 3)),
-                            }
-                            return Verdict(
-                                passed=False,
-                                witness=witness,
-                                details={"derivation_scale_ok": derivation_scale_ok},
-                                evaluations=budget.used,
-                            )
+    bits = _MessageBits(code, budget)
+    # level i, block b (not the rightmost), first disagreement in it at sp
+    cands = []
+    for i in range(2, m + 2):
+        blen, ds = ells[i] // 2, range(ells[i - 1] // 2, ells[i] // 2 + 1)
+        for b in range(n // blen - 1):
+            cands += [(b * blen, sp, [(sp, sp + d + 1, (d + 2) // 3, 1, (i, b, sp + 1, d))
+                                      for d in ds]) for sp in range(b * blen, (b + 1) * blen)]
+
+    def fmt(x, y, tag, cnt):
+        i, b, s, d = tag
+        return dict(x=list(x), y=list(y), level_i=i, block=b, s=s, d=d, interval=[s, s + d],
+                    measured=cnt, required=_frac(Fraction(d, 3)))
+
+    witness, _ = _sweep(bits, budget, cands, fmt, n)
     details: dict = {"derivation_scale_ok": derivation_scale_ok}
-    p, led = chs_tagged_structure(m, l1, growth_shift)
-    nd = check_neighborhood_decoding(code, p, led, cap=cap)
-    details["nd_passed"] = nd.passed
-    details["nd_agrees"] = nd.passed  # condition passed; agreement means nd does too
-    if not nd.passed:
-        details["nd_witness"] = nd.witness
-    return Verdict(passed=True, witness=None, details=details, evaluations=budget.used)
+    if witness is None:
+        p, led = chs_tagged_structure(m, l1, growth_shift)
+        nd = check_neighborhood_decoding(code, p, led, cap=cap)
+        # the condition passed, so agreement means nd passes too
+        details.update(nd_passed=nd.passed, nd_agrees=nd.passed)
+        if not nd.passed:
+            details["nd_witness"] = nd.witness
+    return Verdict(witness is None, witness, details, budget.used)

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from treecodes import cli
 
 
@@ -164,3 +166,20 @@ def test_text_format_rendering(capsys):
     )
     assert rc == 0
     assert "bound_value: 1/4" in out
+
+
+@pytest.mark.parametrize(
+    "prop,given,flag",
+    [
+        ("eks", [], "--k"),
+        ("neighborhood", [], "--partition"),
+        ("chs", ["--shift", "1"], "--m, --l1"),
+        ("ghk", ["--epsilon", "1"], "--k0"),
+    ],
+)
+def test_verify_missing_property_flags_is_usage_error(tmp_path, capsys, prop, given, flag):
+    run(capsys, "build", "--recipe-json", '{"kind":"trivial","n":4}', "--out-dir", str(tmp_path))
+    rc = cli.main(["verify", "--code", str(tmp_path / "code.json"), "--property", prop] + given)
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert f"requires {flag}" in err and "internal error" not in err

@@ -6,6 +6,7 @@ import pytest
 from treecodes.core import (
     Alphabet,
     EnumerationCapExceeded,
+    TreeCode,
     all_codewords,
     divergent_distance,
     identity_code,
@@ -83,6 +84,23 @@ def test_online_property_at_depth_ten():
     from treecodes.synthetic import scrambled_prefix_code
 
     assert check_online_property(scrambled_prefix_code(10, 1), cap=1 << 25).passed
+
+
+def test_online_property_fails_for_stateful_char_fn():
+    # the symbol depends on how often char_fn ran, not only on the prefix:
+    # the shared-prefix table and independent encodings disagree
+    calls = []
+
+    def char(prefix):
+        calls.append(prefix)
+        return len(calls) % 2
+
+    code = TreeCode(3, Alphabet(2), Alphabet(2), char, name="stateful")
+    v = check_online_property(code)
+    assert not v.passed
+    w = v.witness
+    assert w["table_symbol"] != w["encoded_symbol"] and 1 <= w["position"] <= 3
+    assert v.evaluations <= 2 * 8 * 3
 
 
 def test_encode_matches_incremental_chars():

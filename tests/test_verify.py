@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -63,6 +64,16 @@ def test_both_formulations_agree_on_shared_instances():
 def test_distance_cap_exceeded():
     with pytest.raises(CapExceeded):
         check_tree_distance(trivial_code(8), 1, cap=1000)
+
+
+def test_cap_charged_before_enumeration():
+    # 2^20 messages * 20 positions > the default cap: refused before any
+    # message is built
+    start = time.perf_counter()
+    with pytest.raises(CapExceeded) as exc:
+        check_tree_distance(trivial_code(20), 1)
+    assert time.perf_counter() - start < 0.5
+    assert exc.value.used == 20 << 20
 
 
 # ---------------- immediacy function ----------------
