@@ -27,7 +27,6 @@ from .constructions import (
     EKSParams,
     ecc_family,
     eks_code,
-    eks_encode,
     eks_params,
     random_code_search,
     table_code,

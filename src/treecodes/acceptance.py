@@ -27,8 +27,6 @@ from .partitions import (
 from .rng import DetStream
 from .synthetic import mask_block_code, scrambled_prefix_code
 
-TOL = 1e-9
-
 
 @dataclass
 class CriterionResult:
@@ -141,7 +139,7 @@ def criterion_5() -> Tuple[bool, str]:
     worst = float("inf")
     for _ in range(1000):
         dist = _random_functional_joint(stream)
-        rep = entropy.verify_data_processing(dist, tol=TOL)
+        rep = entropy.verify_data_processing(dist)
         worst = min(worst, rep.mi_margin, rep.sum_margin)
         if not rep.ok:
             return False, f"inequality violated: margins {rep.mi_margin}, {rep.sum_margin}"

@@ -266,9 +266,11 @@ def audit_code(
     """Join a verified code to its rate bound: for a concrete code,
     neighborhood decoding is certified first (refused otherwise); a recipe
     mapping is audited on declared parameters alone, with the skip recorded
-    in the report.  The code is made systematic exactly as the bound's
-    derivation does, and the measured lg of the systematic alphabet is
-    compared against the plain or deficient bound.
+    in the report.  The deficiency is that of the ledger as re-derived
+    against the partition, never a figure the ledger carries.  The code is
+    made systematic exactly as the bound's derivation does, and the measured
+    lg of the systematic alphabet is compared against the plain or deficient
+    bound.
 
     For any code that passes verification, satisfied must come out True; a
     False here indicates an artifact bug, not a refutation.  Measured values
@@ -283,6 +285,7 @@ def audit_code(
         code = code_from_json(code)
     if not isinstance(code, TreeCode):
         raise TypeError("audit_code expects a TreeCode or a recipe mapping")
+    ledger = verify.checked_ledger(code, partition, ledger)
     if verified:
         kwargs = {} if cap is None else {"cap": cap}
         nd = verify.check_neighborhood_decoding(code, partition, ledger, **kwargs)
@@ -294,7 +297,7 @@ def audit_code(
     systematic = make_systematic(code)
     measured, meas_exact = _measured_lg(systematic.output_alphabet.size, "up")
     lg_in, _ = _measured_lg(code.input_alphabet.size, "down")
-    deficiency = ledger.budget_used if ledger is not None else 0
+    deficiency = ledger.budget_used
     if deficiency:
         formula = "thm42"
         bound = rate_bound_deficient(partition.alpha, partition.ell, deficiency, partition.n, lg_in)

@@ -230,7 +230,7 @@ def cmd_audit(args) -> int:
     p = serialize.partition_from_json(_load_json(args.partition))
     ledger = serialize.ledger_from_json(_load_json(args.ledger), p) if args.ledger else None
     report = bounds.audit_code(code, p, ledger, cap=args.cap)
-    led, verdict = entropy.ledger_replay(make_systematic(code), p, ledger)
+    led, verdict = entropy.ledger_replay(make_systematic(code), p, ledger, cap=args.cap)
     payload = {
         "bound": serialize.bound_report_to_json(report),
         "entropy": {
@@ -255,7 +255,6 @@ def cmd_search(args) -> int:
         target_delta=as_fraction(args.target) if args.target else None,
         trials=args.trials,
         seed=args.seed,
-        threads=args.threads,
     )
     payload = {
         "n": args.n,
@@ -351,7 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
     se.add_argument("--trials", type=int, default=1000)
     se.add_argument("--seed", type=int, default=0)
     se.add_argument("--target")
-    se.add_argument("--threads", type=int, default=1)
     se.add_argument("--out-dir")
     se.set_defaults(fn=cmd_search)
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .core import Alphabet, Codeword, Message, TreeCode
+from .core import Alphabet, Message, TreeCode
 from .dyadic import as_fraction
 from .rng import DetStream
 
@@ -243,23 +243,6 @@ def eks_code(params: EKSParams, zero_rows: Sequence[int] = ()) -> TreeCode:
     return TreeCode(n, Alphabet(2), Alphabet(1 << (b * (k + 1))), char, name=tag)
 
 
-def eks_encode(params: EKSParams, x: Sequence[int]) -> Codeword:
-    """Whole-string encoding under the layered construction."""
-    return eks_code(params).encode(x)
-
-
-def check_eks_is_immediacy_code(params: EKSParams, cap: int | None = None):
-    """Certify the dyadic neighborhood-decoding property of the layered code:
-    brute-force check of every tagged block of the dyadic partition."""
-    from . import verify
-    from .partitions import eks_partition
-
-    kwargs = {} if cap is None else {"cap": cap}
-    return verify.check_neighborhood_decoding(
-        eks_code(params), eks_partition(params.k), **kwargs
-    )
-
-
 def table_code(n: int, sigma_in: int, sigma_out: int, table: Sequence[int]) -> TreeCode:
     """A tree code tabulated in level order: for each depth j = 1..n, the edge
     labels below each depth-(j-1) node in lexicographic order."""
@@ -364,42 +347,24 @@ def random_code_search(
     target_delta=None,
     trials: int = 1000,
     seed: int = 0,
-    threads: int = 1,
 ) -> SearchResult:
     """Sample random labelings, certify each exactly, keep the best.
 
     Deterministic given the seed: trial t draws from its own counter-based
-    stream, and results merge by (distance, -trial) so any evaluation order,
-    including threaded runs, yields the same winner.
+    stream, and the best is kept by (distance, -trial).
     """
     target = None if target_delta is None else as_fraction(target_delta)
     best: Tuple[Fraction, int, List[int]] | None = None
-
-    def run_trial(t: int, floor: Fraction) -> Tuple[Fraction, int, List[int]]:
-        stream = DetStream(seed, "trial", t)
-        table = _sample_table(n, sigma_out_size, stream)
+    for t in range(trials):
+        table = _sample_table(n, sigma_out_size, DetStream(seed, "trial", t))
         # a scan that never hits the floor completes and is exact; an aborted
         # scan reports a value <= floor, which can never displace the best
-        return _min_distance_of_table(n, table, abort_below=floor), t, table
-
-    def merge(cand: Tuple[Fraction, int, List[int]]) -> None:
-        nonlocal best
-        if best is None or cand[0] > best[0] or (cand[0] == best[0] and cand[1] < best[1]):
-            best = cand
-
-    if threads > 1:
-        # every trial is evaluated with floor 0 (exact values), so merging by
-        # (distance, -trial) is order-independent and matches the serial run
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            for cand in ex.map(lambda t: run_trial(t, Fraction(0)), range(trials)):
-                merge(cand)
-    else:
-        for t in range(trials):
-            merge(run_trial(t, Fraction(0) if best is None else best[0]))
-            if target is not None and best is not None and best[0] >= target:
-                break
+        floor = Fraction(0) if best is None else best[0]
+        dist = _min_distance_of_table(n, table, abort_below=floor)
+        if best is None or dist > best[0]:
+            best = (dist, t, table)
+        if target is not None and best[0] >= target:
+            break
 
     assert best is not None
     dist = _min_distance_of_table(n, best[2], abort_below=Fraction(-1))

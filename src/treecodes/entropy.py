@@ -10,17 +10,18 @@ summed floats (error well below the 1e-9 assertion tolerance).
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .bounds import rate_bound_deficient, rate_bound_plain
-from .core import TreeCode, all_codewords, ensure_message_space
+from .core import TreeCode
 from .dyadic import lg_exact
-from .partitions import DeficiencyLedger, LaminarPartition, validate_laminar
-from .verify import Verdict
+from .partitions import DeficiencyLedger, LaminarPartition
+from .verify import DEFAULT_EVAL_CAP, Verdict, _Budget, _table, checked_ledger
 
-DEFAULT_MESSAGE_BITS_CAP = 20
 DEFAULT_TOL = 1e-9
 
 
@@ -143,14 +144,14 @@ def verify_data_processing(
     a: str = "A",
     b: str = "B",
     c: str = "C",
-    tol: float = DEFAULT_TOL,
 ) -> CommonInformationReport:
     """Check the two inequalities given H(A|B) = H(A|C) = 0.
 
     A joint violating the functional precondition is rejected (that is not a
     counterexample, just an inapplicable input).
     """
-    if conditional_entropy(dist, (a,), (b,)) > tol or conditional_entropy(dist, (a,), (c,)) > tol:
+    if (conditional_entropy(dist, (a,), (b,)) > DEFAULT_TOL
+            or conditional_entropy(dist, (a,), (c,)) > DEFAULT_TOL):
         raise ValueError("precondition violated: A must be a function of B and of C")
     h_a = entropy(dist, (a,))
     i_bc = mutual_information(dist, (b,), (c,))
@@ -161,7 +162,7 @@ def verify_data_processing(
         i_bc=i_bc,
         mi_margin=mi_margin,
         sum_margin=sum_margin,
-        ok=mi_margin >= -tol and sum_margin >= -tol,
+        ok=mi_margin >= -DEFAULT_TOL and sum_margin >= -DEFAULT_TOL,
     )
 
 
@@ -171,7 +172,7 @@ class EntropyLedger:
     per-block margins, endpoint margins, and the derived alphabet bound."""
 
     t: Tuple[float, ...]  # T_0..T_ell
-    slacks: Tuple[float, ...]  # levels 1..ell, each must be >= -tol
+    slacks: Tuple[float, ...]  # levels 1..ell, each must be >= -DEFAULT_TOL
     block_margins: Tuple[dict, ...]
     t_ell_margin: float  # T_ell - n * lg|sigma_in|
     start_margin: float  # n * lg|sigma'| - T_0
@@ -201,63 +202,58 @@ def ledger_replay(
     code: TreeCode,
     p: LaminarPartition,
     ledger: Optional[DeficiencyLedger] = None,
-    message_bits_cap: float = DEFAULT_MESSAGE_BITS_CAP,
-    tol: float = DEFAULT_TOL,
+    cap: int = DEFAULT_EVAL_CAP,
 ) -> Tuple[EntropyLedger, Verdict]:
     """Replay the telescoping entropy argument on a systematic code under the
     uniform message distribution, exactly.
 
-    Asserts, to tolerance: the per-level decrement (with the deficiency credit
-    for exempt blocks), the per-block inequality
+    Asserts, to DEFAULT_TOL: the per-level decrement (with the deficiency
+    credit for exempt blocks), the per-block inequality
     H(Y_B) <= H(Y_lf) + H(Y_rg) - |lf(B)| lg|sigma_in| at non-exempt blocks,
     the endpoints T_ell >= n lg|sigma_in| and T_0 <= n lg|sigma'|, and that the
     derived alphabet bound matches the closed-form rate bound exactly.
-    """
-    report = validate_laminar(p)
-    if not report.structural_ok:
-        raise ValueError(f"malformed partition: {report.structural_errors[:3]}")
-    if code.n != p.n:
-        raise ValueError(f"code length {code.n} != partition n = {p.n}")
-    ensure_message_space(code.input_alphabet.size, code.n, message_bits_cap)
-    table = all_codewords(code, cap_bits=message_bits_cap)
-    n = code.n
-    _require_systematic(table, n)
 
+    Runs on the certifiers' table and budget: exemptions and the deficiency
+    come from the ledger as re-derived against p, and the M*n table plus
+    M*|S| for each distinct column set S are charged against cap before any
+    message is enumerated.  Each distinct set is grouped once; on a laminar
+    partition the lf and rg parts of a level are blocks of the level below.
+    """
+    ledger = checked_ledger(code, p, ledger)
+    n = code.n
     lg_in = lg_exact(code.input_alphabet.size)
     lg_out = lg_exact(code.output_alphabet.size)
     if lg_in is None or lg_out is None:
         raise ValueError("ledger replay requires power-of-two alphabet sizes")
     lg_orig = lg_out - lg_in  # alphabet of the code before systematizing
 
-    def h_of(cols: Sequence[int]) -> float:
-        counts: Dict[Tuple, int] = {}
-        for _, cw in table:
-            key = tuple(cw[c] for c in cols)
-            counts[key] = counts.get(key, 0) + 1
-        return entropy_of_counts(counts.values())
+    def key(block: Sequence[int]) -> Tuple[int, ...]:
+        return tuple(sorted(block))
 
-    exempt: Dict[int, set] = {}
-    if ledger is not None:
-        for level, idxs in ledger.sets:
-            if not 1 <= level <= p.ell or any(
-                not 0 <= i < len(p.tagged[level - 1]) for i in idxs
-            ):
-                raise ValueError(f"ledger does not match partition at level {level}")
-            exempt[level] = set(idxs)
+    tagged = [s for level in p.tagged for tb in level for s in (tb.block, tb.lf, tb.rg)]
+    sets = dict.fromkeys(map(key, list(p.p0) + tagged))
+    budget = _Budget(cap)
+    table = _table(code, budget, sum(map(len, sets)))
+    _require_systematic(table, n)
+    words = [cw for _, cw in table]
+    entropies = {
+        s: entropy_of_counts(Counter(map(itemgetter(*[v - 1 for v in s]), words)).values())
+        for s in sets
+    }
 
-    t_values: List[float] = [math.fsum(h_of([v - 1 for v in b]) for b in p.p0)]
+    def h_of(block: Sequence[int]) -> float:
+        return entropies[key(block)]
+
+    t_values: List[float] = [math.fsum(h_of(b) for b in p.p0)]
     block_margins: List[dict] = []
     ok = True
     slacks: List[float] = []
     for level in range(1, p.ell + 1):
-        level_t = 0.0
+        exempt = ledger.blocks_at(level)
         parts: List[float] = []
         for bi, tb in enumerate(p.tagged[level - 1]):
-            h_b = h_of([v - 1 for v in tb.block])
+            h_b, h_lf, h_rg = h_of(tb.block), h_of(tb.lf), h_of(tb.rg)
             parts.append(h_b)
-            h_lf = h_of([v - 1 for v in tb.lf])
-            h_rg = h_of([v - 1 for v in tb.rg])
-            is_exempt = bi in exempt.get(level, ())
             margin = h_lf + h_rg - len(tb.lf) * float(lg_in) - h_b
             block_margins.append(
                 {
@@ -267,27 +263,25 @@ def ledger_replay(
                     "h_lf": h_lf,
                     "h_rg": h_rg,
                     "margin": margin,
-                    "exempt": is_exempt,
+                    "exempt": bi in exempt,
                 }
             )
-            if not is_exempt and margin < -tol:
+            if bi not in exempt and margin < -DEFAULT_TOL:
                 ok = False
         level_t = math.fsum(parts)
-        credit = sum(
-            p.tagged[level - 1][bi].size for bi in exempt.get(level, ())
-        ) * p.alpha * lg_in
+        credit = sum(p.tagged[level - 1][bi].size for bi in exempt) * p.alpha * lg_in
         slack = t_values[-1] - level_t - float(p.alpha * n * lg_in) + float(credit)
         slacks.append(slack)
-        if slack < -tol:
+        if slack < -DEFAULT_TOL:
             ok = False
         t_values.append(level_t)
 
     t_ell_margin = t_values[-1] - n * float(lg_in)
     start_margin = n * float(lg_out) - t_values[0]
-    if t_ell_margin < -tol or start_margin < -tol:
+    if t_ell_margin < -DEFAULT_TOL or start_margin < -DEFAULT_TOL:
         ok = False
 
-    deficiency = ledger.budget_used if ledger else 0
+    deficiency = ledger.budget_used
     # the bound the telescoping chain yields, assembled here from its own
     # ingredients; must coincide exactly with the closed-form bound module
     derived = p.alpha * (p.ell - Fraction(deficiency, n)) * lg_in
@@ -298,7 +292,7 @@ def ledger_replay(
     )
     if derived != closed_form:
         ok = False
-    if float(lg_orig) < float(derived) - tol:
+    if float(lg_orig) < float(derived) - DEFAULT_TOL:
         ok = False
 
     led = EntropyLedger(
@@ -327,6 +321,6 @@ def ledger_replay(
             "start_margin": start_margin,
         },
         details={"t": list(t_values), "slacks": list(slacks)},
-        evaluations=len(table) * n,
+        evaluations=budget.used,
     )
     return led, verdict

@@ -86,12 +86,29 @@ def _frac(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
 
 
-def _table(code: TreeCode, budget: _Budget):
+def _table(code: TreeCode, budget: _Budget, reads: int = 0):
+    """The message table, charged M*n, plus M*reads for the column reads per
+    message a caller will make, before any message is enumerated."""
     sigma, n = code.input_alphabet.size, code.n
     cap_bits = math.log2(budget.cap)
     ensure_message_space(sigma, n, cap_bits)
     budget.spend(sigma**n * n)
+    budget.spend(sigma**n * reads)
     return all_codewords(code, cap_bits=cap_bits)
+
+
+def checked_ledger(code: TreeCode, p: LaminarPartition,
+                   ledger: Optional[DeficiencyLedger]) -> DeficiencyLedger:
+    """The prologue of every check on (code, partition, ledger): p must be
+    structurally valid and as long as the code, and the ledger is re-derived
+    against p (it may belong to another partition or carry a forged budget),
+    so exemptions and deficiency come only from the returned ledger."""
+    report = validate_laminar(p)
+    if not report.structural_ok:
+        raise ValueError(f"malformed partition: {report.structural_errors[:3]}")
+    if code.n != p.n:
+        raise ValueError(f"code length {code.n} != partition n = {p.n}")
+    return DeficiencyLedger.for_partition(p, dict(ledger.sets) if ledger else {})
 
 
 class _MessageBits:
@@ -373,25 +390,16 @@ def check_neighborhood_decoding(
     for any structurally valid tagged partition); structural defects are
     rejected as errors.
     """
-    report = validate_laminar(p)
-    if not report.structural_ok:
-        raise ValueError(f"malformed partition: {report.structural_errors[:3]}")
-    if code.n != p.n:
-        raise ValueError(f"code length {code.n} != partition n = {p.n}")
-    exempt: Dict[int, set] = {}
-    if ledger is not None:  # validated against p: it may belong to another partition
-        checked = DeficiencyLedger.for_partition(p, dict(ledger.sets))
-        exempt = {level: set(idxs) for level, idxs in checked.sets}
+    ledger = checked_ledger(code, p, ledger)
     budget = _Budget(cap)
     table = _table(code, budget)
 
     blocks_out: List[dict] = []
     tables_out: Dict[str, list] = {}
     first_witness: Optional[dict] = None
-    all_pass = True
     for level in range(1, p.ell + 1):
         for bi, tb in enumerate(p.tagged[level - 1]):
-            entry = {"level": level, "index": bi, "exempt": bi in exempt.get(level, ())}
+            entry = {"level": level, "index": bi, "exempt": bi in ledger.blocks_at(level)}
             if entry["exempt"]:
                 entry["passed"] = None
                 blocks_out.append(entry)
@@ -408,19 +416,12 @@ def check_neighborhood_decoding(
                 if prior is None:
                     seen[key] = (val, m)
                 elif prior[0] != val:
-                    block_witness = {
-                        "level": level,
-                        "block": bi,
-                        "lf": list(tb.lf),
-                        "rg": list(tb.rg),
-                        "x": list(prior[1]),
-                        "y": list(m),
-                    }
+                    block_witness = dict(level=level, block=bi, lf=list(tb.lf), rg=list(tb.rg),
+                                         x=list(prior[1]), y=list(m))
                     break
             entry["passed"] = block_witness is None
             if block_witness is not None:
                 entry["witness"] = block_witness
-                all_pass = False
                 if first_witness is None:
                     first_witness = block_witness
             elif materialize_tables:
@@ -431,10 +432,7 @@ def check_neighborhood_decoding(
     details = {"blocks": blocks_out}
     if materialize_tables:
         details["tables"] = tables_out
-    return Verdict(
-        passed=all_pass, witness=first_witness, details=details, evaluations=budget.used
-    )
-
+    return Verdict(first_witness is None, first_witness, details, budget.used)
 
 
 def check_eks_condition(

@@ -16,7 +16,8 @@ from treecodes.bounds import (
 )
 from treecodes.constructions import eks_code
 from treecodes.core import identity_code, trivial_code
-from treecodes.partitions import chs_partition, eks_partition, ghk_partition
+from treecodes.partitions import DeficiencyLedger, chs_partition, eks_partition, ghk_partition
+from treecodes.synthetic import mask_block_code
 
 alphas = st.fractions(min_value=Fraction(1, 64), max_value=1)
 lgs = st.fractions(min_value=0, max_value=Fraction(20))
@@ -121,6 +122,17 @@ def test_audit_deficient_partition_uses_thm42():
     assert rep.formula_id == "thm42"
     assert rep.bound_value == Fraction(1, 8)
     assert rep.satisfied
+
+
+def test_audit_rederives_forged_ledger():
+    # the exempt block is masked, so it does not decode; a ledger that lists
+    # it but claims budget 0 must still get the deficient bound
+    p, honest = chs_partition(1, 4, 0)
+    code = mask_block_code(trivial_code(16), p.tagged[0][1])
+    rep = audit_code(code, p, DeficiencyLedger(sets=honest.sets, budget_used=0))
+    assert rep.formula_id == "thm42"
+    assert rep.bound_value == Fraction(1, 8)
+    assert rep.inputs["deficiency"] == "8"
 
 
 def test_audit_refuses_unverified_code():

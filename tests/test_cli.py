@@ -126,6 +126,17 @@ def test_audit_subcommand(tmp_path, capsys):
     assert payload["entropy"]["slacks"]
 
 
+def test_audit_cap_covers_the_entropy_replay(tmp_path, capsys):
+    # layered k=3 over its dyadic partition (M = 256, n = 8): the
+    # neighborhood check costs M*n + M*24 = 8192, the replay M*n + M*32 = 10240
+    run(capsys, "build", "--recipe-json", '{"kind":"eks","k":3,"delta":"1/2","seed":0}',
+        "--out-dir", str(tmp_path))
+    args = ["audit", "--code", str(tmp_path / "code.json"),
+            "--partition", str(tmp_path / "partition.json"), "--cap"]
+    assert run(capsys, *args, "8192")[0] == 3
+    assert run(capsys, *args, "10240")[0] == 0
+
+
 def test_verify_remaining_properties(tmp_path, capsys):
     run(capsys, "build", "--recipe-json", '{"kind":"trivial","n":8}', "--out-dir", str(tmp_path))
     code = str(tmp_path / "code.json")

@@ -7,14 +7,18 @@ from treecodes.constructions import (
     _min_distance_of_table,
     ecc_family,
     eks_code,
-    eks_encode,
     eks_params,
-    check_eks_is_immediacy_code,
     random_code_search,
     table_code,
 )
 from treecodes.core import trivial_code
-from treecodes.verify import check_online_property, check_tree_distance, exact_distance
+from treecodes.partitions import eks_partition
+from treecodes.verify import (
+    check_neighborhood_decoding,
+    check_online_property,
+    check_tree_distance,
+    exact_distance,
+)
 
 
 def naive_min_relative_distance(block_code):
@@ -67,7 +71,7 @@ def test_eks_table_unrolled_by_hand(eks2):
         expected = tuple(
             row1[j] | (row2[j] << b) | (row3[j] << (2 * b)) for j in range(4)
         )
-        assert eks_encode(params, x) == expected
+        assert eks_code(params).encode(x) == expected
 
 
 def test_eks_alphabet_width(eks3):
@@ -107,16 +111,13 @@ def test_eks_online_property_k4_prefix_table():
 
 
 def test_eks_neighborhood_certificate(eks3):
-    verdict = check_eks_is_immediacy_code(eks3)
+    verdict = check_neighborhood_decoding(eks_code(eks3), eks_partition(3))
     assert verdict.passed
     assert all(e["passed"] for e in verdict.details["blocks"])
 
 
 def test_eks_ablated_row_fails_neighborhood(eks3):
     code = eks_code(eks3, zero_rows=(4,))
-    from treecodes.partitions import eks_partition
-    from treecodes.verify import check_neighborhood_decoding
-
     nd = check_neighborhood_decoding(code, eks_partition(3))
     assert not nd.passed
     assert nd.witness["level"] == 3  # the ablated scale
@@ -124,7 +125,7 @@ def test_eks_ablated_row_fails_neighborhood(eks3):
 
 def test_eks_k1_single_block(eks3):
     params = eks_params(1, Fraction(1, 2), seed=0)
-    verdict = check_eks_is_immediacy_code(params)
+    verdict = check_neighborhood_decoding(eks_code(params), eks_partition(1))
     assert verdict.passed
     assert len(verdict.details["blocks"]) == 1
 
@@ -176,8 +177,6 @@ def test_search_determinism_and_merge_rule():
     a = random_code_search(3, 4, trials=100, seed=9)
     b = random_code_search(3, 4, trials=100, seed=9)
     assert a.table == b.table and a.distance == b.distance and a.trial == b.trial
-    threaded = random_code_search(3, 4, trials=100, seed=9, threads=3)
-    assert threaded.table == a.table and threaded.trial == a.trial
 
 
 def test_search_single_symbol_alphabet_reports_zero():

@@ -1,11 +1,12 @@
 import math
+import time
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
 from treecodes.constructions import eks_code
-from treecodes.core import identity_code, make_systematic, trivial_code
+from treecodes.core import EnumerationCapExceeded, identity_code, make_systematic, trivial_code
 from treecodes.entropy import (
     FiniteJoint,
     conditional_entropy,
@@ -15,8 +16,10 @@ from treecodes.entropy import (
     mutual_information,
     verify_data_processing,
 )
-from treecodes.partitions import chs_partition, eks_partition
+from treecodes.partitions import DeficiencyLedger, chs_partition, eks_partition
 from treecodes.rng import DetStream
+from treecodes.synthetic import mask_block_code
+from treecodes.verify import CapExceeded
 
 TOL = 1e-9
 
@@ -212,7 +215,40 @@ def test_ledger_replay_rejects_nonsystematic():
 
 
 def test_ledger_replay_cap():
-    from treecodes.core import EnumerationCapExceeded
-
     with pytest.raises(EnumerationCapExceeded):
-        ledger_replay(make_systematic(trivial_code(8)), eks_partition(3), message_bits_cap=7)
+        ledger_replay(make_systematic(trivial_code(8)), eks_partition(3), cap=2**7)
+
+
+def test_ledger_replay_charges_before_enumerating():
+    # the table's M*n = 2^20 evaluations fit a cap of 2^20 + 1, the grouping
+    # of its 31 distinct column sets does not: refused before enumerating
+    t0 = time.perf_counter()
+    with pytest.raises(CapExceeded):
+        ledger_replay(make_systematic(trivial_code(16)), eks_partition(4), cap=2**20 + 1)
+    assert time.perf_counter() - t0 < 0.5
+
+
+def test_ledger_replay_evaluations_count_each_column_set_once():
+    # trivial(8) over the dyadic partition: the lf/rg parts of a level are
+    # the blocks of the level below, so the distinct sets are the 15 blocks
+    # of levels 0..3, covering 4 * 8 columns
+    _, verdict = ledger_replay(make_systematic(trivial_code(8)), eks_partition(3))
+    assert verdict.evaluations == 256 * 8 + 256 * 32
+
+
+def test_ledger_replay_rederives_forged_ledger():
+    # a ledger claiming no deficiency for the exempt block it lists: the
+    # replay takes the deficiency from the ledger re-derived against p
+    p, honest = chs_partition(1, 4, 0)
+    code = make_systematic(mask_block_code(trivial_code(16), p.tagged[0][1]))
+    forged = DeficiencyLedger(sets=honest.sets, budget_used=0)
+    led, verdict = ledger_replay(code, p, forged)
+    assert verdict.passed
+    assert led.deficiency == 8
+    assert led.derived_bound == Fraction(1, 8)
+
+
+def test_ledger_replay_rejects_ledger_of_another_partition():
+    with pytest.raises(ValueError, match="ledger level 2 outside 1..1"):
+        ledger_replay(make_systematic(trivial_code(16)), chs_partition(1, 4, 0)[0],
+                      DeficiencyLedger(sets=((2, (0,)),), budget_used=8))
