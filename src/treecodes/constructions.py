@@ -5,6 +5,10 @@ The layered code fills a (k+1) x n table of b-bit cells: row 1 holds per-symbol
 repetition cells, row i >= 2 holds block-code encodings of dyadic message
 blocks of length 2^(i-2), right-shifted by one block so that column j depends
 only on x_1..x_j.  Output symbol j packs column j into one integer.
+
+The block codes are found by greedy selection over a candidate pool and
+certified exhaustively, both on bitsets of pool indices: one bit-sliced
+counter per chosen word gives its cell distance to every candidate at once.
 """
 
 from __future__ import annotations
@@ -12,8 +16,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
+from .bitslice import add, below, minimum
 from .core import Alphabet, Message, TreeCode
 from .dyadic import as_fraction
 from .rng import DetStream
@@ -45,20 +50,52 @@ class BlockCode:
         return self.codewords[m]
 
 
-def _pairwise_min_distance(words: Sequence[Tuple[int, ...]], ell: int) -> Fraction:
-    best = ell
-    for i in range(len(words)):
-        wi = words[i]
-        for j in range(i + 1, len(words)):
-            wj = words[j]
-            d = sum(1 for a, b in zip(wi, wj) if a != b)
-            if d < best:
-                best = d
-    return Fraction(best, ell)
+_BIT = [bytes(x >> t & 1 for x in range(256)) for t in range(8)]
 
 
-def _cell_distance(a: Tuple[int, ...], b: Tuple[int, ...]) -> int:
-    return sum(1 for x, y in zip(a, b) if x != y)
+def _bit_planes(words: Sequence[int], width: int) -> List[int]:
+    """planes[s]: the bitset of indices j whose words[j] has bit s set.
+
+    A transpose in whole-bytes steps: byte k of every word is gathered by one
+    slice, its bit t becomes a 0/1 byte per word by one translate, and eight
+    strided slices pack those bytes into the bits of one int.
+    """
+    nbytes = (width + 7) >> 3
+    pad = bytes(-len(words) % 8 * nbytes)
+    # joined in chunks: a list of one bytes object per word would outweigh the pool
+    data = b"".join(b"".join([v.to_bytes(nbytes, "little") for v in words[i : i + 4096]])
+                    for i in range(0, len(words), 4096)) + pad
+    planes = []
+    for s in range(width):
+        flags = data[s >> 3 :: nbytes].translate(_BIT[s & 7])
+        planes.append(sum(int.from_bytes(flags[r::8], "little") << r for r in range(8)))
+    return planes
+
+
+class _Pool:
+    """Bitsets over candidate words (bit j is words[j]).  A word packs ell
+    b-bit cells, first cell highest: cell i is (v >> b*(ell-1-i)) & (2^b-1)."""
+
+    def __init__(self, words: Sequence[int], ell: int, b: int) -> None:
+        self.words, self.ell, self.b = words, ell, b
+        self.all = (1 << len(words)) - 1
+        self._planes = _bit_planes(words, ell * b)
+        self._differs: Dict[Tuple[int, int], int] = {}
+
+    def distances(self, v: int) -> List[int]:
+        """A bit-sliced counter of every word's cell distance from v."""
+        slices: List[int] = []
+        for i in range(self.ell):
+            sh = self.b * (self.ell - 1 - i)
+            key = (sh, v >> sh & ((1 << self.b) - 1))
+            differs = self._differs.get(key)
+            if differs is None:
+                differs = 0
+                for s in range(sh, sh + self.b):
+                    differs |= self._planes[s] ^ (self.all if v >> s & 1 else 0)
+                self._differs[key] = differs
+            add(slices, differs)
+        return slices
 
 
 def _int_to_cells(v: int, ell: int, b: int) -> Tuple[int, ...]:
@@ -79,52 +116,68 @@ def _search_block_code(
     need = math.ceil(delta * ell)  # absolute cell distance needed
     space_bits = ell * b
     exhaustive = space_bits <= _EXHAUSTIVE_POOL_BITS and (1 << space_bits) * want <= 1 << 20
+    size = min(pool_cap, 1 << space_bits)
+    if not exhaustive and size < want:
+        return None  # a sample cannot hold want distinct words
     for r in range(restarts):
         rs = DetStream(stream.u64(), "restart", r)
         if exhaustive:
-            pool = [_int_to_cells(v, ell, b) for v in rs.shuffled(range(1 << space_bits))]
-            chosen = _greedy_farthest_point(pool, want, need, ell)
+            pool = _Pool(rs.shuffled(range(1 << space_bits)), ell, b)
+            chosen = _greedy_farthest_point(pool, want, need)
         else:
-            size = min(pool_cap, 1 << space_bits)
-            pool = [_int_to_cells(rs.randbelow(1 << space_bits), ell, b) for _ in range(size)]
+            pool = _Pool([rs.randbelow(1 << space_bits) for _ in range(size)], ell, b)
             chosen = _greedy_threshold(pool, want, need)
         if chosen is not None:
-            words = tuple(chosen)
-            cert = _pairwise_min_distance(words, ell)
+            words = [pool.words[j] for j in chosen]
+            cert = _pairwise_min_distance(words, ell, b)
             if cert >= delta:
-                return BlockCode(ell=ell, b=b, codewords=words, certified=cert)
+                codewords = tuple(_int_to_cells(v, ell, b) for v in words)
+                return BlockCode(ell=ell, b=b, codewords=codewords, certified=cert)
     return None
 
 
-def _greedy_farthest_point(
-    pool: List[Tuple[int, ...]], want: int, need: int, ell: int
-) -> Optional[List[Tuple[int, ...]]]:
-    """Repeatedly take the candidate farthest (in min cell distance) from the
-    chosen set; succeed when `want` words at pairwise distance >= need exist."""
-    chosen = [pool[0]]
-    mind = [_cell_distance(w, pool[0]) for w in pool]
+def _pairwise_min_distance(words: Sequence[int], ell: int, b: int) -> Fraction:
+    """Exact minimum relative cell distance over all pairs of words: for each
+    word, the least count among the words after it."""
+    pool = _Pool(words, ell, b)
+    best = ell
+    for i in range(len(words) - 1):
+        best = min(best, minimum(pool.distances(words[i]), pool.all >> i + 1 << i + 1))
+    return Fraction(best, ell)
+
+
+def _greedy_farthest_point(pool: _Pool, want: int, need: int) -> Optional[List[int]]:
+    """Indices of the words taken by repeatedly choosing the first candidate
+    farthest (in min cell distance) from the chosen set, starting from word
+    0; None once the farthest is nearer than need (>= 1)."""
+    chosen = [0]
+    # at_least[d]: candidates at distance >= need + d from every chosen word
+    at_least = [pool.all] * (pool.ell - need + 1)
+    top = len(at_least) - 1
     while len(chosen) < want:
-        best_i = max(range(len(pool)), key=lambda i: mind[i])
-        if mind[best_i] < need:
+        slices = pool.distances(pool.words[chosen[-1]])
+        for d in range(top + 1):
+            at_least[d] ^= below(slices, need + d, at_least[d])
+        while top >= 0 and not at_least[top]:
+            top -= 1
+        if top < 0:
             return None
-        w = pool[best_i]
-        chosen.append(w)
-        for i, cand in enumerate(pool):
-            d = _cell_distance(cand, w)
-            if d < mind[i]:
-                mind[i] = d
+        far = at_least[top]
+        chosen.append((far & -far).bit_length() - 1)
     return chosen
 
 
-def _greedy_threshold(
-    pool: List[Tuple[int, ...]], want: int, need: int
-) -> Optional[List[Tuple[int, ...]]]:
-    chosen: List[Tuple[int, ...]] = []
-    for cand in pool:
-        if all(_cell_distance(cand, w) >= need for w in chosen):
-            chosen.append(cand)
-            if len(chosen) == want:
-                return chosen
+def _greedy_threshold(pool: _Pool, want: int, need: int) -> Optional[List[int]]:
+    """Indices of the words taken in pool order whenever at distance >= need
+    (>= 1) from every word taken before; None if fewer than want qualify."""
+    chosen: List[int] = []
+    open_ = pool.all
+    while open_:
+        j = (open_ & -open_).bit_length() - 1
+        chosen.append(j)
+        if len(chosen) == want:
+            return chosen
+        open_ ^= below(pool.distances(pool.words[j]), need, open_)
     return None
 
 

@@ -17,20 +17,28 @@ class DetStream:
     """An infinite deterministic byte stream with convenience draws."""
 
     def __init__(self, seed: int, *context: object) -> None:
-        self._key = f"{seed}|" + "|".join(str(c) for c in context)
+        key = f"{seed}|" + "|".join(str(c) for c in context)
+        # block i is sha256(f"{key}|{i}"): the shared prefix is hashed once
+        self._prefix = hashlib.sha256(f"{key}|".encode())
         self._counter = 0
         self._buf = b""
+        self._pos = 0  # bytes before _pos are consumed
 
     def _refill(self) -> None:
-        h = hashlib.sha256(f"{self._key}|{self._counter}".encode()).digest()
+        h = self._prefix.copy()
+        h.update(b"%d" % self._counter)
         self._counter += 1
-        self._buf += h
+        self._buf = self._buf[self._pos:] + h.digest()
+        self._pos = 0
 
     def bytes(self, k: int) -> bytes:
-        while len(self._buf) < k:
+        start = self._pos
+        end = start + k
+        while end > len(self._buf):
             self._refill()
-        out, self._buf = self._buf[:k], self._buf[k:]
-        return out
+            start, end = 0, k
+        self._pos = end
+        return self._buf[start:end]
 
     def u64(self) -> int:
         return int.from_bytes(self.bytes(8), "big")
@@ -39,8 +47,8 @@ class DetStream:
         """Uniform draw from 0..n-1 (rejection sampling, unbiased)."""
         if n <= 0:
             raise ValueError("randbelow needs n >= 1")
-        k = max(1, (n - 1).bit_length())
-        nbytes = (k + 7) // 8
+        k = (n - 1).bit_length() or 1
+        nbytes = (k + 7) >> 3
         mask = (1 << k) - 1
         while True:
             v = int.from_bytes(self.bytes(nbytes), "big") & mask

@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from .bitslice import add, below, minimum
 from .core import TreeCode, all_codewords, ensure_message_space
 from .dyadic import as_fraction, floor_lg
 from .partitions import (
@@ -146,38 +147,6 @@ class _MessageBits:
         return bits
 
 
-def _add(slices: List[int], e: int) -> None:
-    """Add the 0/1 bitset e to a bit-sliced counter (slice k = bit k)."""
-    for k, s in enumerate(slices):
-        slices[k], e = s ^ e, s & e
-        if not e:
-            return
-    slices.append(e)
-
-
-def _below(slices: List[int], t: int, cand: int) -> int:
-    """Members of cand whose count is below t."""
-    if t >> len(slices):
-        return cand
-    lt, eq = 0, cand
-    for b in reversed(range(len(slices))):
-        if t >> b & 1:
-            lt |= eq & ~slices[b]
-            eq &= slices[b]
-        else:
-            eq &= ~slices[b]
-    return lt
-
-
-def _minimum(slices: List[int], cand: int) -> int:
-    """Smallest count among the (non-empty) members of cand."""
-    low = 0
-    for b in reversed(range(len(slices))):
-        if not _below(slices, low | 1 << b, cand):
-            low |= 1 << b
-    return low
-
-
 def _pair(budget, cands, pair_cost, fmt, x, cx, y, cy) -> Optional[dict]:
     """The scalar evaluator: one pair, in the order and with the charges of a
     pair-by-pair sweep; returns the first violated window's witness."""
@@ -245,12 +214,12 @@ def _sweep(bits: _MessageBits, budget: _Budget, cands: Sequence[tuple], fmt: Cal
                 if not cand:
                     continue
                 for p in range(start + step * added, start + step * w, step):
-                    _add(slices, (bits.same_symbol(p, cx[p]) >> sh) ^ mask)
+                    add(slices, (bits.same_symbol(p, cx[p]) >> sh) ^ mask)
                 added = w
                 if t > 0:
-                    viol |= _below(slices, t, cand)
+                    viol |= below(slices, t, cand)
                 if want_min:
-                    best = min(best, Fraction(_minimum(slices, cand), w))
+                    best = min(best, Fraction(minimum(slices, cand), w))
 
         cost, room = cost_below(size - sh), budget.cap - budget.used
         if not viol and cost <= room:
@@ -388,11 +357,14 @@ def check_neighborhood_decoding(
     earliest message whose rg-restriction collides with an earlier one.  The
     size and laminar properties are NOT required here (decoding is meaningful
     for any structurally valid tagged partition); structural defects are
-    rejected as errors.
+    rejected as errors.  The M*(|lf|+|rg|) reads of every non-exempt block are
+    charged with the table, before any message is enumerated.
     """
     ledger = checked_ledger(code, p, ledger)
+    reads = sum(len(tb.lf) + len(tb.rg) for level in range(1, p.ell + 1)
+                for bi, tb in enumerate(p.tagged[level - 1]) if bi not in ledger.blocks_at(level))
     budget = _Budget(cap)
-    table = _table(code, budget)
+    table = _table(code, budget, reads)
 
     blocks_out: List[dict] = []
     tables_out: Dict[str, list] = {}
@@ -406,7 +378,6 @@ def check_neighborhood_decoding(
                 continue
             lf_cols = [v - 1 for v in tb.lf]
             rg_cols = [v - 1 for v in tb.rg]
-            budget.spend(len(table) * (len(lf_cols) + len(rg_cols)))
             seen: dict = {}
             block_witness = None
             for m, cw in table:

@@ -387,3 +387,17 @@ def test_random_collision_fails_both_checkers():
     code = mask_block_code(base, tb)
     assert not check_eks_condition(code, Fraction(1, 2), 3).passed
     assert not check_neighborhood_decoding(code, p3).passed
+
+
+def test_neighborhood_charges_every_block_before_enumeration():
+    # trivial(16) over the dyadic partition: M*n = 2^20 for the table plus
+    # 2^22 for the lf/rg reads of its blocks; one short of that is refused
+    # before a message is enumerated
+    start = time.perf_counter()
+    with pytest.raises(CapExceeded) as exc:
+        check_neighborhood_decoding(trivial_code(16), eks_partition(4), cap=2**20 + 2**22 - 1)
+    assert time.perf_counter() - start < 0.5
+    assert exc.value.used == 2**20 + 2**22
+    # the same total is what a passing check reports: trivial(8), 256 * (8 + 24)
+    verdict = check_neighborhood_decoding(trivial_code(8), eks_partition(3), cap=256 * 32)
+    assert verdict.passed and verdict.evaluations == 256 * 32
