@@ -1,9 +1,11 @@
 """Seeded random search for small tree codes, certified exactly.
 
 Each trial samples a labeling with distinct sibling labels (a sibling
-collision certifies distance zero outright), evaluates its exact minimum
-divergent distance, and the best certified labeling wins.  Everything is
-keyed by a counter-based generator, so runs reproduce bit for bit.
+collision certifies distance zero outright), one depth at a time, until some
+pair shows it cannot beat the best so far; a trial that never does has its
+exact minimum divergent distance certified and becomes the new best.
+Everything is keyed by a counter-based generator, so runs reproduce bit for
+bit.
 """
 
 from fractions import Fraction

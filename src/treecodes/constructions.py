@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .bitslice import add, below, minimum
 from .core import Alphabet, Message, TreeCode
@@ -317,72 +317,60 @@ def table_code(n: int, sigma_in: int, sigma_out: int, table: Sequence[int]) -> T
     return TreeCode(n, Alphabet(sigma_in), Alphabet(sigma_out), char, name=f"table[{n}]")
 
 
-def _sample_table(n: int, sigma_out: int, stream: DetStream) -> List[int]:
-    """Random level-order label table with distinct sibling labels.
+def _draw_levels(
+    n: int, sigma_out: int, stream: DetStream, table: List[int]
+) -> Iterator[List[int]]:
+    """Draw a random labeling level by level, appending each level to table.
 
     Any two equal sibling labels certify distance 0 outright (the two
-    depth-one-divergence paths agree on their whole window), so the sampler
-    draws each node's pair of child labels without replacement whenever the
-    alphabet allows it.
+    depth-one-divergence paths agree on their whole window), so each node's
+    pair of child labels is drawn without replacement whenever the alphabet
+    allows it.
     """
-    table: List[int] = []
-    for j in range(1, n + 1):
-        for _ in range(2 ** (j - 1)):
-            if sigma_out >= 2:
-                a, b = stream.distinct_pair(sigma_out)
-            else:
-                a = b = 0
-            table.extend((a, b))
-    return table
-
-
-def _table_rows(n: int, table: Sequence[int]) -> List[List[Tuple[int, ...]]]:
-    """rows[d][v] = codeword prefix (length d) of the depth-d vertex v."""
-    offsets = [0] * (n + 1)
-    for j in range(2, n + 1):
-        offsets[j] = offsets[j - 1] + 2 ** (j - 1)
-    rows: List[List[Tuple[int, ...]]] = [[()]]
     for d in range(1, n + 1):
-        prev = rows[d - 1]
-        cur = []
-        base = offsets[d]
-        for v in range(2**d):
-            cur.append(prev[v >> 1] + (table[base + v],))
-        rows.append(cur)
-    return rows
+        level: List[int] = []
+        for _ in range(2 ** (d - 1)):
+            level.extend(stream.distinct_pair(sigma_out) if sigma_out >= 2 else (0, 0))
+        table.extend(level)
+        yield level
 
 
-def _min_distance_of_table(
-    n: int, table: Sequence[int], abort_below: Fraction
-) -> Fraction:
-    """Exact minimum divergent distance over all same-depth vertex pairs,
-    aborting (returning the running minimum) once it cannot beat abort_below."""
-    rows = _table_rows(n, table)
+def _scan(levels: Iterable[Sequence[int]], floor: Fraction) -> Fraction:
+    """Exact minimum divergent distance over all same-depth vertex pairs of a
+    labeling read level by level (depth 1 first), or, once the running
+    minimum is <= floor, that minimum.
+
+    A depth-d pair's distance depends only on labels at depths <= d, so each
+    level is checked as soon as it is read.  A pair's difference count is
+    carried from its parent pair, row u of depth d holding
+    rows[u][v] = prev[u >> 1][v >> 1] + (label u != label v) for v > u, one
+    byte per pair; only the previous depth's rows are kept.
+    """
     bn, bd = 1, 1  # running minimum bn/bd, compared by cross-multiplication
-    an, ad = abort_below.numerator, abort_below.denominator
-    for d in range(n, 0, -1):
-        row = rows[d]
+    an, ad = floor.numerator, floor.denominator
+    prev = [b"\0"]
+    for d, lab in enumerate(levels, 1):
         size = 1 << d
+        rows = []
         for u in range(size):
-            cu = row[u]
+            pu, lu = prev[u >> 1], lab[u]
+            row = bytearray(size)  # row[u] = 0 (u against itself); v < u unused
+            rows.append(row)
             for v in range(u + 1, size):
-                s = d - (u ^ v).bit_length() + 1  # 1-based divergence depth
-                cv = row[v]
-                cnt = 0
-                for p in range(s - 1, d):
-                    if cu[p] != cv[p]:
-                        cnt += 1
-                w = d - s + 1
-                if cnt * bd < bn * w:
-                    bn, bd = cnt, w
+                c = row[v] = pu[v >> 1] + (lu != lab[v])
+                w = (u ^ v).bit_length()  # window from the divergence depth to d
+                if c * bd < bn * w:
+                    bn, bd = c, w
                     if bn * ad <= an * bd:
                         return Fraction(bn, bd)
+        prev = rows
     return Fraction(bn, bd)
 
 
 def table_min_distance(n: int, table: Sequence[int]) -> Fraction:
     """Exact minimum divergent distance of a level-order labeling."""
-    return _min_distance_of_table(n, table, abort_below=Fraction(-1))
+    levels = (table[2**d - 2 : 2 ** (d + 1) - 2] for d in range(1, n + 1))
+    return _scan(levels, Fraction(-1))
 
 
 @dataclass(frozen=True)
@@ -406,22 +394,28 @@ def random_code_search(
     Deterministic given the seed: trial t draws from its own counter-based
     stream, and the best is kept by (distance, -trial).
     """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     target = None if target_delta is None else as_fraction(target_delta)
     best: Tuple[Fraction, int, List[int]] | None = None
     for t in range(trials):
-        table = _sample_table(n, sigma_out_size, DetStream(seed, "trial", t))
+        table: List[int] = []
+        levels = _draw_levels(n, sigma_out_size, DetStream(seed, "trial", t), table)
         # a scan that never hits the floor completes and is exact; an aborted
         # scan reports a value <= floor, which can never displace the best
         floor = Fraction(0) if best is None else best[0]
-        dist = _min_distance_of_table(n, table, abort_below=floor)
+        dist = _scan(levels, floor)
         if best is None or dist > best[0]:
+            # only the first trial can abort and still be kept (at distance
+            # 0, exact): draw the rest of its table
+            for _ in levels:
+                pass
             best = (dist, t, table)
         if target is not None and best[0] >= target:
             break
 
     assert best is not None
-    dist = _min_distance_of_table(n, best[2], abort_below=Fraction(-1))
     code = table_code(n, 2, sigma_out_size, best[2])
     return SearchResult(
-        code=code, table=tuple(best[2]), distance=dist, trial=best[1], trials=trials
+        code=code, table=tuple(best[2]), distance=best[0], trial=best[1], trials=trials
     )

@@ -163,6 +163,16 @@ def test_search_deterministic_files(tmp_path, capsys):
     ).read_bytes()
 
 
+@pytest.mark.parametrize("trials", ["0", "-2"])
+def test_search_without_trials_is_usage_error(tmp_path, capsys, trials):
+    rc = cli.main(["search", "--n", "3", "--sigma", "4", "--trials", trials,
+                   "--out-dir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "trials must be >= 1" in err and "internal error" not in err
+    assert not (tmp_path / "search.json").exists()
+
+
 def test_selftest_list_and_ablate(capsys):
     rc, out = run(capsys, "selftest", "--list")
     assert rc == 0 and out.count("criterion") == 10

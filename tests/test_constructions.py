@@ -5,12 +5,12 @@ from itertools import product
 import pytest
 
 from treecodes.constructions import (
-    _min_distance_of_table,
     ecc_family,
     eks_code,
     eks_params,
     random_code_search,
     table_code,
+    table_min_distance,
 )
 from treecodes.core import trivial_code
 from treecodes.partitions import eks_partition
@@ -136,8 +136,7 @@ def exhaustive_best_distance(n, sigma):
     size = sum(2**j for j in range(1, n + 1))
     best = Fraction(0)
     for labels in product(range(sigma), repeat=size):
-        d = _min_distance_of_table(n, labels, abort_below=best)
-        best = max(best, d)
+        best = max(best, table_min_distance(n, labels))
     return best
 
 
@@ -162,7 +161,7 @@ def test_search_finds_embedded_full_prefix_code():
     for j in range(1, 5):
         for prefix in product((0, 1), repeat=j):
             labels.append(code.char(prefix))
-    assert _min_distance_of_table(4, labels, abort_below=Fraction(-1)) == 1
+    assert table_min_distance(4, labels) == 1
 
 
 def test_search_certified_against_distance_checker():
@@ -193,10 +192,11 @@ def test_search_target_short_circuit():
     assert full.table == result.table
 
 
-@pytest.mark.slow
 def test_search_large_trial_example():
+    # the README example; tests/test_search_oracle.py checks this winner's
+    # table against the eager deepest-first search
     result = random_code_search(6, 4, trials=100_000, seed=42)
-    assert result.distance > 0
+    assert (result.distance, result.trial) == (Fraction(1, 3), 1102)
     assert check_tree_distance(result.code, result.distance).passed
 
 

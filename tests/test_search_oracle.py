@@ -1,0 +1,181 @@
+"""Differential test of the lazy, shallowest-first labeling search against
+the eager, deepest-first search it replaced.
+
+The reference functions below are that search, kept verbatim as the oracle
+(its loop returns (distance, trial, table) instead of a SearchResult): for
+the same seed both must pick the same trial with the same table and exact
+distance, and both must give every fixed table the same minimum distance.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from typing import List, Sequence, Tuple
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import treecodes.constructions as constructions
+from treecodes.constructions import random_code_search, table_min_distance
+from treecodes.dyadic import as_fraction
+from treecodes.rng import DetStream
+
+# ---------------- reference: eager sampling, deepest depth first ----------------
+
+
+def ref_sample_table(n: int, sigma_out: int, stream: DetStream) -> List[int]:
+    table: List[int] = []
+    for j in range(1, n + 1):
+        for _ in range(2 ** (j - 1)):
+            if sigma_out >= 2:
+                a, b = stream.distinct_pair(sigma_out)
+            else:
+                a = b = 0
+            table.extend((a, b))
+    return table
+
+
+def ref_table_rows(n: int, table: Sequence[int]) -> List[List[Tuple[int, ...]]]:
+    """rows[d][v] = codeword prefix (length d) of the depth-d vertex v."""
+    offsets = [0] * (n + 1)
+    for j in range(2, n + 1):
+        offsets[j] = offsets[j - 1] + 2 ** (j - 1)
+    rows: List[List[Tuple[int, ...]]] = [[()]]
+    for d in range(1, n + 1):
+        prev = rows[d - 1]
+        cur = []
+        base = offsets[d]
+        for v in range(2**d):
+            cur.append(prev[v >> 1] + (table[base + v],))
+        rows.append(cur)
+    return rows
+
+
+def ref_min_distance_of_table(
+    n: int, table: Sequence[int], abort_below: Fraction
+) -> Fraction:
+    rows = ref_table_rows(n, table)
+    bn, bd = 1, 1  # running minimum bn/bd, compared by cross-multiplication
+    an, ad = abort_below.numerator, abort_below.denominator
+    for d in range(n, 0, -1):
+        row = rows[d]
+        size = 1 << d
+        for u in range(size):
+            cu = row[u]
+            for v in range(u + 1, size):
+                s = d - (u ^ v).bit_length() + 1  # 1-based divergence depth
+                cv = row[v]
+                cnt = 0
+                for p in range(s - 1, d):
+                    if cu[p] != cv[p]:
+                        cnt += 1
+                w = d - s + 1
+                if cnt * bd < bn * w:
+                    bn, bd = cnt, w
+                    if bn * ad <= an * bd:
+                        return Fraction(bn, bd)
+    return Fraction(bn, bd)
+
+
+def ref_search(n, sigma_out_size, target_delta=None, trials=1000, seed=0):
+    target = None if target_delta is None else as_fraction(target_delta)
+    best: Tuple[Fraction, int, List[int]] | None = None
+    for t in range(trials):
+        table = ref_sample_table(n, sigma_out_size, DetStream(seed, "trial", t))
+        floor = Fraction(0) if best is None else best[0]
+        dist = ref_min_distance_of_table(n, table, abort_below=floor)
+        if best is None or dist > best[0]:
+            best = (dist, t, table)
+        if target is not None and best[0] >= target:
+            break
+
+    assert best is not None
+    dist = ref_min_distance_of_table(n, best[2], abort_below=Fraction(-1))
+    return dist, best[1], tuple(best[2])
+
+
+def _search(*args, **kwargs):
+    r = random_code_search(*args, **kwargs)
+    return r.distance, r.trial, r.table
+
+
+# ---------------- searches ----------------
+
+
+@st.composite
+def searches(draw):
+    n = draw(st.integers(1, 6))
+    sigma = draw(st.integers(1, 5))
+    trials = draw(st.integers(1, 150))
+    seed = draw(st.integers(0, 2**16))
+    target = draw(st.sampled_from([None, Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), 1]))
+    return n, sigma, trials, seed, target
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(case=searches())
+def test_search_matches_eager_deepest_first_search(case):
+    n, sigma, trials, seed, target = case
+    kwargs = dict(target_delta=target, trials=trials, seed=seed)
+    assert _search(n, sigma, **kwargs) == ref_search(n, sigma, **kwargs)
+
+
+@pytest.mark.parametrize("n", [1, 3, 6])
+def test_single_symbol_first_trial_stops_at_depth_one_but_keeps_full_table(n):
+    # the first trial's floor is 0 and two equal sibling labels reach it at
+    # depth 1; the kept table must still hold every level
+    got = _search(n, 1, trials=3, seed=0)
+    assert got == ref_search(n, 1, trials=3, seed=0)
+    assert got == (Fraction(0), 0, (0,) * (2 ** (n + 1) - 2))
+
+
+def test_large_trial_example_winner_matches_oracle():
+    # random_code_search(6, 4, trials=100_000, seed=42) picks trial 1102 at
+    # distance 1/3 (test_search_large_trial_example); up to that trial the
+    # oracle agrees on the winner and its table
+    got = _search(6, 4, trials=1103, seed=42)
+    assert got == ref_search(6, 4, trials=1103, seed=42)
+    assert got[:2] == (Fraction(1, 3), 1102)
+
+
+# ---------------- fixed tables ----------------
+
+
+@st.composite
+def tables(draw):
+    n = draw(st.integers(1, 6))
+    # small alphabets make equal sibling and cousin labels common (sigma = 1:
+    # every label equal)
+    sigma = draw(st.integers(1, 5))
+    size = 2 ** (n + 1) - 2
+    return n, draw(st.lists(st.integers(0, sigma - 1), min_size=size, max_size=size))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(case=tables())
+def test_table_min_distance_matches_deepest_first_scan(case):
+    n, table = case
+    assert table_min_distance(n, table) == ref_min_distance_of_table(n, table, Fraction(-1))
+
+
+# ---------------- work counter ----------------
+
+
+class CountingDetStream(DetStream):
+    draws = 0
+
+    def randbelow(self, n: int) -> int:
+        CountingDetStream.draws += 1
+        return super().randbelow(n)
+
+
+def test_search_draws_labels_only_up_to_the_stopping_depth(monkeypatch):
+    monkeypatch.setitem(globals(), "DetStream", CountingDetStream)
+    monkeypatch.setattr(constructions, "DetStream", CountingDetStream)
+    CountingDetStream.draws = 0
+    eager = ref_search(6, 4, trials=600, seed=2)
+    assert CountingDetStream.draws == 600 * 63 * 2  # every sibling pair, two draws each
+    CountingDetStream.draws = 0
+    assert _search(6, 4, trials=600, seed=2) == eager
+    assert CountingDetStream.draws == 23168
