@@ -80,13 +80,13 @@ def rate_bound_deficient(alpha, ell: int, deficiency: int, n: int, lg_sigma_in) 
     return alpha * (ell - Fraction(deficiency, n)) * lg_sigma_in
 
 
-def _lg_conservative(q: Fraction, direction: str, bits: int = 64) -> tuple[Fraction, str]:
+def _lg_conservative(q: Fraction, direction: str) -> tuple[Fraction, str]:
     exact = lg_exact(q)
     if exact is not None:
         return exact, "exact"
     if direction == "down":
-        return lg_lower(q, bits), "rounded_down"
-    return lg_upper(q, bits), "rounded_up"
+        return lg_lower(q), "rounded_down"
+    return lg_upper(q), "rounded_up"
 
 
 def imm_rate_upper(
@@ -253,10 +253,6 @@ def eq13_report(delta) -> BoundReport:
     )
 
 
-def _measured_lg(size: int, direction: str) -> tuple[Fraction, str]:
-    return _lg_conservative(Fraction(size), direction)
-
-
 def audit_code(
     code,
     partition: LaminarPartition,
@@ -295,8 +291,8 @@ def audit_code(
                 f"{nd.witness['block']}"
             )
     systematic = make_systematic(code)
-    measured, meas_exact = _measured_lg(systematic.output_alphabet.size, "up")
-    lg_in, _ = _measured_lg(code.input_alphabet.size, "down")
+    measured, meas_exact = _lg_conservative(Fraction(systematic.output_alphabet.size), "up")
+    lg_in, _ = _lg_conservative(Fraction(code.input_alphabet.size), "down")
     deficiency = ledger.budget_used
     if deficiency:
         formula = "thm42"

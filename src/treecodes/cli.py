@@ -1,8 +1,9 @@
 """Command-line front end: build, verify, bound, audit, search, selftest.
 
-Exit codes: 0 pass, 1 usage or bad input, 2 property fail, 3 cap exceeded,
-4 internal error.  All inputs and outputs are JSON; identical (recipe, seed,
-caps) always produce byte-identical artifacts.
+Exit codes: 0 pass, 1 usage or bad input, 2 property fail, 3 evaluation cap
+exceeded (including a message table too large for the cap, refused before it
+is enumerated), 4 internal error.  All inputs and outputs are JSON; identical
+(recipe, seed, caps) always produce byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Dict, List, Optional
 
 from . import acceptance, bounds, entropy, serialize, verify
 from .constructions import eks_code, eks_params, random_code_search
-from .core import EnumerationCapExceeded, make_systematic
+from .core import make_systematic
 from .dyadic import as_fraction
 from .partitions import (
     ImmediacySpec,
@@ -64,6 +65,7 @@ def _load_json(path: str) -> dict:
 
 def cmd_build(args) -> int:
     recipe = json.loads(args.recipe_json) if args.recipe_json else _load_json(args.recipe)
+    serialize.expect_type(recipe, dict, "recipe")
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     kind = recipe.get("kind")
@@ -170,7 +172,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bound(args) -> int:
-    params: Dict = json.loads(args.params)
+    params: Dict = serialize.expect_type(json.loads(args.params), dict, "--params")
     f = args.formula
     if f == "thm41":
         value = bounds.rate_bound_plain(
@@ -369,7 +371,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return EXIT_USAGE if e.code else EXIT_PASS
     try:
         return args.fn(args)
-    except (verify.CapExceeded, EnumerationCapExceeded) as exc:
+    except verify.CapExceeded as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return EXIT_CAP
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:

@@ -25,6 +25,8 @@ from .rng import DetStream
 
 DEFAULT_B_SCHEDULE = (2, 3, 4, 6, 8)
 _EXHAUSTIVE_POOL_BITS = 16  # full candidate enumeration below this many bits
+_RESTARTS = 8  # greedy attempts per block length and width
+_POOL_CAP = 4096  # sampled candidates per attempt above _EXHAUSTIVE_POOL_BITS
 
 
 @dataclass(frozen=True)
@@ -103,9 +105,7 @@ def _int_to_cells(v: int, ell: int, b: int) -> Tuple[int, ...]:
     return tuple((v >> (b * (ell - 1 - i))) & mask for i in range(ell))
 
 
-def _search_block_code(
-    ell: int, b: int, delta: Fraction, stream: DetStream, restarts: int, pool_cap: int
-) -> Optional[BlockCode]:
+def _search_block_code(ell: int, b: int, delta: Fraction, stream: DetStream) -> Optional[BlockCode]:
     """One greedy construction attempt per restart; None if all get stuck.
 
     Small candidate spaces get true farthest-point selection over the full
@@ -116,10 +116,10 @@ def _search_block_code(
     need = math.ceil(delta * ell)  # absolute cell distance needed
     space_bits = ell * b
     exhaustive = space_bits <= _EXHAUSTIVE_POOL_BITS and (1 << space_bits) * want <= 1 << 20
-    size = min(pool_cap, 1 << space_bits)
+    size = min(_POOL_CAP, 1 << space_bits)
     if not exhaustive and size < want:
         return None  # a sample cannot hold want distinct words
-    for r in range(restarts):
+    for r in range(_RESTARTS):
         rs = DetStream(stream.u64(), "restart", r)
         if exhaustive:
             pool = _Pool(rs.shuffled(range(1 << space_bits)), ell, b)
@@ -186,8 +186,6 @@ def ecc_family(
     max_ell: int,
     b_schedule: Sequence[int] = DEFAULT_B_SCHEDULE,
     seed: int = 0,
-    restarts: int = 8,
-    pool_cap: int = 4096,
 ) -> List[BlockCode]:
     """Block codes for every length 1..max_ell over one shared cell width b.
 
@@ -210,7 +208,7 @@ def ecc_family(
         ok = True
         for ell in range(2, max_ell + 1):
             stream = DetStream(seed, "ecc", b, ell)
-            code = _search_block_code(ell, b, delta, stream, restarts, pool_cap)
+            code = _search_block_code(ell, b, delta, stream)
             if code is None:
                 ok = False
                 last_fail = (b, ell)
@@ -250,10 +248,12 @@ class EKSParams:
         return 1 << self.k
 
 
-def eks_params(k: int, delta, seed: int = 0, **kwargs) -> EKSParams:
+def eks_params(
+    k: int, delta, seed: int = 0, b_schedule: Sequence[int] = DEFAULT_B_SCHEDULE
+) -> EKSParams:
     """Build a certified ECC family and wrap it as layered-code parameters."""
     delta = as_fraction(delta)
-    family = ecc_family(delta, 1 << (k - 1), seed=seed, **kwargs)
+    family = ecc_family(delta, 1 << (k - 1), b_schedule=b_schedule, seed=seed)
     by_len = {c.ell: c for c in family}
     return EKSParams(
         k=k, b=family[0].b, family=tuple(by_len[1 << i] for i in range(k)), delta=delta

@@ -1,8 +1,11 @@
-"""Core tree-code types: alphabets, prefix-respecting encoders, divergent distance.
+"""Core tree-code types: alphabets, prefix-respecting encoders, the message
+table, divergent distance.
 
 Messages and codewords are tuples of symbol ids (non-negative ints below the
 alphabet size).  Positions are 1-based in every report and file format;
-internal storage is 0-based.
+internal storage is 0-based.  all_codewords enumerates every message with no
+size limit of its own: the certifiers charge the table to their budget before
+calling it.
 """
 
 from __future__ import annotations
@@ -15,15 +18,6 @@ from typing import Callable, Iterator, List, Sequence, Tuple
 
 Message = Tuple[int, ...]
 Codeword = Tuple[int, ...]
-
-# Exhaustive sweeps are hard-capped by message-space size, in bits
-# (2^12 messages by default for binary input); callers override per task.
-DEFAULT_MESSAGE_BITS_CAP = 12
-
-
-class EnumerationCapExceeded(RuntimeError):
-    """An exhaustive sweep would exceed the configured message-space cap."""
-
 
 @dataclass(frozen=True)
 class Alphabet:
@@ -105,34 +99,20 @@ class DivergentDistance:
         return Fraction(self.disagreements, self.window)
 
 
-def message_space_bits(alphabet_size: int, n: int) -> float:
-    return n * math.log2(alphabet_size)
-
-
-def ensure_message_space(alphabet_size: int, n: int, cap_bits: float) -> None:
-    bits = message_space_bits(alphabet_size, n)
-    if bits > cap_bits + 1e-9:
-        raise EnumerationCapExceeded(
-            f"message space {alphabet_size}^{n} is {bits:.1f} bits; cap is {cap_bits}"
-        )
-
-
 def messages(alphabet_size: int, n: int) -> Iterator[Message]:
     """All messages of length n in lexicographic order."""
     return product(range(alphabet_size), repeat=n)
 
 
-def all_codewords(
-    code: TreeCode, cap_bits: float = DEFAULT_MESSAGE_BITS_CAP
-) -> List[Tuple[Message, Codeword]]:
+def all_codewords(code: TreeCode) -> List[Tuple[Message, Codeword]]:
     """(message, codeword) pairs for every message, in lexicographic order.
 
     Consecutive messages share long prefixes, so chars are recomputed only
     from the first changed position: total char_fn calls are O(sigma * #messages)
-    rather than O(n * #messages).
+    rather than O(n * #messages).  A symbol that is not an int in
+    [0, |sigma_out|) raises ValueError naming its prefix.
     """
-    ensure_message_space(code.input_alphabet.size, code.n, cap_bits)
-    n, f = code.n, code.char_fn
+    n, f, size = code.n, code.char_fn, code.output_alphabet.size
     out: List[Tuple[Message, Codeword]] = []
     prev: Message | None = None
     cw = [0] * n
@@ -142,7 +122,12 @@ def all_codewords(
             while j0 < n and m[j0] == prev[j0]:
                 j0 += 1
         for j in range(j0, n):
-            cw[j] = f(m[: j + 1])
+            sym = cw[j] = f(m[: j + 1])
+            if not (isinstance(sym, int) and 0 <= sym < size):
+                raise ValueError(
+                    f"symbol {sym!r} at prefix {list(m[: j + 1])} is outside the "
+                    f"output alphabet of size {size}"
+                )
         prev = m
         out.append((m, tuple(cw)))
     return out

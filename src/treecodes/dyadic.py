@@ -15,10 +15,14 @@ RationalLike = Fraction | int | str
 
 
 def as_fraction(q: RationalLike) -> Fraction:
-    """Coerce ints, Fractions and 'p/q' strings to an exact Fraction."""
+    """Coerce ints, Fractions and 'p/q' strings to an exact Fraction; any
+    value that names no rational number raises ValueError."""
     if isinstance(q, Fraction):
         return q
-    return Fraction(q)
+    try:
+        return Fraction(q)
+    except (TypeError, ArithmeticError):  # a list or None; p/0; an infinity
+        raise ValueError(f"not a rational number: {q!r}") from None
 
 
 def is_power_of_two(q: RationalLike) -> bool:
@@ -115,7 +119,10 @@ def lg_upper(q: RationalLike, bits: int = 64) -> Fraction:
     return lg_bounds(q, bits)[1]
 
 
-def ceil_lg_of_lg(q: RationalLike, max_bits: int = 512) -> int:
+_MAX_LG_BITS = 512  # precision at which ceil_lg_of_lg gives up
+
+
+def ceil_lg_of_lg(q: RationalLike) -> int:
     """ceil(lg(lg(q))) for q > 1, certified.
 
     Needed for doubly-logarithmic quantities.  The inner lg is enclosed and
@@ -130,7 +137,7 @@ def ceil_lg_of_lg(q: RationalLike, max_bits: int = 512) -> int:
     if inner is not None:
         return ceil_lg(inner)
     bits = 64
-    while bits <= max_bits:
+    while bits <= _MAX_LG_BITS:
         il, ih = lg_bounds(q, bits)
         if il <= 0:
             raise ValueError(f"lg(q) not certifiably positive for q = {q}")
@@ -138,4 +145,4 @@ def ceil_lg_of_lg(q: RationalLike, max_bits: int = 512) -> int:
         if cl == ch:
             return cl
         bits *= 2
-    raise ValueError(f"could not resolve ceil(lg(lg({q}))) at {max_bits} bits")
+    raise ValueError(f"could not resolve ceil(lg(lg({q}))) at {_MAX_LG_BITS} bits")

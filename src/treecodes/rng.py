@@ -70,6 +70,3 @@ class DetStream:
         if b >= a:
             b += 1
         return a, b
-
-    def choices(self, n: int, k: int) -> List[int]:
-        return [self.randbelow(n) for _ in range(k)]

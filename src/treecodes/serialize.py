@@ -21,8 +21,13 @@ def frac_str(x: Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
-def parse_frac(s) -> Fraction:
-    return as_fraction(s)
+def expect_type(obj, kind: type, what: str):
+    """obj, if it is a JSON object (kind dict) or array (kind list); else a
+    ValueError naming what was expected."""
+    if not isinstance(obj, kind):
+        name = "a JSON object" if kind is dict else "a JSON array"
+        raise ValueError(f"{what} must be {name}, got {type(obj).__name__}")
+    return obj
 
 
 def dumps_canonical(obj) -> str:
@@ -31,12 +36,15 @@ def dumps_canonical(obj) -> str:
 
 # -------------------- codes --------------------
 
-def tabulate_code(code: TreeCode, max_entries: int = 1 << 20) -> dict:
+_MAX_TABLE_ENTRIES = 1 << 20
+
+
+def tabulate_code(code: TreeCode) -> dict:
     """Explicit level-order table form of a code (depth-major, prefixes in
     lexicographic order; entry = label of the edge into that prefix)."""
     sigma = code.input_alphabet.size
     total = sum(sigma**j for j in range(1, code.n + 1))
-    if total > max_entries:
+    if total > _MAX_TABLE_ENTRIES:
         raise ValueError(f"code too deep to tabulate: {total} entries")
     from itertools import product
 
@@ -53,16 +61,11 @@ def tabulate_code(code: TreeCode, max_entries: int = 1 << 20) -> dict:
     }
 
 
-def code_to_json(code_or_recipe) -> dict:
-    if isinstance(code_or_recipe, dict):
-        return dict(code_or_recipe)
-    return tabulate_code(code_or_recipe)
-
-
 def code_from_json(obj: dict) -> TreeCode:
     from . import constructions
     from .core import identity_code, trivial_code
 
+    expect_type(obj, dict, "code")
     kind = obj.get("kind")
     if kind is None and "table" in obj:
         kind = "table"  # bare tabulated form
@@ -75,7 +78,7 @@ def code_from_json(obj: dict) -> TreeCode:
             int(obj["n"]), int(obj["sigma_in"]), int(obj["sigma_out"]), list(obj["table"])
         )
     if kind == "eks":
-        delta = parse_frac(obj["delta"])
+        delta = as_fraction(obj["delta"])
         params = constructions.eks_params(
             int(obj["k"]),
             delta,
@@ -84,27 +87,6 @@ def code_from_json(obj: dict) -> TreeCode:
         )
         return constructions.eks_code(params)
     raise ValueError(f"unknown code kind {kind!r}")
-
-
-def blockcode_to_json(bc) -> dict:
-    """Raw codeword-list form of a block code (message index = bits as int)."""
-    return {
-        "ell": bc.ell,
-        "b": bc.b,
-        "delta": frac_str(bc.certified),
-        "codewords": [list(w) for w in bc.codewords],
-    }
-
-
-def blockcode_from_json(obj: dict):
-    from .constructions import BlockCode
-
-    return BlockCode(
-        ell=int(obj["ell"]),
-        b=int(obj["b"]),
-        codewords=tuple(tuple(w) for w in obj["codewords"]),
-        certified=parse_frac(obj["delta"]),
-    )
 
 
 # -------------------- partitions --------------------
@@ -132,9 +114,15 @@ def partition_to_json(p: LaminarPartition) -> dict:
 
 
 def partition_from_json(obj: dict) -> LaminarPartition:
+    expect_type(obj, dict, "partition")
     n = int(obj["n"])
-    alpha = parse_frac(obj["alpha"])
-    levels = obj["levels"]
+    alpha = as_fraction(obj["alpha"])
+    levels = expect_type(obj["levels"], list, "partition levels")
+    if not levels:
+        raise ValueError("partition levels must hold at least the level-0 blocks")
+    for level in levels:
+        for b in expect_type(level, list, "partition level"):
+            expect_type(b, dict, "partition block")
     p0 = tuple(tuple(range(b["lo"], b["hi"] + 1)) for b in levels[0])
     tagged = []
     for level in levels[1:]:
@@ -155,8 +143,11 @@ def ledger_to_json(ledger: DeficiencyLedger) -> list:
 
 
 def ledger_from_json(obj: list, p: LaminarPartition) -> DeficiencyLedger:
+    entries = [expect_type(e, dict, "ledger entry") for e in expect_type(obj, list, "ledger")]
     return DeficiencyLedger.for_partition(
-        p, {int(e["level"]): [int(i) for i in e["blocks"]] for e in obj}
+        p,
+        {int(e["level"]): [int(i) for i in expect_type(e["blocks"], list, "ledger blocks")]
+         for e in entries},
     )
 
 

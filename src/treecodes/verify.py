@@ -4,8 +4,9 @@ decoding, and the three construction-specific immediacy conditions.
 Every checker is exhaustive within an evaluation budget (default 2^24 counted
 position evaluations; CapExceeded aborts mid-run so constructed violations can
 still be found early on large instances).  The M*n evaluations of the message
-table are charged before any message is enumerated, so an instance too large
-for the cap is refused before it costs time or memory.  Thresholds are exact
+table are charged before any message is enumerated, and that charge is the
+only refusal of an oversized table: an instance too large for the cap raises
+CapExceeded before it costs time or memory.  Thresholds are exact
 rationals and every failure carries a witness that re-verifies in isolation.
 
 The five pair conditions (distance, immediacy function, dyadic, aligned,
@@ -32,7 +33,7 @@ from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .bitslice import add, below, minimum
-from .core import TreeCode, all_codewords, ensure_message_space
+from .core import TreeCode, all_codewords
 from .dyadic import as_fraction, floor_lg
 from .partitions import (
     DeficiencyLedger,
@@ -90,12 +91,10 @@ def _frac(x: Fraction) -> str:
 def _table(code: TreeCode, budget: _Budget, reads: int = 0):
     """The message table, charged M*n, plus M*reads for the column reads per
     message a caller will make, before any message is enumerated."""
-    sigma, n = code.input_alphabet.size, code.n
-    cap_bits = math.log2(budget.cap)
-    ensure_message_space(sigma, n, cap_bits)
-    budget.spend(sigma**n * n)
-    budget.spend(sigma**n * reads)
-    return all_codewords(code, cap_bits=cap_bits)
+    messages = code.input_alphabet.size**code.n
+    budget.spend(messages * code.n)
+    budget.spend(messages * reads)
+    return all_codewords(code)
 
 
 def checked_ledger(code: TreeCode, p: LaminarPartition,
@@ -448,6 +447,8 @@ def check_ghk_condition(
         raise ValueError(f"lg n = {lg_n} must be a power of two")
     if k0 < 1 or k0 & (k0 - 1):
         raise ValueError(f"k0 = {k0} must be a power of two")
+    if epsilon <= 0:
+        raise ValueError(f"epsilon must be > 0, got {epsilon}")
     inv_eps = 1 / epsilon
     if inv_eps.denominator != 1 or inv_eps.numerator & (inv_eps.numerator - 1):
         raise ValueError(f"1/epsilon = {inv_eps} must be a power-of-two integer")

@@ -64,6 +64,59 @@ def test_usage_error_exit_code(tmp_path, capsys):
     assert rc == 1
 
 
+def test_audit_rejects_symbols_outside_the_output_alphabet(tmp_path, capsys):
+    # trivial(8) relabeled as a one-symbol code: not a violation of the bound
+    run(capsys, "build", "--recipe-json", '{"kind":"trivial","n":8}', "--out-dir", str(tmp_path))
+    run(capsys, "build", "--recipe-json", '{"kind":"eks_partition","k":3}',
+        "--out-dir", str(tmp_path))
+    code = json.loads((tmp_path / "code.json").read_text())
+    (tmp_path / "code.json").write_text(json.dumps(dict(code, sigma_out=1)))
+    rc = cli.main(["audit", "--code", str(tmp_path / "code.json"),
+                   "--partition", str(tmp_path / "partition.json")])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert "outside the output alphabet" in captured.err
+
+
+_USAGE_MISTAKES = {
+    "bound-params-array": (["bound", "--formula", "thm41", "--params", "[]"], {}),
+    "bound-measured-array": (
+        ["bound", "--formula", "eq5", "--params", '{"k":3,"measured":[1]}'], {}),
+    "recipe-array": (["build", "--recipe-json", "[]", "--out-dir", "{dir}/out"], {}),
+    "code-array": (["verify", "--code", "{dir}/bad.json", "--property", "distance"],
+                   {"bad.json": [1, 2]}),
+    "partition-array": (
+        ["verify", "--code", "{dir}/code.json", "--property", "neighborhood",
+         "--partition", "{dir}/bad.json"], {"bad.json": []}),
+    "partition-without-levels": (
+        ["verify", "--code", "{dir}/code.json", "--property", "neighborhood",
+         "--partition", "{dir}/bad.json"], {"bad.json": {"n": 4, "alpha": "1/2", "levels": []}}),
+    "ledger-of-ints": (
+        ["verify", "--code", "{dir}/code.json", "--property", "neighborhood",
+         "--partition", "{dir}/partition.json", "--ledger", "{dir}/bad.json"], {"bad.json": [1]}),
+    "ledger-object": (
+        ["verify", "--code", "{dir}/code.json", "--property", "neighborhood",
+         "--partition", "{dir}/partition.json", "--ledger", "{dir}/bad.json"], {"bad.json": {}}),
+    "ghk-epsilon-zero": (
+        ["verify", "--code", "{dir}/code.json", "--property", "ghk", "--k0", "1",
+         "--epsilon", "0"], {}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_USAGE_MISTAKES))
+def test_usage_mistake_exits_1(tmp_path, capsys, case):
+    argv, files = _USAGE_MISTAKES[case]
+    run(capsys, "build", "--recipe-json", '{"kind":"trivial","n":4}', "--out-dir", str(tmp_path))
+    run(capsys, "build", "--recipe-json", '{"kind":"eks_partition","k":2}',
+        "--out-dir", str(tmp_path))
+    for name, obj in files.items():
+        (tmp_path / name).write_text(json.dumps(obj))
+    rc = cli.main([a.replace("{dir}", str(tmp_path)) for a in argv])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "invalid input" in err and "internal error" not in err
+
+
 def test_build_partition_recipes(tmp_path, capsys):
     rc, _ = run(
         capsys,

@@ -207,7 +207,7 @@ def test_table_code_validates_length():
 
 def test_k5_family_fails_fast_where_a_sample_cannot_hold_the_code():
     # at length 13 the greedy needs 2^13 words, more than the 4096-word sample
-    # pool_cap allows; that is known before anything is drawn
+    # _POOL_CAP allows; that is known before anything is drawn
     start = time.perf_counter()
     with pytest.raises(ValueError, match="length 13 .* b=8"):
         eks_params(5, Fraction(1, 2))

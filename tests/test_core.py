@@ -5,7 +5,6 @@ import pytest
 
 from treecodes.core import (
     Alphabet,
-    EnumerationCapExceeded,
     TreeCode,
     all_codewords,
     divergent_distance,
@@ -145,10 +144,13 @@ def test_systematic_alphabet_size_example(eks3):
     assert make_systematic(code).output_alphabet.size == code.output_alphabet.size * 2
 
 
-def test_enumeration_cap_fails_fast():
-    with pytest.raises(EnumerationCapExceeded):
-        all_codewords(trivial_code(13))  # default cap is 12 bits of message space
-    assert len(all_codewords(trivial_code(13), cap_bits=13)) == 8192
+@pytest.mark.parametrize("bad", [4, -1, "1", 1.0, None])
+def test_all_codewords_rejects_symbols_outside_the_output_alphabet(bad):
+    # one bad label at depth 2, below prefix (1, 0); every other label is valid
+    labels = [0, 1, 2, 3, bad, 1]
+    with pytest.raises(ValueError, match=r"prefix \[1, 0\]"):
+        all_codewords(table_code(2, 2, 4, labels))
+    assert len(all_codewords(table_code(2, 2, 4, [0, 1, 2, 3, 0, 1]))) == 4
 
 
 def test_depth_one_edge_cases():

@@ -6,7 +6,7 @@ from itertools import product
 import pytest
 
 from treecodes.constructions import eks_code
-from treecodes.core import EnumerationCapExceeded, identity_code, make_systematic, trivial_code
+from treecodes.core import identity_code, make_systematic, trivial_code
 from treecodes.entropy import (
     FiniteJoint,
     conditional_entropy,
@@ -215,8 +215,10 @@ def test_ledger_replay_rejects_nonsystematic():
 
 
 def test_ledger_replay_cap():
-    with pytest.raises(EnumerationCapExceeded):
+    # M = 256 messages > cap: the table's M*n charge refuses it
+    with pytest.raises(CapExceeded) as exc:
         ledger_replay(make_systematic(trivial_code(8)), eks_partition(3), cap=2**7)
+    assert exc.value.used == 256 * 8
 
 
 def test_ledger_replay_charges_before_enumerating():

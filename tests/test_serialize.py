@@ -6,6 +6,7 @@ import pytest
 
 from treecodes.constructions import eks_code
 from treecodes.core import trivial_code
+from treecodes.dyadic import as_fraction
 from treecodes.partitions import (
     DeficiencyLedger,
     chs_partition,
@@ -17,12 +18,10 @@ from treecodes.partitions import (
 from treecodes.serialize import (
     bound_report_to_json,
     code_from_json,
-    code_to_json,
     dumps_canonical,
     frac_str,
     ledger_from_json,
     ledger_to_json,
-    parse_frac,
     partition_from_json,
     partition_to_json,
     tabulate_code,
@@ -33,8 +32,8 @@ from treecodes.serialize import (
 def test_fraction_strings():
     assert frac_str(Fraction(3, 4)) == "3/4"
     assert frac_str(Fraction(8, 4)) == "2"
-    assert parse_frac("3/4") == Fraction(3, 4)
-    assert parse_frac(2) == 2
+    assert as_fraction("3/4") == Fraction(3, 4)
+    assert as_fraction(2) == 2
 
 
 def test_code_roundtrip_table_form():
@@ -83,15 +82,6 @@ def test_partition_serializer_rejects_non_intervals():
     )
     with pytest.raises(ValueError, match="interval"):
         partition_to_json(scattered)
-
-
-def test_blockcode_roundtrip(eks3):
-    from treecodes.serialize import blockcode_from_json, blockcode_to_json
-
-    for bc in eks3.family:
-        back = blockcode_from_json(json.loads(json.dumps(blockcode_to_json(bc))))
-        assert back == bc
-        assert back.encode((1,) * bc.ell) == bc.encode((1,) * bc.ell)
 
 
 def test_ledger_roundtrip():

@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from treecodes import verify
 from treecodes.constructions import eks_code
-from treecodes.core import identity_code, trivial_code
+from treecodes.core import identity_code, make_systematic, trivial_code
+from treecodes.entropy import ledger_replay
 from treecodes.partitions import (
     chs_tagged_structure,
     eks_partition,
@@ -19,6 +21,7 @@ from treecodes.verify import (
     check_ghk_condition,
     check_immediacy_function,
     check_neighborhood_decoding,
+    check_online_property,
     check_tree_distance,
     exact_distance,
 )
@@ -74,6 +77,31 @@ def test_cap_charged_before_enumeration():
         check_tree_distance(trivial_code(20), 1)
     assert time.perf_counter() - start < 0.5
     assert exc.value.used == 20 << 20
+
+
+_M16 = 1 << 16  # messages of a length-16 binary-input code
+_REFUSING_ENTRIES = {
+    "online": lambda code, cap: check_online_property(code, cap=cap),
+    "distance": lambda code, cap: check_tree_distance(code, 1, cap=cap),
+    "exact_distance": lambda code, cap: exact_distance(code, cap=cap),
+    "neighborhood": lambda code, cap: check_neighborhood_decoding(code, eks_partition(4), cap=cap),
+    "eks": lambda code, cap: check_eks_condition(code, Fraction(1, 2), 4, cap=cap),
+    "replay": lambda code, cap: ledger_replay(make_systematic(code), eks_partition(4), cap=cap),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_REFUSING_ENTRIES))
+def test_table_larger_than_cap_is_refused_before_enumerating(entry, monkeypatch):
+    # M > cap implies M*n > cap: the table's up-front charge refuses it
+    def enumerated(code):
+        raise AssertionError("the message table was enumerated")
+
+    monkeypatch.setattr(verify, "all_codewords", enumerated)
+    start = time.perf_counter()
+    with pytest.raises(CapExceeded) as exc:
+        _REFUSING_ENTRIES[entry](trivial_code(16), _M16 - 1)
+    assert time.perf_counter() - start < 0.5
+    assert exc.value.used == _M16 * 16
 
 
 # ---------------- immediacy function ----------------

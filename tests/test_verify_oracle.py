@@ -10,7 +10,6 @@ raise with the same CapExceeded.used.
 from __future__ import annotations
 
 import json
-import math
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
@@ -30,8 +29,7 @@ from treecodes.verify import CapExceeded, Verdict, _Budget, _frac
 
 
 def _table(code: TreeCode, budget: _Budget):
-    cap_bits = math.log2(budget.cap)
-    table = all_codewords(code, cap_bits=cap_bits)
+    table = all_codewords(code)
     budget.spend(len(table) * code.n)
     return table
 
