@@ -63,6 +63,10 @@ def _load_json(path: str) -> dict:
     return json.loads(Path(path).read_text())
 
 
+def _int(obj: dict, key: str) -> int:
+    return serialize.expect_int(obj[key], key)
+
+
 def cmd_build(args) -> int:
     recipe = json.loads(args.recipe_json) if args.recipe_json else _load_json(args.recipe)
     serialize.expect_type(recipe, dict, "recipe")
@@ -75,9 +79,9 @@ def cmd_build(args) -> int:
     elif kind == "table":
         _write(out / "code.json", recipe)
     elif kind == "eks":
-        k = int(recipe["k"])
+        k = _int(recipe, "k")
         delta = as_fraction(recipe["delta"])
-        seed = int(recipe.get("seed", args.seed))
+        seed = serialize.expect_int(recipe.get("seed", args.seed), "seed")
         params = eks_params(k, delta, seed=seed)
         _write(
             out / "code.json",
@@ -97,21 +101,21 @@ def cmd_build(args) -> int:
             if recipe["imm"] == "exp"
             else ImmediacySpec.double_exponential(delta)
         )
-        p = build_from_imm(spec, int(recipe["ell"]))
+        p = build_from_imm(spec, _int(recipe, "ell"))
         _write(out / "partition.json", serialize.partition_to_json(p))
     elif kind == "eks_partition":
         _write(
             out / "partition.json",
-            serialize.partition_to_json(eks_partition(int(recipe["k"]))),
+            serialize.partition_to_json(eks_partition(_int(recipe, "k"))),
         )
     elif kind == "chs_partition":
         p, ledger = chs_partition(
-            int(recipe["m"]), int(recipe["l1"]), int(recipe["shift"])
+            _int(recipe, "m"), _int(recipe, "l1"), _int(recipe, "shift")
         )
         _write(out / "partition.json", serialize.partition_to_json(p))
         _write(out / "ledger.json", serialize.ledger_to_json(ledger))
     elif kind == "ghk_partition":
-        p = ghk_partition(int(recipe["n"]), int(recipe["m"]), as_fraction(recipe["delta"]))
+        p = ghk_partition(_int(recipe, "n"), _int(recipe, "m"), as_fraction(recipe["delta"]))
         _write(out / "partition.json", serialize.partition_to_json(p))
     else:
         print(f"unknown recipe kind {kind!r}", file=sys.stderr)
@@ -176,7 +180,7 @@ def cmd_bound(args) -> int:
     f = args.formula
     if f == "thm41":
         value = bounds.rate_bound_plain(
-            as_fraction(params["alpha"]), int(params["ell"]), as_fraction(params["lg_sigma_in"])
+            as_fraction(params["alpha"]), _int(params, "ell"), as_fraction(params["lg_sigma_in"])
         )
         report = bounds.BoundReport(
             "thm41", "lg_sigma >=", {k: str(v) for k, v in params.items()}, value
@@ -184,9 +188,9 @@ def cmd_bound(args) -> int:
     elif f == "thm42":
         value = bounds.rate_bound_deficient(
             as_fraction(params["alpha"]),
-            int(params["ell"]),
-            int(params["deficiency"]),
-            int(params["n"]),
+            _int(params, "ell"),
+            _int(params, "deficiency"),
+            _int(params, "n"),
             as_fraction(params["lg_sigma_in"]),
         )
         report = bounds.BoundReport(
@@ -200,7 +204,7 @@ def cmd_bound(args) -> int:
         reports = bounds.imm_rate_upper(
             params.get("kind", "exp"),
             as_fraction(params["delta"]),
-            int(params["n"]),
+            _int(params, "n"),
             t=params.get("t"),
             ell=params.get("ell"),
         )
@@ -209,13 +213,13 @@ def cmd_bound(args) -> int:
             return EXIT_USAGE
         report = reports[f]
     elif f == "eq33":
-        report = bounds.eq33_report(int(params["m"]), int(params["n"]))
+        report = bounds.eq33_report(_int(params, "m"), _int(params, "n"))
     elif f == "eq5":
-        report = bounds.eq5_report(int(params["k"]), params.get("measured"))
+        report = bounds.eq5_report(_int(params, "k"), params.get("measured"))
     elif f == "eq11":
         report = bounds.ghk_distance_bound(
-            int(params["n"]),
-            int(params["m"]),
+            _int(params, "n"),
+            _int(params, "m"),
             as_fraction(params["delta"]),
             as_fraction(params["ratio"]),
         )

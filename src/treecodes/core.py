@@ -3,9 +3,15 @@ table, divergent distance.
 
 Messages and codewords are tuples of symbol ids (non-negative ints below the
 alphabet size).  Positions are 1-based in every report and file format;
-internal storage is 0-based.  all_codewords enumerates every message with no
-size limit of its own: the certifiers charge the table to their budget before
-calling it.
+internal storage is 0-based.
+
+The message table is stored as prefix columns: column j holds the symbols of
+the |sigma_in|^(j+1) prefixes of length j+1 in lexicographic order, the
+level-order layout of a tabulated code, so each symbol is computed and stored
+once however many messages share its prefix.  Message i (lexicographic) has
+the prefix i // |sigma_in|^(n-1-j) in column j.  all_codewords enumerates it
+with no size limit of its own: the certifiers charge the table to their
+budget before calling it.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Callable, Iterator, List, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 Message = Tuple[int, ...]
 Codeword = Tuple[int, ...]
@@ -104,33 +110,71 @@ def messages(alphabet_size: int, n: int) -> Iterator[Message]:
     return product(range(alphabet_size), repeat=n)
 
 
-def all_codewords(code: TreeCode) -> List[Tuple[Message, Codeword]]:
-    """(message, codeword) pairs for every message, in lexicographic order.
+def prefix_columns(code: TreeCode) -> List[list]:
+    """Column j: the symbols char_fn emits on the length-(j+1) prefixes, in
+    lexicographic order (one char_fn call per prefix).  A symbol that is not
+    an int in [0, |sigma_out|) raises ValueError naming its prefix."""
+    sigma, f, size = code.input_alphabet.size, code.char_fn, code.output_alphabet.size
+    columns = []
+    for j in range(code.n):
+        col = list(map(f, product(range(sigma), repeat=j + 1)))
+        if not (set(map(type, col)) <= {int} and 0 <= min(col) and max(col) < size):
+            for t, sym in enumerate(col):
+                if not (isinstance(sym, int) and 0 <= sym < size):
+                    raise ValueError(
+                        f"symbol {sym!r} at prefix {list(_digits(t, j + 1, sigma))} is "
+                        f"outside the output alphabet of size {size}"
+                    )
+        columns.append(col)
+    return columns
 
-    Consecutive messages share long prefixes, so chars are recomputed only
-    from the first changed position: total char_fn calls are O(sigma * #messages)
-    rather than O(n * #messages).  A symbol that is not an int in
-    [0, |sigma_out|) raises ValueError naming its prefix.
+
+def _digits(i: int, length: int, sigma: int) -> Message:
+    """The length-`length` string with lexicographic index i."""
+    out = [0] * length
+    for k in reversed(range(length)):
+        i, out[k] = divmod(i, sigma)
+    return tuple(out)
+
+
+class PrefixTable:
+    """Every message's codeword, as prefix columns (see the module doc).
+
+    columns[j][t] is the symbol of the t-th length-(j+1) prefix.  The row
+    view table[i] -> (message, codeword) and iteration in message order
+    rebuild rows on demand; len() is the number of messages.
     """
-    n, f, size = code.n, code.char_fn, code.output_alphabet.size
-    out: List[Tuple[Message, Codeword]] = []
-    prev: Message | None = None
-    cw = [0] * n
-    for m in messages(code.input_alphabet.size, n):
-        j0 = 0
-        if prev is not None:
-            while j0 < n and m[j0] == prev[j0]:
-                j0 += 1
-        for j in range(j0, n):
-            sym = cw[j] = f(m[: j + 1])
-            if not (isinstance(sym, int) and 0 <= sym < size):
-                raise ValueError(
-                    f"symbol {sym!r} at prefix {list(m[: j + 1])} is outside the "
-                    f"output alphabet of size {size}"
-                )
-        prev = m
-        out.append((m, tuple(cw)))
-    return out
+
+    __slots__ = ("n", "sigma", "sigma_out", "columns", "_strides")
+
+    def __init__(self, n: int, sigma: int, sigma_out: int, columns: List[list]) -> None:
+        self.n, self.sigma, self.sigma_out, self.columns = n, sigma, sigma_out, columns
+        self._strides = [sigma ** (n - 1 - j) for j in range(n)]  # messages per prefix
+
+    def __len__(self) -> int:
+        return self.sigma**self.n
+
+    def message(self, i: int) -> Message:
+        return _digits(i, self.n, self.sigma)
+
+    def __getitem__(self, i: int) -> Tuple[Message, Codeword]:
+        if not 0 <= i < len(self):
+            raise IndexError(f"message index {i} outside 0..{len(self) - 1}")
+        return self.message(i), tuple(col[i // s] for col, s in zip(self.columns, self._strides))
+
+    def __iter__(self) -> Iterator[Tuple[Message, Codeword]]:
+        cols, strides = self.columns, self._strides
+        for i, m in enumerate(messages(self.sigma, self.n)):
+            yield m, tuple(col[i // s] for col, s in zip(cols, strides))
+
+
+def all_codewords(code: TreeCode) -> PrefixTable:
+    """The message table of code: every message's codeword, enumerated with
+    one char_fn call per prefix (sigma + sigma^2 + ... + sigma^n calls, not
+    n * sigma^n).  A symbol that is not an int in [0, |sigma_out|) raises
+    ValueError naming its prefix."""
+    return PrefixTable(code.n, code.input_alphabet.size, code.output_alphabet.size,
+                       prefix_columns(code))
 
 
 def trivial_code(n: int) -> TreeCode:
@@ -161,6 +205,18 @@ def identity_code(n: int, alphabet_size: int = 2) -> TreeCode:
     )
 
 
+class _SystematicChar:
+    """char_fn of make_systematic(base): base symbol * sigma_in + x_j."""
+
+    __slots__ = ("base", "_f", "_s")
+
+    def __init__(self, base: TreeCode) -> None:
+        self.base, self._f, self._s = base, base.char_fn, base.input_alphabet.size
+
+    def __call__(self, prefix: Message) -> int:
+        return self._f(prefix) * self._s + prefix[-1]
+
+
 def make_systematic(code: TreeCode) -> TreeCode:
     """Append the current input symbol to every output symbol.
 
@@ -168,19 +224,21 @@ def make_systematic(code: TreeCode) -> TreeCode:
     base_symbol * sigma_in + x_j; the online property and membership in any
     immediacy-code class (same tagged partition) are preserved.
     """
-    s_in = code.input_alphabet.size
-    base = code.char_fn
-
-    def char(prefix: Message) -> int:
-        return base(prefix) * s_in + prefix[-1]
-
     return TreeCode(
         code.n,
         code.input_alphabet,
-        Alphabet(code.output_alphabet.size * s_in),
-        char,
+        Alphabet(code.output_alphabet.size * code.input_alphabet.size),
+        _SystematicChar(code),
         name=f"systematic({code.name})" if code.name else "systematic",
     )
+
+
+def systematic_base(code: TreeCode) -> Optional[TreeCode]:
+    """The code that make_systematic turned into code, or None: its symbol at
+    j is the pair (base symbol, x_j), so a grouping can read the base table
+    and the inputs instead of enumerating code."""
+    char = code.char_fn
+    return char.base if isinstance(char, _SystematicChar) else None
 
 
 def divergent_distance(code: TreeCode, x: Sequence[int], y: Sequence[int]) -> DivergentDistance:

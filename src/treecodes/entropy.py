@@ -4,7 +4,9 @@ and the telescoping per-level ledger that replays the rate-bound derivation.
 
 Probabilities are exact rationals; entropies reduce to integer weights over a
 common denominator, so H = lg(D) - sum(w lg w)/D is evaluated with exactly
-summed floats (error well below the 1e-9 assertion tolerance).
+summed floats (error well below the 1e-9 assertion tolerance).  The ledger
+replay counts its weights by the certifiers' group ids over the prefix-column
+message table (grouping.Groups), equal weights summed once.
 """
 
 from __future__ import annotations
@@ -13,13 +15,13 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .bounds import rate_bound_deficient, rate_bound_plain
-from .core import TreeCode
+from .core import TreeCode, systematic_base
 from .dyadic import lg_exact
 from .partitions import DeficiencyLedger, LaminarPartition
+from .grouping import Groups
 from .verify import DEFAULT_EVAL_CAP, Verdict, _Budget, _table, checked_ledger
 
 DEFAULT_TOL = 1e-9
@@ -93,9 +95,20 @@ def entropy_of_probs(probs: Iterable[Fraction]) -> float:
 
 
 def entropy_of_counts(counts: Iterable[int]) -> float:
-    cs = [c for c in counts if c]
-    total = sum(cs)
-    return math.log2(total) - math.fsum(c * math.log2(c) for c in cs) / total
+    """H = lg N - (sum c lg c) / N of positive integer counts summing to N."""
+    return _entropy_of_multiset(Counter(c for c in counts if c))
+
+
+def _entropy_of_multiset(multiplicity: Dict[int, int]) -> float:
+    """entropy_of_counts of the counts c, each taken multiplicity[c] times.
+
+    Each term c lg c is a float summed exactly (as a rational) and rounded
+    once, which is the correctly rounded math.fsum of the terms one by one:
+    bit-identical, at the cost of the distinct counts only.
+    """
+    total = sum(c * k for c, k in multiplicity.items())
+    terms = sum(Fraction(c * math.log2(c)) * k for c, k in multiplicity.items())
+    return math.log2(total) - float(terms) / total
 
 
 def entropy(dist: FiniteJoint, vars: Sequence[str]) -> float:
@@ -184,17 +197,21 @@ class EntropyLedger:
     deficiency: int
 
 
-def _require_systematic(table, n: int) -> None:
+def _require_systematic(groups: Groups) -> None:
+    """Each codeword column j determines x_j: #ids(c_j) = #ids(c_j, x_j).  A
+    failing column is rescanned in message order for the first symbol seen
+    with two inputs."""
+    n, sigma = groups.n, groups.sigma
     for j in range(n):
+        if groups.count(frozenset({j})) == groups.count(frozenset({j, n + j})):
+            continue
         seen: Dict[int, int] = {}
-        for m, cw in table:
-            prev = seen.get(cw[j])
-            if prev is None:
-                seen[cw[j]] = m[j]
-            elif prev != m[j]:
+        for t, sym in enumerate(groups.table.columns[j]):
+            prev = seen.setdefault(sym, t % sigma)
+            if prev != t % sigma:
                 raise ValueError(
-                    f"code is not systematic at position {j + 1}: symbol {cw[j]} "
-                    f"maps to inputs {prev} and {m[j]}; apply make_systematic first"
+                    f"code is not systematic at position {j + 1}: symbol {sym} "
+                    f"maps to inputs {prev} and {t % sigma}; apply make_systematic first"
                 )
 
 
@@ -216,8 +233,11 @@ def ledger_replay(
     Runs on the certifiers' table and budget: exemptions and the deficiency
     come from the ledger as re-derived against p, and the M*n table plus
     M*|S| for each distinct column set S are charged against cap before any
-    message is enumerated.  Each distinct set is grouped once; on a laminar
-    partition the lf and rg parts of a level are blocks of the level below.
+    message is enumerated.  Entropies are counted over group ids (see
+    grouping.Groups), each distinct set grouped once; on a laminar partition
+    a block is the pair of its lf and rg parts, blocks of the level below.
+    For code = make_systematic(base) the table is base's, and the symbol at
+    j is grouped as the pair (base symbol, x_j).
     """
     ledger = checked_ledger(code, p, ledger)
     n = code.n
@@ -230,16 +250,20 @@ def ledger_replay(
     def key(block: Sequence[int]) -> Tuple[int, ...]:
         return tuple(sorted(block))
 
-    tagged = [s for level in p.tagged for tb in level for s in (tb.block, tb.lf, tb.rg)]
+    # lf and rg before their block, so the block is grouped as their pair
+    tagged = [s for level in p.tagged for tb in level for s in (tb.lf, tb.rg, tb.block)]
     sets = dict.fromkeys(map(key, list(p.p0) + tagged))
     budget = _Budget(cap)
-    table = _table(code, budget, sum(map(len, sets)))
-    _require_systematic(table, n)
-    words = [cw for _, cw in table]
-    entropies = {
-        s: entropy_of_counts(Counter(map(itemgetter(*[v - 1 for v in s]), words)).values())
-        for s in sets
-    }
+    base = systematic_base(code)
+    groups = Groups(_table(base or code, budget, sum(map(len, sets))))
+
+    def columns(s: Sequence[int]) -> FrozenSet[int]:
+        cw = frozenset(v - 1 for v in s)
+        return cw | {n + c for c in cw} if base else cw
+
+    if base is None:  # make_systematic's symbols hold x_j by construction
+        _require_systematic(groups)
+    entropies = {s: _entropy_of_multiset(groups.weights(columns(s))) for s in sets}
 
     def h_of(block: Sequence[int]) -> float:
         return entropies[key(block)]

@@ -7,10 +7,11 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from itertools import chain
 from typing import List
 
 from .bounds import BoundReport
-from .core import TreeCode
+from .core import TreeCode, prefix_columns
 from .dyadic import as_fraction
 from .partitions import DeficiencyLedger, LaminarPartition, TaggedBlock
 from .verify import Verdict
@@ -30,6 +31,14 @@ def expect_type(obj, kind: type, what: str):
     return obj
 
 
+def expect_int(obj, what: str) -> int:
+    """obj, if it is a JSON integer (not a bool, float or string); else a
+    ValueError naming what was expected."""
+    if type(obj) is not int:
+        raise ValueError(f"{what} must be a JSON integer, got {type(obj).__name__}")
+    return obj
+
+
 def dumps_canonical(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
@@ -41,23 +50,18 @@ _MAX_TABLE_ENTRIES = 1 << 20
 
 def tabulate_code(code: TreeCode) -> dict:
     """Explicit level-order table form of a code (depth-major, prefixes in
-    lexicographic order; entry = label of the edge into that prefix)."""
+    lexicographic order; entry = label of the edge into that prefix): the
+    prefix columns of the message table, concatenated."""
     sigma = code.input_alphabet.size
     total = sum(sigma**j for j in range(1, code.n + 1))
     if total > _MAX_TABLE_ENTRIES:
         raise ValueError(f"code too deep to tabulate: {total} entries")
-    from itertools import product
-
-    table: List[int] = []
-    for j in range(1, code.n + 1):
-        for prefix in product(range(sigma), repeat=j):
-            table.append(code.char_fn(prefix))
     return {
         "kind": "table",
         "n": code.n,
         "sigma_in": sigma,
         "sigma_out": code.output_alphabet.size,
-        "table": table,
+        "table": list(chain.from_iterable(prefix_columns(code))),
     }
 
 
@@ -70,20 +74,25 @@ def code_from_json(obj: dict) -> TreeCode:
     if kind is None and "table" in obj:
         kind = "table"  # bare tabulated form
     if kind == "trivial":
-        return trivial_code(int(obj["n"]))
+        return trivial_code(expect_int(obj["n"], "n"))
     if kind == "identity":
-        return identity_code(int(obj["n"]), int(obj.get("sigma_in", 2)))
+        return identity_code(expect_int(obj["n"], "n"),
+                             expect_int(obj.get("sigma_in", 2), "sigma_in"))
     if kind == "table":
         return constructions.table_code(
-            int(obj["n"]), int(obj["sigma_in"]), int(obj["sigma_out"]), list(obj["table"])
+            expect_int(obj["n"], "n"),
+            expect_int(obj["sigma_in"], "sigma_in"),
+            expect_int(obj["sigma_out"], "sigma_out"),
+            list(expect_type(obj["table"], list, "table")),
         )
     if kind == "eks":
         delta = as_fraction(obj["delta"])
         params = constructions.eks_params(
-            int(obj["k"]),
+            expect_int(obj["k"], "k"),
             delta,
-            seed=int(obj.get("seed", 0)),
-            b_schedule=(int(obj["b"]),) if "b" in obj else constructions.DEFAULT_B_SCHEDULE,
+            seed=expect_int(obj.get("seed", 0), "seed"),
+            b_schedule=((expect_int(obj["b"], "b"),) if "b" in obj
+                        else constructions.DEFAULT_B_SCHEDULE),
         )
         return constructions.eks_code(params)
     raise ValueError(f"unknown code kind {kind!r}")
@@ -115,14 +124,16 @@ def partition_to_json(p: LaminarPartition) -> dict:
 
 def partition_from_json(obj: dict) -> LaminarPartition:
     expect_type(obj, dict, "partition")
-    n = int(obj["n"])
+    n = expect_int(obj["n"], "partition n")
     alpha = as_fraction(obj["alpha"])
     levels = expect_type(obj["levels"], list, "partition levels")
     if not levels:
         raise ValueError("partition levels must hold at least the level-0 blocks")
-    for level in levels:
+    for i, level in enumerate(levels):
         for b in expect_type(level, list, "partition level"):
             expect_type(b, dict, "partition block")
+            for bound in ("lo", "hi") + (("lf_hi",) if i else ()):
+                expect_int(b[bound], f"partition block {bound}")
     p0 = tuple(tuple(range(b["lo"], b["hi"] + 1)) for b in levels[0])
     tagged = []
     for level in levels[1:]:
@@ -146,7 +157,8 @@ def ledger_from_json(obj: list, p: LaminarPartition) -> DeficiencyLedger:
     entries = [expect_type(e, dict, "ledger entry") for e in expect_type(obj, list, "ledger")]
     return DeficiencyLedger.for_partition(
         p,
-        {int(e["level"]): [int(i) for i in expect_type(e["blocks"], list, "ledger blocks")]
+        {expect_int(e["level"], "ledger level"):
+         [expect_int(i, "ledger block") for i in expect_type(e["blocks"], list, "ledger blocks")]
          for e in entries},
     )
 

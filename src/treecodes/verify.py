@@ -9,6 +9,11 @@ only refusal of an oversized table: an instance too large for the cap raises
 CapExceeded before it costs time or memory.  Thresholds are exact
 rationals and every failure carries a witness that re-verifies in isolation.
 
+The table is core.all_codewords' prefix columns, built once per code and
+kept while the code lives (so an audit's decoding check and its entropy
+replay share one enumeration).  Neighborhood decoding counts messages by
+the group ids of column sets (grouping.Groups).
+
 The five pair conditions (distance, immediacy function, dyadic, aligned,
 quarter-split) share one engine, _sweep: per row x, bit-sliced counters over
 bitsets of message indices answer every window for all y > x at once, and a
@@ -26,6 +31,7 @@ uses (i0, i0+2^(t+1)].
 from __future__ import annotations
 
 import math
+import weakref
 from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, field
@@ -33,7 +39,8 @@ from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .bitslice import add, below, minimum
-from .core import TreeCode, all_codewords
+from .core import PrefixTable, TreeCode, all_codewords
+from .grouping import Groups
 from .dyadic import as_fraction, floor_lg
 from .partitions import (
     DeficiencyLedger,
@@ -88,13 +95,23 @@ def _frac(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
 
 
-def _table(code: TreeCode, budget: _Budget, reads: int = 0):
+# each code's table while the code lives, by identity (a code need not be
+# hashable): an audit's decoding check and its entropy replay of
+# make_systematic(code) share one enumeration
+_TABLES: Dict[int, PrefixTable] = {}
+
+
+def _table(code: TreeCode, budget: _Budget, reads: int = 0) -> PrefixTable:
     """The message table, charged M*n, plus M*reads for the column reads per
     message a caller will make, before any message is enumerated."""
     messages = code.input_alphabet.size**code.n
     budget.spend(messages * code.n)
     budget.spend(messages * reads)
-    return all_codewords(code)
+    table = _TABLES.get(id(code))
+    if table is None:
+        table = _TABLES[id(code)] = all_codewords(code)
+        weakref.finalize(code, _TABLES.pop, id(code), None)
+    return table
 
 
 def checked_ledger(code: TreeCode, p: LaminarPartition,
@@ -115,8 +132,9 @@ class _MessageBits:
     """Bitsets over the message table (bit j is message j, lexicographic).
 
     same_input[q][a]: the messages with input symbol a at position q, a
-    periodic pattern.  Codeword-symbol sets are built from per-position index
-    lists on first use, so memory grows with the rows a sweep reaches.
+    periodic pattern.  Codeword-symbol sets are built from the prefix columns
+    on first use, one run of sigma^(n-1-p) bits per matching prefix, so
+    memory grows with the rows a sweep reaches.
     """
 
     def __init__(self, code: TreeCode, budget: _Budget) -> None:
@@ -130,19 +148,24 @@ class _MessageBits:
             self.same_input.append([(((1 << run) - 1) << (a * run)) * repeat
                                     for a in range(self.sigma)])
         self._symbols: Dict[Tuple[int, int], int] = {}
-        self._index: List[Dict[int, List[int]]] = [defaultdict(list) for _ in range(code.n)]
-        for j, (_, cw) in enumerate(self.table):
-            for col, s in zip(self._index, cw):
-                col[s].append(j)
+        self._index: List[Dict[int, List[int]]] = []
+        for col in self.table.columns:
+            index = defaultdict(list)
+            for t, s in enumerate(col):
+                index[s].append(t)
+            self._index.append(index)
 
     def same_symbol(self, p: int, sym: int) -> int:
         """Messages whose codeword symbol at position p is sym."""
         bits = self._symbols.get((p, sym))
         if bits is None:
+            run = self.size // len(self.table.columns[p])  # messages per prefix
             buf = bytearray((self.size + 7) >> 3)
-            for j in self._index[p][sym]:
+            for t in self._index[p][sym]:
+                j = t * run
                 buf[j >> 3] |= 1 << (j & 7)
-            bits = self._symbols[(p, sym)] = int.from_bytes(buf, "little")
+            starts = int.from_bytes(buf, "little")
+            bits = self._symbols[(p, sym)] = (starts << run) - starts
         return bits
 
 
@@ -351,19 +374,24 @@ def check_neighborhood_decoding(
     disagree on lf(B) while their codewords agree on rg(B); equivalently the
     map c(x)_rg(B) -> x_lf(B) is well defined, and can be materialized.
 
-    This is a functional-dependence property, so each block is checked with a
-    single grouping sweep over all messages (ascending); a failure reports the
-    earliest message whose rg-restriction collides with an earlier one.  The
-    size and laminar properties are NOT required here (decoding is meaningful
-    for any structurally valid tagged partition); structural defects are
-    rejected as errors.  The M*(|lf|+|rg|) reads of every non-exempt block are
-    charged with the table, before any message is enumerated.
+    This is a functional-dependence property: a block passes iff its rg
+    columns split the messages into as many groups as its rg columns and lf
+    inputs together do (grouping.Groups; the halves of a laminar block are
+    grouped once and reused).  Only a failing block is rescanned, in
+    message order, so its witness is the earliest message whose
+    rg-restriction collides with an earlier one's.  The size and laminar
+    properties are NOT required here (decoding is meaningful for any
+    structurally valid tagged partition); structural defects are rejected as
+    errors.  The M*(|lf|+|rg|) reads of every non-exempt block are charged
+    with the table, before any message is enumerated.
     """
     ledger = checked_ledger(code, p, ledger)
     reads = sum(len(tb.lf) + len(tb.rg) for level in range(1, p.ell + 1)
                 for bi, tb in enumerate(p.tagged[level - 1]) if bi not in ledger.blocks_at(level))
     budget = _Budget(cap)
     table = _table(code, budget, reads)
+    groups = Groups(table)
+    n, sigma = code.n, code.input_alphabet.size
 
     blocks_out: List[dict] = []
     tables_out: Dict[str, list] = {}
@@ -375,34 +403,48 @@ def check_neighborhood_decoding(
                 entry["passed"] = None
                 blocks_out.append(entry)
                 continue
-            lf_cols = [v - 1 for v in tb.lf]
-            rg_cols = [v - 1 for v in tb.rg]
-            seen: dict = {}
+            rg = frozenset(v - 1 for v in tb.rg)
+            lf_inputs = frozenset(n + v - 1 for v in tb.lf)
+            q = groups.ids(rg | lf_inputs).q
             block_witness = None
-            for m, cw in table:
-                key = tuple(cw[c] for c in rg_cols)
-                val = tuple(m[c] for c in lf_cols)
-                prior = seen.get(key)
-                if prior is None:
-                    seen[key] = (val, m)
-                elif prior[0] != val:
-                    block_witness = dict(level=level, block=bi, lf=list(tb.lf), rg=list(tb.rg),
-                                         x=list(prior[1]), y=list(m))
-                    break
+            if groups.count(rg) != groups.count(rg | lf_inputs):
+                # the earliest message colliding with an earlier one: the
+                # first message of the first colliding length-(q+1) prefix
+                seen: Dict[int, Tuple[int, int]] = {}
+                lf_ids = groups.at(groups.ids(lf_inputs), q)
+                for t, key in enumerate(groups.at(groups.ids(rg), q)):
+                    prior = seen.setdefault(key, (lf_ids[t], t))
+                    if prior[0] != lf_ids[t]:
+                        per = sigma ** (n - 1 - q)
+                        block_witness = dict(level=level, block=bi, lf=list(tb.lf),
+                                             rg=list(tb.rg), x=list(table.message(prior[1] * per)),
+                                             y=list(table.message(t * per)))
+                        break
             entry["passed"] = block_witness is None
             if block_witness is not None:
                 entry["witness"] = block_witness
                 if first_witness is None:
                     first_witness = block_witness
             elif materialize_tables:
-                tables_out[f"{level}:{bi}"] = [
-                    [list(k), list(v[0])] for k, v in sorted(seen.items())
-                ]
+                tables_out[f"{level}:{bi}"] = _decoding_table(table, groups, tb, q)
             blocks_out.append(entry)
     details = {"blocks": blocks_out}
     if materialize_tables:
         details["tables"] = tables_out
     return Verdict(first_witness is None, first_witness, details, budget.used)
+
+
+def _decoding_table(table: PrefixTable, groups: Groups, tb, q: int) -> list:
+    """[rg symbols, lf inputs] for each rg group of a decodable block, sorted,
+    read off one length-(q+1) prefix of the group."""
+    rg_ids = groups.at(groups.ids(frozenset(v - 1 for v in tb.rg)), q)
+    sigma = table.sigma
+    rows = []
+    for t in dict(zip(rg_ids, range(len(rg_ids)))).values():
+        prefix = table.message(t * sigma ** (table.n - 1 - q))
+        rows.append(([table.columns[v - 1][t // sigma ** (q - v + 1)] for v in tb.rg],
+                     [prefix[v - 1] for v in tb.lf]))
+    return [list(row) for row in sorted(rows)]
 
 
 def check_eks_condition(

@@ -117,6 +117,39 @@ def test_usage_mistake_exits_1(tmp_path, capsys, case):
     assert "invalid input" in err and "internal error" not in err
 
 
+_NOT_INTEGERS = {
+    "recipe-n-null": (["build", "--recipe-json", '{"kind":"trivial","n":null}',
+                       "--out-dir", "{dir}/out"], {}),
+    "partition-lo-string": (
+        ["verify", "--code", "{dir}/code.json", "--property", "neighborhood",
+         "--partition", "{dir}/bad.json"],
+        {"bad.json": {"n": 4, "alpha": "1/2", "levels": [
+            [{"lo": "1", "hi": 2}, {"lo": 3, "hi": 4}], [{"lo": 1, "hi": 4, "lf_hi": 2}]]}}),
+    "ledger-level-string": (
+        ["verify", "--code", "{dir}/code.json", "--property", "neighborhood",
+         "--partition", "{dir}/partition.json", "--ledger", "{dir}/bad.json"],
+        {"bad.json": [{"level": "x", "blocks": [0]}]}),
+    "bound-ell-float": (["bound", "--formula", "thm41", "--params",
+                         '{"alpha":"1/2","ell":2.0,"lg_sigma_in":1}'], {}),
+    "recipe-k-bool": (["build", "--recipe-json", '{"kind":"eks_partition","k":true}',
+                       "--out-dir", "{dir}/out"], {}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_NOT_INTEGERS))
+def test_scalar_field_that_is_not_an_integer_exits_1(tmp_path, capsys, case):
+    argv, files = _NOT_INTEGERS[case]
+    run(capsys, "build", "--recipe-json", '{"kind":"trivial","n":4}', "--out-dir", str(tmp_path))
+    run(capsys, "build", "--recipe-json", '{"kind":"eks_partition","k":2}',
+        "--out-dir", str(tmp_path))
+    for name, obj in files.items():
+        (tmp_path / name).write_text(json.dumps(obj))
+    rc = cli.main([a.replace("{dir}", str(tmp_path)) for a in argv])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "must be a JSON integer" in err and "internal error" not in err
+
+
 def test_build_partition_recipes(tmp_path, capsys):
     rc, _ = run(
         capsys,
@@ -188,6 +221,32 @@ def test_audit_cap_covers_the_entropy_replay(tmp_path, capsys):
             "--partition", str(tmp_path / "partition.json"), "--cap"]
     assert run(capsys, *args, "8192")[0] == 3
     assert run(capsys, *args, "10240")[0] == 0
+
+
+def test_audit_enumerates_the_code_once(tmp_path, capsys, monkeypatch):
+    # the decoding check and the replay of make_systematic(code) share one
+    # message table; the wrapper replaces every module's reference, as the
+    # benchmark's tracer does
+    import sys
+
+    from treecodes import core
+
+    calls = []
+    original = core.all_codewords
+
+    def counting(code):
+        calls.append(code.n)
+        return original(code)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("treecodes") and getattr(module, "all_codewords", None) is original:
+            monkeypatch.setattr(module, "all_codewords", counting)
+    run(capsys, "build", "--recipe-json", '{"kind":"eks","k":3,"delta":"1/2","seed":0}',
+        "--out-dir", str(tmp_path))
+    rc, out = run(capsys, "audit", "--code", str(tmp_path / "code.json"),
+                  "--partition", str(tmp_path / "partition.json"))
+    assert rc == 0 and json.loads(out)["entropy"]["passed"] is True
+    assert calls == [8]
 
 
 def test_verify_remaining_properties(tmp_path, capsys):

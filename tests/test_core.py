@@ -10,6 +10,8 @@ from treecodes.core import (
     divergent_distance,
     identity_code,
     make_systematic,
+    messages,
+    systematic_base,
     trivial_code,
 )
 from treecodes.constructions import eks_code, table_code
@@ -151,6 +153,27 @@ def test_all_codewords_rejects_symbols_outside_the_output_alphabet(bad):
     with pytest.raises(ValueError, match=r"prefix \[1, 0\]"):
         all_codewords(table_code(2, 2, 4, labels))
     assert len(all_codewords(table_code(2, 2, 4, [0, 1, 2, 3, 0, 1]))) == 4
+
+
+@pytest.mark.parametrize("sigma,n", [(2, 1), (2, 5), (3, 3)])
+def test_prefix_table_rows_are_the_encoded_messages(sigma, n):
+    stream = DetStream(n, "rows")
+    size = sum(sigma**j for j in range(1, n + 1))
+    code = table_code(n, sigma, 5, [stream.randbelow(5) for _ in range(size)])
+    table = all_codewords(code)
+    rows = [(m, code.encode(m)) for m in messages(sigma, n)]
+    assert len(table) == len(rows) and list(table) == rows
+    assert [table[i] for i in range(len(rows))] == rows
+    assert [len(col) for col in table.columns] == [sigma ** (j + 1) for j in range(n)]
+    with pytest.raises(IndexError):
+        table[len(rows)]
+
+
+def test_systematic_base_names_only_make_systematic_codes():
+    code = trivial_code(3)
+    assert systematic_base(make_systematic(code)) is code
+    assert systematic_base(code) is None
+    assert systematic_base(make_systematic(make_systematic(code))).name == "systematic(trivial[3])"
 
 
 def test_depth_one_edge_cases():

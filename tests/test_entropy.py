@@ -4,6 +4,8 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treecodes.constructions import eks_code
 from treecodes.core import identity_code, make_systematic, trivial_code
@@ -196,6 +198,18 @@ def test_ledger_replay_zero_levels():
     p, ledger = chs_partition(0, 8, 0)
     led, verdict = ledger_replay(make_systematic(trivial_code(8)), p, ledger)
     assert verdict.passed and led.slacks == ()
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.lists(st.integers(0, 40), min_size=1, max_size=60).filter(any),
+       st.integers(0, 12))
+def test_entropy_of_counts_is_the_fsum_of_its_terms(counts, scale):
+    # equal counts are summed once, exactly: the same float as fsum over
+    # every term, bit for bit
+    counts = [c << scale for c in counts]
+    cs = [c for c in counts if c]
+    by_terms = math.log2(sum(cs)) - math.fsum(c * math.log2(c) for c in cs) / sum(cs)
+    assert entropy_of_counts(counts) == by_terms
 
 
 def test_ledger_replay_rejects_nonsystematic():

@@ -29,6 +29,31 @@ from treecodes.serialize import (
 )
 
 
+def _level_order_labels(code):
+    # the level-order char walk tabulate_code ran before it read the message
+    # table's prefix columns
+    sigma = code.input_alphabet.size
+    return [code.char_fn(prefix) for j in range(1, code.n + 1)
+            for prefix in product(range(sigma), repeat=j)]
+
+
+def test_tabulate_code_is_the_level_order_walk():
+    from treecodes.constructions import table_code
+    from treecodes.synthetic import scrambled_prefix_code
+
+    ternary = table_code(3, 3, 4, [(5 * i + 1) % 4 for i in range(3 + 9 + 27)])
+    for code in (trivial_code(5), scrambled_prefix_code(7, 2), ternary):
+        assert tabulate_code(code)["table"] == _level_order_labels(code)
+
+
+def test_tabulate_code_rejects_symbols_outside_the_output_alphabet():
+    from treecodes.core import Alphabet, TreeCode
+
+    loud = TreeCode(3, Alphabet(2), Alphabet(4), lambda prefix: 4 * prefix[-1])
+    with pytest.raises(ValueError, match=r"symbol 4 at prefix \[1\] is outside"):
+        tabulate_code(loud)
+
+
 def test_fraction_strings():
     assert frac_str(Fraction(3, 4)) == "3/4"
     assert frac_str(Fraction(8, 4)) == "2"

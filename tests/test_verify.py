@@ -104,6 +104,30 @@ def test_table_larger_than_cap_is_refused_before_enumerating(entry, monkeypatch)
     assert exc.value.used == _M16 * 16
 
 
+def test_code_table_is_enumerated_once_and_released_with_the_code(monkeypatch):
+    import gc
+
+    from treecodes.core import all_codewords
+
+    calls = []
+
+    def counting(code):
+        calls.append(code)
+        return all_codewords(code)
+
+    monkeypatch.setattr(verify, "all_codewords", counting)
+    code = trivial_code(8)
+    assert check_neighborhood_decoding(code, eks_partition(3)).passed
+    assert check_online_property(code).passed
+    # the replay of make_systematic(code) groups code's own table
+    assert ledger_replay(make_systematic(code), eks_partition(3))[1].passed
+    assert calls == [code]
+    key = id(code)
+    del code, calls[:]
+    gc.collect()
+    assert key not in verify._TABLES
+
+
 # ---------------- immediacy function ----------------
 
 
