@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .bitslice import add, below, minimum
-from .core import Alphabet, Message, TreeCode
+from .core import Alphabet, LevelOrderChar, Message, TreeCode
 from .dyadic import as_fraction
 from .rng import DetStream
 
@@ -299,21 +299,7 @@ def eks_code(params: EKSParams, zero_rows: Sequence[int] = ()) -> TreeCode:
 def table_code(n: int, sigma_in: int, sigma_out: int, table: Sequence[int]) -> TreeCode:
     """A tree code tabulated in level order: for each depth j = 1..n, the edge
     labels below each depth-(j-1) node in lexicographic order."""
-    expected = sum(sigma_in**j for j in range(1, n + 1))
-    if len(table) != expected:
-        raise ValueError(f"table has {len(table)} labels, want {expected}")
-    offsets = [0] * (n + 1)
-    for j in range(2, n + 1):
-        offsets[j] = offsets[j - 1] + sigma_in ** (j - 1)
-    tbl = tuple(table)
-
-    def char(prefix: Message) -> int:
-        j = len(prefix)
-        idx = 0
-        for v in prefix:
-            idx = idx * sigma_in + v
-        return tbl[offsets[j] + idx]
-
+    char = LevelOrderChar(n, sigma_in, table)
     return TreeCode(n, Alphabet(sigma_in), Alphabet(sigma_out), char, name=f"table[{n}]")
 
 

@@ -9,9 +9,12 @@ The message table is stored as prefix columns: column j holds the symbols of
 the |sigma_in|^(j+1) prefixes of length j+1 in lexicographic order, the
 level-order layout of a tabulated code, so each symbol is computed and stored
 once however many messages share its prefix.  Message i (lexicographic) has
-the prefix i // |sigma_in|^(n-1-j) in column j.  all_codewords enumerates it
-with no size limit of its own: the certifiers charge the table to their
-budget before calling it.
+the prefix i // |sigma_in|^(n-1-j) in column j.  A tabulated code (char_fn a
+LevelOrderChar) already holds its labels in this layout, so its columns are
+slices of the label list; every other code is walked with one char_fn call
+per prefix.  Both paths run the same symbol-range check.  all_codewords
+enumerates the table with no size limit of its own: the certifiers charge the
+table to their budget before calling it.
 """
 
 from __future__ import annotations
@@ -111,16 +114,21 @@ def messages(alphabet_size: int, n: int) -> Iterator[Message]:
 
 
 def prefix_columns(code: TreeCode) -> List[list]:
-    """Column j: the symbols char_fn emits on the length-(j+1) prefixes, in
-    lexicographic order (one char_fn call per prefix).  A symbol that is not
-    an int in [0, |sigma_out|) raises ValueError naming its prefix."""
+    """Column j: the symbols of the length-(j+1) prefixes, in lexicographic
+    order.  A tabulated code's columns are slices of its label list; any other
+    code's are walked, one char_fn call per prefix.  On either path a symbol
+    that is not an int in [0, |sigma_out|) raises ValueError naming its
+    prefix."""
     sigma, f, size = code.input_alphabet.size, code.char_fn, code.output_alphabet.size
+    if isinstance(f, LevelOrderChar) and (f.n, f.sigma) == (code.n, sigma):
+        cols = f.columns()
+    else:
+        cols = (list(map(f, product(range(sigma), repeat=j + 1))) for j in range(code.n))
     columns = []
-    for j in range(code.n):
-        col = list(map(f, product(range(sigma), repeat=j + 1)))
+    for j, col in enumerate(cols):
         if not (set(map(type, col)) <= {int} and 0 <= min(col) and max(col) < size):
             for t, sym in enumerate(col):
-                if not (isinstance(sym, int) and 0 <= sym < size):
+                if not (type(sym) is int and 0 <= sym < size):
                     raise ValueError(
                         f"symbol {sym!r} at prefix {list(_digits(t, j + 1, sigma))} is "
                         f"outside the output alphabet of size {size}"
@@ -169,10 +177,11 @@ class PrefixTable:
 
 
 def all_codewords(code: TreeCode) -> PrefixTable:
-    """The message table of code: every message's codeword, enumerated with
-    one char_fn call per prefix (sigma + sigma^2 + ... + sigma^n calls, not
-    n * sigma^n).  A symbol that is not an int in [0, |sigma_out|) raises
-    ValueError naming its prefix."""
+    """The message table of code: every message's codeword, as the prefix
+    columns of prefix_columns (a tabulated code's label slices, or one char_fn
+    call per prefix: sigma + sigma^2 + ... + sigma^n calls, not n * sigma^n).
+    A symbol that is not an int in [0, |sigma_out|) raises ValueError naming
+    its prefix."""
     return PrefixTable(code.n, code.input_alphabet.size, code.output_alphabet.size,
                        prefix_columns(code))
 
@@ -203,6 +212,44 @@ def identity_code(n: int, alphabet_size: int = 2) -> TreeCode:
         lambda prefix: prefix[-1],
         name=f"identity[{n}]",
     )
+
+
+class LevelOrderChar:
+    """char_fn of a code tabulated in level order: for each depth j = 1..n,
+    the labels of the sigma^j length-j prefixes in lexicographic order.
+
+    Holds one list of the labels and the offset at which each depth starts.
+    A table whose length is not sigma + sigma^2 + ... + sigma^n raises
+    ValueError; the level sizes are summed only until they pass the table's
+    length, so a deep table with few labels is refused at once.
+    """
+
+    __slots__ = ("n", "sigma", "labels", "offsets")
+
+    def __init__(self, n: int, sigma: int, labels: Sequence[int]) -> None:
+        labels = list(labels)
+        offsets, size, total = [], 1, 0
+        for j in range(n):
+            offsets.append(total)
+            size *= sigma
+            total += size
+            if total > len(labels) and j < n - 1:
+                raise ValueError(f"table has {len(labels)} labels, want "
+                                 f"{sigma}^1 + ... + {sigma}^{n} > {len(labels)}")
+        if total != len(labels):
+            raise ValueError(f"table has {len(labels)} labels, want {total}")
+        self.n, self.sigma, self.labels, self.offsets = n, sigma, labels, offsets
+
+    def __call__(self, prefix: Message) -> int:
+        idx = 0
+        for v in prefix:
+            idx = idx * self.sigma + v
+        return self.labels[self.offsets[len(prefix) - 1] + idx]
+
+    def columns(self) -> Iterator[list]:
+        """Depth j+1's labels for j = 0..n-1: the prefix columns."""
+        ends = self.offsets[1:] + [len(self.labels)]
+        return (self.labels[lo:hi] for lo, hi in zip(self.offsets, ends))
 
 
 class _SystematicChar:

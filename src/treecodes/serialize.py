@@ -83,7 +83,7 @@ def code_from_json(obj: dict) -> TreeCode:
             expect_int(obj["n"], "n"),
             expect_int(obj["sigma_in"], "sigma_in"),
             expect_int(obj["sigma_out"], "sigma_out"),
-            list(expect_type(obj["table"], list, "table")),
+            expect_type(obj["table"], list, "table"),
         )
     if kind == "eks":
         delta = as_fraction(obj["delta"])

@@ -150,6 +150,29 @@ def test_scalar_field_that_is_not_an_integer_exits_1(tmp_path, capsys, case):
     assert "must be a JSON integer" in err and "internal error" not in err
 
 
+@pytest.mark.parametrize("label", ["true", "false", "1.0"])
+def test_table_label_that_is_not_an_integer_exits_1(tmp_path, capsys, label):
+    # a bool is an int to Python but not a JSON integer: refused like a float
+    (tmp_path / "code.json").write_text(
+        f'{{"kind":"table","n":2,"sigma_in":2,"sigma_out":4,"table":[0,1,2,{label},0,1]}}')
+    rc = cli.main(["verify", "--code", str(tmp_path / "code.json"), "--property", "distance",
+                   "--delta", "1/2"])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert "invalid input" in captured.err and "outside the output alphabet" in captured.err
+
+
+@pytest.mark.parametrize("n", [60_000, 3_000_000])
+def test_deep_table_with_one_label_exits_1_at_once(tmp_path, capsys, n):
+    (tmp_path / "code.json").write_text(
+        f'{{"kind":"table","n":{n},"sigma_in":2,"sigma_out":4,"table":[0]}}')
+    rc = cli.main(["verify", "--code", str(tmp_path / "code.json"), "--property", "distance",
+                   "--delta", "1/2"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert f"invalid input: table has 1 labels, want 2^1 + ... + 2^{n} > 1" in err
+
+
 def test_build_partition_recipes(tmp_path, capsys):
     rc, _ = run(
         capsys,

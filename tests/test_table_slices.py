@@ -1,0 +1,113 @@
+"""Differential test of a tabulated code's sliced prefix columns against the
+per-prefix char_fn walk every other code takes.
+
+A code built by table_code has a LevelOrderChar as its char_fn, and
+prefix_columns slices its label list.  Wrapping that char_fn in a lambda
+hides the class, so the same code is walked one prefix at a time: both must
+give the same columns, the same range-check error and the same tabulated
+labels.
+"""
+
+from __future__ import annotations
+
+import time
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from treecodes.constructions import table_code
+from treecodes.core import LevelOrderChar, TreeCode, all_codewords, prefix_columns
+from treecodes.serialize import tabulate_code
+from treecodes.verify import check_online_property
+
+# "sigma_out" stands for the first label past the output alphabet
+BAD_LABELS = ["sigma_out", -1, True, False, 1.0, "1", None]
+
+
+@st.composite
+def tables(draw):
+    """(n, sigma_in, sigma_out, level-order labels) with sigma_in in {1, 2, 3}."""
+    sigma = draw(st.sampled_from([1, 2, 3]))
+    n = draw(st.integers(1, 6))
+    sigma_out = draw(st.integers(1, 6))
+    size = sum(sigma**j for j in range(1, n + 1))
+    labels = draw(st.lists(st.integers(0, sigma_out - 1), min_size=size, max_size=size))
+    return n, sigma, sigma_out, labels
+
+
+def walked(code: TreeCode) -> TreeCode:
+    """The same code with its char_fn hidden behind a lambda: walked per prefix."""
+    f = code.char_fn
+    return TreeCode(code.n, code.input_alphabet, code.output_alphabet, lambda p: f(p), code.name)
+
+
+def sliced_columns(code: TreeCode):
+    # the sliced path must not fall back to per-prefix calls
+    with mock.patch.object(LevelOrderChar, "__call__", side_effect=AssertionError("walked")):
+        return prefix_columns(code)
+
+
+def error_text(columns_of, code: TreeCode) -> str:
+    with pytest.raises(ValueError) as exc:
+        columns_of(code)
+    return str(exc.value)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(case=tables())
+def test_sliced_columns_equal_walked_columns(case):
+    code = table_code(*case)
+    columns = sliced_columns(code)
+    assert columns == prefix_columns(walked(code))
+    assert all_codewords(code).columns == columns
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(case=tables(), where=st.integers(0, 10**6), bad=st.sampled_from(BAD_LABELS))
+def test_out_of_range_label_raises_the_same_error_on_both_paths(case, where, bad):
+    n, sigma, sigma_out, labels = case
+    labels[where % len(labels)] = sigma_out if bad == "sigma_out" else bad
+    code = table_code(n, sigma, sigma_out, labels)
+    text = error_text(sliced_columns, code)
+    assert "outside the output alphabet" in text
+    assert error_text(prefix_columns, walked(code)) == text
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(case=tables())
+def test_tabulate_code_round_trips_a_table_code(case):
+    n, sigma, sigma_out, labels = case
+    assert tabulate_code(table_code(*case)) == {
+        "kind": "table", "n": n, "sigma_in": sigma, "sigma_out": sigma_out, "table": labels}
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(case=tables())
+def test_online_property_holds_for_table_codes(case):
+    assert check_online_property(table_code(*case)).passed
+
+
+def test_a_table_char_fn_of_another_depth_is_walked():
+    # a code may reuse a deeper table's char_fn: its own columns are the
+    # first n levels, which the walk reads and a slice of every level is not
+    deep = table_code(3, 2, 4, [(3 * i + 1) % 4 for i in range(2 + 4 + 8)])
+    shallow = TreeCode(2, deep.input_alphabet, deep.output_alphabet, deep.char_fn)
+    assert prefix_columns(shallow) == prefix_columns(deep)[:2]
+
+
+def test_table_code_keeps_its_own_copy_of_the_labels():
+    labels = [0, 1, 2, 3, 0, 1]
+    code = table_code(2, 2, 4, labels)
+    labels[0] = 3
+    assert code.encode((0, 0)) == (0, 2)
+
+
+def test_deep_table_with_too_few_labels_is_refused_before_summing_its_levels():
+    # the level sizes are summed only until they pass the table's length; the
+    # full sum 2^1 + ... + 2^60000 takes seconds, and at n = 3,000,000 minutes
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"table has 1 labels, want 2\^1 \+ \.\.\. \+ 2\^60000 > 1"):
+        table_code(60_000, 2, 4, [0])
+    assert time.perf_counter() - start < 1.0
