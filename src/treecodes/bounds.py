@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Mapping, Optional
 
-from .core import TreeCode, make_systematic
+from . import verify
+from .core import TreeCode
 from .dyadic import (
     as_fraction,
     ceil_lg_of_lg,
@@ -78,6 +79,14 @@ def rate_bound_deficient(alpha, ell: int, deficiency: int, n: int, lg_sigma_in) 
     if deficiency < 0 or n < 1:
         raise ValueError("need deficiency >= 0 and n >= 1")
     return alpha * (ell - Fraction(deficiency, n)) * lg_sigma_in
+
+
+def rate_bound(alpha, ell: int, deficiency: int, n: int, lg_sigma_in) -> tuple[str, Fraction]:
+    """The applicable rate bound and its formula id: the plain bound
+    (thm41) when no block is exempt, the deficient one (thm42) otherwise."""
+    if deficiency:
+        return "thm42", rate_bound_deficient(alpha, ell, deficiency, n, lg_sigma_in)
+    return "thm41", rate_bound_plain(alpha, ell, lg_sigma_in)
 
 
 def _lg_conservative(q: Fraction, direction: str) -> tuple[Fraction, str]:
@@ -257,24 +266,23 @@ def audit_code(
     code,
     partition: LaminarPartition,
     ledger: Optional[DeficiencyLedger] = None,
-    cap: Optional[int] = None,
+    cap: int = verify.DEFAULT_EVAL_CAP,
 ) -> BoundReport:
     """Join a verified code to its rate bound: for a concrete code,
     neighborhood decoding is certified first (refused otherwise); a recipe
     mapping is audited on declared parameters alone, with the skip recorded
     in the report.  The deficiency is that of the ledger as re-derived
     against the partition, never a figure the ledger carries.  The code is
-    made systematic exactly as the bound's derivation does, and the measured
-    lg of the systematic alphabet is compared against the plain or deficient
-    bound.
+    measured as the bound's derivation makes it systematic: lg of the
+    systematic alphabet, sigma_out * sigma_in, is compared against the plain
+    or deficient bound.
 
     For any code that passes verification, satisfied must come out True; a
     False here indicates an artifact bug, not a refutation.  Measured values
     round up and bounds round down when lg is irrational, so "unsatisfied" is
     only reported on a certain violation.
     """
-    from . import verify  # local import: bounds stays import-light for the formulas
-    from .serialize import code_from_json
+    from .serialize import code_from_json  # serialize imports this module
 
     verified = not isinstance(code, Mapping)
     if isinstance(code, Mapping):
@@ -283,23 +291,17 @@ def audit_code(
         raise TypeError("audit_code expects a TreeCode or a recipe mapping")
     ledger = verify.checked_ledger(code, partition, ledger)
     if verified:
-        kwargs = {} if cap is None else {"cap": cap}
-        nd = verify.check_neighborhood_decoding(code, partition, ledger, **kwargs)
+        nd = verify.check_neighborhood_decoding(code, partition, ledger, cap=cap)
         if not nd.passed:
             raise ValueError(
                 f"refusing to audit: neighborhood decoding failed at {nd.witness['level']}:"
                 f"{nd.witness['block']}"
             )
-    systematic = make_systematic(code)
-    measured, meas_exact = _lg_conservative(Fraction(systematic.output_alphabet.size), "up")
-    lg_in, _ = _lg_conservative(Fraction(code.input_alphabet.size), "down")
+    sigma_in = code.input_alphabet.size
+    measured, meas_exact = _lg_conservative(Fraction(code.output_alphabet.size * sigma_in), "up")
+    lg_in, _ = _lg_conservative(Fraction(sigma_in), "down")
     deficiency = ledger.budget_used
-    if deficiency:
-        formula = "thm42"
-        bound = rate_bound_deficient(partition.alpha, partition.ell, deficiency, partition.n, lg_in)
-    else:
-        formula = "thm41"
-        bound = rate_bound_plain(partition.alpha, partition.ell, lg_in)
+    formula, bound = rate_bound(partition.alpha, partition.ell, deficiency, partition.n, lg_in)
     return BoundReport(
         formula_id=formula,
         quantity="lg_sigma_systematic >=",

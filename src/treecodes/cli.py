@@ -178,28 +178,14 @@ def cmd_verify(args) -> int:
 def cmd_bound(args) -> int:
     params: Dict = serialize.expect_type(json.loads(args.params), dict, "--params")
     f = args.formula
-    if f == "thm41":
-        value = bounds.rate_bound_plain(
-            as_fraction(params["alpha"]), _int(params, "ell"), as_fraction(params["lg_sigma_in"])
-        )
-        report = bounds.BoundReport(
-            "thm41", "lg_sigma >=", {k: str(v) for k, v in params.items()}, value
-        )
-    elif f == "thm42":
-        value = bounds.rate_bound_deficient(
-            as_fraction(params["alpha"]),
-            _int(params, "ell"),
-            _int(params, "deficiency"),
-            _int(params, "n"),
-            as_fraction(params["lg_sigma_in"]),
-        )
-        report = bounds.BoundReport(
-            "thm42",
-            "lg_sigma >=",
-            {k: str(v) for k, v in params.items()},
-            value,
-            vacuous=value <= 0,
-        )
+    if f in ("thm41", "thm42"):
+        deficient = f == "thm42"
+        fn = bounds.rate_bound_deficient if deficient else bounds.rate_bound_plain
+        ints = ("ell", "deficiency", "n") if deficient else ("ell",)
+        value = fn(as_fraction(params["alpha"]), *(_int(params, k) for k in ints),
+                   as_fraction(params["lg_sigma_in"]))
+        report = bounds.BoundReport(f, "lg_sigma >=", {k: str(v) for k, v in params.items()},
+                                    value, vacuous=deficient and value <= 0)
     elif f in ("eq25", "eq26", "eq27", "eq22"):
         reports = bounds.imm_rate_upper(
             params.get("kind", "exp"),

@@ -25,6 +25,12 @@ def as_fraction(q: RationalLike) -> Fraction:
         raise ValueError(f"not a rational number: {q!r}") from None
 
 
+def frac_str(q: RationalLike) -> str:
+    """The canonical string of a rational: "p/q", or "p" when q = 1."""
+    q = as_fraction(q)
+    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+
+
 def is_power_of_two(q: RationalLike) -> bool:
     q = as_fraction(q)
     if q <= 0:

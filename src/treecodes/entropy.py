@@ -3,10 +3,10 @@ codeword restrictions, the common-information consequence of data processing,
 and the telescoping per-level ledger that replays the rate-bound derivation.
 
 Probabilities are exact rationals; entropies reduce to integer weights over a
-common denominator, so H = lg(D) - sum(w lg w)/D is evaluated with exactly
-summed floats (error well below the 1e-9 assertion tolerance).  The ledger
-replay counts its weights by the certifiers' group ids over the prefix-column
-message table (grouping.Groups), equal weights summed once.
+common denominator, so H = lg(D) - sum(w lg w)/D, one exactly summed float
+(entropy_of_counts).  The ledger replay counts its weights by the certifiers'
+group ids over the prefix-column message table (grouping.Groups), equal
+weights summed once.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
-from .bounds import rate_bound_deficient, rate_bound_plain
+from .bounds import rate_bound
 from .core import TreeCode, systematic_base
 from .dyadic import lg_exact
 from .partitions import DeficiencyLedger, LaminarPartition
@@ -80,20 +80,6 @@ class FiniteJoint:
         return out
 
 
-def entropy_of_probs(probs: Iterable[Fraction]) -> float:
-    """Shannon entropy in bits of exact rational probabilities.
-
-    Reduced to integer weights w_i over the common denominator D:
-    H = lg D - (sum w_i lg w_i) / D, with math.fsum for exact accumulation.
-    """
-    ps = [p for p in probs if p > 0]
-    d = 1
-    for p in ps:
-        d = d * p.denominator // math.gcd(d, p.denominator)
-    weights = [p.numerator * (d // p.denominator) for p in ps]
-    return math.log2(d) - math.fsum(w * math.log2(w) for w in weights) / d
-
-
 def entropy_of_counts(counts: Iterable[int]) -> float:
     """H = lg N - (sum c lg c) / N of positive integer counts summing to N."""
     return _entropy_of_multiset(Counter(c for c in counts if c))
@@ -112,8 +98,11 @@ def _entropy_of_multiset(multiplicity: Dict[int, int]) -> float:
 
 
 def entropy(dist: FiniteJoint, vars: Sequence[str]) -> float:
-    """H of the marginal on vars, in bits."""
-    return entropy_of_probs(dist.marginal(vars).values())
+    """H of the marginal on vars, in bits: the entropy of the counts its
+    probabilities are over their common denominator."""
+    probs = dist.marginal(vars).values()
+    d = math.lcm(*(q.denominator for q in probs))
+    return entropy_of_counts(q.numerator * (d // q.denominator) for q in probs)
 
 
 def conditional_entropy(dist: FiniteJoint, vars: Sequence[str], given: Sequence[str]) -> float:
@@ -152,23 +141,23 @@ class CommonInformationReport:
     ok: bool
 
 
-def verify_data_processing(
-    dist: FiniteJoint,
-    a: str = "A",
-    b: str = "B",
-    c: str = "C",
-) -> CommonInformationReport:
+def verify_data_processing(dist: FiniteJoint) -> CommonInformationReport:
     """Check the two inequalities given H(A|B) = H(A|C) = 0.
 
-    A joint violating the functional precondition is rejected (that is not a
-    counterexample, just an inapplicable input).
+    The precondition is decided exactly, over the outcomes of positive
+    probability: each value of B, and each value of C, occurs with one value
+    of A.  A joint violating it is rejected (that is not a counterexample,
+    just an inapplicable input).
     """
-    if (conditional_entropy(dist, (a,), (b,)) > DEFAULT_TOL
-            or conditional_entropy(dist, (a,), (c,)) > DEFAULT_TOL):
-        raise ValueError("precondition violated: A must be a function of B and of C")
-    h_a = entropy(dist, (a,))
-    i_bc = mutual_information(dist, (b,), (c,))
-    sum_margin = entropy(dist, (b,)) + entropy(dist, (c,)) - entropy(dist, (b, c)) - h_a
+    for given in ("B", "C"):
+        a, g = dist._cols(("A", given))
+        a_of = {}
+        for o, q in zip(dist.outcomes, dist.probs):
+            if q and a_of.setdefault(o[g], o[a]) != o[a]:
+                raise ValueError("precondition violated: A must be a function of B and of C")
+    h_a = entropy(dist, ("A",))
+    i_bc = mutual_information(dist, ("B",), ("C",))
+    sum_margin = entropy(dist, ("B",)) + entropy(dist, ("C",)) - entropy(dist, ("B", "C")) - h_a
     mi_margin = i_bc - h_a
     return CommonInformationReport(
         h_a=h_a,
@@ -309,12 +298,7 @@ def ledger_replay(
     # the bound the telescoping chain yields, assembled here from its own
     # ingredients; must coincide exactly with the closed-form bound module
     derived = p.alpha * (p.ell - Fraction(deficiency, n)) * lg_in
-    closed_form = (
-        rate_bound_plain(p.alpha, p.ell, lg_in)
-        if deficiency == 0
-        else rate_bound_deficient(p.alpha, p.ell, deficiency, n, lg_in)
-    )
-    if derived != closed_form:
+    if derived != rate_bound(p.alpha, p.ell, deficiency, n, lg_in)[1]:
         ok = False
     if float(lg_orig) < float(derived) - DEFAULT_TOL:
         ok = False

@@ -6,20 +6,14 @@ newline) so identical objects serialize to identical bytes.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from itertools import chain
 from typing import List
 
 from .bounds import BoundReport
 from .core import TreeCode, prefix_columns
-from .dyadic import as_fraction
+from .dyadic import as_fraction, frac_str
 from .partitions import DeficiencyLedger, LaminarPartition, TaggedBlock
 from .verify import Verdict
-
-
-def frac_str(x: Fraction) -> str:
-    x = as_fraction(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
 def expect_type(obj, kind: type, what: str):
@@ -51,14 +45,19 @@ _MAX_TABLE_ENTRIES = 1 << 20
 def tabulate_code(code: TreeCode) -> dict:
     """Explicit level-order table form of a code (depth-major, prefixes in
     lexicographic order; entry = label of the edge into that prefix): the
-    prefix columns of the message table, concatenated."""
-    sigma = code.input_alphabet.size
-    total = sum(sigma**j for j in range(1, code.n + 1))
-    if total > _MAX_TABLE_ENTRIES:
-        raise ValueError(f"code too deep to tabulate: {total} entries")
+    prefix columns of the message table, concatenated.  The level sizes are
+    summed only until they pass the entry limit, so a deep code is refused at
+    once."""
+    sigma, n = code.input_alphabet.size, code.n
+    total = 0
+    for j in range(1, n + 1):
+        total += sigma**j
+        if total > _MAX_TABLE_ENTRIES:
+            raise ValueError(f"code too deep to tabulate: {sigma}^1 + ... + {sigma}^{n} > "
+                             f"{_MAX_TABLE_ENTRIES} entries")
     return {
         "kind": "table",
-        "n": code.n,
+        "n": n,
         "sigma_in": sigma,
         "sigma_out": code.output_alphabet.size,
         "table": list(chain.from_iterable(prefix_columns(code))),

@@ -5,8 +5,6 @@ one tagged block's decodability.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from .core import Alphabet, Message, TreeCode
 from .partitions import TaggedBlock
 from .rng import DetStream
@@ -35,15 +33,13 @@ def scrambled_prefix_code(n: int, seed: int) -> TreeCode:
     return TreeCode(n, Alphabet(2), Alphabet(1 << n), char, name=f"scrambled[{n},{seed}]")
 
 
-def mask_positions_code(
-    base: TreeCode, lf_positions: Sequence[int], rg_positions: Sequence[int]
-) -> TreeCode:
-    """Make the symbols at rg_positions blind to the inputs at lf_positions
+def mask_block_code(base: TreeCode, block: TaggedBlock) -> TreeCode:
+    """Ablate one tagged block: its rg symbols are blind to its lf inputs
     (those inputs are zeroed before encoding).  Online by construction; two
-    messages differing only inside lf_positions get identical symbols on
-    rg_positions, so decodability fails exactly where intended."""
-    lf = frozenset(lf_positions)
-    rg = frozenset(rg_positions)
+    messages differing only inside lf get identical symbols on rg, so
+    decodability fails exactly where intended."""
+    lf = frozenset(block.lf)
+    rg = frozenset(block.rg)
     fn = base.char_fn
 
     def char(prefix: Message) -> int:
@@ -58,8 +54,3 @@ def mask_positions_code(
         char,
         name=f"{base.name}|masked(lf={sorted(lf)})",
     )
-
-
-def mask_block_code(base: TreeCode, block: TaggedBlock) -> TreeCode:
-    """Ablate one tagged block: its rg symbols ignore its lf inputs."""
-    return mask_positions_code(base, block.lf, block.rg)

@@ -41,7 +41,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from .bitslice import add, below, minimum
 from .core import PrefixTable, TreeCode, all_codewords
 from .grouping import Groups
-from .dyadic import as_fraction, floor_lg
+from .dyadic import as_fraction, floor_lg, frac_str
 from .partitions import (
     DeficiencyLedger,
     LaminarPartition,
@@ -53,11 +53,20 @@ from .partitions import (
 DEFAULT_EVAL_CAP = 1 << 24
 
 
+def _decimal(x: int) -> str:
+    """x in decimal, or its bit length if it has more digits than str() may
+    print: a refusal of a huge table must not become a conversion error."""
+    try:
+        return str(x)
+    except ValueError:
+        return f"a {x.bit_length()}-bit number"
+
+
 class CapExceeded(RuntimeError):
     """The evaluation budget ran out before the check finished."""
 
     def __init__(self, used: int, cap: int) -> None:
-        super().__init__(f"evaluation cap exceeded: {used} > {cap}")
+        super().__init__(f"evaluation cap exceeded: {_decimal(used)} > {_decimal(cap)}")
         self.used = used
         self.cap = cap
 
@@ -89,10 +98,6 @@ class Verdict:
     witness: Optional[dict]
     details: dict = field(default_factory=dict)
     evaluations: int = 0
-
-
-def _frac(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
 
 
 # each code's table while the code lives, by identity (a code need not be
@@ -284,7 +289,7 @@ def _distance_sweep(bits, budget, d: int, delta: Fraction, want_min: bool = Fals
 
     def fmt(x, y, s, cnt):
         return dict(depth=d, x=list(x[:d]), y=list(y[:d]), s=s + 1,
-                    measured=_frac(Fraction(cnt, d - s)), required=_frac(delta))
+                    measured=frac_str(Fraction(cnt, d - s)), required=frac_str(delta))
 
     return _sweep(bits, budget, cands, fmt, 0, bits.size // bits.sigma**d, want_min)
 
@@ -307,7 +312,7 @@ def check_tree_distance(code: TreeCode, delta, cap: int = DEFAULT_EVAL_CAP) -> V
     full_witness, full_min = _distance_sweep(bits, budget, code.n, delta, want_min=True)
     full_pass = full_witness is None
     details = {"full_messages_pass": full_pass,
-               "min_full_depth": _frac(full_min) if full_pass else None}
+               "min_full_depth": frac_str(full_min) if full_pass else None}
     return Verdict(passed=witness is None and full_pass, witness=witness or full_witness,
                    details=details, evaluations=budget.used)
 
@@ -360,7 +365,7 @@ def check_immediacy_function(
     def fmt(x, y, tag, cnt):
         s, w = tag  # window [s, s+w) half-open
         return dict(x=list(x), y=list(y), s=s, window=[s, s + w],
-                    measured=_frac(Fraction(cnt, w)), required=_frac(delta))
+                    measured=frac_str(Fraction(cnt, w)), required=frac_str(delta))
 
     return _position_sweep(code, _Budget(cap), windows_at, fmt, {"widths": widths})
 
@@ -469,7 +474,7 @@ def check_eks_condition(
     def fmt(x, y, tag, cnt):
         sp, ell, s = tag  # window (s, s+2^l] as 1-based closed
         return dict(x=list(x), y=list(y), s_prime=sp, ell=ell, window=[s + 1, s + (1 << ell)],
-                    measured=cnt, required=_frac(delta * (1 << ell)))
+                    measured=cnt, required=frac_str(delta * (1 << ell)))
 
     return _position_sweep(code, _Budget(cap), windows_at, fmt, {})
 
@@ -509,7 +514,7 @@ def check_ghk_condition(
     def fmt(x, y, tag, cnt):
         pos, t, i0 = tag
         return dict(x=list(x), y=list(y), i=pos, t=t, window=[i0 + 1, i0 + (2 << t)],
-                    measured=cnt, required=_frac(delta * (2 << t)))
+                    measured=cnt, required=frac_str(delta * (2 << t)))
 
     details = {"m": m, "t_values": ts, "vacuous": not ts}
     return _position_sweep(code, _Budget(cap), windows_at, fmt, details)
@@ -560,7 +565,7 @@ def check_chs_condition(
     def fmt(x, y, tag, cnt):
         i, b, s, d = tag
         return dict(x=list(x), y=list(y), level_i=i, block=b, s=s, d=d, interval=[s, s + d],
-                    measured=cnt, required=_frac(Fraction(d, 3)))
+                    measured=cnt, required=frac_str(Fraction(d, 3)))
 
     witness, _ = _sweep(bits, budget, cands, fmt, n)
     details: dict = {"derivation_scale_ok": derivation_scale_ok}

@@ -11,6 +11,7 @@ from treecodes.bounds import (
     eq33_report,
     ghk_distance_bound,
     imm_rate_upper,
+    rate_bound,
     rate_bound_deficient,
     rate_bound_plain,
 )
@@ -34,6 +35,15 @@ def test_plain_bound_examples():
 def test_deficient_bound_examples():
     assert rate_bound_deficient(Fraction(1, 4), 6, 64, 64, 1) == Fraction(5, 4)
     assert rate_bound_deficient(Fraction(1, 4), 3, 3 * 10, 10, 1) == 0  # fully deficient
+
+
+@given(alphas, st.integers(0, 12), st.integers(0, 600), st.integers(1, 500), lgs)
+def test_rate_bound_is_plain_without_exemptions_and_deficient_with(alpha, ell, d, n, lg_in):
+    if d:
+        expected = ("thm42", rate_bound_deficient(alpha, ell, d, n, lg_in))
+    else:
+        expected = ("thm41", rate_bound_plain(alpha, ell, lg_in))
+    assert rate_bound(alpha, ell, d, n, lg_in) == expected
 
 
 @given(alphas, st.integers(0, 12), st.integers(1, 500), lgs)

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -171,6 +172,22 @@ def test_deep_table_with_one_label_exits_1_at_once(tmp_path, capsys, n):
     err = capsys.readouterr().err
     assert rc == 1
     assert f"invalid input: table has 1 labels, want 2^1 + ... + 2^{n} > 1" in err
+
+
+@pytest.mark.parametrize("argv,rc,err", [
+    (["build", "--recipe-json", '{"kind":"trivial","n":60000}', "--out-dir", "{dir}/out"], 1,
+     "invalid input: code too deep to tabulate: 2^1 + ... + 2^60000 > 1048576 entries"),
+    (["verify", "--code", "{dir}/code.json", "--property", "distance", "--delta", "1/2"], 3,
+     "cap exceeded: evaluation cap exceeded: a 60016-bit number > 16777216"),
+])
+def test_trivial_code_too_deep_for_its_counts_is_refused_at_once(tmp_path, capsys, argv, rc, err):
+    # trivial(60000): sum 2^j and M*n = 60000 * 2^60000 have more digits than
+    # str() prints, so neither the tabulation nor the cap may format them
+    (tmp_path / "code.json").write_text('{"kind":"trivial","n":60000}')
+    start = time.perf_counter()
+    assert cli.main([a.replace("{dir}", str(tmp_path)) for a in argv]) == rc
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err == err + "\n"
 
 
 def test_build_partition_recipes(tmp_path, capsys):

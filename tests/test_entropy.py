@@ -44,6 +44,30 @@ def test_entropy_reference_values():
     assert abs(entropy(three, ("X",)) - math.log2(3)) < 1e-12
 
 
+def _lcd_fsum_entropy(probs):
+    """The joint-distribution entropy as evaluated before it went through
+    entropy_of_counts: integer weights over the least common denominator D
+    of the positive probabilities, then lg D - fsum(w lg w) / D."""
+    ps = [p for p in probs if p > 0]
+    d = 1
+    for p in ps:
+        d = d * p.denominator // math.gcd(d, p.denominator)
+    weights = [p.numerator * (d // p.denominator) for p in ps]
+    return math.log2(d) - math.fsum(w * math.log2(w) for w in weights) / d
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.just(Fraction(0)),
+                          st.fractions(min_value=0, max_value=50, max_denominator=10**6)),
+                min_size=1, max_size=24).filter(any))
+def test_entropy_is_the_lcd_fsum_formula_bit_for_bit(weights):
+    # outcomes of weight 0 stay in the joint with probability 0
+    joint = FiniteJoint.from_weights(
+        ("X", "Y"), {(i, i % 3): w for i, w in enumerate(weights)})
+    for vars in (("X",), ("Y",), ("X", "Y")):
+        assert entropy(joint, vars) == _lcd_fsum_entropy(joint.marginal(vars).values())
+
+
 def test_entropy_rejects_bad_distributions():
     with pytest.raises(ValueError):
         FiniteJoint(("X",), ((0,), (1,)), (Fraction(1, 2), Fraction(1, 3)))
@@ -117,6 +141,24 @@ def test_data_processing_rejects_nonfunctional():
     bad = FiniteJoint.from_weights(("A", "B", "C"), {(0, 0, 0): 1, (1, 0, 0): 1})
     with pytest.raises(ValueError, match="precondition"):
         verify_data_processing(bad)
+
+
+def test_data_processing_precondition_is_decided_exactly():
+    # H(A|B) is 4.0e-11, under any float tolerance, yet B = 0 occurs with
+    # A = 0 and A = 1: A is not a function of B
+    near = FiniteJoint.from_weights(
+        ("A", "B", "C"), {(0, 0, 0): 5 * 10**11, (1, 1, 1): 5 * 10**11 - 1, (1, 0, 0): 1})
+    assert 0 < conditional_entropy(near, ("A",), ("B",)) < 1e-9
+    with pytest.raises(ValueError, match="precondition"):
+        verify_data_processing(near)
+    # a function of B but not of C
+    with pytest.raises(ValueError, match="precondition"):
+        verify_data_processing(
+            FiniteJoint.from_weights(("A", "B", "C"), {(0, 0, 0): 1, (1, 1, 0): 1}))
+    # an outcome of probability 0 is outside the support and violates nothing
+    null = FiniteJoint.from_weights(
+        ("A", "B", "C"), {(0, 0, 0): 1, (1, 1, 1): 1, (1, 0, 0): 0})
+    assert verify_data_processing(null).ok
 
 
 def test_restriction_entropies_match_joint_path(eks3):

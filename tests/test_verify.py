@@ -69,6 +69,15 @@ def test_distance_cap_exceeded():
         check_tree_distance(trivial_code(8), 1, cap=1000)
 
 
+def test_cap_exceeded_prints_every_count_that_str_can():
+    exc = CapExceeded(2048, 10)
+    assert str(exc) == "evaluation cap exceeded: 2048 > 10"
+    used = 60000 << 60000  # M*n of trivial(60000): past str()'s digit limit
+    exc = CapExceeded(used, 1 << 24)
+    assert exc.used == used and exc.cap == 1 << 24
+    assert str(exc) == "evaluation cap exceeded: a 60016-bit number > 16777216"
+
+
 def test_cap_charged_before_enumeration():
     # 2^20 messages * 20 positions > the default cap: refused before any
     # message is built

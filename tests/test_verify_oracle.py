@@ -20,10 +20,10 @@ from hypothesis import strategies as st
 from treecodes import serialize, verify
 from treecodes.constructions import table_code
 from treecodes.core import Alphabet, TreeCode, all_codewords
-from treecodes.dyadic import as_fraction, floor_lg
+from treecodes.dyadic import as_fraction, floor_lg, frac_str as _frac
 from treecodes.partitions import chs_scales, chs_tagged_structure, eks_partition
 from treecodes.synthetic import mask_block_code, scrambled_prefix_code
-from treecodes.verify import CapExceeded, Verdict, _Budget, _frac
+from treecodes.verify import CapExceeded, Verdict, _Budget
 
 # ---------------- reference: scalar pair sweeps ----------------
 
