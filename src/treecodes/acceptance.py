@@ -15,7 +15,7 @@ from typing import Callable, List, Optional, Tuple
 
 from . import bounds, entropy, verify
 from .constructions import eks_code, eks_params
-from .core import make_systematic, trivial_code
+from .core import trivial_code
 from .partitions import (
     ImmediacySpec,
     build_from_imm,
@@ -158,17 +158,15 @@ def criterion_6() -> Tuple[bool, str]:
     """Ledger replay: plain chain on two codes over the dyadic partition;
     deficient chain on the quarter-split scaled partition."""
     p3 = eks_partition(3)
-    led, verdict = entropy.ledger_replay(make_systematic(trivial_code(8)), p3)
+    led, verdict = entropy.ledger_replay(trivial_code(8), p3)
     if not verdict.passed or led.derived_bound != bounds.rate_bound_plain(Fraction(1, 2), 3, 1):
         return False, f"trivial(8) replay failed: {verdict.witness}"
     params, code = _eks3()
-    led, verdict = entropy.ledger_replay(make_systematic(code), p3)
+    led, verdict = entropy.ledger_replay(code, p3)
     if not verdict.passed:
         return False, f"layered-code replay failed: {verdict.witness}"
     p_chs, ledger = chs_partition(1, 4, 0)
-    led, verdict = entropy.ledger_replay(
-        make_systematic(trivial_code(16)), p_chs, ledger
-    )
+    led, verdict = entropy.ledger_replay(trivial_code(16), p_chs, ledger)
     if not verdict.passed:
         return False, f"deficient replay failed: {verdict.witness}"
     want = bounds.rate_bound_deficient(Fraction(1, 4), 1, ledger.budget_used, 16, 1)

@@ -25,7 +25,7 @@ from .dyadic import (
     lg_lower,
     lg_upper,
 )
-from .partitions import DeficiencyLedger, ImmediacySpec, LaminarPartition
+from .partitions import DeficiencyLedger, ImmediacySpec, LaminarPartition, ghk_levels
 
 FORMULA_IDS = (
     "thm41",
@@ -61,21 +61,28 @@ def _inputs(**kw) -> Dict[str, str]:
     return {k: str(v) for k, v in kw.items()}
 
 
-def rate_bound_plain(alpha, ell: int, lg_sigma_in) -> Fraction:
-    """Lower bound alpha * ell * lg|sigma_in| on lg|sigma| for an immediacy
-    code over an (alpha, ell)-laminar partition."""
-    alpha, lg_sigma_in = as_fraction(alpha), as_fraction(lg_sigma_in)
+def _laminar_params(alpha, ell: int) -> Fraction:
+    """alpha as a Fraction, once alpha is in (0,1] and ell >= 0: the
+    parameters of an (alpha, ell)-laminar partition."""
+    alpha = as_fraction(alpha)
     if not 0 < alpha <= 1:
         raise ValueError(f"alpha must be in (0,1], got {alpha}")
     if ell < 0:
         raise ValueError(f"ell must be >= 0, got {ell}")
+    return alpha
+
+
+def rate_bound_plain(alpha, ell: int, lg_sigma_in) -> Fraction:
+    """Lower bound alpha * ell * lg|sigma_in| on lg|sigma| for an immediacy
+    code over an (alpha, ell)-laminar partition."""
+    alpha, lg_sigma_in = _laminar_params(alpha, ell), as_fraction(lg_sigma_in)
     return alpha * ell * lg_sigma_in
 
 
 def rate_bound_deficient(alpha, ell: int, deficiency: int, n: int, lg_sigma_in) -> Fraction:
     """Lower bound alpha * (ell - D/n) * lg|sigma_in|; generalizes the plain
     bound (D = 0) and may be <= 0 (vacuous) when the deficiency is large."""
-    alpha, lg_sigma_in = as_fraction(alpha), as_fraction(lg_sigma_in)
+    alpha, lg_sigma_in = _laminar_params(alpha, ell), as_fraction(lg_sigma_in)
     if deficiency < 0 or n < 1:
         raise ValueError("need deficiency >= 0 and n >= 1")
     return alpha * (ell - Fraction(deficiency, n)) * lg_sigma_in
@@ -198,11 +205,8 @@ def ghk_distance_bound(n: int, m: int, delta, lg_sigma_ratio) -> BoundReport:
     """
     delta = as_fraction(delta)
     ratio = as_fraction(lg_sigma_ratio)
-    if n < 2 or n & (n - 1) or m < 1 or m & (m - 1) or n < 2 * m:
-        raise ValueError("need powers of two with n >= 2m")
-    kappa = ImmediacySpec._kappa(delta)
+    kappa, ell = ghk_levels(n, m, delta)
     lg_gap = floor_lg(n) - floor_lg(2 * m)  # lg(n/2m), exact
-    ell = 1 + lg_gap // kappa
     required = Fraction(ell, 2**kappa)
     den, _ = _lg_conservative(Fraction(2) / delta, "up")  # round estimate down
     estimate = delta * lg_gap / (2 * den) if lg_gap else Fraction(0)

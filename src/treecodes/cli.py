@@ -17,7 +17,6 @@ from typing import Dict, List, Optional
 
 from . import acceptance, bounds, entropy, serialize, verify
 from .constructions import eks_code, eks_params, random_code_search
-from .core import make_systematic
 from .dyadic import as_fraction
 from .partitions import (
     ImmediacySpec,
@@ -222,7 +221,7 @@ def cmd_audit(args) -> int:
     p = serialize.partition_from_json(_load_json(args.partition))
     ledger = serialize.ledger_from_json(_load_json(args.ledger), p) if args.ledger else None
     report = bounds.audit_code(code, p, ledger, cap=args.cap)
-    led, verdict = entropy.ledger_replay(make_systematic(code), p, ledger, cap=args.cap)
+    led, verdict = entropy.ledger_replay(code, p, ledger, cap=args.cap)
     payload = {
         "bound": serialize.bound_report_to_json(report),
         "entropy": {

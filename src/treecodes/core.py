@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Sequence, Tuple
 
 Message = Tuple[int, ...]
 Codeword = Tuple[int, ...]
@@ -252,18 +252,6 @@ class LevelOrderChar:
         return (self.labels[lo:hi] for lo, hi in zip(self.offsets, ends))
 
 
-class _SystematicChar:
-    """char_fn of make_systematic(base): base symbol * sigma_in + x_j."""
-
-    __slots__ = ("base", "_f", "_s")
-
-    def __init__(self, base: TreeCode) -> None:
-        self.base, self._f, self._s = base, base.char_fn, base.input_alphabet.size
-
-    def __call__(self, prefix: Message) -> int:
-        return self._f(prefix) * self._s + prefix[-1]
-
-
 def make_systematic(code: TreeCode) -> TreeCode:
     """Append the current input symbol to every output symbol.
 
@@ -271,21 +259,14 @@ def make_systematic(code: TreeCode) -> TreeCode:
     base_symbol * sigma_in + x_j; the online property and membership in any
     immediacy-code class (same tagged partition) are preserved.
     """
+    f, sigma = code.char_fn, code.input_alphabet.size
     return TreeCode(
         code.n,
         code.input_alphabet,
-        Alphabet(code.output_alphabet.size * code.input_alphabet.size),
-        _SystematicChar(code),
+        Alphabet(code.output_alphabet.size * sigma),
+        lambda prefix: f(prefix) * sigma + prefix[-1],
         name=f"systematic({code.name})" if code.name else "systematic",
     )
-
-
-def systematic_base(code: TreeCode) -> Optional[TreeCode]:
-    """The code that make_systematic turned into code, or None: its symbol at
-    j is the pair (base symbol, x_j), so a grouping can read the base table
-    and the inputs instead of enumerating code."""
-    char = code.char_fn
-    return char.base if isinstance(char, _SystematicChar) else None
 
 
 def divergent_distance(code: TreeCode, x: Sequence[int], y: Sequence[int]) -> DivergentDistance:

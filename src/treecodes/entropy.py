@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .bounds import rate_bound
-from .core import TreeCode, systematic_base
+from .core import TreeCode
 from .dyadic import lg_exact
 from .partitions import DeficiencyLedger, LaminarPartition
 from .grouping import Groups
@@ -179,29 +179,11 @@ class EntropyLedger:
     t_ell_margin: float  # T_ell - n * lg|sigma_in|
     start_margin: float  # n * lg|sigma'| - T_0
     derived_bound: Fraction
-    measured_lg_sigma: Fraction
+    measured_lg_sigma: Fraction  # lg|sigma_out| of the code itself
     alpha: Fraction
     ell: int
     n: int
     deficiency: int
-
-
-def _require_systematic(groups: Groups) -> None:
-    """Each codeword column j determines x_j: #ids(c_j) = #ids(c_j, x_j).  A
-    failing column is rescanned in message order for the first symbol seen
-    with two inputs."""
-    n, sigma = groups.n, groups.sigma
-    for j in range(n):
-        if groups.count(frozenset({j})) == groups.count(frozenset({j, n + j})):
-            continue
-        seen: Dict[int, int] = {}
-        for t, sym in enumerate(groups.table.columns[j]):
-            prev = seen.setdefault(sym, t % sigma)
-            if prev != t % sigma:
-                raise ValueError(
-                    f"code is not systematic at position {j + 1}: symbol {sym} "
-                    f"maps to inputs {prev} and {t % sigma}; apply make_systematic first"
-                )
 
 
 def ledger_replay(
@@ -210,23 +192,24 @@ def ledger_replay(
     ledger: Optional[DeficiencyLedger] = None,
     cap: int = DEFAULT_EVAL_CAP,
 ) -> Tuple[EntropyLedger, Verdict]:
-    """Replay the telescoping entropy argument on a systematic code under the
-    uniform message distribution, exactly.
+    """Replay the telescoping entropy argument on the systematic extension of
+    code (symbol j is the pair (c_j, x_j), sigma' = sigma_out x sigma_in)
+    under the uniform message distribution, exactly.
 
     Asserts, to DEFAULT_TOL: the per-level decrement (with the deficiency
     credit for exempt blocks), the per-block inequality
     H(Y_B) <= H(Y_lf) + H(Y_rg) - |lf(B)| lg|sigma_in| at non-exempt blocks,
-    the endpoints T_ell >= n lg|sigma_in| and T_0 <= n lg|sigma'|, and that the
-    derived alphabet bound matches the closed-form rate bound exactly.
+    the endpoints T_ell >= n lg|sigma_in| and T_0 <= n lg|sigma'|; and,
+    exactly, that the derived alphabet bound matches the closed-form rate
+    bound and does not exceed lg|sigma_out|.
 
     Runs on the certifiers' table and budget: exemptions and the deficiency
     come from the ledger as re-derived against p, and the M*n table plus
     M*|S| for each distinct column set S are charged against cap before any
     message is enumerated.  Entropies are counted over group ids (see
-    grouping.Groups), each distinct set grouped once; on a laminar partition
-    a block is the pair of its lf and rg parts, blocks of the level below.
-    For code = make_systematic(base) the table is base's, and the symbol at
-    j is grouped as the pair (base symbol, x_j).
+    grouping.Groups) of the codeword and input columns of S in code's own
+    table, each distinct set grouped once; on a laminar partition a block is
+    the pair of its lf and rg parts, blocks of the level below.
     """
     ledger = checked_ledger(code, p, ledger)
     n = code.n
@@ -234,7 +217,6 @@ def ledger_replay(
     lg_out = lg_exact(code.output_alphabet.size)
     if lg_in is None or lg_out is None:
         raise ValueError("ledger replay requires power-of-two alphabet sizes")
-    lg_orig = lg_out - lg_in  # alphabet of the code before systematizing
 
     def key(block: Sequence[int]) -> Tuple[int, ...]:
         return tuple(sorted(block))
@@ -243,15 +225,11 @@ def ledger_replay(
     tagged = [s for level in p.tagged for tb in level for s in (tb.lf, tb.rg, tb.block)]
     sets = dict.fromkeys(map(key, list(p.p0) + tagged))
     budget = _Budget(cap)
-    base = systematic_base(code)
-    groups = Groups(_table(base or code, budget, sum(map(len, sets))))
+    groups = Groups(_table(code, budget, sum(map(len, sets))))
 
-    def columns(s: Sequence[int]) -> FrozenSet[int]:
-        cw = frozenset(v - 1 for v in s)
-        return cw | {n + c for c in cw} if base else cw
+    def columns(s: Sequence[int]) -> FrozenSet[int]:  # codeword and input columns of S
+        return frozenset(c for v in s for c in (v - 1, n + v - 1))
 
-    if base is None:  # make_systematic's symbols hold x_j by construction
-        _require_systematic(groups)
     entropies = {s: _entropy_of_multiset(groups.weights(columns(s))) for s in sets}
 
     def h_of(block: Sequence[int]) -> float:
@@ -290,7 +268,7 @@ def ledger_replay(
         t_values.append(level_t)
 
     t_ell_margin = t_values[-1] - n * float(lg_in)
-    start_margin = n * float(lg_out) - t_values[0]
+    start_margin = n * float(lg_out + lg_in) - t_values[0]
     if t_ell_margin < -DEFAULT_TOL or start_margin < -DEFAULT_TOL:
         ok = False
 
@@ -300,7 +278,7 @@ def ledger_replay(
     derived = p.alpha * (p.ell - Fraction(deficiency, n)) * lg_in
     if derived != rate_bound(p.alpha, p.ell, deficiency, n, lg_in)[1]:
         ok = False
-    if float(lg_orig) < float(derived) - DEFAULT_TOL:
+    if lg_out < derived:
         ok = False
 
     led = EntropyLedger(
@@ -310,7 +288,7 @@ def ledger_replay(
         t_ell_margin=t_ell_margin,
         start_margin=start_margin,
         derived_bound=derived,
-        measured_lg_sigma=lg_orig,
+        measured_lg_sigma=lg_out,
         alpha=p.alpha,
         ell=p.ell,
         n=n,

@@ -302,22 +302,23 @@ def chs_tagged_structure(
     return p, DeficiencyLedger.for_partition(p, sets)
 
 
-def chs_partition(
-    m: int, l1: int, growth_shift: int, max_n: int = 1 << 16
-) -> Tuple[LaminarPartition, DeficiencyLedger]:
+CHS_MAX_N = 1 << 16  # the longest CHS partition chs_partition materializes
+
+
+def chs_partition(m: int, l1: int, growth_shift: int) -> Tuple[LaminarPartition, DeficiencyLedger]:
     """Validated (1/4, m)-laminar partition of the CHS length scales, plus the
     rightmost-block deficiency ledger (budget <= n).
 
     Rejects scalings whose quarter-splits are not aligned with the previous
     level (a divisibility failure, exactly like a non-integer ell_i: the
-    scaling is invalid, not repairable).  Scales with n beyond max_n are
+    scaling is invalid, not repairable).  Scales with n beyond CHS_MAX_N are
     refused here; use chs_scales for symbolic bound evaluation.
     """
     ells = chs_scales(m, l1, growth_shift)
     n = ells[m + 1]
-    if n > max_n:
+    if n > CHS_MAX_N:
         raise ValueError(
-            f"n = {n} too large to materialize (max_n = {max_n}); "
+            f"n = {n} too large to materialize (CHS_MAX_N = {CHS_MAX_N}); "
             "use chs_scales for symbolic bound evaluation"
         )
     p, ledger = chs_tagged_structure(m, l1, growth_shift)
@@ -345,11 +346,10 @@ def eks_partition(k: int) -> LaminarPartition:
     return p
 
 
-def ghk_partition(n: int, m: int, delta) -> LaminarPartition:
-    """The (2^-kappa, ell)-laminar partition behind the constant-rate
-    construction: singletons at level 0, then consecutive blocks of length
-    n / 2^(kappa*(ell-i)), with lf(B) the smallest |B|/2^kappa elements."""
-    delta = as_fraction(delta)
+def ghk_levels(n: int, m: int, delta: Fraction) -> Tuple[int, int]:
+    """(kappa, ell) of the constant-rate construction at powers of two
+    n >= 2m: kappa = floor(lg(2/delta)) and ell = 1 + lg(n/2m) // kappa
+    levels."""
     if n < 2 or n & (n - 1):
         raise ValueError(f"n must be a power of two >= 2, got {n}")
     if m < 1 or m & (m - 1):
@@ -357,15 +357,19 @@ def ghk_partition(n: int, m: int, delta) -> LaminarPartition:
     if n < 2 * m:
         raise ValueError(f"need n >= 2m, got n = {n}, m = {m}")
     kappa = ImmediacySpec._kappa(delta)
-    lg_n, lg_2m = floor_lg(n), floor_lg(2 * m)
-    ell = 1 + (lg_n - lg_2m) // kappa
+    return kappa, 1 + (floor_lg(n) - floor_lg(2 * m)) // kappa
+
+
+def ghk_partition(n: int, m: int, delta) -> LaminarPartition:
+    """The (2^-kappa, ell)-laminar partition behind the constant-rate
+    construction: singletons at level 0, then consecutive blocks of length
+    n / 2^(kappa*(ell-i)), with lf(B) the smallest |B|/2^kappa elements."""
+    delta = as_fraction(delta)
+    kappa, ell = ghk_levels(n, m, delta)
     p0 = tuple(_interval_blocks(n, 1))
     tagged = []
     for i in range(1, ell + 1):
-        shift = kappa * (ell - i)
-        if shift >= lg_n:
-            raise ValueError(f"level {i} block length n/2^{shift} is not a positive integer")
-        blen = n >> shift
+        blen = n >> kappa * (ell - i)  # >= 2m, since kappa * (ell - 1) <= lg(n/2m)
         if blen % (2**kappa):
             raise ValueError(f"level {i} lf size {blen}/2^{kappa} is not an integer")
         tagged.append(_tag_prefix(_interval_blocks(n, blen), blen >> kappa))

@@ -101,8 +101,8 @@ class Verdict:
 
 
 # each code's table while the code lives, by identity (a code need not be
-# hashable): an audit's decoding check and its entropy replay of
-# make_systematic(code) share one enumeration
+# hashable): an audit's decoding check and its entropy replay share one
+# enumeration
 _TABLES: Dict[int, PrefixTable] = {}
 
 

@@ -17,7 +17,13 @@ from treecodes.bounds import (
 )
 from treecodes.constructions import eks_code
 from treecodes.core import identity_code, trivial_code
-from treecodes.partitions import DeficiencyLedger, chs_partition, eks_partition, ghk_partition
+from treecodes.partitions import (
+    DeficiencyLedger,
+    chs_partition,
+    eks_partition,
+    ghk_levels,
+    ghk_partition,
+)
 from treecodes.synthetic import mask_block_code
 
 alphas = st.fractions(min_value=Fraction(1, 64), max_value=1)
@@ -35,6 +41,22 @@ def test_plain_bound_examples():
 def test_deficient_bound_examples():
     assert rate_bound_deficient(Fraction(1, 4), 6, 64, 64, 1) == Fraction(5, 4)
     assert rate_bound_deficient(Fraction(1, 4), 3, 3 * 10, 10, 1) == 0  # fully deficient
+
+
+@pytest.mark.parametrize("alpha,ell,message", [
+    (Fraction(3, 2), 2, "alpha must be in"),
+    (Fraction(-1), 2, "alpha must be in"),
+    (2, -3, "alpha must be in"),
+    (0, 2, "alpha must be in"),
+    (Fraction(1, 2), -1, "ell must be >= 0"),
+])
+def test_deficient_bound_checks_alpha_and_ell_as_the_plain_one_does(alpha, ell, message):
+    with pytest.raises(ValueError, match=message):
+        rate_bound_plain(alpha, ell, 1)
+    with pytest.raises(ValueError, match=message):
+        rate_bound_deficient(alpha, ell, 1, 8, 1)
+    with pytest.raises(ValueError, match=message):
+        rate_bound(alpha, ell, 1, 8, 1)  # thm42
 
 
 @given(alphas, st.integers(0, 12), st.integers(0, 600), st.integers(1, 500), lgs)
@@ -93,6 +115,35 @@ def test_ghk_bound_with_construction_parameters():
     assert rep.inputs["estimate"] == "1/81920"
     # sanity: the chained estimate never exceeds the binding quantity
     assert Fraction(1, 81920) <= rep.bound_value
+
+
+@pytest.mark.parametrize("lg_n,lg_m,delta", [
+    (4, 3, Fraction(1, 2)), (8, 2, Fraction(1, 2)), (10, 3, Fraction(1, 2)),
+    (10, 0, Fraction(3, 4)), (11, 1, Fraction(1, 5)), (3, 1, Fraction(9, 10)),
+])
+def test_ghk_bound_and_partition_share_one_level_count(lg_n, lg_m, delta):
+    kappa, ell = ghk_levels(1 << lg_n, 1 << lg_m, delta)
+    assert ell == 1 + (lg_n - lg_m - 1) // kappa
+    rep = ghk_distance_bound(1 << lg_n, 1 << lg_m, delta, Fraction(1))
+    assert (rep.inputs["kappa"], rep.inputs["ell"]) == (str(kappa), str(ell))
+    assert rep.bound_value == Fraction(ell, 2**kappa)
+    try:
+        p = ghk_partition(1 << lg_n, 1 << lg_m, delta)
+    except ValueError:
+        return  # a level whose lf size is not an integer
+    assert (p.alpha, p.ell) == (Fraction(1, 2**kappa), ell)
+
+
+@pytest.mark.parametrize("n,m,message", [
+    (12, 2, "n must be a power of two"), (1, 1, "n must be a power of two"),
+    (16, 3, "m must be a power of two"), (16, 0, "m must be a power of two"),
+    (16, 16, "need n >= 2m"),
+])
+def test_ghk_bound_and_partition_refuse_the_same_lengths(n, m, message):
+    for build in (lambda: ghk_distance_bound(n, m, Fraction(1, 2), Fraction(1)),
+                  lambda: ghk_partition(n, m, Fraction(1, 2))):
+        with pytest.raises(ValueError, match=message):
+            build()
 
 
 def test_ghk_bound_violation_and_edge():

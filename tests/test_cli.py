@@ -1,3 +1,4 @@
+import hashlib
 import json
 import time
 
@@ -263,10 +264,34 @@ def test_audit_cap_covers_the_entropy_replay(tmp_path, capsys):
     assert run(capsys, *args, "10240")[0] == 0
 
 
+def test_audit_stdout_is_pinned(tmp_path, capsys):
+    # the whole audit report of the layered k=3 code, bound and entropy
+    # replay, byte for byte
+    run(capsys, "build", "--recipe-json", '{"kind":"eks","k":3,"delta":"1/2","seed":0}',
+        "--out-dir", str(tmp_path))
+    rc, out = run(capsys, "audit", "--code", str(tmp_path / "code.json"),
+                  "--partition", str(tmp_path / "partition.json"))
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "f4dcdb0f4fdb9c08c7fde53b7ae56b7be13018d1eb0e3e985c0a0026dff40709")
+
+
+@pytest.mark.parametrize("params,message", [
+    ('{"alpha":"3/2","ell":-2,"deficiency":0,"n":8,"lg_sigma_in":1}', "alpha must be in (0,1]"),
+    ('{"alpha":-1,"ell":2,"deficiency":1,"n":8,"lg_sigma_in":1}', "alpha must be in (0,1]"),
+    ('{"alpha":"1/2","ell":-1,"deficiency":1,"n":8,"lg_sigma_in":1}', "ell must be >= 0"),
+])
+def test_thm42_bound_rejects_alpha_and_ell_outside_their_range(capsys, params, message):
+    rc = cli.main(["bound", "--formula", "thm42", "--params", params])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert message in captured.err
+
+
 def test_audit_enumerates_the_code_once(tmp_path, capsys, monkeypatch):
-    # the decoding check and the replay of make_systematic(code) share one
-    # message table; the wrapper replaces every module's reference, as the
-    # benchmark's tracer does
+    # the decoding check and the entropy replay share one message table; the
+    # wrapper replaces every module's reference, as the benchmark's tracer
+    # does
     import sys
 
     from treecodes import core

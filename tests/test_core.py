@@ -11,7 +11,6 @@ from treecodes.core import (
     identity_code,
     make_systematic,
     messages,
-    systematic_base,
     trivial_code,
 )
 from treecodes.constructions import eks_code, table_code
@@ -167,13 +166,6 @@ def test_prefix_table_rows_are_the_encoded_messages(sigma, n):
     assert [len(col) for col in table.columns] == [sigma ** (j + 1) for j in range(n)]
     with pytest.raises(IndexError):
         table[len(rows)]
-
-
-def test_systematic_base_names_only_make_systematic_codes():
-    code = trivial_code(3)
-    assert systematic_base(make_systematic(code)) is code
-    assert systematic_base(code) is None
-    assert systematic_base(make_systematic(make_systematic(code))).name == "systematic(trivial[3])"
 
 
 def test_depth_one_edge_cases():

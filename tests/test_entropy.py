@@ -184,11 +184,13 @@ def test_block_margins_equal_common_information_margins(eks3):
     # per tagged block, the ledger margin H(lf)+H(rg) - |lf| - H(block) equals
     # I(Y_lf : Y_rg) - H(X_lf), the slack of the common-information inequality
     # with A = X_lf, B = Y_lf, C = Y_rg; both preconditions hold because the
-    # code is systematic and decodes the block
-    code = make_systematic(eks_code(eks3))
+    # replay's symbols are the systematic extension's and the code decodes
+    # the block
+    code = eks_code(eks3)
     p = eks_partition(3)
     msgs = list(product((0, 1), repeat=8))
-    rows = {x: code.encode(x) for x in msgs}
+    extension = make_systematic(code)
+    rows = {x: extension.encode(x) for x in msgs}
     led, verdict = ledger_replay(code, p)
     assert verdict.passed
     for bm in led.block_margins:
@@ -208,7 +210,7 @@ def test_block_margins_equal_common_information_margins(eks3):
 
 
 def test_ledger_replay_trivial8_reference():
-    led, verdict = ledger_replay(make_systematic(trivial_code(8)), eks_partition(3))
+    led, verdict = ledger_replay(trivial_code(8), eks_partition(3))
     assert verdict.passed
     # exact values for the full-prefix code: H(Y_B) = max(B) bits
     assert [round(t) for t in led.t] == [36, 20, 12, 8]
@@ -219,7 +221,7 @@ def test_ledger_replay_trivial8_reference():
 
 
 def test_ledger_replay_eks(eks3):
-    led, verdict = ledger_replay(make_systematic(eks_code(eks3)), eks_partition(3))
+    led, verdict = ledger_replay(eks_code(eks3), eks_partition(3))
     assert verdict.passed
     assert all(s >= -TOL for s in led.slacks)
     for bm in led.block_margins:
@@ -228,7 +230,7 @@ def test_ledger_replay_eks(eks3):
 
 def test_ledger_replay_deficient_chs():
     p, ledger = chs_partition(1, 4, 0)
-    led, verdict = ledger_replay(make_systematic(trivial_code(16)), p, ledger)
+    led, verdict = ledger_replay(trivial_code(16), p, ledger)
     assert verdict.passed
     assert led.deficiency == 8
     assert led.derived_bound == Fraction(1, 8)
@@ -238,7 +240,7 @@ def test_ledger_replay_deficient_chs():
 
 def test_ledger_replay_zero_levels():
     p, ledger = chs_partition(0, 8, 0)
-    led, verdict = ledger_replay(make_systematic(trivial_code(8)), p, ledger)
+    led, verdict = ledger_replay(trivial_code(8), p, ledger)
     assert verdict.passed and led.slacks == ()
 
 
@@ -254,17 +256,9 @@ def test_entropy_of_counts_is_the_fsum_of_its_terms(counts, scale):
     assert entropy_of_counts(counts) == by_terms
 
 
-def test_ledger_replay_rejects_nonsystematic():
-    from treecodes.core import Alphabet, TreeCode
-
-    # one-step delay: position j emits x_{j-1}, so symbol 1 determines nothing
-    delayed = TreeCode(
-        8, Alphabet(2), Alphabet(2), lambda p: p[-2] if len(p) > 1 else 0, name="delay"
-    )
-    with pytest.raises(ValueError, match="systematic"):
-        ledger_replay(delayed, eks_partition(3))
-    # the identity code is systematic as-is: accepted, but the chain honestly
-    # fails because identity carries no cross-position information
+def test_ledger_replay_of_identity_fails_honestly():
+    # the identity code's extension (x_j, x_j) carries no cross-position
+    # information, so the chain fails
     led, verdict = ledger_replay(identity_code(4), eks_partition(2))
     assert not verdict.passed
     assert min(led.slacks) < -TOL
@@ -273,7 +267,7 @@ def test_ledger_replay_rejects_nonsystematic():
 def test_ledger_replay_cap():
     # M = 256 messages > cap: the table's M*n charge refuses it
     with pytest.raises(CapExceeded) as exc:
-        ledger_replay(make_systematic(trivial_code(8)), eks_partition(3), cap=2**7)
+        ledger_replay(trivial_code(8), eks_partition(3), cap=2**7)
     assert exc.value.used == 256 * 8
 
 
@@ -282,7 +276,7 @@ def test_ledger_replay_charges_before_enumerating():
     # of its 31 distinct column sets does not: refused before enumerating
     t0 = time.perf_counter()
     with pytest.raises(CapExceeded):
-        ledger_replay(make_systematic(trivial_code(16)), eks_partition(4), cap=2**20 + 1)
+        ledger_replay(trivial_code(16), eks_partition(4), cap=2**20 + 1)
     assert time.perf_counter() - t0 < 0.5
 
 
@@ -290,7 +284,7 @@ def test_ledger_replay_evaluations_count_each_column_set_once():
     # trivial(8) over the dyadic partition: the lf/rg parts of a level are
     # the blocks of the level below, so the distinct sets are the 15 blocks
     # of levels 0..3, covering 4 * 8 columns
-    _, verdict = ledger_replay(make_systematic(trivial_code(8)), eks_partition(3))
+    _, verdict = ledger_replay(trivial_code(8), eks_partition(3))
     assert verdict.evaluations == 256 * 8 + 256 * 32
 
 
@@ -298,7 +292,7 @@ def test_ledger_replay_rederives_forged_ledger():
     # a ledger claiming no deficiency for the exempt block it lists: the
     # replay takes the deficiency from the ledger re-derived against p
     p, honest = chs_partition(1, 4, 0)
-    code = make_systematic(mask_block_code(trivial_code(16), p.tagged[0][1]))
+    code = mask_block_code(trivial_code(16), p.tagged[0][1])
     forged = DeficiencyLedger(sets=honest.sets, budget_used=0)
     led, verdict = ledger_replay(code, p, forged)
     assert verdict.passed
@@ -308,5 +302,5 @@ def test_ledger_replay_rederives_forged_ledger():
 
 def test_ledger_replay_rejects_ledger_of_another_partition():
     with pytest.raises(ValueError, match="ledger level 2 outside 1..1"):
-        ledger_replay(make_systematic(trivial_code(16)), chs_partition(1, 4, 0)[0],
+        ledger_replay(trivial_code(16), chs_partition(1, 4, 0)[0],
                       DeficiencyLedger(sets=((2, (0,)),), budget_used=8))

@@ -25,7 +25,15 @@ from hypothesis import strategies as st
 from treecodes import verify
 from treecodes.bounds import rate_bound_deficient, rate_bound_plain
 from treecodes.constructions import eks_code, eks_params, table_code
-from treecodes.core import Codeword, Message, TreeCode, make_systematic, messages, trivial_code
+from treecodes.core import (
+    Alphabet,
+    Codeword,
+    Message,
+    TreeCode,
+    make_systematic,
+    messages,
+    trivial_code,
+)
 from treecodes.dyadic import lg_exact
 from treecodes.entropy import DEFAULT_TOL, EntropyLedger, ledger_replay
 from treecodes.partitions import (
@@ -332,12 +340,14 @@ def assert_same_decoding(code, p, ledger=None, tables=True, all_caps=True) -> Ve
 
 
 def assert_same_replay(code, p, ledger=None, all_caps=True):
-    """Equal (EntropyLedger, Verdict) pairs, or refusals, field for field."""
-    full = _outcome(ref_ledger_replay, code, p, ledger)
+    """Equal (EntropyLedger, Verdict) pairs, or refusals, field for field:
+    the replay of code against the reference replay of make_systematic(code)."""
+    extension = make_systematic(code)
+    full = _outcome(ref_ledger_replay, extension, p, ledger)
     assert _outcome(ledger_replay, code, p, ledger) == full
     for cap in _caps(code, full) if all_caps else []:
         assert _outcome(ledger_replay, code, p, ledger, cap) == _outcome(
-            ref_ledger_replay, code, p, ledger, cap)
+            ref_ledger_replay, extension, p, ledger, cap)
     return full
 
 
@@ -401,11 +411,9 @@ def test_grouping_matches_tuple_grouping_on_random_tables(case):
     code, p, ledger = case
     assert_same_decoding(code, p, ledger)
     assert_same_decoding(code, p)
-    systematic = make_systematic(code)
-    assert_same_replay(systematic, p, ledger)
-    # the same systematic code, not recognizable as make_systematic's
-    assert_same_replay(_tabulated(systematic), p, ledger)
-    assert_same_replay(code, p, ledger)  # mostly refused as not systematic
+    assert_same_replay(code, p, ledger)
+    # a code that is systematic already, replayed on its own extension
+    assert_same_replay(_tabulated(make_systematic(code)), p, ledger)
 
 
 P3 = eks_partition(3)
@@ -417,7 +425,16 @@ def test_grouping_matches_tuple_grouping_on_masked_codes(seed):
     code = mask_block_code(scrambled_prefix_code(8, seed), BLOCKS3[seed])
     verdict = assert_same_decoding(code, P3)
     assert not verdict.passed
-    assert_same_replay(make_systematic(code), P3)
+    assert_same_replay(code, P3)
+
+
+def test_grouping_matches_tuple_grouping_on_a_delay_code():
+    # position j emits x_{j-1}, so c_1 determines nothing: the replay still
+    # takes the code, as audit_code does, and runs on its extension (c_j, x_j)
+    delayed = TreeCode(8, Alphabet(2), Alphabet(2), lambda p: p[-2] if len(p) > 1 else 0,
+                       name="delay")
+    led, verdict = assert_same_replay(delayed, P3)
+    assert led.measured_lg_sigma == 1 and not verdict.passed
 
 
 def test_grouping_matches_tuple_grouping_on_scrambled_trivial_and_layered_codes():
@@ -426,9 +443,9 @@ def test_grouping_matches_tuple_grouping_on_scrambled_trivial_and_layered_codes(
     for code in (scrambled_prefix_code(8, 11), trivial_code(8), layered):
         assert assert_same_decoding(code, P3).passed
         assert assert_same_decoding(code, p, ledger).passed
-        assert_same_replay(make_systematic(code), P3)
-        assert_same_replay(make_systematic(code), p, ledger)
-        assert_same_replay(_tabulated(make_systematic(code)), P3)
+        assert_same_replay(code, P3)
+        assert_same_replay(code, p, ledger)
+        assert_same_replay(_tabulated(code), P3)
 
 
 def test_grouping_matches_tuple_grouping_on_non_interval_partition():
@@ -446,7 +463,7 @@ def test_grouping_matches_tuple_grouping_on_non_interval_partition():
                  mask_block_code(scrambled_prefix_code(8, 4), p.tagged[1][1])):
         assert_same_decoding(code, p)
         assert_same_decoding(code, p, DeficiencyLedger.for_partition(p, {2: [1]}))
-        assert_same_replay(make_systematic(code), p)
+        assert_same_replay(code, p)
 
 
 def test_grouping_matches_tuple_grouping_on_the_layered_code_n16():
@@ -454,5 +471,5 @@ def test_grouping_matches_tuple_grouping_on_the_layered_code_n16():
     quarter, ledger = chs_partition(1, 4, 0)
     for p, led in ((eks_partition(4), None), (quarter, ledger)):
         assert assert_same_decoding(code, p, led, tables=False, all_caps=False).passed
-        replay = assert_same_replay(make_systematic(code), p, led, all_caps=False)
+        replay = assert_same_replay(code, p, led, all_caps=False)
         assert replay[1].passed

@@ -129,7 +129,7 @@ def test_chs_partition_desk_instance():
     [(1, 4, 0), (1, 8, 1), (1, 16, 2), (2, 8, 1), (2, 16, 2)],
 )
 def test_chs_budget_bound_and_validity(m, l1, shift):
-    p, ledger = chs_partition(m, l1, shift, max_n=1 << 20)
+    p, ledger = chs_partition(m, l1, shift)
     assert validate_laminar(p).passed
     assert ledger.budget_used <= p.n
 

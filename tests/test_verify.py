@@ -5,7 +5,7 @@ import pytest
 
 from treecodes import verify
 from treecodes.constructions import eks_code
-from treecodes.core import identity_code, make_systematic, trivial_code
+from treecodes.core import identity_code, trivial_code
 from treecodes.entropy import ledger_replay
 from treecodes.partitions import (
     chs_tagged_structure,
@@ -95,7 +95,7 @@ _REFUSING_ENTRIES = {
     "exact_distance": lambda code, cap: exact_distance(code, cap=cap),
     "neighborhood": lambda code, cap: check_neighborhood_decoding(code, eks_partition(4), cap=cap),
     "eks": lambda code, cap: check_eks_condition(code, Fraction(1, 2), 4, cap=cap),
-    "replay": lambda code, cap: ledger_replay(make_systematic(code), eks_partition(4), cap=cap),
+    "replay": lambda code, cap: ledger_replay(code, eks_partition(4), cap=cap),
 }
 
 
@@ -128,8 +128,8 @@ def test_code_table_is_enumerated_once_and_released_with_the_code(monkeypatch):
     code = trivial_code(8)
     assert check_neighborhood_decoding(code, eks_partition(3)).passed
     assert check_online_property(code).passed
-    # the replay of make_systematic(code) groups code's own table
-    assert ledger_replay(make_systematic(code), eks_partition(3))[1].passed
+    # the replay groups code's own table
+    assert ledger_replay(code, eks_partition(3))[1].passed
     assert calls == [code]
     key = id(code)
     del code, calls[:]
