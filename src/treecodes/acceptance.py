@@ -325,9 +325,7 @@ CRITERIA: List[Tuple[int, str, Callable[[], Tuple[bool, str]]]] = [
 ]
 
 
-def run(
-    only: Optional[List[int]] = None, out: Callable[[str], None] = print
-) -> List[CriterionResult]:
+def run(only: Optional[List[int]] = None) -> List[CriterionResult]:
     results = []
     for cid, desc, fn in CRITERIA:
         if only and cid not in only:
@@ -340,5 +338,5 @@ def run(
         dt = time.perf_counter() - t0
         results.append(CriterionResult(cid, desc, passed, detail, dt))
         status = "PASS" if passed else "FAIL"
-        out(f"{status} criterion {cid:2d} [{dt:6.2f}s] {desc}: {detail}")
+        print(f"{status} criterion {cid:2d} [{dt:6.2f}s] {desc}: {detail}")
     return results

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Mapping, Optional
+from typing import Dict, Optional
 
 from . import verify
 from .core import TreeCode
@@ -25,7 +25,8 @@ from .dyadic import (
     lg_lower,
     lg_upper,
 )
-from .partitions import DeficiencyLedger, ImmediacySpec, LaminarPartition, ghk_levels
+from .partitions import (IMM_FUNCTIONS, DeficiencyLedger, ImmediacySpec, LaminarPartition,
+                         ghk_levels)
 
 FORMULA_IDS = (
     "thm41",
@@ -170,7 +171,7 @@ def imm_rate_upper(
     elif kind == "general":
         if t is None or ell is None:
             raise ValueError("the general kind requires explicit t and ell")
-        spec = ImmediacySpec.custom(lambda k: k, delta, t)
+        spec = ImmediacySpec.custom(IMM_FUNCTIONS["unit"], delta, t)
         inv_imm = ell * t
     else:
         raise ValueError(f"unknown kind {kind!r}")
@@ -267,40 +268,30 @@ def eq13_report(delta) -> BoundReport:
 
 
 def audit_code(
-    code,
+    code: TreeCode,
     partition: LaminarPartition,
     ledger: Optional[DeficiencyLedger] = None,
     cap: int = verify.DEFAULT_EVAL_CAP,
 ) -> BoundReport:
-    """Join a verified code to its rate bound: for a concrete code,
-    neighborhood decoding is certified first (refused otherwise); a recipe
-    mapping is audited on declared parameters alone, with the skip recorded
-    in the report.  The deficiency is that of the ledger as re-derived
-    against the partition, never a figure the ledger carries.  The code is
-    measured as the bound's derivation makes it systematic: lg of the
-    systematic alphabet, sigma_out * sigma_in, is compared against the plain
-    or deficient bound.
+    """Join a verified code to its rate bound: neighborhood decoding is
+    certified first, and a code that fails it is refused.  The deficiency is
+    that of the ledger as re-derived against the partition, never a figure
+    the ledger carries.  The code is measured as the bound's derivation
+    makes it systematic: lg of the systematic alphabet, sigma_out * sigma_in,
+    is compared against the plain or deficient bound.
 
     For any code that passes verification, satisfied must come out True; a
     False here indicates an artifact bug, not a refutation.  Measured values
     round up and bounds round down when lg is irrational, so "unsatisfied" is
     only reported on a certain violation.
     """
-    from .serialize import code_from_json  # serialize imports this module
-
-    verified = not isinstance(code, Mapping)
-    if isinstance(code, Mapping):
-        code = code_from_json(code)
-    if not isinstance(code, TreeCode):
-        raise TypeError("audit_code expects a TreeCode or a recipe mapping")
     ledger = verify.checked_ledger(code, partition, ledger)
-    if verified:
-        nd = verify.check_neighborhood_decoding(code, partition, ledger, cap=cap)
-        if not nd.passed:
-            raise ValueError(
-                f"refusing to audit: neighborhood decoding failed at {nd.witness['level']}:"
-                f"{nd.witness['block']}"
-            )
+    nd = verify.check_neighborhood_decoding(code, partition, ledger, cap=cap)
+    if not nd.passed:
+        raise ValueError(
+            f"refusing to audit: neighborhood decoding failed at {nd.witness['level']}:"
+            f"{nd.witness['block']}"
+        )
     sigma_in = code.input_alphabet.size
     measured, meas_exact = _lg_conservative(Fraction(code.output_alphabet.size * sigma_in), "up")
     lg_in, _ = _lg_conservative(Fraction(sigma_in), "down")
@@ -316,7 +307,7 @@ def audit_code(
             deficiency=deficiency,
             lg_sigma_in=lg_in,
             code=code.name or "anonymous",
-            verified=verified,
+            verified=True,
         ),
         bound_value=bound,
         exactness=meas_exact,

@@ -19,6 +19,7 @@ from . import acceptance, bounds, entropy, serialize, verify
 from .constructions import eks_code, eks_params, random_code_search
 from .dyadic import as_fraction
 from .partitions import (
+    IMM_FUNCTIONS,
     ImmediacySpec,
     build_from_imm,
     chs_partition,
@@ -72,11 +73,9 @@ def cmd_build(args) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     kind = recipe.get("kind")
-    if kind in ("trivial", "identity"):
+    if kind in ("trivial", "identity", "table"):
         # small enumerable codes materialize as explicit level-order tables
         _write(out / "code.json", serialize.tabulate_code(serialize.code_from_json(recipe)))
-    elif kind == "table":
-        _write(out / "code.json", recipe)
     elif kind == "eks":
         k = _int(recipe, "k")
         delta = as_fraction(recipe["delta"])
@@ -122,13 +121,6 @@ def cmd_build(args) -> int:
     return EXIT_PASS
 
 
-_IMM_CHOICES = {
-    "exp": lambda k: 2**k,
-    "double_exp": lambda k: 2 ** (2**k),
-    "unit": lambda k: k,
-}
-
-
 # flags each property needs beyond --code (the rest have defaults)
 _REQUIRED_FLAGS = {
     "neighborhood": ("partition",),
@@ -150,7 +142,7 @@ def cmd_verify(args) -> int:
         verdict = verify.check_tree_distance(code, as_fraction(args.delta), cap=cap)
     elif args.property == "imm_function":
         verdict = verify.check_immediacy_function(
-            code, _IMM_CHOICES[args.imm], as_fraction(args.delta), cap=cap
+            code, IMM_FUNCTIONS[args.imm], as_fraction(args.delta), cap=cap
         )
     elif args.property == "neighborhood":
         p = serialize.partition_from_json(_load_json(args.partition))
@@ -164,12 +156,10 @@ def cmd_verify(args) -> int:
         verdict = verify.check_eks_condition(code, as_fraction(args.delta), args.k, cap=cap)
     elif args.property == "chs":
         verdict = verify.check_chs_condition(code, args.m, args.l1, args.shift, cap=cap)
-    elif args.property == "ghk":
+    else:  # ghk, the last --property choice
         verdict = verify.check_ghk_condition(
             code, args.k0, as_fraction(args.epsilon), as_fraction(args.delta), cap=cap
         )
-    else:
-        return EXIT_USAGE
     _emit(args, serialize.verdict_to_json(verdict))
     return EXIT_PASS if verdict.passed else EXIT_FAIL
 
@@ -208,10 +198,8 @@ def cmd_bound(args) -> int:
             as_fraction(params["delta"]),
             as_fraction(params["ratio"]),
         )
-    elif f == "eq13":
+    else:  # eq13, the last --formula choice
         report = bounds.eq13_report(as_fraction(params["delta"]))
-    else:
-        return EXIT_USAGE
     _emit(args, serialize.bound_report_to_json(report))
     return EXIT_PASS if report.satisfied is not False else EXIT_FAIL
 
@@ -310,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("distance", "imm_function", "neighborhood", "eks", "chs", "ghk"),
     )
     v.add_argument("--delta", default="1/2")
-    v.add_argument("--imm", choices=sorted(_IMM_CHOICES), default="exp")
+    v.add_argument("--imm", choices=sorted(IMM_FUNCTIONS), default="exp")
     v.add_argument("--partition")
     v.add_argument("--ledger")
     v.add_argument("--tables", action="store_true", help="materialize decoding tables")

@@ -354,9 +354,9 @@ def _scan(levels: Iterable[Sequence[int]], floor: Fraction) -> Fraction:
 
 
 def table_min_distance(n: int, table: Sequence[int]) -> Fraction:
-    """Exact minimum divergent distance of a level-order labeling."""
-    levels = (table[2**d - 2 : 2 ** (d + 1) - 2] for d in range(1, n + 1))
-    return _scan(levels, Fraction(-1))
+    """Exact minimum divergent distance of a binary-input level-order
+    labeling; a table of the wrong length for n raises ValueError."""
+    return _scan(LevelOrderChar(n, 2, table).columns(), Fraction(-1))
 
 
 @dataclass(frozen=True)

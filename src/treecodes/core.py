@@ -148,16 +148,19 @@ def _digits(i: int, length: int, sigma: int) -> Message:
 class PrefixTable:
     """Every message's codeword, as prefix columns (see the module doc).
 
-    columns[j][t] is the symbol of the t-th length-(j+1) prefix.  The row
-    view table[i] -> (message, codeword) and iteration in message order
-    rebuild rows on demand; len() is the number of messages.
+    columns[j][t] is the symbol of the t-th length-(j+1) prefix, and
+    strides[j] = sigma^(n-1-j) the number of messages sharing it: prefix t
+    of length j+1 covers messages t * strides[j] onward, and at length q+1
+    it has strides[j] // strides[q] extensions.  The row view
+    table[i] -> (message, codeword) and iteration in message order rebuild
+    rows on demand; len() is the number of messages.
     """
 
-    __slots__ = ("n", "sigma", "sigma_out", "columns", "_strides")
+    __slots__ = ("n", "sigma", "sigma_out", "columns", "strides")
 
     def __init__(self, n: int, sigma: int, sigma_out: int, columns: List[list]) -> None:
         self.n, self.sigma, self.sigma_out, self.columns = n, sigma, sigma_out, columns
-        self._strides = [sigma ** (n - 1 - j) for j in range(n)]  # messages per prefix
+        self.strides = [sigma ** (n - 1 - j) for j in range(n)]
 
     def __len__(self) -> int:
         return self.sigma**self.n
@@ -165,13 +168,17 @@ class PrefixTable:
     def message(self, i: int) -> Message:
         return _digits(i, self.n, self.sigma)
 
+    def inputs(self, q: int) -> List[int]:
+        """Input symbol q (0-based) of each length-(q+1) prefix."""
+        return list(range(self.sigma)) * self.sigma**q
+
     def __getitem__(self, i: int) -> Tuple[Message, Codeword]:
         if not 0 <= i < len(self):
             raise IndexError(f"message index {i} outside 0..{len(self) - 1}")
-        return self.message(i), tuple(col[i // s] for col, s in zip(self.columns, self._strides))
+        return self.message(i), tuple(col[i // s] for col, s in zip(self.columns, self.strides))
 
     def __iter__(self) -> Iterator[Tuple[Message, Codeword]]:
-        cols, strides = self.columns, self._strides
+        cols, strides = self.columns, self.strides
         for i, m in enumerate(messages(self.sigma, self.n)):
             yield m, tuple(col[i // s] for col, s in zip(cols, strides))
 
@@ -214,30 +221,40 @@ def identity_code(n: int, alphabet_size: int = 2) -> TreeCode:
     )
 
 
+def level_offsets(n: int, sigma: int, limit: int) -> List[int]:
+    """Where depths 1..n start in a level-order table, then its length: n + 1
+    offsets.  The level sizes sigma^j are summed only until they pass limit,
+    so a deep table is measured at once; the list then ends at the first
+    offset past limit."""
+    offsets, size = [0], 1
+    for _ in range(n):
+        if offsets[-1] > limit:
+            break
+        size *= sigma
+        offsets.append(offsets[-1] + size)
+    return offsets
+
+
 class LevelOrderChar:
     """char_fn of a code tabulated in level order: for each depth j = 1..n,
     the labels of the sigma^j length-j prefixes in lexicographic order.
 
-    Holds one list of the labels and the offset at which each depth starts.
-    A table whose length is not sigma + sigma^2 + ... + sigma^n raises
-    ValueError; the level sizes are summed only until they pass the table's
-    length, so a deep table with few labels is refused at once.
+    Holds one list of the labels and the level_offsets at which each depth
+    starts.  A table whose length is not sigma + sigma^2 + ... + sigma^n
+    raises ValueError, a deep table with few labels at once.  This is the
+    one reader of the layout: columns() slices it by depth.
     """
 
     __slots__ = ("n", "sigma", "labels", "offsets")
 
     def __init__(self, n: int, sigma: int, labels: Sequence[int]) -> None:
         labels = list(labels)
-        offsets, size, total = [], 1, 0
-        for j in range(n):
-            offsets.append(total)
-            size *= sigma
-            total += size
-            if total > len(labels) and j < n - 1:
-                raise ValueError(f"table has {len(labels)} labels, want "
-                                 f"{sigma}^1 + ... + {sigma}^{n} > {len(labels)}")
-        if total != len(labels):
-            raise ValueError(f"table has {len(labels)} labels, want {total}")
+        offsets = level_offsets(n, sigma, len(labels))
+        if len(offsets) <= n:
+            raise ValueError(f"table has {len(labels)} labels, want "
+                             f"{sigma}^1 + ... + {sigma}^{n} > {len(labels)}")
+        if offsets[-1] != len(labels):
+            raise ValueError(f"table has {len(labels)} labels, want {offsets[-1]}")
         self.n, self.sigma, self.labels, self.offsets = n, sigma, labels, offsets
 
     def __call__(self, prefix: Message) -> int:
@@ -248,8 +265,7 @@ class LevelOrderChar:
 
     def columns(self) -> Iterator[list]:
         """Depth j+1's labels for j = 0..n-1: the prefix columns."""
-        ends = self.offsets[1:] + [len(self.labels)]
-        return (self.labels[lo:hi] for lo, hi in zip(self.offsets, ends))
+        return (self.labels[lo:hi] for lo, hi in zip(self.offsets, self.offsets[1:]))
 
 
 def make_systematic(code: TreeCode) -> TreeCode:

@@ -34,8 +34,8 @@ class Groups:
     named n + p.  The ids of a set S live at the granularity of its last
     position q: one id per prefix of length q+1, equal exactly when two
     prefixes agree on every column of S, so the group of message i is the id
-    of prefix i // sigma^(n-1-q) and a group of c prefixes holds
-    c * sigma^(n-1-q) messages.  The ids of S are the pairs (ids of T, ids
+    of prefix i // table.strides[q] and a group of c prefixes holds
+    c * table.strides[q] messages.  The ids of S are the pairs (ids of T, ids
     of S - T), packed injectively as a * bound + b, for T the set grouped so
     far inside S that reaches furthest, then the largest (else the columns
     of the first half of S's positions), so that S - T ends early and costs
@@ -55,9 +55,8 @@ class Groups:
         if got is None:
             if len(cols) == 1:
                 (c,) = cols
-                if c >= self.n:  # input position q: symbol t % sigma of prefix t
-                    q = c - self.n
-                    got = Grouped(q, list(range(self.sigma)) * self.sigma**q, self.sigma)
+                if c >= self.n:  # input position c - n
+                    got = Grouped(c - self.n, self.table.inputs(c - self.n), self.sigma)
                 else:
                     got = Grouped(c, self.table.columns[c], self.table.sigma_out)
             else:
@@ -82,7 +81,7 @@ class Groups:
     def at(self, grouped: Grouped, q: int) -> List[int]:
         """The ids of a grouped set at the finer granularity q."""
         ids = grouped.ids
-        r = self.sigma ** (q - grouped.q)  # length-(q+1) prefixes per shorter prefix
+        r = self.table.strides[grouped.q] // self.table.strides[q]  # extensions per prefix
         if r == 1:
             return ids
         if r > len(ids):
@@ -114,5 +113,5 @@ class Groups:
 
     def weights(self, cols: FrozenSet[int]) -> Dict[int, int]:
         """{group size in messages: number of such groups} of a column set."""
-        per = self.sigma ** (self.n - 1 - self.ids(cols).q)
+        per = self.table.strides[self.ids(cols).q]
         return {c * per: k for c, k in self.sizes(cols).items()}

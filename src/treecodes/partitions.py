@@ -91,12 +91,20 @@ class DeficiencyLedger:
         return DeficiencyLedger(sets=tuple(norm), budget_used=total)
 
 
+# the named window-length functions Imm(k), shared by ImmediacySpec, the
+# general form of bounds.imm_rate_upper and the CLI's --imm choices
+IMM_FUNCTIONS: Dict[str, Callable[[int], int]] = {
+    "exp": lambda k: 2**k,
+    "double_exp": lambda k: 2 ** (2**k),
+    "unit": lambda k: k,
+}
+
+
 @dataclass(frozen=True)
 class ImmediacySpec:
     """A monotone window-length function with its distance parameter and the
     window-exponent step t used by the partition construction."""
 
-    kind: str  # "exp" | "double_exp" | "custom"
     imm: Callable[[int], int]
     delta: Fraction
     kappa: int
@@ -115,7 +123,7 @@ class ImmediacySpec:
     def exponential(delta) -> "ImmediacySpec":
         delta = as_fraction(delta)
         kappa = ImmediacySpec._kappa(delta)
-        return ImmediacySpec("exp", lambda k: 2**k, delta, kappa, 1 + kappa)
+        return ImmediacySpec(IMM_FUNCTIONS["exp"], delta, kappa, 1 + kappa)
 
     @staticmethod
     def double_exponential(delta) -> "ImmediacySpec":
@@ -124,13 +132,13 @@ class ImmediacySpec:
         t = floor_lg(kappa + 2)
         if 2**t != kappa + 2:
             t += 1  # ceil(lg(kappa + 2))
-        return ImmediacySpec("double_exp", lambda k: 2 ** (2**k), delta, kappa, t)
+        return ImmediacySpec(IMM_FUNCTIONS["double_exp"], delta, kappa, t)
 
     @staticmethod
     def custom(imm: Callable[[int], int], delta, t: int) -> "ImmediacySpec":
         delta = as_fraction(delta)
         kappa = ImmediacySpec._kappa(delta)
-        return ImmediacySpec("custom", imm, delta, kappa, t)
+        return ImmediacySpec(imm, delta, kappa, t)
 
 
 @dataclass(frozen=True)

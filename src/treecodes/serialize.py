@@ -9,8 +9,9 @@ import json
 from itertools import chain
 from typing import List
 
+from . import constructions
 from .bounds import BoundReport
-from .core import TreeCode, prefix_columns
+from .core import TreeCode, identity_code, level_offsets, prefix_columns, trivial_code
 from .dyadic import as_fraction, frac_str
 from .partitions import DeficiencyLedger, LaminarPartition, TaggedBlock
 from .verify import Verdict
@@ -45,16 +46,12 @@ _MAX_TABLE_ENTRIES = 1 << 20
 def tabulate_code(code: TreeCode) -> dict:
     """Explicit level-order table form of a code (depth-major, prefixes in
     lexicographic order; entry = label of the edge into that prefix): the
-    prefix columns of the message table, concatenated.  The level sizes are
-    summed only until they pass the entry limit, so a deep code is refused at
-    once."""
+    prefix columns of the message table, concatenated.  A code whose table
+    passes the entry limit is refused before any label is computed."""
     sigma, n = code.input_alphabet.size, code.n
-    total = 0
-    for j in range(1, n + 1):
-        total += sigma**j
-        if total > _MAX_TABLE_ENTRIES:
-            raise ValueError(f"code too deep to tabulate: {sigma}^1 + ... + {sigma}^{n} > "
-                             f"{_MAX_TABLE_ENTRIES} entries")
+    if level_offsets(n, sigma, _MAX_TABLE_ENTRIES)[-1] > _MAX_TABLE_ENTRIES:
+        raise ValueError(f"code too deep to tabulate: {sigma}^1 + ... + {sigma}^{n} > "
+                         f"{_MAX_TABLE_ENTRIES} entries")
     return {
         "kind": "table",
         "n": n,
@@ -65,13 +62,7 @@ def tabulate_code(code: TreeCode) -> dict:
 
 
 def code_from_json(obj: dict) -> TreeCode:
-    from . import constructions
-    from .core import identity_code, trivial_code
-
-    expect_type(obj, dict, "code")
-    kind = obj.get("kind")
-    if kind is None and "table" in obj:
-        kind = "table"  # bare tabulated form
+    kind = expect_type(obj, dict, "code").get("kind")
     if kind == "trivial":
         return trivial_code(expect_int(obj["n"], "n"))
     if kind == "identity":

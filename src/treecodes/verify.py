@@ -138,7 +138,7 @@ class _MessageBits:
 
     same_input[q][a]: the messages with input symbol a at position q, a
     periodic pattern.  Codeword-symbol sets are built from the prefix columns
-    on first use, one run of sigma^(n-1-p) bits per matching prefix, so
+    on first use, one run of table.strides[p] bits per matching prefix, so
     memory grows with the rows a sweep reaches.
     """
 
@@ -147,8 +147,7 @@ class _MessageBits:
         self.sigma, self.size = code.input_alphabet.size, len(self.table)
         self.all = (1 << self.size) - 1
         self.same_input = []
-        for q in range(code.n):
-            run = self.size // self.sigma ** (q + 1)
+        for run in self.table.strides:
             repeat = self.all // ((1 << (run * self.sigma)) - 1)
             self.same_input.append([(((1 << run) - 1) << (a * run)) * repeat
                                     for a in range(self.sigma)])
@@ -164,7 +163,7 @@ class _MessageBits:
         """Messages whose codeword symbol at position p is sym."""
         bits = self._symbols.get((p, sym))
         if bits is None:
-            run = self.size // len(self.table.columns[p])  # messages per prefix
+            run = self.table.strides[p]  # messages per prefix
             buf = bytearray((self.size + 7) >> 3)
             for t in self._index[p][sym]:
                 j = t * run
@@ -291,7 +290,7 @@ def _distance_sweep(bits, budget, d: int, delta: Fraction, want_min: bool = Fals
         return dict(depth=d, x=list(x[:d]), y=list(y[:d]), s=s + 1,
                     measured=frac_str(Fraction(cnt, d - s)), required=frac_str(delta))
 
-    return _sweep(bits, budget, cands, fmt, 0, bits.size // bits.sigma**d, want_min)
+    return _sweep(bits, budget, cands, fmt, 0, bits.table.strides[d - 1], want_min)
 
 
 def check_tree_distance(code: TreeCode, delta, cap: int = DEFAULT_EVAL_CAP) -> Verdict:
@@ -398,7 +397,7 @@ def check_neighborhood_decoding(
     budget = _Budget(cap)
     table = _table(code, budget, reads)
     groups = Groups(table)
-    n, sigma = code.n, code.input_alphabet.size
+    n = code.n
 
     blocks_out: List[dict] = []
     tables_out: Dict[str, list] = {}
@@ -422,7 +421,7 @@ def check_neighborhood_decoding(
                 for t, key in enumerate(groups.at(groups.ids(rg), q)):
                     prior = seen.setdefault(key, (lf_ids[t], t))
                     if prior[0] != lf_ids[t]:
-                        per = sigma ** (n - 1 - q)
+                        per = table.strides[q]
                         block_witness = dict(level=level, block=bi, lf=list(tb.lf),
                                              rg=list(tb.rg), x=list(table.message(prior[1] * per)),
                                              y=list(table.message(t * per)))
@@ -445,12 +444,10 @@ def _decoding_table(table: PrefixTable, groups: Groups, tb, q: int) -> list:
     """[rg symbols, lf inputs] for each rg group of a decodable block, sorted,
     read off one length-(q+1) prefix of the group."""
     rg_ids = groups.at(groups.ids(frozenset(v - 1 for v in tb.rg)), q)
-    sigma = table.sigma
     rows = []
     for t in dict(zip(rg_ids, range(len(rg_ids)))).values():
-        prefix = table.message(t * sigma ** (table.n - 1 - q))
-        rows.append(([table.columns[v - 1][t // sigma ** (q - v + 1)] for v in tb.rg],
-                     [prefix[v - 1] for v in tb.lf]))
+        x, cx = table[t * table.strides[q]]
+        rows.append(([cx[v - 1] for v in tb.rg], [x[v - 1] for v in tb.lf]))
     return [list(row) for row in sorted(rows)]
 
 

@@ -201,23 +201,6 @@ def test_audit_refuses_unverified_code():
         audit_code(identity_code(4), eks_partition(2))
 
 
-def test_audit_accepts_recipe_mapping():
-    rep = audit_code({"kind": "trivial", "n": 4}, eks_partition(2))
-    assert rep.satisfied and rep.bound_value == 1
-    assert rep.inputs["verified"] == "False"
-
-
-def test_audit_recipe_skips_verification_at_symbolic_scale():
-    # a depth-128 full-prefix recipe cannot be enumerated, but its declared
-    # alphabet can still be compared against the bound of its partition
-    from treecodes.partitions import ImmediacySpec, build_from_imm
-
-    p = build_from_imm(ImmediacySpec.exponential(Fraction(1, 2)), 2)
-    rep = audit_code({"kind": "trivial", "n": 128}, p)
-    assert rep.measured == 129 and rep.bound_value == Fraction(1, 4)
-    assert rep.satisfied
-
-
 def test_imm_partition_bound_consistency():
     # the reference partition's alpha*ell equals eq25's value
     r = imm_rate_upper("exp", Fraction(1, 2), 128)
@@ -225,6 +208,7 @@ def test_imm_partition_bound_consistency():
 
     p = build_from_imm(ImmediacySpec.exponential(Fraction(1, 2)), 2)
     assert rate_bound_plain(p.alpha, p.ell, 1) == r["eq25"].bound_value
+    assert rate_bound(p.alpha, p.ell, 0, p.n, 1) == ("thm41", Fraction(1, 4))
 
 
 def test_audit_ghk_partition_soundness():

@@ -175,6 +175,18 @@ def test_deep_table_with_one_label_exits_1_at_once(tmp_path, capsys, n):
     assert f"invalid input: table has 1 labels, want 2^1 + ... + 2^{n} > 1" in err
 
 
+def test_build_table_recipe_is_checked_and_rewritten(tmp_path, capsys):
+    short = '{"kind":"table","n":3,"sigma_in":2,"sigma_out":4,"table":[0,1,7]}'
+    assert cli.main(["build", "--recipe-json", short, "--out-dir", str(tmp_path / "short")]) == 1
+    assert capsys.readouterr().err == (
+        "invalid input: table has 3 labels, want 2^1 + ... + 2^3 > 3\n")
+    assert not (tmp_path / "short" / "code.json").exists()
+    # a canonical valid recipe is written back byte for byte
+    recipe = '{"kind":"table","n":2,"sigma_in":2,"sigma_out":4,"table":[0,1,2,3,0,1]}\n'
+    assert cli.main(["build", "--recipe-json", recipe, "--out-dir", str(tmp_path / "ok")]) == 0
+    assert (tmp_path / "ok" / "code.json").read_text() == recipe
+
+
 @pytest.mark.parametrize("argv,rc,err", [
     (["build", "--recipe-json", '{"kind":"trivial","n":60000}', "--out-dir", "{dir}/out"], 1,
      "invalid input: code too deep to tabulate: 2^1 + ... + 2^60000 > 1048576 entries"),

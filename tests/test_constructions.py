@@ -205,6 +205,14 @@ def test_table_code_validates_length():
         table_code(2, 2, 4, [0, 1, 2])
 
 
+@pytest.mark.parametrize("n,size,want", [(2, 14, 6), (3, 10, 14)])
+def test_table_min_distance_refuses_a_table_of_another_depth(n, size, want):
+    # labels past depth n, or too few for depth n, are refused as table_code
+    # refuses them, not ignored or read past
+    with pytest.raises(ValueError, match=f"table has {size} labels, want {want}$"):
+        table_min_distance(n, [0, 1] * (size // 2))
+
+
 def test_k5_family_fails_fast_where_a_sample_cannot_hold_the_code():
     # at length 13 the greedy needs 2^13 words, more than the 4096-word sample
     # _POOL_CAP allows; that is known before anything is drawn

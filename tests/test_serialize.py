@@ -76,11 +76,11 @@ def test_code_recipes():
         code_from_json({"kind": "nope"})
 
 
-def test_bare_table_object_loads_without_kind():
+def test_code_object_without_kind_is_refused():
     obj = tabulate_code(trivial_code(3))
     del obj["kind"]
-    rebuilt = code_from_json(obj)
-    assert rebuilt.encode((1, 0, 1)) == trivial_code(3).encode((1, 0, 1))
+    with pytest.raises(ValueError, match="unknown code kind None"):
+        code_from_json(obj)
 
 
 def test_eks_recipe_rebuilds_deterministically(eks3):
