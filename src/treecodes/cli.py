@@ -70,28 +70,27 @@ def _int(obj: dict, key: str) -> int:
 def cmd_build(args) -> int:
     recipe = json.loads(args.recipe_json) if args.recipe_json else _load_json(args.recipe)
     serialize.expect_type(recipe, dict, "recipe")
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     kind = recipe.get("kind")
+    # every payload is built before --out-dir is made, so a refused recipe
+    # leaves nothing behind
     if kind in ("trivial", "identity", "table"):
         # small enumerable codes materialize as explicit level-order tables
-        _write(out / "code.json", serialize.tabulate_code(serialize.code_from_json(recipe)))
+        files = {"code.json": serialize.tabulate_code(serialize.code_from_json(recipe))}
     elif kind == "eks":
         k = _int(recipe, "k")
         delta = as_fraction(recipe["delta"])
         seed = serialize.expect_int(recipe.get("seed", args.seed), "seed")
         params = eks_params(k, delta, seed=seed)
-        _write(
-            out / "code.json",
-            {
+        files = {
+            "code.json": {
                 "kind": "eks",
                 "k": k,
                 "b": params.b,
                 "delta": serialize.frac_str(delta),
                 "seed": seed,
             },
-        )
-        _write(out / "partition.json", serialize.partition_to_json(eks_partition(k)))
+            "partition.json": serialize.partition_to_json(eks_partition(k)),
+        }
     elif kind == "imm_partition":
         delta = as_fraction(recipe["delta"])
         spec = (
@@ -99,25 +98,26 @@ def cmd_build(args) -> int:
             if recipe["imm"] == "exp"
             else ImmediacySpec.double_exponential(delta)
         )
-        p = build_from_imm(spec, _int(recipe, "ell"))
-        _write(out / "partition.json", serialize.partition_to_json(p))
+        files = {"partition.json": serialize.partition_to_json(
+            build_from_imm(spec, _int(recipe, "ell")))}
     elif kind == "eks_partition":
-        _write(
-            out / "partition.json",
-            serialize.partition_to_json(eks_partition(_int(recipe, "k"))),
-        )
+        files = {"partition.json": serialize.partition_to_json(eks_partition(_int(recipe, "k")))}
     elif kind == "chs_partition":
         p, ledger = chs_partition(
             _int(recipe, "m"), _int(recipe, "l1"), _int(recipe, "shift")
         )
-        _write(out / "partition.json", serialize.partition_to_json(p))
-        _write(out / "ledger.json", serialize.ledger_to_json(ledger))
+        files = {"partition.json": serialize.partition_to_json(p),
+                 "ledger.json": serialize.ledger_to_json(ledger)}
     elif kind == "ghk_partition":
         p = ghk_partition(_int(recipe, "n"), _int(recipe, "m"), as_fraction(recipe["delta"]))
-        _write(out / "partition.json", serialize.partition_to_json(p))
+        files = {"partition.json": serialize.partition_to_json(p)}
     else:
         print(f"unknown recipe kind {kind!r}", file=sys.stderr)
         return EXIT_USAGE
+    out = Path(args.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, payload in files.items():
+        _write(out / name, payload)
     return EXIT_PASS
 
 

@@ -11,8 +11,8 @@ rationals and every failure carries a witness that re-verifies in isolation.
 
 The table is core.all_codewords' prefix columns, built once per code and
 kept while the code lives (so an audit's decoding check and its entropy
-replay share one enumeration).  Neighborhood decoding counts messages by
-the group ids of column sets (grouping.Groups).
+replay share one enumeration).  Neighborhood decoding compares each
+prefix with the first prefix of its rg group (grouping.Groups).
 
 The five pair conditions (distance, immediacy function, dyadic, aligned,
 quarter-split) share one engine, _sweep: per row x, bit-sliced counters over
@@ -31,6 +31,7 @@ uses (i0, i0+2^(t+1)].
 from __future__ import annotations
 
 import math
+import operator
 import weakref
 from bisect import bisect_right
 from collections import defaultdict
@@ -380,11 +381,12 @@ def check_neighborhood_decoding(
     disagree on lf(B) while their codewords agree on rg(B); equivalently the
     map c(x)_rg(B) -> x_lf(B) is well defined, and can be materialized.
 
-    This is a functional-dependence property: a block passes iff its rg
-    columns split the messages into as many groups as its rg columns and lf
-    inputs together do (grouping.Groups; the halves of a laminar block are
-    grouped once and reused).  Only a failing block is rescanned, in
-    message order, so its witness is the earliest message whose
+    This is a functional-dependence property, decided by one gather and
+    compare over the length-(q+1) prefixes, q the block's last position: a
+    block passes iff every prefix has the lf inputs of the first prefix of
+    its rg group (grouping.Groups.first; rg and lf inputs are grouped
+    apart, and the halves of a laminar block once and reused).  The first
+    prefix that does not is the witness: the earliest message whose
     rg-restriction collides with an earlier one's.  The size and laminar
     properties are NOT required here (decoding is meaningful for any
     structurally valid tagged partition); structural defects are rejected as
@@ -410,29 +412,27 @@ def check_neighborhood_decoding(
                 blocks_out.append(entry)
                 continue
             rg = frozenset(v - 1 for v in tb.rg)
-            lf_inputs = frozenset(n + v - 1 for v in tb.lf)
-            q = groups.ids(rg | lf_inputs).q
+            lf = groups.ids(frozenset(n + v - 1 for v in tb.lf))
+            q = max(lf.q, groups.ids(rg).q)
+            lf_ids, ref = groups.at(lf, q), groups.first(rg, q)
+            got = list(map(lf_ids.__getitem__, ref))
             block_witness = None
-            if groups.count(rg) != groups.count(rg | lf_inputs):
+            if got != lf_ids:
                 # the earliest message colliding with an earlier one: the
-                # first message of the first colliding length-(q+1) prefix
-                seen: Dict[int, Tuple[int, int]] = {}
-                lf_ids = groups.at(groups.ids(lf_inputs), q)
-                for t, key in enumerate(groups.at(groups.ids(rg), q)):
-                    prior = seen.setdefault(key, (lf_ids[t], t))
-                    if prior[0] != lf_ids[t]:
-                        per = table.strides[q]
-                        block_witness = dict(level=level, block=bi, lf=list(tb.lf),
-                                             rg=list(tb.rg), x=list(table.message(prior[1] * per)),
-                                             y=list(table.message(t * per)))
-                        break
+                # first message of the first length-(q+1) prefix whose lf
+                # inputs differ from those of the first prefix of its rg group
+                t = list(map(operator.ne, got, lf_ids)).index(True)
+                per = table.strides[q]
+                block_witness = dict(level=level, block=bi, lf=list(tb.lf), rg=list(tb.rg),
+                                     x=list(table.message(ref[t] * per)),
+                                     y=list(table.message(t * per)))
             entry["passed"] = block_witness is None
             if block_witness is not None:
                 entry["witness"] = block_witness
                 if first_witness is None:
                     first_witness = block_witness
             elif materialize_tables:
-                tables_out[f"{level}:{bi}"] = _decoding_table(table, groups, tb, q)
+                tables_out[f"{level}:{bi}"] = _decoding_table(table, tb, ref, q)
             blocks_out.append(entry)
     details = {"blocks": blocks_out}
     if materialize_tables:
@@ -440,12 +440,12 @@ def check_neighborhood_decoding(
     return Verdict(first_witness is None, first_witness, details, budget.used)
 
 
-def _decoding_table(table: PrefixTable, groups: Groups, tb, q: int) -> list:
+def _decoding_table(table: PrefixTable, tb, ref: List[int], q: int) -> list:
     """[rg symbols, lf inputs] for each rg group of a decodable block, sorted,
-    read off one length-(q+1) prefix of the group."""
-    rg_ids = groups.at(groups.ids(frozenset(v - 1 for v in tb.rg)), q)
+    read off the first length-(q+1) prefix of the group (the distinct ids
+    of ref, groups.first of its rg)."""
     rows = []
-    for t in dict(zip(rg_ids, range(len(rg_ids)))).values():
+    for t in dict.fromkeys(ref):
         x, cx = table[t * table.strides[q]]
         rows.append(([cx[v - 1] for v in tb.rg], [x[v - 1] for v in tb.lf]))
     return [list(row) for row in sorted(rows)]

@@ -187,6 +187,18 @@ def test_build_table_recipe_is_checked_and_rewritten(tmp_path, capsys):
     assert (tmp_path / "ok" / "code.json").read_text() == recipe
 
 
+@pytest.mark.parametrize("recipe,err", [
+    ('{"kind":"table","n":3,"sigma_in":2,"sigma_out":4,"table":[0,1,7]}',
+     "invalid input: table has 3 labels, want 2^1 + ... + 2^3 > 3"),
+    ('{"kind":"wat"}', "unknown recipe kind 'wat'"),
+], ids=["short-table", "unknown-kind"])
+def test_refused_build_leaves_no_out_dir(tmp_path, capsys, recipe, err):
+    out = tmp_path / "out"
+    assert cli.main(["build", "--recipe-json", recipe, "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err == err + "\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv,rc,err", [
     (["build", "--recipe-json", '{"kind":"trivial","n":60000}', "--out-dir", "{dir}/out"], 1,
      "invalid input: code too deep to tabulate: 2^1 + ... + 2^60000 > 1048576 entries"),

@@ -1,13 +1,16 @@
 """Differential test of the group-id certifiers against the tuple grouping
 they replaced.
 
-check_neighborhood_decoding and ledger_replay group messages by dense ids
-over the prefix-column table.  The reference functions below are the
-tuple-grouping loops over a row table of (message, codeword) tuples, kept
-verbatim as the oracle, with the row enumeration they ran on: every
-verdict (pass/fail, witness, details including materialized decoding
-tables, evaluation count), every CapExceeded.used and every EntropyLedger
-field must be equal.
+check_neighborhood_decoding and ledger_replay group messages by small-int
+ids over the prefix-column table, first-occurrence ids (the first prefix of
+each group) for every set of several columns; the decoding check gathers
+each prefix's lf inputs from the first prefix of its rg group and
+compares.  The reference functions below are the tuple-grouping loops
+over a row table of (message, codeword) tuples, kept verbatim as the
+oracle, with the row enumeration they ran on: every verdict (pass/fail,
+witness, details including materialized decoding tables, evaluation
+count), every CapExceeded.used and every EntropyLedger field must be equal,
+and Groups.first must give the first members the row table gives.
 """
 
 from __future__ import annotations
@@ -30,12 +33,14 @@ from treecodes.core import (
     Codeword,
     Message,
     TreeCode,
+    all_codewords,
     make_systematic,
     messages,
     trivial_code,
 )
 from treecodes.dyadic import lg_exact
 from treecodes.entropy import DEFAULT_TOL, EntropyLedger, ledger_replay
+from treecodes.grouping import Groups
 from treecodes.partitions import (
     DeficiencyLedger,
     LaminarPartition,
@@ -393,11 +398,37 @@ def codes_with_partitions(draw):
     sigma_in = draw(st.sampled_from([2, 2, 3]))
     if sigma_in == 3:
         n = min(n, 4)
-    sigma_out = draw(st.sampled_from([1, 2, 3, 4, 8]))
+    sigma_out = draw(st.sampled_from([1, 2, 3, 4, 8, 1 << 40]))
+    # over 2^40 symbols, a few values spread across the alphabet: pair keys
+    # then pass the number of prefixes by far before they are renumbered
+    symbols = (st.sampled_from([0, 1, 0x5A5A5A5A5A, 1 << 39, (1 << 40) - 1])
+               if sigma_out == 1 << 40 else st.integers(0, sigma_out - 1))
     size = sum(sigma_in**j for j in range(1, n + 1))
-    labels = draw(st.lists(st.integers(0, sigma_out - 1), min_size=size, max_size=size))
+    labels = draw(st.lists(symbols, min_size=size, max_size=size))
     p, ledger = draw(tagged_partitions(n))
     return table_code(n, sigma_in, sigma_out, labels), p, ledger
+
+
+def ref_first(code: TreeCode, cols, q: int) -> List[int]:
+    """For each length-(q+1) prefix, the first such prefix with the same
+    codeword symbols (column c < n) and inputs (column n + p) on cols."""
+    n = code.n
+    stride = code.input_alphabet.size ** (n - 1 - q)
+    firsts: dict = {}
+    return [firsts.setdefault(tuple(m[c - n] if c >= n else cw[c] for c in sorted(cols)), t)
+            for t, (m, cw) in enumerate(ref_all_codewords(code)[::stride])]
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(case=codes_with_partitions(), data=st.data())
+def test_first_members_match_the_row_table(case, data):
+    code = case[0]
+    n = code.n
+    groups = Groups(all_codewords(code))
+    for _ in range(3):  # later sets are paired with the ones grouped before
+        cols = frozenset(data.draw(st.sets(st.integers(0, 2 * n - 1), min_size=1, max_size=4)))
+        q = data.draw(st.integers(max(c % n for c in cols), n - 1))
+        assert groups.first(cols, q) == ref_first(code, cols, q)
 
 
 def _tabulated(code: TreeCode) -> TreeCode:
@@ -464,6 +495,40 @@ def test_grouping_matches_tuple_grouping_on_non_interval_partition():
         assert_same_decoding(code, p)
         assert_same_decoding(code, p, DeficiencyLedger.for_partition(p, {2: [1]}))
         assert_same_replay(code, p)
+
+
+def test_block_whose_lf_reaches_past_its_rg_fails_at_the_reference_witness():
+    # lf (3,) lies right of rg (1,): rg is grouped at q=0, the block at q=2,
+    # so each rg prefix stands for r = 9 prefixes of length 3.  Position 1 is
+    # emitted before x_3 is read, so the block fails for every code, at the
+    # first message whose x_3 differs from message 0's
+    p = LaminarPartition(4, Fraction(1, 2), ((1,), (2,), (3,), (4,)), (
+        (TaggedBlock((3,), (1,)), TaggedBlock((4,), (2,))), (TaggedBlock((1, 3), (2, 4)),)))
+    for labels in (list(range(120)), [7] * 3 + [1, 2, 3] * 3 + [0] * 27 + [4] * 81):
+        verdict = assert_same_decoding(table_code(4, 3, 128, labels), p)
+        assert verdict.witness == dict(level=1, block=0, lf=[3], rg=[1], x=[0, 0, 0, 0],
+                                       y=[0, 0, 1, 0])
+
+
+def test_neighborhood_check_groups_rg_and_lf_inputs_apart(monkeypatch):
+    """On the n=16 dyadic check, rg columns and lf inputs are grouped apart:
+    22 multi-column sets, 3 of them with one id per message, and no set
+    mixes codeword and input columns."""
+    made: Dict[frozenset, int] = {}
+
+    class Recording(verify.Groups):
+        def ids(self, cols):
+            got = super().ids(cols)
+            if len(cols) > 1:
+                made[cols] = len(got.ids)
+            return got
+
+    monkeypatch.setattr(verify, "Groups", Recording)
+    code = _tabulated(eks_code(eks_params(4, Fraction(1, 2), seed=0)))
+    assert verify.check_neighborhood_decoding(code, eks_partition(4)).passed
+    assert len(made) == 22
+    assert sum(size == 1 << 16 for size in made.values()) == 3
+    assert all(max(cols) < 16 or min(cols) >= 16 for cols in made)
 
 
 def test_grouping_matches_tuple_grouping_on_the_layered_code_n16():
