@@ -122,8 +122,8 @@ def _random_functional_joint(stream: DetStream) -> entropy.FiniteJoint:
         nb = stream.randbelow(4) + 2
         nc = stream.randbelow(4) + 2
         k = stream.randbelow(3) + 1
-        f = [stream.randbelow(k) for _ in range(nb)]
-        g = [stream.randbelow(k) for _ in range(nc)]
+        f = stream.randbelow_many(k, nb)
+        g = stream.randbelow_many(k, nc)
         support = [
             (f[b], b, c) for b in range(nb) for c in range(nc) if f[b] == g[c]
         ]

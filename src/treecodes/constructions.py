@@ -125,7 +125,7 @@ def _search_block_code(ell: int, b: int, delta: Fraction, stream: DetStream) -> 
             pool = _Pool(rs.shuffled(range(1 << space_bits)), ell, b)
             chosen = _greedy_farthest_point(pool, want, need)
         else:
-            pool = _Pool([rs.randbelow(1 << space_bits) for _ in range(size)], ell, b)
+            pool = _Pool(rs.randbelow_many(1 << space_bits, size), ell, b)
             chosen = _greedy_threshold(pool, want, need)
         if chosen is not None:
             words = [pool.words[j] for j in chosen]
@@ -314,9 +314,7 @@ def _draw_levels(
     allows it.
     """
     for d in range(1, n + 1):
-        level: List[int] = []
-        for _ in range(2 ** (d - 1)):
-            level.extend(stream.distinct_pair(sigma_out) if sigma_out >= 2 else (0, 0))
+        level = stream.distinct_pairs(sigma_out, 1 << (d - 1)) if sigma_out >= 2 else [0] * (1 << d)
         table.extend(level)
         yield level
 

@@ -5,6 +5,8 @@ The reference functions below are that search, kept verbatim as the oracle
 (its loop returns (distance, trial, table) instead of a SearchResult): for
 the same seed both must pick the same trial with the same table and exact
 distance, and both must give every fixed table the same minimum distance.
+The reference draws its labels one at a time through the scalar stream of
+test_rng.py, so it does not share the bulk decoder it checks.
 """
 
 from __future__ import annotations
@@ -20,11 +22,12 @@ import treecodes.constructions as constructions
 from treecodes.constructions import random_code_search, table_min_distance
 from treecodes.dyadic import as_fraction
 from treecodes.rng import DetStream
+from test_rng import ScalarDetStream
 
 # ---------------- reference: eager sampling, deepest depth first ----------------
 
 
-def ref_sample_table(n: int, sigma_out: int, stream: DetStream) -> List[int]:
+def ref_sample_table(n: int, sigma_out: int, stream: ScalarDetStream) -> List[int]:
     table: List[int] = []
     for j in range(1, n + 1):
         for _ in range(2 ** (j - 1)):
@@ -82,7 +85,7 @@ def ref_search(n, sigma_out_size, target_delta=None, trials=1000, seed=0):
     target = None if target_delta is None else as_fraction(target_delta)
     best: Tuple[Fraction, int, List[int]] | None = None
     for t in range(trials):
-        table = ref_sample_table(n, sigma_out_size, DetStream(seed, "trial", t))
+        table = ref_sample_table(n, sigma_out_size, ScalarDetStream(seed, "trial", t))
         floor = Fraction(0) if best is None else best[0]
         dist = ref_min_distance_of_table(n, table, abort_below=floor)
         if best is None or dist > best[0]:
@@ -163,19 +166,26 @@ def test_table_min_distance_matches_deepest_first_scan(case):
 
 
 class CountingDetStream(DetStream):
-    draws = 0
+    labels = 0
 
-    def randbelow(self, n: int) -> int:
-        CountingDetStream.draws += 1
-        return super().randbelow(n)
+    def distinct_pairs(self, n: int, count: int) -> List[int]:
+        CountingDetStream.labels += 2 * count
+        return super().distinct_pairs(n, count)
+
+
+class CountingScalarDetStream(ScalarDetStream):
+    labels = 0
+
+    def distinct_pair(self, n: int) -> Tuple[int, int]:
+        CountingScalarDetStream.labels += 2
+        return super().distinct_pair(n)
 
 
 def test_search_draws_labels_only_up_to_the_stopping_depth(monkeypatch):
-    monkeypatch.setitem(globals(), "DetStream", CountingDetStream)
+    monkeypatch.setitem(globals(), "ScalarDetStream", CountingScalarDetStream)
     monkeypatch.setattr(constructions, "DetStream", CountingDetStream)
-    CountingDetStream.draws = 0
+    CountingScalarDetStream.labels = CountingDetStream.labels = 0
     eager = ref_search(6, 4, trials=600, seed=2)
-    assert CountingDetStream.draws == 600 * 63 * 2  # every sibling pair, two draws each
-    CountingDetStream.draws = 0
+    assert CountingScalarDetStream.labels == 600 * 63 * 2  # both labels of every sibling pair
     assert _search(6, 4, trials=600, seed=2) == eager
-    assert CountingDetStream.draws == 23168
+    assert CountingDetStream.labels == 23168
