@@ -93,13 +93,11 @@ class Groups:
         """The ids of a grouped set at the finer granularity q."""
         return _widen(grouped.ids, self.table.strides[grouped.q] // self.table.strides[q])
 
-    def first(self, cols: FrozenSet[int], q: int) -> List[int]:
-        """For each prefix t of length q+1 (q at least the set's granularity),
-        the least prefix of that length that agrees with t on cols."""
+    def first(self, cols: FrozenSet[int]) -> List[int]:
+        """For each prefix t at the set's granularity, the least prefix of
+        that length that agrees with t on cols."""
         got = self.ids(cols)
-        ids = got.ids if len(cols) > 1 else _first_occurrences(got.ids, len(got.ids))
-        r = self.table.strides[got.q] // self.table.strides[q]  # extensions per prefix
-        return ids if r == 1 else _widen(list(map(operator.mul, ids, repeat(r))), r)
+        return got.ids if len(cols) > 1 else _first_occurrences(got.ids, len(got.ids))
 
     def weights(self, cols: FrozenSet[int]) -> Dict[int, int]:
         """{group size in messages: number of such groups} of a column set."""

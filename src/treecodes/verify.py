@@ -15,12 +15,20 @@ replay share one enumeration).  Neighborhood decoding compares each
 prefix with the first prefix of its rg group (grouping.Groups).
 
 The five pair conditions (distance, immediacy function, dyadic, aligned,
-quarter-split) share one engine, _sweep: per row x, bit-sliced counters over
-bitsets of message indices answer every window for all y > x at once, and a
-passing row is charged arithmetically what a pair-by-pair sweep spends.  A
-row with a violation, or whose cost would pass the cap, charges the pairs
-before its first such pair and hands that pair to the scalar evaluator
-_pair, so witnesses, evaluations and CapExceeded.used stay pair-by-pair.
+quarter-split) share one engine, _sweep.  It takes the rows x in blocks of
+R consecutive rows, R a power of sigma_in that grows 1, 1, sigma, ... with
+the block's first row, capped where R * M reaches 2^16 bits (_BLOCK_BITS;
+past M = 2^16 a block is one row).  A block starting at message i0 holds
+each bitset in R*w bits, w = M - i0 - 1: bit r*w + k is the pair of its
+row r with message i0 + 1 + k, so bit order is pair-by-pair (row-major)
+order.  Bit-sliced counters over these bitsets answer every window for all
+pairs of the block at once, and a passing block is charged arithmetically
+what a pair-by-pair sweep spends on it.  In a block with a violation, or
+whose cost would pass the cap, the stopping pair is the lowest violating
+bit, or the pair whose charges pass the cap (bisected over the block's
+bits on the same count), whichever comes first: the pairs before it are
+charged and it goes to the scalar evaluator _pair, so witnesses,
+evaluations and CapExceeded.used stay pair-by-pair.
 
 Each condition keeps its own window convention: the generic immediacy window
 is half-open [s, s+w); the dyadic-layered condition uses (s, s+2^l]; the
@@ -52,6 +60,8 @@ from .partitions import (
 )
 
 DEFAULT_EVAL_CAP = 1 << 24
+# a pair sweep's block of rows has at most this many bits per bitset
+_BLOCK_BITS = 1 << 16
 
 
 def _decimal(x: int) -> str:
@@ -120,15 +130,23 @@ def _table(code: TreeCode, budget: _Budget, reads: int = 0) -> PrefixTable:
     return table
 
 
+# each partition's structural errors while the partition lives, by identity
+# as _TABLES: an audit's three checks on one partition validate it once
+_STRUCTURE: Dict[int, Tuple[str, ...]] = {}
+
+
 def checked_ledger(code: TreeCode, p: LaminarPartition,
                    ledger: Optional[DeficiencyLedger]) -> DeficiencyLedger:
     """The prologue of every check on (code, partition, ledger): p must be
     structurally valid and as long as the code, and the ledger is re-derived
     against p (it may belong to another partition or carry a forged budget),
     so exemptions and deficiency come only from the returned ledger."""
-    report = validate_laminar(p)
-    if not report.structural_ok:
-        raise ValueError(f"malformed partition: {report.structural_errors[:3]}")
+    errors = _STRUCTURE.get(id(p))
+    if errors is None:
+        errors = _STRUCTURE[id(p)] = validate_laminar(p).structural_errors
+        weakref.finalize(p, _STRUCTURE.pop, id(p), None)
+    if errors:
+        raise ValueError(f"malformed partition: {errors[:3]}")
     if code.n != p.n:
         raise ValueError(f"code length {code.n} != partition n = {p.n}")
     return DeficiencyLedger.for_partition(p, dict(ledger.sets) if ledger else {})
@@ -140,7 +158,8 @@ class _MessageBits:
     same_input[q][a]: the messages with input symbol a at position q, a
     periodic pattern.  Codeword-symbol sets are built from the prefix columns
     on first use, one run of table.strides[p] bits per matching prefix, so
-    memory grows with the rows a sweep reaches.
+    memory grows with the rows a sweep reaches.  block() lays either kind
+    out for a block of rows of _sweep.
     """
 
     def __init__(self, code: TreeCode, budget: _Budget) -> None:
@@ -173,6 +192,53 @@ class _MessageBits:
             bits = self._symbols[(p, sym)] = (starts << run) - starts
         return bits
 
+    def block(self, p: int, inputs: bool, i0: int, rows: int, stride: int) -> int:
+        """For the block of rows i0, i0 + stride, ... (rows of them, i0 a
+        multiple of rows * stride): bit r*w + k, w = size - i0 - 1, is set
+        when message i0 + 1 + k has row r's input symbol (inputs) or
+        codeword symbol at position p.  Rows sharing their prefix of length
+        p+1 form a run and share one term, repeated across the run by
+        doubling shifts.  The runs' input symbols repeat every sigma runs,
+        so one period of them is built and repeated."""
+        run = self.table.strides[p]  # messages per prefix of length p+1
+        per = min(rows, max(1, run // stride))  # rows per run
+        lo, step = i0 // run, max(1, stride // run)  # prefixes from one run to the next
+        runs = rows // per
+        if inputs:  # one period of them
+            runs = min(runs, self.sigma)
+            terms = [self.same_input[p][t % self.sigma] for t in range(lo, lo + runs * step, step)]
+        else:
+            syms = self.table.columns[p][lo:lo + runs * step:step]
+            terms = [self.same_symbol(p, s) for s in syms]
+        sh, w = i0 + 1, self.size - i0 - 1
+        if runs == 1:
+            return _repeat(terms[0] >> sh, w, rows)
+        period = _join([_repeat(t >> sh, w, per) for t in terms], per * w)
+        return _repeat(period, runs * per * w, rows // (runs * per))
+
+
+def _repeat(t: int, w: int, count: int) -> int:
+    """count copies of the w-bit bitset t, copy r at bit r*w, made by
+    doubling shifts (double and add, from the top bit of count)."""
+    out, have = t, 1
+    for bit in bin(count)[3:]:
+        out |= out << (have * w)
+        have *= 2
+        if bit == "1":
+            out |= t << (have * w)
+            have += 1
+    return out
+
+
+def _join(parts: List[int], w: int) -> int:
+    """The w-bit bitsets parts, part u at bit u*w, merged pairwise."""
+    while len(parts) > 1:
+        if len(parts) & 1:
+            parts.append(0)
+        parts = [lo | hi << w for lo, hi in zip(parts[::2], parts[1::2])]
+        w *= 2
+    return parts[0]
+
 
 def _pair(budget, cands, pair_cost, fmt, x, cx, y, cy) -> Optional[dict]:
     """The scalar evaluator: one pair, in the order and with the charges of a
@@ -197,8 +263,20 @@ def _sweep(bits: _MessageBits, budget: _Budget, cands: Sequence[tuple], fmt: Cal
     codeword positions [lo, hi) differ; it costs `cost` per candidate pair
     (on top of pair_cost per pair), and fmt(x, y, tag, count) is its witness.
     Returns the first witness in pair-by-pair order, and with want_min the
-    least count/length over all candidate windows (exact when it passes)."""
-    table, size = bits.table, bits.size
+    least count/length over all candidate windows (exact when it passes).
+
+    Rows go in blocks (see the module doc): a block of R rows starts at a
+    row index divisible by R, R the largest such power of sigma_in up to
+    the cap (1 at row 0).  Each per-row input, "agrees with row r on input
+    q" and "has row r's codeword symbol at p", is one block bitset, built
+    from the runs of rows that share the prefix up to q or p
+    (_MessageBits.block).  The block's charge is pair_cost * |base| plus
+    each candidate's found pairs times its windows' costs; a block with a
+    violation, or whose charge would pass the cap, is charged up to its
+    stopping pair (the lowest violating bit, or the first bit at which
+    cost_below passes the cap), which _pair then evaluates.
+    """
+    table, size, sigma = bits.table, bits.size, bits.sigma
     keys: Dict[Tuple[int, int, int], int] = {}
     links = [[keys.setdefault(w[:3], len(keys)) for w in ws] for _, _, ws in cands]
     weights = [sum(w[3] for w in ws) for _, _, ws in cands]
@@ -207,59 +285,81 @@ def _sweep(bits: _MessageBits, budget: _Budget, cands: Sequence[tuple], fmt: Cal
     groups: Dict[Tuple[int, int], list] = defaultdict(list)
     for (lo, hi, t), ki in sorted(keys.items(), key=lambda kv: kv[0][1] - kv[0][0]):
         groups[(lo, 1) if by_lo else (hi - 1, -1)].append((hi - lo, t, ki))
-    rows = bits.all // ((1 << stride) - 1)
+    lattice = bits.all // ((1 << stride) - 1)
+    most = 1  # rows per block at most
+    while most * sigma * size <= _BLOCK_BITS:
+        most *= sigma
     best = Fraction(1)
 
-    for i in range(0, size, stride):
-        x, cx = table[i]
-        sh = i + 1  # bit k of a row bitset stands for message i + 1 + k
-        base = rows >> sh
+    first = 0  # the block's first row, in rows
+    while first * stride < size:
+        rows = 1
+        while first and rows < most and first % (rows * sigma) == 0:
+            rows *= sigma
+        i0 = first * stride
+        first += rows
+        w = size - i0 - 1  # bit r*w + k: row r against message i0 + 1 + k
+        nbits = rows * w
+        full = (1 << nbits) - 1
+        # row r pairs only with the lattice messages after it, k >= r*stride
+        before = _repeat(1, stride + w, rows) - _repeat(1, w, rows)
+        base = _repeat(lattice >> (i0 + 1), w, rows) & ~before
+        built: Dict[Tuple[int, bool], int] = {}
+
+        def same(p: int, inputs: bool) -> int:  # bits.block for this block, built once
+            got = built.get((p, inputs))
+            if got is None:
+                got = built[(p, inputs)] = bits.block(p, inputs, i0, rows, stride)
+            return got
+
         found, per_key = [], [0] * len(keys)
         prev, agree, q = -1, 0, 0
         for (a, sp, _), ks in zip(cands, links):
             if a != prev or sp < q:
                 prev, agree, q = a, base, a
             while q < sp:
-                agree &= bits.same_input[q][x[q]] >> sh
+                agree &= same(q, True)
                 q += 1
-            found.append(agree & ~(bits.same_input[sp][x[sp]] >> sh))
+            found.append(agree & ~same(sp, True))
             for ki in ks:
                 per_key[ki] |= found[-1]
 
         def cost_below(k: int) -> int:
             low = (1 << k) - 1
-            charged = sum((f & low).bit_count() * w for f, w in zip(found, weights))
+            charged = sum((f & low).bit_count() * wt for f, wt in zip(found, weights))
             return pair_cost * (base & low).bit_count() + charged
 
         viol = 0
-        mask = (1 << (size - sh)) - 1
         for (start, step), checks in groups.items():
             slices: List[int] = []
             added = 0
-            for w, t, ki in checks:
+            for length, t, ki in checks:
                 cand = per_key[ki]
                 if not cand:
                     continue
-                for p in range(start + step * added, start + step * w, step):
-                    add(slices, (bits.same_symbol(p, cx[p]) >> sh) ^ mask)
-                added = w
+                for p in range(start + step * added, start + step * length, step):
+                    add(slices, same(p, False) ^ full)
+                added = length
                 if t > 0:
                     viol |= below(slices, t, cand)
                 if want_min:
-                    best = min(best, Fraction(minimum(slices, cand), w))
+                    best = min(best, Fraction(minimum(slices, cand), length))
 
-        cost, room = cost_below(size - sh), budget.cap - budget.used
+        cost, room = cost_below(nbits), budget.cap - budget.used
         if not viol and cost <= room:
             budget.spend(cost)
             continue
-        stop = (viol & -viol).bit_length() - 1 if viol else size
+        stop = (viol & -viol).bit_length() - 1 if viol else nbits
         if cost > room:  # the first pair whose charges pass the cap
-            stop = min(stop, bisect_right(range(1, size - sh + 1), room, key=cost_below))
+            stop = min(stop, bisect_right(range(1, nbits + 1), room, key=cost_below))
         budget.spend(cost_below(stop))
-        y, cy = table[i + 1 + stop]
+        r, k = divmod(stop, w)
+        x, cx = table[i0 + r * stride]
+        y, cy = table[i0 + 1 + k]
         witness = _pair(budget, cands, pair_cost, fmt, x, cx, y, cy)
         if witness is None:
-            raise RuntimeError(f"sweep flagged pair ({i}, {i + 1 + stop}) but it passes")
+            raise RuntimeError(f"sweep flagged pair ({i0 + r * stride}, {i0 + 1 + k}) "
+                               "but it passes")
         return witness, best
     return None, best
 
@@ -381,17 +481,20 @@ def check_neighborhood_decoding(
     disagree on lf(B) while their codewords agree on rg(B); equivalently the
     map c(x)_rg(B) -> x_lf(B) is well defined, and can be materialized.
 
-    This is a functional-dependence property, decided by one gather and
-    compare over the length-(q+1) prefixes, q the block's last position: a
-    block passes iff every prefix has the lf inputs of the first prefix of
-    its rg group (grouping.Groups.first; rg and lf inputs are grouped
-    apart, and the halves of a laminar block once and reused).  The first
-    prefix that does not is the witness: the earliest message whose
-    rg-restriction collides with an earlier one's.  The size and laminar
-    properties are NOT required here (decoding is meaningful for any
-    structurally valid tagged partition); structural defects are rejected as
-    errors.  The M*(|lf|+|rg|) reads of every non-exempt block are charged
-    with the table, before any message is enumerated.
+    This is a functional-dependence property.  A block whose lf ends after
+    its rg fails for every code with sigma_in >= 2: rg is emitted before
+    lf's last input q' is read, so messages 0 and strides[q'] collide, and
+    they are its witness.  Any other block is decided by one gather and
+    compare over the length-(q+1) prefixes, q rg's last position: it passes
+    iff every prefix has the lf inputs of the first prefix of its rg group
+    (grouping.Groups.first; rg and lf inputs are grouped apart, and the
+    halves of a laminar block once and reused).  The first prefix that does
+    not is the witness: the earliest message whose rg-restriction collides
+    with an earlier one's.  The size and laminar properties are NOT required
+    here (decoding is meaningful for any structurally valid tagged
+    partition); structural defects are rejected as errors.  The
+    M*(|lf|+|rg|) reads of every non-exempt block are charged with the
+    table, before any message is enumerated.
     """
     ledger = checked_ledger(code, p, ledger)
     reads = sum(len(tb.lf) + len(tb.rg) for level in range(1, p.ell + 1)
@@ -411,21 +514,25 @@ def check_neighborhood_decoding(
                 entry["passed"] = None
                 blocks_out.append(entry)
                 continue
-            rg = frozenset(v - 1 for v in tb.rg)
-            lf = groups.ids(frozenset(n + v - 1 for v in tb.lf))
-            q = max(lf.q, groups.ids(rg).q)
-            lf_ids, ref = groups.at(lf, q), groups.first(rg, q)
-            got = list(map(lf_ids.__getitem__, ref))
-            block_witness = None
-            if got != lf_ids:
-                # the earliest message colliding with an earlier one: the
-                # first message of the first length-(q+1) prefix whose lf
-                # inputs differ from those of the first prefix of its rg group
-                t = list(map(operator.ne, got, lf_ids)).index(True)
-                per = table.strides[q]
-                block_witness = dict(level=level, block=bi, lf=list(tb.lf), rg=list(tb.rg),
-                                     x=list(table.message(ref[t] * per)),
-                                     y=list(table.message(t * per)))
+            lf_q, q = max(tb.lf) - 1, max(tb.rg) - 1
+            pair = None  # (an earlier message, the earliest message colliding with it)
+            if lf_q > q and table.sigma > 1:
+                # rg is emitted before lf's last input is read: the first two
+                # length-(lf_q+1) prefixes agree on rg and differ on lf
+                pair = (0, table.strides[lf_q])
+            else:  # lf ends with or before rg (or sigma_in = 1): compare at rg's granularity
+                lf_ids = groups.at(groups.ids(frozenset(n + v - 1 for v in tb.lf)), q)
+                ref = groups.first(frozenset(v - 1 for v in tb.rg))
+                got = list(map(lf_ids.__getitem__, ref))
+                if got != lf_ids:
+                    # the first message of the first length-(q+1) prefix whose
+                    # lf inputs differ from those of the first prefix of its
+                    # rg group
+                    t = list(map(operator.ne, got, lf_ids)).index(True)
+                    pair = (ref[t] * table.strides[q], t * table.strides[q])
+            block_witness = None if pair is None else dict(
+                level=level, block=bi, lf=list(tb.lf), rg=list(tb.rg),
+                x=list(table.message(pair[0])), y=list(table.message(pair[1])))
             entry["passed"] = block_witness is None
             if block_witness is not None:
                 entry["witness"] = block_witness

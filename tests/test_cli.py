@@ -338,6 +338,25 @@ def test_audit_enumerates_the_code_once(tmp_path, capsys, monkeypatch):
     assert calls == [8]
 
 
+def test_audit_validates_its_partition_once(tmp_path, capsys, monkeypatch):
+    # audit_code, its decoding check and the entropy replay share one
+    # structural check per loaded partition, which goes with the partition
+    from treecodes import verify
+
+    calls = []
+    original = verify.validate_laminar
+    monkeypatch.setattr(verify, "validate_laminar", lambda p: calls.append(p.n) or original(p))
+    run(capsys, "build", "--recipe-json", '{"kind":"eks","k":3,"delta":"1/2","seed":0}',
+        "--out-dir", str(tmp_path))
+    args = ("audit", "--code", str(tmp_path / "code.json"),
+            "--partition", str(tmp_path / "partition.json"))
+    held = len(verify._STRUCTURE)
+    first = run(capsys, *args)
+    assert first[0] == 0 and calls == [8]
+    assert run(capsys, *args) == first and calls == [8, 8]
+    assert len(verify._STRUCTURE) == held
+
+
 def test_verify_remaining_properties(tmp_path, capsys):
     run(capsys, "build", "--recipe-json", '{"kind":"trivial","n":8}', "--out-dir", str(tmp_path))
     code = str(tmp_path / "code.json")

@@ -427,8 +427,7 @@ def test_first_members_match_the_row_table(case, data):
     groups = Groups(all_codewords(code))
     for _ in range(3):  # later sets are paired with the ones grouped before
         cols = frozenset(data.draw(st.sets(st.integers(0, 2 * n - 1), min_size=1, max_size=4)))
-        q = data.draw(st.integers(max(c % n for c in cols), n - 1))
-        assert groups.first(cols, q) == ref_first(code, cols, q)
+        assert groups.first(cols) == ref_first(code, cols, max(c % n for c in cols))
 
 
 def _tabulated(code: TreeCode) -> TreeCode:
@@ -508,6 +507,28 @@ def test_block_whose_lf_reaches_past_its_rg_fails_at_the_reference_witness():
         verdict = assert_same_decoding(table_code(4, 3, 128, labels), p)
         assert verdict.witness == dict(level=1, block=0, lf=[3], rg=[1], x=[0, 0, 0, 0],
                                        y=[0, 0, 1, 0])
+
+
+@pytest.mark.parametrize("sigma", [2, 3])
+def test_blocks_whose_lf_ends_after_their_rg_are_decided_directly(sigma):
+    # each block but the last ends its lf after its rg, at lf's last
+    # position v: whatever the labels, it fails at message 0 and message
+    # sigma^(n-v), the first messages of the first two length-v prefixes
+    p = LaminarPartition(4, Fraction(1, 2), ((1,), (2,), (3,), (4,)), (
+        (TaggedBlock((2,), (1,)), TaggedBlock((4,), (3,))),
+        (TaggedBlock((3, 4), (1, 2)),),
+        (TaggedBlock((1, 2), (3, 4)),),
+    ))
+    size = sum(sigma**j for j in range(1, 5))
+    for labels in (list(range(size)), [(5 * t + 1) % 3 for t in range(size)], [0] * size):
+        code = table_code(4, sigma, size, labels)
+        for ledger in (None, DeficiencyLedger.for_partition(p, {1: [0]})):
+            verdict = assert_same_decoding(code, p, ledger)
+            blocks = [tb for level in p.tagged for tb in level]
+            for entry, tb in zip(verdict.details["blocks"], blocks):
+                if max(tb.lf) > max(tb.rg) and not entry["exempt"]:
+                    y = [int(q == max(tb.lf) - 1) for q in range(4)]
+                    assert (entry["witness"]["x"], entry["witness"]["y"]) == ([0] * 4, y)
 
 
 def test_neighborhood_check_groups_rg_and_lf_inputs_apart(monkeypatch):

@@ -21,7 +21,8 @@ from treecodes import serialize, verify
 from treecodes.constructions import table_code
 from treecodes.core import Alphabet, TreeCode, all_codewords
 from treecodes.dyadic import as_fraction, floor_lg, frac_str as _frac
-from treecodes.partitions import chs_scales, chs_tagged_structure, eks_partition
+from treecodes.bitslice import add
+from treecodes.partitions import TaggedBlock, chs_scales, chs_tagged_structure, eks_partition
 from treecodes.synthetic import mask_block_code, scrambled_prefix_code
 from treecodes.verify import CapExceeded, Verdict, _Budget
 
@@ -469,3 +470,135 @@ def test_engine_matches_scalar_sweep_on_multi_block_levels():
 
     code = TreeCode(16, Alphabet(2), Alphabet(2), char, name="parity")
     assert '"passed":false' in assert_same("chs", code, None, (2, 2, 0))
+
+
+# ---------------- blocks of rows ----------------
+#
+# _sweep takes rows in blocks of R rows (R = 1, 1, sigma, sigma^2, ... up to
+# the largest power of sigma with R * M <= _BLOCK_BITS): at n = 9 a full
+# block is 128 rows, at n = 10 64 rows, and at sigma_in = 3, n = 6 81 rows.
+
+
+def collision_code(n: int, sigma: int, i: int, j: int) -> TreeCode:
+    """Every two prefixes of one depth get different symbols, except that
+    messages i and j share their last one: a window reading only position n
+    fails on the pair (i, j) alone."""
+    labels = [(5 * t + 3) % sigma**d for d in range(1, n + 1) for t in range(sigma**d)]
+    leaves = len(labels) - sigma**n
+    labels[leaves + j] = labels[leaves + i]
+    return table_code(n, sigma, sigma**n, labels)
+
+
+def _masked(n, lf, rg):
+    return mask_block_code(scrambled_prefix_code(n, 7), TaggedBlock(lf, rg))
+
+
+@pytest.mark.parametrize(
+    "code,prop,delta,arg,caps",
+    [
+        (scrambled_prefix_code(9, 2), "distance", Fraction(1, 2), None, [1_300_000]),
+        # fails at depth 4, then the depth-9 sweep passes through every block
+        (_masked(9, (2,), (3, 4)), "distance", Fraction(1, 2), None, []),
+        (_masked(9, (5,), (6, 7)), "imm", Fraction(3, 4), "exp", []),
+        # fails in the depth-9 sweep, 512 rows at stride 2 in blocks of 64
+        (_masked(10, (8,), (9,)), "distance", Fraction(3, 4), None, []),
+        (_masked(10, (3, 4), (5, 6, 7, 8)), "imm", Fraction(1, 2), "exp", []),
+    ],
+    ids=["scrambled9-distance", "masked9-distance", "masked9-imm", "masked10-distance",
+         "masked10-imm"],
+)
+def test_engine_matches_scalar_sweep_across_full_blocks(code, prop, delta, arg, caps):
+    assert_same(prop, code, delta, arg, caps=caps)
+
+
+def test_cap_runs_out_inside_a_full_block_at_n10():
+    # in the depth-10 sweep, in its first block of 64 rows (rows 64-127)
+    engine, reference = _pairs("distance", scrambled_prefix_code(10, 4), Fraction(1, 2), None)
+    assert _outcome(engine, 2_000_000) == _outcome(reference, 2_000_000)
+
+
+def _message(i: int, n: int, sigma: int) -> List[int]:
+    return [i // sigma ** (n - 1 - q) % sigma for q in range(n)]
+
+
+# (n, sigma, i, j, properties, _BLOCK_BITS): the first violating pair (i, j)
+# in the last row of a block, or in the first row of the next
+EDGES = [
+    (8, 2, 63, 64, ["eks"], None),  # last row of block [32, 64)
+    (8, 2, 64, 66, ["eks", "distance"], None),  # first row of block [64, 128)
+    (8, 2, 127, 128, ["eks"], 1 << 12),  # last row of a full block of 16 rows
+    (8, 2, 128, 130, ["eks", "distance"], 1 << 12),  # first row of the next
+    (9, 2, 256, 258, ["distance"], None),  # first row of the second block of 128
+    (6, 3, 162, 163, ["distance"], None),  # first row of the third block of 81
+    (4, 3, 26, 27, ["eks", "imm"], 1 << 11),  # last row of the block [18, 27) of 9
+    (4, 3, 27, 30, ["eks", "distance"], 1 << 11),  # first row of the next
+]
+EDGE_ARGS = {"eks": (Fraction(1, 2), None), "imm": (Fraction(1, 2), "unit"),
+             "distance": (Fraction(3, 4), None)}
+
+
+@pytest.mark.parametrize("n,sigma,i,j,props,block_bits", EDGES)
+def test_first_violation_at_a_block_edge(monkeypatch, n, sigma, i, j, props, block_bits):
+    if block_bits is not None:
+        monkeypatch.setattr(verify, "_BLOCK_BITS", block_bits)
+    code = collision_code(n, sigma, i, j)
+    for prop in props:
+        delta, arg = EDGE_ARGS[prop]
+        full = assert_same(prop, code, delta, floor_lg(n) if prop == "eks" else arg)
+        witness = json.loads(full)["witness"]
+        assert (witness["x"], witness["y"]) == (_message(i, n, sigma), _message(j, n, sigma))
+
+
+class _Boundaries(verify._Budget):
+    """A budget that records what has been spent after each charge."""
+
+    seen: List[int] = []
+
+    def spend(self, k: int) -> None:
+        super().spend(k)
+        self.seen.append(self.used)
+
+
+@pytest.mark.parametrize(
+    "code,prop,delta,arg,block_bits",
+    [
+        (scrambled_prefix_code(7, 1), "imm", Fraction(1, 2), "exp", None),
+        (scrambled_prefix_code(6, 1), "distance", Fraction(1, 2), None, 1 << 9),
+        (scrambled_prefix_code(6, 1), "imm", Fraction(1, 2), "exp", 1 << 9),
+        (scrambled_prefix_code(4, 1), "chs", None, (1, 2, 0), 1 << 6),
+        (table_code(4, 3, 5, [(7 * i * i + 3 * i + 1) % 5 for i in range(120)]),
+         "distance", Fraction(0), None, None),
+        (collision_code(4, 3, 40, 41), "eks", Fraction(1, 2), 2, 1 << 11),
+    ],
+    ids=["imm7", "distance6-blocks-of-8", "imm6-blocks-of-8", "chs4-blocks-of-4",
+         "ternary4-distance", "ternary4-eks-blocks-of-9"],
+)
+def test_caps_at_every_block_boundary(monkeypatch, code, prop, delta, arg, block_bits):
+    """Each charge a passing block makes ends at a block boundary: the caps
+    one below, at and one above every boundary give the reference's
+    outcome."""
+    if block_bits is not None:
+        monkeypatch.setattr(verify, "_BLOCK_BITS", block_bits)
+    monkeypatch.setattr(_Boundaries, "seen", [])
+    monkeypatch.setattr(verify, "_Budget", _Boundaries)
+    engine, _ = _pairs(prop, code, delta, arg)
+    _outcome(engine, verify.DEFAULT_EVAL_CAP)
+    boundaries = sorted(set(_Boundaries.seen))
+    assert len(boundaries) > 5
+    monkeypatch.setattr(verify, "_Budget", _Budget)
+    assert_same(prop, code, delta, arg, caps={b + e for b in boundaries for e in (-1, 0, 1)})
+
+
+def test_exact_distance_matches_scalar_sweep_across_blocks():
+    code = collision_code(9, 2, 256, 258)
+    assert verify.exact_distance(code) == ref_exact_distance(code) == Fraction(1, 2)
+
+
+def test_dyadic_sweep_adds_once_per_block(monkeypatch):
+    """The scrambled n = 8 dyadic sweep grows its bit-sliced counters with
+    107 adds, one set per block of rows (2,702 when the rows went one by
+    one)."""
+    calls = []
+    monkeypatch.setattr(verify, "add", lambda slices, e: calls.append(1) or add(slices, e))
+    assert verify.check_eks_condition(scrambled_prefix_code(8, 11), Fraction(1, 2), 3).passed
+    assert len(calls) == 107
