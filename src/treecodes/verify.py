@@ -18,12 +18,12 @@ The five pair conditions (distance, immediacy function, dyadic, aligned,
 quarter-split) share one engine, _sweep.  It takes the rows x in blocks of
 R consecutive rows, R a power of sigma_in that grows 1, 1, sigma, ... with
 the block's first row, capped where R * M reaches 2^16 bits (_BLOCK_BITS;
-past M = 2^16 a block is one row).  A block starting at message i0 holds
-each bitset in R*w bits, w = M - i0 - 1: bit r*w + k is the pair of its
-row r with message i0 + 1 + k, so bit order is pair-by-pair (row-major)
-order.  Bit-sliced counters over these bitsets answer every window for all
-pairs of the block at once, and a passing block is charged arithmetically
-what a pair-by-pair sweep spends on it.  In a block with a violation, or
+once sigma_in * M > 2^16 a block is one row).  A block starting at message
+i0 holds each bitset in R*w bits, w = M - i0 - 1: bit r*w + k is the pair
+of its row r with message i0 + 1 + k, so bit order is pair-by-pair
+(row-major) order.  Bit-sliced counters over these bitsets answer every
+window for all pairs of the block at once, and a passing block is charged
+arithmetically what a pair-by-pair sweep spends on it.  In a block with a violation, or
 whose cost would pass the cap, the stopping pair is the lowest violating
 bit, or the pair whose charges pass the cap (bisected over the block's
 bits on the same count), whichever comes first: the pairs before it are
@@ -111,9 +111,18 @@ class Verdict:
     evaluations: int = 0
 
 
-# each code's table while the code lives, by identity (a code need not be
-# hashable): an audit's decoding check and its entropy replay share one
-# enumeration
+def _per_object(store: dict, obj, make: Callable):
+    """make(obj), computed once and kept in store while obj lives, by
+    identity (obj need not be hashable)."""
+    got = store.get(id(obj))
+    if got is None:
+        got = store[id(obj)] = make(obj)
+        weakref.finalize(obj, store.pop, id(obj), None)
+    return got
+
+
+# each code's table while the code lives: an audit's decoding check and its
+# entropy replay share one enumeration
 _TABLES: Dict[int, PrefixTable] = {}
 
 
@@ -123,15 +132,11 @@ def _table(code: TreeCode, budget: _Budget, reads: int = 0) -> PrefixTable:
     messages = code.input_alphabet.size**code.n
     budget.spend(messages * code.n)
     budget.spend(messages * reads)
-    table = _TABLES.get(id(code))
-    if table is None:
-        table = _TABLES[id(code)] = all_codewords(code)
-        weakref.finalize(code, _TABLES.pop, id(code), None)
-    return table
+    return _per_object(_TABLES, code, all_codewords)
 
 
-# each partition's structural errors while the partition lives, by identity
-# as _TABLES: an audit's three checks on one partition validate it once
+# each partition's structural errors while the partition lives: an audit's
+# three checks on one partition validate it once
 _STRUCTURE: Dict[int, Tuple[str, ...]] = {}
 
 
@@ -141,10 +146,7 @@ def checked_ledger(code: TreeCode, p: LaminarPartition,
     structurally valid and as long as the code, and the ledger is re-derived
     against p (it may belong to another partition or carry a forged budget),
     so exemptions and deficiency come only from the returned ledger."""
-    errors = _STRUCTURE.get(id(p))
-    if errors is None:
-        errors = _STRUCTURE[id(p)] = validate_laminar(p).structural_errors
-        weakref.finalize(p, _STRUCTURE.pop, id(p), None)
+    errors = _per_object(_STRUCTURE, p, lambda q: validate_laminar(q).structural_errors)
     if errors:
         raise ValueError(f"malformed partition: {errors[:3]}")
     if code.n != p.n:
@@ -287,7 +289,7 @@ def _sweep(bits: _MessageBits, budget: _Budget, cands: Sequence[tuple], fmt: Cal
         groups[(lo, 1) if by_lo else (hi - 1, -1)].append((hi - lo, t, ki))
     lattice = bits.all // ((1 << stride) - 1)
     most = 1  # rows per block at most
-    while most * sigma * size <= _BLOCK_BITS:
+    while sigma > 1 and most * sigma * size <= _BLOCK_BITS:
         most *= sigma
     best = Fraction(1)
 

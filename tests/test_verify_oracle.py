@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from treecodes import serialize, verify
 from treecodes.constructions import table_code
-from treecodes.core import Alphabet, TreeCode, all_codewords
+from treecodes.core import Alphabet, TreeCode, all_codewords, identity_code
 from treecodes.dyadic import as_fraction, floor_lg, frac_str as _frac
 from treecodes.bitslice import add
 from treecodes.partitions import TaggedBlock, chs_scales, chs_tagged_structure, eks_partition
@@ -587,6 +587,24 @@ def test_caps_at_every_block_boundary(monkeypatch, code, prop, delta, arg, block
     assert len(boundaries) > 5
     monkeypatch.setattr(verify, "_Budget", _Budget)
     assert_same(prop, code, delta, arg, caps={b + e for b in boundaries for e in (-1, 0, 1)})
+
+
+@pytest.mark.parametrize(
+    "n,prop,delta,arg",
+    [
+        (3, "distance", Fraction(1, 2), None),
+        (3, "imm", Fraction(1, 2), "exp"),
+        (4, "eks", Fraction(1, 2), 2),
+        (4, "ghk", Fraction(1, 2), 1),
+        (8, "chs", None, (1, 4, 1)),
+    ],
+)
+def test_one_symbol_input_alphabet(n, prop, delta, arg):
+    """With sigma_in = 1 there is one message, so one row and no pair: each
+    certifier passes, charged only the table's n evaluations."""
+    code = identity_code(n, 1)
+    full = json.loads(assert_same(prop, code, delta, arg, caps=[n - 1, n]))
+    assert full["passed"] and full["evaluations"] == n
 
 
 def test_exact_distance_matches_scalar_sweep_across_blocks():
