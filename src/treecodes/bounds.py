@@ -232,7 +232,7 @@ def eq5_report(k: int, measured_lg_sigma=None) -> BoundReport:
     of the plain bound at alpha = 1/2, ell = k.  This id is sometimes quoted
     as a floor on |sigma| itself, which the general bound does not give; the
     lg form is what this function evaluates (see README)."""
-    value = Fraction(k, 2)
+    value = rate_bound_plain(Fraction(1, 2), k, 1)
     measured = None if measured_lg_sigma is None else as_fraction(measured_lg_sigma)
     return BoundReport(
         "eq5",

@@ -260,6 +260,11 @@ def cmd_selftest(args) -> int:
         return EXIT_PASS
     if args.ablate:
         return _selftest_ablation()
+    unknown = sorted(set(args.only or ()) - {cid for cid, _, _ in acceptance.CRITERIA})
+    if unknown:
+        print(f"usage: selftest --only names no criterion {unknown} (see --list)",
+              file=sys.stderr)
+        return EXIT_USAGE
     results = acceptance.run(only=args.only)
     return EXIT_PASS if all(r.passed for r in results) else EXIT_FAIL
 

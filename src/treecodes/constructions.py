@@ -252,6 +252,8 @@ def eks_params(
     k: int, delta, seed: int = 0, b_schedule: Sequence[int] = DEFAULT_B_SCHEDULE
 ) -> EKSParams:
     """Build a certified ECC family and wrap it as layered-code parameters."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     delta = as_fraction(delta)
     family = ecc_family(delta, 1 << (k - 1), b_schedule=b_schedule, seed=seed)
     by_len = {c.ell: c for c in family}

@@ -199,6 +199,8 @@ def trivial_code(n: int) -> TreeCode:
 
     Distance is exactly 1 and the rate is 1/n.
     """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
 
     def char(prefix: Message) -> int:
         j = len(prefix)

@@ -15,7 +15,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .bounds import rate_bound
 from .core import TreeCode
@@ -208,8 +208,9 @@ def ledger_replay(
     M*|S| for each distinct column set S are charged against cap before any
     message is enumerated.  Entropies are counted over group ids (see
     grouping.Groups) of the codeword and input columns of S in code's own
-    table, each distinct set grouped once; on a laminar partition a block is
-    the pair of its lf and rg parts, blocks of the level below.
+    table, each distinct set grouped once and dropped after its last read;
+    on a laminar partition a block is the pair of its lf and rg parts, blocks
+    of the level below.
     """
     ledger = checked_ledger(code, p, ledger)
     n = code.n
@@ -225,12 +226,11 @@ def ledger_replay(
     tagged = [s for level in p.tagged for tb in level for s in (tb.lf, tb.rg, tb.block)]
     sets = dict.fromkeys(map(key, list(p.p0) + tagged))
     budget = _Budget(cap)
-    groups = Groups(_table(code, budget, sum(map(len, sets))))
-
-    def columns(s: Sequence[int]) -> FrozenSet[int]:  # codeword and input columns of S
-        return frozenset(c for v in s for c in (v - 1, n + v - 1))
-
-    entropies = {s: _entropy_of_multiset(groups.weights(columns(s))) for s in sets}
+    table = _table(code, budget, sum(map(len, sets)))
+    # the codeword and input columns of each S, read in this order
+    columns = {s: frozenset(c for v in s for c in (v - 1, n + v - 1)) for s in sets}
+    groups = Groups(table, columns.values())
+    entropies = {s: _entropy_of_multiset(groups.weights(cols)) for s, cols in columns.items()}
 
     def h_of(block: Sequence[int]) -> float:
         return entropies[key(block)]

@@ -6,7 +6,10 @@ codeword positions, possibly with some input positions.  Small-int ids built
 pair by pair replace a tuple per message per set; on a laminar partition the
 ids of a block reuse those of its parts.  A set of several columns has
 first-occurrence ids (each prefix's id is the first prefix of its group), so
-every id is below M and a group's ids share one int.
+every id is below M.  The ids refer to shared ints, the entries of one
+list(range(...)) per Groups, so a list of ids costs one reference per prefix.
+A caller names its sets in the order it reads them, and each set's ids are
+dropped after their last read in that order.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 import operator
 from collections import Counter
 from itertools import chain, repeat
-from typing import Dict, FrozenSet, List, NamedTuple
+from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional
 
 from .core import PrefixTable
 
@@ -27,9 +30,10 @@ class Grouped(NamedTuple):
     bound: int
 
 
-def _first_occurrences(keys, size: int) -> List[int]:
-    """For each of size keys, the index of the first key equal to it."""
-    return list(map({}.setdefault, keys, range(size)))
+def _first_occurrences(keys, ints: List[int]) -> List[int]:
+    """For each key, the entry of ints (0, 1, ..., at least one per key) at
+    the index of the first key equal to it."""
+    return list(map({}.setdefault, keys, ints))
 
 
 def _widen(ids: List[int], r: int) -> List[int]:
@@ -45,7 +49,7 @@ def _widen(ids: List[int], r: int) -> List[int]:
 
 
 class Groups:
-    """Group ids of column sets over one prefix table.
+    """Group ids of column sets over one prefix table, read in a fixed order.
 
     A column is a codeword position p (0-based) or the input position p,
     named n + p.  The ids of a set S live at the granularity of its last
@@ -58,35 +62,69 @@ class Groups:
     the first half of S's positions), so S - T ends early; on a laminar
     partition a block pairs its lf and rg, blocks of the level below.  The
     same pass maps the keys to first-occurrence ids, below the number of
-    prefixes.  Every set is grouped once.
+    prefixes, each an entry of one shared list of ints.  Every set is
+    grouped once.
+
+    requests are the sets the caller will read, in the order it reads them;
+    ids, first and weights each read one set, and must follow that order.
+    The pairing rule runs once, when the Groups is made, on the column sets
+    alone: it fixes every pass and how often each set is read, as a request
+    or as a part of a larger set.  A set's ids are kept from its pass to
+    their last read, then dropped.
     """
 
-    def __init__(self, table: PrefixTable) -> None:
+    def __init__(self, table: PrefixTable, requests: Iterable[FrozenSet[int]]) -> None:
         self.table, self.n, self.sigma = table, table.n, table.sigma
-        self._ids: Dict[FrozenSet[int], Grouped] = {}
+        self._ints: List[int] = []  # 0, 1, ...: the shared ints ids refer to
+        # each set planned so far, in pass order, with its part T (None for a column)
+        self._parts: Dict[FrozenSet[int], Optional[FrozenSet[int]]] = {}
+        self._reads: Counter = Counter()  # reads of each set left in the plan
+        self._kept: Dict[FrozenSet[int], Grouped] = {}
+        for cols in requests:
+            self._plan(cols)
+
+    def _plan(self, cols: FrozenSet[int]) -> None:
+        """Count one read of a non-empty column set and, at its first, choose
+        the part it pairs and plan the reads of both halves."""
+        self._reads[cols] += 1
+        if cols in self._parts:
+            return
+        part = None
+        if len(cols) > 1:
+            part = max((t for t in self._parts if t < cols),
+                       key=lambda t: (max(c % self.n for c in t), len(t)), default=None)
+            if part is None:  # the columns of the first half of the positions
+                part = frozenset(sorted(cols, key=lambda c: c % self.n)[: len(cols) // 2])
+            self._plan(part)
+            self._plan(cols - part)
+        self._parts[cols] = part
+
+    def _shared(self, size: int) -> List[int]:
+        """The shared ints, grown to at least size of them."""
+        self._ints.extend(range(len(self._ints), size))
+        return self._ints
 
     def ids(self, cols: FrozenSet[int]) -> Grouped:
-        """The group ids of a non-empty column set."""
-        got = self._ids.get(cols)
+        """The group ids of the next set read in the plan."""
+        got = self._kept.pop(cols, None)
         if got is None:
-            if len(cols) == 1:
+            part = self._parts[cols]
+            if part is None:
                 (c,) = cols
                 if c >= self.n:  # input position c - n
                     got = Grouped(c - self.n, self.table.inputs(c - self.n), self.sigma)
                 else:
                     got = Grouped(c, self.table.columns[c], self.table.sigma_out)
             else:
-                part = max((t for t in self._ids if t < cols),
-                           key=lambda t: (self._ids[t].q, len(t)), default=None)
-                if part is None:  # the columns of the first half of the positions
-                    part = frozenset(sorted(cols, key=lambda c: c % self.n)[: len(cols) // 2])
                 a, b = self.ids(part), self.ids(cols - part)
                 q = max(a.q, b.q)
                 size = len(self.table.columns[q])
                 keys = map(operator.add, map(operator.mul, self.at(a, q), repeat(b.bound)),
                            self.at(b, q))
-                got = Grouped(q, _first_occurrences(keys, size), size)
-            self._ids[cols] = got
+                got = Grouped(q, _first_occurrences(keys, self._shared(size)), size)
+        self._reads[cols] -= 1
+        if self._reads[cols] > 0:
+            self._kept[cols] = got
         return got
 
     def at(self, grouped: Grouped, q: int) -> List[int]:
@@ -97,7 +135,7 @@ class Groups:
         """For each prefix t at the set's granularity, the least prefix of
         that length that agrees with t on cols."""
         got = self.ids(cols)
-        return got.ids if len(cols) > 1 else _first_occurrences(got.ids, len(got.ids))
+        return got.ids if len(cols) > 1 else _first_occurrences(got.ids, self._shared(len(got.ids)))
 
     def weights(self, cols: FrozenSet[int]) -> Dict[int, int]:
         """{group size in messages: number of such groups} of a column set."""

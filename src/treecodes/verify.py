@@ -490,7 +490,8 @@ def check_neighborhood_decoding(
     compare over the length-(q+1) prefixes, q rg's last position: it passes
     iff every prefix has the lf inputs of the first prefix of its rg group
     (grouping.Groups.first; rg and lf inputs are grouped apart, and the
-    halves of a laminar block once and reused).  The first prefix that does
+    halves of a laminar block once and reused, each set's ids dropped after
+    their last read).  The first prefix that does
     not is the witness: the earliest message whose rg-restriction collides
     with an earlier one's.  The size and laminar properties are NOT required
     here (decoding is meaningful for any structurally valid tagged
@@ -499,50 +500,55 @@ def check_neighborhood_decoding(
     table, before any message is enumerated.
     """
     ledger = checked_ledger(code, p, ledger)
-    reads = sum(len(tb.lf) + len(tb.rg) for level in range(1, p.ell + 1)
-                for bi, tb in enumerate(p.tagged[level - 1]) if bi not in ledger.blocks_at(level))
+    n, sigma = code.n, code.input_alphabet.size
+    # each block with its lf inputs and rg columns, None if exempt; () if rg
+    # is emitted before lf's last input is read (and sigma_in > 1)
+    blocks = [(level, bi, tb, None if bi in ledger.blocks_at(level)
+               else () if max(tb.lf) > max(tb.rg) and sigma > 1
+               else (frozenset(n + v - 1 for v in tb.lf), frozenset(v - 1 for v in tb.rg)))
+              for level in range(1, p.ell + 1) for bi, tb in enumerate(p.tagged[level - 1])]
+    reads = sum(len(tb.lf) + len(tb.rg) for _, _, tb, cols in blocks if cols is not None)
     budget = _Budget(cap)
     table = _table(code, budget, reads)
-    groups = Groups(table)
-    n = code.n
+    groups = Groups(table, (c for *_, cols in blocks if cols for c in cols))
 
     blocks_out: List[dict] = []
     tables_out: Dict[str, list] = {}
     first_witness: Optional[dict] = None
-    for level in range(1, p.ell + 1):
-        for bi, tb in enumerate(p.tagged[level - 1]):
-            entry = {"level": level, "index": bi, "exempt": bi in ledger.blocks_at(level)}
-            if entry["exempt"]:
-                entry["passed"] = None
-                blocks_out.append(entry)
-                continue
-            lf_q, q = max(tb.lf) - 1, max(tb.rg) - 1
-            pair = None  # (an earlier message, the earliest message colliding with it)
-            if lf_q > q and table.sigma > 1:
-                # rg is emitted before lf's last input is read: the first two
-                # length-(lf_q+1) prefixes agree on rg and differ on lf
-                pair = (0, table.strides[lf_q])
-            else:  # lf ends with or before rg (or sigma_in = 1): compare at rg's granularity
-                lf_ids = groups.at(groups.ids(frozenset(n + v - 1 for v in tb.lf)), q)
-                ref = groups.first(frozenset(v - 1 for v in tb.rg))
-                got = list(map(lf_ids.__getitem__, ref))
-                if got != lf_ids:
-                    # the first message of the first length-(q+1) prefix whose
-                    # lf inputs differ from those of the first prefix of its
-                    # rg group
-                    t = list(map(operator.ne, got, lf_ids)).index(True)
-                    pair = (ref[t] * table.strides[q], t * table.strides[q])
-            block_witness = None if pair is None else dict(
-                level=level, block=bi, lf=list(tb.lf), rg=list(tb.rg),
-                x=list(table.message(pair[0])), y=list(table.message(pair[1])))
-            entry["passed"] = block_witness is None
-            if block_witness is not None:
-                entry["witness"] = block_witness
-                if first_witness is None:
-                    first_witness = block_witness
-            elif materialize_tables:
-                tables_out[f"{level}:{bi}"] = _decoding_table(table, tb, ref, q)
+    for level, bi, tb, cols in blocks:
+        entry = {"level": level, "index": bi, "exempt": cols is None}
+        if cols is None:
+            entry["passed"] = None
             blocks_out.append(entry)
+            continue
+        q = max(tb.rg) - 1
+        pair = None  # (an earlier message, the earliest message colliding with it)
+        if not cols:
+            # rg is emitted before lf's last input is read: the first two
+            # prefixes as long as lf agree on rg and differ on lf
+            pair = (0, table.strides[max(tb.lf) - 1])
+        else:  # lf ends with or before rg (or sigma_in = 1): compare at rg's granularity
+            lf_ids = groups.at(groups.ids(cols[0]), q)
+            ref = groups.first(cols[1])
+            got = list(map(lf_ids.__getitem__, ref))
+            if got != lf_ids:
+                # the first message of the first length-(q+1) prefix whose
+                # lf inputs differ from those of the first prefix of its
+                # rg group
+                t = list(map(operator.ne, got, lf_ids)).index(True)
+                pair = (ref[t] * table.strides[q], t * table.strides[q])
+            del lf_ids, got  # freed before the next block's passes
+        block_witness = None if pair is None else dict(
+            level=level, block=bi, lf=list(tb.lf), rg=list(tb.rg),
+            x=list(table.message(pair[0])), y=list(table.message(pair[1])))
+        entry["passed"] = block_witness is None
+        if block_witness is not None:
+            entry["witness"] = block_witness
+            if first_witness is None:
+                first_witness = block_witness
+        elif materialize_tables:
+            tables_out[f"{level}:{bi}"] = _decoding_table(table, tb, ref, q)
+        blocks_out.append(entry)
     details = {"blocks": blocks_out}
     if materialize_tables:
         details["tables"] = tables_out
@@ -567,6 +573,8 @@ def check_eks_condition(
     every scale l < k with s' <= n - 2^l, the codewords differ in at least
     delta * 2^l positions of (s, s + 2^l], where s is s' rounded up to a
     multiple of 2^l."""
+    if k < 0:  # k = 0 is the one-position code, with no window
+        raise ValueError(f"k must be >= 0, got {k}")
     delta = as_fraction(delta)
     if code.n != 1 << k:
         raise ValueError(f"code length {code.n} != 2^k = {1 << k}")

@@ -400,6 +400,32 @@ def test_selftest_list_and_ablate(capsys):
     assert rc == 0 and "expected failures observed" in out
 
 
+@pytest.mark.parametrize("only,unknown", [(["99"], "[99]"), (["4", "99", "0"], "[0, 99]")])
+def test_selftest_only_an_unknown_criterion_exits_1_having_run_nothing(capsys, only, unknown):
+    rc = cli.main(["selftest", "--only", *only])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert captured.err == f"usage: selftest --only names no criterion {unknown} (see --list)\n"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["build", "--recipe-json", '{"kind":"eks","k":0,"delta":"1/2"}', "--out-dir", "{dir}/out"],
+     "k must be >= 1, got 0"),
+    (["verify", "--code", "{dir}/code.json", "--property", "eks", "--k", "-1"],
+     "k must be >= 0, got -1"),
+    (["build", "--recipe-json", '{"kind":"trivial","n":-3}', "--out-dir", "{dir}/out"],
+     "n must be >= 1, got -3"),
+    (["bound", "--formula", "eq5", "--params", '{"k":-2}'], "ell must be >= 0, got -2"),
+], ids=["eks-recipe-k0", "verify-eks-k-minus-1", "trivial-n-minus-3", "eq5-k-minus-2"])
+def test_k_or_n_out_of_range_exits_1_naming_it(tmp_path, capsys, argv, message):
+    (tmp_path / "code.json").write_text('{"kind":"trivial","n":4}')
+    rc = cli.main([a.replace("{dir}", str(tmp_path)) for a in argv])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert captured.err == f"invalid input: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_text_format_rendering(capsys):
     rc, out = run(
         capsys, "--format", "text", "bound", "--formula", "eq25",

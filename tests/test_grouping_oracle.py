@@ -16,6 +16,7 @@ and Groups.first must give the first members the row table gives.
 from __future__ import annotations
 
 import math
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from operator import itemgetter
@@ -25,7 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treecodes import verify
+from treecodes import grouping, verify
 from treecodes.bounds import rate_bound_deficient, rate_bound_plain
 from treecodes.constructions import eks_code, eks_params, table_code
 from treecodes.core import (
@@ -424,9 +425,11 @@ def ref_first(code: TreeCode, cols, q: int) -> List[int]:
 def test_first_members_match_the_row_table(case, data):
     code = case[0]
     n = code.n
-    groups = Groups(all_codewords(code))
-    for _ in range(3):  # later sets are paired with the ones grouped before
-        cols = frozenset(data.draw(st.sets(st.integers(0, 2 * n - 1), min_size=1, max_size=4)))
+    # later sets are paired with the ones grouped before
+    sets = [frozenset(data.draw(st.sets(st.integers(0, 2 * n - 1), min_size=1, max_size=4)))
+            for _ in range(3)]
+    groups = Groups(all_codewords(code), sets)
+    for cols in sets:
         assert groups.first(cols) == ref_first(code, cols, max(c % n for c in cols))
 
 
@@ -559,3 +562,51 @@ def test_grouping_matches_tuple_grouping_on_the_layered_code_n16():
         assert assert_same_decoding(code, p, led, tables=False, all_caps=False).passed
         replay = assert_same_replay(code, p, led, all_caps=False)
         assert replay[1].passed
+
+
+@pytest.fixture(scope="module")
+def layered16() -> TreeCode:
+    """The tabulated seed-0 layered code at k=4 (n=16), its table built."""
+    code = _tabulated(eks_code(eks_params(4, Fraction(1, 2), seed=0)))
+    verify._table(code, _Budget(DEFAULT_EVAL_CAP))
+    return code
+
+
+@pytest.mark.parametrize("check,quarter,passes,keys", [
+    (verify.check_neighborhood_decoding, False, 30, 336_648),
+    (ledger_replay, False, 31, 419_682),
+    (ledger_replay, True, 30, 366_482),
+], ids=["neighborhood-dyadic", "replay-dyadic", "replay-quarter-split"])
+def test_grouping_passes_and_keys_on_the_layered_code_n16(
+        monkeypatch, layered16, check, quarter, passes, keys):
+    """Every grouping pass (and first-member pass of a single column) is
+    counted: a set dropped before its last read and grouped again adds
+    passes and keys."""
+    counted = [0, 0]
+    first_occurrences = grouping._first_occurrences
+
+    def counting(keys, ints):
+        got = first_occurrences(keys, ints)
+        counted[0] += 1
+        counted[1] += len(got)
+        return got
+
+    monkeypatch.setattr(grouping, "_first_occurrences", counting)
+    args = chs_partition(1, 4, 0) if quarter else (eks_partition(4),)
+    verdict = check(layered16, *args)
+    assert (verdict[1] if check is ledger_replay else verdict).passed
+    assert counted == [passes, keys]
+
+
+def test_replay_heap_peak_on_the_layered_code_n16(layered16):
+    # the table (5.6 MB) is built beforehand; with the ids of every set
+    # kept to the end, the replay peaks at about 17 MB, with each set
+    # dropped after its last read at about 10 MB
+    p = eks_partition(4)
+    tracemalloc.start()
+    try:
+        assert ledger_replay(layered16, p)[1].passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12.5e6
