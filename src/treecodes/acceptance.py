@@ -326,9 +326,10 @@ CRITERIA: List[Tuple[int, str, Callable[[], Tuple[bool, str]]]] = [
 
 
 def run(only: Optional[List[int]] = None) -> List[CriterionResult]:
+    """Run the criteria whose ids are in only (None: all; []: none)."""
     results = []
     for cid, desc, fn in CRITERIA:
-        if only and cid not in only:
+        if only is not None and cid not in only:
             continue
         t0 = time.perf_counter()
         try:

@@ -340,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     st = sub.add_parser("selftest", help="run the acceptance criteria")
     st.add_argument("--list", action="store_true")
     st.add_argument("--ablate", action="store_true")
-    st.add_argument("--only", type=int, nargs="*", default=None)
+    st.add_argument("--only", type=int, nargs="+", default=None)
     st.set_defaults(fn=cmd_selftest)
     return ap
 

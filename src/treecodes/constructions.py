@@ -14,6 +14,7 @@ counter per chosen word gives its cell distance to every candidate at once.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -321,42 +322,72 @@ def _draw_levels(
         yield level
 
 
-def _scan(levels: Iterable[Sequence[int]], floor: Fraction) -> Fraction:
-    """Exact minimum divergent distance over all same-depth vertex pairs of a
-    labeling read level by level (depth 1 first), or, once the running
-    minimum is <= floor, that minimum.
+def _reaches(levels: Iterable[Sequence[int]], n: int, theta: Fraction) -> bool:
+    """Whether some same-depth vertex pair of a depth-n labeling, read level
+    by level (depth 1 first), has divergent distance <= theta.  Levels are
+    read only up to the first depth that holds such a pair.
 
-    A depth-d pair's distance depends only on labels at depths <= d, so each
-    level is checked as soon as it is read.  A pair's difference count is
-    carried from its parent pair, row u of depth d holding
-    rows[u][v] = prev[u >> 1][v >> 1] + (label u != label v) for v > u, one
-    byte per pair; only the previous depth's rows are kept.
+    A depth-d pair with c differences over its window w has descendants at
+    depth d + k with window w + k and at least c differences, so none of them
+    can reach theta unless c <= theta * (w + n - d).  Only such pairs, kept
+    as (u, v, c), are extended to their four child pairs at the next depth,
+    beside that depth's new sibling pairs (window 1).
     """
-    bn, bd = 1, 1  # running minimum bn/bd, compared by cross-multiplication
-    an, ad = floor.numerator, floor.denominator
-    prev = [b"\0"]
+    tn, td = theta.numerator, theta.denominator  # c <= theta * w iff c <= tn * w // td
+    kept: List[Tuple[int, int, int]] = []
     for d, lab in enumerate(levels, 1):
-        size = 1 << d
-        rows = []
-        for u in range(size):
-            pu, lu = prev[u >> 1], lab[u]
-            row = bytearray(size)  # row[u] = 0 (u against itself); v < u unused
-            rows.append(row)
-            for v in range(u + 1, size):
-                c = row[v] = pu[v >> 1] + (lu != lab[v])
-                w = (u ^ v).bit_length()  # window from the divergence depth to d
-                if c * bd < bn * w:
-                    bn, bd = c, w
-                    if bn * ad <= an * bd:
-                        return Fraction(bn, bd)
-        prev = rows
-    return Fraction(bn, bd)
+        nxt = []
+        fire, keep = tn // td, tn * (1 + n - d) // td
+        for u in range(0, len(lab), 2):
+            c = lab[u] != lab[u + 1]
+            if c <= fire:
+                return True
+            if c <= keep:
+                nxt.append((u, u + 1, c))
+        for u, v, c in kept:
+            w = (u ^ v).bit_length() + 1  # the child pairs' window
+            fire, keep = tn * w // td, tn * (w + n - d) // td
+            for x in (2 * u, 2 * u + 1):
+                lx = lab[x]
+                for y in (2 * v, 2 * v + 1):
+                    cy = c + (lx != lab[y])
+                    if cy <= fire:
+                        return True
+                    if cy <= keep:
+                        nxt.append((x, y, cy))
+        kept = nxt
+    return False
+
+
+def _scan(levels: Iterable[Sequence[int]], n: int, floor: Fraction) -> Fraction:
+    """Exact minimum divergent distance over all same-depth vertex pairs of a
+    depth-n labeling read level by level, or floor once some pair is at or
+    below floor (its levels then read only up to that pair's depth).
+
+    Otherwise every level has been read and kept, and the minimum, a ratio
+    c/w with 1 <= w <= n, is the least ratio above floor that _reaches
+    accepts, found by bisection on the kept levels.
+    """
+    kept: List[Sequence[int]] = []
+    if _reaches((kept.append(lab) or lab for lab in levels), n, floor):
+        return floor
+    ratios = sorted({Fraction(c, w) for w in range(1, n + 1) for c in range(w + 1)})
+    lo, hi = bisect_right(ratios, floor), len(ratios) - 1  # 1 is reached at depth 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _reaches(kept, n, ratios[mid]):
+            hi = mid
+        else:
+            lo = mid + 1
+    return ratios[lo]
 
 
 def table_min_distance(n: int, table: Sequence[int]) -> Fraction:
     """Exact minimum divergent distance of a binary-input level-order
-    labeling; a table of the wrong length for n raises ValueError."""
-    return _scan(LevelOrderChar(n, 2, table).columns(), Fraction(-1))
+    labeling; n < 1 or a table of the wrong length for n raises ValueError."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    return _scan(LevelOrderChar(n, 2, table).columns(), n, Fraction(-1))
 
 
 @dataclass(frozen=True)
@@ -380,17 +411,20 @@ def random_code_search(
     Deterministic given the seed: trial t draws from its own counter-based
     stream, and the best is kept by (distance, -trial).
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    for field, value in (("n", n), ("sigma", sigma_out_size), ("trials", trials)):
+        if value < 1:
+            raise ValueError(f"{field} must be >= 1, got {value}")
     target = None if target_delta is None else as_fraction(target_delta)
+    if target is not None and not 0 < target <= 1:
+        raise ValueError(f"target must be in (0, 1], got {target}")
     best: Tuple[Fraction, int, List[int]] | None = None
     for t in range(trials):
         table: List[int] = []
         levels = _draw_levels(n, sigma_out_size, DetStream(seed, "trial", t), table)
         # a scan that never hits the floor completes and is exact; an aborted
-        # scan reports a value <= floor, which can never displace the best
+        # scan reports floor itself, which can never displace the best
         floor = Fraction(0) if best is None else best[0]
-        dist = _scan(levels, floor)
+        dist = _scan(levels, n, floor)
         if best is None or dist > best[0]:
             # only the first trial can abort and still be kept (at distance
             # 0, exact): draw the rest of its table

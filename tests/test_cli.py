@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from treecodes import cli
+from treecodes import acceptance, cli, constructions
 
 
 def run(capsys, *args):
@@ -393,6 +393,28 @@ def test_search_without_trials_is_usage_error(tmp_path, capsys, trials):
     assert not (tmp_path / "search.json").exists()
 
 
+@pytest.mark.parametrize("flag,value,message", [
+    ("--n", "0", "n must be >= 1, got 0"),
+    ("--sigma", "0", "sigma must be >= 1, got 0"),
+    ("--target", "2", "target must be in (0, 1], got 2"),
+    ("--target", "-1", "target must be in (0, 1], got -1"),
+    ("--target", "0", "target must be in (0, 1], got 0"),
+])
+def test_search_bad_input_exits_1_naming_it_before_the_first_trial(
+    tmp_path, capsys, monkeypatch, flag, value, message
+):
+    def no_trial(*args):
+        raise AssertionError("a trial started")
+
+    monkeypatch.setattr(constructions, "_draw_levels", no_trial)
+    argv = {"--n": "3", "--sigma": "4", "--trials": "1000000000", flag: value}
+    rc = cli.main(["search", *[a for kv in argv.items() for a in kv], "--out-dir", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert captured.err == f"invalid input: {message}\n"
+    assert not (tmp_path / "search.json").exists()
+
+
 def test_selftest_list_and_ablate(capsys):
     rc, out = run(capsys, "selftest", "--list")
     assert rc == 0 and out.count("criterion") == 10
@@ -406,6 +428,14 @@ def test_selftest_only_an_unknown_criterion_exits_1_having_run_nothing(capsys, o
     captured = capsys.readouterr()
     assert rc == 1 and captured.out == ""
     assert captured.err == f"usage: selftest --only names no criterion {unknown} (see --list)\n"
+
+
+def test_selftest_only_with_no_ids_exits_1_having_run_nothing(capsys):
+    rc = cli.main(["selftest", "--only"])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert "argument --only: expected at least one argument" in captured.err
+    assert acceptance.run(only=[]) == [] and capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize("argv,message", [

@@ -213,6 +213,12 @@ def test_table_min_distance_refuses_a_table_of_another_depth(n, size, want):
         table_min_distance(n, [0, 1] * (size // 2))
 
 
+def test_table_min_distance_refuses_depth_zero():
+    # a depth-0 tree has no pair, so it has no minimum distance
+    with pytest.raises(ValueError, match="n must be >= 1, got 0$"):
+        table_min_distance(0, [])
+
+
 def test_k5_family_fails_fast_where_a_sample_cannot_hold_the_code():
     # at length 13 the greedy needs 2^13 words, more than the 4096-word sample
     # _POOL_CAP allows; that is known before anything is drawn

@@ -22,6 +22,7 @@ import treecodes.constructions as constructions
 from treecodes.constructions import random_code_search, table_min_distance
 from treecodes.dyadic import as_fraction
 from treecodes.rng import DetStream
+from treecodes.verify import exact_distance
 from test_rng import ScalarDetStream
 
 # ---------------- reference: eager sampling, deepest depth first ----------------
@@ -160,6 +161,84 @@ def tables(draw):
 def test_table_min_distance_matches_deepest_first_scan(case):
     n, table = case
     assert table_min_distance(n, table) == ref_min_distance_of_table(n, table, Fraction(-1))
+
+
+# ---------------- the pruned decision and the bisection ----------------
+
+
+def _levels(n: int, table: Sequence[int]) -> List[List[int]]:
+    return [list(table[(1 << d) - 2:(1 << (d + 1)) - 2]) for d in range(1, n + 1)]
+
+
+def _ratios(n: int) -> List[Fraction]:
+    return sorted({Fraction(c, w) for w in range(1, n + 1) for c in range(w + 1)})
+
+
+class CountingLevels:
+    """An iterator over levels that counts how many were read."""
+
+    def __init__(self, levels):
+        self.levels, self.read = iter(levels), 0
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        level = next(self.levels)
+        self.read += 1
+        return level
+
+
+@st.composite
+def decisions(draw):
+    n, table = draw(tables())
+    return n, table, draw(st.sampled_from(_ratios(n) + [Fraction(-1), Fraction(0)]))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(case=decisions())
+def test_reaches_decides_the_minimum_reading_only_up_to_the_first_reaching_depth(case):
+    n, table, theta = case
+    levels = CountingLevels(_levels(n, table))
+    got = constructions._reaches(levels, n, theta)
+    assert got == (ref_min_distance_of_table(n, table, Fraction(-1)) <= theta)
+    first = next((d for d in range(1, n + 1)
+                  if ref_min_distance_of_table(d, table[:(1 << (d + 1)) - 2], Fraction(-1)) <= theta),
+                 n)
+    assert levels.read == first
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(case=decisions())
+def test_scan_bisects_only_over_ratios_above_the_floor(case):
+    # the first decision is at the floor; a scan that does not stop there
+    # tries only ratios above it, at most ceil(lg K) of them for K candidates
+    n, table, floor = case
+    tried = []
+
+    def spy(levels, n, theta):
+        tried.append(theta)
+        return reaches(levels, n, theta)
+
+    reaches = constructions._reaches
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(constructions, "_reaches", spy)
+        got = constructions._scan(iter(_levels(n, table)), n, floor)
+    ref = ref_min_distance_of_table(n, table, Fraction(-1))
+    assert got == (floor if ref <= floor else ref)
+    above = [r for r in _ratios(n) if r > floor]
+    assert tried[0] == floor and all(t > floor for t in tried[1:])
+    assert len(tried) - 1 <= (len(above) - 1).bit_length()
+
+
+@pytest.mark.parametrize("n,trials,want", [(8, 2000, Fraction(1, 5)), (9, 1000, Fraction(1, 6)),
+                                           (10, 1000, Fraction(1, 7))])
+def test_search_winner_distance_matches_the_bitset_certifier(n, trials, want):
+    # beyond the depths the deepest-first oracle can afford, the pair-sweep
+    # engine of treecodes.verify is the independent check
+    result = random_code_search(n, 4, trials=trials, seed=0)
+    code = constructions.table_code(n, 2, 4, result.table)
+    assert table_min_distance(n, result.table) == exact_distance(code) == result.distance == want
 
 
 # ---------------- work counter ----------------
