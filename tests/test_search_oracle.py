@@ -6,7 +6,10 @@ The reference functions below are that search, kept verbatim as the oracle
 the same seed both must pick the same trial with the same table and exact
 distance, and both must give every fixed table the same minimum distance.
 The reference draws its labels one at a time through the scalar stream of
-test_rng.py, so it does not share the bulk decoder it checks.
+test_rng.py, so it does not share the bulk decoder it checks.  The pruned
+decision and its bisection are also held to their own contracts against the
+oracle, and winners too deep for it against the bitset certifier of
+treecodes.verify.
 """
 
 from __future__ import annotations
@@ -202,9 +205,9 @@ def test_reaches_decides_the_minimum_reading_only_up_to_the_first_reaching_depth
     levels = CountingLevels(_levels(n, table))
     got = constructions._reaches(levels, n, theta)
     assert got == (ref_min_distance_of_table(n, table, Fraction(-1)) <= theta)
-    first = next((d for d in range(1, n + 1)
-                  if ref_min_distance_of_table(d, table[:(1 << (d + 1)) - 2], Fraction(-1)) <= theta),
-                 n)
+    prefix_min = [ref_min_distance_of_table(d, table[:(1 << (d + 1)) - 2], Fraction(-1))
+                  for d in range(1, n + 1)]
+    first = next((d for d, m in enumerate(prefix_min, 1) if m <= theta), n)
     assert levels.read == first
 
 
