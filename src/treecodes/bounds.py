@@ -119,62 +119,26 @@ def imm_rate_upper(
     on lg|sigma|.  Returns reports keyed by formula id."""
     delta = as_fraction(delta)
     reports: Dict[str, BoundReport] = {}
-
-    if kind == "exp":
-        spec = ImmediacySpec.exponential(delta)
-        if t is not None and t != spec.t:
-            raise ValueError(f"for the exp kind t is determined as {spec.t}, got {t}")
-        t = spec.t
-        half = Fraction(n, 2)
-        if not (is_power_of_two(half) and half >= 2):
-            raise ValueError(f"n = {n} is not of the form 2*2^(ell*t)")
-        exponent = floor_lg(half)
-        if exponent % t:
-            raise ValueError(f"lg(n/2) = {exponent} is not a multiple of t = {t}")
-        ell = exponent // t
-        inv_imm = exponent  # Imm^-1(n/2) = ell * t
-        num, num_exactness = _lg_conservative(Fraction(4) / delta, "up")
-        value = 4 * num / (delta * exponent)
-        reports["eq27"] = BoundReport(
-            "eq27",
-            "rho <=",
-            _inputs(delta=delta, n=n, t=t, ell=ell),
-            value,
-            exactness=num_exactness,
-            vacuous=value > 1,
-        )
-    elif kind == "double_exp":
-        spec = ImmediacySpec.double_exponential(delta)
-        if t is not None and t != spec.t:
-            raise ValueError(f"for the double_exp kind t is determined as {spec.t}, got {t}")
-        t = spec.t
-        half = Fraction(n, 2)
-        if not (is_power_of_two(half) and half >= 4):
-            raise ValueError(f"n = {n} is not of the form 2*2^(2^(ell*t))")
-        outer = floor_lg(half)
-        if outer < 2 or outer & (outer - 1):
-            raise ValueError(f"lg(n/2) = {outer} is not a power of two")
-        inner = floor_lg(outer)
-        if inner % t:
-            raise ValueError(f"lg lg(n/2) = {inner} is not a multiple of t = {t}")
-        ell = inner // t
-        inv_imm = inner
-        num = ceil_lg_of_lg(Fraction(8) / delta)
-        value = Fraction(4 * num) / (delta * inner)
-        reports["eq22"] = BoundReport(
-            "eq22",
-            "rho <=",
-            _inputs(delta=delta, n=n, t=t, ell=ell),
-            value,
-            vacuous=value > 1,
-        )
-    elif kind == "general":
+    if kind == "general":
         if t is None or ell is None:
             raise ValueError("the general kind requires explicit t and ell")
+        if t < 1 or ell < 1:
+            raise ValueError(f"the general kind needs t >= 1 and ell >= 1, got t = {t}, ell = {ell}")
         spec = ImmediacySpec.custom(IMM_FUNCTIONS["unit"], delta, t)
-        inv_imm = ell * t
     else:
-        raise ValueError(f"unknown kind {kind!r}")
+        spec = ImmediacySpec.named(kind, delta)
+        if t is not None and t != spec.t:
+            raise ValueError(f"for the {kind} kind t is determined as {spec.t}, got {t}")
+        t, ell = spec.t, spec.ell_for_depth(n)
+        # the kind's own specialization of eq26
+        if kind == "exp":
+            fid, (num, exactness) = "eq27", _lg_conservative(Fraction(4) / delta, "up")
+        else:
+            fid, num, exactness = "eq22", ceil_lg_of_lg(Fraction(8) / delta), "exact"
+        value = 4 * num / (delta * ell * t)
+        reports[fid] = BoundReport(fid, "rho <=", _inputs(delta=delta, n=n, t=t, ell=ell),
+                                   value, exactness=exactness, vacuous=value > 1)
+    inv_imm = ell * t  # Imm^-1(n/2)
 
     kappa = spec.kappa
     eq26 = Fraction(4 * t) / (delta * inv_imm)
@@ -284,8 +248,18 @@ def audit_code(
     False here indicates an artifact bug, not a refutation.  Measured values
     round up and bounds round down when lg is irrational, so "unsatisfied" is
     only reported on a certain violation.
+
+    The bound needs the partition's size property |lf(B)| >= alpha|B| and its
+    laminar property, so a partition without either is refused, naming the
+    property and its first offending (level, block), before any table work.
     """
     ledger = verify.checked_ledger(code, partition, ledger)
+    report = verify.laminar_report(partition)
+    for prop, where in (("size", report.first_size_violation),
+                        ("laminar", report.first_laminar_violation)):
+        if where:
+            raise ValueError(f"refusing to audit: the partition lacks the {prop} property "
+                             f"at (level, block) {where}")
     nd = verify.check_neighborhood_decoding(code, partition, ledger, cap=cap)
     if not nd.passed:
         raise ValueError(

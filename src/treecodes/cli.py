@@ -79,7 +79,7 @@ def cmd_build(args) -> int:
     elif kind == "eks":
         k = _int(recipe, "k")
         delta = as_fraction(recipe["delta"])
-        seed = serialize.expect_int(recipe.get("seed", args.seed), "seed")
+        seed = serialize.expect_int(recipe.get("seed", 0), "seed")
         params = eks_params(k, delta, seed=seed)
         files = {
             "code.json": {
@@ -92,12 +92,7 @@ def cmd_build(args) -> int:
             "partition.json": serialize.partition_to_json(eks_partition(k)),
         }
     elif kind == "imm_partition":
-        delta = as_fraction(recipe["delta"])
-        spec = (
-            ImmediacySpec.exponential(delta)
-            if recipe["imm"] == "exp"
-            else ImmediacySpec.double_exponential(delta)
-        )
+        spec = ImmediacySpec.named(recipe["imm"], as_fraction(recipe["delta"]))
         files = {"partition.json": serialize.partition_to_json(
             build_from_imm(spec, _int(recipe, "ell")))}
     elif kind == "eks_partition":
@@ -180,8 +175,8 @@ def cmd_bound(args) -> int:
             params.get("kind", "exp"),
             as_fraction(params["delta"]),
             _int(params, "n"),
-            t=params.get("t"),
-            ell=params.get("ell"),
+            t=_int(params, "t") if "t" in params else None,
+            ell=_int(params, "ell") if "ell" in params else None,
         )
         if f not in reports:
             print(f"{f} not applicable to kind {params.get('kind')}", file=sys.stderr)
@@ -292,7 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--recipe", help="recipe JSON file ('-' for stdin)")
     b.add_argument("--recipe-json", help="recipe JSON inline")
     b.add_argument("--out-dir", required=True)
-    b.add_argument("--seed", type=int, default=0)
     b.set_defaults(fn=cmd_build)
 
     v = sub.add_parser("verify", help="run a brute-force certifier")

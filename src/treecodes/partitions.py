@@ -140,6 +140,28 @@ class ImmediacySpec:
         kappa = ImmediacySpec._kappa(delta)
         return ImmediacySpec(imm, delta, kappa, t)
 
+    @staticmethod
+    def named(kind: str, delta) -> "ImmediacySpec":
+        """The spec of a named immediacy kind, exp or double_exp; any other
+        name is refused."""
+        if kind == "exp":
+            return ImmediacySpec.exponential(delta)
+        if kind == "double_exp":
+            return ImmediacySpec.double_exponential(delta)
+        raise ValueError(f"unknown immediacy kind {kind!r}: expected exp or double_exp")
+
+    def ell_for_depth(self, n: int) -> int:
+        """The ell with n = 2*Imm(ell*t), the depth of build_from_imm(self,
+        ell): Imm (strictly increasing) is probed upward until 2*Imm(k) >= n,
+        and n is refused unless equality holds with k a positive multiple
+        of t."""
+        k = 0
+        while 2 * self.imm(k) < n:
+            k += 1
+        if 2 * self.imm(k) != n or k < self.t or k % self.t:
+            raise ValueError(f"n = {n} is not of the form 2*Imm(ell*t) with ell >= 1, t = {self.t}")
+        return k // self.t
+
 
 @dataclass(frozen=True)
 class LaminarReport:
@@ -264,7 +286,9 @@ def build_from_imm(spec: ImmediacySpec, ell: int) -> LaminarPartition:
 
 
 def chs_scales(m: int, l1: int, growth_shift: int) -> List[int]:
-    """Length scales ell_1..ell_{m+1} under ell_{i+1} = ell_i^2 / 2^shift.
+    """Length scales ell_1..ell_{m+1} under ell_{i+1} = ell_i^2 / 2^shift,
+    each an even integer dividing n = ell_{m+1}: the one check of a scaling's
+    validity, shared by the partition builders and the CHS condition.
 
     Returned list is 1-indexed (slot 0 unused).  Exact integer arithmetic;
     usable symbolically at scales far too large to materialize.
@@ -277,6 +301,12 @@ def chs_scales(m: int, l1: int, growth_shift: int) -> List[int]:
         if sq % (2**growth_shift):
             raise ValueError(f"ell_{len(ells)} = {sq}/2^{growth_shift} is not an integer")
         ells.append(sq >> growth_shift)
+    n = ells[m + 1]
+    for i in range(1, m + 2):
+        if ells[i] % 2:
+            raise ValueError(f"ell_{i} = {ells[i]} must be even")
+        if n % ells[i]:
+            raise ValueError(f"ell_{i} = {ells[i]} does not divide n = {n}")
     return ells
 
 
@@ -293,11 +323,6 @@ def chs_tagged_structure(
     """
     ells = chs_scales(m, l1, growth_shift)
     n = ells[m + 1]
-    for i in range(1, m + 2):
-        if ells[i] % 2:
-            raise ValueError(f"ell_{i} = {ells[i]} must be even")
-        if n % ells[i]:
-            raise ValueError(f"ell_{i} = {ells[i]} does not divide n = {n}")
     p0 = tuple(_interval_blocks(n, ells[1] // 2))
     tagged = []
     for i in range(1, m + 1):

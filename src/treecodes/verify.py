@@ -54,6 +54,7 @@ from .dyadic import as_fraction, floor_lg, frac_str
 from .partitions import (
     DeficiencyLedger,
     LaminarPartition,
+    LaminarReport,
     chs_scales,
     chs_tagged_structure,
     validate_laminar,
@@ -135,9 +136,14 @@ def _table(code: TreeCode, budget: _Budget, reads: int = 0) -> PrefixTable:
     return _per_object(_TABLES, code, all_codewords)
 
 
-# each partition's structural errors while the partition lives: an audit's
+# each partition's validation report while the partition lives: an audit's
 # three checks on one partition validate it once
-_STRUCTURE: Dict[int, Tuple[str, ...]] = {}
+_STRUCTURE: Dict[int, LaminarReport] = {}
+
+
+def laminar_report(p: LaminarPartition) -> LaminarReport:
+    """validate_laminar(p), computed once while p lives."""
+    return _per_object(_STRUCTURE, p, validate_laminar)
 
 
 def checked_ledger(code: TreeCode, p: LaminarPartition,
@@ -146,7 +152,7 @@ def checked_ledger(code: TreeCode, p: LaminarPartition,
     structurally valid and as long as the code, and the ledger is re-derived
     against p (it may belong to another partition or carry a forged budget),
     so exemptions and deficiency come only from the returned ledger."""
-    errors = _per_object(_STRUCTURE, p, lambda q: validate_laminar(q).structural_errors)
+    errors = laminar_report(p).structural_errors
     if errors:
         raise ValueError(f"malformed partition: {errors[:3]}")
     if code.n != p.n:
@@ -659,11 +665,6 @@ def check_chs_condition(
     n = ells[m + 1]
     if code.n != n:
         raise ValueError(f"code length {code.n} != ell_(m+1) = {n}")
-    for i in range(1, m + 2):
-        if ells[i] % 2 or n % ells[i]:
-            raise ValueError(f"ell_{i} = {ells[i]} invalid: must be even and divide n")
-        if i >= 2 and ells[i - 1] > ells[i]:
-            raise ValueError("length scales must be non-decreasing")
     derivation_scale_ok = all(ells[i] >= 16 for i in range(2, m + 2))
 
     budget = _Budget(cap)

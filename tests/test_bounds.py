@@ -85,6 +85,8 @@ def test_exp_kind_reference_values():
 def test_exp_kind_rejects_inconsistent_depth():
     with pytest.raises(ValueError):
         imm_rate_upper("exp", Fraction(1, 2), 2 * 2**8)  # 8 not a multiple of t=3
+    with pytest.raises(ValueError, match="unknown immediacy kind 'foo'"):
+        imm_rate_upper("foo", Fraction(1, 2), 128)
 
 
 def test_double_exp_kind_reference_values():
@@ -97,6 +99,9 @@ def test_double_exp_kind_reference_values():
 def test_general_kind_requires_t_and_ell():
     with pytest.raises(ValueError):
         imm_rate_upper("general", Fraction(1, 2), 128)
+    for t, ell in ((0, 0), (3, 0), (0, 2), (-1, 2)):
+        with pytest.raises(ValueError, match="t >= 1 and ell >= 1"):
+            imm_rate_upper("general", Fraction(1, 2), 128, t=t, ell=ell)
     r = imm_rate_upper("general", Fraction(1, 2), 128, t=3, ell=2)
     assert r["eq26"].bound_value == 4
 

@@ -135,6 +135,10 @@ _NOT_INTEGERS = {
                          '{"alpha":"1/2","ell":2.0,"lg_sigma_in":1}'], {}),
     "recipe-k-bool": (["build", "--recipe-json", '{"kind":"eks_partition","k":true}',
                        "--out-dir", "{dir}/out"], {}),
+    "bound-t-string": (["bound", "--formula", "eq26", "--params",
+                        '{"kind":"general","delta":"1/2","n":16,"t":"x","ell":2}'], {}),
+    "bound-ell-string": (["bound", "--formula", "eq26", "--params",
+                          '{"kind":"general","delta":"1/2","n":16,"t":2,"ell":"2"}'], {}),
 }
 
 
@@ -191,7 +195,9 @@ def test_build_table_recipe_is_checked_and_rewritten(tmp_path, capsys):
     ('{"kind":"table","n":3,"sigma_in":2,"sigma_out":4,"table":[0,1,7]}',
      "invalid input: table has 3 labels, want 2^1 + ... + 2^3 > 3"),
     ('{"kind":"wat"}', "unknown recipe kind 'wat'"),
-], ids=["short-table", "unknown-kind"])
+    ('{"kind":"imm_partition","imm":"foo","delta":"1/2","ell":1}',
+     "invalid input: unknown immediacy kind 'foo': expected exp or double_exp"),
+], ids=["short-table", "unknown-kind", "unknown-immediacy-kind"])
 def test_refused_build_leaves_no_out_dir(tmp_path, capsys, recipe, err):
     out = tmp_path / "out"
     assert cli.main(["build", "--recipe-json", recipe, "--out-dir", str(out)]) == 1
@@ -310,6 +316,29 @@ def test_thm42_bound_rejects_alpha_and_ell_outside_their_range(capsys, params, m
     captured = capsys.readouterr()
     assert rc == 1 and captured.out == ""
     assert message in captured.err
+
+
+@pytest.mark.parametrize("lf_hi,prop", [(2, "size"), (3, "laminar")])
+def test_audit_refuses_a_partition_the_bound_does_not_cover(tmp_path, capsys, lf_hi, prop):
+    # trivial(6) decodes on any tower.  Its level-2 block [1..6] has lf
+    # [1..lf_hi]: |lf| = 2 < alpha|B| = 3, or lf [1..3] cuts the level-1
+    # block [3, 4].  Neighborhood decoding and the replay still take it
+    from treecodes import core, entropy, serialize
+
+    run(capsys, "build", "--recipe-json", '{"kind":"trivial","n":6}', "--out-dir", str(tmp_path))
+    obj = {"n": 6, "alpha": "1/2", "levels": [
+        [{"lo": v, "hi": v} for v in range(1, 7)],
+        [{"lo": lo, "hi": lo + 1, "lf_hi": lo} for lo in (1, 3, 5)],
+        [{"lo": 1, "hi": 6, "lf_hi": lf_hi}]]}
+    (tmp_path / "partition.json").write_text(json.dumps(obj))
+    files = ["--code", str(tmp_path / "code.json"), "--partition", str(tmp_path / "partition.json")]
+    assert run(capsys, "verify", "--property", "neighborhood", *files)[0] == 0
+    entropy.ledger_replay(core.trivial_code(6), serialize.partition_from_json(obj))
+    rc = cli.main(["audit", *files])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert captured.err == ("invalid input: refusing to audit: the partition lacks the "
+                            f"{prop} property at (level, block) (2, 0)\n")
 
 
 def test_audit_enumerates_the_code_once(tmp_path, capsys, monkeypatch):
@@ -446,7 +475,11 @@ def test_selftest_only_with_no_ids_exits_1_having_run_nothing(capsys):
     (["build", "--recipe-json", '{"kind":"trivial","n":-3}', "--out-dir", "{dir}/out"],
      "n must be >= 1, got -3"),
     (["bound", "--formula", "eq5", "--params", '{"k":-2}'], "ell must be >= 0, got -2"),
-], ids=["eks-recipe-k0", "verify-eks-k-minus-1", "trivial-n-minus-3", "eq5-k-minus-2"])
+    (["bound", "--formula", "eq26", "--params",
+      '{"kind":"general","delta":"1/2","n":16,"t":2,"ell":0}'],
+     "the general kind needs t >= 1 and ell >= 1, got t = 2, ell = 0"),
+], ids=["eks-recipe-k0", "verify-eks-k-minus-1", "trivial-n-minus-3", "eq5-k-minus-2",
+        "eq26-general-ell-0"])
 def test_k_or_n_out_of_range_exits_1_naming_it(tmp_path, capsys, argv, message):
     (tmp_path / "code.json").write_text('{"kind":"trivial","n":4}')
     rc = cli.main([a.replace("{dir}", str(tmp_path)) for a in argv])

@@ -534,7 +534,15 @@ def test_blocks_whose_lf_ends_after_their_rg_are_decided_directly(sigma):
                     assert (entry["witness"]["x"], entry["witness"]["y"]) == ([0] * 4, y)
 
 
-def test_neighborhood_check_groups_rg_and_lf_inputs_apart(monkeypatch):
+@pytest.fixture(scope="module")
+def layered16() -> TreeCode:
+    """The tabulated seed-0 layered code at k=4 (n=16), its table built."""
+    code = _tabulated(eks_code(eks_params(4, Fraction(1, 2), seed=0)))
+    verify._table(code, _Budget(DEFAULT_EVAL_CAP))
+    return code
+
+
+def test_neighborhood_check_groups_rg_and_lf_inputs_apart(monkeypatch, layered16):
     """On the n=16 dyadic check, rg columns and lf inputs are grouped apart:
     22 multi-column sets, 3 of them with one id per message, and no set
     mixes codeword and input columns."""
@@ -548,28 +556,18 @@ def test_neighborhood_check_groups_rg_and_lf_inputs_apart(monkeypatch):
             return got
 
     monkeypatch.setattr(verify, "Groups", Recording)
-    code = _tabulated(eks_code(eks_params(4, Fraction(1, 2), seed=0)))
-    assert verify.check_neighborhood_decoding(code, eks_partition(4)).passed
+    assert verify.check_neighborhood_decoding(layered16, eks_partition(4)).passed
     assert len(made) == 22
     assert sum(size == 1 << 16 for size in made.values()) == 3
     assert all(max(cols) < 16 or min(cols) >= 16 for cols in made)
 
 
-def test_grouping_matches_tuple_grouping_on_the_layered_code_n16():
-    code = _tabulated(eks_code(eks_params(4, Fraction(1, 2), seed=0)))
+def test_grouping_matches_tuple_grouping_on_the_layered_code_n16(layered16):
     quarter, ledger = chs_partition(1, 4, 0)
     for p, led in ((eks_partition(4), None), (quarter, ledger)):
-        assert assert_same_decoding(code, p, led, tables=False, all_caps=False).passed
-        replay = assert_same_replay(code, p, led, all_caps=False)
+        assert assert_same_decoding(layered16, p, led, tables=False, all_caps=False).passed
+        replay = assert_same_replay(layered16, p, led, all_caps=False)
         assert replay[1].passed
-
-
-@pytest.fixture(scope="module")
-def layered16() -> TreeCode:
-    """The tabulated seed-0 layered code at k=4 (n=16), its table built."""
-    code = _tabulated(eks_code(eks_params(4, Fraction(1, 2), seed=0)))
-    verify._table(code, _Budget(DEFAULT_EVAL_CAP))
-    return code
 
 
 @pytest.mark.parametrize("check,quarter,passes,keys", [

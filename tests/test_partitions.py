@@ -27,6 +27,35 @@ def test_immediacy_spec_kappa_bracket():
         assert Fraction(1, 2**k) < delta <= Fraction(2, 2**k)
 
 
+def test_named_kinds_resolve_to_their_specs():
+    for delta in (Fraction(1, 2), Fraction(3, 4), Fraction(1, 3)):
+        assert ImmediacySpec.named("exp", delta) == ImmediacySpec.exponential(delta)
+        assert ImmediacySpec.named("double_exp", delta) == ImmediacySpec.double_exponential(delta)
+    with pytest.raises(ValueError, match="'foo'"):
+        ImmediacySpec.named("foo", Fraction(1, 2))
+
+
+@pytest.mark.parametrize("kind", ["exp", "double_exp"])
+@pytest.mark.parametrize("delta", [Fraction(1, 2), Fraction(3, 4), Fraction(1, 3),
+                                   Fraction(7, 8), Fraction(1, 8)])
+def test_ell_for_depth_inverts_build_from_imm(kind, delta):
+    spec = ImmediacySpec.named(kind, delta)
+    built = 0
+    for ell in (1, 2, 3):
+        if 2 * spec.imm(ell * spec.t) > 1 << 12:
+            break
+        n = build_from_imm(spec, ell).n
+        assert spec.ell_for_depth(n) == ell
+        built += 1
+        for bad in (n - 2, n + 2, n + 1, n - 1):
+            with pytest.raises(ValueError, match=f"n = {bad} "):
+                spec.ell_for_depth(bad)
+    assert built >= 1
+    for bad in (2, 1, 0, -2):
+        with pytest.raises(ValueError, match="not of the form"):
+            spec.ell_for_depth(bad)
+
+
 def test_build_from_imm_reference_partition():
     p = build_from_imm(ImmediacySpec.exponential(Fraction(1, 2)), 2)
     assert p.n == 128 and p.alpha == Fraction(1, 8)
@@ -110,6 +139,31 @@ def test_chs_scales_closed_form_at_source_parameters():
     ells = chs_scales(3, 1 << 20, 10)
     for i in range(1, 4):
         assert ells[i] == 2**10 * 32 ** (2**i)
+
+
+def test_chs_scales_refuses_exactly_the_scalings_that_are_not_even_divisors():
+    # the reference recurrence without chs_scales' checks: a scaling is
+    # valid iff every ell_i is an integer, even, and divides ell_(m+1); every
+    # valid scaling is non-decreasing, so no check of order is needed
+    accepted = 0
+    for m in range(5):
+        for l1 in range(2, 41):
+            for shift in range(7):
+                ells, valid = [l1], True
+                for _ in range(m):
+                    sq = ells[-1] ** 2
+                    valid = valid and sq % 2**shift == 0
+                    ells.append(sq >> shift)
+                valid = valid and all(e % 2 == 0 and ells[-1] % e == 0 for e in ells)
+                try:
+                    got = chs_scales(m, l1, shift)
+                except ValueError:
+                    assert not valid, (m, l1, shift)
+                    continue
+                assert valid and got[1:] == ells, (m, l1, shift)
+                assert got[1:] == sorted(got[1:])
+                accepted += 1
+    assert accepted > 100
 
 
 def test_chs_partition_desk_instance():
