@@ -129,7 +129,10 @@ def imm_rate_upper(
         spec = ImmediacySpec.named(kind, delta)
         if t is not None and t != spec.t:
             raise ValueError(f"for the {kind} kind t is determined as {spec.t}, got {t}")
-        t, ell = spec.t, spec.ell_for_depth(n)
+        depth_ell = spec.ell_for_depth(n)
+        if ell is not None and ell != depth_ell:
+            raise ValueError(f"for the {kind} kind at n = {n} ell is determined as {depth_ell}, got {ell}")
+        t, ell = spec.t, depth_ell
         # the kind's own specialization of eq26
         if kind == "exp":
             fid, (num, exactness) = "eq27", _lg_conservative(Fraction(4) / delta, "up")

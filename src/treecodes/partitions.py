@@ -240,73 +240,88 @@ def validate_laminar(p: LaminarPartition) -> LaminarReport:
     return LaminarReport((), size_bad is None, laminar_bad is None, size_bad, laminar_bad)
 
 
-def _interval_blocks(n: int, length: int) -> List[Block]:
-    if n % length:
-        raise ValueError(f"block length {length} does not divide n = {n}")
-    return [tuple(range(lo, lo + length)) for lo in range(1, n + 1, length)]
+MAX_N = 1 << 16  # the longest partition a builder or partition_from_json materializes
+# the most bits chs_scales' ell_1..ell_(m+1) take in all (194 at m=3, l1=2^20,
+# shift 10): it bounds the recurrence whether its scales square or stay constant
+MAX_SCALE_BITS = 1 << 12
 
 
-def _tag_prefix(blocks: Sequence[Block], lf_len: int) -> Tuple[TaggedBlock, ...]:
-    return tuple(TaggedBlock(lf=b[:lf_len], rg=b[lf_len:]) for b in blocks)
+def _consecutive(n: int, alpha: Fraction, lengths: Sequence[int]) -> LaminarPartition:
+    """Consecutive blocks of length lengths[i] at level i, each tagged block's
+    lf its first alpha*|B| indices.  Refuses n past MAX_N, a length that does
+    not divide n and an lf size that is not an integer (naming the level)
+    before any index is materialized; checks neither size nor laminarity."""
+    if n > MAX_N:
+        raise ValueError(f"n = {n} too large to materialize (MAX_N = {MAX_N}); "
+                         "bounds at this n evaluate symbolically")
+    for i, length in enumerate(lengths):
+        if length < 1 or n % length:
+            raise ValueError(f"divisibility fails at level {i}: "
+                             f"block length {length} does not divide n = {n}")
+        if i and (alpha * length).denominator != 1:
+            raise ValueError(f"divisibility fails at level {i}: "
+                             f"lf size {alpha}*{length} is not an integer")
+
+    def blocks(length: int) -> List[Block]:
+        return [tuple(range(lo, lo + length)) for lo in range(1, n + 1, length)]
+
+    tagged = tuple(
+        tuple(TaggedBlock(lf=b[:lf], rg=b[lf:]) for b in blocks(length))
+        for length in lengths[1:] for lf in (int(alpha * length),)
+    )
+    return LaminarPartition(n=n, alpha=alpha, p0=tuple(blocks(lengths[0])), tagged=tagged)
+
+
+def _laminar(p: LaminarPartition, what: str) -> LaminarPartition:
+    """p, if it passes validate_laminar; else a ValueError naming what built it."""
+    report = validate_laminar(p)
+    if not report.passed:
+        raise ValueError(f"{what} does not yield a laminar partition: "
+                         f"{report.structural_errors or report.first_laminar_violation}")
+    return p
 
 
 def build_from_imm(spec: ImmediacySpec, ell: int) -> LaminarPartition:
     """The consecutive-block laminar partition induced by an immediacy
     function: level j has blocks of length 2*Imm(j*t), with lf(B) the leftmost
-    Imm(j*t)/2^kappa indices.  Rejects parameter choices that violate the
-    required divisibility chain (failing level reported; nothing is rounded).
-    """
+    Imm(j*t)/2^kappa indices.  Imm is evaluated level by level and a length
+    past MAX_N is refused at once; nothing is rounded."""
     if ell < 1:
         raise ValueError(f"ell must be >= 1, got {ell}")
-    imm, t, kappa = spec.imm, spec.t, spec.kappa
+    lengths = [2 * spec.imm(0)]
     for j in range(1, ell + 1):
-        v = imm(j * t)
-        if v % (2**kappa):
-            raise ValueError(
-                f"divisibility fails at level j={j}: Imm({j * t}) = {v} "
-                f"is not a multiple of 2^kappa = {2 ** kappa}"
-            )
-        lf_len = v // (2**kappa)
-        prev = 2 * imm((j - 1) * t)
-        if lf_len % prev:
-            raise ValueError(
-                f"divisibility fails at level j={j}: 2*Imm({(j - 1) * t}) = {prev} "
-                f"does not divide Imm({j * t})/2^kappa = {lf_len}"
-            )
-    n = 2 * imm(ell * t)
-    p0 = tuple(_interval_blocks(n, 2 * imm(0)))
-    tagged = tuple(
-        _tag_prefix(_interval_blocks(n, 2 * imm(j * t)), imm(j * t) // (2**kappa))
-        for j in range(1, ell + 1)
-    )
-    p = LaminarPartition(n=n, alpha=Fraction(1, 2 ** (kappa + 1)), p0=p0, tagged=tagged)
-    report = validate_laminar(p)
-    assert report.passed, report
-    return p
+        lengths.append(2 * spec.imm(j * spec.t))
+        if lengths[-1] > MAX_N:
+            raise ValueError(f"ell = {ell} is too deep to materialize: 2*Imm({j * spec.t}) "
+                             f"is past MAX_N = {MAX_N}")
+    p = _consecutive(lengths[-1], Fraction(1, 2 ** (spec.kappa + 1)), lengths)
+    return _laminar(p, f"Imm partition (t={spec.t}, kappa={spec.kappa}, ell={ell})")
 
 
 def chs_scales(m: int, l1: int, growth_shift: int) -> List[int]:
     """Length scales ell_1..ell_{m+1} under ell_{i+1} = ell_i^2 / 2^shift,
-    each an even integer dividing n = ell_{m+1}: the one check of a scaling's
-    validity, shared by the partition builders and the CHS condition.
+    each an even integer dividing n = ell_{m+1}, taking at most MAX_SCALE_BITS
+    bits in all: the one check of a scaling's validity, shared by the
+    partition builders and the CHS condition.
 
     Returned list is 1-indexed (slot 0 unused).  Exact integer arithmetic;
     usable symbolically at scales far too large to materialize.
     """
     if m < 0 or l1 < 2 or growth_shift < 0:
         raise ValueError("need m >= 0, l1 >= 2, growth_shift >= 0")
-    ells = [0, l1]
-    for _ in range(m):
+    ells, bits = [0, l1], l1.bit_length()
+    while bits <= MAX_SCALE_BITS and len(ells) < m + 2:
         sq = ells[-1] * ells[-1]
-        if sq % (2**growth_shift):
+        if (sq & -sq).bit_length() <= growth_shift:  # 2^shift does not divide sq
             raise ValueError(f"ell_{len(ells)} = {sq}/2^{growth_shift} is not an integer")
         ells.append(sq >> growth_shift)
+        bits += ells[-1].bit_length()
+    if bits > MAX_SCALE_BITS:
+        raise ValueError(f"m = {m}: the scales take more than MAX_SCALE_BITS = {MAX_SCALE_BITS} bits")
     n = ells[m + 1]
     for i in range(1, m + 2):
-        if ells[i] % 2:
-            raise ValueError(f"ell_{i} = {ells[i]} must be even")
-        if n % ells[i]:
-            raise ValueError(f"ell_{i} = {ells[i]} does not divide n = {n}")
+        if ells[i] % 2 or n % ells[i]:
+            raise ValueError(f"ell_{i} = {ells[i]} is not an even divisor of n = {n}")
     return ells
 
 
@@ -322,20 +337,9 @@ def chs_tagged_structure(
     is not laminar over the previous level.
     """
     ells = chs_scales(m, l1, growth_shift)
-    n = ells[m + 1]
-    p0 = tuple(_interval_blocks(n, ells[1] // 2))
-    tagged = []
-    for i in range(1, m + 1):
-        blen = ells[i + 1] // 2
-        if blen % 4:
-            raise ValueError(f"level {i} block length {blen} is not a multiple of 4")
-        tagged.append(_tag_prefix(_interval_blocks(n, blen), blen // 4))
-    p = LaminarPartition(n=n, alpha=Fraction(1, 4), p0=p0, tagged=tuple(tagged))
+    p = _consecutive(ells[m + 1], Fraction(1, 4), [e // 2 for e in ells[1:]])
     sets = {i: [len(p.tagged[i - 1]) - 1] for i in range(1, m + 1)}
     return p, DeficiencyLedger.for_partition(p, sets)
-
-
-CHS_MAX_N = 1 << 16  # the longest CHS partition chs_partition materializes
 
 
 def chs_partition(m: int, l1: int, growth_shift: int) -> Tuple[LaminarPartition, DeficiencyLedger]:
@@ -343,40 +347,19 @@ def chs_partition(m: int, l1: int, growth_shift: int) -> Tuple[LaminarPartition,
     rightmost-block deficiency ledger (budget <= n).
 
     Rejects scalings whose quarter-splits are not aligned with the previous
-    level (a divisibility failure, exactly like a non-integer ell_i: the
-    scaling is invalid, not repairable).  Scales with n beyond CHS_MAX_N are
-    refused here; use chs_scales for symbolic bound evaluation.
+    level, and n past MAX_N (chs_scales evaluates those symbolically).
     """
-    ells = chs_scales(m, l1, growth_shift)
-    n = ells[m + 1]
-    if n > CHS_MAX_N:
-        raise ValueError(
-            f"n = {n} too large to materialize (CHS_MAX_N = {CHS_MAX_N}); "
-            "use chs_scales for symbolic bound evaluation"
-        )
     p, ledger = chs_tagged_structure(m, l1, growth_shift)
-    report = validate_laminar(p)
-    if not report.passed:
-        raise ValueError(
-            f"CHS scaling (m={m}, l1={l1}, shift={growth_shift}) does not yield "
-            f"a laminar partition: {report.structural_errors or report.first_laminar_violation}"
-        )
-    return p, ledger
+    return _laminar(p, f"CHS scaling (m={m}, l1={l1}, shift={growth_shift})"), ledger
 
 
 def eks_partition(k: int) -> LaminarPartition:
     """The dyadic (1/2, k)-laminar partition of [2^k]: level i has consecutive
     blocks of length 2^i, halved into lf and rg."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    n = 2**k
-    p0 = tuple(_interval_blocks(n, 1))
-    tagged = tuple(
-        _tag_prefix(_interval_blocks(n, 2**i), 2 ** (i - 1)) for i in range(1, k + 1)
-    )
-    p = LaminarPartition(n=n, alpha=Fraction(1, 2), p0=p0, tagged=tagged)
-    assert validate_laminar(p).passed
-    return p
+    if not 1 <= k < MAX_N.bit_length():
+        raise ValueError(f"k = {k} is outside 1..lg MAX_N = {MAX_N.bit_length() - 1}")
+    p = _consecutive(1 << k, Fraction(1, 2), [1 << i for i in range(k + 1)])
+    return _laminar(p, f"dyadic k={k}")
 
 
 def ghk_levels(n: int, m: int, delta: Fraction) -> Tuple[int, int]:
@@ -399,15 +382,7 @@ def ghk_partition(n: int, m: int, delta) -> LaminarPartition:
     n / 2^(kappa*(ell-i)), with lf(B) the smallest |B|/2^kappa elements."""
     delta = as_fraction(delta)
     kappa, ell = ghk_levels(n, m, delta)
-    p0 = tuple(_interval_blocks(n, 1))
-    tagged = []
-    for i in range(1, ell + 1):
-        blen = n >> kappa * (ell - i)  # >= 2m, since kappa * (ell - 1) <= lg(n/2m)
-        if blen % (2**kappa):
-            raise ValueError(f"level {i} lf size {blen}/2^{kappa} is not an integer")
-        tagged.append(_tag_prefix(_interval_blocks(n, blen), blen >> kappa))
-    p = LaminarPartition(n=n, alpha=Fraction(1, 2**kappa), p0=p0, tagged=tuple(tagged))
-    report = validate_laminar(p)
-    if not report.passed:
-        raise ValueError(f"GHK parameters (n={n}, m={m}, delta={delta}) invalid: {report}")
-    return p
+    # level i's length is >= 2m, since kappa * (ell - 1) <= lg(n/2m)
+    lengths = [1] + [n >> kappa * (ell - i) for i in range(1, ell + 1)]
+    p = _consecutive(n, Fraction(1, 2**kappa), lengths)
+    return _laminar(p, f"GHK parameters (n={n}, m={m}, delta={delta})")

@@ -13,7 +13,7 @@ from . import constructions
 from .bounds import BoundReport
 from .core import TreeCode, identity_code, level_offsets, prefix_columns, trivial_code
 from .dyadic import as_fraction, frac_str
-from .partitions import DeficiencyLedger, LaminarPartition, TaggedBlock
+from .partitions import MAX_N, DeficiencyLedger, LaminarPartition, TaggedBlock
 from .verify import Verdict
 
 
@@ -115,15 +115,25 @@ def partition_to_json(p: LaminarPartition) -> dict:
 def partition_from_json(obj: dict) -> LaminarPartition:
     expect_type(obj, dict, "partition")
     n = expect_int(obj["n"], "partition n")
+    if n > MAX_N:
+        raise ValueError(f"partition n = {n} too large to materialize (MAX_N = {MAX_N})")
     alpha = as_fraction(obj["alpha"])
     levels = expect_type(obj["levels"], list, "partition levels")
     if not levels:
         raise ValueError("partition levels must hold at least the level-0 blocks")
+    # every bound lies in [1, n] and no level holds more than n indices, all
+    # checked before any block is materialized
     for i, level in enumerate(levels):
+        held = 0
         for b in expect_type(level, list, "partition level"):
             expect_type(b, dict, "partition block")
             for bound in ("lo", "hi") + (("lf_hi",) if i else ()):
-                expect_int(b[bound], f"partition block {bound}")
+                if not 1 <= expect_int(b[bound], f"partition block {bound}") <= n:
+                    raise ValueError(f"partition level {i}: {bound} = {b[bound]} is outside [1, {n}]")
+            cut = b["lf_hi"] if i else b["hi"]  # the lf/rg split; rg is empty at level 0
+            held += max(0, cut - b["lo"] + 1) + max(0, b["hi"] - cut)
+        if held > n:
+            raise ValueError(f"partition level {i}: blocks hold {held} indices, more than n = {n}")
     p0 = tuple(tuple(range(b["lo"], b["hi"] + 1)) for b in levels[0])
     tagged = []
     for level in levels[1:]:

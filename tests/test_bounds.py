@@ -89,6 +89,14 @@ def test_exp_kind_rejects_inconsistent_depth():
         imm_rate_upper("foo", Fraction(1, 2), 128)
 
 
+@pytest.mark.parametrize("kind,n,ell", [("exp", 128, 2), ("double_exp", 2 * 2**16, 2)])
+def test_named_kind_refuses_an_ell_other_than_its_depth(kind, n, ell):
+    assert imm_rate_upper(kind, Fraction(1, 2), n, ell=ell)["eq26"].inputs["ell"] == str(ell)
+    for wrong in (ell - 1, ell + 3):
+        with pytest.raises(ValueError, match=f"ell is determined as {ell}, got {wrong}$"):
+            imm_rate_upper(kind, Fraction(1, 2), n, ell=wrong)
+
+
 def test_double_exp_kind_reference_values():
     # t = 2, n = 2*2^(2^(ell*t)) with ell=1
     r = imm_rate_upper("double_exp", Fraction(1, 2), 2 * 2 ** (2**2))

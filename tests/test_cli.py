@@ -102,6 +102,32 @@ _USAGE_MISTAKES = {
     "ghk-epsilon-zero": (
         ["verify", "--code", "{dir}/code.json", "--property", "ghk", "--k0", "1",
          "--epsilon", "0"], {}),
+    # oversize inputs: each is refused before anything large is computed
+    "eks-partition-k-2e9": (["build", "--recipe-json", '{"kind":"eks_partition","k":2000000000}',
+                             "--out-dir", "{dir}/out"], {}),
+    "ghk-partition-n-2^40": (
+        ["build", "--recipe-json",
+         '{"kind":"ghk_partition","n":1099511627776,"m":1,"delta":"1/2"}',
+         "--out-dir", "{dir}/out"], {}),
+    "imm-partition-exp-ell-8": (
+        ["build", "--recipe-json", '{"kind":"imm_partition","imm":"exp","delta":"1/2","ell":8}',
+         "--out-dir", "{dir}/out"], {}),
+    "imm-partition-double-exp-ell-40": (
+        ["build", "--recipe-json",
+         '{"kind":"imm_partition","imm":"double_exp","delta":"1/2","ell":40}',
+         "--out-dir", "{dir}/out"], {}),
+    "chs-partition-m-60": (
+        ["build", "--recipe-json", '{"kind":"chs_partition","m":60,"l1":4,"shift":0}',
+         "--out-dir", "{dir}/out"], {}),
+    "partition-huge-block": (
+        ["verify", "--code", "{dir}/code.json", "--property", "neighborhood",
+         "--partition", "{dir}/bad.json"],
+        {"bad.json": {"n": 4, "alpha": "1/2", "levels": [[{"lo": 1, "hi": 4000000000}]]}}),
+    "verify-chs-m-60": (
+        ["verify", "--code", "{dir}/code.json", "--property", "chs", "--m", "60", "--l1", "4"], {}),
+    "verify-chs-constant-scales-m-1e9": (
+        ["verify", "--code", "{dir}/code.json", "--property", "chs", "--m", "1000000000",
+         "--l1", "4", "--shift", "2"], {}),
 }
 
 
@@ -116,7 +142,8 @@ def test_usage_mistake_exits_1(tmp_path, capsys, case):
     rc = cli.main([a.replace("{dir}", str(tmp_path)) for a in argv])
     err = capsys.readouterr().err
     assert rc == 1
-    assert "invalid input" in err and "internal error" not in err
+    assert err.startswith("invalid input: ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
 
 
 _NOT_INTEGERS = {

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from treecodes.partitions import (
+    MAX_N,
     DeficiencyLedger,
     ImmediacySpec,
     LaminarPartition,
@@ -15,6 +16,7 @@ from treecodes.partitions import (
     ghk_partition,
     validate_laminar,
 )
+from treecodes.serialize import partition_from_json
 
 
 def test_immediacy_spec_kappa_bracket():
@@ -272,6 +274,123 @@ def test_builders_always_validate_under_randomized_parameters():
         assert validate_laminar(build_from_imm(spec, ell)).passed
 
     run_imm()
+
+
+def _assert_consecutive(p, n, alpha, lengths):
+    # the reference shape, written out per block: block j of level i is
+    # [j*L + 1, (j+1)*L] with L = lengths[i], and its lf is the first alpha*L
+    assert (p.n, p.alpha, p.ell) == (n, alpha, len(lengths) - 1)
+    assert p.p0 == tuple(tuple(range(j * lengths[0] + 1, (j + 1) * lengths[0] + 1))
+                         for j in range(n // lengths[0]))
+    for length, level in zip(lengths[1:], p.tagged):
+        lf = alpha * length
+        assert lf.denominator == 1 and len(level) * length == n
+        for j, tb in enumerate(level):
+            lo, cut, hi = j * length + 1, j * length + 1 + int(lf), (j + 1) * length
+            assert tb.lf == tuple(range(lo, cut)) and tb.rg == tuple(range(cut, hi + 1))
+
+
+def test_every_built_partition_is_the_consecutive_reference():
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    deltas = st.fractions(min_value=Fraction(1, 64), max_value=Fraction(63, 64))
+
+    def kappa_of(delta):  # the largest kappa with 2^kappa <= 2/delta
+        kappa = 0
+        while 2 ** (kappa + 1) <= 2 / delta:
+            kappa += 1
+        return kappa
+
+    @settings(max_examples=12, deadline=None)
+    @given(k=st.integers(1, 12))
+    def eks(k):
+        _assert_consecutive(eks_partition(k), 2**k, Fraction(1, 2), [2**i for i in range(k + 1)])
+
+    @settings(max_examples=40, deadline=None)
+    @given(lg_n=st.integers(1, 13), lg_m=st.integers(0, 7), delta=deltas)
+    def ghk(lg_n, lg_m, delta):
+        n, kappa = 2**lg_n, kappa_of(delta)
+        try:
+            p = ghk_partition(n, 2**lg_m, delta)
+        except ValueError:
+            return
+        ell = 1 + (lg_n - lg_m - 1) // kappa
+        _assert_consecutive(p, n, Fraction(1, 2**kappa),
+                            [1] + [n // 2 ** (kappa * (ell - i)) for i in range(1, ell + 1)])
+
+    @settings(max_examples=60, deadline=None)
+    @given(m=st.integers(0, 3), l1=st.integers(2, 40), shift=st.integers(0, 6))
+    def chs(m, l1, shift):
+        ells = [l1]
+        for _ in range(m):
+            ells.append(ells[-1] ** 2 // 2**shift)
+        for build in (chs_partition, chs_tagged_structure):
+            try:
+                p, _ = build(m, l1, shift)
+            except ValueError:
+                continue
+            _assert_consecutive(p, ells[-1], Fraction(1, 4), [e // 2 for e in ells])
+
+    @settings(max_examples=30, deadline=None)
+    @given(kind=st.sampled_from(["exp", "double_exp"]), delta=deltas, ell=st.integers(1, 3))
+    def imm(kind, delta, ell):
+        spec = ImmediacySpec.named(kind, delta)
+        if (ell * spec.t if kind == "exp" else 2 ** (ell * spec.t)) > 15:
+            return  # n = 2*Imm(ell*t) past MAX_N
+        try:
+            p = build_from_imm(spec, ell)
+        except ValueError:
+            return
+        kappa = kappa_of(delta)
+        lengths = [2 * spec.imm(j * spec.t) for j in range(ell + 1)]
+        _assert_consecutive(p, lengths[-1], Fraction(1, 2 ** (kappa + 1)), lengths)
+
+    for run in (eks, ghk, chs, imm):
+        run()
+
+
+def test_max_n_is_the_one_limit_on_materializing_a_partition():
+    assert MAX_N == 2**16
+    assert ghk_partition(MAX_N, MAX_N // 2, Fraction(1, 2)).n == MAX_N
+    refusals = [
+        lambda: eks_partition(17),
+        lambda: ghk_partition(2 * MAX_N, MAX_N, Fraction(1, 2)),
+        lambda: build_from_imm(ImmediacySpec.exponential(Fraction(1, 2)), 6),  # n = 2^19
+        lambda: chs_partition(0, 2 * MAX_N, 0),
+        lambda: partition_from_json({"n": 2 * MAX_N, "alpha": "1/2", "levels": [[]]}),
+    ]
+    for build in refusals:
+        with pytest.raises(ValueError, match="MAX_N"):
+            build()
+
+
+def test_partition_loader_refuses_out_of_range_bounds_before_materializing():
+    def load(n, *levels):
+        return partition_from_json({"n": n, "alpha": "1/2", "levels": list(levels)})
+
+    with pytest.raises(ValueError, match=r"hi = 4000000000 is outside \[1, 4\]"):
+        load(4, [{"lo": 1, "hi": 4_000_000_000}])
+    with pytest.raises(ValueError, match=r"level 1: lf_hi = 0 is outside"):
+        load(4, [{"lo": 1, "hi": 4}], [{"lo": 1, "hi": 4, "lf_hi": 0}])
+    # two full blocks hold 8 indices of 4; validate_laminar would report the
+    # repeated index, the loader refuses before materializing either
+    with pytest.raises(ValueError, match="level 0: blocks hold 8 indices, more than n = 4"):
+        load(4, [{"lo": 1, "hi": 4}, {"lo": 1, "hi": 4}])
+    # a level whose split is past hi holds lf_hi - lo + 1 indices
+    with pytest.raises(ValueError, match="level 1: blocks hold 7 indices"):
+        load(4, [{"lo": 1, "hi": 4}], [{"lo": 1, "hi": 2, "lf_hi": 4}, {"lo": 2, "hi": 4, "lf_hi": 2}])
+    p = load(4, [{"lo": 1, "hi": 2}, {"lo": 3, "hi": 4}], [{"lo": 1, "hi": 4, "lf_hi": 2}])
+    assert validate_laminar(p).passed
+
+
+def test_chs_scales_bound_its_work_whether_they_square_or_stay_constant():
+    for m, l1, shift in ((60, 4, 0), (10**9, 4, 2), (1, 2**5000, 0)):
+        with pytest.raises(ValueError, match="MAX_SCALE_BITS"):
+            chs_scales(m, l1, shift)
+    with pytest.raises(ValueError, match="not an integer"):
+        chs_scales(1, 4, 10**9)
+    assert chs_scales(500, 4, 2) == [0] + [4] * 501
 
 
 def test_chs_tagged_structure_exists_below_derivation_scale():
