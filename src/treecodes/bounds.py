@@ -28,20 +28,6 @@ from .dyadic import (
 from .partitions import (IMM_FUNCTIONS, DeficiencyLedger, ImmediacySpec, LaminarPartition,
                          ghk_levels)
 
-FORMULA_IDS = (
-    "thm41",
-    "thm42",
-    "eq25",
-    "eq26",
-    "eq27",
-    "eq22",
-    "eq33",
-    "eq5",
-    "eq11",
-    "eq13",
-)
-
-
 @dataclass(frozen=True)
 class BoundReport:
     """One evaluated bound: which formula, its exact inputs, the value (with
@@ -62,28 +48,23 @@ def _inputs(**kw) -> Dict[str, str]:
     return {k: str(v) for k, v in kw.items()}
 
 
-def _laminar_params(alpha, ell: int) -> Fraction:
-    """alpha as a Fraction, once alpha is in (0,1] and ell >= 0: the
-    parameters of an (alpha, ell)-laminar partition."""
-    alpha = as_fraction(alpha)
-    if not 0 < alpha <= 1:
-        raise ValueError(f"alpha must be in (0,1], got {alpha}")
-    if ell < 0:
-        raise ValueError(f"ell must be >= 0, got {ell}")
-    return alpha
-
-
 def rate_bound_plain(alpha, ell: int, lg_sigma_in) -> Fraction:
     """Lower bound alpha * ell * lg|sigma_in| on lg|sigma| for an immediacy
     code over an (alpha, ell)-laminar partition."""
-    alpha, lg_sigma_in = _laminar_params(alpha, ell), as_fraction(lg_sigma_in)
-    return alpha * ell * lg_sigma_in
+    return rate_bound_deficient(alpha, ell, 0, 1, lg_sigma_in)
 
 
 def rate_bound_deficient(alpha, ell: int, deficiency: int, n: int, lg_sigma_in) -> Fraction:
     """Lower bound alpha * (ell - D/n) * lg|sigma_in|; generalizes the plain
-    bound (D = 0) and may be <= 0 (vacuous) when the deficiency is large."""
-    alpha, lg_sigma_in = _laminar_params(alpha, ell), as_fraction(lg_sigma_in)
+    bound (D = 0) and may be <= 0 (vacuous) when the deficiency is large.
+    Needs alpha in (0,1], ell, D and lg|sigma_in| >= 0, and n >= 1."""
+    alpha, lg_sigma_in = as_fraction(alpha), as_fraction(lg_sigma_in)
+    if not 0 < alpha <= 1:
+        raise ValueError(f"alpha must be in (0,1], got {alpha}")
+    if ell < 0:
+        raise ValueError(f"ell must be >= 0, got {ell}")
+    if lg_sigma_in < 0:
+        raise ValueError(f"lg_sigma_in must be >= 0, got {lg_sigma_in}")
     if deficiency < 0 or n < 1:
         raise ValueError("need deficiency >= 0 and n >= 1")
     return alpha * (ell - Fraction(deficiency, n)) * lg_sigma_in

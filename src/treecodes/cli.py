@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 from typing import Dict, List, Optional
 
@@ -26,6 +27,7 @@ from .partitions import (
     eks_partition,
     ghk_partition,
 )
+from .serialize import Form, int_field
 
 EXIT_PASS = 0
 EXIT_USAGE = 1
@@ -63,49 +65,38 @@ def _load_json(path: str) -> dict:
     return json.loads(Path(path).read_text())
 
 
-def _int(obj: dict, key: str) -> int:
-    return serialize.expect_int(obj[key], key)
+# each partition recipe kind's form, read to its partition and its ledger
+_PARTITIONS = {
+    "imm_partition": Form(("imm", "delta", "ell"), (), lambda r: (build_from_imm(
+        ImmediacySpec.named(r["imm"], as_fraction(r["delta"])), int_field(r, "ell")), None)),
+    "eks_partition": Form(("k",), (), lambda r: (eks_partition(int_field(r, "k")), None)),
+    "chs_partition": Form(("m", "l1", "shift"), (), lambda r: chs_partition(
+        int_field(r, "m"), int_field(r, "l1"), int_field(r, "shift"))),
+    "ghk_partition": Form(("n", "m", "delta"), (), lambda r: (ghk_partition(
+        int_field(r, "n"), int_field(r, "m"), as_fraction(r["delta"])), None)),
+}
 
 
 def cmd_build(args) -> int:
     recipe = json.loads(args.recipe_json) if args.recipe_json else _load_json(args.recipe)
     serialize.expect_type(recipe, dict, "recipe")
     kind = recipe.get("kind")
+    key = kind if isinstance(kind, str) else None  # a list or object names no kind
     # every payload is built before --out-dir is made, so a refused recipe
     # leaves nothing behind
-    if kind in ("trivial", "identity", "table"):
+    if key == "eks":
+        params = serialize.CODE_KINDS["eks"].load(recipe, "eks code")
+        files = {"code.json": dict(recipe, b=params.b, delta=serialize.frac_str(params.delta),
+                                   seed=recipe.get("seed", 0)),
+                 "partition.json": serialize.partition_to_json(eks_partition(params.k))}
+    elif key in serialize.CODE_KINDS:
         # small enumerable codes materialize as explicit level-order tables
         files = {"code.json": serialize.tabulate_code(serialize.code_from_json(recipe))}
-    elif kind == "eks":
-        k = _int(recipe, "k")
-        delta = as_fraction(recipe["delta"])
-        seed = serialize.expect_int(recipe.get("seed", 0), "seed")
-        params = eks_params(k, delta, seed=seed)
-        files = {
-            "code.json": {
-                "kind": "eks",
-                "k": k,
-                "b": params.b,
-                "delta": serialize.frac_str(delta),
-                "seed": seed,
-            },
-            "partition.json": serialize.partition_to_json(eks_partition(k)),
-        }
-    elif kind == "imm_partition":
-        spec = ImmediacySpec.named(recipe["imm"], as_fraction(recipe["delta"]))
-        files = {"partition.json": serialize.partition_to_json(
-            build_from_imm(spec, _int(recipe, "ell")))}
-    elif kind == "eks_partition":
-        files = {"partition.json": serialize.partition_to_json(eks_partition(_int(recipe, "k")))}
-    elif kind == "chs_partition":
-        p, ledger = chs_partition(
-            _int(recipe, "m"), _int(recipe, "l1"), _int(recipe, "shift")
-        )
-        files = {"partition.json": serialize.partition_to_json(p),
-                 "ledger.json": serialize.ledger_to_json(ledger)}
-    elif kind == "ghk_partition":
-        p = ghk_partition(_int(recipe, "n"), _int(recipe, "m"), as_fraction(recipe["delta"]))
+    elif key in _PARTITIONS:
+        p, ledger = _PARTITIONS[key].load(recipe, f"{key} recipe")
         files = {"partition.json": serialize.partition_to_json(p)}
+        if ledger is not None:
+            files["ledger.json"] = serialize.ledger_to_json(ledger)
     else:
         print(f"unknown recipe kind {kind!r}", file=sys.stderr)
         return EXIT_USAGE
@@ -116,93 +107,92 @@ def cmd_build(args) -> int:
     return EXIT_PASS
 
 
-# flags each property needs beyond --code (the rest have defaults)
-_REQUIRED_FLAGS = {
-    "neighborhood": ("partition",),
-    "eks": ("k",),
-    "chs": ("m", "l1"),
-    "ghk": ("k0",),
+def _partition(args) -> tuple:
+    """The --partition and the --ledger over it, or None without --ledger."""
+    p = serialize.partition_from_json(_load_json(args.partition))
+    return p, serialize.ledger_from_json(_load_json(args.ledger), p) if args.ledger else None
+
+
+# each --property: the flags it needs beyond --code (the rest have defaults)
+# and its check of the loaded code.  The checks, like the readers of
+# _FORMULAS, look their functions up on the module at each call, so a
+# wrapper set on the module is the one that runs.
+_PROPERTIES = {
+    "distance": ((), lambda a, code: verify.check_tree_distance(
+        code, as_fraction(a.delta), cap=a.cap)),
+    "imm_function": ((), lambda a, code: verify.check_immediacy_function(
+        code, IMM_FUNCTIONS[a.imm], as_fraction(a.delta), cap=a.cap)),
+    "neighborhood": (("partition",), lambda a, code: verify.check_neighborhood_decoding(
+        code, *_partition(a), cap=a.cap, materialize_tables=a.tables)),
+    "eks": (("k",), lambda a, code: verify.check_eks_condition(
+        code, as_fraction(a.delta), a.k, cap=a.cap)),
+    "chs": (("m", "l1"), lambda a, code: verify.check_chs_condition(
+        code, a.m, a.l1, a.shift, cap=a.cap)),
+    "ghk": (("k0",), lambda a, code: verify.check_ghk_condition(
+        code, a.k0, as_fraction(a.epsilon), as_fraction(a.delta), cap=a.cap)),
 }
 
 
 def cmd_verify(args) -> int:
-    missing = [f for f in _REQUIRED_FLAGS.get(args.property, ()) if getattr(args, f) is None]
+    required, check = _PROPERTIES[args.property]
+    missing = [f for f in required if getattr(args, f) is None]
     if missing:
         flags = ", ".join(f"--{f}" for f in missing)
         print(f"usage: verify --property {args.property} requires {flags}", file=sys.stderr)
         return EXIT_USAGE
-    code = serialize.code_from_json(_load_json(args.code))
-    cap = args.cap
-    if args.property == "distance":
-        verdict = verify.check_tree_distance(code, as_fraction(args.delta), cap=cap)
-    elif args.property == "imm_function":
-        verdict = verify.check_immediacy_function(
-            code, IMM_FUNCTIONS[args.imm], as_fraction(args.delta), cap=cap
-        )
-    elif args.property == "neighborhood":
-        p = serialize.partition_from_json(_load_json(args.partition))
-        ledger = (
-            serialize.ledger_from_json(_load_json(args.ledger), p) if args.ledger else None
-        )
-        verdict = verify.check_neighborhood_decoding(
-            code, p, ledger, cap=cap, materialize_tables=args.tables
-        )
-    elif args.property == "eks":
-        verdict = verify.check_eks_condition(code, as_fraction(args.delta), args.k, cap=cap)
-    elif args.property == "chs":
-        verdict = verify.check_chs_condition(code, args.m, args.l1, args.shift, cap=cap)
-    else:  # ghk, the last --property choice
-        verdict = verify.check_ghk_condition(
-            code, args.k0, as_fraction(args.epsilon), as_fraction(args.delta), cap=cap
-        )
+    verdict = check(args, serialize.code_from_json(_load_json(args.code)))
     _emit(args, serialize.verdict_to_json(verdict))
     return EXIT_PASS if verdict.passed else EXIT_FAIL
 
 
+def _rate_report(f: str, p: dict) -> bounds.BoundReport:
+    deficient = f == "thm42"
+    fn = bounds.rate_bound_deficient if deficient else bounds.rate_bound_plain
+    ints = ("ell", "deficiency", "n") if deficient else ("ell",)
+    value = fn(as_fraction(p["alpha"]), *(int_field(p, k) for k in ints),
+               as_fraction(p["lg_sigma_in"]))
+    return bounds.BoundReport(f, "lg_sigma >=", {k: str(v) for k, v in p.items()}, value,
+                              vacuous=deficient and value <= 0)
+
+
+def _imm_report(f: str, p: dict) -> Optional[bounds.BoundReport]:
+    """f's report, or None where the kind does not specialize to f."""
+    return bounds.imm_rate_upper(
+        p.get("kind", "exp"), as_fraction(p["delta"]), int_field(p, "n"),
+        t=int_field(p, "t") if "t" in p else None, ell=int_field(p, "ell") if "ell" in p else None,
+    ).get(f)
+
+
+# each --formula's --params form, read to its report
+_FORMULAS = {
+    "thm41": Form(("alpha", "ell", "lg_sigma_in"), (), partial(_rate_report, "thm41")),
+    "thm42": Form(("alpha", "ell", "deficiency", "n", "lg_sigma_in"), (),
+                  partial(_rate_report, "thm42")),
+    **{f: Form(("delta", "n"), ("kind", "t", "ell"), partial(_imm_report, f))
+       for f in ("eq25", "eq26", "eq27", "eq22")},
+    "eq33": Form(("m", "n"), (), lambda p: bounds.eq33_report(
+        int_field(p, "m"), int_field(p, "n"))),
+    "eq5": Form(("k",), ("measured",), lambda p: bounds.eq5_report(
+        int_field(p, "k"), p.get("measured"))),
+    "eq11": Form(("n", "m", "delta", "ratio"), (), lambda p: bounds.ghk_distance_bound(
+        int_field(p, "n"), int_field(p, "m"), as_fraction(p["delta"]), as_fraction(p["ratio"]))),
+    "eq13": Form(("delta",), (), lambda p: bounds.eq13_report(as_fraction(p["delta"]))),
+}
+
+
 def cmd_bound(args) -> int:
     params: Dict = serialize.expect_type(json.loads(args.params), dict, "--params")
-    f = args.formula
-    if f in ("thm41", "thm42"):
-        deficient = f == "thm42"
-        fn = bounds.rate_bound_deficient if deficient else bounds.rate_bound_plain
-        ints = ("ell", "deficiency", "n") if deficient else ("ell",)
-        value = fn(as_fraction(params["alpha"]), *(_int(params, k) for k in ints),
-                   as_fraction(params["lg_sigma_in"]))
-        report = bounds.BoundReport(f, "lg_sigma >=", {k: str(v) for k, v in params.items()},
-                                    value, vacuous=deficient and value <= 0)
-    elif f in ("eq25", "eq26", "eq27", "eq22"):
-        reports = bounds.imm_rate_upper(
-            params.get("kind", "exp"),
-            as_fraction(params["delta"]),
-            _int(params, "n"),
-            t=_int(params, "t") if "t" in params else None,
-            ell=_int(params, "ell") if "ell" in params else None,
-        )
-        if f not in reports:
-            print(f"{f} not applicable to kind {params.get('kind')}", file=sys.stderr)
-            return EXIT_USAGE
-        report = reports[f]
-    elif f == "eq33":
-        report = bounds.eq33_report(_int(params, "m"), _int(params, "n"))
-    elif f == "eq5":
-        report = bounds.eq5_report(_int(params, "k"), params.get("measured"))
-    elif f == "eq11":
-        report = bounds.ghk_distance_bound(
-            _int(params, "n"),
-            _int(params, "m"),
-            as_fraction(params["delta"]),
-            as_fraction(params["ratio"]),
-        )
-    else:  # eq13, the last --formula choice
-        report = bounds.eq13_report(as_fraction(params["delta"]))
+    report = _FORMULAS[args.formula].load(params, f"{args.formula} --params")
+    if report is None:
+        print(f"{args.formula} not applicable to kind {params.get('kind')}", file=sys.stderr)
+        return EXIT_USAGE
     _emit(args, serialize.bound_report_to_json(report))
     return EXIT_PASS if report.satisfied is not False else EXIT_FAIL
 
 
 def cmd_audit(args) -> int:
     code = serialize.code_from_json(_load_json(args.code))
-    p = serialize.partition_from_json(_load_json(args.partition))
-    ledger = serialize.ledger_from_json(_load_json(args.ledger), p) if args.ledger else None
+    p, ledger = _partition(args)
     report = bounds.audit_code(code, p, ledger, cap=args.cap)
     led, verdict = entropy.ledger_replay(code, p, ledger, cap=args.cap)
     payload = {
@@ -294,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument(
         "--property",
         required=True,
-        choices=("distance", "imm_function", "neighborhood", "eks", "chs", "ghk"),
+        choices=tuple(_PROPERTIES),
     )
     v.add_argument("--delta", default="1/2")
     v.add_argument("--imm", choices=sorted(IMM_FUNCTIONS), default="exp")
@@ -311,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.set_defaults(fn=cmd_verify)
 
     bo = sub.add_parser("bound", help="evaluate a bound formula exactly")
-    bo.add_argument("--formula", required=True, choices=bounds.FORMULA_IDS)
+    bo.add_argument("--formula", required=True, choices=tuple(_FORMULAS))
     bo.add_argument("--params", required=True, help="JSON object of named inputs")
     bo.set_defaults(fn=cmd_bound)
 

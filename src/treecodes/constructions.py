@@ -22,6 +22,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 from .bitslice import add, below, minimum
 from .core import Alphabet, LevelOrderChar, Message, TreeCode
 from .dyadic import as_fraction
+from .partitions import MAX_N
 from .rng import DetStream
 
 DEFAULT_B_SCHEDULE = (2, 3, 4, 6, 8)
@@ -255,6 +256,8 @@ def eks_params(
     """Build a certified ECC family and wrap it as layered-code parameters."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
+    if k >= MAX_N.bit_length():  # before 2^(k-1) is computed
+        raise ValueError(f"k = {k} is outside 1..lg MAX_N = {MAX_N.bit_length() - 1}")
     delta = as_fraction(delta)
     family = ecc_family(delta, 1 << (k - 1), b_schedule=b_schedule, seed=seed)
     by_len = {c.ell: c for c in family}

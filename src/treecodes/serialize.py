@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import json
 from itertools import chain
-from typing import List
+from typing import Any, Callable, List, NamedTuple, Tuple
 
 from . import constructions
 from .bounds import BoundReport
@@ -32,6 +32,28 @@ def expect_int(obj, what: str) -> int:
     if type(obj) is not int:
         raise ValueError(f"{what} must be a JSON integer, got {type(obj).__name__}")
     return obj
+
+
+def int_field(obj: dict, key: str) -> int:
+    return expect_int(obj[key], key)
+
+
+class Form(NamedTuple):
+    """A kind of JSON input object: the keys it needs, the keys it may hold
+    besides them and "kind", and its reader."""
+
+    required: Tuple[str, ...]
+    optional: Tuple[str, ...]
+    read: Callable[[dict], Any]
+
+    def load(self, obj: dict, what: str):
+        """read(obj), or a ValueError naming a missing or undeclared key."""
+        missing = [key for key in self.required if key not in obj]
+        unknown = sorted(set(obj) - {*self.required, *self.optional, "kind"})
+        if missing or unknown:
+            raise ValueError(f"{what} lacks key {missing[0]!r}" if missing
+                             else f"{what} has unknown key {unknown[0]!r}")
+        return self.read(obj)
 
 
 def dumps_canonical(obj) -> str:
@@ -61,31 +83,28 @@ def tabulate_code(code: TreeCode) -> dict:
     }
 
 
+# each code kind's form; eks reads to the parameters its code is built from,
+# the one reader of that form, for loading a code and for building one
+CODE_KINDS = {
+    "trivial": Form(("n",), (), lambda o: trivial_code(int_field(o, "n"))),
+    "identity": Form(("n",), ("sigma_in",), lambda o: identity_code(
+        int_field(o, "n"), expect_int(o.get("sigma_in", 2), "sigma_in"))),
+    "table": Form(("n", "sigma_in", "sigma_out", "table"), (), lambda o: constructions.table_code(
+        *(int_field(o, key) for key in ("n", "sigma_in", "sigma_out")),
+        expect_type(o["table"], list, "table"))),
+    "eks": Form(("k", "delta"), ("b", "seed"), lambda o: constructions.eks_params(
+        int_field(o, "k"), as_fraction(o["delta"]), seed=expect_int(o.get("seed", 0), "seed"),
+        b_schedule=(int_field(o, "b"),) if "b" in o else constructions.DEFAULT_B_SCHEDULE)),
+}
+
+
 def code_from_json(obj: dict) -> TreeCode:
     kind = expect_type(obj, dict, "code").get("kind")
-    if kind == "trivial":
-        return trivial_code(expect_int(obj["n"], "n"))
-    if kind == "identity":
-        return identity_code(expect_int(obj["n"], "n"),
-                             expect_int(obj.get("sigma_in", 2), "sigma_in"))
-    if kind == "table":
-        return constructions.table_code(
-            expect_int(obj["n"], "n"),
-            expect_int(obj["sigma_in"], "sigma_in"),
-            expect_int(obj["sigma_out"], "sigma_out"),
-            expect_type(obj["table"], list, "table"),
-        )
-    if kind == "eks":
-        delta = as_fraction(obj["delta"])
-        params = constructions.eks_params(
-            expect_int(obj["k"], "k"),
-            delta,
-            seed=expect_int(obj.get("seed", 0), "seed"),
-            b_schedule=((expect_int(obj["b"], "b"),) if "b" in obj
-                        else constructions.DEFAULT_B_SCHEDULE),
-        )
-        return constructions.eks_code(params)
-    raise ValueError(f"unknown code kind {kind!r}")
+    form = CODE_KINDS.get(kind) if isinstance(kind, str) else None
+    if form is None:
+        raise ValueError(f"unknown code kind {kind!r}")
+    code = form.load(obj, f"{kind} code")
+    return constructions.eks_code(code) if kind == "eks" else code
 
 
 # -------------------- partitions --------------------
@@ -121,6 +140,9 @@ def partition_from_json(obj: dict) -> LaminarPartition:
     levels = expect_type(obj["levels"], list, "partition levels")
     if not levels:
         raise ValueError("partition levels must hold at least the level-0 blocks")
+    if len(levels) > n.bit_length():  # each tagged block joins two or more blocks below
+        raise ValueError(f"partition has {len(levels)} levels, more than the {n.bit_length()} "
+                         f"a laminar partition of n = {n} can have")
     # every bound lies in [1, n] and no level holds more than n indices, all
     # checked before any block is materialized
     for i, level in enumerate(levels):

@@ -87,6 +87,8 @@ class _Budget:
     __slots__ = ("cap", "used")
 
     def __init__(self, cap: int) -> None:
+        if cap < 1:  # no evaluation fits: a budget for no question
+            raise ValueError(f"cap must be >= 1, got {cap}")
         self.cap = cap
         self.used = 0
 
@@ -582,9 +584,9 @@ def check_eks_condition(
     if k < 0:  # k = 0 is the one-position code, with no window
         raise ValueError(f"k must be >= 0, got {k}")
     delta = as_fraction(delta)
-    if code.n != 1 << k:
-        raise ValueError(f"code length {code.n} != 2^k = {1 << k}")
     n = code.n
+    if n & (n - 1) or n.bit_length() - 1 != k:  # k is compared, 2^k never computed
+        raise ValueError(f"code length {n} is not 2^k for k = {k}")
 
     def windows_at(sp):
         scales = [(ell, -(-sp >> ell) << ell) for ell in range(k) if sp <= n - (1 << ell)]

@@ -59,6 +59,13 @@ def test_deficient_bound_checks_alpha_and_ell_as_the_plain_one_does(alpha, ell, 
         rate_bound(alpha, ell, 1, 8, 1)  # thm42
 
 
+@pytest.mark.parametrize("lg_sigma_in", [-1, Fraction(-1, 2)])
+def test_rate_bounds_refuse_a_negative_lg_sigma_in(lg_sigma_in):
+    for deficiency in (0, 1):  # thm41, thm42
+        with pytest.raises(ValueError, match="lg_sigma_in must be >= 0"):
+            rate_bound(Fraction(1, 2), 2, deficiency, 8, lg_sigma_in)
+
+
 @given(alphas, st.integers(0, 12), st.integers(0, 600), st.integers(1, 500), lgs)
 def test_rate_bound_is_plain_without_exemptions_and_deficient_with(alpha, ell, d, n, lg_in):
     if d:

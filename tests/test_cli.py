@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from treecodes import acceptance, cli, constructions
+from treecodes import acceptance, cli, constructions, serialize
 
 
 def run(capsys, *args):
@@ -128,6 +128,16 @@ _USAGE_MISTAKES = {
     "verify-chs-constant-scales-m-1e9": (
         ["verify", "--code", "{dir}/code.json", "--property", "chs", "--m", "1000000000",
          "--l1", "4", "--shift", "2"], {}),
+    "eks-k-2e9": (["build", "--recipe-json", '{"kind":"eks","k":2000000000,"delta":"1/2"}',
+                   "--out-dir", "{dir}/out"], {}),
+    "verify-eks-k-2e9": (
+        ["verify", "--code", "{dir}/code.json", "--property", "eks", "--k", "2000000000"], {}),
+    # 1.6 KB that would materialize 40 levels of 2^16 indices
+    "partition-40-levels": (
+        ["verify", "--code", "{dir}/code.json", "--property", "neighborhood",
+         "--partition", "{dir}/bad.json"],
+        {"bad.json": {"n": 65536, "alpha": "1/2", "levels": [[{"lo": 1, "hi": 65536}]] + [
+            [{"lo": 1, "hi": 65536, "lf_hi": 32768}]] * 39}}),
 }
 
 
@@ -139,7 +149,9 @@ def test_usage_mistake_exits_1(tmp_path, capsys, case):
         "--out-dir", str(tmp_path))
     for name, obj in files.items():
         (tmp_path / name).write_text(json.dumps(obj))
+    start = time.perf_counter()
     rc = cli.main([a.replace("{dir}", str(tmp_path)) for a in argv])
+    assert time.perf_counter() - start < 1
     err = capsys.readouterr().err
     assert rc == 1
     assert err.startswith("invalid input: ") and err.count("\n") == 1
@@ -540,3 +552,173 @@ def test_verify_missing_property_flags_is_usage_error(tmp_path, capsys, prop, gi
     err = capsys.readouterr().err
     assert rc == 1
     assert f"requires {flag}" in err and "internal error" not in err
+
+
+# One valid invocation per entry of the CLI's tables; a table entry without
+# a case here fails test_every_table_entry_has_a_valid_case.  Each JSON case
+# holds every key its form declares, so each key is also mistyped below.
+_CODES = {  # read by verify --code and by build
+    "trivial": {"kind": "trivial", "n": 4},
+    "identity": {"kind": "identity", "n": 3, "sigma_in": 3},
+    "table": {"kind": "table", "n": 2, "sigma_in": 2, "sigma_out": 4, "table": [0, 1, 2, 3, 0, 1]},
+    "eks": {"kind": "eks", "k": 2, "b": 2, "delta": "1/2", "seed": 0},
+}
+_RECIPES = {
+    "imm_partition": {"kind": "imm_partition", "imm": "exp", "delta": "1/2", "ell": 1},
+    "eks_partition": {"kind": "eks_partition", "k": 2},
+    "chs_partition": {"kind": "chs_partition", "m": 1, "l1": 4, "shift": 0},
+    "ghk_partition": {"kind": "ghk_partition", "n": 16, "m": 4, "delta": "1/2"},
+}
+_PARAMS = {
+    "thm41": {"alpha": "1/2", "ell": 2, "lg_sigma_in": 1},
+    "thm42": {"alpha": "1/2", "ell": 2, "deficiency": 1, "n": 8, "lg_sigma_in": 1},
+    "eq25": {"kind": "exp", "delta": "1/2", "n": 128, "t": 3, "ell": 2},
+    "eq26": {"kind": "general", "delta": "1/2", "n": 16, "t": 2, "ell": 2},
+    "eq27": {"kind": "exp", "delta": "1/2", "n": 128, "t": 3, "ell": 2},
+    "eq22": {"kind": "double_exp", "delta": "1/2", "n": 32, "t": 2, "ell": 1},
+    "eq33": {"m": 3, "n": 8},
+    "eq5": {"k": 3, "measured": "2"},
+    "eq11": {"n": 65536, "m": 512, "delta": "1/16384", "ratio": "1/100000"},
+    "eq13": {"delta": "1/4"},
+}
+_PROPERTY_ARGS = {  # (code, flags); {dir}/partition.json is eks_partition k=2
+    "distance": ({"kind": "trivial", "n": 4}, ["--delta", "1/2"]),
+    "imm_function": ({"kind": "trivial", "n": 4}, ["--imm", "exp", "--delta", "1/2"]),
+    "neighborhood": ({"kind": "trivial", "n": 4}, ["--partition", "{dir}/partition.json"]),
+    "eks": ({"kind": "trivial", "n": 4}, ["--k", "2"]),
+    "chs": ({"kind": "trivial", "n": 8}, ["--m", "1", "--l1", "4", "--shift", "1"]),
+    "ghk": ({"kind": "trivial", "n": 4}, ["--k0", "1", "--delta", "3/4"]),
+}
+
+
+def _json_argv(table, key, obj):
+    """argv that hands obj to the reader of entry key of table."""
+    text = json.dumps(obj)
+    if table == "formula":
+        return ["bound", "--formula", key, "--params", text]
+    if table == "code":
+        return ["verify", "--code", "{dir}/code.json", "--property", "distance"]
+    return ["build", "--recipe-json", text, "--out-dir", "{dir}/out"]
+
+
+def _run_in(tmp_path, capsys, argv, code=None):
+    run(capsys, "build", "--recipe-json", '{"kind":"eks_partition","k":2}',
+        "--out-dir", str(tmp_path))
+    if code is not None:
+        (tmp_path / "code.json").write_text(json.dumps(code))
+    rc = cli.main([a.replace("{dir}", str(tmp_path)) for a in argv])
+    return rc, capsys.readouterr()
+
+
+_JSON_TABLES = {
+    "code": (serialize.CODE_KINDS, _CODES),
+    "code-recipe": (serialize.CODE_KINDS, _CODES),
+    "recipe": (cli._PARTITIONS, _RECIPES),
+    "formula": (cli._FORMULAS, _PARAMS),
+}
+
+
+def _declared(form):
+    return {*form.required, *form.optional}
+
+
+_ENTRIES = ([("property", p) for p in cli._PROPERTIES]
+            + [(t, key) for t, (table, _) in _JSON_TABLES.items() for key in table])
+
+
+def test_every_table_entry_has_a_valid_case():
+    assert set(_PROPERTY_ARGS) == set(cli._PROPERTIES)
+    for table, cases in _JSON_TABLES.values():
+        assert set(cases) == set(table)
+        for key, obj in cases.items():  # every declared key, and no other
+            assert set(obj) - {"kind"} == _declared(table[key]) - {"kind"}
+
+
+def _valid(table, key):
+    """(argv, code file) of the valid case of an entry."""
+    if table == "property":
+        code, flags = _PROPERTY_ARGS[key]
+        return ["verify", "--code", "{dir}/code.json", "--property", key] + flags, code
+    obj = _JSON_TABLES[table][1][key]
+    return _json_argv(table, key, obj), obj if table == "code" else None
+
+
+@pytest.mark.parametrize("table,key", _ENTRIES)
+def test_each_table_entry_runs(tmp_path, capsys, table, key):
+    rc, captured = _run_in(tmp_path, capsys, *_valid(table, key))
+    assert rc in (0, 2), captured.err
+    assert captured.err == ""
+
+
+def _mistakes(table, key):
+    """The entry's valid object with one key added, one required key
+    removed, or one declared key set to a JSON list."""
+    form, obj = _JSON_TABLES[table][0][key], _JSON_TABLES[table][1][key]
+    yield "extra", dict(obj, extra=1)
+    for name in form.required:
+        yield f"no-{name}", {k: v for k, v in obj.items() if k != name}
+    for name in sorted(_declared(form) & set(obj)):
+        yield f"{name}-list", dict(obj, **{name: [1]})
+
+
+@pytest.mark.parametrize("table,key", [e for e in _ENTRIES if e[0] != "property"])
+def test_each_json_entry_refuses_an_extra_missing_or_mistyped_key(tmp_path, capsys, table, key):
+    for label, obj in _mistakes(table, key):
+        argv = _json_argv(table, key, obj)
+        rc, captured = _run_in(tmp_path, capsys, argv, obj if table == "code" else None)
+        assert rc == 1, label
+        assert captured.err.startswith("invalid input: ") and captured.err.count("\n") == 1, label
+        assert "Traceback" not in captured.err and captured.out == ""
+        assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["build", "--recipe-json", '{"kind":"identity","n":3,"alphabet_size":3}',
+      "--out-dir", "{dir}/out"], "identity code has unknown key 'alphabet_size'"),
+    (["build", "--recipe-json", '{"kind":"eks","k":2,"delta":"1/2","seeed":7}',
+      "--out-dir", "{dir}/out"], "eks code has unknown key 'seeed'"),
+    (["bound", "--formula", "eq5", "--params", '{"k":3,"extra":1}'],
+     "eq5 --params has unknown key 'extra'"),
+    (["build", "--recipe-json", '{"kind":"eks","delta":"1/2"}', "--out-dir", "{dir}/out"],
+     "eks code lacks key 'k'"),
+    (["verify", "--code", "{dir}/code.json", "--property", "distance", "--cap", "-5"],
+     "cap must be >= 1, got -5"),
+    (["audit", "--code", "{dir}/code.json", "--partition", "{dir}/partition.json",
+      "--cap", "0"], "cap must be >= 1, got 0"),
+    (["bound", "--formula", "thm41", "--params", '{"alpha":"1/2","ell":2,"lg_sigma_in":-1}'],
+     "lg_sigma_in must be >= 0, got -1"),
+], ids=["unknown-recipe-key", "unknown-eks-key", "unknown-params-key", "missing-key",
+        "verify-cap-minus-5", "audit-cap-0", "thm41-lg-sigma-in-minus-1"])
+def test_unknown_key_missing_key_or_meaningless_number_exits_1_naming_it(
+    tmp_path, capsys, argv, message
+):
+    rc, captured = _run_in(tmp_path, capsys, argv, {"kind": "trivial", "n": 4})
+    assert rc == 1 and captured.out == ""
+    assert captured.err == f"invalid input: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_build_honours_an_eks_cell_width(tmp_path, capsys):
+    # b fixes the cell width when a code is built, as it does when one loads
+    recipe = {"kind": "eks", "k": 2, "b": 3, "delta": "1/2", "seed": 0}
+    assert run(capsys, "build", "--recipe-json", json.dumps(recipe),
+               "--out-dir", str(tmp_path))[0] == 0
+    assert json.loads((tmp_path / "code.json").read_text()) == recipe
+    assert serialize.code_from_json(recipe).name == "eks[k=2,b=3]"
+
+
+def test_checks_and_reports_are_looked_up_at_each_call(tmp_path, capsys, monkeypatch):
+    # the benchmark's tracer wraps verify and bounds functions by name on
+    # their modules; the CLI's tables must call the wrapped ones
+    from treecodes import bounds, verify
+
+    calls = []
+    for module, name in ((verify, "check_tree_distance"), (bounds, "eq5_report")):
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, _f=original, _n=name, **kw: (
+            calls.append(_n), _f(*a, **kw))[1])
+    (tmp_path / "code.json").write_text('{"kind":"trivial","n":4}')
+    assert run(capsys, "verify", "--code", str(tmp_path / "code.json"),
+               "--property", "distance")[0] == 0
+    assert run(capsys, "bound", "--formula", "eq5", "--params", '{"k":3}')[0] == 0
+    assert calls == ["check_tree_distance", "eq5_report"]

@@ -59,6 +59,13 @@ def test_family_search_reports_width_exhaustion():
         ecc_family(Fraction(9, 10), 4, b_schedule=(1,))
 
 
+@pytest.mark.parametrize("k", [17, 2_000_000_000])
+def test_eks_params_bounds_k_before_the_family_is_sized(k):
+    # the family needs length 2^(k-1); k past lg MAX_N is refused before it
+    with pytest.raises(ValueError, match=f"k = {k} is outside 1..lg MAX_N = 16"):
+        eks_params(k, Fraction(1, 2))
+
+
 def test_eks_table_unrolled_by_hand(eks2):
     """Column-wise oracle for k=2: build the three rows exactly as described
     and compare with the encoder."""

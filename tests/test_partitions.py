@@ -380,6 +380,11 @@ def test_partition_loader_refuses_out_of_range_bounds_before_materializing():
     # a level whose split is past hi holds lf_hi - lo + 1 indices
     with pytest.raises(ValueError, match="level 1: blocks hold 7 indices"):
         load(4, [{"lo": 1, "hi": 4}], [{"lo": 1, "hi": 2, "lf_hi": 4}, {"lo": 2, "hi": 4, "lf_hi": 2}])
+    # a laminar tower of [4] has at most 3 levels: each tagged block joins
+    # two or more blocks below it
+    whole = [{"lo": 1, "hi": 4, "lf_hi": 2}]
+    with pytest.raises(ValueError, match="partition has 4 levels, more than the 3"):
+        load(4, [{"lo": 1, "hi": 4}], whole, whole, whole)
     p = load(4, [{"lo": 1, "hi": 2}, {"lo": 3, "hi": 4}], [{"lo": 1, "hi": 4, "lf_hi": 2}])
     assert validate_laminar(p).passed
 

@@ -311,6 +311,14 @@ def test_eks_condition_small_scales(k):
     assert check_eks_condition(eks_code(params), params.delta, k).passed
 
 
+@pytest.mark.parametrize("n,k", [(4, 3), (6, 2), (4, 2_000_000_000)])
+def test_eks_condition_refuses_a_length_other_than_2_to_the_k(n, k):
+    # n = 6 has lg n's bit length, 3, and is still no power of two; 2^k is
+    # never formed, so the last case is refused at once
+    with pytest.raises(ValueError, match=f"code length {n} is not 2\\^k for k = {k}$"):
+        check_eks_condition(trivial_code(n), Fraction(1, 2), k)
+
+
 @pytest.mark.parametrize("row,ell", [(2, 0), (3, 1), (4, 2)])
 def test_zeroed_row_fails_at_matching_scale(eks3, row, ell):
     code = eks_code(eks3, zero_rows=(row,))
