@@ -1,11 +1,13 @@
 """The acceptance suite: one callable per criterion, with frozen expected
 values.  Shared by tests/test_acceptance.py and the `selftest` CLI command;
-each run prints one pass/fail line per criterion.
+each run prints one pass/fail line per criterion to stdout and its wall time
+to stderr.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 import tempfile
 import time
 from dataclasses import dataclass
@@ -339,5 +341,6 @@ def run(only: Optional[List[int]] = None) -> List[CriterionResult]:
         dt = time.perf_counter() - t0
         results.append(CriterionResult(cid, desc, passed, detail, dt))
         status = "PASS" if passed else "FAIL"
-        print(f"{status} criterion {cid:2d} [{dt:6.2f}s] {desc}: {detail}")
+        print(f"{status} criterion {cid:2d} {desc}: {detail}")
+        print(f"criterion {cid:2d} took {dt:.2f}s", file=sys.stderr)  # timings stay off stdout
     return results

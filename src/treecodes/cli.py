@@ -67,12 +67,12 @@ def _load_json(path: str) -> dict:
 
 # each partition recipe kind's form, read to its partition and its ledger
 _PARTITIONS = {
-    "imm_partition": Form(("imm", "delta", "ell"), (), lambda r: (build_from_imm(
+    "imm_partition": Form(("kind", "imm", "delta", "ell"), (), lambda r: (build_from_imm(
         ImmediacySpec.named(r["imm"], as_fraction(r["delta"])), int_field(r, "ell")), None)),
-    "eks_partition": Form(("k",), (), lambda r: (eks_partition(int_field(r, "k")), None)),
-    "chs_partition": Form(("m", "l1", "shift"), (), lambda r: chs_partition(
+    "eks_partition": Form(("kind", "k"), (), lambda r: (eks_partition(int_field(r, "k")), None)),
+    "chs_partition": Form(("kind", "m", "l1", "shift"), (), lambda r: chs_partition(
         int_field(r, "m"), int_field(r, "l1"), int_field(r, "shift"))),
-    "ghk_partition": Form(("n", "m", "delta"), (), lambda r: (ghk_partition(
+    "ghk_partition": Form(("kind", "n", "m", "delta"), (), lambda r: (ghk_partition(
         int_field(r, "n"), int_field(r, "m"), as_fraction(r["delta"])), None)),
 }
 
@@ -98,8 +98,7 @@ def cmd_build(args) -> int:
         if ledger is not None:
             files["ledger.json"] = serialize.ledger_to_json(ledger)
     else:
-        print(f"unknown recipe kind {kind!r}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"unknown recipe kind {kind!r}")
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for name, payload in files.items():
@@ -140,6 +139,10 @@ def cmd_verify(args) -> int:
         flags = ", ".join(f"--{f}" for f in missing)
         print(f"usage: verify --property {args.property} requires {flags}", file=sys.stderr)
         return EXIT_USAGE
+    # delta <= 0 holds for every code: refused before the code is loaded;
+    # delta > 1 fails every code, which the acceptance criteria rely on
+    if as_fraction(args.delta) <= 0:
+        raise ValueError(f"--delta must be > 0, got {args.delta}")
     verdict = check(args, serialize.code_from_json(_load_json(args.code)))
     _emit(args, serialize.verdict_to_json(verdict))
     return EXIT_PASS if verdict.passed else EXIT_FAIL

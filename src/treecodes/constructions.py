@@ -17,6 +17,8 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, repeat
+from operator import or_
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .bitslice import add, below, minimum
@@ -26,6 +28,7 @@ from .partitions import MAX_N
 from .rng import DetStream
 
 DEFAULT_B_SCHEDULE = (2, 3, 4, 6, 8)
+MAX_B = 16  # the widest cell a code file or recipe may name; the schedule stays within it
 _EXHAUSTIVE_POOL_BITS = 16  # full candidate enumeration below this many bits
 _RESTARTS = 8  # greedy attempts per block length and width
 _POOL_CAP = 4096  # sampled candidates per attempt above _EXHAUSTIVE_POOL_BITS
@@ -266,23 +269,27 @@ def eks_params(
     )
 
 
-def eks_code(params: EKSParams, zero_rows: Sequence[int] = ()) -> TreeCode:
-    """The layered tree code as a TreeCode (column j packed low-row-first).
+class LayeredChar:
+    """char_fn of the layered code: a prefix's symbol packs its column of the
+    cell table, row r in bits b*(r-1) onward; zeroed rows are left out.
 
-    zero_rows lists 1-based table rows forced to all-zero cells; used by
-    ablation tests to break exactly one dyadic scale.
+    columns() reads the block codes' codeword tables, with no call per prefix:
+    row r of column j encodes one aligned block of L inputs, x_j for r = 1 and
+    the block holding x_(j-L) for r >= 2 (L = 2^(r-2); none while j <= L), so
+    over the 2^j prefixes its cells cycle through 2^L values, each repeated
+    once per setting of the inputs after the block.
     """
-    k, b = params.k, params.b
-    n = params.n
-    zeroed = frozenset(zero_rows)
-    fam = params.family
 
-    def cell(row: int, prefix: Message) -> int:
+    __slots__ = ("n", "sigma", "b", "family", "rows")
+
+    def __init__(self, params: EKSParams, zero_rows: frozenset) -> None:
+        self.n, self.sigma, self.b, self.family = params.n, 2, params.b, params.family
+        self.rows = [r for r in range(1, params.k + 2) if r not in zero_rows]
+
+    def _cell(self, row: int, prefix: Message) -> int:
         j = len(prefix)
-        if row in zeroed:
-            return 0
         if row == 1:
-            return fam[0].encode((prefix[j - 1],))[0]
+            return self.family[0].encode((prefix[j - 1],))[0]
         length = 1 << (row - 2)
         if j <= length:
             return 0
@@ -290,16 +297,46 @@ def eks_code(params: EKSParams, zero_rows: Sequence[int] = ()) -> TreeCode:
         block_idx = (pos - 1) // length
         within = (pos - 1) % length
         bits = prefix[block_idx * length : (block_idx + 1) * length]
-        return fam[row - 2].encode(bits)[within]
+        return self.family[row - 2].encode(bits)[within]
 
-    def char(prefix: Message) -> int:
+    def __call__(self, prefix: Message) -> int:
         v = 0
-        for row in range(1, k + 2):
-            v |= cell(row, prefix) << (b * (row - 1))
+        for row in self.rows:
+            v |= self._cell(row, prefix) << (self.b * (row - 1))
         return v
 
+    def columns(self) -> Iterator[list]:
+        """Depth j's symbols for j = 1..n: the prefix columns."""
+        return (self._column(j) for j in range(1, self.n + 1))
+
+    def _column(self, j: int) -> list:
+        col = None
+        for row in self.rows:
+            length = 1 << max(row - 2, 0)
+            pos = j - (length if row > 1 else 0)  # the cell encodes the block holding x_pos
+            if pos < 1:
+                continue
+            block, within = divmod(pos - 1, length)
+            before = block * length  # inputs before the block; j - before - length after it
+            shift = self.b * (row - 1)
+            values = [w[within] << shift for w in self.family[length.bit_length() - 1].codewords]
+            cycle = list(chain.from_iterable(repeat(v, 1 << (j - before - length)) for v in values))
+            cells = cycle * (1 << before)
+            col = cells if col is None else list(map(or_, col, cells))
+        return [0] * (1 << j) if col is None else col
+
+
+def eks_code(params: EKSParams, zero_rows: Sequence[int] = ()) -> TreeCode:
+    """The layered tree code as a TreeCode (column j packed low-row-first).
+
+    zero_rows lists 1-based table rows forced to all-zero cells; used by
+    ablation tests to break exactly one dyadic scale.
+    """
+    k, b = params.k, params.b
+    zeroed = frozenset(zero_rows)
     tag = f"eks[k={k},b={b}]" + (f"-zero{sorted(zeroed)}" if zeroed else "")
-    return TreeCode(n, Alphabet(2), Alphabet(1 << (b * (k + 1))), char, name=tag)
+    return TreeCode(params.n, Alphabet(2), Alphabet(1 << (b * (k + 1))),
+                    LayeredChar(params, zeroed), name=tag)
 
 
 def table_code(n: int, sigma_in: int, sigma_out: int, table: Sequence[int]) -> TreeCode:

@@ -9,12 +9,12 @@ The message table is stored as prefix columns: column j holds the symbols of
 the |sigma_in|^(j+1) prefixes of length j+1 in lexicographic order, the
 level-order layout of a tabulated code, so each symbol is computed and stored
 once however many messages share its prefix.  Message i (lexicographic) has
-the prefix i // |sigma_in|^(n-1-j) in column j.  A tabulated code (char_fn a
-LevelOrderChar) already holds its labels in this layout, so its columns are
-slices of the label list; every other code is walked with one char_fn call
-per prefix.  Both paths run the same symbol-range check.  all_codewords
-enumerates the table with no size limit of its own: the certifiers charge the
-table to their budget before calling it.
+the prefix i // |sigma_in|^(n-1-j) in column j.  A char_fn may build its
+columns itself: a tabulated code's (a LevelOrderChar) are slices of its label
+list, the layered code's are built from its block codes.  Every other code is
+walked with one char_fn call per prefix.  Both paths run the same checks.
+all_codewords enumerates the table with no size limit of its own: the
+certifiers charge the table to their budget before calling it.
 """
 
 from __future__ import annotations
@@ -115,17 +115,20 @@ def messages(alphabet_size: int, n: int) -> Iterator[Message]:
 
 def prefix_columns(code: TreeCode) -> List[list]:
     """Column j: the symbols of the length-(j+1) prefixes, in lexicographic
-    order.  A tabulated code's columns are slices of its label list; any other
-    code's are walked, one char_fn call per prefix.  On either path a symbol
-    that is not an int in [0, |sigma_out|) raises ValueError naming its
-    prefix."""
+    order.  A char_fn with columns() and the code's own n and sigma builds
+    them (a table's slices, the layered code's block-code cycles); any other
+    is walked, one call per prefix.  On either path a column not sigma^(j+1)
+    long, or a symbol that is not an int in [0, |sigma_out|), raises
+    ValueError, the latter naming its prefix."""
     sigma, f, size = code.input_alphabet.size, code.char_fn, code.output_alphabet.size
-    if isinstance(f, LevelOrderChar) and (f.n, f.sigma) == (code.n, sigma):
+    if hasattr(f, "columns") and (f.n, f.sigma) == (code.n, sigma):
         cols = f.columns()
     else:
         cols = (list(map(f, product(range(sigma), repeat=j + 1))) for j in range(code.n))
     columns = []
     for j, col in enumerate(cols):
+        if len(col) != sigma ** (j + 1):
+            raise ValueError(f"column {j + 1} has {len(col)} symbols, want {sigma}^{j + 1}")
         if not (set(map(type, col)) <= {int} and 0 <= min(col) and max(col) < size):
             for t, sym in enumerate(col):
                 if not (type(sym) is int and 0 <= sym < size):
@@ -185,8 +188,8 @@ class PrefixTable:
 
 def all_codewords(code: TreeCode) -> PrefixTable:
     """The message table of code: every message's codeword, as the prefix
-    columns of prefix_columns (a tabulated code's label slices, or one char_fn
-    call per prefix: sigma + sigma^2 + ... + sigma^n calls, not n * sigma^n).
+    columns of prefix_columns (built by the char_fn where it offers them, else
+    one char_fn call per prefix: sigma + ... + sigma^n calls, not n * sigma^n).
     A symbol that is not an int in [0, |sigma_out|) raises ValueError naming
     its prefix."""
     return PrefixTable(code.n, code.input_alphabet.size, code.output_alphabet.size,

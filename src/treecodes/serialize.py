@@ -40,7 +40,8 @@ def int_field(obj: dict, key: str) -> int:
 
 class Form(NamedTuple):
     """A kind of JSON input object: the keys it needs, the keys it may hold
-    besides them and "kind", and its reader."""
+    besides them, and its reader.  A form selected by its "kind" declares
+    that key too."""
 
     required: Tuple[str, ...]
     optional: Tuple[str, ...]
@@ -49,7 +50,7 @@ class Form(NamedTuple):
     def load(self, obj: dict, what: str):
         """read(obj), or a ValueError naming a missing or undeclared key."""
         missing = [key for key in self.required if key not in obj]
-        unknown = sorted(set(obj) - {*self.required, *self.optional, "kind"})
+        unknown = sorted(set(obj) - {*self.required, *self.optional})
         if missing or unknown:
             raise ValueError(f"{what} lacks key {missing[0]!r}" if missing
                              else f"{what} has unknown key {unknown[0]!r}")
@@ -83,18 +84,30 @@ def tabulate_code(code: TreeCode) -> dict:
     }
 
 
+def _eks_params(o: dict) -> constructions.EKSParams:
+    """The eks form's parameters; a cell width b outside 1..MAX_B is refused
+    before any block code is searched for."""
+    b_schedule = constructions.DEFAULT_B_SCHEDULE
+    if "b" in o:
+        b = int_field(o, "b")
+        if not 1 <= b <= constructions.MAX_B:
+            raise ValueError(f"b must be in 1..{constructions.MAX_B}, got {b}")
+        b_schedule = (b,)
+    return constructions.eks_params(int_field(o, "k"), as_fraction(o["delta"]),
+                                    seed=expect_int(o.get("seed", 0), "seed"), b_schedule=b_schedule)
+
+
 # each code kind's form; eks reads to the parameters its code is built from,
 # the one reader of that form, for loading a code and for building one
 CODE_KINDS = {
-    "trivial": Form(("n",), (), lambda o: trivial_code(int_field(o, "n"))),
-    "identity": Form(("n",), ("sigma_in",), lambda o: identity_code(
+    "trivial": Form(("kind", "n"), (), lambda o: trivial_code(int_field(o, "n"))),
+    "identity": Form(("kind", "n"), ("sigma_in",), lambda o: identity_code(
         int_field(o, "n"), expect_int(o.get("sigma_in", 2), "sigma_in"))),
-    "table": Form(("n", "sigma_in", "sigma_out", "table"), (), lambda o: constructions.table_code(
-        *(int_field(o, key) for key in ("n", "sigma_in", "sigma_out")),
-        expect_type(o["table"], list, "table"))),
-    "eks": Form(("k", "delta"), ("b", "seed"), lambda o: constructions.eks_params(
-        int_field(o, "k"), as_fraction(o["delta"]), seed=expect_int(o.get("seed", 0), "seed"),
-        b_schedule=(int_field(o, "b"),) if "b" in o else constructions.DEFAULT_B_SCHEDULE)),
+    "table": Form(("kind", "n", "sigma_in", "sigma_out", "table"), (),
+                  lambda o: constructions.table_code(
+                      *(int_field(o, key) for key in ("n", "sigma_in", "sigma_out")),
+                      expect_type(o["table"], list, "table"))),
+    "eks": Form(("kind", "k", "delta"), ("b", "seed"), _eks_params),
 }
 
 

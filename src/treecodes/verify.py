@@ -377,9 +377,9 @@ def _sweep(bits: _MessageBits, budget: _Budget, cands: Sequence[tuple], fmt: Cal
 def check_online_property(code: TreeCode, cap: int = DEFAULT_EVAL_CAP) -> Verdict:
     """Each codeword symbol is a function of the message prefix up to it:
     encoding every message with independent char_fn calls reproduces the
-    table, which holds each prefix's symbol once and shares it.  A tabulated
-    code's table is sliced from its labels, so for it the check also holds
-    the slices to the char_fn that indexes the same labels."""
+    table, which holds each prefix's symbol once and shares it.  Where the
+    char_fn builds the table's columns itself (a tabulated or layered code),
+    the check also holds those columns to its scalar form."""
     budget = _Budget(cap)
     for m, cw in _table(code, budget):
         budget.spend(code.n)

@@ -130,6 +130,15 @@ _USAGE_MISTAKES = {
          "--l1", "4", "--shift", "2"], {}),
     "eks-k-2e9": (["build", "--recipe-json", '{"kind":"eks","k":2000000000,"delta":"1/2"}',
                    "--out-dir", "{dir}/out"], {}),
+    # a 2^60000-symbol alphabet, and a block-code search over 2 * 20000-bit words
+    "eks-b-20000": (["build", "--recipe-json", '{"kind":"eks","k":2,"b":20000,"delta":"1/2"}',
+                     "--out-dir", "{dir}/out"], {}),
+    # b = 0 would certify the all-zero repetition code at distance 1
+    "eks-b-0": (["build", "--recipe-json", '{"kind":"eks","k":1,"b":0,"delta":"1/2"}',
+                 "--out-dir", "{dir}/out"], {}),
+    # every code passes delta <= 0: refused before the table, which --cap 1 would refuse
+    "verify-delta-minus-1": (["verify", "--code", "{dir}/code.json", "--property", "distance",
+                              "--delta", "-1", "--cap", "1"], {}),
     "verify-eks-k-2e9": (
         ["verify", "--code", "{dir}/code.json", "--property", "eks", "--k", "2000000000"], {}),
     # 1.6 KB that would materialize 40 levels of 2^16 indices
@@ -233,7 +242,7 @@ def test_build_table_recipe_is_checked_and_rewritten(tmp_path, capsys):
 @pytest.mark.parametrize("recipe,err", [
     ('{"kind":"table","n":3,"sigma_in":2,"sigma_out":4,"table":[0,1,7]}',
      "invalid input: table has 3 labels, want 2^1 + ... + 2^3 > 3"),
-    ('{"kind":"wat"}', "unknown recipe kind 'wat'"),
+    ('{"kind":"wat"}', "invalid input: unknown recipe kind 'wat'"),
     ('{"kind":"imm_partition","imm":"foo","delta":"1/2","ell":1}',
      "invalid input: unknown immediacy kind 'foo': expected exp or double_exp"),
 ], ids=["short-table", "unknown-kind", "unknown-immediacy-kind"])
@@ -490,6 +499,17 @@ def test_selftest_list_and_ablate(capsys):
     assert rc == 0 and "expected failures observed" in out
 
 
+def test_selftest_stdout_holds_no_timings(capsys):
+    # the wall times go to stderr, so two runs print the same stdout
+    outs = []
+    for _ in range(2):
+        assert cli.main(["selftest", "--only", "1", "2"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err.count(" took ") == 2
+        outs.append(captured.out)
+    assert outs[0] == outs[1] and outs[0].count("PASS criterion") == 2
+
+
 @pytest.mark.parametrize("only,unknown", [(["99"], "[99]"), (["4", "99", "0"], "[0, 99]")])
 def test_selftest_only_an_unknown_criterion_exits_1_having_run_nothing(capsys, only, unknown):
     rc = cli.main(["selftest", "--only", *only])
@@ -687,8 +707,15 @@ def test_each_json_entry_refuses_an_extra_missing_or_mistyped_key(tmp_path, caps
       "--cap", "0"], "cap must be >= 1, got 0"),
     (["bound", "--formula", "thm41", "--params", '{"alpha":"1/2","ell":2,"lg_sigma_in":-1}'],
      "lg_sigma_in must be >= 0, got -1"),
+    (["bound", "--formula", "thm41", "--params",
+      '{"alpha":"1/2","ell":2,"lg_sigma_in":1,"kind":"x"}'], "thm41 --params has unknown key 'kind'"),
+    (["build", "--recipe-json", '{"kind":"eks","k":2,"b":20000,"delta":"1/2"}',
+      "--out-dir", "{dir}/out"], "b must be in 1..16, got 20000"),
+    (["verify", "--code", "{dir}/code.json", "--property", "eks", "--k", "2", "--delta", "0"],
+     "--delta must be > 0, got 0"),
 ], ids=["unknown-recipe-key", "unknown-eks-key", "unknown-params-key", "missing-key",
-        "verify-cap-minus-5", "audit-cap-0", "thm41-lg-sigma-in-minus-1"])
+        "verify-cap-minus-5", "audit-cap-0", "thm41-lg-sigma-in-minus-1", "thm41-kind",
+        "eks-b-20000", "verify-delta-0"])
 def test_unknown_key_missing_key_or_meaningless_number_exits_1_naming_it(
     tmp_path, capsys, argv, message
 ):

@@ -1,4 +1,5 @@
-"""Differential test of a tabulated code's sliced prefix columns against the
+"""Differential tests of the prefix columns a char_fn builds itself, a
+tabulated code's slices and the layered code's columns, against the
 per-prefix char_fn walk every other code takes.
 
 A code built by table_code has a LevelOrderChar as its char_fn, and
@@ -11,15 +12,17 @@ labels.
 from __future__ import annotations
 
 import time
+from fractions import Fraction
+from itertools import product
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treecodes.constructions import table_code
-from treecodes.core import LevelOrderChar, TreeCode, all_codewords, prefix_columns
-from treecodes.serialize import tabulate_code
+from treecodes.constructions import LayeredChar, eks_code, eks_params, table_code
+from treecodes.core import Alphabet, LevelOrderChar, TreeCode, all_codewords, prefix_columns
+from treecodes.serialize import dumps_canonical, tabulate_code
 from treecodes.verify import check_online_property
 
 # "sigma_out" stands for the first label past the output alphabet
@@ -111,3 +114,77 @@ def test_deep_table_with_too_few_labels_is_refused_before_summing_its_levels():
     with pytest.raises(ValueError, match=r"table has 1 labels, want 2\^1 \+ \.\.\. \+ 2\^60000 > 1"):
         table_code(60_000, 2, 4, [0])
     assert time.perf_counter() - start < 1.0
+
+
+# The layered code's char_fn builds its columns from its block codes'
+# codeword tables.  Its scalar form, the oracle here, computes each cell from
+# the prefix, so the two share no index arithmetic.
+
+def _zero_row_cases(k):
+    return [()] + [(r,) for r in range(1, k + 2)] + [(1, k + 1)]
+
+
+_LAYERED = [(k, rows) for k in range(1, 5) for rows in _zero_row_cases(k)]
+_UP_TO_K3 = [case for case in _LAYERED if case[0] <= 3]
+
+
+def _ids(cases):
+    return [f"k{k}-zero{list(rows)}" for k, rows in cases]
+
+
+@pytest.fixture(scope="module")
+def layered_params():
+    return {k: eks_params(k, Fraction(1, 2), seed=0) for k in range(1, 5)}
+
+
+def built_columns(code: TreeCode):
+    # the built path must not fall back to per-prefix calls
+    with mock.patch.object(LayeredChar, "__call__", side_effect=AssertionError("walked")):
+        return prefix_columns(code)
+
+
+@pytest.mark.parametrize("k,zero_rows", _LAYERED, ids=_ids(_LAYERED))
+def test_layered_columns_equal_walked_columns(layered_params, k, zero_rows):
+    code = eks_code(layered_params[k], zero_rows)
+    char = code.char_fn
+    walk = [list(map(char, product(range(2), repeat=j))) for j in range(1, code.n + 1)]
+    assert list(char.columns()) == walk
+    assert built_columns(code) == walk
+    assert all_codewords(code).columns == walk
+
+
+@pytest.mark.parametrize("k,zero_rows", _UP_TO_K3, ids=_ids(_UP_TO_K3))
+def test_online_property_holds_for_layered_codes(layered_params, k, zero_rows):
+    # scalar encode against the built table: M * n char_fn calls, so k <= 3
+    assert check_online_property(eks_code(layered_params[k], zero_rows)).passed
+
+
+def test_tabulate_code_of_the_layered_code_equals_the_walk(layered_params):
+    code = eks_code(layered_params[3])
+    built = dumps_canonical(tabulate_code(code))
+    assert built == dumps_canonical(tabulate_code(walked(code)))
+
+
+def test_tabulating_the_layered_code_calls_no_char_fn(layered_params):
+    code = eks_code(layered_params[3])
+    with mock.patch.object(LayeredChar, "__call__", autospec=True,
+                           side_effect=LayeredChar.__call__) as calls:
+        tabulate_code(code)
+        assert calls.call_count == 0
+        tabulate_code(walked(code))  # one call per prefix: 2 + 4 + ... + 2^8
+        assert calls.call_count == 510
+
+
+def test_a_column_of_the_wrong_length_is_refused():
+    class Short:
+        n, sigma = 2, 2
+
+        def __call__(self, prefix):
+            return 0
+
+        def columns(self):
+            return iter([[0, 0], [0, 0, 0]])
+
+    code = TreeCode(2, Alphabet(2), Alphabet(2), Short())
+    with pytest.raises(ValueError, match=r"column 2 has 3 symbols, want 2\^2"):
+        prefix_columns(code)
