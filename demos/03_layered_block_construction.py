@@ -22,7 +22,8 @@ from treecodes import (
 
 delta = Fraction(1, 2)
 family = ecc_family(delta, max_ell=4, seed=0)
-print(f"block-code family at distance {delta} (shared cell width b = {family[0].b}):")
+print(f"block-code family at distance {delta}, one code per dyadic length "
+      f"(shared cell width b = {family[0].b}):")
 for c in family:
     print(f"  length {c.ell}: 2^{c.ell} codewords, certified distance {c.certified}")
 

@@ -192,7 +192,9 @@ def ecc_family(
     b_schedule: Sequence[int] = DEFAULT_B_SCHEDULE,
     seed: int = 0,
 ) -> List[BlockCode]:
-    """Block codes for every length 1..max_ell over one shared cell width b.
+    """Block codes for the dyadic lengths 1, 2, 4, ..., max_ell (a power of
+    two) over one shared cell width b, family[i] of length 2^i: the lengths
+    the layered code reads.
 
     The width is not derived from delta (only existence of a suitable b is
     known); instead each b in the schedule is tried in order and the first
@@ -203,27 +205,25 @@ def ecc_family(
     delta = as_fraction(delta)
     if not 0 < delta < 1:
         raise ValueError(f"delta must be in (0,1), got {delta}")
-    if max_ell < 1:
-        raise ValueError(f"max_ell must be >= 1, got {max_ell}")
-    last_fail: Tuple[int, int] | None = None
+    if max_ell < 1 or max_ell & (max_ell - 1):
+        raise ValueError(f"max_ell must be a power of two, got {max_ell}")
+    if not b_schedule:
+        raise ValueError("b_schedule must name at least one cell width")
     for b in b_schedule:
         family: List[BlockCode] = [
             BlockCode(ell=1, b=b, codewords=((0,), ((1 << b) - 1,)), certified=Fraction(1))
         ]
-        ok = True
-        for ell in range(2, max_ell + 1):
-            stream = DetStream(seed, "ecc", b, ell)
-            code = _search_block_code(ell, b, delta, stream)
+        while family[-1].ell < max_ell:
+            ell = 2 * family[-1].ell
+            code = _search_block_code(ell, b, delta, DetStream(seed, "ecc", b, ell))
             if code is None:
-                ok = False
-                last_fail = (b, ell)
                 break
             family.append(code)
-        if ok:
+        else:
             return family
     raise ValueError(
-        f"no block code of length {last_fail[1]} with distance {delta} found at "
-        f"cell width b={last_fail[0]}; extend b_schedule with a larger width"
+        f"no block code of length {ell} with distance {delta} found at "
+        f"cell width b={b}; extend b_schedule with a larger width"
     )
 
 
@@ -263,10 +263,7 @@ def eks_params(
         raise ValueError(f"k = {k} is outside 1..lg MAX_N = {MAX_N.bit_length() - 1}")
     delta = as_fraction(delta)
     family = ecc_family(delta, 1 << (k - 1), b_schedule=b_schedule, seed=seed)
-    by_len = {c.ell: c for c in family}
-    return EKSParams(
-        k=k, b=family[0].b, family=tuple(by_len[1 << i] for i in range(k)), delta=delta
-    )
+    return EKSParams(k=k, b=family[0].b, family=tuple(family), delta=delta)
 
 
 class LayeredChar:
@@ -356,8 +353,9 @@ def _draw_levels(
     pair of child labels is drawn without replacement whenever the alphabet
     allows it.
     """
-    for d in range(1, n + 1):
-        level = stream.distinct_pairs(sigma_out, 1 << (d - 1)) if sigma_out >= 2 else [0] * (1 << d)
+    sizes = [1 << d for d in range(n)]
+    levels = stream.pair_levels(sigma_out, sizes) if sigma_out >= 2 else ([0, 0] * c for c in sizes)
+    for level in levels:
         table.extend(level)
         yield level
 

@@ -8,12 +8,12 @@ reproducibility.
 
 A draw below n reads big-endian candidates of the fewest whole bytes that
 hold the bit length k of n-1, keeps each candidate's low k bits and rejects
-those >= n.  Draws are decoded in bulk: the bulk calls (`randbelow_many`,
-`shuffled`, `distinct_pairs`) decode a run of candidates at once, at C speed,
-but a run never holds more candidates than draws are still wanted, so they
-read exactly the candidates that drawing one value at a time reads.  Every
-value, the stream position after every call and the number of blocks hashed
-are those of the one-at-a-time draws.
+those >= n.  Draws are decoded in bulk, a run of candidates at once at C
+speed: `randbelow_many` and `shuffled` decode no more candidates than draws
+are still wanted; `pair_levels` decodes each block it hashes whole, but
+hashes one only when a draw needs it and stands past its last draw at each
+level.  Every value, the stream position after every call or level and the
+number of blocks hashed are those of the one-at-a-time draws.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from __future__ import annotations
 import hashlib
 import sys
 from array import array
-from typing import Iterable, List, Sequence, TypeVar
+from typing import Iterable, Iterator, List, Sequence, TypeVar
 
 T = TypeVar("T")
 
@@ -117,31 +117,45 @@ class DetStream:
         return out
 
     def distinct_pairs(self, n: int, count: int) -> List[int]:
-        """count ordered pairs of distinct values from 0..n-1, flattened as
-        a0, b0, a1, b1, ...: a = randbelow(n), then b = randbelow(n - 1),
-        raised by one if b >= a."""
+        """count ordered pairs of distinct values from 0..n-1: one level of pair_levels."""
+        return next(self.pair_levels(n, (count,)))
+
+    def pair_levels(self, n: int, counts: Iterable[int]) -> Iterator[List[int]]:
+        """Levels of ordered pairs of distinct values from 0..n-1, counts[i]
+        pairs in level i, flattened as a0, b0, a1, b1, ...: a = randbelow(n),
+        then b = randbelow(n - 1), raised by one if b >= a.  Each level is
+        drawn only when asked for and leaves the stream just past its last
+        pair; the generator owns the stream while it runs, and decodes every
+        whole candidate of each block it hashes at once."""
         if n < 2:
-            raise ValueError("distinct_pairs needs n >= 2")
-        ka = (n - 1).bit_length()
-        kb = (n - 2).bit_length() or 1
+            raise ValueError("distinct pairs need n >= 2")
+        ka, kb = (n - 1).bit_length(), (n - 2).bit_length() or 1
         mask_b = (1 << kb) - 1
         # a's and b's candidates are as wide unless n = 256^m + 1; then a run
         # is the one candidate of the next draw
         same = (ka + 7) >> 3 == (kb + 7) >> 3
-        out: List[int] = []
-        a = -1  # the first value of a pair not yet complete, or -1
-        want = 2 * count
-        while len(out) < want:
-            if same:
-                run = self._read(ka, min(want - len(out) - (a >= 0), _RUN))
-            else:
-                run = self._read(ka if a < 0 else kb, 1)
-            for v in run:
-                if a < 0:
-                    if v < n:
-                        a = v
-                elif (v & mask_b) < n - 1:
-                    v &= mask_b
-                    out += (a, v + (v >= a))
-                    a = -1
-        return out
+        run, it = (), iter(())  # the decoded candidates; (index + 1, candidate) of those unread
+        start, width, a = self._pos, 0, -1  # run's first byte in _buf and width; a pending a, or -1
+        for left in counts:  # pairs of the level still to draw
+            level: List[int] = []
+            while left:
+                for j, v in it:
+                    if a < 0:
+                        if v < n:
+                            a = v
+                    elif (v & mask_b) < n - 1:
+                        v &= mask_b
+                        level += (a, v + (v >= a))
+                        a, left = -1, left - 1
+                        if not left:
+                            self._pos = start + j * width
+                            break
+                else:  # run is read: decode every whole candidate of the next block
+                    self._pos = start + len(run) * width
+                    k = ka if same or a < 0 else kb
+                    width = (k + 7) >> 3
+                    self._fill(width)  # hashes a block only when no whole candidate is left
+                    start = self._pos
+                    run = self._read(k, (len(self._buf) - start) // width if same else 1)
+                    it = enumerate(run, 1)
+            yield level

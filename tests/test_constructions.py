@@ -45,6 +45,7 @@ def test_repetition_code_for_length_one():
 @pytest.mark.parametrize("max_ell", [2, 4])
 def test_family_distances_certified_by_independent_recount(max_ell):
     family = ecc_family(Fraction(1, 2), max_ell, seed=3)
+    assert [c.ell for c in family] == [1 << i for i in range(max_ell.bit_length())]
     assert len({c.b for c in family}) == 1  # shared cell width
     for c in family:
         assert c.certified == naive_min_relative_distance(c)
@@ -52,11 +53,23 @@ def test_family_distances_certified_by_independent_recount(max_ell):
         assert len(c.codewords) == 2**c.ell
 
 
+def test_family_refuses_an_empty_width_schedule():
+    with pytest.raises(ValueError, match="b_schedule must name at least one cell width"):
+        ecc_family(Fraction(1, 2), 4, b_schedule=())
+
+
 def test_family_search_reports_width_exhaustion():
     # distance 9/10 at length 4 needs all four cells distinct across any pair;
     # a width-1 cell cannot offer enough room
     with pytest.raises(ValueError, match="larger width"):
         ecc_family(Fraction(9, 10), 4, b_schedule=(1,))
+
+
+@pytest.mark.parametrize("max_ell", [0, 3, 6, 12])
+def test_family_refuses_a_length_that_is_not_a_power_of_two(max_ell):
+    # the layered code reads only the dyadic lengths 1, 2, 4, ..., max_ell
+    with pytest.raises(ValueError, match=f"max_ell must be a power of two, got {max_ell}"):
+        ecc_family(Fraction(1, 2), max_ell)
 
 
 @pytest.mark.parametrize("k", [17, 2_000_000_000])
@@ -227,9 +240,10 @@ def test_table_min_distance_refuses_depth_zero():
 
 
 def test_k5_family_fails_fast_where_a_sample_cannot_hold_the_code():
-    # at length 13 the greedy needs 2^13 words, more than the 4096-word sample
-    # _POOL_CAP allows; that is known before anything is drawn
+    # at length 16, the first dyadic length past 8, the greedy needs 2^16
+    # words, more than the 4096-word sample _POOL_CAP allows; that is known
+    # before any restart draws, at every width of the schedule
     start = time.perf_counter()
-    with pytest.raises(ValueError, match="length 13 .* b=8"):
+    with pytest.raises(ValueError, match="no block code of length 16 .* b=8"):
         eks_params(5, Fraction(1, 2))
-    assert time.perf_counter() - start < 10
+    assert time.perf_counter() - start < 1

@@ -160,6 +160,45 @@ def test_bulk_calls_refuse_what_one_draw_refuses():
         DetStream(0).distinct_pairs(1, 1)
 
 
+# ---------------- the search's label decoder ----------------
+
+# 257: a's candidates take two bytes and b's one
+SIGMAS = [2, 3, 4, 5, 16, 255, 256, 257, 1000]
+
+
+def assert_levels_match(sigma, counts, stop, seed=0, lead=0):
+    """pair_levels(sigma, counts), stopped after its first stop levels,
+    draws the values of successive distinct_pairs(sigma, count) calls, one
+    distinct_pair call of the scalar stream per pair: the same values, the
+    same blocks hashed after every level, the same position at the stop."""
+    stream, ref = DetStream(seed, "levels"), ScalarDetStream(seed, "levels")
+    assert stream.bytes(lead) == ref.bytes(lead)
+    levels = stream.pair_levels(sigma, counts)
+    for d, count in enumerate(counts[:stop], 1):
+        assert next(levels) == scalar_call(ref, "distinct_pairs", sigma, count), d
+        assert stream._counter == ref._counter, d
+    levels.close()
+    assert stream.bytes(64) == ref.bytes(64)
+
+
+@pytest.mark.parametrize("stop", range(1, 8))
+@pytest.mark.parametrize("sigma", SIGMAS)
+def test_pair_levels_are_successive_distinct_pairs_calls(sigma, stop):
+    assert_levels_match(sigma, [1 << d for d in range(7)], stop)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(sigma=st.one_of(st.sampled_from(SIGMAS), st.integers(2, 2**20), st.integers(2, 2**130)),
+       n=st.integers(1, 8), data=st.data())
+def test_pair_levels_match_distinct_pair_calls_at_every_stop(sigma, n, data):
+    # the search's levels, or any counts (0 included); a read before the
+    # decoder leaves part of a block buffered
+    counts = data.draw(st.sampled_from([[1 << d for d in range(n)]])
+                       | st.lists(st.integers(0, 40), min_size=n, max_size=n))
+    assert_levels_match(sigma, counts, data.draw(st.integers(1, n)),
+                        seed=data.draw(st.integers(0, 2**32)), lead=data.draw(st.integers(0, 70)))
+
+
 def _n():
     return st.one_of(st.sampled_from(N), st.integers(1, 2**20), st.integers(1, 2**130))
 

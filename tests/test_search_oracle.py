@@ -15,7 +15,7 @@ treecodes.verify.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import Iterable, Iterator, List, Sequence, Tuple
 
 import pytest
 from hypothesis import given, settings
@@ -249,10 +249,16 @@ def test_search_winner_distance_matches_the_bitset_certifier(n, trials, want):
 
 class CountingDetStream(DetStream):
     labels = 0
+    streams: List[DetStream] = []
 
-    def distinct_pairs(self, n: int, count: int) -> List[int]:
-        CountingDetStream.labels += 2 * count
-        return super().distinct_pairs(n, count)
+    def __init__(self, *args) -> None:
+        super().__init__(*args)
+        CountingDetStream.streams.append(self)
+
+    def pair_levels(self, n: int, counts: Iterable[int]) -> Iterator[List[int]]:
+        for level in super().pair_levels(n, counts):
+            CountingDetStream.labels += len(level)
+            yield level
 
 
 class CountingScalarDetStream(ScalarDetStream):
@@ -267,7 +273,11 @@ def test_search_draws_labels_only_up_to_the_stopping_depth(monkeypatch):
     monkeypatch.setitem(globals(), "ScalarDetStream", CountingScalarDetStream)
     monkeypatch.setattr(constructions, "DetStream", CountingDetStream)
     CountingScalarDetStream.labels = CountingDetStream.labels = 0
+    CountingDetStream.streams = []
     eager = ref_search(6, 4, trials=600, seed=2)
     assert CountingScalarDetStream.labels == 600 * 63 * 2  # both labels of every sibling pair
     assert _search(6, 4, trials=600, seed=2) == eager
     assert CountingDetStream.labels == 23168
+    # the SHA-256 blocks hashed: those of one distinct_pairs call per level read
+    assert len(CountingDetStream.streams) == 600
+    assert sum(s._counter for s in CountingDetStream.streams) == 1247

@@ -39,3 +39,23 @@ def test_every_trace_target_resolves():
 def test_traced_arguments_keep_their_position(module, fn, param):
     # spans._label reads these as args[1] when passed positionally
     assert list(inspect.signature(_resolve(module, fn)).parameters)[1] == param
+
+
+def test_search_opens_one_stream_per_trial_through_the_traced_name(monkeypatch):
+    # the tracer counts rng.streams by replacing DetStream in every treecodes
+    # module; the search must open its streams through constructions.DetStream,
+    # one per trial, for that count to mean trials
+    constructions = importlib.import_module("treecodes.constructions")
+    rng = importlib.import_module("treecodes.rng")
+    opened = []
+
+    class Counting(constructions.DetStream):
+        def __init__(self, *args) -> None:
+            opened.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(constructions, "DetStream", Counting)
+    monkeypatch.setattr(rng, "DetStream", Counting)
+    result = constructions.random_code_search(6, 4, trials=40, seed=5)
+    assert result.trials == 40
+    assert opened == [(5, "trial", t) for t in range(40)]
