@@ -154,6 +154,8 @@ def ghk_distance_bound(n: int, m: int, delta, lg_sigma_ratio) -> BoundReport:
     """
     delta = as_fraction(delta)
     ratio = as_fraction(lg_sigma_ratio)
+    if ratio < 0:  # a ratio of two lgs of alphabet sizes
+        raise ValueError(f"ratio must be >= 0, got {ratio}")
     kappa, ell = ghk_levels(n, m, delta)
     lg_gap = floor_lg(n) - floor_lg(2 * m)  # lg(n/2m), exact
     required = Fraction(ell, 2**kappa)
@@ -182,6 +184,8 @@ def eq5_report(k: int, measured_lg_sigma=None) -> BoundReport:
     lg form is what this function evaluates (see README)."""
     value = rate_bound_plain(Fraction(1, 2), k, 1)
     measured = None if measured_lg_sigma is None else as_fraction(measured_lg_sigma)
+    if measured is not None and measured < 0:
+        raise ValueError(f"measured must be >= 0, got {measured}")
     return BoundReport(
         "eq5",
         "lg_sigma >=",

@@ -78,7 +78,9 @@ _PARTITIONS = {
 
 
 def cmd_build(args) -> int:
-    recipe = json.loads(args.recipe_json) if args.recipe_json else _load_json(args.recipe)
+    if (args.recipe is None) == (args.recipe_json is None):
+        raise ValueError("build takes exactly one of --recipe and --recipe-json")
+    recipe = _load_json(args.recipe) if args.recipe_json is None else json.loads(args.recipe_json)
     serialize.expect_type(recipe, dict, "recipe")
     kind = recipe.get("kind")
     key = kind if isinstance(kind, str) else None  # a list or object names no kind
@@ -219,7 +221,7 @@ def cmd_search(args) -> int:
     result = random_code_search(
         args.n,
         args.sigma,
-        target_delta=as_fraction(args.target) if args.target else None,
+        target_delta=args.target,
         trials=args.trials,
         seed=args.seed,
     )
@@ -271,75 +273,73 @@ def _selftest_ablation() -> int:
     return EXIT_PASS if expected else EXIT_FAIL
 
 
-def build_parser() -> argparse.ArgumentParser:
+# each subcommand: its help, its function, and its flags' argparse keywords
+_COMMANDS = {
+    "build": ("materialize codes/partitions from a recipe", cmd_build, {
+        "--recipe": {"help": "recipe JSON file ('-' for stdin)"},
+        "--recipe-json": {"help": "recipe JSON inline"},
+        "--out-dir": {"required": True},
+    }),
+    "verify": ("run a brute-force certifier", cmd_verify, {
+        "--code": {"required": True},
+        "--property": {"required": True, "choices": tuple(_PROPERTIES)},
+        "--delta": {"default": "1/2"},
+        "--imm": {"choices": sorted(IMM_FUNCTIONS), "default": "exp"},
+        "--partition": {}, "--ledger": {},
+        "--tables": {"action": "store_true", "help": "materialize decoding tables"},
+        "--k": {"type": int}, "--k0": {"type": int},
+        "--epsilon": {"default": "1"},
+        "--m": {"type": int}, "--l1": {"type": int},
+        "--shift": {"type": int, "default": 0},
+        "--cap": {"type": int, "default": verify.DEFAULT_EVAL_CAP},
+    }),
+    "bound": ("evaluate a bound formula exactly", cmd_bound, {
+        "--formula": {"required": True, "choices": tuple(_FORMULAS)},
+        "--params": {"required": True, "help": "JSON object of named inputs"},
+    }),
+    "audit": ("verify, then compare measured alphabet to the bound", cmd_audit, {
+        "--code": {"required": True}, "--partition": {"required": True},
+        "--ledger": {},
+        "--cap": {"type": int, "default": verify.DEFAULT_EVAL_CAP},
+    }),
+    "search": ("seeded random labeling search", cmd_search, {
+        "--n": {"type": int, "required": True}, "--sigma": {"type": int, "required": True},
+        "--trials": {"type": int, "default": 1000},
+        "--seed": {"type": int, "default": 0},
+        "--target": {}, "--out-dir": {},
+    }),
+    "selftest": ("run the acceptance criteria", cmd_selftest, {
+        "--list": {"action": "store_true"}, "--ablate": {"action": "store_true"},
+        "--only": {"type": int, "nargs": "+", "default": None},
+    }),
+}
+
+
+def _parse(argv: Optional[List[str]]) -> argparse.Namespace:
+    """argv, read by two parsers built for this call: the top level's, then its subcommand's."""
     ap = argparse.ArgumentParser(prog="treecodes", description=__doc__)
     ap.add_argument("--format", choices=("json", "text"), default="json")
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    b = sub.add_parser("build", help="materialize codes/partitions from a recipe")
-    b.add_argument("--recipe", help="recipe JSON file ('-' for stdin)")
-    b.add_argument("--recipe-json", help="recipe JSON inline")
-    b.add_argument("--out-dir", required=True)
-    b.set_defaults(fn=cmd_build)
-
-    v = sub.add_parser("verify", help="run a brute-force certifier")
-    v.add_argument("--code", required=True)
-    v.add_argument(
-        "--property",
-        required=True,
-        choices=tuple(_PROPERTIES),
-    )
-    v.add_argument("--delta", default="1/2")
-    v.add_argument("--imm", choices=sorted(IMM_FUNCTIONS), default="exp")
-    v.add_argument("--partition")
-    v.add_argument("--ledger")
-    v.add_argument("--tables", action="store_true", help="materialize decoding tables")
-    v.add_argument("--k", type=int)
-    v.add_argument("--k0", type=int)
-    v.add_argument("--epsilon", default="1")
-    v.add_argument("--m", type=int)
-    v.add_argument("--l1", type=int)
-    v.add_argument("--shift", type=int, default=0)
-    v.add_argument("--cap", type=int, default=verify.DEFAULT_EVAL_CAP)
-    v.set_defaults(fn=cmd_verify)
-
-    bo = sub.add_parser("bound", help="evaluate a bound formula exactly")
-    bo.add_argument("--formula", required=True, choices=tuple(_FORMULAS))
-    bo.add_argument("--params", required=True, help="JSON object of named inputs")
-    bo.set_defaults(fn=cmd_bound)
-
-    au = sub.add_parser("audit", help="verify, then compare measured alphabet to the bound")
-    au.add_argument("--code", required=True)
-    au.add_argument("--partition", required=True)
-    au.add_argument("--ledger")
-    au.add_argument("--cap", type=int, default=verify.DEFAULT_EVAL_CAP)
-    au.set_defaults(fn=cmd_audit)
-
-    se = sub.add_parser("search", help="seeded random labeling search")
-    se.add_argument("--n", type=int, required=True)
-    se.add_argument("--sigma", type=int, required=True)
-    se.add_argument("--trials", type=int, default=1000)
-    se.add_argument("--seed", type=int, default=0)
-    se.add_argument("--target")
-    se.add_argument("--out-dir")
-    se.set_defaults(fn=cmd_search)
-
-    st = sub.add_parser("selftest", help="run the acceptance criteria")
-    st.add_argument("--list", action="store_true")
-    st.add_argument("--ablate", action="store_true")
-    st.add_argument("--only", type=int, nargs="+", default=None)
-    st.set_defaults(fn=cmd_selftest)
-    return ap
+    # nargs=PARSER, as in a subparsers action: the name, then all after it, "--" too
+    ap.add_argument("command", nargs=argparse.PARSER, choices=tuple(_COMMANDS),
+                    help="; ".join(f"{c}: {spec[0]}" for c, spec in _COMMANDS.items()))
+    args, extras = ap.parse_known_args(argv)
+    args.command, *rest = args.command
+    sub = argparse.ArgumentParser(prog=f"treecodes {args.command}")
+    for flag, keywords in _COMMANDS[args.command][2].items():
+        sub.add_argument(flag, **keywords)
+    args, unknown = sub.parse_known_args(rest, args)
+    if extras or unknown:
+        ap.error(f"unrecognized arguments: {' '.join(extras + unknown)}")
+    return args
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = _parse(argv)
     except SystemExit as e:
         return EXIT_USAGE if e.code else EXIT_PASS
     try:
-        return args.fn(args)
+        return _COMMANDS[args.command][1](args)
     except verify.CapExceeded as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return EXIT_CAP

@@ -22,7 +22,7 @@ from operator import or_
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .bitslice import add, below, minimum
-from .core import Alphabet, LevelOrderChar, Message, TreeCode
+from .core import Alphabet, LevelOrderChar, Message, TreeCode, check_table_size
 from .dyadic import as_fraction
 from .partitions import MAX_N
 from .rng import DetStream
@@ -447,7 +447,8 @@ def random_code_search(
     """Sample random labelings, certify each exactly, keep the best.
 
     Deterministic given the seed: trial t draws from its own counter-based
-    stream, and the best is kept by (distance, -trial).
+    stream, and the best is kept by (distance, -trial).  A depth n whose
+    table passes core.MAX_TABLE_ENTRIES (n >= 20) is refused before any trial.
     """
     for field, value in (("n", n), ("sigma", sigma_out_size), ("trials", trials)):
         if value < 1:
@@ -455,6 +456,7 @@ def random_code_search(
     target = None if target_delta is None else as_fraction(target_delta)
     if target is not None and not 0 < target <= 1:
         raise ValueError(f"target must be in (0, 1], got {target}")
+    check_table_size(n, 2, f"n = {n} too deep to search")
     best: Tuple[Fraction, int, List[int]] | None = None
     for t in range(trials):
         table: List[int] = []

@@ -240,6 +240,17 @@ def level_offsets(n: int, sigma: int, limit: int) -> List[int]:
     return offsets
 
 
+# the most labels a level-order table may hold, whoever would build it
+MAX_TABLE_ENTRIES = 1 << 20
+
+
+def check_table_size(n: int, sigma: int, what: str) -> None:
+    """Refuse a level-order table of depth n over sigma inputs that passes
+    MAX_TABLE_ENTRIES, before any of its labels is computed."""
+    if level_offsets(n, sigma, MAX_TABLE_ENTRIES)[-1] > MAX_TABLE_ENTRIES:
+        raise ValueError(f"{what}: {sigma}^1 + ... + {sigma}^{n} > {MAX_TABLE_ENTRIES} entries")
+
+
 class LevelOrderChar:
     """char_fn of a code tabulated in level order: for each depth j = 1..n,
     the labels of the sigma^j length-j prefixes in lexicographic order.

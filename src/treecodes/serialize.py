@@ -11,7 +11,7 @@ from typing import Any, Callable, List, NamedTuple, Tuple
 
 from . import constructions
 from .bounds import BoundReport
-from .core import TreeCode, identity_code, level_offsets, prefix_columns, trivial_code
+from .core import TreeCode, check_table_size, identity_code, prefix_columns, trivial_code
 from .dyadic import as_fraction, frac_str
 from .partitions import MAX_N, DeficiencyLedger, LaminarPartition, TaggedBlock
 from .verify import Verdict
@@ -63,18 +63,13 @@ def dumps_canonical(obj) -> str:
 
 # -------------------- codes --------------------
 
-_MAX_TABLE_ENTRIES = 1 << 20
-
-
 def tabulate_code(code: TreeCode) -> dict:
     """Explicit level-order table form of a code (depth-major, prefixes in
     lexicographic order; entry = label of the edge into that prefix): the
     prefix columns of the message table, concatenated.  A code whose table
     passes the entry limit is refused before any label is computed."""
     sigma, n = code.input_alphabet.size, code.n
-    if level_offsets(n, sigma, _MAX_TABLE_ENTRIES)[-1] > _MAX_TABLE_ENTRIES:
-        raise ValueError(f"code too deep to tabulate: {sigma}^1 + ... + {sigma}^{n} > "
-                         f"{_MAX_TABLE_ENTRIES} entries")
+    check_table_size(n, sigma, "code too deep to tabulate")
     return {
         "kind": "table",
         "n": n,

@@ -1,10 +1,26 @@
+import argparse
 import hashlib
+import io
 import json
 import time
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from treecodes import acceptance, cli, constructions, serialize
+from treecodes import acceptance, cli, constructions, serialize, verify
+from treecodes.cli import (
+    _FORMULAS,
+    _PROPERTIES,
+    IMM_FUNCTIONS,
+    cmd_audit,
+    cmd_bound,
+    cmd_build,
+    cmd_search,
+    cmd_selftest,
+    cmd_verify,
+)
 
 
 def run(capsys, *args):
@@ -147,6 +163,14 @@ _USAGE_MISTAKES = {
          "--partition", "{dir}/bad.json"],
         {"bad.json": {"n": 65536, "alpha": "1/2", "levels": [[{"lo": 1, "hi": 65536}]] + [
             [{"lo": 1, "hi": 65536, "lf_hi": 32768}]] * 39}}),
+    # a 2^41-entry table per trial, refused before the first
+    "search-n-40": (["search", "--n", "40", "--sigma", "2", "--trials", "1",
+                     "--out-dir", "{dir}/out"], {}),
+    # the lg of an alphabet size is never below 0; 0 stays legal
+    "eq5-measured-minus-1": (["bound", "--formula", "eq5", "--params", '{"k":3,"measured":-1}'],
+                             {}),
+    "eq11-ratio-minus-1": (["bound", "--formula", "eq11", "--params",
+                            '{"n":65536,"m":512,"delta":"1/16384","ratio":"-1"}'], {}),
 }
 
 
@@ -476,6 +500,8 @@ def test_search_without_trials_is_usage_error(tmp_path, capsys, trials):
     ("--target", "2", "target must be in (0, 1], got 2"),
     ("--target", "-1", "target must be in (0, 1], got -1"),
     ("--target", "0", "target must be in (0, 1], got 0"),
+    ("--n", "20", "n = 20 too deep to search: 2^1 + ... + 2^20 > 1048576 entries"),
+    ("--target", "", "Invalid literal for Fraction: ''"),
 ])
 def test_search_bad_input_exits_1_naming_it_before_the_first_trial(
     tmp_path, capsys, monkeypatch, flag, value, message
@@ -713,9 +739,12 @@ def test_each_json_entry_refuses_an_extra_missing_or_mistyped_key(tmp_path, caps
       "--out-dir", "{dir}/out"], "b must be in 1..16, got 20000"),
     (["verify", "--code", "{dir}/code.json", "--property", "eks", "--k", "2", "--delta", "0"],
      "--delta must be > 0, got 0"),
+    (["build", "--out-dir", "{dir}/out"], "build takes exactly one of --recipe and --recipe-json"),
+    (["build", "--recipe", "{dir}/code.json", "--recipe-json", '{"kind":"trivial","n":2}',
+      "--out-dir", "{dir}/out"], "build takes exactly one of --recipe and --recipe-json"),
 ], ids=["unknown-recipe-key", "unknown-eks-key", "unknown-params-key", "missing-key",
         "verify-cap-minus-5", "audit-cap-0", "thm41-lg-sigma-in-minus-1", "thm41-kind",
-        "eks-b-20000", "verify-delta-0"])
+        "eks-b-20000", "verify-delta-0", "build-no-recipe", "build-two-recipes"])
 def test_unknown_key_missing_key_or_meaningless_number_exits_1_naming_it(
     tmp_path, capsys, argv, message
 ):
@@ -749,3 +778,284 @@ def test_checks_and_reports_are_looked_up_at_each_call(tmp_path, capsys, monkeyp
                "--property", "distance")[0] == 0
     assert run(capsys, "bound", "--formula", "eq5", "--params", '{"k":3}')[0] == 0
     assert calls == ["check_tree_distance", "eq5_report"]
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The reference: the parser cli.main built on every call before the
+    subcommand table, verbatim but for the description (cli's docstring)."""
+    ap = argparse.ArgumentParser(prog="treecodes", description=cli.__doc__)
+    ap.add_argument("--format", choices=("json", "text"), default="json")
+    sub = ap.add_subparsers(dest="command", required=True)
+
+    b = sub.add_parser("build", help="materialize codes/partitions from a recipe")
+    b.add_argument("--recipe", help="recipe JSON file ('-' for stdin)")
+    b.add_argument("--recipe-json", help="recipe JSON inline")
+    b.add_argument("--out-dir", required=True)
+    b.set_defaults(fn=cmd_build)
+
+    v = sub.add_parser("verify", help="run a brute-force certifier")
+    v.add_argument("--code", required=True)
+    v.add_argument(
+        "--property",
+        required=True,
+        choices=tuple(_PROPERTIES),
+    )
+    v.add_argument("--delta", default="1/2")
+    v.add_argument("--imm", choices=sorted(IMM_FUNCTIONS), default="exp")
+    v.add_argument("--partition")
+    v.add_argument("--ledger")
+    v.add_argument("--tables", action="store_true", help="materialize decoding tables")
+    v.add_argument("--k", type=int)
+    v.add_argument("--k0", type=int)
+    v.add_argument("--epsilon", default="1")
+    v.add_argument("--m", type=int)
+    v.add_argument("--l1", type=int)
+    v.add_argument("--shift", type=int, default=0)
+    v.add_argument("--cap", type=int, default=verify.DEFAULT_EVAL_CAP)
+    v.set_defaults(fn=cmd_verify)
+
+    bo = sub.add_parser("bound", help="evaluate a bound formula exactly")
+    bo.add_argument("--formula", required=True, choices=tuple(_FORMULAS))
+    bo.add_argument("--params", required=True, help="JSON object of named inputs")
+    bo.set_defaults(fn=cmd_bound)
+
+    au = sub.add_parser("audit", help="verify, then compare measured alphabet to the bound")
+    au.add_argument("--code", required=True)
+    au.add_argument("--partition", required=True)
+    au.add_argument("--ledger")
+    au.add_argument("--cap", type=int, default=verify.DEFAULT_EVAL_CAP)
+    au.set_defaults(fn=cmd_audit)
+
+    se = sub.add_parser("search", help="seeded random labeling search")
+    se.add_argument("--n", type=int, required=True)
+    se.add_argument("--sigma", type=int, required=True)
+    se.add_argument("--trials", type=int, default=1000)
+    se.add_argument("--seed", type=int, default=0)
+    se.add_argument("--target")
+    se.add_argument("--out-dir")
+    se.set_defaults(fn=cmd_search)
+
+    st = sub.add_parser("selftest", help="run the acceptance criteria")
+    st.add_argument("--list", action="store_true")
+    st.add_argument("--ablate", action="store_true")
+    st.add_argument("--only", type=int, nargs="+", default=None)
+    st.set_defaults(fn=cmd_selftest)
+    return ap
+
+
+def _files(d):
+    """Input files for the parser tests: codes, an eks partition for n = 4, a
+    chs partition (n = 16) with its ledger and a recipe, plus bad files."""
+    assert cli.main(["build", "--recipe-json", '{"kind":"eks_partition","k":2}',
+                     "--out-dir", str(d)]) == 0
+    assert cli.main(["build", "--recipe-json", '{"kind":"chs_partition","m":1,"l1":4,"shift":0}',
+                     "--out-dir", str(d / "chs")]) == 0
+    for name, text in (("code.json", '{"kind":"trivial","n":4}'),
+                       ("code8.json", '{"kind":"trivial","n":8}'),
+                       ("code16.json", '{"kind":"trivial","n":16}'),
+                       ("recipe.json", '{"kind":"trivial","n":3}'),
+                       ("array.json", "[1, 2]"), ("bad.json", "{"), ("text.txt", "x")):
+        (d / name).write_text(text)
+
+
+def _run_main(argv):
+    """(exit code, stdout, stderr) of one cli.main call."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        rc = cli.main(list(argv))
+    return rc, out.getvalue(), err.getvalue()
+
+
+_CODE, _PART = ["--code", "{dir}/code.json"], ["--partition", "{dir}/partition.json"]
+_ORACLE_ARGV = [
+    # every flag of every subcommand, with its value's form
+    ["build", "--recipe", "{dir}/recipe.json", "--out-dir", "{dir}/out"],
+    ["build", "--recipe-json", '{"kind":"trivial","n":3}', "--out-dir", "{dir}/out"],
+    ["verify", *_CODE, "--property", "distance", "--delta", "1", "--cap", "4096"],
+    ["verify", *_CODE, "--property", "imm_function", "--imm", "exp", "--delta", "1/2"],
+    ["verify", *_CODE, "--property", "neighborhood", *_PART, "--tables"],
+    ["verify", "--code", "{dir}/code16.json", "--property", "neighborhood",
+     "--partition", "{dir}/chs/partition.json", "--ledger", "{dir}/chs/ledger.json"],
+    ["verify", *_CODE, "--property", "eks", "--k", "2"],
+    ["verify", *_CODE, "--property", "ghk", "--k0", "1", "--epsilon", "1", "--delta", "3/4"],
+    ["verify", "--code", "{dir}/code8.json", "--property", "chs", "--m", "1", "--l1", "4",
+     "--shift", "1"],
+    ["bound", "--formula", "eq5", "--params", '{"k":3,"measured":0}'],
+    ["bound", "--formula", "eq11", "--params",
+     '{"n":65536,"m":512,"delta":"1/16384","ratio":"0"}'],
+    ["audit", *_CODE, *_PART, "--cap", "4096"],
+    ["audit", "--code", "{dir}/code16.json", "--partition", "{dir}/chs/partition.json",
+     "--ledger", "{dir}/chs/ledger.json"],
+    ["search", "--n", "3", "--sigma", "4", "--trials", "20", "--seed", "1", "--target", "1/4"],
+    ["search", "--n", "3", "--sigma", "4", "--out-dir", "{dir}/out"],
+    ["selftest", "--list"], ["selftest", "--ablate"], ["selftest", "--only", "99"],
+    # each subcommand's help, and misuse at each level
+    *[[name, "-h"] for name in cli._COMMANDS], ["-h"], ["--format", "text", "--help"],
+    [], ["wat"], ["--bogus"], ["--bogus", "bound"], ["bound", "--bogus", "1"],
+    ["--bogus", "bound", "--formula", "eq5", "--params", '{"k":3}', "--bogus2"],
+    ["verify", *_CODE], ["search", "--sigma", "2"], ["selftest", "--only"],
+    ["search", "--n", "x", "--sigma", "2"], ["verify", *_CODE, "--property", "eks", "--k", "1.5"],
+    ["verify", *_CODE, "--property", "wat"], ["--format", "xml", "bound"], ["--format"],
+    # --format before the subcommand, after it, and both; "--" in each place
+    ["--format", "text", "bound", "--formula", "eq5", "--params", '{"k":3}'],
+    ["bound", "--formula", "eq5", "--params", '{"k":3}', "--format", "text"],
+    ["--format", "text", "bound", "--formula", "eq5", "--params", '{"k":3}', "--format", "json"],
+    ["--", "bound"], ["bound", "--", "--formula", "eq5"], ["bound", "--formula", "eq5", "--"],
+    ["--format=text", "bound", "--formula=eq5", "--params={\"k\":3}"],
+]
+
+
+def test_oracle_argv_use_every_flag_of_every_subcommand():
+    for name, (_, _, flags) in cli._COMMANDS.items():
+        used = {a.split("=")[0] for argv in _ORACLE_ARGV if argv[:1] == [name] for a in argv}
+        assert set(flags) <= used, name
+
+
+def test_parser_matches_the_reference_on_every_path_but_top_level_help(
+    tmp_path, capsys, monkeypatch
+):
+    _files(tmp_path)
+    capsys.readouterr()
+    for argv in _ORACLE_ARGV:
+        argv = [a.replace("{dir}", str(tmp_path)) for a in argv]
+        got = _run_main(argv)
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_parse", lambda args: build_parser().parse_args(args))
+            want = _run_main(argv)
+        if argv in (["-h"], ["--format", "text", "--help"]):
+            # the subcommands are listed as one help text; usage and
+            # description are unchanged
+            assert got[0] == want[0] == 0 and got[2] == want[2] == ""
+            assert got[1].split("\n\n")[:2] == want[1].split("\n\n")[:2]
+        else:
+            assert got == want, argv
+
+
+@pytest.mark.parametrize("name", sorted(cli._COMMANDS))
+def test_a_call_builds_two_parsers_and_only_its_subcommands_flags(
+    tmp_path, monkeypatch, name
+):
+    # the parent built all seven parsers and 40 arguments on every call;
+    # each call builds its own, so the second call counts the same
+    _files(tmp_path)
+    argv = {"verify": ["verify", *_CODE, "--property", "distance"],
+            "selftest": ["selftest", "--list"]}.get(name, [name, "-h"])
+    argv = [a.replace("{dir}", str(tmp_path)) for a in argv]
+    counts = {"parsers": 0, "arguments": 0}
+    init, add = argparse.ArgumentParser.__init__, argparse.ArgumentParser.add_argument
+
+    def counting_init(self, *args, **kwargs):
+        counts["parsers"] += 1
+        init(self, *args, **kwargs)
+
+    def counting_add(self, *args, **kwargs):
+        counts["arguments"] += 1
+        return add(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counting_add)
+    seen = []
+    for parse in (cli._parse, cli._parse, lambda args: build_parser().parse_args(args)):
+        monkeypatch.setattr(cli, "_parse", parse)
+        counts.update(parsers=0, arguments=0)
+        assert _run_main(argv)[0] == 0
+        seen.append(dict(counts))
+    # top level: -h, --format, the subcommand; then -h and the subcommand's flags
+    mine = {"parsers": 2, "arguments": 4 + len(cli._COMMANDS[name][2])}
+    assert seen == [mine, mine, {"parsers": 7, "arguments": 40}]
+    if name == "verify":
+        assert mine["arguments"] == 18
+
+
+# The fuzz test's values: each int flag's boundary values (0, +-1, each
+# limit +-1; --cap at most 4096 and search n at most 6 or at least 20, so no
+# call runs long), and each string flag's values.  A flag of _COMMANDS
+# without an entry here fails test_fuzz_draws_every_flag.
+_INTS = {"--cap": (1, 4096, 2, 4095, 0, -1), "--n": (2, 6, 1, 20, 21, 40, 0, -1),
+         "--sigma": (2, 257, 256, 1, 0, -1), "--trials": (2, 40, 1, 0, -1),
+         "--seed": (0, 1, -1), "--only": (1, 2, 9, 11, 0, -1),
+         "--k": (2, 3, 1, 0, -1, 2000000000), "--k0": (1, 2, 3, 0, -1),
+         "--m": (1, 2, 60, 0, -1), "--l1": (4, 3, 5, 1, 0, -1), "--shift": (0, 1, 2, -1)}
+_FRACTIONS = ("1/2", "2", "3/4", "1", "1001/1000", "0", "-1", "1/0", "x", "")
+
+
+def _files_of(*valid):
+    """Input files, valid ones weighted above the malformed and the missing."""
+    names = [*valid, *valid, "array.json", "bad.json", "text.txt", "missing.json"]
+    return st.sampled_from([f"{{dir}}/{name}" for name in names])
+
+_WRONG = (None, True, 1.5, "x", "-1", "0", [1], {}, -1, 0, 1, 2, 17)
+
+
+@st.composite
+def _json_text(draw, cases):
+    """One of the valid objects, with a key dropped, added or set to a
+    boundary value or a wrong JSON type, or a JSON text that is no object."""
+    obj = dict(draw(st.sampled_from([cases[key] for key in sorted(cases)])))
+    key = draw(st.sampled_from(sorted(obj) + ["extra"]))
+    how = draw(st.sampled_from(("keep", "drop", "set")))
+    if how == "drop":
+        obj.pop(key, None)
+    elif how == "set":
+        obj[key] = draw(st.sampled_from(_WRONG))
+    return draw(st.sampled_from((json.dumps(obj),) * 4 + ("[]", "1", "null", '"x"', "{")))
+
+
+_STRINGS = {
+    "--recipe": _files_of("recipe.json", "code.json", "partition.json"),
+    "--code": _files_of("code.json", "code8.json", "partition.json"),
+    "--partition": _files_of("partition.json", "chs/partition.json", "code.json"),
+    "--ledger": _files_of("chs/ledger.json", "partition.json"),
+    "--out-dir": st.just("{dir}/out"), "--delta": st.sampled_from(_FRACTIONS),
+    "--epsilon": st.sampled_from(_FRACTIONS), "--target": st.sampled_from(_FRACTIONS),
+    "--recipe-json": _json_text({**_CODES, **_RECIPES}), "--params": _json_text(_PARAMS),
+}
+
+
+def _flag_values(flag, keywords):
+    """The strategy of one flag's strings after the flag itself."""
+    if keywords.get("action") == "store_true":
+        return st.just([])
+    if "choices" in keywords:
+        return st.sampled_from([*keywords["choices"], "wat"]).map(lambda v: [v])
+    if keywords.get("type") is int:
+        ints = st.sampled_from(_INTS[flag]).map(str)
+        return st.lists(ints, min_size=1, max_size=3) if keywords.get("nargs") else ints.map(
+            lambda v: [v])
+    return _STRINGS[flag].map(lambda v: [v])
+
+
+@st.composite
+def _argv(draw):
+    name = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    argv = [name]
+    for flag, keywords in cli._COMMANDS[name][2].items():
+        if draw(st.integers(0, 19)) < (19 if keywords.get("required") else 10):
+            argv += [flag, *draw(_flag_values(flag, keywords))]
+    if argv == ["selftest"]:
+        argv.append("--list")  # a run of every criterion takes seconds
+    return (["--format", "text"] if draw(st.booleans()) else []) + argv
+
+
+def test_fuzz_draws_every_flag():
+    for name, (_, _, flags) in cli._COMMANDS.items():
+        for flag, keywords in flags.items():
+            assert (keywords.get("action") or "choices" in keywords or flag in _INTS
+                    or flag in _STRINGS), (name, flag)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("fuzz")
+    _files(d)
+    return d
+
+
+@settings(derandomize=True, max_examples=250, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(argv=_argv())
+def test_fuzzed_argv_exits_0_to_3_and_names_every_refusal(fuzz_dir, argv):
+    rc, _, err = _run_main([a.replace("{dir}", str(fuzz_dir)) for a in argv])
+    assert rc in (0, 1, 2, 3), (argv, err)
+    assert "internal error" not in err and "Traceback" not in err, argv
+    assert rc != 1 or err, argv
