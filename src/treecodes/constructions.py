@@ -34,6 +34,14 @@ _RESTARTS = 8  # greedy attempts per block length and width
 _POOL_CAP = 4096  # sampled candidates per attempt above _EXHAUSTIVE_POOL_BITS
 
 
+class NoBlockCode(ValueError):
+    """ecc_family found, at some length, no block code at any width of its
+    b schedule: args are what was not found and what a caller can change."""
+
+    def __str__(self) -> str:
+        return "; ".join(self.args)
+
+
 @dataclass(frozen=True)
 class BlockCode:
     """A length-ell block code into b-bit cells with certified cell distance.
@@ -221,10 +229,8 @@ def ecc_family(
             family.append(code)
         else:
             return family
-    raise ValueError(
-        f"no block code of length {ell} with distance {delta} found at "
-        f"cell width b={b}; extend b_schedule with a larger width"
-    )
+    raise NoBlockCode(f"no block code of length {ell} with distance {delta} found at "
+                      f"cell width b={b}", "extend b_schedule with a larger width")
 
 
 @dataclass(frozen=True)
@@ -425,7 +431,7 @@ def table_min_distance(n: int, table: Sequence[int]) -> Fraction:
     labeling; n < 1 or a table of the wrong length for n raises ValueError."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    return _scan(LevelOrderChar(n, 2, table).columns(), n, Fraction(-1))
+    return _scan(LevelOrderChar(n, 2, table).levels, n, Fraction(-1))
 
 
 @dataclass(frozen=True)

@@ -10,20 +10,27 @@ the |sigma_in|^(j+1) prefixes of length j+1 in lexicographic order, the
 level-order layout of a tabulated code, so each symbol is computed and stored
 once however many messages share its prefix.  Message i (lexicographic) has
 the prefix i // |sigma_in|^(n-1-j) in column j.  A char_fn may build its
-columns itself: a tabulated code's (a LevelOrderChar) are slices of its label
-list, the layered code's are built from its block codes.  Every other code is
-walked with one char_fn call per prefix.  Both paths run the same checks.
-all_codewords enumerates the table with no size limit of its own: the
-certifiers charge the table to their budget before calling it.
+columns itself: a tabulated code's (a LevelOrderChar) are its own levels, the
+layered code's are built from its block codes.  Every other code is walked
+with one char_fn call per prefix.  Both paths run the same checks, then store
+each column once as an array of the narrowest unsigned items that hold
+|sigma_out| - 1 (1, 2, 4 or 8 bytes a cell; a list of ints past 2^64
+symbols).  A LevelOrderChar's levels are replaced by those arrays, so the
+code and its table share one copy.  all_codewords enumerates the table with
+no size limit of its own: the certifiers charge the table to their budget
+before calling it, so a refused check converts no label.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from typing import Callable, Iterator, List, Sequence, Tuple
+
+from .rng import _TYPECODE
 
 Message = Tuple[int, ...]
 Codeword = Tuple[int, ...]
@@ -113,19 +120,22 @@ def messages(alphabet_size: int, n: int) -> Iterator[Message]:
     return product(range(alphabet_size), repeat=n)
 
 
-def prefix_columns(code: TreeCode) -> List[list]:
+def prefix_columns(code: TreeCode) -> List[Sequence[int]]:
     """Column j: the symbols of the length-(j+1) prefixes, in lexicographic
     order.  A char_fn with columns() and the code's own n and sigma builds
-    them (a table's slices, the layered code's block-code cycles); any other
+    them (a table's levels, the layered code's block-code cycles); any other
     is walked, one call per prefix.  On either path a column not sigma^(j+1)
     long, or a symbol that is not an int in [0, |sigma_out|), raises
-    ValueError, the latter naming its prefix."""
+    ValueError, the latter naming its prefix.  Each checked column is then
+    stored as a typed array (see the module doc), in place when columns()
+    gave a list: a LevelOrderChar's own levels."""
     sigma, f, size = code.input_alphabet.size, code.char_fn, code.output_alphabet.size
+    typecode = next((_TYPECODE[w] for w in sorted(_TYPECODE) if size <= 256**w), None)
     if hasattr(f, "columns") and (f.n, f.sigma) == (code.n, sigma):
         cols = f.columns()
     else:
         cols = (list(map(f, product(range(sigma), repeat=j + 1))) for j in range(code.n))
-    columns = []
+    columns = cols if isinstance(cols, list) else []
     for j, col in enumerate(cols):
         if len(col) != sigma ** (j + 1):
             raise ValueError(f"column {j + 1} has {len(col)} symbols, want {sigma}^{j + 1}")
@@ -136,7 +146,12 @@ def prefix_columns(code: TreeCode) -> List[list]:
                         f"symbol {sym!r} at prefix {list(_digits(t, j + 1, sigma))} is "
                         f"outside the output alphabet of size {size}"
                     )
-        columns.append(col)
+        if typecode is not None and getattr(col, "typecode", None) != typecode:
+            col = array(typecode, col)
+        if columns is cols:
+            columns[j] = col
+        else:
+            columns.append(col)
     return columns
 
 
@@ -161,7 +176,7 @@ class PrefixTable:
 
     __slots__ = ("n", "sigma", "sigma_out", "columns", "strides")
 
-    def __init__(self, n: int, sigma: int, sigma_out: int, columns: List[list]) -> None:
+    def __init__(self, n: int, sigma: int, sigma_out: int, columns: List[Sequence[int]]) -> None:
         self.n, self.sigma, self.sigma_out, self.columns = n, sigma, sigma_out, columns
         self.strides = [sigma ** (n - 1 - j) for j in range(n)]
 
@@ -255,33 +270,34 @@ class LevelOrderChar:
     """char_fn of a code tabulated in level order: for each depth j = 1..n,
     the labels of the sigma^j length-j prefixes in lexicographic order.
 
-    Holds one list of the labels and the level_offsets at which each depth
-    starts.  A table whose length is not sigma + sigma^2 + ... + sigma^n
-    raises ValueError, a deep table with few labels at once.  This is the
-    one reader of the layout: columns() slices it by depth.
+    Holds the labels as one level per depth, cut where level_offsets says
+    each depth starts.  A table whose length is not sigma + sigma^2 + ... +
+    sigma^n raises ValueError, a deep table with few labels at once.  This is
+    the one reader of the layout: columns() hands out the list of levels
+    itself, which prefix_columns fills with the typed columns.
     """
 
-    __slots__ = ("n", "sigma", "labels", "offsets")
+    __slots__ = ("n", "sigma", "levels")
 
     def __init__(self, n: int, sigma: int, labels: Sequence[int]) -> None:
-        labels = list(labels)
         offsets = level_offsets(n, sigma, len(labels))
         if len(offsets) <= n:
             raise ValueError(f"table has {len(labels)} labels, want "
                              f"{sigma}^1 + ... + {sigma}^{n} > {len(labels)}")
         if offsets[-1] != len(labels):
             raise ValueError(f"table has {len(labels)} labels, want {offsets[-1]}")
-        self.n, self.sigma, self.labels, self.offsets = n, sigma, labels, offsets
+        self.n, self.sigma = n, sigma
+        self.levels = [labels[lo:hi] for lo, hi in zip(offsets, offsets[1:])]
 
     def __call__(self, prefix: Message) -> int:
         idx = 0
         for v in prefix:
             idx = idx * self.sigma + v
-        return self.labels[self.offsets[len(prefix) - 1] + idx]
+        return self.levels[len(prefix) - 1][idx]
 
-    def columns(self) -> Iterator[list]:
+    def columns(self) -> List[Sequence[int]]:
         """Depth j+1's labels for j = 0..n-1: the prefix columns."""
-        return (self.labels[lo:hi] for lo, hi in zip(self.offsets, self.offsets[1:]))
+        return self.levels
 
 
 def make_systematic(code: TreeCode) -> TreeCode:

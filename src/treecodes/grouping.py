@@ -8,6 +8,8 @@ ids of a block reuse those of its parts.  A set of several columns has
 first-occurrence ids (each prefix's id is the first prefix of its group), so
 every id is below M.  The ids refer to shared ints, the entries of one
 list(range(...)) per Groups, so a list of ids costs one reference per prefix.
+A single codeword column's ids are the table's own column, a typed array
+(core), read through the sequence interface like any list of ids.
 A caller names its sets in the order it reads them, and each set's ids are
 dropped after their last read in that order.
 """
@@ -17,7 +19,7 @@ from __future__ import annotations
 import operator
 from collections import Counter
 from itertools import chain, repeat
-from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional
+from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence
 
 from .core import PrefixTable
 
@@ -26,7 +28,7 @@ class Grouped(NamedTuple):
     """A column set's group ids: one per prefix of length q+1, below bound."""
 
     q: int
-    ids: List[int]
+    ids: Sequence[int]  # a column's own typed array, else a list of shared ints
     bound: int
 
 
@@ -36,8 +38,8 @@ def _first_occurrences(keys, ints: List[int]) -> List[int]:
     return list(map({}.setdefault, keys, ints))
 
 
-def _widen(ids: List[int], r: int) -> List[int]:
-    """Each entry of ids repeated r times in place."""
+def _widen(ids: Sequence[int], r: int) -> Sequence[int]:
+    """Each entry of ids repeated r times in place: ids itself when r is 1."""
     if r == 1:
         return ids
     if r > len(ids):
@@ -127,7 +129,7 @@ class Groups:
             self._kept[cols] = got
         return got
 
-    def at(self, grouped: Grouped, q: int) -> List[int]:
+    def at(self, grouped: Grouped, q: int) -> Sequence[int]:
         """The ids of a grouped set at the finer granularity q."""
         return _widen(grouped.ids, self.table.strides[grouped.q] // self.table.strides[q])
 

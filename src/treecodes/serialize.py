@@ -81,15 +81,22 @@ def tabulate_code(code: TreeCode) -> dict:
 
 def _eks_params(o: dict) -> constructions.EKSParams:
     """The eks form's parameters; a cell width b outside 1..MAX_B is refused
-    before any block code is searched for."""
+    before any block code is searched for.  A failed search names b, the one
+    width the form can set, not the library's b_schedule."""
     b_schedule = constructions.DEFAULT_B_SCHEDULE
     if "b" in o:
         b = int_field(o, "b")
         if not 1 <= b <= constructions.MAX_B:
             raise ValueError(f"b must be in 1..{constructions.MAX_B}, got {b}")
         b_schedule = (b,)
-    return constructions.eks_params(int_field(o, "k"), as_fraction(o["delta"]),
-                                    seed=expect_int(o.get("seed", 0), "seed"), b_schedule=b_schedule)
+    k, delta = int_field(o, "k"), as_fraction(o["delta"])
+    seed = expect_int(o.get("seed", 0), "seed")
+    try:
+        return constructions.eks_params(k, delta, seed=seed, b_schedule=b_schedule)
+    except constructions.NoBlockCode as exc:
+        advice = ("choose another b in 1..{}, or omit b for the default schedule" if "b" in o
+                  else "name a cell width b in 1..{}").format(constructions.MAX_B)
+        raise ValueError(f"{exc.args[0]}; {advice}") from None
 
 
 # each code kind's form; eks reads to the parameters its code is built from,

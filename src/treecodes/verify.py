@@ -9,10 +9,10 @@ only refusal of an oversized table: an instance too large for the cap raises
 CapExceeded before it costs time or memory.  Thresholds are exact
 rationals and every failure carries a witness that re-verifies in isolation.
 
-The table is core.all_codewords' prefix columns, built once per code and
-kept while the code lives (so an audit's decoding check and its entropy
-replay share one enumeration).  Neighborhood decoding compares each
-prefix with the first prefix of its rg group (grouping.Groups).
+The table is core.all_codewords' typed prefix columns, built once per code
+and kept while the code lives (so an audit's checks share one enumeration,
+and a tabulated code's char_fn its columns).  Neighborhood decoding compares
+each prefix with the first prefix of its rg group (grouping.Groups).
 
 The five pair conditions (distance, immediacy function, dyadic, aligned,
 quarter-split) share one engine, _sweep.  It takes the rows x in blocks of
@@ -539,12 +539,12 @@ def check_neighborhood_decoding(
             lf_ids = groups.at(groups.ids(cols[0]), q)
             ref = groups.first(cols[1])
             got = list(map(lf_ids.__getitem__, ref))
-            if got != lf_ids:
-                # the first message of the first length-(q+1) prefix whose
-                # lf inputs differ from those of the first prefix of its
-                # rg group
-                t = list(map(operator.ne, got, lf_ids)).index(True)
-                pair = (ref[t] * table.strides[q], t * table.strides[q])
+            if got != lf_ids:  # then id by id: a typed column never equals a list
+                # the first length-(q+1) prefix whose lf inputs differ from
+                # those of the first prefix of its rg group, if any
+                t = next((i for i, ne in enumerate(map(operator.ne, got, lf_ids)) if ne), None)
+                if t is not None:
+                    pair = (ref[t] * table.strides[q], t * table.strides[q])
             del lf_ids, got  # freed before the next block's passes
         block_witness = None if pair is None else dict(
             level=level, block=bi, lf=list(tb.lf), rg=list(tb.rg),

@@ -4,9 +4,11 @@ import io
 import json
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from treecodes import acceptance, cli, constructions, serialize, verify
@@ -188,6 +190,19 @@ def test_usage_mistake_exits_1(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert rc == 1
     assert err.startswith("invalid input: ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("recipe,want", [
+    ('{"kind":"eks","k":3,"b":1,"delta":"1/2"}', "no block code of length 4 with distance 1/2 "
+     "found at cell width b=1; choose another b in 1..16, or omit b for the default schedule"),
+    ('{"kind":"eks","k":5,"delta":"15/16"}', "no block code of length 8 with distance 15/16 "
+     "found at cell width b=8; name a cell width b in 1..16"),
+])
+def test_an_eks_recipe_without_a_block_code_names_b_and_its_range(tmp_path, capsys, recipe, want):
+    # b is the one cell width a recipe sets; b_schedule is a library argument
+    rc = cli.main(["build", "--recipe-json", recipe, "--out-dir", str(tmp_path / "out")])
+    assert rc == 1 and capsys.readouterr().err == f"invalid input: {want}\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -1051,11 +1066,26 @@ def fuzz_dir(tmp_path_factory):
     return d
 
 
+@example(argv=["verify", "--code", "{dir}/code8.json", "--property", "distance",
+               "--delta", "1", "--cap", "2047"])
+@example(argv=["audit", "--code", "{dir}/code.json", "--partition", "{dir}/partition.json",
+               "--cap", "63"])
 @settings(derandomize=True, max_examples=250, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(argv=_argv())
 def test_fuzzed_argv_exits_0_to_3_and_names_every_refusal(fuzz_dir, argv):
-    rc, _, err = _run_main([a.replace("{dir}", str(fuzz_dir)) for a in argv])
+    argv = [a.replace("{dir}", str(fuzz_dir)) for a in argv]
+    with mock.patch.object(verify, "all_codewords", wraps=verify.all_codewords) as tables:
+        rc, _, err = _run_main(argv)
     assert rc in (0, 1, 2, 3), (argv, err)
     assert "internal error" not in err and "Traceback" not in err, argv
     assert rc != 1 or err, argv
+    if rc == 3:
+        # the timing-free form of "exit 3 returns at once": a code whose M*n
+        # table charge passes the cap is refused before its table is built
+        # (each flag is drawn at most once)
+        text = Path(argv[argv.index("--code") + 1]).read_text()
+        code = serialize.code_from_json(json.loads(text))
+        cap = int(argv[argv.index("--cap") + 1]) if "--cap" in argv else verify.DEFAULT_EVAL_CAP
+        if code.input_alphabet.size**code.n * code.n > cap:
+            assert tables.call_count == 0, argv

@@ -1,9 +1,9 @@
 """Differential tests of the prefix columns a char_fn builds itself, a
-tabulated code's slices and the layered code's columns, against the
+tabulated code's levels and the layered code's columns, against the
 per-prefix char_fn walk every other code takes.
 
 A code built by table_code has a LevelOrderChar as its char_fn, and
-prefix_columns slices its label list.  Wrapping that char_fn in a lambda
+prefix_columns reads its levels.  Wrapping that char_fn in a lambda
 hides the class, so the same code is walked one prefix at a time: both must
 give the same columns, the same range-check error and the same tabulated
 labels.
@@ -11,7 +11,10 @@ labels.
 
 from __future__ import annotations
 
+import gc
+import json
 import time
+from array import array
 from fractions import Fraction
 from itertools import product
 from unittest import mock
@@ -22,8 +25,8 @@ from hypothesis import strategies as st
 
 from treecodes.constructions import LayeredChar, eks_code, eks_params, table_code
 from treecodes.core import Alphabet, LevelOrderChar, TreeCode, all_codewords, prefix_columns
-from treecodes.serialize import dumps_canonical, tabulate_code
-from treecodes.verify import check_online_property
+from treecodes.serialize import code_from_json, dumps_canonical, tabulate_code
+from treecodes.verify import CapExceeded, check_online_property, check_tree_distance
 
 # "sigma_out" stands for the first label past the output alphabet
 BAD_LABELS = ["sigma_out", -1, True, False, 1.0, "1", None]
@@ -149,8 +152,10 @@ def test_layered_columns_equal_walked_columns(layered_params, k, zero_rows):
     char = code.char_fn
     walk = [list(map(char, product(range(2), repeat=j))) for j in range(1, code.n + 1)]
     assert list(char.columns()) == walk
-    assert built_columns(code) == walk
-    assert all_codewords(code).columns == walk
+    # the table's columns are typed arrays, and an array never equals a list:
+    # compared element by element
+    assert [list(col) for col in built_columns(code)] == walk
+    assert [list(col) for col in all_codewords(code).columns] == walk
 
 
 @pytest.mark.parametrize("k,zero_rows", _UP_TO_K3, ids=_ids(_UP_TO_K3))
@@ -188,3 +193,67 @@ def test_a_column_of_the_wrong_length_is_refused():
     code = TreeCode(2, Alphabet(2), Alphabet(2), Short())
     with pytest.raises(ValueError, match=r"column 2 has 3 symbols, want 2\^2"):
         prefix_columns(code)
+
+
+# Typed columns: each column is stored as an array of the narrowest unsigned
+# item that holds sigma_out - 1, or kept a list past 2^64 symbols.  Each case
+# is sigma_out at an item size's edge and the typecode its columns get.
+_EDGES = [(1 << 8, "B"), ((1 << 8) + 1, "H"), (1 << 16, "H"), ((1 << 16) + 1, "I"),
+          (1 << 32, "I"), ((1 << 32) + 1, "Q"), (1 << 64, "Q"), ((1 << 64) + 1, None)]
+
+
+def edge_labels(sigma_out):
+    """Depth-2 binary level-order labels holding 0 and the largest label."""
+    top = sigma_out - 1
+    return [top, 0, 1, top, top // 2, 0]
+
+
+@pytest.mark.parametrize("sigma_out,typecode", _EDGES, ids=[str(s) for s, _ in _EDGES])
+def test_columns_are_the_narrowest_array_that_holds_the_largest_label(sigma_out, typecode):
+    labels = edge_labels(sigma_out)
+    code = table_code(2, 2, sigma_out, labels)
+    sliced = sliced_columns(code)
+    assert sliced is code.char_fn.levels  # converted in place: one copy
+    for columns in (sliced, prefix_columns(walked(code))):
+        if typecode is None:
+            assert all(type(col) is list for col in columns)
+        else:
+            assert all(type(col) is array and col.typecode == typecode for col in columns)
+        assert [list(col) for col in columns] == [labels[:2], labels[2:]]
+    # the char_fn reads the largest label back from the typed columns
+    assert code.encode((0, 1)) == (sigma_out - 1, sigma_out - 1)
+
+
+@pytest.mark.parametrize("bad", ["sigma_out", -1, True])
+@pytest.mark.parametrize("sigma_out", [s for s, _ in _EDGES], ids=[str(s) for s, _ in _EDGES])
+def test_a_bad_label_at_an_item_size_edge_raises_the_same_error_on_both_paths(sigma_out, bad):
+    labels = edge_labels(sigma_out)
+    labels[3] = sigma_out if bad == "sigma_out" else bad  # the label of prefix (0, 1)
+    code = table_code(2, 2, sigma_out, labels)
+    text = error_text(sliced_columns, code)
+    assert text == (f"symbol {labels[3]!r} at prefix [0, 1] is outside the output alphabet "
+                    f"of size {sigma_out}")
+    assert error_text(prefix_columns, walked(code)) == text
+
+
+def test_a_refused_check_converts_no_label():
+    # the budget charges the M*n table before it is built
+    code = table_code(8, 2, 1 << 16, [(7 * i) % (1 << 16) for i in range(2**9 - 2)])
+    with pytest.raises(CapExceeded):
+        check_tree_distance(code, 1, cap=2**8 * 8 - 1)
+    assert all(type(level) is list for level in code.char_fn.levels)
+
+
+def test_a_loaded_layered_table_holds_one_two_byte_copy(layered_params):
+    # the n = 16 layered code (sigma_out = 2^15), written out and read back
+    # as a level-order table
+    text = dumps_canonical(tabulate_code(eks_code(layered_params[4])))
+    code = code_from_json(json.loads(text))
+    assert (code.n, code.output_alphabet.size) == (16, 1 << 15)
+    char = code.char_fn
+    assert all_codewords(code).columns is char.levels
+    # no label list beside the levels, and 2 bytes per cell
+    held = [r for r in gc.get_referents(char) if isinstance(r, list)]
+    assert len(held) == 1 and held[0] is char.levels
+    assert all(type(col) is array and col.typecode == "H" for col in char.levels)
+    assert sum(len(col) * col.itemsize for col in char.levels) == 2 * (2**17 - 2)

@@ -1,0 +1,70 @@
+"""Time one grouping check on trivial_code(n) and report this process's peak RSS.
+
+Runs check_neighborhood_decoding or ledger_replay once, cap 2^40, on
+trivial_code(n) over the binary-merge partition: level 0 holds the
+singletons, and each level pairs adjacent blocks of the level below, the
+left one as lf and the right one as rg; when the count is odd, the last pair
+becomes the lf of a block whose rg is the leftover block.  Run it as its own
+process, one call per process, so ru_maxrss is that call's peak (import and
+partition included):
+
+    PYTHONPATH=src python tools/scale_probe.py --check neighborhood --n 18
+
+It prints one JSON line: seconds (the call, table build included),
+peak_rss_mb (ru_maxrss), passed and evaluations.  Standard library only;
+point PYTHONPATH at another checkout's src/ to measure that one.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import resource
+import sys
+import time
+from fractions import Fraction
+
+from treecodes.core import trivial_code
+from treecodes.entropy import ledger_replay
+from treecodes.partitions import LaminarPartition, TaggedBlock
+from treecodes.verify import check_neighborhood_decoding
+
+CAP = 1 << 40
+
+
+def binary_merge_partition(n: int) -> LaminarPartition:
+    """Singletons at level 0; each level pairs adjacent blocks (lf left, rg
+    right) until one block is left, an odd count's last pair being the lf of
+    the last block."""
+    blocks = [(i,) for i in range(1, n + 1)]
+    p0, tagged = tuple(blocks), []
+    while len(blocks) > 1:
+        level = [TaggedBlock(lf=blocks[i], rg=blocks[i + 1]) for i in range(0, len(blocks) - 1, 2)]
+        if len(blocks) % 2:
+            level[-1] = TaggedBlock(lf=level[-1].block, rg=blocks[-1])
+        tagged.append(tuple(level))
+        blocks = [tb.block for tb in level]
+    return LaminarPartition(n=n, alpha=Fraction(1, 2), p0=p0, tagged=tuple(tagged))
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--check", choices=("neighborhood", "replay"), required=True)
+    ap.add_argument("--n", type=int, required=True)
+    args = ap.parse_args(argv)
+    code, partition = trivial_code(args.n), binary_merge_partition(args.n)
+    start = time.perf_counter()
+    if args.check == "neighborhood":
+        verdict = check_neighborhood_decoding(code, partition, cap=CAP)
+    else:
+        verdict = ledger_replay(code, partition, cap=CAP)[1]
+    seconds = time.perf_counter() - start
+    peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB on Linux
+    print(json.dumps({"check": args.check, "n": args.n, "seconds": round(seconds, 3),
+                      "peak_rss_mb": round(peak_kb / 1024, 1), "passed": verdict.passed,
+                      "evaluations": verdict.evaluations}))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
