@@ -15,10 +15,10 @@ layered code's are built from its block codes.  Every other code is walked
 with one char_fn call per prefix.  Both paths run the same checks, then store
 each column once as an array of the narrowest unsigned items that hold
 |sigma_out| - 1 (1, 2, 4 or 8 bytes a cell; a list of ints past 2^64
-symbols).  A LevelOrderChar's levels are replaced by those arrays, so the
-code and its table share one copy.  all_codewords enumerates the table with
-no size limit of its own: the certifiers charge the table to their budget
-before calling it, so a refused check converts no label.
+symbols).  all_codewords hands a LevelOrderChar those arrays in place of its
+levels, so the code and its table share one copy.  all_codewords enumerates
+the table with no size limit of its own: the certifiers charge the table to
+their budget before calling it, so a refused check converts no label.
 """
 
 from __future__ import annotations
@@ -29,8 +29,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from typing import Callable, Iterator, List, Sequence, Tuple
-
-from .rng import _TYPECODE
 
 Message = Tuple[int, ...]
 Codeword = Tuple[int, ...]
@@ -127,15 +125,14 @@ def prefix_columns(code: TreeCode) -> List[Sequence[int]]:
     is walked, one call per prefix.  On either path a column not sigma^(j+1)
     long, or a symbol that is not an int in [0, |sigma_out|), raises
     ValueError, the latter naming its prefix.  Each checked column is then
-    stored as a typed array (see the module doc), in place when columns()
-    gave a list: a LevelOrderChar's own levels."""
+    stored as a typed array (see the module doc)."""
     sigma, f, size = code.input_alphabet.size, code.char_fn, code.output_alphabet.size
-    typecode = next((_TYPECODE[w] for w in sorted(_TYPECODE) if size <= 256**w), None)
+    typecode = next((c for c in "BHIQ" if size <= 256 ** array(c).itemsize), None)
     if hasattr(f, "columns") and (f.n, f.sigma) == (code.n, sigma):
         cols = f.columns()
     else:
         cols = (list(map(f, product(range(sigma), repeat=j + 1))) for j in range(code.n))
-    columns = cols if isinstance(cols, list) else []
+    columns = []
     for j, col in enumerate(cols):
         if len(col) != sigma ** (j + 1):
             raise ValueError(f"column {j + 1} has {len(col)} symbols, want {sigma}^{j + 1}")
@@ -148,10 +145,7 @@ def prefix_columns(code: TreeCode) -> List[Sequence[int]]:
                     )
         if typecode is not None and getattr(col, "typecode", None) != typecode:
             col = array(typecode, col)
-        if columns is cols:
-            columns[j] = col
-        else:
-            columns.append(col)
+        columns.append(col)
     return columns
 
 
@@ -206,9 +200,12 @@ def all_codewords(code: TreeCode) -> PrefixTable:
     columns of prefix_columns (built by the char_fn where it offers them, else
     one char_fn call per prefix: sigma + ... + sigma^n calls, not n * sigma^n).
     A symbol that is not an int in [0, |sigma_out|) raises ValueError naming
-    its prefix."""
-    return PrefixTable(code.n, code.input_alphabet.size, code.output_alphabet.size,
-                       prefix_columns(code))
+    its prefix.  A tabulated code's char_fn then reads the table's columns,
+    its levels dropped: the code and its table share one copy."""
+    columns, f = prefix_columns(code), code.char_fn
+    if isinstance(f, LevelOrderChar) and (f.n, f.sigma) == (code.n, code.input_alphabet.size):
+        f.levels = columns
+    return PrefixTable(code.n, code.input_alphabet.size, code.output_alphabet.size, columns)
 
 
 def trivial_code(n: int) -> TreeCode:
@@ -273,8 +270,8 @@ class LevelOrderChar:
     Holds the labels as one level per depth, cut where level_offsets says
     each depth starts.  A table whose length is not sigma + sigma^2 + ... +
     sigma^n raises ValueError, a deep table with few labels at once.  This is
-    the one reader of the layout: columns() hands out the list of levels
-    itself, which prefix_columns fills with the typed columns.
+    the one reader of the layout: columns() hands out the levels, which
+    all_codewords replaces by the table's typed columns.
     """
 
     __slots__ = ("n", "sigma", "levels")

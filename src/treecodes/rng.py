@@ -28,8 +28,7 @@ T = TypeVar("T")
 _RUN = 1024  # most candidates decoded at once: bounds the memory of a long draw
 # _TOP[t] keeps the low t bits of a byte, the bits a candidate keeps of its first byte
 _TOP = [bytes(range(1 << t)) * (256 >> t) for t in range(9)]
-# item width -> typecode of an unsigned array item: B, H, I and Q
-_TYPECODE = {array(c).itemsize: c for c in "LQIHB"}
+_TYPECODE = {array(c).itemsize: c for c in "QLIH"}  # item width -> typecode
 _SWAP = sys.byteorder == "little"  # array items are native-endian; candidates are big-endian
 
 

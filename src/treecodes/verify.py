@@ -539,12 +539,12 @@ def check_neighborhood_decoding(
             lf_ids = groups.at(groups.ids(cols[0]), q)
             ref = groups.first(cols[1])
             got = list(map(lf_ids.__getitem__, ref))
-            if got != lf_ids:  # then id by id: a typed column never equals a list
-                # the first length-(q+1) prefix whose lf inputs differ from
-                # those of the first prefix of its rg group, if any
-                t = next((i for i, ne in enumerate(map(operator.ne, got, lf_ids)) if ne), None)
-                if t is not None:
-                    pair = (ref[t] * table.strides[q], t * table.strides[q])
+            if got != lf_ids:  # lf holds input positions only: its ids are a list
+                # the first message of the first length-(q+1) prefix whose
+                # lf inputs differ from those of the first prefix of its
+                # rg group
+                t = list(map(operator.ne, got, lf_ids)).index(True)
+                pair = (ref[t] * table.strides[q], t * table.strides[q])
             del lf_ids, got  # freed before the next block's passes
         block_witness = None if pair is None else dict(
             level=level, block=bi, lf=list(tb.lf), rg=list(tb.rg),

@@ -213,8 +213,9 @@ def test_columns_are_the_narrowest_array_that_holds_the_largest_label(sigma_out,
     labels = edge_labels(sigma_out)
     code = table_code(2, 2, sigma_out, labels)
     sliced = sliced_columns(code)
-    assert sliced is code.char_fn.levels  # converted in place: one copy
-    for columns in (sliced, prefix_columns(walked(code))):
+    table = all_codewords(code)
+    assert table.columns is code.char_fn.levels  # the char_fn reads the table: one copy
+    for columns in (sliced, table.columns, prefix_columns(walked(code))):
         if typecode is None:
             assert all(type(col) is list for col in columns)
         else:
