@@ -24,7 +24,6 @@ from .partitions import (
     chs_partition,
     eks_partition,
     ghk_partition,
-    validate_laminar,
 )
 from .rng import DetStream
 from .synthetic import mask_block_code, scrambled_prefix_code
@@ -91,7 +90,7 @@ def criterion_3() -> Tuple[bool, str]:
     lf_sizes = [len(p.tagged[0][0].lf), len(p.tagged[1][0].lf)]
     if p.n != 128 or lengths != [2, 16, 128] or lf_sizes != [2, 16]:
         return False, f"n={p.n}, lengths={lengths}, lf={lf_sizes}"
-    if p.alpha != Fraction(1, 8) or not validate_laminar(p).passed:
+    if p.alpha != Fraction(1, 8) or not p.report.passed:
         return False, f"alpha={p.alpha} or validation failed"
     return True, "n=128, block lengths (2,16,128), lf sizes (2,16), alpha=1/8"
 

@@ -242,9 +242,8 @@ def audit_code(
     property and its first offending (level, block), before any table work.
     """
     ledger = verify.checked_ledger(code, partition, ledger)
-    report = verify.laminar_report(partition)
-    for prop, where in (("size", report.first_size_violation),
-                        ("laminar", report.first_laminar_violation)):
+    for prop, where in (("size", partition.report.first_size_violation),
+                        ("laminar", partition.report.first_laminar_violation)):
         if where:
             raise ValueError(f"refusing to audit: the partition lacks the {prop} property "
                              f"at (level, block) {where}")

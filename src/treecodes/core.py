@@ -18,7 +18,8 @@ each column once as an array of the narrowest unsigned items that hold
 symbols).  all_codewords hands a LevelOrderChar those arrays in place of its
 levels, so the code and its table share one copy.  all_codewords enumerates
 the table with no size limit of its own: the certifiers charge the table to
-their budget before calling it, so a refused check converts no label.
+their budget before they read TreeCode.table, so a refused check converts no
+label.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import product
 from typing import Callable, Iterator, List, Sequence, Tuple
@@ -91,6 +93,11 @@ class TreeCode:
         f = self.char_fn
         return tuple(f(x[: j + 1]) for j in range(self.n))
 
+    @cached_property
+    def table(self) -> PrefixTable:
+        """all_codewords(self), built on first use and kept while the code lives."""
+        return all_codewords(self)
+
     @property
     def rate(self) -> Fraction | float:
         """1 / lg|sigma_out|; exact when the output size is a power of two."""
@@ -123,17 +130,17 @@ def prefix_columns(code: TreeCode) -> List[Sequence[int]]:
     order.  A char_fn with columns() and the code's own n and sigma builds
     them (a table's levels, the layered code's block-code cycles); any other
     is walked, one call per prefix.  On either path a column not sigma^(j+1)
-    long, or a symbol that is not an int in [0, |sigma_out|), raises
-    ValueError, the latter naming its prefix.  Each checked column is then
-    stored as a typed array (see the module doc)."""
+    long, a symbol that is not an int in [0, |sigma_out|) (naming its
+    prefix), or a count of columns other than n raises ValueError.  Each
+    checked column is then stored as a typed array (see the module doc)."""
     sigma, f, size = code.input_alphabet.size, code.char_fn, code.output_alphabet.size
     typecode = next((c for c in "BHIQ" if size <= 256 ** array(c).itemsize), None)
     if hasattr(f, "columns") and (f.n, f.sigma) == (code.n, sigma):
-        cols = f.columns()
+        cols = iter(f.columns())
     else:
         cols = (list(map(f, product(range(sigma), repeat=j + 1))) for j in range(code.n))
     columns = []
-    for j, col in enumerate(cols):
+    for j, col in zip(range(code.n), cols):
         if len(col) != sigma ** (j + 1):
             raise ValueError(f"column {j + 1} has {len(col)} symbols, want {sigma}^{j + 1}")
         if not (set(map(type, col)) <= {int} and 0 <= min(col) and max(col) < size):
@@ -146,6 +153,9 @@ def prefix_columns(code: TreeCode) -> List[Sequence[int]]:
         if typecode is not None and getattr(col, "typecode", None) != typecode:
             col = array(typecode, col)
         columns.append(col)
+    got = len(columns) + sum(1 for _ in cols)  # the columns past n, if any
+    if got != code.n:
+        raise ValueError(f"char_fn gives {got} prefix columns, want n = {code.n}")
     return columns
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Dict, List, Sequence, Tuple
 
 from .dyadic import as_fraction, floor_lg
@@ -50,6 +51,11 @@ class LaminarPartition:
     @property
     def ell(self) -> int:
         return len(self.tagged)
+
+    @cached_property
+    def report(self) -> LaminarReport:
+        """validate_laminar(self), made on first use and kept while self lives."""
+        return validate_laminar(self)
 
     def level_blocks(self, i: int) -> List[Block]:
         """Plain index sets of level i (0 = P_0)."""
@@ -169,14 +175,20 @@ class LaminarReport:
     property failures, and the first offending block is identified."""
 
     structural_errors: Tuple[str, ...]
-    size_ok: bool
-    laminar_ok: bool
-    first_size_violation: Tuple[int, int] | None  # (level, block index)
-    first_laminar_violation: Tuple[int, int] | None
+    first_size_violation: Tuple[int, int] | None = None  # (level, block index)
+    first_laminar_violation: Tuple[int, int] | None = None
 
     @property
     def structural_ok(self) -> bool:
         return not self.structural_errors
+
+    @property
+    def size_ok(self) -> bool:
+        return self.structural_ok and self.first_size_violation is None
+
+    @property
+    def laminar_ok(self) -> bool:
+        return self.structural_ok and self.first_laminar_violation is None
 
     @property
     def passed(self) -> bool:
@@ -215,7 +227,7 @@ def validate_laminar(p: LaminarPartition) -> LaminarReport:
                 errors.append(f"P_{i}: block {bi} has overlapping lf and rg")
         errors += _check_level_partition(p.n, [tb.block for tb in level], f"P_{i}")
     if errors:
-        return LaminarReport(tuple(errors), False, False, None, None)
+        return LaminarReport(tuple(errors))
 
     size_bad: Tuple[int, int] | None = None
     laminar_bad: Tuple[int, int] | None = None
@@ -237,7 +249,7 @@ def validate_laminar(p: LaminarPartition) -> LaminarReport:
                         laminar_bad = (i, bi)
                         break
         prev_blocks = [tb.block for tb in level]
-    return LaminarReport((), size_bad is None, laminar_bad is None, size_bad, laminar_bad)
+    return LaminarReport((), size_bad, laminar_bad)
 
 
 MAX_N = 1 << 16  # the longest partition a builder or partition_from_json materializes
@@ -273,11 +285,10 @@ def _consecutive(n: int, alpha: Fraction, lengths: Sequence[int]) -> LaminarPart
 
 
 def _laminar(p: LaminarPartition, what: str) -> LaminarPartition:
-    """p, if it passes validate_laminar; else a ValueError naming what built it."""
-    report = validate_laminar(p)
-    if not report.passed:
+    """p, if its report passes; else a ValueError naming what built it."""
+    if not p.report.passed:
         raise ValueError(f"{what} does not yield a laminar partition: "
-                         f"{report.structural_errors or report.first_laminar_violation}")
+                         f"{p.report.structural_errors or p.report.first_laminar_violation}")
     return p
 
 

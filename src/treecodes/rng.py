@@ -116,10 +116,6 @@ class DetStream:
                     i -= 1
         return out
 
-    def distinct_pairs(self, n: int, count: int) -> List[int]:
-        """count ordered pairs of distinct values from 0..n-1: one level of pair_levels."""
-        return next(self.pair_levels(n, (count,)))
-
     def pair_levels(self, n: int, counts: Iterable[int]) -> Iterator[List[int]]:
         """Levels of ordered pairs of distinct values from 0..n-1, counts[i]
         pairs in level i, flattened as a0, b0, a1, b1, ...: a = randbelow(n),

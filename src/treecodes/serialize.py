@@ -147,7 +147,7 @@ def partition_to_json(p: LaminarPartition) -> dict:
 
 
 def partition_from_json(obj: dict) -> LaminarPartition:
-    expect_type(obj, dict, "partition")
+    _PARTITION.load(expect_type(obj, dict, "partition"), "partition")
     n = expect_int(obj["n"], "partition n")
     if n > MAX_N:
         raise ValueError(f"partition n = {n} too large to materialize (MAX_N = {MAX_N})")
@@ -161,10 +161,10 @@ def partition_from_json(obj: dict) -> LaminarPartition:
     # every bound lies in [1, n] and no level holds more than n indices, all
     # checked before any block is materialized
     for i, level in enumerate(levels):
-        held = 0
+        form, held = _BLOCKS[min(i, 1)], 0
         for b in expect_type(level, list, "partition level"):
-            expect_type(b, dict, "partition block")
-            for bound in ("lo", "hi") + (("lf_hi",) if i else ()):
+            form.load(expect_type(b, dict, "partition block"), f"partition level {i} block")
+            for bound in form.required:
                 if not 1 <= expect_int(b[bound], f"partition block {bound}") <= n:
                     raise ValueError(f"partition level {i}: {bound} = {b[bound]} is outside [1, {n}]")
             cut = b["lf_hi"] if i else b["hi"]  # the lf/rg split; rg is empty at level 0
@@ -186,18 +186,29 @@ def partition_from_json(obj: dict) -> LaminarPartition:
     return LaminarPartition(n=n, alpha=alpha, p0=p0, tagged=tuple(tagged))
 
 
+# a partition file's forms, the whole, a level-0 block and a tagged block:
+# each declares the keys that partition_from_json reads as it checks them
+_PARTITION = Form(("n", "alpha", "levels"), (), dict)
+_BLOCKS = (Form(("lo", "hi"), (), dict), Form(("lo", "hi", "lf_hi"), (), dict))
+
+
 def ledger_to_json(ledger: DeficiencyLedger) -> list:
     return [{"level": lv, "blocks": list(idxs)} for lv, idxs in ledger.sets]
 
 
+_LEDGER_ENTRY = Form(("level", "blocks"), (), lambda e: (
+    expect_int(e["level"], "ledger level"),
+    [expect_int(i, "ledger block") for i in expect_type(e["blocks"], list, "ledger blocks")]))
+
+
 def ledger_from_json(obj: list, p: LaminarPartition) -> DeficiencyLedger:
-    entries = [expect_type(e, dict, "ledger entry") for e in expect_type(obj, list, "ledger")]
-    return DeficiencyLedger.for_partition(
-        p,
-        {expect_int(e["level"], "ledger level"):
-         [expect_int(i, "ledger block") for i in expect_type(e["blocks"], list, "ledger blocks")]
-         for e in entries},
-    )
+    """The ledger of entries {"level", "blocks"} over p; a level named twice is refused."""
+    sets: dict = {}
+    for e in expect_type(obj, list, "ledger"):
+        level, blocks = _LEDGER_ENTRY.load(expect_type(e, dict, "ledger entry"), "ledger entry")
+        if sets.setdefault(level, blocks) is not blocks:
+            raise ValueError(f"ledger level {level} is named twice")
+    return DeficiencyLedger.for_partition(p, sets)
 
 
 # -------------------- reports --------------------

@@ -9,9 +9,9 @@ only refusal of an oversized table: an instance too large for the cap raises
 CapExceeded before it costs time or memory.  Thresholds are exact
 rationals and every failure carries a witness that re-verifies in isolation.
 
-The table is core.all_codewords' typed prefix columns, built once per code
-and kept while the code lives (so an audit's checks share one enumeration,
-and a tabulated code's char_fn its columns).  Neighborhood decoding compares
+The table is the code's own TreeCode.table, core.all_codewords' typed
+prefix columns built once per code, and a partition's structural check its
+own LaminarPartition.report.  Neighborhood decoding compares
 each prefix with the first prefix of its rg group (grouping.Groups).
 
 The five pair conditions (distance, immediacy function, dyadic, aligned,
@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import math
 import operator
-import weakref
 from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, field
@@ -48,16 +47,14 @@ from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .bitslice import add, below, minimum
-from .core import PrefixTable, TreeCode, all_codewords
+from .core import PrefixTable, TreeCode
 from .grouping import Groups
 from .dyadic import as_fraction, floor_lg, frac_str
 from .partitions import (
     DeficiencyLedger,
     LaminarPartition,
-    LaminarReport,
     chs_scales,
     chs_tagged_structure,
-    validate_laminar,
 )
 
 DEFAULT_EVAL_CAP = 1 << 24
@@ -114,38 +111,13 @@ class Verdict:
     evaluations: int = 0
 
 
-def _per_object(store: dict, obj, make: Callable):
-    """make(obj), computed once and kept in store while obj lives, by
-    identity (obj need not be hashable)."""
-    got = store.get(id(obj))
-    if got is None:
-        got = store[id(obj)] = make(obj)
-        weakref.finalize(obj, store.pop, id(obj), None)
-    return got
-
-
-# each code's table while the code lives: an audit's decoding check and its
-# entropy replay share one enumeration
-_TABLES: Dict[int, PrefixTable] = {}
-
-
 def _table(code: TreeCode, budget: _Budget, reads: int = 0) -> PrefixTable:
     """The message table, charged M*n, plus M*reads for the column reads per
     message a caller will make, before any message is enumerated."""
     messages = code.input_alphabet.size**code.n
     budget.spend(messages * code.n)
     budget.spend(messages * reads)
-    return _per_object(_TABLES, code, all_codewords)
-
-
-# each partition's validation report while the partition lives: an audit's
-# three checks on one partition validate it once
-_STRUCTURE: Dict[int, LaminarReport] = {}
-
-
-def laminar_report(p: LaminarPartition) -> LaminarReport:
-    """validate_laminar(p), computed once while p lives."""
-    return _per_object(_STRUCTURE, p, validate_laminar)
+    return code.table
 
 
 def checked_ledger(code: TreeCode, p: LaminarPartition,
@@ -154,7 +126,7 @@ def checked_ledger(code: TreeCode, p: LaminarPartition,
     structurally valid and as long as the code, and the ledger is re-derived
     against p (it may belong to another partition or carry a forged budget),
     so exemptions and deficiency come only from the returned ledger."""
-    errors = laminar_report(p).structural_errors
+    errors = p.report.structural_errors
     if errors:
         raise ValueError(f"malformed partition: {errors[:3]}")
     if code.n != p.n:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from treecodes import acceptance, cli, constructions, serialize, verify
+from treecodes import acceptance, cli, constructions, core, partitions, serialize, verify
 from treecodes.cli import (
     _FORMULAS,
     _PROPERTIES,
@@ -243,6 +243,59 @@ def test_scalar_field_that_is_not_an_integer_exits_1(tmp_path, capsys, case):
     assert "must be a JSON integer" in err and "internal error" not in err
 
 
+def _eks2_file(edit):
+    """eks_partition(2)'s partition file, edited in place by edit."""
+    obj = serialize.partition_to_json(partitions.eks_partition(2))
+    edit(obj)
+    return obj
+
+
+# partition and ledger files a reader refuses, each naming the key, the level
+# or the block at fault; a ledger is over eks_partition(2)
+_FILE_MISTAKES = {
+    "partition-extra-key": (
+        {"partition.json": _eks2_file(lambda o: o.update(extra=1))},
+        "partition has unknown key 'extra'"),
+    "partition-level-0-lf_hi": (
+        {"partition.json": _eks2_file(lambda o: o["levels"][0][0].update(lf_hi=1))},
+        "partition level 0 block has unknown key 'lf_hi'"),
+    "partition-block-without-hi": (
+        {"partition.json": _eks2_file(lambda o: o["levels"][1][0].pop("hi"))},
+        "partition level 1 block lacks key 'hi'"),
+    # lf [3..2] is empty
+    "partition-lf_hi-below-lo": (
+        {"partition.json": _eks2_file(lambda o: o["levels"][1][1].update(lf_hi=2))},
+        "malformed partition: ('P_1: block 1 has an empty lf or rg part',)"),
+    "partition-level-0-hi-below-lo": (
+        {"partition.json": _eks2_file(lambda o: o["levels"][0][1].update(hi=1))},
+        "malformed partition: ('P_0: block 1 is empty',)"),
+    "ledger-extra-key": (
+        {"ledger.json": [{"level": 1, "blocks": [1], "extra": 1}]},
+        "ledger entry has unknown key 'extra'"),
+    "ledger-without-blocks": ({"ledger.json": [{"level": 1}]}, "ledger entry lacks key 'blocks'"),
+    # kept as the last entry alone, block 0's exemption would be dropped
+    "ledger-level-twice": (
+        {"ledger.json": [{"level": 1, "blocks": [0]}, {"level": 1, "blocks": [1]}]},
+        "ledger level 1 is named twice"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_FILE_MISTAKES))
+def test_partition_or_ledger_file_mistake_exits_1_naming_it(tmp_path, capsys, case):
+    files, want = _FILE_MISTAKES[case]
+    run(capsys, "build", "--recipe-json", '{"kind":"trivial","n":4}', "--out-dir", str(tmp_path))
+    run(capsys, "build", "--recipe-json", '{"kind":"eks_partition","k":2}',
+        "--out-dir", str(tmp_path))
+    for name, obj in files.items():
+        (tmp_path / name).write_text(json.dumps(obj))
+    ledger = ["--ledger", str(tmp_path / "ledger.json")] if "ledger.json" in files else []
+    rc = cli.main(["verify", "--code", str(tmp_path / "code.json"), "--property", "neighborhood",
+                   "--partition", str(tmp_path / "partition.json"), *ledger])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert captured.err == f"invalid input: {want}\n"
+
+
 @pytest.mark.parametrize("label", ["true", "false", "1.0"])
 def test_table_label_that_is_not_an_integer_exits_1(tmp_path, capsys, label):
     # a bool is an int to Python but not a JSON integer: refused like a float
@@ -352,6 +405,27 @@ def test_bound_subcommand(capsys):
     assert rc == 2  # unsatisfied ratio
 
 
+@pytest.mark.parametrize("t", [1, 4])
+def test_bound_eq27_refuses_a_t_other_than_the_kinds_own(capsys, t):
+    # eq27 is the exp kind's, whose t at delta = 1/2 is 3; n = 2 Imm(3)
+    params = {"kind": "exp", "delta": "1/2", "n": 16}
+    assert cli.main(["bound", "--formula", "eq27", "--params",
+                     json.dumps(dict(params, t=t))]) == 1
+    assert capsys.readouterr().err == (
+        f"invalid input: for the exp kind t is determined as 3, got {t}\n")
+    assert run(capsys, "bound", "--formula", "eq27", "--params",
+               json.dumps(dict(params, t=3)))[0] == 0
+
+
+def test_verify_reads_the_code_from_stdin(tmp_path, capsys, monkeypatch):
+    text = '{"kind":"trivial","n":4}'
+    (tmp_path / "code.json").write_text(text)
+    argv = ("verify", "--property", "distance", "--delta", "1", "--code")
+    from_file = run(capsys, *argv, str(tmp_path / "code.json"))
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    assert run(capsys, *argv, "-") == from_file and from_file[0] == 0
+
+
 def test_audit_subcommand(tmp_path, capsys):
     run(capsys, "build", "--recipe-json", '{"kind":"eks","k":2,"delta":"1/2","seed":0}',
         "--out-dir", str(tmp_path))
@@ -457,20 +531,28 @@ def test_audit_enumerates_the_code_once(tmp_path, capsys, monkeypatch):
 def test_audit_validates_its_partition_once(tmp_path, capsys, monkeypatch):
     # audit_code, its decoding check and the entropy replay share one
     # structural check per loaded partition, which goes with the partition
-    from treecodes import verify
+    import gc
+    import weakref
 
-    calls = []
-    original = verify.validate_laminar
-    monkeypatch.setattr(verify, "validate_laminar", lambda p: calls.append(p.n) or original(p))
+    calls, reports = [], []
+    original = partitions.validate_laminar
+
+    def counting(p):
+        calls.append(p.n)
+        report = original(p)
+        reports.append(weakref.ref(report))
+        return report
+
     run(capsys, "build", "--recipe-json", '{"kind":"eks","k":3,"delta":"1/2","seed":0}',
         "--out-dir", str(tmp_path))
+    monkeypatch.setattr(partitions, "validate_laminar", counting)
     args = ("audit", "--code", str(tmp_path / "code.json"),
             "--partition", str(tmp_path / "partition.json"))
-    held = len(verify._STRUCTURE)
     first = run(capsys, *args)
     assert first[0] == 0 and calls == [8]
     assert run(capsys, *args) == first and calls == [8, 8]
-    assert len(verify._STRUCTURE) == held
+    gc.collect()
+    assert [report() for report in reports] == [None, None]
 
 
 def test_verify_remaining_properties(tmp_path, capsys):
@@ -1075,7 +1157,7 @@ def fuzz_dir(tmp_path_factory):
 @given(argv=_argv())
 def test_fuzzed_argv_exits_0_to_3_and_names_every_refusal(fuzz_dir, argv):
     argv = [a.replace("{dir}", str(fuzz_dir)) for a in argv]
-    with mock.patch.object(verify, "all_codewords", wraps=verify.all_codewords) as tables:
+    with mock.patch.object(core, "all_codewords", wraps=core.all_codewords) as tables:
         rc, _, err = _run_main(argv)
     assert rc in (0, 1, 2, 3), (argv, err)
     assert "internal error" not in err and "Traceback" not in err, argv

@@ -1,4 +1,5 @@
 import time
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -77,6 +78,18 @@ def test_eks_params_bounds_k_before_the_family_is_sized(k):
     # the family needs length 2^(k-1); k past lg MAX_N is refused before it
     with pytest.raises(ValueError, match=f"k = {k} is outside 1..lg MAX_N = 16"):
         eks_params(k, Fraction(1, 2))
+
+
+def test_eks_params_refuses_a_family_that_does_not_fit(eks2):
+    one, two = eks2.family
+    with pytest.raises(ValueError, match="need 2 family members, got 1"):
+        replace(eks2, family=(one,))
+    with pytest.raises(ValueError, match=r"family\[1\] has ell = 1, want 2"):
+        replace(eks2, family=(one, one))
+    with pytest.raises(ValueError, match="family members must share the cell width b"):
+        replace(eks2, family=(one, replace(two, b=eks2.b + 1)))
+    with pytest.raises(ValueError, match=r"family\[1\] certified 1/4 < delta 1/2"):
+        replace(eks2, family=(one, replace(two, certified=Fraction(1, 4))))
 
 
 def test_eks_table_unrolled_by_hand(eks2):

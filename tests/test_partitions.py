@@ -117,6 +117,20 @@ def test_validate_laminar_counterexamples():
     rep = validate_laminar(overlap)
     assert not rep.structural_ok
     assert any("two blocks" in e for e in rep.structural_errors)
+    assert not rep.size_ok and not rep.laminar_ok and not rep.passed
+
+    # structural: an index outside [1..n], and lf and rg sharing an index
+    outside = LaminarPartition(n=4, alpha=Fraction(1, 2), p0=((1, 2), (3, 5)), tagged=())
+    assert validate_laminar(outside).structural_errors == (
+        "P_0: index 5 outside [1..4] in block 1",)
+    shared = LaminarPartition(
+        n=4,
+        alpha=Fraction(1, 2),
+        p0=((1, 2), (3, 4)),
+        tagged=((TaggedBlock(lf=(1, 2), rg=(2, 3, 4)),),),
+    )
+    assert validate_laminar(shared).structural_errors == (
+        "P_1: block 0 has overlapping lf and rg", "P_1: index 2 appears in two blocks")
 
 
 def test_eks_partition_shapes():

@@ -109,12 +109,23 @@ def scalar_call(ref: ScalarDetStream, name: str, *args):
     return getattr(ref, name)(*args)
 
 
+def stream_call(stream: DetStream, name: str, *args):
+    """DetStream's call name(*args); distinct_pairs(n, count) is one level of
+    pair_levels."""
+    if name == "distinct_pairs":
+        n, count = args
+        return next(stream.pair_levels(n, (count,)))
+    if name == "shuffled":
+        return stream.shuffled(range(args[0]))
+    return getattr(stream, name)(*args)
+
+
 def assert_same_draws(calls, seed=0, context=("diff",)):
     """Both streams give every call the same value, compute the same number of
     blocks, and stand at the same position afterwards."""
     stream, ref = DetStream(seed, *context), ScalarDetStream(seed, *context)
     for name, *args in calls:
-        got = stream.shuffled(range(args[0])) if name == "shuffled" else getattr(stream, name)(*args)
+        got = stream_call(stream, name, *args)
         assert got == scalar_call(ref, name, *args), (name, *args)
         assert stream._counter == ref._counter, (name, *args)
     assert stream.bytes(64) == ref.bytes(64)
@@ -157,7 +168,7 @@ def test_bulk_calls_refuse_what_one_draw_refuses():
     with pytest.raises(ValueError, match="n >= 1"):
         DetStream(0).randbelow(0)
     with pytest.raises(ValueError, match="n >= 2"):
-        DetStream(0).distinct_pairs(1, 1)
+        next(DetStream(0).pair_levels(1, (1,)))
 
 
 # ---------------- the search's label decoder ----------------

@@ -278,6 +278,6 @@ def test_search_draws_labels_only_up_to_the_stopping_depth(monkeypatch):
     assert CountingScalarDetStream.labels == 600 * 63 * 2  # both labels of every sibling pair
     assert _search(6, 4, trials=600, seed=2) == eager
     assert CountingDetStream.labels == 23168
-    # the SHA-256 blocks hashed: those of one distinct_pairs call per level read
+    # the SHA-256 blocks hashed: those of one pair_levels level per depth read
     assert len(CountingDetStream.streams) == 600
     assert sum(s._counter for s in CountingDetStream.streams) == 1247

@@ -115,6 +115,11 @@ def test_ledger_roundtrip():
     assert obj == [{"level": 1, "blocks": [1]}]
     back = ledger_from_json(obj, p)
     assert back == ledger
+    # a ledger over two levels loads unchanged from its file
+    p, ledger = chs_partition(2, 4, 0)
+    obj = json.loads(dumps_canonical(ledger_to_json(ledger)))
+    assert obj == [{"level": 1, "blocks": [31]}, {"level": 2, "blocks": [1]}]
+    assert ledger_from_json(obj, partition_from_json(partition_to_json(p))) == ledger
 
 
 def test_canonical_bytes_are_stable():

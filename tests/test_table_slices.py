@@ -195,6 +195,26 @@ def test_a_column_of_the_wrong_length_is_refused():
         prefix_columns(code)
 
 
+@pytest.mark.parametrize("count", [1, 3])
+def test_a_count_of_columns_other_than_n_is_refused(count):
+    # one column short would end the distance sweep in an IndexError, and a
+    # column past n would be kept unread
+    class Stub:
+        n, sigma = 2, 2
+
+        def __call__(self, prefix):
+            return 0
+
+        def columns(self):
+            return [[0] * 2 ** (j + 1) for j in range(count)]
+
+    code = TreeCode(2, Alphabet(2), Alphabet(2), Stub())
+    with pytest.raises(ValueError, match=f"gives {count} prefix columns, want n = 2"):
+        prefix_columns(code)
+    with pytest.raises(ValueError, match=f"gives {count} prefix columns, want n = 2"):
+        check_tree_distance(code, Fraction(1, 2))
+
+
 # Typed columns: each column is stored as an array of the narrowest unsigned
 # item that holds sigma_out - 1, or kept a list past 2^64 symbols.  Each case
 # is sigma_out at an item size's edge and the typecode its columns get.

@@ -59,3 +59,18 @@ def test_search_opens_one_stream_per_trial_through_the_traced_name(monkeypatch):
     result = constructions.random_code_search(6, 4, trials=40, seed=5)
     assert result.trials == 40
     assert opened == [(5, "trial", t) for t in range(40)]
+
+
+def test_replacing_core_all_codewords_alone_sees_the_table_behind_code_table(monkeypatch):
+    # the tracer counts core.all_codewords.calls and core.messages by replacing
+    # all_codewords in every treecodes module; a code's table must be built
+    # through core's own name for those counts to see it
+    core = importlib.import_module("treecodes.core")
+    verify = importlib.import_module("treecodes.verify")
+    built = []
+    original = core.all_codewords
+    monkeypatch.setattr(core, "all_codewords", lambda code: built.append(code) or original(code))
+    code = core.trivial_code(4)
+    assert verify.check_tree_distance(code, 1).passed
+    assert verify.check_online_property(code).passed
+    assert built == [code] and code.table is code.table

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from treecodes import verify
+from treecodes import core, verify
 from treecodes.constructions import eks_code
 from treecodes.core import identity_code, trivial_code
 from treecodes.entropy import ledger_replay
@@ -105,7 +105,8 @@ def test_table_larger_than_cap_is_refused_before_enumerating(entry, monkeypatch)
     def enumerated(code):
         raise AssertionError("the message table was enumerated")
 
-    monkeypatch.setattr(verify, "all_codewords", enumerated)
+    # code.table builds through core's all_codewords
+    monkeypatch.setattr(core, "all_codewords", enumerated)
     start = time.perf_counter()
     with pytest.raises(CapExceeded) as exc:
         _REFUSING_ENTRIES[entry](trivial_code(16), _M16 - 1)
@@ -115,26 +116,47 @@ def test_table_larger_than_cap_is_refused_before_enumerating(entry, monkeypatch)
 
 def test_code_table_is_enumerated_once_and_released_with_the_code(monkeypatch):
     import gc
-
-    from treecodes.core import all_codewords
+    import weakref
 
     calls = []
+    original = core.all_codewords
 
     def counting(code):
         calls.append(code)
-        return all_codewords(code)
+        return original(code)
 
-    monkeypatch.setattr(verify, "all_codewords", counting)
+    monkeypatch.setattr(core, "all_codewords", counting)
     code = trivial_code(8)
     assert check_neighborhood_decoding(code, eks_partition(3)).passed
     assert check_online_property(code).passed
     # the replay groups code's own table
     assert ledger_replay(code, eks_partition(3))[1].passed
     assert calls == [code]
-    key = id(code)
+    # the table's columns live exactly as long as the code
+    columns = [weakref.ref(col) for col in code.table.columns]
     del code, calls[:]
     gc.collect()
-    assert key not in verify._TABLES
+    assert all(col() is None for col in columns)
+
+
+def test_partition_report_is_made_once_and_released_with_the_partition(monkeypatch):
+    import gc
+    import weakref
+
+    from treecodes import partitions
+
+    calls = []
+    original = partitions.validate_laminar
+    monkeypatch.setattr(partitions, "validate_laminar", lambda p: calls.append(p) or original(p))
+    p = eks_partition(3)  # the builder's own check makes the report
+    code = trivial_code(8)
+    assert check_neighborhood_decoding(code, p).passed
+    assert ledger_replay(code, p)[1].passed
+    assert calls == [p]
+    report = weakref.ref(p.report)
+    del p, calls[:]
+    gc.collect()
+    assert report() is None
 
 
 # ---------------- immediacy function ----------------
@@ -374,6 +396,8 @@ def test_ghk_parameter_shape_validation():
         check_ghk_condition(code, 1, Fraction(2, 3), Fraction(1, 2))
     with pytest.raises(ValueError, match="power"):
         check_ghk_condition(scrambled_prefix_code(8, 0), 1, 1, Fraction(1, 2))
+    with pytest.raises(ValueError, match="n must be a power of two, got 6"):
+        check_ghk_condition(scrambled_prefix_code(6, 0), 1, 1, Fraction(1, 2))
 
 
 def test_ghk_vacuous_when_windows_do_not_fit():
@@ -414,6 +438,11 @@ def test_chs_rightmost_violation_exempt():
     nd_plain = check_neighborhood_decoding(bad, p)
     assert not nd_plain.passed  # fails only without the ledger
     assert check_neighborhood_decoding(bad, p, ledger).passed
+
+
+def test_chs_refuses_a_code_of_another_length():
+    with pytest.raises(ValueError, match=r"code length 8 != ell_\(m\+1\) = 16"):
+        check_chs_condition(trivial_code(8), 1, 4, 0)
 
 
 def test_chs_full_pass_at_n16_exceeds_cap():
