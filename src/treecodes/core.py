@@ -190,6 +190,11 @@ class PrefixTable:
     def message(self, i: int) -> Message:
         return _digits(i, self.n, self.sigma)
 
+    def prefix(self, d: int) -> "PrefixTable":
+        """The table of the length-d prefixes (the vertices of depth d): the
+        first d columns, shared, not copied."""
+        return PrefixTable(d, self.sigma, self.sigma_out, self.columns[:d])
+
     def inputs(self, q: int) -> List[int]:
         """Input symbol q (0-based) of each length-(q+1) prefix."""
         return list(range(self.sigma)) * self.sigma**q

@@ -15,20 +15,23 @@ own LaminarPartition.report.  Neighborhood decoding compares
 each prefix with the first prefix of its rg group (grouping.Groups).
 
 The five pair conditions (distance, immediacy function, dyadic, aligned,
-quarter-split) share one engine, _sweep.  It takes the rows x in blocks of
-R consecutive rows, R a power of sigma_in that grows 1, 1, sigma, ... with
-the block's first row, capped where R * M reaches 2^16 bits (_BLOCK_BITS;
-once sigma_in * M > 2^16 a block is one row).  A block starting at message
-i0 holds each bitset in R*w bits, w = M - i0 - 1: bit r*w + k is the pair
-of its row r with message i0 + 1 + k, so bit order is pair-by-pair
-(row-major) order.  Bit-sliced counters over these bitsets answer every
-window for all pairs of the block at once, and a passing block is charged
-arithmetically what a pair-by-pair sweep spends on it.  In a block with a violation, or
-whose cost would pass the cap, the stopping pair is the lowest violating
-bit, or the pair whose charges pass the cap (bisected over the block's
-bits on the same count), whichever comes first: the pairs before it are
-charged and it goes to the scalar evaluator _pair, so witnesses,
-evaluations and CapExceeded.used stay pair-by-pair.
+quarter-split) are data, a _Condition each, run by one engine, _sweep, on a
+PrefixTable: the message table, or for tree distance at depth d < n the
+depth-d prefix table table.prefix(d), whose rows are the depth-d vertices.
+_sweep takes the table's M rows in blocks of R consecutive rows, R a power
+of sigma_in that grows 1, 1, sigma, ... with the block's first row, capped
+where R * M reaches 2^16 bits (_BLOCK_BITS; once sigma_in * M > 2^16 a
+block is one row).  A block starting at row i0 holds each bitset in R*w
+bits, w = M - i0 - 1: bit r*w + k is the pair of its row r with row
+i0 + 1 + k, so bit order is pair-by-pair (row-major) order.  Bit-sliced
+counters over these bitsets answer every window for all pairs of the block
+at once, and a passing block is charged arithmetically what a pair-by-pair
+sweep spends on it.  In a block with a violation, or whose cost would pass
+the cap, the stopping pair is the lowest violating bit, or the pair whose
+charges pass the cap (bisected over the block's bits on the same count),
+whichever comes first: the pairs before it are charged and it goes to the
+scalar evaluator _pair, so witnesses, evaluations and CapExceeded.used stay
+pair-by-pair.
 
 Each condition keeps its own window convention: the generic immediacy window
 is half-open [s, s+w); the dyadic-layered condition uses (s, s+2^l]; the
@@ -44,7 +47,7 @@ from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from .bitslice import add, below, minimum
 from .core import PrefixTable, TreeCode
@@ -128,44 +131,43 @@ def checked_ledger(code: TreeCode, p: LaminarPartition,
     so exemptions and deficiency come only from the returned ledger."""
     errors = p.report.structural_errors
     if errors:
-        raise ValueError(f"malformed partition: {errors[:3]}")
+        raise ValueError(f"malformed partition: {'; '.join(errors[:3])}")
     if code.n != p.n:
         raise ValueError(f"code length {code.n} != partition n = {p.n}")
     return DeficiencyLedger.for_partition(p, dict(ledger.sets) if ledger else {})
 
 
 class _MessageBits:
-    """Bitsets over the message table (bit j is message j, lexicographic).
+    """Bitsets over the rows of a table (bit j is row j, lexicographic): the
+    messages of a code's table, or the vertices of a depth-d prefix table.
 
-    same_input[q][a]: the messages with input symbol a at position q, a
+    same_input[q][a]: the rows with input symbol a at position q, a
     periodic pattern.  Codeword-symbol sets are built from the prefix columns
     on first use, one run of table.strides[p] bits per matching prefix, so
     memory grows with the rows a sweep reaches.  block() lays either kind
     out for a block of rows of _sweep.
     """
 
-    def __init__(self, code: TreeCode, budget: _Budget) -> None:
-        self.table = _table(code, budget)
-        self.sigma, self.size = code.input_alphabet.size, len(self.table)
-        self.all = (1 << self.size) - 1
+    def __init__(self, table: PrefixTable) -> None:
+        self.table, self.sigma, self.size = table, table.sigma, len(table)
         self.same_input = []
-        for run in self.table.strides:
-            repeat = self.all // ((1 << (run * self.sigma)) - 1)
+        for run in table.strides:
+            repeat = ((1 << self.size) - 1) // ((1 << (run * self.sigma)) - 1)
             self.same_input.append([(((1 << run) - 1) << (a * run)) * repeat
                                     for a in range(self.sigma)])
         self._symbols: Dict[Tuple[int, int], int] = {}
         self._index: List[Dict[int, List[int]]] = []
-        for col in self.table.columns:
+        for col in table.columns:
             index = defaultdict(list)
             for t, s in enumerate(col):
                 index[s].append(t)
             self._index.append(index)
 
     def same_symbol(self, p: int, sym: int) -> int:
-        """Messages whose codeword symbol at position p is sym."""
+        """Rows whose codeword symbol at position p is sym."""
         bits = self._symbols.get((p, sym))
         if bits is None:
-            run = self.table.strides[p]  # messages per prefix
+            run = self.table.strides[p]  # rows per prefix
             buf = bytearray((self.size + 7) >> 3)
             for t in self._index[p][sym]:
                 j = t * run
@@ -174,24 +176,22 @@ class _MessageBits:
             bits = self._symbols[(p, sym)] = (starts << run) - starts
         return bits
 
-    def block(self, p: int, inputs: bool, i0: int, rows: int, stride: int) -> int:
-        """For the block of rows i0, i0 + stride, ... (rows of them, i0 a
-        multiple of rows * stride): bit r*w + k, w = size - i0 - 1, is set
-        when message i0 + 1 + k has row r's input symbol (inputs) or
-        codeword symbol at position p.  Rows sharing their prefix of length
-        p+1 form a run and share one term, repeated across the run by
-        doubling shifts.  The runs' input symbols repeat every sigma runs,
-        so one period of them is built and repeated."""
-        run = self.table.strides[p]  # messages per prefix of length p+1
-        per = min(rows, max(1, run // stride))  # rows per run
-        lo, step = i0 // run, max(1, stride // run)  # prefixes from one run to the next
+    def block(self, p: int, inputs: bool, i0: int, rows: int) -> int:
+        """For the block of rows i0 .. i0 + rows - 1 (i0 a multiple of rows):
+        bit r*w + k, w = size - i0 - 1, is set when row i0 + 1 + k has row
+        i0 + r's input symbol (inputs) or codeword symbol at position p.
+        Rows sharing their prefix of length p+1 form a run and share one
+        term, repeated across the run by doubling shifts.  The runs' input
+        symbols repeat every sigma runs, so one period of them is built and
+        repeated."""
+        run = self.table.strides[p]  # rows per prefix of length p+1
+        per, lo = min(rows, run), i0 // run  # rows per run in the block, its first prefix
         runs = rows // per
         if inputs:  # one period of them
             runs = min(runs, self.sigma)
-            terms = [self.same_input[p][t % self.sigma] for t in range(lo, lo + runs * step, step)]
+            terms = [self.same_input[p][t % self.sigma] for t in range(lo, lo + runs)]
         else:
-            syms = self.table.columns[p][lo:lo + runs * step:step]
-            terms = [self.same_symbol(p, s) for s in syms]
+            terms = [self.same_symbol(p, s) for s in self.table.columns[p][lo:lo + runs]]
         sh, w = i0 + 1, self.size - i0 - 1
         if runs == 1:
             return _repeat(terms[0] >> sh, w, rows)
@@ -222,30 +222,43 @@ def _join(parts: List[int], w: int) -> int:
     return parts[0]
 
 
-def _pair(budget, cands, pair_cost, fmt, x, cx, y, cy) -> Optional[dict]:
+class _Condition(NamedTuple):
+    """A pair condition as data, for _sweep and _pair.
+
+    cands holds (a, sp, windows) in evaluation order: the pairs whose inputs
+    agree on [a, sp) and differ at sp, each checked on its windows (lo, hi,
+    t, cost, fields) in turn.  A window is violated when fewer than t of the
+    codeword positions [lo, hi) differ; it costs `cost` per candidate pair,
+    on top of pair_cost per pair.  Its witness is fields with x, y and
+    measured: the count, or with ratio the count/(hi - lo).
+    """
+
+    cands: List[Tuple[int, int, list]]
+    pair_cost: int
+    ratio: bool = False
+
+
+def _pair(budget: _Budget, cond: _Condition, x, cx, y, cy) -> Optional[dict]:
     """The scalar evaluator: one pair, in the order and with the charges of a
     pair-by-pair sweep; returns the first violated window's witness."""
-    budget.spend(pair_cost)
-    for a, sp, windows in cands:
+    budget.spend(cond.pair_cost)
+    for a, sp, windows in cond.cands:
         if x[sp] == y[sp] or x[a:sp] != y[a:sp]:
             continue
-        for lo, hi, t, cost, tag in windows:
+        for lo, hi, t, cost, fields in windows:
             cnt = sum(cx[p] != cy[p] for p in range(lo, hi))
             budget.spend(cost)
             if cnt < t:
-                return fmt(x, y, tag, cnt)
+                measured = frac_str(Fraction(cnt, hi - lo)) if cond.ratio else cnt
+                return dict(fields, x=list(x), y=list(y), measured=measured)
     return None
 
 
-def _sweep(bits: _MessageBits, budget: _Budget, cands: Sequence[tuple], fmt: Callable,
-           pair_cost: int, stride: int = 1, want_min: bool = False):
-    """Every pair of rows i < j (the multiples of stride) against candidates
-    (a, sp, windows): the pairs whose inputs agree on [a, sp) and differ at
-    sp.  A window (lo, hi, t, cost, tag) is violated when fewer than t of the
-    codeword positions [lo, hi) differ; it costs `cost` per candidate pair
-    (on top of pair_cost per pair), and fmt(x, y, tag, count) is its witness.
-    Returns the first witness in pair-by-pair order, and with want_min the
-    least count/length over all candidate windows (exact when it passes).
+def _sweep(table: PrefixTable, budget: _Budget, cond: _Condition, want_min: bool = False):
+    """Every pair of rows i < j of table against cond's candidates and
+    windows (_Condition).  Returns the first witness in pair-by-pair order,
+    and with want_min the least count/length over all candidate windows
+    (exact when it passes).
 
     Rows go in blocks (see the module doc): a block of R rows starts at a
     row index divisible by R, R the largest such power of sigma_in up to
@@ -258,7 +271,8 @@ def _sweep(bits: _MessageBits, budget: _Budget, cands: Sequence[tuple], fmt: Cal
     stopping pair (the lowest violating bit, or the first bit at which
     cost_below passes the cap), which _pair then evaluates.
     """
-    table, size, sigma = bits.table, bits.size, bits.sigma
+    bits, cands, pair_cost = _MessageBits(table), cond.cands, cond.pair_cost
+    size, sigma = bits.size, bits.sigma
     keys: Dict[Tuple[int, int, int], int] = {}
     links = [[keys.setdefault(w[:3], len(keys)) for w in ws] for _, _, ws in cands]
     weights = [sum(w[3] for w in ws) for _, _, ws in cands]
@@ -267,31 +281,28 @@ def _sweep(bits: _MessageBits, budget: _Budget, cands: Sequence[tuple], fmt: Cal
     groups: Dict[Tuple[int, int], list] = defaultdict(list)
     for (lo, hi, t), ki in sorted(keys.items(), key=lambda kv: kv[0][1] - kv[0][0]):
         groups[(lo, 1) if by_lo else (hi - 1, -1)].append((hi - lo, t, ki))
-    lattice = bits.all // ((1 << stride) - 1)
     most = 1  # rows per block at most
     while sigma > 1 and most * sigma * size <= _BLOCK_BITS:
         most *= sigma
     best = Fraction(1)
 
-    first = 0  # the block's first row, in rows
-    while first * stride < size:
-        rows = 1
-        while first and rows < most and first % (rows * sigma) == 0:
+    after = 0  # the row after the last block
+    while after < size:
+        i0, rows = after, 1  # the block's first row, and its rows
+        while i0 and rows < most and i0 % (rows * sigma) == 0:
             rows *= sigma
-        i0 = first * stride
-        first += rows
-        w = size - i0 - 1  # bit r*w + k: row r against message i0 + 1 + k
+        after += rows
+        w = size - i0 - 1  # bit r*w + k: row i0 + r against row i0 + 1 + k
         nbits = rows * w
         full = (1 << nbits) - 1
-        # row r pairs only with the lattice messages after it, k >= r*stride
-        before = _repeat(1, stride + w, rows) - _repeat(1, w, rows)
-        base = _repeat(lattice >> (i0 + 1), w, rows) & ~before
+        # row r pairs only with the rows after it, k >= r
+        base = full - (_repeat(1, 1 + w, rows) - _repeat(1, w, rows))
         built: Dict[Tuple[int, bool], int] = {}
 
         def same(p: int, inputs: bool) -> int:  # bits.block for this block, built once
             got = built.get((p, inputs))
             if got is None:
-                got = built[(p, inputs)] = bits.block(p, inputs, i0, rows, stride)
+                got = built[(p, inputs)] = bits.block(p, inputs, i0, rows)
             return got
 
         found, per_key = [], [0] * len(keys)
@@ -336,12 +347,11 @@ def _sweep(bits: _MessageBits, budget: _Budget, cands: Sequence[tuple], fmt: Cal
             stop = min(stop, bisect_right(range(1, nbits + 1), room, key=cost_below))
         budget.spend(cost_below(stop))
         r, k = divmod(stop, w)
-        x, cx = table[i0 + r * stride]
+        x, cx = table[i0 + r]
         y, cy = table[i0 + 1 + k]
-        witness = _pair(budget, cands, pair_cost, fmt, x, cx, y, cy)
+        witness = _pair(budget, cond, x, cx, y, cy)
         if witness is None:
-            raise RuntimeError(f"sweep flagged pair ({i0 + r * stride}, {i0 + 1 + k}) "
-                               "but it passes")
+            raise RuntimeError(f"sweep flagged pair ({i0 + r}, {i0 + 1 + k}) but it passes")
         return witness, best
     return None, best
 
@@ -364,16 +374,13 @@ def check_online_property(code: TreeCode, cap: int = DEFAULT_EVAL_CAP) -> Verdic
     return Verdict(passed=True, witness=None, evaluations=budget.used)
 
 
-def _distance_sweep(bits, budget, d: int, delta: Fraction, want_min: bool = False):
-    """Same-depth vertex pairs at depth d: the first violation of divergent
-    distance >= delta, and (want_min) the minimum divergent distance."""
-    cands = [(0, s, [(s, d, math.ceil(delta * (d - s)), d - s, s)]) for s in range(d)]
-
-    def fmt(x, y, s, cnt):
-        return dict(depth=d, x=list(x[:d]), y=list(y[:d]), s=s + 1,
-                    measured=frac_str(Fraction(cnt, d - s)), required=frac_str(delta))
-
-    return _sweep(bits, budget, cands, fmt, 0, bits.table.strides[d - 1], want_min)
+def _distance(d: int, delta: Fraction) -> _Condition:
+    """Divergent distance >= delta between the vertices of depth d, the rows
+    of table.prefix(d): the window [s, d) after a first difference at s."""
+    required = frac_str(delta)
+    return _Condition([(0, s, [(s, d, math.ceil(delta * (d - s)), d - s,
+                                {"depth": d, "s": s + 1, "required": required})])
+                       for s in range(d)], 0, ratio=True)
 
 
 def check_tree_distance(code: TreeCode, delta, cap: int = DEFAULT_EVAL_CAP) -> Verdict:
@@ -385,13 +392,13 @@ def check_tree_distance(code: TreeCode, delta, cap: int = DEFAULT_EVAL_CAP) -> V
     """
     delta = as_fraction(delta)
     budget = _Budget(cap)
-    bits = _MessageBits(code, budget)
+    table = _table(code, budget)
     witness: Optional[dict] = None
     for d in range(1, code.n):
-        witness, _ = _distance_sweep(bits, budget, d, delta)
+        witness, _ = _sweep(table.prefix(d), budget, _distance(d, delta))
         if witness is not None:
             break
-    full_witness, full_min = _distance_sweep(bits, budget, code.n, delta, want_min=True)
+    full_witness, full_min = _sweep(table, budget, _distance(code.n, delta), want_min=True)
     full_pass = full_witness is None
     details = {"full_messages_pass": full_pass,
                "min_full_depth": frac_str(full_min) if full_pass else None}
@@ -402,18 +409,9 @@ def check_tree_distance(code: TreeCode, delta, cap: int = DEFAULT_EVAL_CAP) -> V
 def exact_distance(code: TreeCode, cap: int = DEFAULT_EVAL_CAP) -> Fraction:
     """Exact minimum divergent distance over all same-depth vertex pairs."""
     budget = _Budget(cap)
-    bits = _MessageBits(code, budget)
-    depths = range(1, code.n + 1)
-    return min(_distance_sweep(bits, budget, d, Fraction(-1), True)[1] for d in depths)
-
-
-def _position_sweep(code, budget, windows_at, fmt, details) -> Verdict:
-    """A condition whose windows, windows_at(sp) in evaluation order, depend
-    only on the differing input position sp (1-based)."""
-    cands = [(sp - 1, sp - 1, windows_at(sp)) for sp in range(1, code.n + 1)]
-    witness, _ = _sweep(_MessageBits(code, budget), budget, cands, fmt, code.n)
-    return Verdict(passed=witness is None, witness=witness,
-                   details={} if witness else details, evaluations=budget.used)
+    table = _table(code, budget)
+    return min(_sweep(table.prefix(d), budget, _distance(d, Fraction(-1)), True)[1]
+               for d in range(1, code.n + 1))
 
 
 def check_immediacy_function(
@@ -440,16 +438,14 @@ def check_immediacy_function(
             widths.append(w)
         prev = w
 
-    def windows_at(s):
-        fits = [w for w in widths if s + w <= n + 1]
-        return [(s - 1, s - 1 + w, math.ceil(delta * w), 1, (s, w)) for w in fits]
-
-    def fmt(x, y, tag, cnt):
-        s, w = tag  # window [s, s+w) half-open
-        return dict(x=list(x), y=list(y), s=s, window=[s, s + w],
-                    measured=frac_str(Fraction(cnt, w)), required=frac_str(delta))
-
-    return _position_sweep(code, _Budget(cap), windows_at, fmt, {"widths": widths})
+    budget = _Budget(cap)
+    table = _table(code, budget)
+    required = frac_str(delta)  # window [s, s+w) half-open
+    cands = [(s - 1, s - 1, [(s - 1, s - 1 + w, math.ceil(delta * w), 1,
+                              {"s": s, "window": [s, s + w], "required": required})
+                             for w in widths if s + w <= n + 1]) for s in range(1, n + 1)]
+    witness, _ = _sweep(table, budget, _Condition(cands, n, ratio=True))
+    return Verdict(witness is None, witness, {} if witness else {"widths": widths}, budget.used)
 
 
 def check_neighborhood_decoding(
@@ -560,17 +556,17 @@ def check_eks_condition(
     if n & (n - 1) or n.bit_length() - 1 != k:  # k is compared, 2^k never computed
         raise ValueError(f"code length {n} is not 2^k for k = {k}")
 
-    def windows_at(sp):
+    budget = _Budget(cap)
+    table = _table(code, budget)
+    need = [(math.ceil(delta * (1 << ell)), frac_str(delta * (1 << ell))) for ell in range(k)]
+    cands = []
+    for sp in range(1, n + 1):  # window (s, s+2^l] as 1-based closed
         scales = [(ell, -(-sp >> ell) << ell) for ell in range(k) if sp <= n - (1 << ell)]
-        return [(s, s + (1 << ell), math.ceil(delta * (1 << ell)), 1, (sp, ell, s))
-                for ell, s in scales]
-
-    def fmt(x, y, tag, cnt):
-        sp, ell, s = tag  # window (s, s+2^l] as 1-based closed
-        return dict(x=list(x), y=list(y), s_prime=sp, ell=ell, window=[s + 1, s + (1 << ell)],
-                    measured=cnt, required=frac_str(delta * (1 << ell)))
-
-    return _position_sweep(code, _Budget(cap), windows_at, fmt, {})
+        cands.append((sp - 1, sp - 1, [(s, s + (1 << ell), need[ell][0], 1, {
+            "s_prime": sp, "ell": ell, "window": [s + 1, s + (1 << ell)],
+            "required": need[ell][1]}) for ell, s in scales]))
+    witness, _ = _sweep(table, budget, _Condition(cands, n))
+    return Verdict(witness is None, witness, {}, budget.used)
 
 
 def check_ghk_condition(
@@ -600,18 +596,18 @@ def check_ghk_condition(
     m = m_frac.numerator
     ts = [t for t in range(floor_lg(m), lg_n)] if m <= n else []
 
-    def windows_at(pos):
+    budget = _Budget(cap)
+    table = _table(code, budget)
+    need = {t: (math.ceil(delta * (2 << t)), frac_str(delta * (2 << t))) for t in ts}
+    cands = []
+    for pos in range(1, n + 1):
         starts = [(t, ((pos - 1) >> t) << t) for t in ts if pos <= n - (1 << t)]
-        return [(i0, i0 + (2 << t), math.ceil(delta * (2 << t)), 1, (pos, t, i0))
-                for t, i0 in starts]
-
-    def fmt(x, y, tag, cnt):
-        pos, t, i0 = tag
-        return dict(x=list(x), y=list(y), i=pos, t=t, window=[i0 + 1, i0 + (2 << t)],
-                    measured=cnt, required=frac_str(delta * (2 << t)))
-
-    details = {"m": m, "t_values": ts, "vacuous": not ts}
-    return _position_sweep(code, _Budget(cap), windows_at, fmt, details)
+        cands.append((pos - 1, pos - 1, [(i0, i0 + (2 << t), need[t][0], 1, {
+            "i": pos, "t": t, "window": [i0 + 1, i0 + (2 << t)],
+            "required": need[t][1]}) for t, i0 in starts]))
+    witness, _ = _sweep(table, budget, _Condition(cands, n))
+    details = {} if witness else {"m": m, "t_values": ts, "vacuous": not ts}
+    return Verdict(witness is None, witness, details, budget.used)
 
 
 def check_chs_condition(
@@ -642,21 +638,17 @@ def check_chs_condition(
     derivation_scale_ok = all(ells[i] >= 16 for i in range(2, m + 2))
 
     budget = _Budget(cap)
-    bits = _MessageBits(code, budget)
+    table = _table(code, budget)
     # level i, block b (not the rightmost), first disagreement in it at sp
     cands = []
     for i in range(2, m + 2):
         blen, ds = ells[i] // 2, range(ells[i - 1] // 2, ells[i] // 2 + 1)
         for b in range(n // blen - 1):
-            cands += [(b * blen, sp, [(sp, sp + d + 1, (d + 2) // 3, 1, (i, b, sp + 1, d))
-                                      for d in ds]) for sp in range(b * blen, (b + 1) * blen)]
-
-    def fmt(x, y, tag, cnt):
-        i, b, s, d = tag
-        return dict(x=list(x), y=list(y), level_i=i, block=b, s=s, d=d, interval=[s, s + d],
-                    measured=cnt, required=frac_str(Fraction(d, 3)))
-
-    witness, _ = _sweep(bits, budget, cands, fmt, n)
+            cands += [(b * blen, sp, [(sp, sp + d + 1, (d + 2) // 3, 1, {
+                "level_i": i, "block": b, "s": sp + 1, "d": d, "interval": [sp + 1, sp + 1 + d],
+                "required": frac_str(Fraction(d, 3))}) for d in ds])
+                for sp in range(b * blen, (b + 1) * blen)]
+    witness, _ = _sweep(table, budget, _Condition(cands, n))
     details: dict = {"derivation_scale_ok": derivation_scale_ok}
     if witness is None:
         p, led = chs_tagged_structure(m, l1, growth_shift)

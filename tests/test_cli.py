@@ -265,10 +265,10 @@ _FILE_MISTAKES = {
     # lf [3..2] is empty
     "partition-lf_hi-below-lo": (
         {"partition.json": _eks2_file(lambda o: o["levels"][1][1].update(lf_hi=2))},
-        "malformed partition: ('P_1: block 1 has an empty lf or rg part',)"),
+        "malformed partition: P_1: block 1 has an empty lf or rg part"),
     "partition-level-0-hi-below-lo": (
         {"partition.json": _eks2_file(lambda o: o["levels"][0][1].update(hi=1))},
-        "malformed partition: ('P_0: block 1 is empty',)"),
+        "malformed partition: P_0: block 1 is empty"),
     "ledger-extra-key": (
         {"ledger.json": [{"level": 1, "blocks": [1], "extra": 1}]},
         "ledger entry has unknown key 'extra'"),

@@ -168,6 +168,21 @@ def test_prefix_table_rows_are_the_encoded_messages(sigma, n):
         table[len(rows)]
 
 
+@pytest.mark.parametrize("sigma,n", [(2, 5), (3, 3)])
+def test_prefix_table_of_depth_d_shares_the_first_d_columns(sigma, n):
+    stream = DetStream(n, "prefix")
+    size = sum(sigma**j for j in range(1, n + 1))
+    table = all_codewords(table_code(n, sigma, 7, [stream.randbelow(7) for _ in range(size)]))
+    for d in range(1, n + 1):
+        sub = table.prefix(d)
+        assert len(sub.columns) == d
+        assert all(col is parent for col, parent in zip(sub.columns, table.columns))
+        assert len(sub) == sigma**d
+        for i in range(sigma**d):
+            x, cx = table[i * sigma ** (n - d)]
+            assert sub[i] == (x[:d], cx[:d])
+
+
 def test_depth_one_edge_cases():
     from treecodes.verify import check_tree_distance
 

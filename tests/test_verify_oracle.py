@@ -500,7 +500,7 @@ def _masked(n, lf, rg):
         # fails at depth 4, then the depth-9 sweep passes through every block
         (_masked(9, (2,), (3, 4)), "distance", Fraction(1, 2), None, []),
         (_masked(9, (5,), (6, 7)), "imm", Fraction(3, 4), "exp", []),
-        # fails in the depth-9 sweep, 512 rows at stride 2 in blocks of 64
+        # fails in the depth-9 sweep, the 512 rows of table.prefix(9) in blocks of 128
         (_masked(10, (8,), (9,)), "distance", Fraction(3, 4), None, []),
         (_masked(10, (3, 4), (5, 6, 7, 8)), "imm", Fraction(1, 2), "exp", []),
     ],

@@ -1,14 +1,17 @@
-"""Time one grouping check on trivial_code(n) and report this process's peak RSS.
+"""Time one check on trivial_code(n) and report this process's peak RSS.
 
-Runs check_neighborhood_decoding or ledger_replay once, cap 2^40, on
-trivial_code(n) over the binary-merge partition: level 0 holds the
-singletons, and each level pairs adjacent blocks of the level below, the
-left one as lf and the right one as rg; when the count is odd, the last pair
-becomes the lf of a block whose rg is the leftover block.  Run it as its own
+Runs one check once, cap 2^40: check_neighborhood_decoding or
+ledger_replay on trivial_code(n) over the binary-merge partition, or
+check_tree_distance(trivial_code(n), 1), a pair sweep at every depth 1..n.
+The binary-merge partition holds the singletons at level 0, and each level
+pairs adjacent blocks of the level below, the left one as lf and the right
+one as rg; when the count is odd, the last pair becomes the lf of a block
+whose rg is the leftover block.  Run it as its own
 process, one call per process, so ru_maxrss is that call's peak (import and
 partition included):
 
     PYTHONPATH=src python tools/scale_probe.py --check neighborhood --n 18
+    PYTHONPATH=src python tools/scale_probe.py --check distance --n 12
 
 It prints one JSON line: seconds (the call, table build included),
 peak_rss_mb (ru_maxrss), passed and evaluations.  Standard library only;
@@ -27,7 +30,7 @@ from fractions import Fraction
 from treecodes.core import trivial_code
 from treecodes.entropy import ledger_replay
 from treecodes.partitions import LaminarPartition, TaggedBlock
-from treecodes.verify import check_neighborhood_decoding
+from treecodes.verify import check_neighborhood_decoding, check_tree_distance
 
 CAP = 1 << 40
 
@@ -49,13 +52,15 @@ def binary_merge_partition(n: int) -> LaminarPartition:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--check", choices=("neighborhood", "replay"), required=True)
+    ap.add_argument("--check", choices=("neighborhood", "replay", "distance"), required=True)
     ap.add_argument("--n", type=int, required=True)
     args = ap.parse_args(argv)
     code, partition = trivial_code(args.n), binary_merge_partition(args.n)
     start = time.perf_counter()
     if args.check == "neighborhood":
         verdict = check_neighborhood_decoding(code, partition, cap=CAP)
+    elif args.check == "distance":
+        verdict = check_tree_distance(code, 1, cap=CAP)
     else:
         verdict = ledger_replay(code, partition, cap=CAP)[1]
     seconds = time.perf_counter() - start
