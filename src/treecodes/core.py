@@ -11,15 +11,15 @@ level-order layout of a tabulated code, so each symbol is computed and stored
 once however many messages share its prefix.  Message i (lexicographic) has
 the prefix i // |sigma_in|^(n-1-j) in column j.  A char_fn may build its
 columns itself: a tabulated code's (a LevelOrderChar) are its own levels, the
-layered code's are built from its block codes.  Every other code is walked
-with one char_fn call per prefix.  Both paths run the same checks, then store
-each column once as an array of the narrowest unsigned items that hold
-|sigma_out| - 1 (1, 2, 4 or 8 bytes a cell; a list of ints past 2^64
-symbols).  all_codewords hands a LevelOrderChar those arrays in place of its
-levels, so the code and its table share one copy.  all_codewords enumerates
-the table with no size limit of its own: the certifiers charge the table to
-their budget before they read TreeCode.table, so a refused check converts no
-label.
+layered code's are built from its block codes, the trivial code's are
+ranges.  Every other code is walked with one char_fn call per prefix.  Both
+paths run the same checks, then store each column once as an array of the
+narrowest unsigned items that hold |sigma_out| - 1 (1, 2, 4 or 8 bytes a
+cell; a list of ints past 2^64 symbols).  all_codewords hands a
+LevelOrderChar those arrays in place of its levels, so the code and its
+table share one copy.  all_codewords enumerates the table with no size
+limit of its own: the certifiers charge the table to their budget before
+they read TreeCode.table, so a refused check converts no label.
 """
 
 from __future__ import annotations
@@ -128,11 +128,12 @@ def messages(alphabet_size: int, n: int) -> Iterator[Message]:
 def prefix_columns(code: TreeCode) -> List[Sequence[int]]:
     """Column j: the symbols of the length-(j+1) prefixes, in lexicographic
     order.  A char_fn with columns() and the code's own n and sigma builds
-    them (a table's levels, the layered code's block-code cycles); any other
-    is walked, one call per prefix.  On either path a column not sigma^(j+1)
-    long, a symbol that is not an int in [0, |sigma_out|) (naming its
-    prefix), or a count of columns other than n raises ValueError.  Each
-    checked column is then stored as a typed array (see the module doc)."""
+    them (a table's levels, the layered code's block-code cycles, the
+    trivial code's ranges); any other is walked, one call per prefix.  On
+    either path a column not sigma^(j+1) long, a symbol that is not an int
+    in [0, |sigma_out|) (naming its prefix), or a count of columns other
+    than n raises ValueError.  Each checked column is then stored as a
+    typed array (see the module doc)."""
     sigma, f, size = code.input_alphabet.size, code.char_fn, code.output_alphabet.size
     typecode = next((c for c in "BHIQ" if size <= 256 ** array(c).itemsize), None)
     if hasattr(f, "columns") and (f.n, f.sigma) == (code.n, sigma):
@@ -226,6 +227,8 @@ def all_codewords(code: TreeCode) -> PrefixTable:
 def trivial_code(n: int) -> TreeCode:
     """Full-prefix code over binary input: the depth-j symbol packs x_1..x_j
     into a fixed-width n-bit integer (prefix in the high bits, zero padding).
+    Its char_fn offers columns(): the length-j prefixes' symbols in order are
+    range(0, 2^n, 2^(n-j)), so the table is built with no call per prefix.
 
     Distance is exactly 1 and the rate is 1/n.
     """
@@ -239,6 +242,8 @@ def trivial_code(n: int) -> TreeCode:
             v = (v << 1) | b
         return v << (n - j)
 
+    char.n, char.sigma = n, 2  # what prefix_columns matches columns() against
+    char.columns = lambda: [range(0, 1 << n, 1 << (n - j)) for j in range(1, n + 1)]
     return TreeCode(n, Alphabet(2), Alphabet(2**n), char, name=f"trivial[{n}]")
 
 

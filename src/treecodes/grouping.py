@@ -6,12 +6,15 @@ codeword positions, possibly with some input positions.  Small-int ids built
 pair by pair replace a tuple per message per set; on a laminar partition the
 ids of a block reuse those of its parts.  A set of several columns has
 first-occurrence ids (each prefix's id is the first prefix of its group), so
-every id is below M.  The ids refer to shared ints, the entries of one
+every id is below M.  Where every prefix is its own group, the ids are
+range(number of prefixes), and no pass or tally is made that this already
+answers.  Other ids refer to shared ints, the entries of one
 list(range(...)) per Groups, so a list of ids costs one reference per prefix.
 A single codeword column's ids are the table's own column, a typed array
-(core), read through the sequence interface like any list of ids.
-A caller names its sets in the order it reads them, and each set's ids are
-dropped after their last read in that order.
+(core).  Every kind is read through the sequence interface, and compared by
+value: a list never equals a range.  A caller names its sets in the order
+it reads them, and each set's ids are dropped after their last read in that
+order.
 """
 
 from __future__ import annotations
@@ -28,14 +31,17 @@ class Grouped(NamedTuple):
     """A column set's group ids: one per prefix of length q+1, below bound."""
 
     q: int
-    ids: Sequence[int]  # a column's own typed array, else a list of shared ints
+    ids: Sequence[int]  # a column's own typed array, a range, or a list of shared ints
     bound: int
 
 
-def _first_occurrences(keys, ints: List[int]) -> List[int]:
+def _first_occurrences(keys, ints: List[int]) -> Sequence[int]:
     """For each key, the entry of ints (0, 1, ..., at least one per key) at
-    the index of the first key equal to it."""
-    return list(map({}.setdefault, keys, ints))
+    the index of the first key equal to it: range(len) when every key is
+    distinct."""
+    first: Dict[int, int] = {}
+    ids = list(map(first.setdefault, keys, ints))
+    return range(len(ids)) if len(first) == len(ids) else ids
 
 
 def _widen(ids: Sequence[int], r: int) -> Sequence[int]:
@@ -59,13 +65,17 @@ class Groups:
     prefixes agree on every column of S, so the group of message i is the id
     of prefix i // table.strides[q] and a group of c prefixes holds
     c * table.strides[q] messages.  A column's ids are its symbols.  Those of
-    a larger S pair the ids of T and S - T as a * bound + b, for T the set
-    grouped so far inside S that reaches furthest, then the largest (else
-    the first half of S's positions), so S - T ends early; on a laminar
-    partition a block pairs its lf and rg, blocks of the level below.  The
-    same pass maps the keys to first-occurrence ids, below the number of
-    prefixes, each an entry of one shared list of ints.  Every set is
-    grouped once.
+    a larger S pair the ids of T and S - T, for T the set grouped so far
+    inside S that reaches furthest, then the largest (else the first half of
+    S's positions), so S - T ends early; on a laminar partition a block pairs
+    its lf and rg, blocks of the level below.  If either part's ids are a
+    range at S's granularity, each prefix is its own group of that part and
+    so of S: S's ids are a range, with no pass.  Otherwise the pass keys are
+    a * bound + b, a the ids of the part that ends first (the coarser), scaled
+    by the other's bound at a's own granularity and only then widened, and b
+    the other's ids.  It maps the keys to first-occurrence ids, below the
+    number of prefixes: a range when the keys are distinct, else entries of
+    one shared list of ints.  Every set is grouped once.
 
     requests are the sets the caller will read, in the order it reads them;
     ids, first and weights each read one set, and must follow that order.
@@ -118,12 +128,18 @@ class Groups:
                 else:
                     got = Grouped(c, self.table.columns[c], self.table.sigma_out)
             else:
-                a, b = self.ids(part), self.ids(cols - part)
-                q = max(a.q, b.q)
-                size = len(self.table.columns[q])
-                keys = map(operator.add, map(operator.mul, self.at(a, q), repeat(b.bound)),
-                           self.at(b, q))
-                got = Grouped(q, _first_occurrences(keys, self._shared(size)), size)
+                coarse, fine = sorted((self.ids(part), self.ids(cols - part)),
+                                      key=operator.attrgetter("q"))
+                size = len(self.table.columns[fine.q])
+                if any(isinstance(g.ids, range) and g.q == fine.q for g in (coarse, fine)):
+                    ids = range(size)
+                else:
+                    scaled = map(operator.mul, coarse.ids, repeat(fine.bound))
+                    r = self.table.strides[coarse.q] // self.table.strides[fine.q]
+                    keys = map(operator.add, _widen(list(scaled) if r > 1 else scaled, r),
+                               fine.ids)
+                    ids = _first_occurrences(keys, self._shared(size))
+                got = Grouped(fine.q, ids, size)
         self._reads[cols] -= 1
         if self._reads[cols] > 0:
             self._kept[cols] = got
@@ -133,9 +149,9 @@ class Groups:
         """The ids of a grouped set at the finer granularity q."""
         return _widen(grouped.ids, self.table.strides[grouped.q] // self.table.strides[q])
 
-    def first(self, cols: FrozenSet[int]) -> List[int]:
+    def first(self, cols: FrozenSet[int]) -> Sequence[int]:
         """For each prefix t at the set's granularity, the least prefix of
-        that length that agrees with t on cols."""
+        that length that agrees with t on cols (a range when that is t)."""
         got = self.ids(cols)
         return got.ids if len(cols) > 1 else _first_occurrences(got.ids, self._shared(len(got.ids)))
 
@@ -143,4 +159,6 @@ class Groups:
         """{group size in messages: number of such groups} of a column set."""
         grouped = self.ids(cols)
         per = self.table.strides[grouped.q]
+        if isinstance(grouped.ids, range):
+            return {per: len(grouped.ids)}
         return {c * per: k for c, k in Counter(Counter(grouped.ids).values()).items()}

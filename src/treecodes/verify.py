@@ -47,7 +47,7 @@ from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .bitslice import add, below, minimum
 from .core import PrefixTable, TreeCode
@@ -144,11 +144,13 @@ class _MessageBits:
     same_input[q][a]: the rows with input symbol a at position q, a
     periodic pattern.  Codeword-symbol sets are built from the prefix columns
     on first use, one run of table.strides[p] bits per matching prefix, so
-    memory grows with the rows a sweep reaches.  block() lays either kind
-    out for a block of rows of _sweep.
+    memory grows with the rows a sweep reaches.  They read index, each
+    column's prefixes by symbol, built on first use and shared by the
+    sweeps of one check (a depth-d table shares the first d columns).
+    block() lays either kind out for a block of rows of _sweep.
     """
 
-    def __init__(self, table: PrefixTable) -> None:
+    def __init__(self, table: PrefixTable, index: Dict[int, Dict[int, List[int]]]) -> None:
         self.table, self.sigma, self.size = table, table.sigma, len(table)
         self.same_input = []
         for run in table.strides:
@@ -156,20 +158,20 @@ class _MessageBits:
             self.same_input.append([(((1 << run) - 1) << (a * run)) * repeat
                                     for a in range(self.sigma)])
         self._symbols: Dict[Tuple[int, int], int] = {}
-        self._index: List[Dict[int, List[int]]] = []
-        for col in table.columns:
-            index = defaultdict(list)
-            for t, s in enumerate(col):
-                index[s].append(t)
-            self._index.append(index)
+        self._index = index
 
     def same_symbol(self, p: int, sym: int) -> int:
         """Rows whose codeword symbol at position p is sym."""
         bits = self._symbols.get((p, sym))
         if bits is None:
             run = self.table.strides[p]  # rows per prefix
+            index = self._index.get(p)
+            if index is None:
+                index = self._index[p] = defaultdict(list)
+                for t, s in enumerate(self.table.columns[p]):
+                    index[s].append(t)
             buf = bytearray((self.size + 7) >> 3)
-            for t in self._index[p][sym]:
+            for t in index[sym]:
                 j = t * run
                 buf[j >> 3] |= 1 << (j & 7)
             starts = int.from_bytes(buf, "little")
@@ -254,11 +256,13 @@ def _pair(budget: _Budget, cond: _Condition, x, cx, y, cy) -> Optional[dict]:
     return None
 
 
-def _sweep(table: PrefixTable, budget: _Budget, cond: _Condition, want_min: bool = False):
+def _sweep(table: PrefixTable, budget: _Budget, cond: _Condition, want_min: bool = False,
+           index: Optional[dict] = None):
     """Every pair of rows i < j of table against cond's candidates and
     windows (_Condition).  Returns the first witness in pair-by-pair order,
     and with want_min the least count/length over all candidate windows
-    (exact when it passes).
+    (exact when it passes).  index is the column index of _MessageBits, to
+    share with the other sweeps of a check.
 
     Rows go in blocks (see the module doc): a block of R rows starts at a
     row index divisible by R, R the largest such power of sigma_in up to
@@ -271,7 +275,8 @@ def _sweep(table: PrefixTable, budget: _Budget, cond: _Condition, want_min: bool
     stopping pair (the lowest violating bit, or the first bit at which
     cost_below passes the cap), which _pair then evaluates.
     """
-    bits, cands, pair_cost = _MessageBits(table), cond.cands, cond.pair_cost
+    bits = _MessageBits(table, {} if index is None else index)
+    cands, pair_cost = cond.cands, cond.pair_cost
     size, sigma = bits.size, bits.sigma
     keys: Dict[Tuple[int, int, int], int] = {}
     links = [[keys.setdefault(w[:3], len(keys)) for w in ws] for _, _, ws in cands]
@@ -394,11 +399,12 @@ def check_tree_distance(code: TreeCode, delta, cap: int = DEFAULT_EVAL_CAP) -> V
     budget = _Budget(cap)
     table = _table(code, budget)
     witness: Optional[dict] = None
+    index: dict = {}
     for d in range(1, code.n):
-        witness, _ = _sweep(table.prefix(d), budget, _distance(d, delta))
+        witness, _ = _sweep(table.prefix(d), budget, _distance(d, delta), index=index)
         if witness is not None:
             break
-    full_witness, full_min = _sweep(table, budget, _distance(code.n, delta), want_min=True)
+    full_witness, full_min = _sweep(table, budget, _distance(code.n, delta), True, index)
     full_pass = full_witness is None
     details = {"full_messages_pass": full_pass,
                "min_full_depth": frac_str(full_min) if full_pass else None}
@@ -409,8 +415,8 @@ def check_tree_distance(code: TreeCode, delta, cap: int = DEFAULT_EVAL_CAP) -> V
 def exact_distance(code: TreeCode, cap: int = DEFAULT_EVAL_CAP) -> Fraction:
     """Exact minimum divergent distance over all same-depth vertex pairs."""
     budget = _Budget(cap)
-    table = _table(code, budget)
-    return min(_sweep(table.prefix(d), budget, _distance(d, Fraction(-1)), True)[1]
+    table, index = _table(code, budget), {}
+    return min(_sweep(table.prefix(d), budget, _distance(d, Fraction(-1)), True, index)[1]
                for d in range(1, code.n + 1))
 
 
@@ -463,7 +469,8 @@ def check_neighborhood_decoding(
     its rg fails for every code with sigma_in >= 2: rg is emitted before
     lf's last input q' is read, so messages 0 and strides[q'] collide, and
     they are its witness.  Any other block is decided by one gather and
-    compare over the length-(q+1) prefixes, q rg's last position: it passes
+    compare over the length-(q+1) prefixes, q rg's last position (none when
+    each rg group is one prefix, its first members a range): it passes
     iff every prefix has the lf inputs of the first prefix of its rg group
     (grouping.Groups.first; rg and lf inputs are grouped apart, and the
     halves of a laminar block once and reused, each set's ids dropped after
@@ -504,16 +511,20 @@ def check_neighborhood_decoding(
             # prefixes as long as lf agree on rg and differ on lf
             pair = (0, table.strides[max(tb.lf) - 1])
         else:  # lf ends with or before rg (or sigma_in = 1): compare at rg's granularity
-            lf_ids = groups.at(groups.ids(cols[0]), q)
+            lf = groups.ids(cols[0])
             ref = groups.first(cols[1])
-            got = list(map(lf_ids.__getitem__, ref))
-            if got != lf_ids:  # lf holds input positions only: its ids are a list
-                # the first message of the first length-(q+1) prefix whose
-                # lf inputs differ from those of the first prefix of its
-                # rg group
-                t = list(map(operator.ne, got, lf_ids)).index(True)
-                pair = (ref[t] * table.strides[q], t * table.strides[q])
-            del lf_ids, got  # freed before the next block's passes
+            if not isinstance(ref, range):  # a range: each rg group is one prefix, a pass
+                lf_ids = groups.at(lf, q)
+                got = list(map(lf_ids.__getitem__, ref))
+                # a range lf_ids (each prefix its own lf group) fails with any other ref
+                if isinstance(lf_ids, range) or got != lf_ids:
+                    # the first message of the first length-(q+1) prefix whose
+                    # lf inputs differ from those of the first prefix of its
+                    # rg group
+                    t = list(map(operator.ne, got, lf_ids)).index(True)
+                    pair = (ref[t] * table.strides[q], t * table.strides[q])
+                del lf_ids, got  # freed before the next block's passes
+            del lf
         block_witness = None if pair is None else dict(
             level=level, block=bi, lf=list(tb.lf), rg=list(tb.rg),
             x=list(table.message(pair[0])), y=list(table.message(pair[1])))
@@ -531,7 +542,7 @@ def check_neighborhood_decoding(
     return Verdict(first_witness is None, first_witness, details, budget.used)
 
 
-def _decoding_table(table: PrefixTable, tb, ref: List[int], q: int) -> list:
+def _decoding_table(table: PrefixTable, tb, ref: Sequence[int], q: int) -> list:
     """[rg symbols, lf inputs] for each rg group of a decodable block, sorted,
     read off the first length-(q+1) prefix of the group (the distinct ids
     of ref, groups.first of its rg)."""

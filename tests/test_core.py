@@ -37,6 +37,16 @@ def test_trivial_code_packs_full_prefix():
     assert one.rate == Fraction(1, 1)
 
 
+@pytest.mark.parametrize("n", range(1, 11))
+def test_trivial_code_columns_are_the_walked_symbols(n):
+    code = trivial_code(n)
+    walked = [[code.char(prefix) for prefix in product(range(2), repeat=j)]
+              for j in range(1, n + 1)]
+    assert [list(col) for col in code.char_fn.columns()] == walked
+    assert [list(col) for col in all_codewords(code).columns] == walked
+    assert check_online_property(code).passed
+
+
 def test_trivial_code_distance_is_one_exhaustive():
     # any divergent pair disagrees on every position from the split on
     for n in (3, 5, 8):

@@ -430,7 +430,57 @@ def test_first_members_match_the_row_table(case, data):
             for _ in range(3)]
     groups = Groups(all_codewords(code), sets)
     for cols in sets:
-        assert groups.first(cols) == ref_first(code, cols, max(c % n for c in cols))
+        assert list(groups.first(cols)) == ref_first(code, cols, max(c % n for c in cols))
+
+
+def ref_weights(code: TreeCode, cols) -> Dict[int, int]:
+    """{group size in messages: number of such groups} of the messages
+    grouped by their codeword symbols and inputs on cols."""
+    n = code.n
+    keys = (tuple(m[c - n] if c >= n else cw[c] for c in sorted(cols))
+            for m, cw in ref_all_codewords(code))
+    return dict(Counter(Counter(keys).values()))
+
+
+@st.composite
+def sets_with_an_injective_part(draw):
+    """A code, and column sets in request order: an injective set I at some
+    granularity q (every input up to q, or on a scrambled code its column q
+    with an earlier one), a set C of columns up to q, and I | C, each part
+    requested first in either order, so the pair reads the coarser part as
+    its planned part or as the rest; then I | C | {v} for a later column v,
+    paired as (I | C) + {v}, or, with C | {v} requested first, as
+    (C | {v}) + I."""
+    if draw(st.booleans()):
+        code = draw(codes_with_partitions())[0]
+        n = code.n
+        q = draw(st.integers(1, n - 1))
+        inj = frozenset(range(n, n + q + 1))
+    else:
+        n = draw(st.integers(2, 7))
+        code = scrambled_prefix_code(n, draw(st.integers(0, 99)))
+        q = draw(st.integers(1, n - 1))
+        inj = frozenset({q, draw(st.integers(0, q - 1))})
+    up_to_q = [c for c in range(2 * n) if c % n <= q and c not in inj]
+    other = frozenset(draw(st.sets(st.sampled_from(up_to_q), min_size=1, max_size=3)))
+    parts = [inj, other] if draw(st.booleans()) else [other, inj]
+    later = frozenset({draw(st.sampled_from([c for c in range(2 * n) if c % n > q] or [q]))})
+    finer = [other | later] if draw(st.booleans()) else []
+    return code, parts + [inj | other] + finer + [inj | other | later]
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(case=sets_with_an_injective_part())
+def test_grouping_with_an_injective_part_matches_the_row_table(case):
+    code, sets = case
+    n = code.n
+    groups = Groups(all_codewords(code), [cols for cols in sets for _ in range(3)])
+    for cols in sets:
+        ref = ref_first(code, cols, max(c % n for c in cols))
+        ids = groups.ids(cols).ids
+        assert list(ids) == ref if len(cols) > 1 else len(ids) == len(ref)
+        assert list(groups.first(cols)) == ref
+        assert groups.weights(cols) == ref_weights(code, cols)
 
 
 def _tabulated(code: TreeCode) -> TreeCode:
@@ -534,6 +584,18 @@ def test_blocks_whose_lf_ends_after_their_rg_are_decided_directly(sigma):
                     assert (entry["witness"]["x"], entry["witness"]["y"]) == ([0] * 4, y)
 
 
+@pytest.mark.parametrize("labels", [[0, 1, 2, 0], [3, 3, 3, 3]])
+def test_unary_input_code_passes_neighborhood_decoding(labels):
+    # with sigma_in = 1 there is one prefix of each length, so every set,
+    # the 2-position lf of the level-2 block too, has one group per prefix
+    code = table_code(4, 1, 4, labels)
+    p = eks_partition(2)
+    assert p.tagged[1][0].lf == (1, 2)
+    verdict = assert_same_decoding(code, p)
+    assert verdict.passed and verdict.evaluations == 12
+    assert_same_replay(code, p)
+
+
 @pytest.fixture(scope="module")
 def layered16() -> TreeCode:
     """The tabulated seed-0 layered code at k=4 (n=16), its table built."""
@@ -570,17 +632,18 @@ def test_grouping_matches_tuple_grouping_on_the_layered_code_n16(layered16):
         assert replay[1].passed
 
 
-@pytest.mark.parametrize("check,quarter,passes,keys", [
-    (verify.check_neighborhood_decoding, False, 30, 336_648),
-    (ledger_replay, False, 31, 419_682),
-    (ledger_replay, True, 30, 366_482),
+@pytest.mark.parametrize("check,quarter,passes,keys,tallied", [
+    (verify.check_neighborhood_decoding, False, 29, 336_392, 0),
+    (ledger_replay, False, 25, 353_598, 287_712),
+    (ledger_replay, True, 24, 300_350, 87_040),
 ], ids=["neighborhood-dyadic", "replay-dyadic", "replay-quarter-split"])
 def test_grouping_passes_and_keys_on_the_layered_code_n16(
-        monkeypatch, layered16, check, quarter, passes, keys):
+        monkeypatch, layered16, check, quarter, passes, keys, tallied):
     """Every grouping pass (and first-member pass of a single column) is
-    counted: a set dropped before its last read and grouped again adds
-    passes and keys."""
-    counted = [0, 0]
+    counted, and every id that weights tallies: a set dropped before its
+    last read and grouped again adds passes and keys, a pair with an
+    injective part is no pass, and an injective set is no tally."""
+    counted = [0, 0, 0]
     first_occurrences = grouping._first_occurrences
 
     def counting(keys, ints):
@@ -589,11 +652,18 @@ def test_grouping_passes_and_keys_on_the_layered_code_n16(
         counted[1] += len(got)
         return got
 
+    class Tallying(Counter):
+        def __init__(self, ids=()):
+            if isinstance(ids, Sequence):  # a set's ids, not group sizes
+                counted[2] += len(ids)
+            super().__init__(ids)
+
     monkeypatch.setattr(grouping, "_first_occurrences", counting)
+    monkeypatch.setattr(grouping, "Counter", Tallying)
     args = chs_partition(1, 4, 0) if quarter else (eks_partition(4),)
     verdict = check(layered16, *args)
     assert (verdict[1] if check is ledger_replay else verdict).passed
-    assert counted == [passes, keys]
+    assert counted == [passes, keys, tallied]
 
 
 def test_replay_heap_peak_on_the_layered_code_n16(layered16):
