@@ -3,7 +3,6 @@ brute-force property certification, exact rate bounds, and entropy-ledger
 replays of the bound derivations."""
 
 from .core import (
-    Alphabet,
     DivergentDistance,
     TreeCode,
     divergent_distance,

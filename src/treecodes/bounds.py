@@ -253,9 +253,8 @@ def audit_code(
             f"refusing to audit: neighborhood decoding failed at {nd.witness['level']}:"
             f"{nd.witness['block']}"
         )
-    sigma_in = code.input_alphabet.size
-    measured, meas_exact = _lg_conservative(Fraction(code.output_alphabet.size * sigma_in), "up")
-    lg_in, _ = _lg_conservative(Fraction(sigma_in), "down")
+    measured, meas_exact = _lg_conservative(Fraction(code.sigma_out * code.sigma_in), "up")
+    lg_in, _ = _lg_conservative(Fraction(code.sigma_in), "down")
     deficiency = ledger.budget_used
     formula, bound = rate_bound(partition.alpha, partition.ell, deficiency, partition.n, lg_in)
     return BoundReport(

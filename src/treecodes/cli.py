@@ -18,7 +18,6 @@ from typing import Dict, List, Optional
 
 from . import acceptance, bounds, entropy, serialize, verify
 from .constructions import eks_code, eks_params, random_code_search
-from .dyadic import as_fraction
 from .partitions import (
     IMM_FUNCTIONS,
     ImmediacySpec,
@@ -27,7 +26,7 @@ from .partitions import (
     eks_partition,
     ghk_partition,
 )
-from .serialize import Form, int_field
+from .serialize import Form, expect_rational, expect_type, int_field, rational_field
 
 EXIT_PASS = 0
 EXIT_USAGE = 1
@@ -68,12 +67,13 @@ def _load_json(path: str) -> dict:
 # each partition recipe kind's form, read to its partition and its ledger
 _PARTITIONS = {
     "imm_partition": Form(("kind", "imm", "delta", "ell"), (), lambda r: (build_from_imm(
-        ImmediacySpec.named(r["imm"], as_fraction(r["delta"])), int_field(r, "ell")), None)),
+        ImmediacySpec.named(expect_type(r["imm"], str, "imm"), rational_field(r, "delta")),
+        int_field(r, "ell")), None)),
     "eks_partition": Form(("kind", "k"), (), lambda r: (eks_partition(int_field(r, "k")), None)),
     "chs_partition": Form(("kind", "m", "l1", "shift"), (), lambda r: chs_partition(
         int_field(r, "m"), int_field(r, "l1"), int_field(r, "shift"))),
     "ghk_partition": Form(("kind", "n", "m", "delta"), (), lambda r: (ghk_partition(
-        int_field(r, "n"), int_field(r, "m"), as_fraction(r["delta"])), None)),
+        int_field(r, "n"), int_field(r, "m"), rational_field(r, "delta")), None)),
 }
 
 
@@ -81,7 +81,7 @@ def cmd_build(args) -> int:
     if (args.recipe is None) == (args.recipe_json is None):
         raise ValueError("build takes exactly one of --recipe and --recipe-json")
     recipe = _load_json(args.recipe) if args.recipe_json is None else json.loads(args.recipe_json)
-    serialize.expect_type(recipe, dict, "recipe")
+    expect_type(recipe, dict, "recipe")
     kind = recipe.get("kind")
     key = kind if isinstance(kind, str) else None  # a list or object names no kind
     # every payload is built before --out-dir is made, so a refused recipe
@@ -119,18 +119,17 @@ def _partition(args) -> tuple:
 # _FORMULAS, look their functions up on the module at each call, so a
 # wrapper set on the module is the one that runs.
 _PROPERTIES = {
-    "distance": ((), lambda a, code: verify.check_tree_distance(
-        code, as_fraction(a.delta), cap=a.cap)),
+    "distance": ((), lambda a, code: verify.check_tree_distance(code, a.delta, cap=a.cap)),
     "imm_function": ((), lambda a, code: verify.check_immediacy_function(
-        code, IMM_FUNCTIONS[a.imm], as_fraction(a.delta), cap=a.cap)),
+        code, IMM_FUNCTIONS[a.imm], a.delta, cap=a.cap)),
     "neighborhood": (("partition",), lambda a, code: verify.check_neighborhood_decoding(
         code, *_partition(a), cap=a.cap, materialize_tables=a.tables)),
     "eks": (("k",), lambda a, code: verify.check_eks_condition(
-        code, as_fraction(a.delta), a.k, cap=a.cap)),
+        code, a.delta, a.k, cap=a.cap)),
     "chs": (("m", "l1"), lambda a, code: verify.check_chs_condition(
         code, a.m, a.l1, a.shift, cap=a.cap)),
     "ghk": (("k0",), lambda a, code: verify.check_ghk_condition(
-        code, a.k0, as_fraction(a.epsilon), as_fraction(a.delta), cap=a.cap)),
+        code, a.k0, expect_rational(a.epsilon, "--epsilon"), a.delta, cap=a.cap)),
 }
 
 
@@ -143,8 +142,10 @@ def cmd_verify(args) -> int:
         return EXIT_USAGE
     # delta <= 0 holds for every code: refused before the code is loaded;
     # delta > 1 fails every code, which the acceptance criteria rely on
-    if as_fraction(args.delta) <= 0:
+    delta = expect_rational(args.delta, "--delta")
+    if delta <= 0:
         raise ValueError(f"--delta must be > 0, got {args.delta}")
+    args.delta = delta
     verdict = check(args, serialize.code_from_json(_load_json(args.code)))
     _emit(args, serialize.verdict_to_json(verdict))
     return EXIT_PASS if verdict.passed else EXIT_FAIL
@@ -154,16 +155,18 @@ def _rate_report(f: str, p: dict) -> bounds.BoundReport:
     deficient = f == "thm42"
     fn = bounds.rate_bound_deficient if deficient else bounds.rate_bound_plain
     ints = ("ell", "deficiency", "n") if deficient else ("ell",)
-    value = fn(as_fraction(p["alpha"]), *(int_field(p, k) for k in ints),
-               as_fraction(p["lg_sigma_in"]))
-    return bounds.BoundReport(f, "lg_sigma >=", {k: str(v) for k, v in p.items()}, value,
+    # the inputs echoed are the values read, so "2/4" prints as "1/2"
+    read = {"alpha": rational_field(p, "alpha"), **{k: int_field(p, k) for k in ints},
+            "lg_sigma_in": rational_field(p, "lg_sigma_in")}
+    value = fn(*read.values())
+    return bounds.BoundReport(f, "lg_sigma >=", {k: str(v) for k, v in read.items()}, value,
                               vacuous=deficient and value <= 0)
 
 
 def _imm_report(f: str, p: dict) -> Optional[bounds.BoundReport]:
     """f's report, or None where the kind does not specialize to f."""
     return bounds.imm_rate_upper(
-        p.get("kind", "exp"), as_fraction(p["delta"]), int_field(p, "n"),
+        p.get("kind", "exp"), rational_field(p, "delta"), int_field(p, "n"),
         t=int_field(p, "t") if "t" in p else None, ell=int_field(p, "ell") if "ell" in p else None,
     ).get(f)
 
@@ -178,15 +181,16 @@ _FORMULAS = {
     "eq33": Form(("m", "n"), (), lambda p: bounds.eq33_report(
         int_field(p, "m"), int_field(p, "n"))),
     "eq5": Form(("k",), ("measured",), lambda p: bounds.eq5_report(
-        int_field(p, "k"), p.get("measured"))),
+        int_field(p, "k"), rational_field(p, "measured") if "measured" in p else None)),
     "eq11": Form(("n", "m", "delta", "ratio"), (), lambda p: bounds.ghk_distance_bound(
-        int_field(p, "n"), int_field(p, "m"), as_fraction(p["delta"]), as_fraction(p["ratio"]))),
-    "eq13": Form(("delta",), (), lambda p: bounds.eq13_report(as_fraction(p["delta"]))),
+        int_field(p, "n"), int_field(p, "m"), rational_field(p, "delta"),
+        rational_field(p, "ratio"))),
+    "eq13": Form(("delta",), (), lambda p: bounds.eq13_report(rational_field(p, "delta"))),
 }
 
 
 def cmd_bound(args) -> int:
-    params: Dict = serialize.expect_type(json.loads(args.params), dict, "--params")
+    params: Dict = expect_type(json.loads(args.params), dict, "--params")
     report = _FORMULAS[args.formula].load(params, f"{args.formula} --params")
     if report is None:
         print(f"{args.formula} not applicable to kind {params.get('kind')}", file=sys.stderr)
@@ -221,7 +225,7 @@ def cmd_search(args) -> int:
     result = random_code_search(
         args.n,
         args.sigma,
-        target_delta=args.target,
+        target_delta=None if args.target is None else expect_rational(args.target, "--target"),
         trials=args.trials,
         seed=args.seed,
     )

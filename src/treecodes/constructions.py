@@ -22,7 +22,7 @@ from operator import or_
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .bitslice import add, below, minimum
-from .core import Alphabet, LevelOrderChar, Message, TreeCode, check_table_size
+from .core import LevelOrderChar, Message, TreeCode, check_table_size
 from .dyadic import as_fraction
 from .partitions import MAX_N
 from .rng import DetStream
@@ -338,15 +338,14 @@ def eks_code(params: EKSParams, zero_rows: Sequence[int] = ()) -> TreeCode:
     k, b = params.k, params.b
     zeroed = frozenset(zero_rows)
     tag = f"eks[k={k},b={b}]" + (f"-zero{sorted(zeroed)}" if zeroed else "")
-    return TreeCode(params.n, Alphabet(2), Alphabet(1 << (b * (k + 1))),
-                    LayeredChar(params, zeroed), name=tag)
+    return TreeCode(params.n, 2, 1 << (b * (k + 1)), LayeredChar(params, zeroed), name=tag)
 
 
 def table_code(n: int, sigma_in: int, sigma_out: int, table: Sequence[int]) -> TreeCode:
     """A tree code tabulated in level order: for each depth j = 1..n, the edge
     labels below each depth-(j-1) node in lexicographic order."""
     char = LevelOrderChar(n, sigma_in, table)
-    return TreeCode(n, Alphabet(sigma_in), Alphabet(sigma_out), char, name=f"table[{n}]")
+    return TreeCode(n, sigma_in, sigma_out, char, name=f"table[{n}]")
 
 
 def _draw_levels(

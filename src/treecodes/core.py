@@ -1,5 +1,5 @@
-"""Core tree-code types: alphabets, prefix-respecting encoders, the message
-table, divergent distance.
+"""Core tree-code types: prefix-respecting encoders, the message table,
+divergent distance.
 
 Messages and codewords are tuples of symbol ids (non-negative ints below the
 alphabet size).  Positions are 1-based in every report and file format;
@@ -36,27 +36,10 @@ Message = Tuple[int, ...]
 Codeword = Tuple[int, ...]
 
 @dataclass(frozen=True)
-class Alphabet:
-    """A finite symbol alphabet; symbols are the integers 0..size-1."""
-
-    size: int
-
-    def __post_init__(self) -> None:
-        if self.size < 1:
-            raise ValueError(f"alphabet size must be >= 1, got {self.size}")
-
-    @property
-    def bits(self) -> int | float:
-        """lg(size): exact int when size is a power of two, float otherwise."""
-        if self.size & (self.size - 1) == 0:
-            return self.size.bit_length() - 1
-        return math.log2(self.size)
-
-
-@dataclass(frozen=True)
 class TreeCode:
     """A prefix-respecting encoder from length-n input strings to codewords.
 
+    Symbols are the ints 0..sigma_in-1 in and 0..sigma_out-1 out.
     ``char_fn`` maps a non-empty message prefix to the symbol emitted at depth
     len(prefix); ``encode`` is the induced whole-string map.  Any char_fn
     yields the online property by construction (symbol j is a function of
@@ -67,27 +50,23 @@ class TreeCode:
     """
 
     n: int
-    input_alphabet: Alphabet
-    output_alphabet: Alphabet
+    sigma_in: int
+    sigma_out: int
     char_fn: Callable[[Message], int]
     name: str = ""
 
     def __post_init__(self) -> None:
+        for size in (self.sigma_in, self.sigma_out):
+            if size < 1:
+                raise ValueError(f"alphabet size must be >= 1, got {size}")
         if self.n < 1:
             raise ValueError(f"transmission length must be >= 1, got {self.n}")
-
-    def char(self, prefix: Sequence[int]) -> int:
-        """Symbol emitted at depth len(prefix): the incremental form of encode."""
-        j = len(prefix)
-        if not 1 <= j <= self.n:
-            raise ValueError(f"prefix length {j} outside 1..{self.n}")
-        return self.char_fn(tuple(prefix))
 
     def encode(self, x: Sequence[int]) -> Codeword:
         x = tuple(x)
         if len(x) != self.n:
             raise ValueError(f"message length {len(x)} != n = {self.n}")
-        s = self.input_alphabet.size
+        s = self.sigma_in
         if any(not 0 <= v < s for v in x):
             raise ValueError("message symbol outside input alphabet")
         f = self.char_fn
@@ -101,10 +80,10 @@ class TreeCode:
     @property
     def rate(self) -> Fraction | float:
         """1 / lg|sigma_out|; exact when the output size is a power of two."""
-        bits = self.output_alphabet.bits
-        if isinstance(bits, int):
-            return Fraction(1, bits)
-        return 1.0 / bits
+        size = self.sigma_out
+        if size & (size - 1) == 0:
+            return Fraction(1, size.bit_length() - 1)
+        return 1.0 / math.log2(size)
 
 
 @dataclass(frozen=True)
@@ -134,7 +113,7 @@ def prefix_columns(code: TreeCode) -> List[Sequence[int]]:
     in [0, |sigma_out|) (naming its prefix), or a count of columns other
     than n raises ValueError.  Each checked column is then stored as a
     typed array (see the module doc)."""
-    sigma, f, size = code.input_alphabet.size, code.char_fn, code.output_alphabet.size
+    sigma, f, size = code.sigma_in, code.char_fn, code.sigma_out
     typecode = next((c for c in "BHIQ" if size <= 256 ** array(c).itemsize), None)
     if hasattr(f, "columns") and (f.n, f.sigma) == (code.n, sigma):
         cols = iter(f.columns())
@@ -219,9 +198,9 @@ def all_codewords(code: TreeCode) -> PrefixTable:
     its prefix.  A tabulated code's char_fn then reads the table's columns,
     its levels dropped: the code and its table share one copy."""
     columns, f = prefix_columns(code), code.char_fn
-    if isinstance(f, LevelOrderChar) and (f.n, f.sigma) == (code.n, code.input_alphabet.size):
+    if isinstance(f, LevelOrderChar) and (f.n, f.sigma) == (code.n, code.sigma_in):
         f.levels = columns
-    return PrefixTable(code.n, code.input_alphabet.size, code.output_alphabet.size, columns)
+    return PrefixTable(code.n, code.sigma_in, code.sigma_out, columns)
 
 
 def trivial_code(n: int) -> TreeCode:
@@ -244,18 +223,13 @@ def trivial_code(n: int) -> TreeCode:
 
     char.n, char.sigma = n, 2  # what prefix_columns matches columns() against
     char.columns = lambda: [range(0, 1 << n, 1 << (n - j)) for j in range(1, n + 1)]
-    return TreeCode(n, Alphabet(2), Alphabet(2**n), char, name=f"trivial[{n}]")
+    return TreeCode(n, 2, 2**n, char, name=f"trivial[{n}]")
 
 
 def identity_code(n: int, alphabet_size: int = 2) -> TreeCode:
     """Each output symbol is the current input symbol; carries no history."""
-    return TreeCode(
-        n,
-        Alphabet(alphabet_size),
-        Alphabet(alphabet_size),
-        lambda prefix: prefix[-1],
-        name=f"identity[{n}]",
-    )
+    return TreeCode(n, alphabet_size, alphabet_size, lambda prefix: prefix[-1],
+                    name=f"identity[{n}]")
 
 
 def level_offsets(n: int, sigma: int, limit: int) -> List[int]:
@@ -324,11 +298,11 @@ def make_systematic(code: TreeCode) -> TreeCode:
     base_symbol * sigma_in + x_j; the online property and membership in any
     immediacy-code class (same tagged partition) are preserved.
     """
-    f, sigma = code.char_fn, code.input_alphabet.size
+    f, sigma = code.char_fn, code.sigma_in
     return TreeCode(
         code.n,
-        code.input_alphabet,
-        Alphabet(code.output_alphabet.size * sigma),
+        sigma,
+        code.sigma_out * sigma,
         lambda prefix: f(prefix) * sigma + prefix[-1],
         name=f"systematic({code.name})" if code.name else "systematic",
     )

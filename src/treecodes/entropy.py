@@ -214,8 +214,7 @@ def ledger_replay(
     """
     ledger = checked_ledger(code, p, ledger)
     n = code.n
-    lg_in = lg_exact(code.input_alphabet.size)
-    lg_out = lg_exact(code.output_alphabet.size)
+    lg_in, lg_out = lg_exact(code.sigma_in), lg_exact(code.sigma_out)
     if lg_in is None or lg_out is None:
         raise ValueError("ledger replay requires power-of-two alphabet sizes")
 

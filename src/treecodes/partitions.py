@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Dict, List, Sequence, Tuple
 
-from .dyadic import as_fraction, floor_lg
+from .dyadic import as_fraction, ceil_lg, floor_lg
 
 Block = Tuple[int, ...]
 
@@ -135,10 +135,7 @@ class ImmediacySpec:
     def double_exponential(delta) -> "ImmediacySpec":
         delta = as_fraction(delta)
         kappa = ImmediacySpec._kappa(delta)
-        t = floor_lg(kappa + 2)
-        if 2**t != kappa + 2:
-            t += 1  # ceil(lg(kappa + 2))
-        return ImmediacySpec(IMM_FUNCTIONS["double_exp"], delta, kappa, t)
+        return ImmediacySpec(IMM_FUNCTIONS["double_exp"], delta, kappa, ceil_lg(kappa + 2))
 
     @staticmethod
     def custom(imm: Callable[[int], int], delta, t: int) -> "ImmediacySpec":

@@ -6,6 +6,7 @@ newline) so identical objects serialize to identical bytes.
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 from itertools import chain
 from typing import Any, Callable, List, NamedTuple, Tuple
 
@@ -18,10 +19,10 @@ from .verify import Verdict
 
 
 def expect_type(obj, kind: type, what: str):
-    """obj, if it is a JSON object (kind dict) or array (kind list); else a
-    ValueError naming what was expected."""
+    """obj, if it is a JSON object (kind dict), array (list) or string (str);
+    else a ValueError naming what was expected."""
     if not isinstance(obj, kind):
-        name = "a JSON object" if kind is dict else "a JSON array"
+        name = {dict: "a JSON object", list: "a JSON array", str: "a JSON string"}[kind]
         raise ValueError(f"{what} must be {name}, got {type(obj).__name__}")
     return obj
 
@@ -34,8 +35,26 @@ def expect_int(obj, what: str) -> int:
     return obj
 
 
+def expect_rational(obj, what: str) -> Fraction:
+    """obj as a Fraction, if it is a JSON integer or a string that
+    as_fraction parses ("p/q", "3", "0.5"); else a ValueError naming what
+    was expected.  A bool or a float is refused, not read as 1 or as its
+    binary expansion."""
+    if type(obj) is int or isinstance(obj, str):
+        try:
+            return as_fraction(obj)
+        except ValueError:
+            pass
+    got = repr(obj) if isinstance(obj, str) else type(obj).__name__
+    raise ValueError(f'{what} must be an integer or a "p/q" string, got {got}')
+
+
 def int_field(obj: dict, key: str) -> int:
     return expect_int(obj[key], key)
+
+
+def rational_field(obj: dict, key: str) -> Fraction:
+    return expect_rational(obj[key], key)
 
 
 class Form(NamedTuple):
@@ -68,13 +87,13 @@ def tabulate_code(code: TreeCode) -> dict:
     lexicographic order; entry = label of the edge into that prefix): the
     prefix columns of the message table, concatenated.  A code whose table
     passes the entry limit is refused before any label is computed."""
-    sigma, n = code.input_alphabet.size, code.n
+    sigma, n = code.sigma_in, code.n
     check_table_size(n, sigma, "code too deep to tabulate")
     return {
         "kind": "table",
         "n": n,
         "sigma_in": sigma,
-        "sigma_out": code.output_alphabet.size,
+        "sigma_out": code.sigma_out,
         "table": list(chain.from_iterable(prefix_columns(code))),
     }
 
@@ -89,7 +108,7 @@ def _eks_params(o: dict) -> constructions.EKSParams:
         if not 1 <= b <= constructions.MAX_B:
             raise ValueError(f"b must be in 1..{constructions.MAX_B}, got {b}")
         b_schedule = (b,)
-    k, delta = int_field(o, "k"), as_fraction(o["delta"])
+    k, delta = int_field(o, "k"), rational_field(o, "delta")
     seed = expect_int(o.get("seed", 0), "seed")
     try:
         return constructions.eks_params(k, delta, seed=seed, b_schedule=b_schedule)
@@ -151,7 +170,7 @@ def partition_from_json(obj: dict) -> LaminarPartition:
     n = expect_int(obj["n"], "partition n")
     if n > MAX_N:
         raise ValueError(f"partition n = {n} too large to materialize (MAX_N = {MAX_N})")
-    alpha = as_fraction(obj["alpha"])
+    alpha = expect_rational(obj["alpha"], "partition alpha")
     levels = expect_type(obj["levels"], list, "partition levels")
     if not levels:
         raise ValueError("partition levels must hold at least the level-0 blocks")

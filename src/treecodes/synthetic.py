@@ -5,7 +5,7 @@ one tagged block's decodability.
 
 from __future__ import annotations
 
-from .core import Alphabet, Message, TreeCode
+from .core import Message, TreeCode
 from .partitions import TaggedBlock
 from .rng import DetStream
 
@@ -30,7 +30,7 @@ def scrambled_prefix_code(n: int, seed: int) -> TreeCode:
             v = (v << 1) | b
         return ((v * odds[j - 1]) & ((1 << j) - 1)) ^ masks[j - 1]
 
-    return TreeCode(n, Alphabet(2), Alphabet(1 << n), char, name=f"scrambled[{n},{seed}]")
+    return TreeCode(n, 2, 1 << n, char, name=f"scrambled[{n},{seed}]")
 
 
 def mask_block_code(base: TreeCode, block: TaggedBlock) -> TreeCode:
@@ -47,10 +47,5 @@ def mask_block_code(base: TreeCode, block: TaggedBlock) -> TreeCode:
             prefix = tuple(0 if (i + 1) in lf else v for i, v in enumerate(prefix))
         return fn(prefix)
 
-    return TreeCode(
-        base.n,
-        base.input_alphabet,
-        base.output_alphabet,
-        char,
-        name=f"{base.name}|masked(lf={sorted(lf)})",
-    )
+    return TreeCode(base.n, base.sigma_in, base.sigma_out, char,
+                    name=f"{base.name}|masked(lf={sorted(lf)})")

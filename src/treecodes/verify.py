@@ -117,7 +117,7 @@ class Verdict:
 def _table(code: TreeCode, budget: _Budget, reads: int = 0) -> PrefixTable:
     """The message table, charged M*n, plus M*reads for the column reads per
     message a caller will make, before any message is enumerated."""
-    messages = code.input_alphabet.size**code.n
+    messages = code.sigma_in**code.n
     budget.spend(messages * code.n)
     budget.spend(messages * reads)
     return code.table
@@ -483,7 +483,7 @@ def check_neighborhood_decoding(
     table, before any message is enumerated.
     """
     ledger = checked_ledger(code, p, ledger)
-    n, sigma = code.n, code.input_alphabet.size
+    n, sigma = code.n, code.sigma_in
     # each block with its lf inputs and rg columns, None if exempt; () if rg
     # is emitted before lf's last input is read (and sigma_in > 1)
     blocks = [(level, bi, tb, None if bi in ledger.blocks_at(level)

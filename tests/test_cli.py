@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import io
 import json
+import re
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -84,7 +85,7 @@ def test_usage_error_exit_code(tmp_path, capsys):
     assert rc == 1
 
 
-def test_audit_rejects_symbols_outside_the_output_alphabet(tmp_path, capsys):
+def test_audit_rejects_symbols_outside_sigma_out(tmp_path, capsys):
     # trivial(8) relabeled as a one-symbol code: not a violation of the bound
     run(capsys, "build", "--recipe-json", '{"kind":"trivial","n":8}', "--out-dir", str(tmp_path))
     run(capsys, "build", "--recipe-json", '{"kind":"eks_partition","k":3}',
@@ -598,7 +599,7 @@ def test_search_without_trials_is_usage_error(tmp_path, capsys, trials):
     ("--target", "-1", "target must be in (0, 1], got -1"),
     ("--target", "0", "target must be in (0, 1], got 0"),
     ("--n", "20", "n = 20 too deep to search: 2^1 + ... + 2^20 > 1048576 entries"),
-    ("--target", "", "Invalid literal for Fraction: ''"),
+    ("--target", "", "--target must be an integer or a \"p/q\" string, got ''"),
 ])
 def test_search_bad_input_exits_1_naming_it_before_the_first_trial(
     tmp_path, capsys, monkeypatch, flag, value, message
@@ -851,6 +852,93 @@ def test_unknown_key_missing_key_or_meaningless_number_exits_1_naming_it(
     assert not (tmp_path / "out").exists()
 
 
+# a value of each JSON type that no rational field takes, and how the
+# refusal names it
+_NOT_RATIONAL = [(True, "bool"), (0.5, "float"), (None, "NoneType"), ([1], "list"), ("x", "'x'")]
+# (table, entry, field) of every JSON rational read through an entry's form
+_RATIONAL_FIELDS = [
+    ("code-recipe", "eks", "delta"), ("code", "eks", "delta"),
+    ("recipe", "imm_partition", "delta"), ("recipe", "ghk_partition", "delta"),
+    *[("formula", f, field) for f in ("thm41", "thm42") for field in ("alpha", "lg_sigma_in")],
+    *[("formula", f, "delta") for f in ("eq22", "eq25", "eq26", "eq27", "eq11", "eq13")],
+    ("formula", "eq5", "measured"), ("formula", "eq11", "ratio"),
+]
+
+
+@pytest.mark.parametrize("value,got", _NOT_RATIONAL, ids=[g for _, g in _NOT_RATIONAL])
+@pytest.mark.parametrize("table,key,field", _RATIONAL_FIELDS)
+def test_a_rational_field_of_another_json_type_exits_1_naming_it(
+    tmp_path, capsys, table, key, field, value, got
+):
+    # a bool was read as 1, a float as its binary expansion, and an
+    # unparsable value was refused without naming its field
+    obj = dict(_JSON_TABLES[table][1][key], **{field: value})
+    rc, captured = _run_in(tmp_path, capsys, _json_argv(table, key, obj),
+                           obj if table == "code" else None)
+    assert rc == 1 and captured.out == ""
+    assert captured.err == (
+        f'invalid input: {field} must be an integer or a "p/q" string, got {got}\n')
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("value,got", _NOT_RATIONAL, ids=[g for _, g in _NOT_RATIONAL])
+def test_a_partition_alpha_of_another_json_type_exits_1_naming_it(tmp_path, capsys, value, got):
+    _files(tmp_path)
+    partition = json.loads((tmp_path / "partition.json").read_text())
+    (tmp_path / "partition.json").write_text(json.dumps(dict(partition, alpha=value)))
+    rc = cli.main(["verify", "--code", str(tmp_path / "code.json"), "--property", "neighborhood",
+                   "--partition", str(tmp_path / "partition.json")])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert captured.err == (
+        f'invalid input: partition alpha must be an integer or a "p/q" string, got {got}\n')
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--code", "{dir}/code.json", "--property", "distance", "--delta"],
+    ["verify", "--code", "{dir}/code.json", "--property", "ghk", "--k0", "1", "--epsilon"],
+    ["search", "--n", "3", "--sigma", "2", "--target"],
+], ids=["delta", "epsilon", "target"])
+@pytest.mark.parametrize("value", ["x", "1/0", ""])
+def test_a_rational_flag_that_names_no_rational_exits_1_naming_it(tmp_path, capsys, argv, value):
+    _files(tmp_path)
+    rc = cli.main([a.replace("{dir}", str(tmp_path)) for a in argv] + [value])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert captured.err == (
+        f'invalid input: {argv[-1]} must be an integer or a "p/q" string, got {value!r}\n')
+
+
+@pytest.mark.parametrize("formula,params,canonical", [
+    ("thm41", {"alpha": "2/4", "ell": 3, "lg_sigma_in": "2/2"},
+     {"alpha": "1/2", "ell": 3, "lg_sigma_in": 1}),
+    ("thm42", {"alpha": "2/4", "ell": 2, "deficiency": 1, "n": 8, "lg_sigma_in": "4/2"},
+     {"alpha": "1/2", "ell": 2, "deficiency": 1, "n": 8, "lg_sigma_in": "2"}),
+    ("eq13", {"delta": "2/4"}, {"delta": "1/2"}),
+])
+def test_a_bound_echoes_its_rational_inputs_canonically(capsys, formula, params, canonical):
+    # thm41 and thm42 echoed the text given ("2/4"), every other formula the
+    # value read ("1/2")
+    rc, out = run(capsys, "bound", "--formula", formula, "--params", json.dumps(params))
+    assert rc == 0 and json.loads(out)["inputs"] == {k: str(v) for k, v in canonical.items()}
+    assert run(capsys, "bound", "--formula", formula, "--params", json.dumps(canonical)) == (0, out)
+
+
+@pytest.mark.parametrize("table,key", [e for e in _ENTRIES if e[0] != "property"])
+def test_each_json_key_set_to_a_wrong_json_type_exits_1_naming_it(tmp_path, capsys, table, key):
+    # the type-wrong values of the fuzz test's _WRONG, set on every key of
+    # the entry's valid case in turn
+    for name in _JSON_TABLES[table][1][key]:
+        for value in _MISTYPED:
+            obj = dict(_JSON_TABLES[table][1][key], **{name: value})
+            rc, captured = _run_in(tmp_path, capsys, _json_argv(table, key, obj),
+                                   obj if table == "code" else None)
+            assert rc == 1 and captured.out == "", (name, value)
+            assert captured.err.startswith("invalid input: ") and captured.err.count("\n") == 1
+            assert re.search(rf"\b{name}\b", captured.err), (name, value, captured.err)
+            assert not (tmp_path / "out").exists()
+
+
 def test_build_honours_an_eks_cell_width(tmp_path, capsys):
     # b fixes the cell width when a code is built, as it does when one loads
     recipe = {"kind": "eks", "k": 2, "b": 3, "delta": "1/2", "seed": 0}
@@ -1082,6 +1170,7 @@ def _files_of(*valid):
     return st.sampled_from([f"{{dir}}/{name}" for name in names])
 
 _WRONG = (None, True, 1.5, "x", "-1", "0", [1], {}, -1, 0, 1, 2, 17)
+_MISTYPED = (None, True, 1.5, [1], {})  # the values of _WRONG of a type no field takes
 
 
 @st.composite
@@ -1169,5 +1258,5 @@ def test_fuzzed_argv_exits_0_to_3_and_names_every_refusal(fuzz_dir, argv):
         text = Path(argv[argv.index("--code") + 1]).read_text()
         code = serialize.code_from_json(json.loads(text))
         cap = int(argv[argv.index("--cap") + 1]) if "--cap" in argv else verify.DEFAULT_EVAL_CAP
-        if code.input_alphabet.size**code.n * code.n > cap:
+        if code.sigma_in**code.n * code.n > cap:
             assert tables.call_count == 0, argv

@@ -110,7 +110,7 @@ def test_eks_table_unrolled_by_hand(eks2):
 
 def test_eks_alphabet_width(eks3):
     code = eks_code(eks3)
-    assert code.output_alphabet.size == 1 << (eks3.b * 4)
+    assert code.sigma_out == 1 << (eks3.b * 4)
 
 
 def test_eks_zero_message_determinism(eks3):
@@ -138,7 +138,7 @@ def test_eks_online_property_k4_prefix_table():
     chars = {}
     for j in range(1, 17):
         for prefix in product((0, 1), repeat=j):
-            chars[prefix] = code.char(prefix)
+            chars[prefix] = code.char_fn(prefix)
     for m in range(0, 1 << 16, 13):
         x = tuple((m >> (15 - i)) & 1 for i in range(16))
         assert code.encode(x) == tuple(chars[x[: j + 1]] for j in range(16))
@@ -193,7 +193,7 @@ def test_search_finds_embedded_full_prefix_code():
     labels = []
     for j in range(1, 5):
         for prefix in product((0, 1), repeat=j):
-            labels.append(code.char(prefix))
+            labels.append(code.char_fn(prefix))
     assert table_min_distance(4, labels) == 1
 
 

@@ -4,7 +4,6 @@ from itertools import product
 import pytest
 
 from treecodes.core import (
-    Alphabet,
     TreeCode,
     all_codewords,
     divergent_distance,
@@ -19,12 +18,16 @@ from treecodes.rng import DetStream
 from treecodes.verify import check_neighborhood_decoding, check_online_property
 
 
-def test_alphabet_bits():
-    assert Alphabet(8).bits == 3
-    assert Alphabet(1).bits == 0
-    assert abs(Alphabet(3).bits - 1.5849625) < 1e-6
-    with pytest.raises(ValueError):
-        Alphabet(0)
+def test_rate_and_alphabet_size_refusal():
+    assert TreeCode(2, 2, 8, max).rate == Fraction(1, 3)
+    assert TreeCode(2, 3, 2, max).rate == Fraction(1, 1)
+    assert abs(TreeCode(2, 2, 3, max).rate - 1 / 1.5849625) < 1e-6
+    for sizes, got in (((0, 2), 0), ((2, 0), 0), ((-1, 2), -1)):
+        with pytest.raises(ValueError, match=f"alphabet size must be >= 1, got {got}$"):
+            TreeCode(2, *sizes, max)
+    # the sizes are checked before n
+    with pytest.raises(ValueError, match="alphabet size"):
+        TreeCode(0, 0, 2, max)
 
 
 def test_trivial_code_packs_full_prefix():
@@ -40,7 +43,7 @@ def test_trivial_code_packs_full_prefix():
 @pytest.mark.parametrize("n", range(1, 11))
 def test_trivial_code_columns_are_the_walked_symbols(n):
     code = trivial_code(n)
-    walked = [[code.char(prefix) for prefix in product(range(2), repeat=j)]
+    walked = [[code.char_fn(prefix) for prefix in product(range(2), repeat=j)]
               for j in range(1, n + 1)]
     assert [list(col) for col in code.char_fn.columns()] == walked
     assert [list(col) for col in all_codewords(code).columns] == walked
@@ -105,7 +108,7 @@ def test_online_property_fails_for_stateful_char_fn():
         calls.append(prefix)
         return len(calls) % 2
 
-    code = TreeCode(3, Alphabet(2), Alphabet(2), char, name="stateful")
+    code = TreeCode(3, 2, 2, char, name="stateful")
     v = check_online_property(code)
     assert not v.passed
     w = v.witness
@@ -116,13 +119,13 @@ def test_online_property_fails_for_stateful_char_fn():
 def test_encode_matches_incremental_chars():
     code = trivial_code(4)
     x = (1, 1, 0, 1)
-    assert code.encode(x) == tuple(code.char(x[: j + 1]) for j in range(4))
+    assert code.encode(x) == tuple(code.char_fn(x[: j + 1]) for j in range(4))
 
 
 def test_systematic_alphabet_and_symbols():
     code = identity_code(3)
     sys_code = make_systematic(code)
-    assert sys_code.output_alphabet.size == 4
+    assert sys_code.sigma_out == 4
     # pairs (x_k, x_k) packed as base*2 + bit
     assert sys_code.encode((1, 0, 1)) == (3, 0, 3)
 
@@ -152,11 +155,11 @@ def test_systematic_preserves_neighborhood_decoding(eks2):
 def test_systematic_alphabet_size_example(eks3):
     # |Sigma'| = |Sigma| x |Sigma_in|
     code = eks_code(eks3)
-    assert make_systematic(code).output_alphabet.size == code.output_alphabet.size * 2
+    assert make_systematic(code).sigma_out == code.sigma_out * 2
 
 
 @pytest.mark.parametrize("bad", [4, -1, "1", 1.0, None])
-def test_all_codewords_rejects_symbols_outside_the_output_alphabet(bad):
+def test_all_codewords_rejects_symbols_outside_sigma_out(bad):
     # one bad label at depth 2, below prefix (1, 0); every other label is valid
     labels = [0, 1, 2, 3, bad, 1]
     with pytest.raises(ValueError, match=r"prefix \[1, 0\]"):
@@ -207,7 +210,7 @@ def test_level_order_table_code_roundtrip():
     labels = []
     for j in range(1, 4):
         for prefix in product((0, 1), repeat=j):
-            labels.append(code.char(prefix))
+            labels.append(code.char_fn(prefix))
     rebuilt = table_code(3, 2, 8, labels)
     for x in product((0, 1), repeat=3):
         assert rebuilt.encode(x) == code.encode(x)

@@ -30,7 +30,6 @@ from treecodes import grouping, verify
 from treecodes.bounds import rate_bound_deficient, rate_bound_plain
 from treecodes.constructions import eks_code, eks_params, table_code
 from treecodes.core import (
-    Alphabet,
     Codeword,
     Message,
     TreeCode,
@@ -65,11 +64,11 @@ def ref_all_codewords(code: TreeCode) -> List[Tuple[Message, Codeword]]:
     rather than O(n * #messages).  A symbol that is not an int in
     [0, |sigma_out|) raises ValueError naming its prefix.
     """
-    n, f, size = code.n, code.char_fn, code.output_alphabet.size
+    n, f, size = code.n, code.char_fn, code.sigma_out
     out: List[Tuple[Message, Codeword]] = []
     prev: Message | None = None
     cw = [0] * n
-    for m in messages(code.input_alphabet.size, n):
+    for m in messages(code.sigma_in, n):
         j0 = 0
         if prev is not None:
             while j0 < n and m[j0] == prev[j0]:
@@ -88,7 +87,7 @@ def ref_all_codewords(code: TreeCode) -> List[Tuple[Message, Codeword]]:
 
 
 def _table(code: TreeCode, budget: _Budget, reads: int = 0):
-    messages = code.input_alphabet.size**code.n
+    messages = code.sigma_in**code.n
     budget.spend(messages * code.n)
     budget.spend(messages * reads)
     return ref_all_codewords(code)
@@ -203,8 +202,7 @@ def ref_ledger_replay(
     """
     ledger = checked_ledger(code, p, ledger)
     n = code.n
-    lg_in = lg_exact(code.input_alphabet.size)
-    lg_out = lg_exact(code.output_alphabet.size)
+    lg_in, lg_out = lg_exact(code.sigma_in), lg_exact(code.sigma_out)
     if lg_in is None or lg_out is None:
         raise ValueError("ledger replay requires power-of-two alphabet sizes")
     lg_orig = lg_out - lg_in  # alphabet of the code before systematizing
@@ -323,7 +321,7 @@ def _outcome(fn, *args, **kwargs):
 def _caps(code: TreeCode, full) -> List[int]:
     """The default cap, the caps around the table's own charge, and (when
     the reference finished) the caps around its whole charge."""
-    table = code.input_alphabet.size**code.n * code.n
+    table = code.sigma_in**code.n * code.n
     caps = {DEFAULT_EVAL_CAP, table - 1, table}
     if isinstance(full, Verdict):
         caps |= {full.evaluations - 1, full.evaluations}
@@ -414,7 +412,7 @@ def ref_first(code: TreeCode, cols, q: int) -> List[int]:
     """For each length-(q+1) prefix, the first such prefix with the same
     codeword symbols (column c < n) and inputs (column n + p) on cols."""
     n = code.n
-    stride = code.input_alphabet.size ** (n - 1 - q)
+    stride = code.sigma_in ** (n - 1 - q)
     firsts: dict = {}
     return [firsts.setdefault(tuple(m[c - n] if c >= n else cw[c] for c in sorted(cols)), t)
             for t, (m, cw) in enumerate(ref_all_codewords(code)[::stride])]
@@ -514,8 +512,7 @@ def test_grouping_matches_tuple_grouping_on_masked_codes(seed):
 def test_grouping_matches_tuple_grouping_on_a_delay_code():
     # position j emits x_{j-1}, so c_1 determines nothing: the replay still
     # takes the code, as audit_code does, and runs on its extension (c_j, x_j)
-    delayed = TreeCode(8, Alphabet(2), Alphabet(2), lambda p: p[-2] if len(p) > 1 else 0,
-                       name="delay")
+    delayed = TreeCode(8, 2, 2, lambda p: p[-2] if len(p) > 1 else 0, name="delay")
     led, verdict = assert_same_replay(delayed, P3)
     assert led.measured_lg_sigma == 1 and not verdict.passed
 

@@ -32,7 +32,7 @@ from treecodes.serialize import (
 def _level_order_labels(code):
     # the level-order char walk tabulate_code ran before it read the message
     # table's prefix columns
-    sigma = code.input_alphabet.size
+    sigma = code.sigma_in
     return [code.char_fn(prefix) for j in range(1, code.n + 1)
             for prefix in product(range(sigma), repeat=j)]
 
@@ -46,10 +46,10 @@ def test_tabulate_code_is_the_level_order_walk():
         assert tabulate_code(code)["table"] == _level_order_labels(code)
 
 
-def test_tabulate_code_rejects_symbols_outside_the_output_alphabet():
-    from treecodes.core import Alphabet, TreeCode
+def test_tabulate_code_rejects_symbols_outside_sigma_out():
+    from treecodes.core import TreeCode
 
-    loud = TreeCode(3, Alphabet(2), Alphabet(4), lambda prefix: 4 * prefix[-1])
+    loud = TreeCode(3, 2, 4, lambda prefix: 4 * prefix[-1])
     with pytest.raises(ValueError, match=r"symbol 4 at prefix \[1\] is outside"):
         tabulate_code(loud)
 
@@ -71,7 +71,7 @@ def test_code_roundtrip_table_form():
 
 def test_code_recipes():
     assert code_from_json({"kind": "trivial", "n": 5}).n == 5
-    assert code_from_json({"kind": "identity", "n": 3, "sigma_in": 4}).input_alphabet.size == 4
+    assert code_from_json({"kind": "identity", "n": 3, "sigma_in": 4}).sigma_in == 4
     with pytest.raises(ValueError):
         code_from_json({"kind": "nope"})
 

@@ -24,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treecodes.constructions import LayeredChar, eks_code, eks_params, table_code
-from treecodes.core import Alphabet, LevelOrderChar, TreeCode, all_codewords, prefix_columns
+from treecodes.core import LevelOrderChar, TreeCode, all_codewords, prefix_columns
 from treecodes.serialize import code_from_json, dumps_canonical, tabulate_code
 from treecodes.verify import CapExceeded, check_online_property, check_tree_distance
 
@@ -46,7 +46,7 @@ def tables(draw):
 def walked(code: TreeCode) -> TreeCode:
     """The same code with its char_fn hidden behind a lambda: walked per prefix."""
     f = code.char_fn
-    return TreeCode(code.n, code.input_alphabet, code.output_alphabet, lambda p: f(p), code.name)
+    return TreeCode(code.n, code.sigma_in, code.sigma_out, lambda p: f(p), code.name)
 
 
 def sliced_columns(code: TreeCode):
@@ -99,7 +99,7 @@ def test_a_table_char_fn_of_another_depth_is_walked():
     # a code may reuse a deeper table's char_fn: its own columns are the
     # first n levels, which the walk reads and a slice of every level is not
     deep = table_code(3, 2, 4, [(3 * i + 1) % 4 for i in range(2 + 4 + 8)])
-    shallow = TreeCode(2, deep.input_alphabet, deep.output_alphabet, deep.char_fn)
+    shallow = TreeCode(2, deep.sigma_in, deep.sigma_out, deep.char_fn)
     assert prefix_columns(shallow) == prefix_columns(deep)[:2]
 
 
@@ -190,7 +190,7 @@ def test_a_column_of_the_wrong_length_is_refused():
         def columns(self):
             return iter([[0, 0], [0, 0, 0]])
 
-    code = TreeCode(2, Alphabet(2), Alphabet(2), Short())
+    code = TreeCode(2, 2, 2, Short())
     with pytest.raises(ValueError, match=r"column 2 has 3 symbols, want 2\^2"):
         prefix_columns(code)
 
@@ -208,7 +208,7 @@ def test_a_count_of_columns_other_than_n_is_refused(count):
         def columns(self):
             return [[0] * 2 ** (j + 1) for j in range(count)]
 
-    code = TreeCode(2, Alphabet(2), Alphabet(2), Stub())
+    code = TreeCode(2, 2, 2, Stub())
     with pytest.raises(ValueError, match=f"gives {count} prefix columns, want n = 2"):
         prefix_columns(code)
     with pytest.raises(ValueError, match=f"gives {count} prefix columns, want n = 2"):
@@ -270,7 +270,7 @@ def test_a_loaded_layered_table_holds_one_two_byte_copy(layered_params):
     # as a level-order table
     text = dumps_canonical(tabulate_code(eks_code(layered_params[4])))
     code = code_from_json(json.loads(text))
-    assert (code.n, code.output_alphabet.size) == (16, 1 << 15)
+    assert (code.n, code.sigma_out) == (16, 1 << 15)
     char = code.char_fn
     assert all_codewords(code).columns is char.levels
     # no label list beside the levels, and 2 bytes per cell

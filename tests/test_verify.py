@@ -254,12 +254,12 @@ def test_formulations_differ_on_adversarial_code():
     # has no disagreement (definition fails at any positive threshold), yet
     # every full-length pair recovers a 1/2 fraction -- exactly why the
     # definition-level sweep decides the verdict
-    from treecodes.core import Alphabet, TreeCode
+    from treecodes.core import TreeCode
 
     def char(prefix):
         return 0 if len(prefix) == 1 else 2 * prefix[0] + prefix[1] + 1
 
-    code = TreeCode(2, Alphabet(2), Alphabet(8), char, name="repaired-at-depth-2")
+    code = TreeCode(2, 2, 8, char, name="repaired-at-depth-2")
     v = check_tree_distance(code, Fraction(1, 2))
     assert not v.passed
     assert v.witness["depth"] == 1

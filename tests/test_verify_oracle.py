@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from treecodes import serialize, verify
 from treecodes.constructions import table_code
-from treecodes.core import Alphabet, TreeCode, all_codewords, identity_code
+from treecodes.core import TreeCode, all_codewords, identity_code
 from treecodes.dyadic import as_fraction, floor_lg, frac_str as _frac
 from treecodes.bitslice import add
 from treecodes.partitions import TaggedBlock, chs_scales, chs_tagged_structure, eks_partition
@@ -82,7 +82,7 @@ def ref_tree_distance(code: TreeCode, delta, cap: int = verify.DEFAULT_EVAL_CAP)
     budget = _Budget(cap)
     table = _table(code, budget)
     n = code.n
-    sigma = code.input_alphabet.size
+    sigma = code.sigma_in
     witness: Optional[dict] = None
     for d in range(1, n):
         witness, _ = _depth_pairs_violation(_depth_row(table, sigma, n, d), d, delta, budget)
@@ -107,7 +107,7 @@ def ref_exact_distance(code: TreeCode, cap: int = verify.DEFAULT_EVAL_CAP) -> Fr
     budget = _Budget(cap)
     table = _table(code, budget)
     n = code.n
-    sigma = code.input_alphabet.size
+    sigma = code.sigma_in
     best = Fraction(1)
     for d in range(1, n + 1):
         _, seen = _depth_pairs_violation(_depth_row(table, sigma, n, d), d, Fraction(-1), budget)
@@ -367,7 +367,7 @@ def assert_same(prop, code, delta=Fraction(1, 2), arg=None, caps=(), cap_points=
     assert _outcome(engine, verify.DEFAULT_EVAL_CAP) == full
     caps = set(caps)
     if isinstance(full, str) and cap_points:
-        low = code.input_alphabet.size**code.n * code.n
+        low = code.sigma_in**code.n * code.n
         high = json.loads(full)["evaluations"]
         caps |= {low + (high - low) * k // 1000 for k in cap_points} | {high - 1, high}
     for cap in sorted(caps):
@@ -468,7 +468,7 @@ def test_engine_matches_scalar_sweep_on_multi_block_levels():
     def char(prefix):
         return sum(prefix[q] for q in PARITY_READS[len(prefix) - 1]) & 1
 
-    code = TreeCode(16, Alphabet(2), Alphabet(2), char, name="parity")
+    code = TreeCode(16, 2, 2, char, name="parity")
     assert '"passed":false' in assert_same("chs", code, None, (2, 2, 0))
 
 
@@ -599,7 +599,7 @@ def test_caps_at_every_block_boundary(monkeypatch, code, prop, delta, arg, block
         (8, "chs", None, (1, 4, 1)),
     ],
 )
-def test_one_symbol_input_alphabet(n, prop, delta, arg):
+def test_one_symbol_sigma_in(n, prop, delta, arg):
     """With sigma_in = 1 there is one message, so one row and no pair: each
     certifier passes, charged only the table's n evaluations."""
     code = identity_code(n, 1)
