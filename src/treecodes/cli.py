@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import shutil
 import sys
 from fractions import Fraction
 from functools import partial
@@ -321,14 +322,16 @@ _COMMANDS = {
 
 def _parse(argv: Optional[List[str]]) -> argparse.Namespace:
     """argv, read by two parsers built for this call: the top level's, then its subcommand's."""
-    ap = argparse.ArgumentParser(prog="treecodes", description=__doc__)
+    # the help width each HelpFormatter works out for itself, read once per call
+    formatter = partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
+    ap = argparse.ArgumentParser(prog="treecodes", description=__doc__, formatter_class=formatter)
     ap.add_argument("--format", choices=("json", "text"), default="json")
     # nargs=PARSER, as in a subparsers action: the name, then all after it, "--" too
     ap.add_argument("command", nargs=argparse.PARSER, choices=tuple(_COMMANDS),
                     help="; ".join(f"{c}: {spec[0]}" for c, spec in _COMMANDS.items()))
     args, extras = ap.parse_known_args(argv)
     args.command, *rest = args.command
-    sub = argparse.ArgumentParser(prog=f"treecodes {args.command}")
+    sub = argparse.ArgumentParser(prog=f"treecodes {args.command}", formatter_class=formatter)
     for flag, keywords in _COMMANDS[args.command][2].items():
         sub.add_argument(flag, **keywords)
     args, unknown = sub.parse_known_args(rest, args)

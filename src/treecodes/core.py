@@ -79,8 +79,11 @@ class TreeCode:
 
     @property
     def rate(self) -> Fraction | float:
-        """1 / lg|sigma_out|; exact when the output size is a power of two."""
+        """1 / lg|sigma_out|; exact when the output size is a power of two.
+        A one-symbol output alphabet carries nothing, and has no rate."""
         size = self.sigma_out
+        if size == 1:
+            raise ValueError("a one-symbol output alphabet has no rate: lg 1 = 0")
         if size & (size - 1) == 0:
             return Fraction(1, size.bit_length() - 1)
         return 1.0 / math.log2(size)

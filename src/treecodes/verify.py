@@ -15,9 +15,13 @@ own LaminarPartition.report.  Neighborhood decoding compares
 each prefix with the first prefix of its rg group (grouping.Groups).
 
 The five pair conditions (distance, immediacy function, dyadic, aligned,
-quarter-split) are data, a _Condition each, run by one engine, _sweep, on a
-PrefixTable: the message table, or for tree distance at depth d < n the
-depth-d prefix table table.prefix(d), whose rows are the depth-d vertices.
+quarter-split) are data, a _Condition each.  The dyadic and quarter-split
+ones are functional dependences, decided by grouping passes (_dependences,
+which stops where _sweep would); the others keep the pair sweep, _sweep, as
+their key counts explode (C(16, 9) = 11,440 for the aligned window spanning
+n = 16 at delta = 1/2).  _sweep runs on a PrefixTable: the message table, or
+for tree distance at depth d < n the depth-d prefix table table.prefix(d),
+whose rows are the depth-d vertices.
 _sweep takes the table's M rows in blocks of R consecutive rows, R a power
 of sigma_in that grows 1, 1, sigma, ... with the block's first row, capped
 where R * M reaches 2^16 bits (_BLOCK_BITS; once sigma_in * M > 2^16 a
@@ -47,11 +51,12 @@ from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from itertools import combinations, compress
+from typing import Callable, Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
 
 from .bitslice import add, below, minimum
 from .core import PrefixTable, TreeCode
-from .grouping import Groups
+from .grouping import Grouped, Groups
 from .dyadic import as_fraction, floor_lg, frac_str
 from .partitions import (
     DeficiencyLedger,
@@ -225,7 +230,7 @@ def _join(parts: List[int], w: int) -> int:
 
 
 class _Condition(NamedTuple):
-    """A pair condition as data, for _sweep and _pair.
+    """A pair condition as data, for _sweep, _dependences and _pair.
 
     cands holds (a, sp, windows) in evaluation order: the pairs whose inputs
     agree on [a, sp) and differ at sp, each checked on its windows (lo, hi,
@@ -359,6 +364,101 @@ def _sweep(table: PrefixTable, budget: _Budget, cond: _Condition, want_min: bool
             raise RuntimeError(f"sweep flagged pair ({i0 + r}, {i0 + 1 + k}) but it passes")
         return witness, best
     return None, best
+
+
+def _dependences(table: PrefixTable, budget: _Budget, cond: _Condition) -> Optional[dict]:
+    """_sweep's outcome and charges for cond, from grouping checks (its
+    windows start at or after their sp).  A pair of candidate (a, sp)
+    violates a window of w positions needing t >= 1 differences iff it
+    agrees on A = [a, sp), differs at sp and agrees on a (w-t+1)-subset S of
+    the window (always if t > w): each key S + A, with R the sps sharing it,
+    is a check that it determines the inputs on R (_strays), and a key
+    holding another of its candidate's is dropped.  The first violating pair
+    is x, the least first prefix of a mixed group, and y, its least stray."""
+    n, sigma, size = table.n, table.sigma, len(table)
+    weights: Dict[Tuple[int, int], int] = defaultdict(int)
+    checks: Dict[FrozenSet[int], FrozenSet[int]] = {}
+    found = []  # a violating pair (x, y) per check that has one
+    for a, sp, windows in cond.cands:
+        weights[(a, sp)] += sum(w[3] for w in windows)
+        keys: List[FrozenSet[int]] = []
+        for lo, hi, t, _, _ in windows:
+            if t > hi - lo and sigma > 1:
+                found.append((0, table.strides[sp]))
+            elif t > 0:
+                keys += map(frozenset, combinations(range(lo, hi), hi - lo - t + 1))
+        keys = sorted(set(keys), key=len)
+        for u, key in enumerate(keys):
+            if not any(k <= key for k in keys[:u]):
+                key = key.union(range(n + a, n + sp))
+                checks[key] = checks.get(key, frozenset()) | {n + sp}
+    groups = Groups(table, (s for key, r in checks.items() for s in (r, key)))
+    for key, r in checks.items():
+        inputs, ref, q = groups.ids(r), groups.first(key), max(c for c in key if c < n)
+        strays = _strays(groups, inputs, ref, q)
+        if strays:
+            x = min(map(ref.__getitem__, strays))
+            y = next(t for t in strays if ref[t] == x)
+            found.append((x * table.strides[q], y * table.strides[q]))
+
+    def rows(i: int) -> int:  # the charges of the pairs (x, y) with x < i
+        # y > x of (a, sp) first differs from x at an f < a or at sp; above[f]
+        # sums sigma - 1 - x[f] over x < i, prior[a] above[f]*sigma^(a-1-f), f < a
+        above, prior = [], [0]
+        for unit in table.strides:
+            cycles, left = divmod(i, unit * sigma)
+            full, part = divmod(left, unit)
+            digits = unit * (cycles * sigma * (sigma - 1) + full * (full - 1)) // 2 + part * full
+            above.append(i * (sigma - 1) - digits)
+            prior.append(prior[-1] * sigma + above[-1])
+        return cond.pair_cost * (i * (size - 1) - i * (i - 1) // 2) + sum(
+            wt * ((sigma - 1) * prior[a] + above[sp]) * table.strides[sp]
+            for (a, sp), wt in weights.items())
+
+    def matches(x: Sequence[int], b: Sequence[int], a: int, sp: int) -> int:
+        """The messages y < b with x's inputs on [a, sp) and another at sp."""
+        rest, count = (sigma - 1) * sigma ** (n - 1 - sp + a), 0  # y's choices from p on
+        for p, d in enumerate(b):  # y agrees with b before p, y[p] < d
+            ok = [e == x[p] if a <= p < sp else e != x[p] if p == sp else True
+                  for e in range(sigma)]
+            rest //= sum(ok)
+            count += rest * sum(ok[:d])
+            if not ok[d]:
+                break
+        return count
+
+    def before(i: int, j: int) -> int:  # the charges of the pairs before (i, j)
+        x, z = table.message(i), table.message(j)
+        return rows(i) + cond.pair_cost * (j - i - 1) + sum(
+            wt * (matches(x, z, a, sp) - matches(x, x, a, sp)) for (a, sp), wt in weights.items())
+
+    total, room = rows(size), budget.cap - budget.used
+    if total > room:  # the first pair whose charges pass the cap
+        i = bisect_right(range(1, size), room, key=rows)
+        j = i + 1 + bisect_right(range(i + 2, size), room, key=lambda k: before(i, k))
+        found.append((i, j))
+    if not found:
+        budget.spend(total)
+        return None
+    stop = min(found)
+    budget.spend(before(*stop))
+    witness = _pair(budget, cond, *table[stop[0]], *table[stop[1]])
+    if witness is None:
+        raise RuntimeError(f"check flagged pair {stop} but it passes")
+    return witness
+
+
+def _strays(groups: Groups, inputs: Grouped, ref: Sequence[int], q: int) -> List[int]:
+    """The prefixes t of length q+1 whose grouped inputs differ from those of
+    ref[t], the first prefix of t's group (Groups.first at granularity q), in
+    order.  Ids compare by value: a range of input ids differs from any list."""
+    if isinstance(ref, range):
+        return []
+    ids = groups.at(inputs, q)
+    got = list(map(ids.__getitem__, ref))
+    if not isinstance(ids, range) and got == ids:
+        return []
+    return list(compress(range(len(got)), map(operator.ne, got, ids)))
 
 
 def check_online_property(code: TreeCode, cap: int = DEFAULT_EVAL_CAP) -> Verdict:
@@ -511,20 +611,13 @@ def check_neighborhood_decoding(
             # prefixes as long as lf agree on rg and differ on lf
             pair = (0, table.strides[max(tb.lf) - 1])
         else:  # lf ends with or before rg (or sigma_in = 1): compare at rg's granularity
-            lf = groups.ids(cols[0])
-            ref = groups.first(cols[1])
-            if not isinstance(ref, range):  # a range: each rg group is one prefix, a pass
-                lf_ids = groups.at(lf, q)
-                got = list(map(lf_ids.__getitem__, ref))
-                # a range lf_ids (each prefix its own lf group) fails with any other ref
-                if isinstance(lf_ids, range) or got != lf_ids:
-                    # the first message of the first length-(q+1) prefix whose
-                    # lf inputs differ from those of the first prefix of its
-                    # rg group
-                    t = list(map(operator.ne, got, lf_ids)).index(True)
-                    pair = (ref[t] * table.strides[q], t * table.strides[q])
-                del lf_ids, got  # freed before the next block's passes
-            del lf
+            lf, ref = groups.ids(cols[0]), groups.first(cols[1])
+            strays = _strays(groups, lf, ref, q)
+            if strays:
+                # the first message of the first length-(q+1) prefix whose lf
+                # inputs differ from those of the first prefix of its rg group
+                pair = (ref[strays[0]] * table.strides[q], strays[0] * table.strides[q])
+            del lf, strays  # freed before the next block's passes
         block_witness = None if pair is None else dict(
             level=level, block=bi, lf=list(tb.lf), rg=list(tb.rg),
             x=list(table.message(pair[0])), y=list(table.message(pair[1])))
@@ -576,7 +669,7 @@ def check_eks_condition(
         cands.append((sp - 1, sp - 1, [(s, s + (1 << ell), need[ell][0], 1, {
             "s_prime": sp, "ell": ell, "window": [s + 1, s + (1 << ell)],
             "required": need[ell][1]}) for ell, s in scales]))
-    witness, _ = _sweep(table, budget, _Condition(cands, n))
+    witness = _dependences(table, budget, _Condition(cands, n))
     return Verdict(witness is None, witness, {}, budget.used)
 
 
@@ -659,7 +752,7 @@ def check_chs_condition(
                 "level_i": i, "block": b, "s": sp + 1, "d": d, "interval": [sp + 1, sp + 1 + d],
                 "required": frac_str(Fraction(d, 3))}) for d in ds])
                 for sp in range(b * blen, (b + 1) * blen)]
-    witness, _ = _sweep(table, budget, _Condition(cands, n))
+    witness = _dependences(table, budget, _Condition(cands, n))
     details: dict = {"derivation_scale_ok": derivation_scale_ok}
     if witness is None:
         p, led = chs_tagged_structure(m, l1, growth_shift)

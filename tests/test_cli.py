@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import re
+import shutil
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -1150,6 +1151,22 @@ def test_a_call_builds_two_parsers_and_only_its_subcommands_flags(
     assert seen == [mine, mine, {"parsers": 7, "arguments": 40}]
     if name == "verify":
         assert mine["arguments"] == 18
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", *_CODE, "--property", "distance"], ["verify", "-h"], ["-h"],
+    ["verify", *_CODE], ["frob"], ["search", "--n", "x", "--sigma", "2"],
+])
+def test_a_call_reads_the_terminal_size_once(tmp_path, monkeypatch, argv):
+    # each HelpFormatter used to read it for itself: 18 times per verify call
+    _files(tmp_path)
+    argv = [a.replace("{dir}", str(tmp_path)) for a in argv]
+    calls, size = [], shutil.get_terminal_size
+    monkeypatch.setattr(shutil, "get_terminal_size", lambda *a: calls.append(a) or size(*a))
+    for _ in range(2):
+        calls.clear()
+        _run_main(argv)
+        assert len(calls) == 1
 
 
 # The fuzz test's values: each int flag's boundary values (0, +-1, each

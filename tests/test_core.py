@@ -30,6 +30,14 @@ def test_rate_and_alphabet_size_refusal():
         TreeCode(0, 0, 2, max)
 
 
+def test_a_one_symbol_output_alphabet_has_no_rate():
+    # a code with it is valid, but lg 1 = 0: the rate is refused, not divided by
+    code = identity_code(3, 1)
+    assert code.sigma_out == 1
+    with pytest.raises(ValueError, match="one-symbol output alphabet has no rate"):
+        code.rate
+
+
 def test_trivial_code_packs_full_prefix():
     code = trivial_code(3)
     # prefix in the high bits, zero padding: 1.. , 10., 101

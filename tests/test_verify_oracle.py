@@ -559,6 +559,20 @@ class _Boundaries(verify._Budget):
         self.seen.append(self.used)
 
 
+class _PairStarts(verify._Budget):
+    """A budget that records what has been spent before each charge of
+    per_pair, the charge that opens a pair in the dyadic and quarter-split
+    references."""
+
+    seen: List[int] = []
+    per_pair = 0
+
+    def spend(self, k: int) -> None:
+        if k == self.per_pair:
+            self.seen.append(self.used)
+        super().spend(k)
+
+
 @pytest.mark.parametrize(
     "code,prop,delta,arg,block_bits",
     [
@@ -576,16 +590,31 @@ class _Boundaries(verify._Budget):
 def test_caps_at_every_block_boundary(monkeypatch, code, prop, delta, arg, block_bits):
     """Each charge a passing block makes ends at a block boundary: the caps
     one below, at and one above every boundary give the reference's
-    outcome."""
+    outcome.  The dyadic and quarter-split checks make no blocks: they
+    charge a stop by arithmetic from its pair, so for them the caps sit at
+    a sample of the reference's pair boundaries: first pairs of rows, the
+    last two pairs and pairs spread evenly between."""
     if block_bits is not None:
         monkeypatch.setattr(verify, "_BLOCK_BITS", block_bits)
-    monkeypatch.setattr(_Boundaries, "seen", [])
-    monkeypatch.setattr(verify, "_Budget", _Boundaries)
-    engine, _ = _pairs(prop, code, delta, arg)
-    _outcome(engine, verify.DEFAULT_EVAL_CAP)
-    boundaries = sorted(set(_Boundaries.seen))
+    engine, reference = _pairs(prop, code, delta, arg)
+    if prop in ("eks", "chs"):
+        with monkeypatch.context() as m:
+            m.setattr(_PairStarts, "seen", [])
+            m.setattr(_PairStarts, "per_pair", code.n)
+            m.setitem(globals(), "_Budget", _PairStarts)  # the references' budget
+            _outcome(reference, verify.DEFAULT_EVAL_CAP)
+            starts, rows = _PairStarts.seen, len(code.table)
+        firsts = [i * (rows - 1) - i * (i - 1) // 2 for i in range(rows - 1)]  # of pair (i, i + 1)
+        picks = firsts[:: len(firsts) // 6 + 1] + [len(starts) - 1, len(starts) - 2]
+        picks += range(0, len(starts), len(starts) // 6 + 1)
+        boundaries = sorted({starts[k] for k in picks if k < len(starts)})
+    else:
+        with monkeypatch.context() as m:
+            m.setattr(_Boundaries, "seen", [])
+            m.setattr(verify, "_Budget", _Boundaries)
+            _outcome(engine, verify.DEFAULT_EVAL_CAP)
+            boundaries = sorted(set(_Boundaries.seen))
     assert len(boundaries) > 5
-    monkeypatch.setattr(verify, "_Budget", _Budget)
     assert_same(prop, code, delta, arg, caps={b + e for b in boundaries for e in (-1, 0, 1)})
 
 
@@ -613,10 +642,82 @@ def test_exact_distance_matches_scalar_sweep_across_blocks():
 
 
 def test_dyadic_sweep_adds_once_per_block(monkeypatch):
-    """The scrambled n = 8 dyadic sweep grows its bit-sliced counters with
-    107 adds, one set per block of rows (2,702 when the rows went one by
-    one)."""
+    """The scrambled n = 8 immediacy-function sweep grows its bit-sliced
+    counters with 244 adds, one set per block of rows (5,652 when the rows
+    went one by one).  The dyadic check, which once made 107 such adds on
+    this code, no longer sweeps pairs: it makes none."""
     calls = []
     monkeypatch.setattr(verify, "add", lambda slices, e: calls.append(1) or add(slices, e))
-    assert verify.check_eks_condition(scrambled_prefix_code(8, 11), Fraction(1, 2), 3).passed
-    assert len(calls) == 107
+    code = scrambled_prefix_code(8, 11)
+    assert verify.check_immediacy_function(code, IMM["exp"], Fraction(1, 2)).passed
+    assert len(calls) == 244
+    assert verify.check_eks_condition(code, Fraction(1, 2), 3).passed
+    assert len(calls) == 244
+
+
+def test_only_distance_imm_and_ghk_sweep_pairs(monkeypatch):
+    """The dyadic and quarter-split checks run on grouping passes; the
+    other three pair conditions keep the pair sweep."""
+    swept = []
+    sweep = verify._sweep
+    monkeypatch.setattr(verify, "_sweep", lambda *a, **k: swept.append(1) or sweep(*a, **k))
+    code = scrambled_prefix_code(4, 3)
+    for prop, delta, arg in (("eks", Fraction(1, 2), 2), ("chs", None, (1, 2, 0)),
+                             ("distance", Fraction(1, 2), None), ("imm", Fraction(1, 2), "exp"),
+                             ("ghk", Fraction(1, 2), 1)):
+        swept.clear()
+        _outcome(_pairs(prop, code, delta, arg)[0], verify.DEFAULT_EVAL_CAP)
+        assert bool(swept) == (prop not in ("eks", "chs")), prop
+
+
+@st.composite
+def runner_cases(draw):
+    """A dyadic or quarter-split case on a random table, sigma_in 2 or 3."""
+    prop = draw(st.sampled_from(["eks", "chs"]))
+    sigma = draw(st.sampled_from([2, 3]))
+    lengths = {("eks", 2): [1, 2, 4], ("eks", 3): [1, 2], ("chs", 2): [2, 4], ("chs", 3): [2]}
+    n = draw(st.sampled_from(lengths[prop, sigma]))
+    sigma_out = draw(st.integers(2, 5))
+    size = sum(sigma**d for d in range(1, n + 1))
+    labels = draw(st.lists(st.integers(0, sigma_out - 1), min_size=size, max_size=size))
+    code = table_code(n, sigma, sigma_out, labels)
+    if prop == "eks":
+        # past 1, a window needs more differences than it has positions
+        return prop, code, draw(st.sampled_from(DELTAS + [Fraction(3, 2), Fraction(2)])), floor_lg(n)
+    return prop, code, None, draw(st.sampled_from(
+        [(1, 2, 0), (1, 4, 2), (2, 4, 2)] if n == 4 else [(1, 2, 1), (2, 2, 1)]))
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(case=runner_cases())
+def test_runner_matches_scalar_sweep_at_caps_spread_over_its_cost(case):
+    """Verdict, witness, evaluations and CapExceeded.used equal the
+    reference's at nine caps spread evenly from M*n to the full cost."""
+    prop, code, delta, arg = case
+    assert_same(prop, code, delta, arg, cap_points=range(0, 1001, 125))
+
+
+@pytest.mark.parametrize("q", [1, 4])
+def test_runner_finds_a_disagreement_at_each_end_of_a_windows_range(q):
+    """Messages 0 and y = 2^(8-q) of n = 8 differ only at input q, the
+    first or the last input of the range (0, 4] of the dyadic window (4, 8];
+    their length-6, 7 and 8 prefixes share labels, so their codewords differ
+    in 1 < 2 positions of that window, and in none of the smaller windows.
+    A check whose inputs lacked input q would miss them."""
+    labels = [(5 * t + 3) % 2**d for d in range(1, 9) for t in range(2**d)]
+    for d in (6, 7, 8):  # the prefix of message y at depth d is 2^(d - q)
+        offset = 2**d - 2
+        labels[offset + 2 ** (d - q)] = labels[offset]
+    code = table_code(8, 2, 256, labels)
+    full = json.loads(assert_same("eks", code, Fraction(1, 2), 3))
+    assert full["witness"]["ell"] == 2 and full["witness"]["y"] == _message(2 ** (8 - q), 8, 2)
+
+
+@pytest.mark.parametrize("delta", [Fraction(3, 2), Fraction(2)])
+@pytest.mark.parametrize("code", [scrambled_prefix_code(4, 1), collision_code(2, 3, 0, 1)],
+                         ids=["scrambled4", "ternary2"])
+def test_runner_matches_scalar_sweep_where_windows_need_more_than_they_hold(code, delta):
+    """Past delta = 1 every window needs more differences than it has
+    positions: every pair of a candidate violates, with no key to group."""
+    full = assert_same("eks", code, delta, floor_lg(code.n), cap_points=range(0, 1001, 125))
+    assert '"passed":false' in full

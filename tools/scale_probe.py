@@ -1,8 +1,11 @@
 """Time one check on trivial_code(n) and report this process's peak RSS.
 
 Runs one check once, cap 2^40: check_neighborhood_decoding or
-ledger_replay on trivial_code(n) over the binary-merge partition, or
-check_tree_distance(trivial_code(n), 1), a pair sweep at every depth 1..n.
+ledger_replay on trivial_code(n) over the binary-merge partition,
+check_tree_distance(trivial_code(n), 1), a pair sweep at every depth 1..n,
+check_eks_condition(trivial_code(n), 1/2, lg n) (n a power of two), or
+check_chs_condition(trivial_code(n), 1, 4, shift) with 16 / 2^shift = n
+(n = 4, 8 or 16).
 The binary-merge partition holds the singletons at level 0, and each level
 pairs adjacent blocks of the level below, the left one as lf and the right
 one as rg; when the count is odd, the last pair becomes the lf of a block
@@ -12,6 +15,7 @@ partition included):
 
     PYTHONPATH=src python tools/scale_probe.py --check neighborhood --n 18
     PYTHONPATH=src python tools/scale_probe.py --check distance --n 12
+    PYTHONPATH=src python tools/scale_probe.py --check eks --n 16
 
 It prints one JSON line: seconds (the call, table build included),
 peak_rss_mb (ru_maxrss), passed and evaluations.  Standard library only;
@@ -30,7 +34,12 @@ from fractions import Fraction
 from treecodes.core import trivial_code
 from treecodes.entropy import ledger_replay
 from treecodes.partitions import LaminarPartition, TaggedBlock
-from treecodes.verify import check_neighborhood_decoding, check_tree_distance
+from treecodes.verify import (
+    check_chs_condition,
+    check_eks_condition,
+    check_neighborhood_decoding,
+    check_tree_distance,
+)
 
 CAP = 1 << 40
 
@@ -52,7 +61,7 @@ def binary_merge_partition(n: int) -> LaminarPartition:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--check", choices=("neighborhood", "replay", "distance"), required=True)
+    ap.add_argument("--check", choices=("neighborhood", "replay", "distance", "eks", "chs"), required=True)
     ap.add_argument("--n", type=int, required=True)
     args = ap.parse_args(argv)
     code, partition = trivial_code(args.n), binary_merge_partition(args.n)
@@ -61,6 +70,10 @@ def main(argv=None) -> int:
         verdict = check_neighborhood_decoding(code, partition, cap=CAP)
     elif args.check == "distance":
         verdict = check_tree_distance(code, 1, cap=CAP)
+    elif args.check == "eks":
+        verdict = check_eks_condition(code, Fraction(1, 2), args.n.bit_length() - 1, cap=CAP)
+    elif args.check == "chs":
+        verdict = check_chs_condition(code, 1, 4, (16 // args.n).bit_length() - 1, cap=CAP)
     else:
         verdict = ledger_replay(code, partition, cap=CAP)[1]
     seconds = time.perf_counter() - start
