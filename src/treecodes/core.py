@@ -79,8 +79,7 @@ class TreeCode:
 
     @property
     def rate(self) -> Fraction | float:
-        """1 / lg|sigma_out|; exact when the output size is a power of two.
-        A one-symbol output alphabet carries nothing, and has no rate."""
+        """1 / lg|sigma_out|, exact for a power of two; a one-symbol alphabet has none."""
         size = self.sigma_out
         if size == 1:
             raise ValueError("a one-symbol output alphabet has no rate: lg 1 = 0")

@@ -383,8 +383,9 @@ def _dependences(table: PrefixTable, budget: _Budget, cond: _Condition) -> Optio
         weights[(a, sp)] += sum(w[3] for w in windows)
         keys: List[FrozenSet[int]] = []
         for lo, hi, t, _, _ in windows:
-            if t > hi - lo and sigma > 1:
-                found.append((0, table.strides[sp]))
+            if t > hi - lo:  # no key: with sigma_in = 1 there is no pair
+                if sigma > 1:
+                    found.append((0, table.strides[sp]))
             elif t > 0:
                 keys += map(frozenset, combinations(range(lo, hi), hi - lo - t + 1))
         keys = sorted(set(keys), key=len)

@@ -624,6 +624,8 @@ def test_caps_at_every_block_boundary(monkeypatch, code, prop, delta, arg, block
         (3, "distance", Fraction(1, 2), None),
         (3, "imm", Fraction(1, 2), "exp"),
         (4, "eks", Fraction(1, 2), 2),
+        (4, "eks", Fraction(2), 2),
+        (4, "eks", Fraction(3, 2), 2),
         (4, "ghk", Fraction(1, 2), 1),
         (8, "chs", None, (1, 4, 1)),
     ],
@@ -641,7 +643,7 @@ def test_exact_distance_matches_scalar_sweep_across_blocks():
     assert verify.exact_distance(code) == ref_exact_distance(code) == Fraction(1, 2)
 
 
-def test_dyadic_sweep_adds_once_per_block(monkeypatch):
+def test_imm_sweep_adds_once_per_block_and_dyadic_check_adds_none(monkeypatch):
     """The scrambled n = 8 immediacy-function sweep grows its bit-sliced
     counters with 244 adds, one set per block of rows (5,652 when the rows
     went one by one).  The dyadic check, which once made 107 such adds on
