@@ -16,12 +16,11 @@ each prefix with the first prefix of its rg group (grouping.Groups).
 
 The five pair conditions (distance, immediacy function, dyadic, aligned,
 quarter-split) are data, a _Condition each.  The dyadic and quarter-split
-ones are functional dependences, decided by grouping passes (_dependences,
-which stops where _sweep would); the others keep the pair sweep, _sweep, as
-their key counts explode (C(16, 9) = 11,440 for the aligned window spanning
-n = 16 at delta = 1/2).  _sweep runs on a PrefixTable: the message table, or
-for tree distance at depth d < n the depth-d prefix table table.prefix(d),
-whose rows are the depth-d vertices.
+ones are functional dependences, decided by grouping passes (_dependences);
+tree distance at each depth d, on table.prefix(d), by pruned pair extension
+(check_tree_distance); both charge what _sweep would (_charges).  The others
+keep the pair sweep, _sweep, as their key counts explode (C(16, 9) = 11,440
+for the aligned window spanning n = 16 at delta = 1/2), as exact_distance does.
 _sweep takes the table's M rows in blocks of R consecutive rows, R a power
 of sigma_in that grows 1, 1, sigma, ... with the block's first row, capped
 where R * M reaches 2^16 bits (_BLOCK_BITS; once sigma_in * M > 2^16 a
@@ -51,8 +50,8 @@ from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, compress
-from typing import Callable, Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
+from itertools import accumulate, combinations, compress
+from typing import Callable, Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .bitslice import add, below, minimum
 from .core import PrefixTable, TreeCode
@@ -366,6 +365,64 @@ def _sweep(table: PrefixTable, budget: _Budget, cond: _Condition, want_min: bool
     return None, best
 
 
+def _charges(table: PrefixTable, cond: _Condition, budget: _Budget):
+    """(stop, settle), charging what _sweep of cond would by arithmetic on the
+    digits of a pair: stop is [the first pair whose charges pass the cap] or
+    [], and settle(found) charges every pair, or with found or stop those
+    before the least of them, which _pair then evaluates."""
+    n, sigma, size = table.n, table.sigma, len(table)
+    weights: Dict[Tuple[int, int], int] = defaultdict(int)
+    for a, sp, windows in cond.cands:
+        weights[(a, sp)] += sum(w[3] for w in windows)
+
+    def rows(i: int) -> int:  # the charges of the pairs (x, y) with x < i
+        # y > x of (a, sp) first differs from x at an f < a or at sp; above[f]
+        # sums sigma - 1 - x[f] over x < i, prior[a] above[f]*sigma^(a-1-f), f < a
+        above, prior = [], [0]
+        for unit in table.strides:
+            cycles, left = divmod(i, unit * sigma)
+            full, part = divmod(left, unit)
+            digits = unit * (cycles * sigma * (sigma - 1) + full * (full - 1)) // 2 + part * full
+            above.append(i * (sigma - 1) - digits)
+            prior.append(prior[-1] * sigma + above[-1])
+        return cond.pair_cost * (i * (size - 1) - i * (i - 1) // 2) + sum(
+            wt * ((sigma - 1) * prior[a] + above[sp]) * table.strides[sp]
+            for (a, sp), wt in weights.items())
+
+    def matches(x: Sequence[int], b: Sequence[int], a: int, sp: int) -> int:
+        """The messages y < b with x's inputs on [a, sp) and another at sp."""
+        rest, count = (sigma - 1) * sigma ** (n - 1 - sp + a), 0  # y's choices from p on
+        for p, d in enumerate(b):  # y agrees with b before p, y[p] < d
+            low = x[p] < d  # y[p] is x[p] on [a, sp), differs at sp, else is free
+            rest //= 1 if a <= p < sp else sigma - 1 if p == sp else sigma
+            count += rest * (low if a <= p < sp else d - low if p == sp else d)
+            if (d != x[p]) if a <= p < sp else (d == x[p]) if p == sp else False:
+                break
+        return count
+
+    def before(i: int, j: int) -> int:  # the charges of the pairs before (i, j)
+        x, z = table.message(i), table.message(j)
+        return rows(i) + cond.pair_cost * (j - i - 1) + sum(
+            wt * (matches(x, z, a, sp) - matches(x, x, a, sp)) for (a, sp), wt in weights.items())
+
+    total, room, stop = rows(size), budget.cap - budget.used, []
+    if total > room:
+        i = bisect_right(range(1, size), room, key=rows)
+        stop = [(i, i + 1 + bisect_right(range(i + 2, size), room, key=lambda k: before(i, k)))]
+
+    def settle(found: List[Tuple[int, int]]) -> Optional[dict]:
+        if not found + stop:
+            budget.spend(total)
+            return None
+        x, y = min(found + stop)
+        budget.spend(before(x, y))
+        witness = _pair(budget, cond, *table[x], *table[y])
+        if witness is None:
+            raise RuntimeError(f"check flagged pair {(x, y)} but it passes")
+        return witness
+    return stop, settle
+
+
 def _dependences(table: PrefixTable, budget: _Budget, cond: _Condition) -> Optional[dict]:
     """_sweep's outcome and charges for cond, from grouping checks (its
     windows start at or after their sp).  A pair of candidate (a, sp)
@@ -375,12 +432,10 @@ def _dependences(table: PrefixTable, budget: _Budget, cond: _Condition) -> Optio
     is a check that it determines the inputs on R (_strays), and a key
     holding another of its candidate's is dropped.  The first violating pair
     is x, the least first prefix of a mixed group, and y, its least stray."""
-    n, sigma, size = table.n, table.sigma, len(table)
-    weights: Dict[Tuple[int, int], int] = defaultdict(int)
+    n, sigma = table.n, table.sigma
     checks: Dict[FrozenSet[int], FrozenSet[int]] = {}
     found = []  # a violating pair (x, y) per check that has one
     for a, sp, windows in cond.cands:
-        weights[(a, sp)] += sum(w[3] for w in windows)
         keys: List[FrozenSet[int]] = []
         for lo, hi, t, _, _ in windows:
             if t > hi - lo:  # no key: with sigma_in = 1 there is no pair
@@ -401,52 +456,7 @@ def _dependences(table: PrefixTable, budget: _Budget, cond: _Condition) -> Optio
             x = min(map(ref.__getitem__, strays))
             y = next(t for t in strays if ref[t] == x)
             found.append((x * table.strides[q], y * table.strides[q]))
-
-    def rows(i: int) -> int:  # the charges of the pairs (x, y) with x < i
-        # y > x of (a, sp) first differs from x at an f < a or at sp; above[f]
-        # sums sigma - 1 - x[f] over x < i, prior[a] above[f]*sigma^(a-1-f), f < a
-        above, prior = [], [0]
-        for unit in table.strides:
-            cycles, left = divmod(i, unit * sigma)
-            full, part = divmod(left, unit)
-            digits = unit * (cycles * sigma * (sigma - 1) + full * (full - 1)) // 2 + part * full
-            above.append(i * (sigma - 1) - digits)
-            prior.append(prior[-1] * sigma + above[-1])
-        return cond.pair_cost * (i * (size - 1) - i * (i - 1) // 2) + sum(
-            wt * ((sigma - 1) * prior[a] + above[sp]) * table.strides[sp]
-            for (a, sp), wt in weights.items())
-
-    def matches(x: Sequence[int], b: Sequence[int], a: int, sp: int) -> int:
-        """The messages y < b with x's inputs on [a, sp) and another at sp."""
-        rest, count = (sigma - 1) * sigma ** (n - 1 - sp + a), 0  # y's choices from p on
-        for p, d in enumerate(b):  # y agrees with b before p, y[p] < d
-            ok = [e == x[p] if a <= p < sp else e != x[p] if p == sp else True
-                  for e in range(sigma)]
-            rest //= sum(ok)
-            count += rest * sum(ok[:d])
-            if not ok[d]:
-                break
-        return count
-
-    def before(i: int, j: int) -> int:  # the charges of the pairs before (i, j)
-        x, z = table.message(i), table.message(j)
-        return rows(i) + cond.pair_cost * (j - i - 1) + sum(
-            wt * (matches(x, z, a, sp) - matches(x, x, a, sp)) for (a, sp), wt in weights.items())
-
-    total, room = rows(size), budget.cap - budget.used
-    if total > room:  # the first pair whose charges pass the cap
-        i = bisect_right(range(1, size), room, key=rows)
-        j = i + 1 + bisect_right(range(i + 2, size), room, key=lambda k: before(i, k))
-        found.append((i, j))
-    if not found:
-        budget.spend(total)
-        return None
-    stop = min(found)
-    budget.spend(before(*stop))
-    witness = _pair(budget, cond, *table[stop[0]], *table[stop[1]])
-    if witness is None:
-        raise RuntimeError(f"check flagged pair {stop} but it passes")
-    return witness
+    return _charges(table, cond, budget)[1](found)
 
 
 def _strays(groups: Groups, inputs: Grouped, ref: Sequence[int], q: int) -> List[int]:
@@ -483,34 +493,84 @@ def check_online_property(code: TreeCode, cap: int = DEFAULT_EVAL_CAP) -> Verdic
 def _distance(d: int, delta: Fraction) -> _Condition:
     """Divergent distance >= delta between the vertices of depth d, the rows
     of table.prefix(d): the window [s, d) after a first difference at s."""
-    required = frac_str(delta)
-    return _Condition([(0, s, [(s, d, math.ceil(delta * (d - s)), d - s,
+    required, (num, den) = frac_str(delta), delta.as_integer_ratio()
+    return _Condition([(0, s, [(s, d, -(-num * (d - s) // den), d - s,
                                 {"depth": d, "s": s + 1, "required": required})])
                        for s in range(d)], 0, ratio=True)
+
+
+def _grow(rows: Iterator, col: Sequence[int], sigma: int, d: int, keep: List[int],
+          dense: bool) -> Iterator[Tuple[int, list]]:
+    """Depth d's rows from depth d - 1's, lazily: each prefix x of length d,
+    in order, with its kept partners [(y, s, c)] in order of y (every x if
+    dense, else those with any).  col is column d - 1, keep[s] the most
+    differences c a kept pair with first difference s has."""
+    for u, kept in rows:
+        end = u * sigma + sigma
+        for x in range(end - sigma, end):
+            sx = col[x]
+            kids = [(y, d - 1, e) for y in range(x + 1, end) if (e := sx != col[y]) <= keep[-1]]
+            for v, s, c in kept:
+                for y in range(v * sigma, v * sigma + sigma):
+                    if (e := c + (sx != col[y])) <= keep[s]:
+                        kids.append((y, s, e))
+            if kids or dense:
+                yield x, kids
 
 
 def check_tree_distance(code: TreeCode, delta, cap: int = DEFAULT_EVAL_CAP) -> Verdict:
     """Distance certification against the definition: every pair of same-depth
     vertices (prefix pairs, all depths 1..n) has divergent distance >= delta.
+    The witness is a pair-by-pair sweep's, which stops at the first depth
+    with a violating pair; the full-message formulation (depth n) is
+    decided too, and reported in details.
 
-    The full-message formulation (depth n only) is evaluated as well and
-    reported in details; the definition-level sweep decides the verdict.
-    """
+    Decided depth by depth by pruned pair extension (_grow): a depth-d pair
+    with c differences over its window w has c + inj(d, e) or more over
+    w + e - d at depth e, inj(d, e) the injective columns d .. e-1 (their
+    prefixes' symbols all differ), so it is kept only while c <= ceil(delta
+    * (w + e - d)) - 1 - inj(d, e) for an e in [d, n].  After a failure,
+    depth n is grown anew toward e = n alone, lazily in row order, up to
+    its first violating row.  Charges are _sweep's (_charges); a depth
+    keeps no row at or past the one where the cap runs out."""
     delta = as_fraction(delta)
     budget = _Budget(cap)
     table = _table(code, budget)
-    witness: Optional[dict] = None
-    index: dict = {}
-    for d in range(1, code.n):
-        witness, _ = _sweep(table.prefix(d), budget, _distance(d, delta), index=index)
+    n, sigma = code.n, code.sigma_in
+    inj = [0, *accumulate(len(set(col)) == len(col) for col in table.columns)]  # inj[e] - inj[d]
+    fire = [math.ceil(delta * w) - 1 for w in range(n + 1)]  # w positions violate at c <= fire[w]
+
+    def plan(only_n: bool) -> list:  # _grow's arguments after rows, depth d's at d - 1
+        keeps = [[max(fire[e - s] - inj[e] + inj[d] for e in range(n if only_n else d, n + 1))
+                  for s in range(d)] for d in range(1, n + 1)]
+        # whether sibling pairs can be kept, so that every row before is needed
+        fresh = [k[-1] >= inj[d + 1] - inj[d] for d, k in enumerate(keeps)]
+        return [(table.columns[d], sigma, d + 1, keep, any(fresh[d + 1:]))
+                for d, keep in enumerate(keeps)]
+
+    def settle(d: int, rows: Iterator, kept: Optional[list] = None) -> Optional[dict]:
+        stop, charge = _charges(table.prefix(d), _distance(d, delta), budget)
+        for x, kids in rows:
+            y = next((y for y, s, c in kids if c <= fire[d - s]), None)
+            if y is not None or stop and x >= stop[0][0]:
+                return charge([] if y is None else [(x, y)])
+            if kept is not None:
+                kept.append((x, kids))
+        return charge([])
+
+    rows, witness, steps = iter([(0, ())]), None, plan(False)
+    for d in range(1, n):
+        kept: list = []
+        witness = settle(d, _grow(rows, *steps[d - 1]), kept)
         if witness is not None:
+            rows, steps = iter([(0, ())]), plan(True)
+            for e in range(1, n):
+                rows = _grow(rows, *steps[e - 1])
             break
-    full_witness, full_min = _sweep(table, budget, _distance(code.n, delta), True, index)
-    full_pass = full_witness is None
-    details = {"full_messages_pass": full_pass,
-               "min_full_depth": frac_str(full_min) if full_pass else None}
-    return Verdict(passed=witness is None and full_pass, witness=witness or full_witness,
-                   details=details, evaluations=budget.used)
+        rows = iter(kept)
+    full_witness = settle(n, _grow(rows, *steps[n - 1]))
+    return Verdict(witness is None and full_witness is None, witness or full_witness,
+                   {"full_messages_pass": full_witness is None}, budget.used)
 
 
 def exact_distance(code: TreeCode, cap: int = DEFAULT_EVAL_CAP) -> Fraction:
@@ -730,7 +790,7 @@ def check_chs_condition(
 
     On pass, the derived per-block decodability is re-checked by running
     neighborhood decoding against the same quarter-split structure with its
-    rightmost-block ledger; the agreement outcome is reported in details.
+    rightmost-block ledger; details["nd_passed"] is its outcome, the agreement.
     The derivation's arithmetic needs ell_i >= 16 at every level (the scales
     this condition is meant for are far larger); derivation_scale_ok records
     whether that holds, since at smaller scales the condition can pass while
@@ -758,8 +818,7 @@ def check_chs_condition(
     if witness is None:
         p, led = chs_tagged_structure(m, l1, growth_shift)
         nd = check_neighborhood_decoding(code, p, led, cap=cap)
-        # the condition passed, so agreement means nd passes too
-        details.update(nd_passed=nd.passed, nd_agrees=nd.passed)
+        details["nd_passed"] = nd.passed
         if not nd.passed:
             details["nd_witness"] = nd.witness
     return Verdict(witness is None, witness, details, budget.used)

@@ -643,6 +643,21 @@ def test_selftest_only_an_unknown_criterion_exits_1_having_run_nothing(capsys, o
     assert captured.err == f"usage: selftest --only names no criterion {unknown} (see --list)\n"
 
 
+def test_importing_the_cli_leaves_the_acceptance_criteria_unimported():
+    # only selftest reads them, so no other command pays for compiling them;
+    # a fresh interpreter, since this one has imported them already
+    import os
+    import subprocess
+    import sys
+
+    src = str(Path(cli.__file__).resolve().parents[1])
+    probe = "import sys, treecodes.cli; print(sorted(m for m in sys.modules if 'treecodes' in m))"
+    out = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True).stdout
+    assert "'treecodes.cli'" in out and "'treecodes.verify'" in out
+    assert "'treecodes.acceptance'" not in out
+
+
 def test_selftest_only_with_no_ids_exits_1_having_run_nothing(capsys):
     rc = cli.main(["selftest", "--only"])
     captured = capsys.readouterr()

@@ -412,7 +412,7 @@ def test_ghk_vacuous_when_windows_do_not_fit():
 def test_chs_full_prefix_passes_with_agreement():
     v = check_chs_condition(trivial_code(8), 1, 4, 1)
     assert v.passed
-    assert v.details["nd_agrees"]
+    assert v.details["nd_passed"]
     assert not v.details["derivation_scale_ok"]  # ell_2 = 8 < 16
 
 
@@ -434,7 +434,7 @@ def test_chs_rightmost_violation_exempt():
     p, ledger = chs_tagged_structure(1, 4, 1)
     bad = mask_block_code(scrambled_prefix_code(8, 4), p.tagged[0][-1])
     v = check_chs_condition(bad, 1, 4, 1)
-    assert v.passed and v.details["nd_agrees"]
+    assert v.passed and v.details["nd_passed"]
     nd_plain = check_neighborhood_decoding(bad, p)
     assert not nd_plain.passed  # fails only without the ledger
     assert check_neighborhood_decoding(bad, p, ledger).passed

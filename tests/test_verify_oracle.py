@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from treecodes import serialize, verify
 from treecodes.constructions import table_code
-from treecodes.core import TreeCode, all_codewords, identity_code
+from treecodes.core import TreeCode, all_codewords, identity_code, trivial_code
 from treecodes.dyadic import as_fraction, floor_lg, frac_str as _frac
 from treecodes.bitslice import add
 from treecodes.partitions import TaggedBlock, chs_scales, chs_tagged_structure, eks_partition
@@ -89,16 +89,13 @@ def ref_tree_distance(code: TreeCode, delta, cap: int = verify.DEFAULT_EVAL_CAP)
         if witness is not None:
             break
     full_row = [(m, c) for m, c in table]
-    full_witness, full_min = _depth_pairs_violation(full_row, n, delta, budget)
+    full_witness, _ = _depth_pairs_violation(full_row, n, delta, budget)
     if witness is None:
         witness = full_witness
     return Verdict(
         passed=witness is None,
         witness=witness,
-        details={
-            "full_messages_pass": full_witness is None,
-            "min_full_depth": _frac(full_min) if full_witness is None else None,
-        },
+        details={"full_messages_pass": full_witness is None},
         evaluations=budget.used,
     )
 
@@ -306,7 +303,6 @@ def ref_chs_condition(code, m: int, l1: int, growth_shift: int,
     p, led = chs_tagged_structure(m, l1, growth_shift)
     nd = verify.check_neighborhood_decoding(code, p, led, cap=cap)
     details["nd_passed"] = nd.passed
-    details["nd_agrees"] = nd.passed
     if not nd.passed:
         details["nd_witness"] = nd.witness
     return Verdict(passed=True, witness=None, details=details, evaluations=budget.used)
@@ -590,30 +586,35 @@ class _PairStarts(verify._Budget):
 def test_caps_at_every_block_boundary(monkeypatch, code, prop, delta, arg, block_bits):
     """Each charge a passing block makes ends at a block boundary: the caps
     one below, at and one above every boundary give the reference's
-    outcome.  The dyadic and quarter-split checks make no blocks: they
-    charge a stop by arithmetic from its pair, so for them the caps sit at
-    a sample of the reference's pair boundaries: first pairs of rows, the
-    last two pairs and pairs spread evenly between."""
+    outcome.  The tree distance, dyadic and quarter-split checks make no
+    blocks: they charge a stop by arithmetic from its pair, so for them the
+    caps sit at a sample of the reference's pair boundaries: first pairs of
+    rows, the last two pairs and pairs spread evenly between.  Tree
+    distance charges each passing depth whole, so its caps also sit at each
+    charge it makes, the ends of the depths."""
     if block_bits is not None:
         monkeypatch.setattr(verify, "_BLOCK_BITS", block_bits)
     engine, reference = _pairs(prop, code, delta, arg)
-    if prop in ("eks", "chs"):
+    boundaries = []
+    if prop in ("eks", "chs", "distance"):
+        # a distance pair is one charge, so the reference's pairs end where it spends
+        recorder = _Boundaries if prop == "distance" else _PairStarts
         with monkeypatch.context() as m:
-            m.setattr(_PairStarts, "seen", [])
+            m.setattr(recorder, "seen", [])
             m.setattr(_PairStarts, "per_pair", code.n)
-            m.setitem(globals(), "_Budget", _PairStarts)  # the references' budget
+            m.setitem(globals(), "_Budget", recorder)  # the references' budget
             _outcome(reference, verify.DEFAULT_EVAL_CAP)
-            starts, rows = _PairStarts.seen, len(code.table)
+            starts, rows = recorder.seen, len(code.table)
         firsts = [i * (rows - 1) - i * (i - 1) // 2 for i in range(rows - 1)]  # of pair (i, i + 1)
         picks = firsts[:: len(firsts) // 6 + 1] + [len(starts) - 1, len(starts) - 2]
         picks += range(0, len(starts), len(starts) // 6 + 1)
         boundaries = sorted({starts[k] for k in picks if k < len(starts)})
-    else:
+    if prop not in ("eks", "chs"):
         with monkeypatch.context() as m:
             m.setattr(_Boundaries, "seen", [])
             m.setattr(verify, "_Budget", _Boundaries)
             _outcome(engine, verify.DEFAULT_EVAL_CAP)
-            boundaries = sorted(set(_Boundaries.seen))
+            boundaries = sorted(set(boundaries + _Boundaries.seen))
     assert len(boundaries) > 5
     assert_same(prop, code, delta, arg, caps={b + e for b in boundaries for e in (-1, 0, 1)})
 
@@ -657,19 +658,23 @@ def test_imm_sweep_adds_once_per_block_and_dyadic_check_adds_none(monkeypatch):
     assert len(calls) == 244
 
 
-def test_only_distance_imm_and_ghk_sweep_pairs(monkeypatch):
-    """The dyadic and quarter-split checks run on grouping passes; the
-    other three pair conditions keep the pair sweep."""
+def test_only_imm_ghk_and_exact_distance_sweep_pairs(monkeypatch):
+    """The dyadic and quarter-split checks run on grouping passes and tree
+    distance on pruned pair extension; the immediacy function, the aligned
+    condition and exact_distance keep the pair sweep."""
     swept = []
     sweep = verify._sweep
     monkeypatch.setattr(verify, "_sweep", lambda *a, **k: swept.append(1) or sweep(*a, **k))
     code = scrambled_prefix_code(4, 3)
     for prop, delta, arg in (("eks", Fraction(1, 2), 2), ("chs", None, (1, 2, 0)),
-                             ("distance", Fraction(1, 2), None), ("imm", Fraction(1, 2), "exp"),
-                             ("ghk", Fraction(1, 2), 1)):
+                             ("distance", Fraction(1, 2), None), ("distance", Fraction(2), None),
+                             ("imm", Fraction(1, 2), "exp"), ("ghk", Fraction(1, 2), 1)):
         swept.clear()
         _outcome(_pairs(prop, code, delta, arg)[0], verify.DEFAULT_EVAL_CAP)
-        assert bool(swept) == (prop not in ("eks", "chs")), prop
+        assert bool(swept) == (prop in ("imm", "ghk")), (prop, delta)
+    swept.clear()
+    verify.exact_distance(code)
+    assert swept
 
 
 @st.composite
@@ -723,3 +728,111 @@ def test_runner_matches_scalar_sweep_where_windows_need_more_than_they_hold(code
     positions: every pair of a candidate violates, with no key to group."""
     full = assert_same("eks", code, delta, floor_lg(code.n), cap_points=range(0, 1001, 125))
     assert '"passed":false' in full
+
+
+# ---------------- tree distance by pruned pair extension ----------------
+
+DISTANCE_DELTAS = [Fraction(1, 4), Fraction(1, 2), Fraction(2, 3), Fraction(1), Fraction(11, 10)]
+
+
+@st.composite
+def distance_tables(draw):
+    """A random table code, sigma_in 2 or 3, with few output symbols, so
+    that columns collide, and some columns injective: a permutation of the
+    prefixes, since a few random symbols seldom tell deep prefixes apart."""
+    sigma = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(1, 6 if sigma == 2 else 4))
+    sigma_out = draw(st.integers(2, 6))
+    injective = draw(st.sets(st.integers(1, n)))
+    labels: List[int] = []
+    for d in range(1, n + 1):
+        size = sigma**d
+        labels += draw(st.permutations(range(size)) if d in injective else
+                       st.lists(st.integers(0, sigma_out - 1), min_size=size, max_size=size))
+    return table_code(n, sigma, max([sigma_out] + [sigma**d for d in injective]), labels)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(code=distance_tables(), delta=st.sampled_from(DISTANCE_DELTAS))
+def test_distance_matches_scalar_sweep_at_caps_spread_over_its_cost(code, delta):
+    """Witness, evaluations, full_messages_pass and CapExceeded.used equal
+    the reference's at nine caps spread evenly from M*n to the full cost."""
+    assert_same("distance", code, delta, cap_points=range(0, 1001, 125))
+
+
+def _repaired_at_depth_2():
+    """Depth 1 repeats its symbol, depth 2 tells all four messages apart:
+    the definition fails at depth 1, the full-message formulation passes."""
+    return TreeCode(2, 2, 8, lambda p: 0 if len(p) == 1 else 2 * p[0] + p[1] + 1,
+                    name="repaired-at-depth-2")
+
+
+DISTANCE_CODES = {
+    "trivial6": lambda: trivial_code(6),
+    "identity5": lambda: identity_code(5),
+    "identity4-ternary": lambda: identity_code(4, 3),
+    "scrambled7": lambda: scrambled_prefix_code(7, 5),
+    "masked8": lambda: mask_block_code(scrambled_prefix_code(8, 2), BLOCKS3[4]),
+    "ternary4": lambda: table_code(4, 3, 5, [(7 * i * i + 3 * i + 1) % 5 for i in range(120)]),
+    "one-symbol": lambda: identity_code(4, 1),
+    "repaired-at-depth-2": _repaired_at_depth_2,
+}
+
+
+@pytest.mark.parametrize("delta", DISTANCE_DELTAS)
+@pytest.mark.parametrize("name", sorted(DISTANCE_CODES))
+def test_distance_matches_scalar_sweep_on_named_codes(name, delta):
+    full = json.loads(assert_same("distance", DISTANCE_CODES[name](), delta,
+                                  cap_points=range(0, 1001, 100)))
+    if name == "repaired-at-depth-2":
+        assert full["witness"]["depth"] == 1
+        assert full["details"]["full_messages_pass"] == (delta <= Fraction(1, 2))
+
+
+def _grown(monkeypatch):
+    """The rows and pairs _grow yields, counted per depth."""
+    counts: Dict[int, Tuple[int, int]] = {}
+    grow = verify._grow
+
+    def counting(rows, col, sigma, d, *rest):
+        for x, kids in grow(rows, col, sigma, d, *rest):
+            got = counts.get(d, (0, 0))
+            counts[d] = (got[0] + 1, got[1] + len(kids))
+            yield x, kids
+
+    monkeypatch.setattr(verify, "_grow", counting)
+    return counts
+
+
+def test_distance_keeps_no_pair_where_injective_columns_forbid_one(monkeypatch):
+    """Every column of the trivial and scrambled codes is injective, so a
+    pair gains a difference at every depth: at delta <= 1 none can violate,
+    and none is kept.  Past 1 every pair violates: depth 1 fails on its
+    first pair, and depth n is then grown from the root only along row 0,
+    whose partners are every other prefix."""
+    counts = _grown(monkeypatch)
+    for code in (trivial_code(12), scrambled_prefix_code(9, 3)):
+        for delta in (Fraction(1, 2), Fraction(1)):
+            assert verify.check_tree_distance(code, delta, cap=1 << 40).passed
+    assert counts == {}
+    v = verify.check_tree_distance(trivial_code(12), Fraction(11, 10), cap=1 << 40)
+    assert (v.witness["x"], v.witness["y"]) == ([0], [1])
+    # depth 1 is grown twice: as the failing depth, then toward depth 12
+    assert counts == {1: (2, 2), **{d: (1, 2**d - 1) for d in range(2, 13)}}
+
+
+def test_distance_reads_depth_n_only_up_to_its_first_violating_row(monkeypatch):
+    """After a failure at a depth below n, depth n's rows are grown in
+    order from the root, up to the first row with a violating partner.  On the
+    identity code at delta = 2/3, depth 2 fails on ([0, 0], [1, 0]), and
+    at depth 8 message 0 violates with message 2 (one difference over the
+    window of positions 7 and 8): each depth from 3 on grows its row 0 alone."""
+    counts = _grown(monkeypatch)
+    code = identity_code(8)
+    engine = _pairs("distance", code, Fraction(2, 3), None)[0]
+    full = json.loads(assert_same("distance", code, Fraction(2, 3)))
+    assert (full["witness"]["x"], full["witness"]["y"]) == ([0, 0], [1, 0])
+    assert not full["details"]["full_messages_pass"]
+    counts.clear()
+    engine(verify.DEFAULT_EVAL_CAP)
+    assert [counts[d][0] for d in range(3, 9)] == [1] * 6

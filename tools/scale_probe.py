@@ -2,7 +2,8 @@
 
 Runs one check once, cap 2^40: check_neighborhood_decoding or
 ledger_replay on trivial_code(n) over the binary-merge partition,
-check_tree_distance(trivial_code(n), 1), a pair sweep at every depth 1..n,
+check_tree_distance(trivial_code(n), 1) (pruned pair extension: every
+column of the trivial code is injective, so at delta = 1 no pair is kept),
 check_eks_condition(trivial_code(n), 1/2, lg n) (n a power of two), or
 check_chs_condition(trivial_code(n), 1, 4, shift) with 16 / 2^shift = n
 (n = 4, 8 or 16).
