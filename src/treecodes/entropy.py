@@ -105,10 +105,6 @@ def entropy(dist: FiniteJoint, vars: Sequence[str]) -> float:
     return entropy_of_counts(q.numerator * (d // q.denominator) for q in probs)
 
 
-def conditional_entropy(dist: FiniteJoint, vars: Sequence[str], given: Sequence[str]) -> float:
-    return entropy(dist, tuple(vars) + tuple(given)) - entropy(dist, given)
-
-
 def mutual_information(
     dist: FiniteJoint,
     a_vars: Sequence[str],

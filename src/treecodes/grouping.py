@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import operator
 from collections import Counter
-from itertools import chain, repeat
-from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence
+from itertools import chain, compress, repeat
+from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .core import PrefixTable
 
@@ -90,6 +90,8 @@ class Groups:
         self._ints: List[int] = []  # 0, 1, ...: the shared ints ids refer to
         # each set planned so far, in pass order, with its part T (None for a column)
         self._parts: Dict[FrozenSet[int], Optional[FrozenSet[int]]] = {}
+        # each planned set's rank as a part: its last position, then its size
+        self._ranks: Dict[FrozenSet[int], Tuple[int, int]] = {}
         self._reads: Counter = Counter()  # reads of each set left in the plan
         self._kept: Dict[FrozenSet[int], Grouped] = {}
         for cols in requests:
@@ -103,13 +105,14 @@ class Groups:
             return
         part = None
         if len(cols) > 1:
-            part = max((t for t in self._parts if t < cols),
-                       key=lambda t: (max(c % self.n for c in t), len(t)), default=None)
+            part = max((t for t in self._parts if t < cols), key=self._ranks.__getitem__,
+                       default=None)
             if part is None:  # the columns of the first half of the positions
                 part = frozenset(sorted(cols, key=lambda c: c % self.n)[: len(cols) // 2])
             self._plan(part)
             self._plan(cols - part)
         self._parts[cols] = part
+        self._ranks[cols] = (max(c % self.n for c in cols), len(cols))
 
     def _shared(self, size: int) -> List[int]:
         """The shared ints, grown to at least size of them."""
@@ -154,6 +157,19 @@ class Groups:
         that length that agrees with t on cols (a range when that is t)."""
         got = self.ids(cols)
         return got.ids if len(cols) > 1 else _first_occurrences(got.ids, self._shared(len(got.ids)))
+
+    def strays(self, inputs: Grouped, ref: Sequence[int], q: int) -> List[int]:
+        """The prefixes t of length q+1 whose grouped inputs differ from those
+        of ref[t], the first prefix of t's group (first at granularity q), in
+        order.  Ids compare by value: a range of input ids differs from any
+        list."""
+        if isinstance(ref, range):
+            return []
+        ids = self.at(inputs, q)
+        got = list(map(ids.__getitem__, ref))
+        if not isinstance(ids, range) and got == ids:
+            return []
+        return list(compress(range(len(got)), map(operator.ne, got, ids)))
 
     def weights(self, cols: FrozenSet[int]) -> Dict[int, int]:
         """{group size in messages: number of such groups} of a column set."""

@@ -15,21 +15,26 @@ own LaminarPartition.report.  Neighborhood decoding compares
 each prefix with the first prefix of its rg group (grouping.Groups).
 
 The five pair conditions (distance, immediacy function, dyadic, aligned,
-quarter-split) are data, a _Condition each.  The dyadic and quarter-split
-ones are functional dependences, decided by grouping passes (_dependences);
-tree distance at each depth d, on table.prefix(d), by pruned pair extension
-(check_tree_distance); both charge what _sweep would (_charges).  The others
-keep the pair sweep, _sweep, as their key counts explode (C(16, 9) = 11,440
-for the aligned window spanning n = 16 at delta = 1/2), as exact_distance does.
-_sweep takes the table's M rows in blocks of R consecutive rows, R a power
-of sigma_in that grows 1, 1, sigma, ... with the block's first row, capped
-where R * M reaches 2^16 bits (_BLOCK_BITS; once sigma_in * M > 2^16 a
-block is one row).  A block starting at row i0 holds each bitset in R*w
-bits, w = M - i0 - 1: bit r*w + k is the pair of its row r with row
-i0 + 1 + k, so bit order is pair-by-pair (row-major) order.  Bit-sliced
-counters over these bitsets answer every window for all pairs of the block
-at once, and a passing block is charged arithmetically what a pair-by-pair
-sweep spends on it.  In a block with a violation, or whose cost would pass
+quarter-split) are data, a _Condition each.  The immediacy-function, dyadic
+and quarter-split ones are decided by grouping passes (_dependences), after
+row 0 or the rows the cap reaches are decided by one-row blocks of the
+sweep's counters (_first_pair); a window's keys are its subsets, or unions
+of parts whose candidate pairs are verified, where the subsets would
+explode (C(16, 9) = 11,440 for the window spanning n = 16 at delta = 1/2).
+Tree distance at each depth d, on table.prefix(d), is decided by pruned pair
+extension (check_tree_distance); both charge what _sweep would (_charges).
+The aligned condition keeps the pair sweep, _sweep, as exact_distance does:
+on the layered n = 16 code its first violating row is 4096, past any row
+decided before grouping, and verifying every candidate took 12 times the
+sweep's time.  _sweep takes the table's M rows in blocks of R consecutive
+rows, R a power of sigma_in that grows 1, 1, sigma, ... with the block's
+first row, capped where R * M reaches 2^16 bits (_BLOCK_BITS; once
+sigma_in * M > 2^16 a block is one row), each counted by _block.  A block
+starting at row i0 holds each bitset in R*w bits, w = M - i0 - 1: bit
+r*w + k is the pair of its row r with row i0 + 1 + k, so bit order is
+pair-by-pair (row-major) order.  Bit-sliced counters over these bitsets
+answer every window for all pairs of the block at once, and a passing block
+is charged arithmetically what a pair-by-pair sweep spends on it.  In a block with a violation, or whose cost would pass
 the cap, the stopping pair is the lowest violating bit, or the pair whose
 charges pass the cap (bisected over the block's bits on the same count),
 whichever comes first: the pairs before it are charged and it goes to the
@@ -50,12 +55,12 @@ from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, combinations, compress
-from typing import Callable, Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from itertools import accumulate, chain, combinations, compress
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .bitslice import add, below, minimum
 from .core import PrefixTable, TreeCode
-from .grouping import Grouped, Groups
+from .grouping import Groups
 from .dyadic import as_fraction, floor_lg, frac_str
 from .partitions import (
     DeficiencyLedger,
@@ -67,6 +72,13 @@ from .partitions import (
 DEFAULT_EVAL_CAP = 1 << 24
 # a pair sweep's block of rows has at most this many bits per bitset
 _BLOCK_BITS = 1 << 16
+# a key of a window's parts holds 2^_SLACK times its prefixes' distinct values
+_SLACK = 2
+# a window with at most this many subset keys takes them all, with no candidate
+_EXACT_KEYS = 8
+# the rows _dependences decides one by one before grouping, if the cap stops
+# it in them (else row 0 alone)
+_SETTLE_ROWS = 64
 
 
 def _decimal(x: int) -> str:
@@ -150,11 +162,13 @@ class _MessageBits:
     on first use, one run of table.strides[p] bits per matching prefix, so
     memory grows with the rows a sweep reaches.  They read index, each
     column's prefixes by symbol, built on first use and shared by the
-    sweeps of one check (a depth-d table shares the first d columns).
-    block() lays either kind out for a block of rows of _sweep.
+    sweeps of one check (a depth-d table shares the first d columns); with
+    no index, which suits one row, each set scans its column.
+    block() lays either kind out for a block of rows of _block.
     """
 
-    def __init__(self, table: PrefixTable, index: Dict[int, Dict[int, List[int]]]) -> None:
+    def __init__(self, table: PrefixTable,
+                 index: Optional[Dict[int, Dict[int, List[int]]]]) -> None:
         self.table, self.sigma, self.size = table, table.sigma, len(table)
         self.same_input = []
         for run in table.strides:
@@ -168,11 +182,12 @@ class _MessageBits:
         """Rows whose codeword symbol at position p is sym."""
         bits = self._symbols.get((p, sym))
         if bits is None:
-            run = self.table.strides[p]  # rows per prefix
-            index = self._index.get(p)
+            run, col = self.table.strides[p], self.table.columns[p]  # rows per prefix
+            index = self._index.get(p) if self._index is not None else {
+                sym: compress(range(len(col)), map(sym.__eq__, col))}
             if index is None:
                 index = self._index[p] = defaultdict(list)
-                for t, s in enumerate(self.table.columns[p]):
+                for t, s in enumerate(col):
                     index[s].append(t)
             buf = bytearray((self.size + 7) >> 3)
             for t in index[sym]:
@@ -260,6 +275,69 @@ def _pair(budget: _Budget, cond: _Condition, x, cx, y, cy) -> Optional[dict]:
     return None
 
 
+def _counters(cond: _Condition):
+    """_block's plan of cond's windows: each candidate's window ids, and for
+    each counter, keyed (first position, step), its windows (length, t,
+    id): windows sharing an end share one counter, grown from that end."""
+    keys: dict = {}  # (lo, hi, t): id
+    links = [[keys.setdefault(w[:3], len(keys)) for w in ws] for _, _, ws in cond.cands]
+    by_lo = len({k[0] for k in keys}) <= len({k[1] for k in keys})
+    groups = defaultdict(list)
+    for (lo, hi, t), ki in sorted(keys.items(), key=lambda kv: kv[0][1] - kv[0][0]):
+        groups[(lo, 1) if by_lo else (hi - 1, -1)].append((hi - lo, t, ki))
+    return links, groups, len(keys)
+
+
+def _block(bits: _MessageBits, cond: _Condition, plan, i0: int, rows: int,
+           best: Optional[Fraction] = None):
+    """The block of rows i0 .. i0 + rows - 1 (i0 a multiple of rows) against
+    cond, planned by _counters: (base, found, viol, best), bitsets in the
+    block's layout (_MessageBits.block) of its pairs, of each candidate's
+    pairs and of the pairs violating a window, and with best a Fraction,
+    the least of it and each candidate window's count/length."""
+    links, groups, nkeys = plan
+    w = bits.size - i0 - 1  # bit r*w + k: row i0 + r against row i0 + 1 + k
+    full = (1 << rows * w) - 1
+    # row r pairs only with the rows after it, k >= r
+    base = full - (_repeat(1, 1 + w, rows) - _repeat(1, w, rows))
+    built: Dict[Tuple[int, bool], int] = {}
+
+    def same(p: int, inputs: bool) -> int:  # bits.block for this block, built once
+        got = built.get((p, inputs))
+        if got is None:
+            got = built[(p, inputs)] = bits.block(p, inputs, i0, rows)
+        return got
+
+    found, per_key = [], [0] * nkeys
+    prev, agree, q = -1, 0, 0
+    for (a, sp, _), ks in zip(cond.cands, links):
+        if a != prev or sp < q:
+            prev, agree, q = a, base, a
+        while q < sp:
+            agree &= same(q, True)
+            q += 1
+        found.append(agree & ~same(sp, True))
+        for ki in ks:
+            per_key[ki] |= found[-1]
+
+    viol = 0
+    for (start, step), checks in groups.items():
+        slices: List[int] = []
+        added = 0
+        for length, t, ki in checks:
+            cand = per_key[ki]
+            if not cand:
+                continue
+            for p in range(start + step * added, start + step * length, step):
+                add(slices, same(p, False) ^ full)
+            added = length
+            if t > 0:
+                viol |= below(slices, t, cand)
+            if best is not None:
+                best = min(best, Fraction(minimum(slices, cand), length))
+    return base, found, viol, best
+
+
 def _sweep(table: PrefixTable, budget: _Budget, cond: _Condition, want_min: bool = False,
            index: Optional[dict] = None):
     """Every pair of rows i < j of table against cond's candidates and
@@ -273,27 +351,20 @@ def _sweep(table: PrefixTable, budget: _Budget, cond: _Condition, want_min: bool
     the cap (1 at row 0).  Each per-row input, "agrees with row r on input
     q" and "has row r's codeword symbol at p", is one block bitset, built
     from the runs of rows that share the prefix up to q or p
-    (_MessageBits.block).  The block's charge is pair_cost * |base| plus
-    each candidate's found pairs times its windows' costs; a block with a
-    violation, or whose charge would pass the cap, is charged up to its
-    stopping pair (the lowest violating bit, or the first bit at which
-    cost_below passes the cap), which _pair then evaluates.
+    (_MessageBits.block), and counted by _block.  The block's charge is
+    pair_cost * |base| plus each candidate's found pairs times its windows'
+    costs; a block with a violation, or whose charge would pass the cap, is
+    charged up to its stopping pair (the lowest violating bit, or the first
+    bit at which cost_below passes the cap), which _pair then evaluates.
     """
     bits = _MessageBits(table, {} if index is None else index)
-    cands, pair_cost = cond.cands, cond.pair_cost
-    size, sigma = bits.size, bits.sigma
-    keys: Dict[Tuple[int, int, int], int] = {}
-    links = [[keys.setdefault(w[:3], len(keys)) for w in ws] for _, _, ws in cands]
-    weights = [sum(w[3] for w in ws) for _, _, ws in cands]
-    # windows sharing an end share one counter, grown from that end
-    by_lo = len({k[0] for k in keys}) <= len({k[1] for k in keys})
-    groups: Dict[Tuple[int, int], list] = defaultdict(list)
-    for (lo, hi, t), ki in sorted(keys.items(), key=lambda kv: kv[0][1] - kv[0][0]):
-        groups[(lo, 1) if by_lo else (hi - 1, -1)].append((hi - lo, t, ki))
+    plan = _counters(cond)
+    pair_cost, size, sigma = cond.pair_cost, bits.size, bits.sigma
+    weights = [sum(w[3] for w in ws) for _, _, ws in cond.cands]
     most = 1  # rows per block at most
     while sigma > 1 and most * sigma * size <= _BLOCK_BITS:
         most *= sigma
-    best = Fraction(1)
+    best = Fraction(1) if want_min else None
 
     after = 0  # the row after the last block
     while after < size:
@@ -301,51 +372,14 @@ def _sweep(table: PrefixTable, budget: _Budget, cond: _Condition, want_min: bool
         while i0 and rows < most and i0 % (rows * sigma) == 0:
             rows *= sigma
         after += rows
-        w = size - i0 - 1  # bit r*w + k: row i0 + r against row i0 + 1 + k
+        w = size - i0 - 1
         nbits = rows * w
-        full = (1 << nbits) - 1
-        # row r pairs only with the rows after it, k >= r
-        base = full - (_repeat(1, 1 + w, rows) - _repeat(1, w, rows))
-        built: Dict[Tuple[int, bool], int] = {}
-
-        def same(p: int, inputs: bool) -> int:  # bits.block for this block, built once
-            got = built.get((p, inputs))
-            if got is None:
-                got = built[(p, inputs)] = bits.block(p, inputs, i0, rows)
-            return got
-
-        found, per_key = [], [0] * len(keys)
-        prev, agree, q = -1, 0, 0
-        for (a, sp, _), ks in zip(cands, links):
-            if a != prev or sp < q:
-                prev, agree, q = a, base, a
-            while q < sp:
-                agree &= same(q, True)
-                q += 1
-            found.append(agree & ~same(sp, True))
-            for ki in ks:
-                per_key[ki] |= found[-1]
+        base, found, viol, best = _block(bits, cond, plan, i0, rows, best)
 
         def cost_below(k: int) -> int:
             low = (1 << k) - 1
             charged = sum((f & low).bit_count() * wt for f, wt in zip(found, weights))
             return pair_cost * (base & low).bit_count() + charged
-
-        viol = 0
-        for (start, step), checks in groups.items():
-            slices: List[int] = []
-            added = 0
-            for length, t, ki in checks:
-                cand = per_key[ki]
-                if not cand:
-                    continue
-                for p in range(start + step * added, start + step * length, step):
-                    add(slices, same(p, False) ^ full)
-                added = length
-                if t > 0:
-                    viol |= below(slices, t, cand)
-                if want_min:
-                    best = min(best, Fraction(minimum(slices, cand), length))
 
         cost, room = cost_below(nbits), budget.cap - budget.used
         if not viol and cost <= room:
@@ -423,53 +457,130 @@ def _charges(table: PrefixTable, cond: _Condition, budget: _Budget):
     return stop, settle
 
 
+def _first_pair(table: PrefixTable, cond: _Condition, rows: int) -> Optional[Tuple[int, int]]:
+    """The least pair (x, y) that violates a window of cond with x < rows,
+    by _block on one row at a time; it charges nothing."""
+    bits, plan = _MessageBits(table, None if rows == 1 else {}), _counters(cond)
+    for x in range(rows):  # rows < M, but for the one row of sigma_in = 1
+        viol = _block(bits, cond, plan, x, 1)[2]
+        if viol:
+            return x, x + (viol & -viol).bit_length()
+    return None
+
+
+def _parts(cols: List[int], need: int, lg: List[float], lg_sigma: float):
+    """The keys of a window, one of which a violating pair agrees on: cols
+    are its columns outside the injective ones, where such a pair differs
+    in fewer than need.  Split into m parts (the columns dealt out in turn,
+    heaviest in lg distinct count first), a violating pair agrees on some
+    union of m - need + 1 of them.  m is the least, from need up, at which
+    each union holds len(cols) - need + 1 columns, or 2^_SLACK times its
+    prefixes in lg distinct counts; else, or if there are at most
+    _EXACT_KEYS of them, the keys are every (len(cols) - need + 1)-subset,
+    and whole (the second value) is true."""
+    size, ranked = len(cols) - need + 1, sorted(cols, key=lambda p: -lg[p])
+    for m in range(need, len(cols) if math.comb(len(cols), size) > _EXACT_KEYS else 0):
+        keys = [frozenset(chain.from_iterable(u))
+                for u in combinations([ranked[u::m] for u in range(m)], m - need + 1)]
+        if all(len(k) >= size or sum(map(lg.__getitem__, k)) >= (max(k) + 1) * lg_sigma + _SLACK
+               for k in keys):
+            return keys, False
+    return list(map(frozenset, combinations(cols, size))), True
+
+
 def _dependences(table: PrefixTable, budget: _Budget, cond: _Condition) -> Optional[dict]:
     """_sweep's outcome and charges for cond, from grouping checks (its
     windows start at or after their sp).  A pair of candidate (a, sp)
-    violates a window of w positions needing t >= 1 differences iff it
-    agrees on A = [a, sp), differs at sp and agrees on a (w-t+1)-subset S of
-    the window (always if t > w): each key S + A, with R the sps sharing it,
-    is a check that it determines the inputs on R (_strays), and a key
-    holding another of its candidate's is dropped.  The first violating pair
-    is x, the least first prefix of a mixed group, and y, its least stray."""
-    n, sigma = table.n, table.sigma
-    checks: Dict[FrozenSet[int], FrozenSet[int]] = {}
-    found = []  # a violating pair (x, y) per check that has one
+    agrees on A = [a, sp) and differs at sp, so it differs on each
+    injective column of a window (one whose prefixes' symbols all differ):
+    a window drops them from its columns and from the t differences it
+    needs, and is dropped when it needs none.  A violating pair then agrees
+    on a key S of the window (_parts), a (w-t+1)-subset or a union of
+    parts.  Each key S + A, with the windows sharing it and R their sps, is
+    a check: the pairs in its groups that differ on R (Groups.strays) are
+    candidates, verified on the windows (_verified).  A key holding a
+    smaller subset key of its candidate's is dropped, since its violating
+    pairs are that key's.  If the cap stops the check in one of its first
+    _SETTLE_ROWS rows, those rows are decided by _first_pair, before any
+    key is made: a pair found there, or the cap's, settles the check.  Else
+    row 0 is, before any grouping pass; then the first violating pair is
+    the least of the cap's and the checks' least verified candidates."""
+    n, columns = table.n, table.columns
+    stop, settle = _charges(table, cond, budget)
+    if stop and stop[0][0] < _SETTLE_ROWS:
+        hit = _first_pair(table, cond, stop[0][0] + 1)
+        return settle([hit] if hit else [])
+    distinct = [len(set(col)) for col in columns]
+    lg, sure = list(map(math.log2, distinct)), list(map(operator.eq, distinct, map(len, columns)))
+    live, checks = [], {}
     for a, sp, windows in cond.cands:
-        keys: List[FrozenSet[int]] = []
-        for lo, hi, t, _, _ in windows:
-            if t > hi - lo:  # no key: with sigma_in = 1 there is no pair
-                if sigma > 1:
-                    found.append((0, table.strides[sp]))
-            elif t > 0:
-                keys += map(frozenset, combinations(range(lo, hi), hi - lo - t + 1))
-        keys = sorted(set(keys), key=len)
-        for u, key in enumerate(keys):
-            if not any(k <= key for k in keys[:u]):
-                key = key.union(range(n + a, n + sp))
-                checks[key] = checks.get(key, frozenset()) | {n + sp}
-    groups = Groups(table, (s for key, r in checks.items() for s in (r, key)))
-    for key, r in checks.items():
+        kept, keys, whole = [], [], []
+        for window in windows:
+            lo, hi, t = window[:3]
+            cols = [p for p in range(lo, hi) if not sure[p]]
+            need = t - (hi - lo - len(cols))
+            if need > 0:
+                kept.append(window)
+            if 0 < need <= len(cols):  # else no pair, or every pair, violates
+                got, every = _parts(cols, need, lg, math.log2(table.sigma))
+                keys += [(k, (sp, lo, hi, t)) for k in got]
+                whole += [(set(cols), len(cols) - need + 1)] if every else []
+        if kept:
+            live.append((a, sp, kept))
+        for key, test in sorted(keys, key=lambda kt: len(kt[0])):
+            if not any(k < len(key) and len(key & c) >= k for c, k in whole):
+                checks.setdefault(key | frozenset(range(n + a, n + sp)), []).append(test)
+    if not live:
+        return settle([])
+    hit = _first_pair(table, _Condition(live, 0), 1)
+    if hit:
+        return settle([hit])
+    checks = [(key, frozenset(n + test[0] for test in tests), tests)
+              for key, tests in checks.items()]
+    groups = Groups(table, (s for key, r, _ in checks for s in (r, key)))
+    found = []
+    for key, r, tests in checks:
         inputs, ref, q = groups.ids(r), groups.first(key), max(c for c in key if c < n)
-        strays = _strays(groups, inputs, ref, q)
+        strays = groups.strays(inputs, ref, q)
         if strays:
-            x = min(map(ref.__getitem__, strays))
-            y = next(t for t in strays if ref[t] == x)
-            found.append((x * table.strides[q], y * table.strides[q]))
-    return _charges(table, cond, budget)[1](found)
+            found += _verified(table, ref, strays, q, tests)
+    return settle(found)
 
 
-def _strays(groups: Groups, inputs: Grouped, ref: Sequence[int], q: int) -> List[int]:
-    """The prefixes t of length q+1 whose grouped inputs differ from those of
-    ref[t], the first prefix of t's group (Groups.first at granularity q), in
-    order.  Ids compare by value: a range of input ids differs from any list."""
-    if isinstance(ref, range):
-        return []
-    ids = groups.at(inputs, q)
-    got = list(map(ids.__getitem__, ref))
-    if not isinstance(ids, range) and got == ids:
-        return []
-    return list(compress(range(len(got)), map(operator.ne, got, ids)))
+def _verified(table: PrefixTable, ref: Sequence[int], strays: List[int], q: int, tests: list):
+    """The least pair of messages violating a window of tests (sp, lo, hi,
+    t) among the pairs of length-(q+1) prefixes u < v that share a mixed
+    group of ref (one holding a stray) and differ at sp, as a list of none
+    or one.  Each pair is counted on its window up to q, then extended
+    column by column while fewer than t of the window's positions differ.
+    u goes in order, so the first u with a violating pair holds the least."""
+    sigma, strides, columns = table.sigma, table.strides, table.columns
+    mixed, members = {ref[t] for t in strays}, defaultdict(list)
+    order = list(compress(range(len(ref)), map(mixed.__contains__, ref)))
+    word = {t: [columns[p][t // (strides[p] // strides[q])] for p in range(q + 1)] for t in order}
+    for t in order:
+        members[ref[t]].append(t)
+    for u in order:
+        group, cu, found = members[ref[u]], word[u], []
+        for v in group[group.index(u) + 1:]:
+            cv = word[v]
+            for sp, lo, hi, t in tests:
+                if u // (r := strides[sp] // strides[q]) % sigma == v // r % sigma:
+                    continue
+                pairs = [(u, v, sum(map(operator.ne, cu[lo:], cv[lo:])))]
+                for p in range(q + 1, hi + 1):
+                    pairs = [(x, y, c) for x, y, c in pairs if c < t]
+                    if p == hi or not pairs:
+                        break
+                    pairs = [(x, y, c + (columns[p][x] != columns[p][y])) for u2, v2, c in pairs
+                             for x in range(u2 * sigma, u2 * sigma + sigma)
+                             for y in range(v2 * sigma, v2 * sigma + sigma)]
+                if pairs:
+                    x, y, _ = min(pairs)
+                    found.append((x * strides[hi - 1], y * strides[hi - 1]))
+        if found:
+            return [min(found)]
+    return []
 
 
 def check_online_property(code: TreeCode, cap: int = DEFAULT_EVAL_CAP) -> Verdict:
@@ -611,7 +722,7 @@ def check_immediacy_function(
     cands = [(s - 1, s - 1, [(s - 1, s - 1 + w, math.ceil(delta * w), 1,
                               {"s": s, "window": [s, s + w], "required": required})
                              for w in widths if s + w <= n + 1]) for s in range(1, n + 1)]
-    witness, _ = _sweep(table, budget, _Condition(cands, n, ratio=True))
+    witness = _dependences(table, budget, _Condition(cands, n, ratio=True))
     return Verdict(witness is None, witness, {} if witness else {"widths": widths}, budget.used)
 
 
@@ -673,7 +784,7 @@ def check_neighborhood_decoding(
             pair = (0, table.strides[max(tb.lf) - 1])
         else:  # lf ends with or before rg (or sigma_in = 1): compare at rg's granularity
             lf, ref = groups.ids(cols[0]), groups.first(cols[1])
-            strays = _strays(groups, lf, ref, q)
+            strays = groups.strays(lf, ref, q)
             if strays:
                 # the first message of the first length-(q+1) prefix whose lf
                 # inputs differ from those of the first prefix of its rg group

@@ -11,7 +11,6 @@ from treecodes.constructions import eks_code
 from treecodes.core import identity_code, make_systematic, trivial_code
 from treecodes.entropy import (
     FiniteJoint,
-    conditional_entropy,
     entropy,
     entropy_of_counts,
     ledger_replay,
@@ -24,6 +23,11 @@ from treecodes.synthetic import mask_block_code
 from treecodes.verify import CapExceeded
 
 TOL = 1e-9
+
+
+def conditional_entropy(dist: FiniteJoint, vars, given) -> float:
+    """H(vars | given), from two marginal entropies."""
+    return entropy(dist, tuple(vars) + tuple(given)) - entropy(dist, given)
 
 
 def random_joint(stream, nvars=3, support=6, wmax=9):

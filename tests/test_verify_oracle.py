@@ -10,15 +10,18 @@ raise with the same CapExceeded.used.
 from __future__ import annotations
 
 import json
+import math
+import random
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treecodes import serialize, verify
-from treecodes.constructions import table_code
+from treecodes.constructions import eks_code, eks_params, table_code
 from treecodes.core import TreeCode, all_codewords, identity_code, trivial_code
 from treecodes.dyadic import as_fraction, floor_lg, frac_str as _frac
 from treecodes.bitslice import add
@@ -311,6 +314,8 @@ def ref_chs_condition(code, m: int, l1: int, growth_shift: int,
 # ---------------- comparison ----------------
 
 IMM = {"exp": lambda k: 2**k, "unit": lambda k: k}
+# with the two above, the kinds the immediacy-function runner is drawn on
+IMM_KINDS = {**IMM, "double_exp": lambda k: 2 ** (2**k), "plateau": lambda k: min(k, 3)}
 DELTAS = [Fraction(0), Fraction(1, 8), Fraction(1, 4), Fraction(1, 3), Fraction(1, 2),
           Fraction(2, 3), Fraction(3, 4), Fraction(1)]
 
@@ -324,8 +329,8 @@ def _pairs(prop: str, code: TreeCode, delta: Fraction, arg):
         )
     if prop == "imm":
         return (
-            lambda cap: verify.check_immediacy_function(code, IMM[arg], delta, cap=cap),
-            lambda cap: ref_immediacy_function(code, IMM[arg], delta, cap=cap),
+            lambda cap: verify.check_immediacy_function(code, IMM_KINDS[arg], delta, cap=cap),
+            lambda cap: ref_immediacy_function(code, IMM_KINDS[arg], delta, cap=cap),
         )
     if prop == "eks":
         return (
@@ -574,29 +579,30 @@ class _PairStarts(verify._Budget):
     [
         (scrambled_prefix_code(7, 1), "imm", Fraction(1, 2), "exp", None),
         (scrambled_prefix_code(6, 1), "distance", Fraction(1, 2), None, 1 << 9),
-        (scrambled_prefix_code(6, 1), "imm", Fraction(1, 2), "exp", 1 << 9),
+        (scrambled_prefix_code(4, 1), "ghk", Fraction(1, 2), 1, 1 << 8),
         (scrambled_prefix_code(4, 1), "chs", None, (1, 2, 0), 1 << 6),
         (table_code(4, 3, 5, [(7 * i * i + 3 * i + 1) % 5 for i in range(120)]),
          "distance", Fraction(0), None, None),
         (collision_code(4, 3, 40, 41), "eks", Fraction(1, 2), 2, 1 << 11),
     ],
-    ids=["imm7", "distance6-blocks-of-8", "imm6-blocks-of-8", "chs4-blocks-of-4",
+    ids=["imm7", "distance6-blocks-of-8", "ghk4-blocks-of-8", "chs4-blocks-of-4",
          "ternary4-distance", "ternary4-eks-blocks-of-9"],
 )
 def test_caps_at_every_block_boundary(monkeypatch, code, prop, delta, arg, block_bits):
     """Each charge a passing block makes ends at a block boundary: the caps
     one below, at and one above every boundary give the reference's
-    outcome.  The tree distance, dyadic and quarter-split checks make no
-    blocks: they charge a stop by arithmetic from its pair, so for them the
-    caps sit at a sample of the reference's pair boundaries: first pairs of
-    rows, the last two pairs and pairs spread evenly between.  Tree
-    distance charges each passing depth whole, so its caps also sit at each
-    charge it makes, the ends of the depths."""
+    outcome (the aligned condition, in blocks of up to 8 rows of its 16).
+    The tree distance, immediacy-function, dyadic and quarter-split checks
+    make no blocks: they charge a stop by arithmetic from its pair, so for
+    them the caps sit at a sample of the reference's pair boundaries: first
+    pairs of rows, the last two pairs and pairs spread evenly between.
+    Tree distance charges each passing depth whole, so its caps also sit at
+    each charge it makes, the ends of the depths."""
     if block_bits is not None:
         monkeypatch.setattr(verify, "_BLOCK_BITS", block_bits)
     engine, reference = _pairs(prop, code, delta, arg)
     boundaries = []
-    if prop in ("eks", "chs", "distance"):
+    if prop in ("eks", "chs", "imm", "distance"):
         # a distance pair is one charge, so the reference's pairs end where it spends
         recorder = _Boundaries if prop == "distance" else _PairStarts
         with monkeypatch.context() as m:
@@ -609,7 +615,7 @@ def test_caps_at_every_block_boundary(monkeypatch, code, prop, delta, arg, block
         picks = firsts[:: len(firsts) // 6 + 1] + [len(starts) - 1, len(starts) - 2]
         picks += range(0, len(starts), len(starts) // 6 + 1)
         boundaries = sorted({starts[k] for k in picks if k < len(starts)})
-    if prop not in ("eks", "chs"):
+    if prop not in ("eks", "chs", "imm"):
         with monkeypatch.context() as m:
             m.setattr(_Boundaries, "seen", [])
             m.setattr(verify, "_Budget", _Boundaries)
@@ -644,37 +650,49 @@ def test_exact_distance_matches_scalar_sweep_across_blocks():
     assert verify.exact_distance(code) == ref_exact_distance(code) == Fraction(1, 2)
 
 
-def test_imm_sweep_adds_once_per_block_and_dyadic_check_adds_none(monkeypatch):
-    """The scrambled n = 8 immediacy-function sweep grows its bit-sliced
-    counters with 244 adds, one set per block of rows (5,652 when the rows
-    went one by one).  The dyadic check, which once made 107 such adds on
-    this code, no longer sweeps pairs: it makes none."""
+def test_sweep_adds_once_per_block_and_imm_and_dyadic_checks_add_none(monkeypatch):
+    """On the scrambled n = 8 code, exact_distance's sweeps grow their
+    bit-sliced counters with 232 adds, one set per block of rows (3,084
+    with one row per block).  The immediacy-function and dyadic checks,
+    which once made 244 and 107 such adds on this code, no longer sweep
+    pairs: every column is injective, so every window is dropped, and they
+    make none, not even for row 0."""
     calls = []
     monkeypatch.setattr(verify, "add", lambda slices, e: calls.append(1) or add(slices, e))
     code = scrambled_prefix_code(8, 11)
+    assert verify.exact_distance(code) == 1
+    assert len(calls) == 232
+    calls.clear()
+    with monkeypatch.context() as m:
+        m.setattr(verify, "_BLOCK_BITS", 1)
+        assert verify.exact_distance(code) == 1
+    assert len(calls) == 3084
+    calls.clear()
     assert verify.check_immediacy_function(code, IMM["exp"], Fraction(1, 2)).passed
-    assert len(calls) == 244
     assert verify.check_eks_condition(code, Fraction(1, 2), 3).passed
-    assert len(calls) == 244
+    assert calls == []
 
 
-def test_only_imm_ghk_and_exact_distance_sweep_pairs(monkeypatch):
-    """The dyadic and quarter-split checks run on grouping passes and tree
-    distance on pruned pair extension; the immediacy function, the aligned
-    condition and exact_distance keep the pair sweep."""
+def test_only_ghk_and_exact_distance_sweep_pairs(monkeypatch):
+    """The immediacy-function, dyadic and quarter-split checks run on
+    grouping passes and tree distance on pruned pair extension; the aligned
+    condition and exact_distance keep the pair sweep.  The ternary table's
+    columns collide, so there the runner's row 0 and grouping passes run."""
     swept = []
     sweep = verify._sweep
     monkeypatch.setattr(verify, "_sweep", lambda *a, **k: swept.append(1) or sweep(*a, **k))
-    code = scrambled_prefix_code(4, 3)
-    for prop, delta, arg in (("eks", Fraction(1, 2), 2), ("chs", None, (1, 2, 0)),
-                             ("distance", Fraction(1, 2), None), ("distance", Fraction(2), None),
-                             ("imm", Fraction(1, 2), "exp"), ("ghk", Fraction(1, 2), 1)):
+    ternary = table_code(4, 3, 5, [(7 * i * i + 3 * i + 1) % 5 for i in range(120)])
+    for code in (scrambled_prefix_code(4, 3), ternary):
+        for prop, delta, arg in (("eks", Fraction(1, 2), 2), ("chs", None, (1, 2, 0)),
+                                 ("distance", Fraction(1, 2), None),
+                                 ("distance", Fraction(2), None), ("imm", Fraction(1, 2), "exp"),
+                                 ("imm", Fraction(1, 4), "unit"), ("ghk", Fraction(1, 2), 1)):
+            swept.clear()
+            _outcome(_pairs(prop, code, delta, arg)[0], verify.DEFAULT_EVAL_CAP)
+            assert bool(swept) == (prop == "ghk"), (prop, delta)
         swept.clear()
-        _outcome(_pairs(prop, code, delta, arg)[0], verify.DEFAULT_EVAL_CAP)
-        assert bool(swept) == (prop in ("imm", "ghk")), (prop, delta)
-    swept.clear()
-    verify.exact_distance(code)
-    assert swept
+        verify.exact_distance(code)
+        assert swept
 
 
 @st.composite
@@ -728,6 +746,120 @@ def test_runner_matches_scalar_sweep_where_windows_need_more_than_they_hold(code
     positions: every pair of a candidate violates, with no key to group."""
     full = assert_same("eks", code, delta, floor_lg(code.n), cap_points=range(0, 1001, 125))
     assert '"passed":false' in full
+
+
+@st.composite
+def imm_cases(draw):
+    """An immediacy-function case on a random table, sigma_in 2 or 3, its
+    choices made by a Random of a drawn seed (drawn choices repeat the
+    first option of each again and again).  Each column is a permutation
+    of its prefixes with one prefix given another's symbol, or now and then
+    is injective or holds three symbols at random.  Then for one to four
+    pairs of messages, the later one's prefix takes the earlier one's
+    symbol in most columns: such a pair shares some key parts
+    and may or may not violate.  Row 0 keeps its symbols apart from the
+    others' in the permutations, so that violations are found past it.
+    The case is drawn with the default part counts, or with every window
+    split into as few parts as it needs differences, every key then a
+    filter whose candidates _verified checks; and with the rows decided
+    before grouping when the cap stops the check in them, or with row 0
+    alone, so that grouping runs under the cap's stopping pair."""
+    rng = random.Random(draw(st.integers(0, 2**64 - 1)))
+    sigma = rng.choice([2, 3])
+    n = rng.randint(2, 6 if sigma == 2 else 4)
+    columns = []
+    for d in range(n):
+        size, kind = sigma ** (d + 1), rng.random()
+        columns.append(rng.sample(range(size), size) if kind < 0.95 else
+                       [rng.randrange(3) for _ in range(size)])
+        if kind < 0.85 and size > 2:
+            a, b = rng.sample(range(1, size), 2)
+            columns[-1][b] = columns[-1][a]
+    for _ in range(rng.randint(1, 4)):
+        i, j = sorted(rng.sample(range(sigma**n), 2))
+        for d, column in enumerate(columns):
+            stride = sigma ** (n - 1 - d)
+            if i // stride and rng.random() < 0.7:
+                column[j // stride] = column[i // stride]
+    code = table_code(n, sigma, sigma**n, [s for column in columns for s in column])
+    # past 1, every pair violates every window
+    delta = rng.choice(DELTAS[2:] * 3 + [Fraction(0), Fraction(5, 4), Fraction(3, 2), Fraction(2)])
+    parts = rng.choice([(verify._SLACK, verify._EXACT_KEYS), (-math.inf, 0)])
+    return code, delta, rng.choice(sorted(IMM_KINDS)), parts, rng.choice([verify._SETTLE_ROWS, 0])
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(case=imm_cases())
+def test_imm_runner_matches_scalar_sweep_at_caps_spread_over_its_cost(case):
+    """Verdict, witness, evaluations and CapExceeded.used equal the
+    reference's at nine caps spread evenly from M*n to the full cost."""
+    code, delta, kind, (slack, exact), rows = case
+    with mock.patch.multiple(verify, _SLACK=slack, _EXACT_KEYS=exact, _SETTLE_ROWS=rows):
+        assert_same("imm", code, delta, kind, cap_points=range(0, 1001, 125))
+
+
+def test_imm_runner_passes_the_layered_code_n16(monkeypatch):
+    """The seed-0 layered code at k = 4 passes the exp windows at delta =
+    1/2 with the sweep's 75,162,451,968 evaluations.  Its columns 5-16
+    take few symbols, so most keys are filters: some of their candidates
+    miss a violation by one difference, and must not be flagged."""
+    verified = []
+    check = verify._verified
+    monkeypatch.setattr(verify, "_verified", lambda *a: verified.append(1) or check(*a))
+    code = eks_code(eks_params(4, Fraction(1, 2), seed=0))
+    v = verify.check_immediacy_function(code, IMM["exp"], Fraction(1, 2), cap=1 << 44)
+    assert (v.passed, v.evaluations) == (True, 75_162_451_968)
+    assert verified
+
+
+def test_verified_candidates_extend_through_every_child(monkeypatch):
+    """A table found by a search over random tables: with every window
+    split into as few parts as it needs differences, its least violating
+    pair, ([0, 0, 1, 1], [1, 0, 1, 1]) on the window [1, 5), is a candidate
+    of a key ending before the window does, and is reached only by
+    extending it through the last child of its first prefix."""
+    monkeypatch.setattr(verify, "_SLACK", -math.inf)
+    monkeypatch.setattr(verify, "_EXACT_KEYS", 0)
+    labels = [1, 0, 1, 0, 0, 3, 1, 3, 6, 7, 0, 3, 6, 2, 4, 7, 12, 3, 15, 0, 1, 10, 14, 8, 1, 3, 5,
+              6, 11, 2]
+    full = json.loads(assert_same("imm", table_code(4, 2, 16, labels), Fraction(2, 3), "unit",
+                                  cap_points=range(0, 1001, 125)))
+    assert (full["witness"]["x"], full["witness"]["y"]) == ([0, 0, 1, 1], [1, 0, 1, 1])
+
+
+def _groups_built(monkeypatch) -> List[int]:
+    """One entry per grouping.Groups the runner builds."""
+    built: List[int] = []
+    groups = verify.Groups
+    monkeypatch.setattr(verify, "Groups", lambda *a: built.append(1) or groups(*a))
+    return built
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_masked_failures_settle_at_row_0_with_no_grouping_pass(monkeypatch, seed):
+    """The benchmark's masked failures: with the first level's block (3, 4)
+    or (5, 6) masked, message 0 collides with the message differing from it
+    at the block's lf position alone, so the first violating pair is found
+    in row 0, before any Groups is built."""
+    built = _groups_built(monkeypatch)
+    for prop, block, delta, arg in (("imm", 2, Fraction(3, 4), "exp"),
+                                    ("eks", 1, Fraction(1, 2), 3)):
+        code = mask_block_code(scrambled_prefix_code(8, seed), P3.tagged[0][block])
+        witness = json.loads(assert_same(prop, code, delta, arg))["witness"]
+        lf = P3.tagged[0][block].lf[0]
+        assert (witness["x"], witness["y"]) == ([0] * 8, _message(2 ** (8 - lf), 8, 2))
+    assert built == []
+
+
+def test_refusal_at_the_default_cap_builds_no_groups(monkeypatch):
+    """On the seed-0 layered code at k = 4 the dyadic check's cap runs out
+    in the first rows: they are decided row by row, with no grouping pass,
+    and the refusal names the count of a pair-by-pair sweep."""
+    built = _groups_built(monkeypatch)
+    code = eks_code(eks_params(4, Fraction(1, 2), seed=0))
+    with pytest.raises(CapExceeded) as exc:
+        verify.check_eks_condition(code, Fraction(1, 2), 4)
+    assert (exc.value.used, built) == (16_777_224, [])
 
 
 # ---------------- tree distance by pruned pair extension ----------------

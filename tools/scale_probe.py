@@ -4,9 +4,11 @@ Runs one check once, cap 2^40: check_neighborhood_decoding or
 ledger_replay on trivial_code(n) over the binary-merge partition,
 check_tree_distance(trivial_code(n), 1) (pruned pair extension: every
 column of the trivial code is injective, so at delta = 1 no pair is kept),
-check_eks_condition(trivial_code(n), 1/2, lg n) (n a power of two), or
-check_chs_condition(trivial_code(n), 1, 4, shift) with 16 / 2^shift = n
-(n = 4, 8 or 16).
+check_immediacy_function(trivial_code(n), exp, 1/2) (windows 2, 4, 8, ...;
+every column is injective, so every window is dropped before any grouping
+pass or row is read), check_eks_condition(trivial_code(n), 1/2, lg n) (n a
+power of two), or check_chs_condition(trivial_code(n), 1, 4, shift) with
+16 / 2^shift = n (n = 4, 8 or 16).
 The binary-merge partition holds the singletons at level 0, and each level
 pairs adjacent blocks of the level below, the left one as lf and the right
 one as rg; when the count is odd, the last pair becomes the lf of a block
@@ -16,6 +18,7 @@ partition included):
 
     PYTHONPATH=src python tools/scale_probe.py --check neighborhood --n 18
     PYTHONPATH=src python tools/scale_probe.py --check distance --n 12
+    PYTHONPATH=src python tools/scale_probe.py --check imm --n 18
     PYTHONPATH=src python tools/scale_probe.py --check eks --n 16
 
 It prints one JSON line: seconds (the call, table build included),
@@ -34,10 +37,11 @@ from fractions import Fraction
 
 from treecodes.core import trivial_code
 from treecodes.entropy import ledger_replay
-from treecodes.partitions import LaminarPartition, TaggedBlock
+from treecodes.partitions import IMM_FUNCTIONS, LaminarPartition, TaggedBlock
 from treecodes.verify import (
     check_chs_condition,
     check_eks_condition,
+    check_immediacy_function,
     check_neighborhood_decoding,
     check_tree_distance,
 )
@@ -62,7 +66,8 @@ def binary_merge_partition(n: int) -> LaminarPartition:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--check", choices=("neighborhood", "replay", "distance", "eks", "chs"), required=True)
+    ap.add_argument("--check", required=True,
+                    choices=("neighborhood", "replay", "distance", "imm", "eks", "chs"))
     ap.add_argument("--n", type=int, required=True)
     args = ap.parse_args(argv)
     code, partition = trivial_code(args.n), binary_merge_partition(args.n)
@@ -71,6 +76,8 @@ def main(argv=None) -> int:
         verdict = check_neighborhood_decoding(code, partition, cap=CAP)
     elif args.check == "distance":
         verdict = check_tree_distance(code, 1, cap=CAP)
+    elif args.check == "imm":
+        verdict = check_immediacy_function(code, IMM_FUNCTIONS["exp"], Fraction(1, 2), cap=CAP)
     elif args.check == "eks":
         verdict = check_eks_condition(code, Fraction(1, 2), args.n.bit_length() - 1, cap=CAP)
     elif args.check == "chs":
