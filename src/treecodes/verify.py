@@ -17,8 +17,8 @@ each prefix with the first prefix of its rg group (grouping.Groups).
 The five pair conditions (distance, immediacy function, dyadic, aligned,
 quarter-split) are data, a _Condition each.  The immediacy-function, dyadic
 and quarter-split ones are decided by grouping passes (_dependences), after
-row 0 or the rows the cap reaches are decided by one-row blocks of the
-sweep's counters (_first_pair); a window's keys are its subsets, or unions
+row 0, or the few rows before the cap's stop, are decided by one-row blocks
+of the sweep's counters (_block); a window's keys are its subsets, or unions
 of parts whose candidate pairs are verified, where the subsets would
 explode (C(16, 9) = 11,440 for the window spanning n = 16 at delta = 1/2).
 Tree distance at each depth d, on table.prefix(d), is decided by pruned pair
@@ -76,9 +76,10 @@ _BLOCK_BITS = 1 << 16
 _SLACK = 2
 # a window with at most this many subset keys takes them all, with no candidate
 _EXACT_KEYS = 8
-# the rows _dependences decides one by one before grouping, if the cap stops
-# it in them (else row 0 alone)
-_SETTLE_ROWS = 64
+# the rows up to the cap's stop are settled one by one if they are at most
+# 1/_SETTLED_SHARE of the table (else row 0 alone): at M = 2^16 a one-row
+# block costs 0.6-1 ms, and the grouping passes of a check 0.3-0.45 s
+_SETTLED_SHARE = 256
 
 
 def _decimal(x: int) -> str:
@@ -163,7 +164,8 @@ class _MessageBits:
     memory grows with the rows a sweep reaches.  They read index, each
     column's prefixes by symbol, built on first use and shared by the
     sweeps of one check (a depth-d table shares the first d columns); with
-    no index, which suits one row, each set scans its column.
+    no index each set scans its column, which for row 0 alone takes no
+    index of M entries.
     block() lays either kind out for a block of rows of _block.
     """
 
@@ -457,17 +459,6 @@ def _charges(table: PrefixTable, cond: _Condition, budget: _Budget):
     return stop, settle
 
 
-def _first_pair(table: PrefixTable, cond: _Condition, rows: int) -> Optional[Tuple[int, int]]:
-    """The least pair (x, y) that violates a window of cond with x < rows,
-    by _block on one row at a time; it charges nothing."""
-    bits, plan = _MessageBits(table, None if rows == 1 else {}), _counters(cond)
-    for x in range(rows):  # rows < M, but for the one row of sigma_in = 1
-        viol = _block(bits, cond, plan, x, 1)[2]
-        if viol:
-            return x, x + (viol & -viol).bit_length()
-    return None
-
-
 def _parts(cols: List[int], need: int, lg: List[float], lg_sigma: float):
     """The keys of a window, one of which a violating pair agrees on: cols
     are its columns outside the injective ones, where such a pair differs
@@ -475,17 +466,16 @@ def _parts(cols: List[int], need: int, lg: List[float], lg_sigma: float):
     heaviest in lg distinct count first), a violating pair agrees on some
     union of m - need + 1 of them.  m is the least, from need up, at which
     each union holds len(cols) - need + 1 columns, or 2^_SLACK times its
-    prefixes in lg distinct counts; else, or if there are at most
-    _EXACT_KEYS of them, the keys are every (len(cols) - need + 1)-subset,
-    and whole (the second value) is true."""
+    prefixes in lg distinct counts; it is len(cols), every key a subset,
+    if there are at most _EXACT_KEYS subsets.  No key holds more than
+    len(cols) - need + 1 columns."""
     size, ranked = len(cols) - need + 1, sorted(cols, key=lambda p: -lg[p])
-    for m in range(need, len(cols) if math.comb(len(cols), size) > _EXACT_KEYS else 0):
+    for m in range(need if math.comb(len(cols), size) > _EXACT_KEYS else len(cols), len(cols) + 1):
         keys = [frozenset(chain.from_iterable(u))
                 for u in combinations([ranked[u::m] for u in range(m)], m - need + 1)]
         if all(len(k) >= size or sum(map(lg.__getitem__, k)) >= (max(k) + 1) * lg_sigma + _SLACK
                for k in keys):
-            return keys, False
-    return list(map(frozenset, combinations(cols, size))), True
+            return keys
 
 
 def _dependences(table: PrefixTable, budget: _Budget, cond: _Condition) -> Optional[dict]:
@@ -494,47 +484,57 @@ def _dependences(table: PrefixTable, budget: _Budget, cond: _Condition) -> Optio
     agrees on A = [a, sp) and differs at sp, so it differs on each
     injective column of a window (one whose prefixes' symbols all differ):
     a window drops them from its columns and from the t differences it
-    needs, and is dropped when it needs none.  A violating pair then agrees
-    on a key S of the window (_parts), a (w-t+1)-subset or a union of
-    parts.  Each key S + A, with the windows sharing it and R their sps, is
-    a check: the pairs in its groups that differ on R (Groups.strays) are
-    candidates, verified on the windows (_verified).  A key holding a
-    smaller subset key of its candidate's is dropped, since its violating
-    pairs are that key's.  If the cap stops the check in one of its first
-    _SETTLE_ROWS rows, those rows are decided by _first_pair, before any
-    key is made: a pair found there, or the cap's, settles the check.  Else
-    row 0 is, before any grouping pass; then the first violating pair is
-    the least of the cap's and the checks' least verified candidates."""
+    needs, and is dropped when it needs none.  Row 0, or every row up to
+    the cap's stop if they are at most 1/_SETTLED_SHARE of the table, is
+    decided first by one-row blocks of the sweep's counters (_block),
+    before any key is made: a pair found there, or the cap's once its row
+    is decided, settles the check.  Else a violating pair agrees on a key
+    S of a window (_parts), a (w-t+1)-subset or a union of parts.  Each key
+    S + A, with the windows sharing it and R their sps, is a check: the
+    pairs in its groups that differ on R (Groups.strays) are candidates,
+    verified on the windows (_verified), and the first violating pair is
+    the least of the cap's and the least verified candidate.  A key that
+    holds w' - t' + 1 columns of another window of its candidate and more
+    besides (w' and t' that window's columns and need, past the injective
+    ones) is dropped: its violating pairs violate that window, and are
+    found by that window's keys.  No key holds more than w - t + 1
+    columns of its own window, so a chain of such drops ends at a kept
+    key."""
     n, columns = table.n, table.columns
     stop, settle = _charges(table, cond, budget)
-    if stop and stop[0][0] < _SETTLE_ROWS:
-        hit = _first_pair(table, cond, stop[0][0] + 1)
-        return settle([hit] if hit else [])
     distinct = [len(set(col)) for col in columns]
     lg, sure = list(map(math.log2, distinct)), list(map(operator.eq, distinct, map(len, columns)))
-    live, checks = [], {}
+    live = []  # each candidate with its windows, each with its columns and need
     for a, sp, windows in cond.cands:
-        kept, keys, whole = [], [], []
+        kept = []
         for window in windows:
             lo, hi, t = window[:3]
             cols = [p for p in range(lo, hi) if not sure[p]]
-            need = t - (hi - lo - len(cols))
-            if need > 0:
-                kept.append(window)
-            if 0 < need <= len(cols):  # else no pair, or every pair, violates
-                got, every = _parts(cols, need, lg, math.log2(table.sigma))
-                keys += [(k, (sp, lo, hi, t)) for k in got]
-                whole += [(set(cols), len(cols) - need + 1)] if every else []
+            if t > hi - lo - len(cols):
+                kept.append((*window, cols, t - (hi - lo - len(cols))))
         if kept:
             live.append((a, sp, kept))
-        for key, test in sorted(keys, key=lambda kt: len(kt[0])):
-            if not any(k < len(key) and len(key & c) >= k for c, k in whole):
-                checks.setdefault(key | frozenset(range(n + a, n + sp)), []).append(test)
     if not live:
         return settle([])
-    hit = _first_pair(table, _Condition(live, 0), 1)
-    if hit:
-        return settle([hit])
+    live_cond = _Condition(live, 0)
+    rows = stop[0][0] + 1 if stop and (stop[0][0] + 1) * _SETTLED_SHARE <= len(table) else 1
+    bits, plan = _MessageBits(table, None if rows == 1 else {}), _counters(live_cond)
+    for x in range(rows):  # x < M - 1, but for sigma_in = 1
+        viol = _block(bits, live_cond, plan, x, 1)[2]
+        if viol:
+            return settle([(x, x + (viol & -viol).bit_length())])
+    if stop and stop[0][0] < rows:
+        return settle([])
+    checks = {}
+    for a, sp, kept in live:
+        keys, subsets = [], []
+        for lo, hi, t, _, _, cols, need in kept:
+            if need <= len(cols):  # else every pair violates
+                keys += [(k, (sp, lo, hi, t)) for k in _parts(cols, need, lg, math.log2(table.sigma))]
+                subsets.append((set(cols), len(cols) - need + 1))
+        for key, test in sorted(keys, key=lambda kt: len(kt[0])):
+            if not any(k < len(key) and len(key & c) >= k for c, k in subsets):
+                checks.setdefault(key | frozenset(range(n + a, n + sp)), []).append(test)
     checks = [(key, frozenset(n + test[0] for test in tests), tests)
               for key, tests in checks.items()]
     groups = Groups(table, (s for key, r, _ in checks for s in (r, key)))
@@ -552,8 +552,10 @@ def _verified(table: PrefixTable, ref: Sequence[int], strays: List[int], q: int,
     t) among the pairs of length-(q+1) prefixes u < v that share a mixed
     group of ref (one holding a stray) and differ at sp, as a list of none
     or one.  Each pair is counted on its window up to q, then extended
-    column by column while fewer than t of the window's positions differ.
-    u goes in order, so the first u with a violating pair holds the least."""
+    column by column: a pair of length-p prefixes with c differences is
+    dropped once c >= t, and gives its least messages, its descendants all
+    violating, once c + hi - p < t.  u goes in order, so the first u with
+    a violating pair holds the least."""
     sigma, strides, columns = table.sigma, table.strides, table.columns
     mixed, members = {ref[t] for t in strays}, defaultdict(list)
     order = list(compress(range(len(ref)), map(mixed.__contains__, ref)))
@@ -568,16 +570,13 @@ def _verified(table: PrefixTable, ref: Sequence[int], strays: List[int], q: int,
                 if u // (r := strides[sp] // strides[q]) % sigma == v // r % sigma:
                     continue
                 pairs = [(u, v, sum(map(operator.ne, cu[lo:], cv[lo:])))]
-                for p in range(q + 1, hi + 1):
-                    pairs = [(x, y, c) for x, y, c in pairs if c < t]
-                    if p == hi or not pairs:
-                        break
-                    pairs = [(x, y, c + (columns[p][x] != columns[p][y])) for u2, v2, c in pairs
+                for p in range(q + 1, hi + 1):  # pairs of length-p prefixes
+                    found += [(x * strides[p - 1], y * strides[p - 1])
+                              for x, y, c in pairs if c + hi - p < t]
+                    pairs = [(x, y, c + (columns[p][x] != columns[p][y]))
+                             for u2, v2, c in pairs if c < t <= c + hi - p
                              for x in range(u2 * sigma, u2 * sigma + sigma)
                              for y in range(v2 * sigma, v2 * sigma + sigma)]
-                if pairs:
-                    x, y, _ = min(pairs)
-                    found.append((x * strides[hi - 1], y * strides[hi - 1]))
         if found:
             return [min(found)]
     return []

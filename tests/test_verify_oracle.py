@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 from unittest import mock
@@ -761,9 +762,9 @@ def imm_cases(draw):
     others' in the permutations, so that violations are found past it.
     The case is drawn with the default part counts, or with every window
     split into as few parts as it needs differences, every key then a
-    filter whose candidates _verified checks; and with the rows decided
-    before grouping when the cap stops the check in them, or with row 0
-    alone, so that grouping runs under the cap's stopping pair."""
+    filter whose candidates _verified checks.  Tables of 64 rows or fewer
+    settle row 0 alone before grouping, so a cap stopping the check past
+    it runs the grouping passes under the cap's stopping pair."""
     rng = random.Random(draw(st.integers(0, 2**64 - 1)))
     sigma = rng.choice([2, 3])
     n = rng.randint(2, 6 if sigma == 2 else 4)
@@ -785,7 +786,7 @@ def imm_cases(draw):
     # past 1, every pair violates every window
     delta = rng.choice(DELTAS[2:] * 3 + [Fraction(0), Fraction(5, 4), Fraction(3, 2), Fraction(2)])
     parts = rng.choice([(verify._SLACK, verify._EXACT_KEYS), (-math.inf, 0)])
-    return code, delta, rng.choice(sorted(IMM_KINDS)), parts, rng.choice([verify._SETTLE_ROWS, 0])
+    return code, delta, rng.choice(sorted(IMM_KINDS)), parts
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
@@ -793,8 +794,8 @@ def imm_cases(draw):
 def test_imm_runner_matches_scalar_sweep_at_caps_spread_over_its_cost(case):
     """Verdict, witness, evaluations and CapExceeded.used equal the
     reference's at nine caps spread evenly from M*n to the full cost."""
-    code, delta, kind, (slack, exact), rows = case
-    with mock.patch.multiple(verify, _SLACK=slack, _EXACT_KEYS=exact, _SETTLE_ROWS=rows):
+    code, delta, kind, (slack, exact) = case
+    with mock.patch.multiple(verify, _SLACK=slack, _EXACT_KEYS=exact):
         assert_same("imm", code, delta, kind, cap_points=range(0, 1001, 125))
 
 
@@ -825,6 +826,44 @@ def test_verified_candidates_extend_through_every_child(monkeypatch):
     full = json.loads(assert_same("imm", table_code(4, 2, 16, labels), Fraction(2, 3), "unit",
                                   cap_points=range(0, 1001, 125)))
     assert (full["witness"]["x"], full["witness"]["y"]) == ([0, 0, 1, 1], [1, 0, 1, 1])
+
+
+def test_candidates_whose_descendants_all_violate_are_not_extended(monkeypatch):
+    """n = 12: every column is injective but the second, where prefixes 1
+    and 2 share a symbol.  The key of that column alone ends at q = 1,
+    ten columns before the window [1, 13) does, and that window needs all
+    twelve positions at delta = 1: its candidate pair of prefixes (1, 2)
+    violates whatever follows, so it gives its least messages at once,
+    where extending it through every child pair would build 4^10 pairs.
+    The outcome is the sweep's with room to find the pair and at caps
+    stopping in the rows settled before grouping and past them, and the
+    check allocates under 8 MB."""
+    n = 12
+    columns = [list(range(2 ** d)) for d in range(1, n + 1)]
+    columns[1][2] = columns[1][1]
+    code = table_code(n, 2, 2**n, [s for column in columns for s in column])
+    imm = lambda k: min(2**k, n)  # windows 2, 4, 8, 12
+    code.table  # built before the allocations are traced
+
+    def outcome(cap: int):
+        return _outcome(lambda c: verify.check_immediacy_function(code, imm, Fraction(1), cap=c), cap)
+
+    tracemalloc.start()
+    got = outcome(1 << 32)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 8 << 20
+    with monkeypatch.context() as m:
+        m.setattr(verify, "_dependences", lambda *a: verify._sweep(*a)[0])
+        swept = outcome(1 << 32)
+        low, high = 2**n * n, json.loads(swept)["evaluations"]
+        caps = [low + (high - low) * k // 1000 for k in (1, 3, 100, 500)] + [high - 1]
+        swept_at = [outcome(cap) for cap in caps]
+    assert got == swept
+    assert [outcome(cap) for cap in caps] == swept_at
+    witness = json.loads(got)["witness"]
+    assert (witness["x"], witness["y"], witness["window"]) == (
+        _message(2 ** (n - 2), n, 2), _message(2 ** (n - 1), n, 2), [1, 3])
 
 
 def _groups_built(monkeypatch) -> List[int]:
