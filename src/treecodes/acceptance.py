@@ -118,7 +118,7 @@ def criterion_4() -> Tuple[bool, str]:
     return True, "eq27=4, eq25=1/4, eq33=(m-1)/4, D=0 reduction on 100 tuples"
 
 
-def _random_functional_joint(stream: DetStream) -> entropy.FiniteJoint:
+def _random_functional(stream: DetStream) -> entropy.FiniteJoint:
     while True:
         nb = stream.randbelow(4) + 2
         nc = stream.randbelow(4) + 2
@@ -139,7 +139,7 @@ def criterion_5() -> Tuple[bool, str]:
     stream = DetStream(5, "criterion5")
     worst = float("inf")
     for _ in range(1000):
-        dist = _random_functional_joint(stream)
+        dist = _random_functional(stream)
         rep = entropy.verify_data_processing(dist)
         worst = min(worst, rep.mi_margin, rep.sum_margin)
         if not rep.ok:

@@ -15,31 +15,22 @@ own LaminarPartition.report.  Neighborhood decoding compares
 each prefix with the first prefix of its rg group (grouping.Groups).
 
 The five pair conditions (distance, immediacy function, dyadic, aligned,
-quarter-split) are data, a _Condition each.  The immediacy-function, dyadic
-and quarter-split ones are decided by grouping passes (_dependences), after
-row 0, or the few rows before the cap's stop, are decided by one-row blocks
-of the sweep's counters (_block); a window's keys are its subsets, or unions
-of parts whose candidate pairs are verified, where the subsets would
-explode (C(16, 9) = 11,440 for the window spanning n = 16 at delta = 1/2).
-Tree distance at each depth d, on table.prefix(d), is decided by pruned pair
-extension (check_tree_distance); both charge what _sweep would (_charges).
-The aligned condition keeps the pair sweep, _sweep, as exact_distance does:
-on the layered n = 16 code its first violating row is 4096, past any row
-decided before grouping, and verifying every candidate took 12 times the
-sweep's time.  _sweep takes the table's M rows in blocks of R consecutive
-rows, R a power of sigma_in that grows 1, 1, sigma, ... with the block's
-first row, capped where R * M reaches 2^16 bits (_BLOCK_BITS; once
-sigma_in * M > 2^16 a block is one row), each counted by _block.  A block
-starting at row i0 holds each bitset in R*w bits, w = M - i0 - 1: bit
-r*w + k is the pair of its row r with row i0 + 1 + k, so bit order is
-pair-by-pair (row-major) order.  Bit-sliced counters over these bitsets
-answer every window for all pairs of the block at once, and a passing block
-is charged arithmetically what a pair-by-pair sweep spends on it.  In a block with a violation, or whose cost would pass
-the cap, the stopping pair is the lowest violating bit, or the pair whose
-charges pass the cap (bisected over the block's bits on the same count),
-whichever comes first: the pairs before it are charged and it goes to the
-scalar evaluator _pair, so witnesses, evaluations and CapExceeded.used stay
-pair-by-pair.
+quarter-split) are data, a _Condition each, decided with the outcome and
+charges of a pair-by-pair sweep: the pairs of rows i < j in row-major
+order, each evaluated by _pair, which charges its windows in turn and
+stops at the first violated one.  _charges prices any prefix of that order
+in closed form, so the cap's stopping pair is known before any row is
+read, and the least violating pair found is charged what the pairs before
+it cost and re-evaluated by _pair: witnesses, evaluations and
+CapExceeded.used stay pair-by-pair.  The pairs are found by
+  * one-row blocks (_first_rows): row x against every later row at once,
+    by bit-sliced counters (_block), up to the cap's stop for the aligned
+    condition, whose windows start before the disagreement;
+  * grouping passes (_dependences), for the immediacy-function, dyadic and
+    quarter-split conditions, once row 0, or the few rows before the
+    cap's stop, is decided by one-row blocks;
+  * pruned pair extension (_grow), for tree distance at each depth and
+    for exact_distance, which bisects over the ratios c/w.
 
 Each condition keeps its own window convention: the generic immediacy window
 is half-open [s, s+w); the dyadic-layered condition uses (s, s+2^l]; the
@@ -51,14 +42,14 @@ from __future__ import annotations
 
 import math
 import operator
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, chain, combinations, compress
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
-from .bitslice import add, below, minimum
+from .bitslice import add, below
 from .core import PrefixTable, TreeCode
 from .grouping import Groups
 from .dyadic import as_fraction, floor_lg, frac_str
@@ -70,8 +61,6 @@ from .partitions import (
 )
 
 DEFAULT_EVAL_CAP = 1 << 24
-# a pair sweep's block of rows has at most this many bits per bitset
-_BLOCK_BITS = 1 << 16
 # a key of a window's parts holds 2^_SLACK times its prefixes' distinct values
 _SLACK = 2
 # a window with at most this many subset keys takes them all, with no candidate
@@ -122,7 +111,7 @@ class Verdict:
     witness payloads use 1-based positions and plain lists, so they serialize
     directly; a failing witness always contains enough raw data (messages,
     window or block, measured vs required) to re-evaluate the violated
-    inequality without re-running the sweep.
+    inequality without re-running the check.
     """
 
     passed: bool
@@ -161,12 +150,10 @@ class _MessageBits:
     same_input[q][a]: the rows with input symbol a at position q, a
     periodic pattern.  Codeword-symbol sets are built from the prefix columns
     on first use, one run of table.strides[p] bits per matching prefix, so
-    memory grows with the rows a sweep reaches.  They read index, each
-    column's prefixes by symbol, built on first use and shared by the
-    sweeps of one check (a depth-d table shares the first d columns); with
-    no index each set scans its column, which for row 0 alone takes no
-    index of M entries.
-    block() lays either kind out for a block of rows of _block.
+    memory grows with the rows a check reaches.  They read index, each
+    column's prefixes by symbol, built on first use; with no index each set
+    scans its column, which for row 0 alone takes no index of M entries.
+    block() lays either kind out for one row of _block.
     """
 
     def __init__(self, table: PrefixTable,
@@ -199,54 +186,17 @@ class _MessageBits:
             bits = self._symbols[(p, sym)] = (starts << run) - starts
         return bits
 
-    def block(self, p: int, inputs: bool, i0: int, rows: int) -> int:
-        """For the block of rows i0 .. i0 + rows - 1 (i0 a multiple of rows):
-        bit r*w + k, w = size - i0 - 1, is set when row i0 + 1 + k has row
-        i0 + r's input symbol (inputs) or codeword symbol at position p.
-        Rows sharing their prefix of length p+1 form a run and share one
-        term, repeated across the run by doubling shifts.  The runs' input
-        symbols repeat every sigma runs, so one period of them is built and
-        repeated."""
-        run = self.table.strides[p]  # rows per prefix of length p+1
-        per, lo = min(rows, run), i0 // run  # rows per run in the block, its first prefix
-        runs = rows // per
-        if inputs:  # one period of them
-            runs = min(runs, self.sigma)
-            terms = [self.same_input[p][t % self.sigma] for t in range(lo, lo + runs)]
-        else:
-            terms = [self.same_symbol(p, s) for s in self.table.columns[p][lo:lo + runs]]
-        sh, w = i0 + 1, self.size - i0 - 1
-        if runs == 1:
-            return _repeat(terms[0] >> sh, w, rows)
-        period = _join([_repeat(t >> sh, w, per) for t in terms], per * w)
-        return _repeat(period, runs * per * w, rows // (runs * per))
-
-
-def _repeat(t: int, w: int, count: int) -> int:
-    """count copies of the w-bit bitset t, copy r at bit r*w, made by
-    doubling shifts (double and add, from the top bit of count)."""
-    out, have = t, 1
-    for bit in bin(count)[3:]:
-        out |= out << (have * w)
-        have *= 2
-        if bit == "1":
-            out |= t << (have * w)
-            have += 1
-    return out
-
-
-def _join(parts: List[int], w: int) -> int:
-    """The w-bit bitsets parts, part u at bit u*w, merged pairwise."""
-    while len(parts) > 1:
-        if len(parts) & 1:
-            parts.append(0)
-        parts = [lo | hi << w for lo, hi in zip(parts[::2], parts[1::2])]
-        w *= 2
-    return parts[0]
+    def block(self, p: int, inputs: bool, x: int) -> int:
+        """Bit k is set when row x + 1 + k has row x's input symbol (inputs)
+        or codeword symbol at position p."""
+        t = x // self.table.strides[p]  # row x's prefix of length p+1
+        if inputs:
+            return self.same_input[p][t % self.sigma] >> (x + 1)
+        return self.same_symbol(p, self.table.columns[p][t]) >> (x + 1)
 
 
 class _Condition(NamedTuple):
-    """A pair condition as data, for _sweep, _dependences and _pair.
+    """A pair condition as data, for _charges, _block, _dependences and _pair.
 
     cands holds (a, sp, windows) in evaluation order: the pairs whose inputs
     agree on [a, sp) and differ at sp, each checked on its windows (lo, hi,
@@ -290,37 +240,30 @@ def _counters(cond: _Condition):
     return links, groups, len(keys)
 
 
-def _block(bits: _MessageBits, cond: _Condition, plan, i0: int, rows: int,
-           best: Optional[Fraction] = None):
-    """The block of rows i0 .. i0 + rows - 1 (i0 a multiple of rows) against
-    cond, planned by _counters: (base, found, viol, best), bitsets in the
-    block's layout (_MessageBits.block) of its pairs, of each candidate's
-    pairs and of the pairs violating a window, and with best a Fraction,
-    the least of it and each candidate window's count/length."""
+def _block(bits: _MessageBits, cond: _Condition, plan, x: int) -> int:
+    """Row x against the rows after it on cond, planned by _counters: the
+    pairs violating a window, bit k the pair of row x with row x + 1 + k."""
     links, groups, nkeys = plan
-    w = bits.size - i0 - 1  # bit r*w + k: row i0 + r against row i0 + 1 + k
-    full = (1 << rows * w) - 1
-    # row r pairs only with the rows after it, k >= r
-    base = full - (_repeat(1, 1 + w, rows) - _repeat(1, w, rows))
+    full = (1 << (bits.size - x - 1)) - 1
     built: Dict[Tuple[int, bool], int] = {}
 
-    def same(p: int, inputs: bool) -> int:  # bits.block for this block, built once
+    def same(p: int, inputs: bool) -> int:  # bits.block for this row, built once
         got = built.get((p, inputs))
         if got is None:
-            got = built[(p, inputs)] = bits.block(p, inputs, i0, rows)
+            got = built[(p, inputs)] = bits.block(p, inputs, x)
         return got
 
-    found, per_key = [], [0] * nkeys
+    per_key = [0] * nkeys
     prev, agree, q = -1, 0, 0
     for (a, sp, _), ks in zip(cond.cands, links):
         if a != prev or sp < q:
-            prev, agree, q = a, base, a
+            prev, agree, q = a, full, a
         while q < sp:
             agree &= same(q, True)
             q += 1
-        found.append(agree & ~same(sp, True))
+        found = agree & ~same(sp, True)
         for ki in ks:
-            per_key[ki] |= found[-1]
+            per_key[ki] |= found
 
     viol = 0
     for (start, step), checks in groups.items():
@@ -335,77 +278,26 @@ def _block(bits: _MessageBits, cond: _Condition, plan, i0: int, rows: int,
             added = length
             if t > 0:
                 viol |= below(slices, t, cand)
-            if best is not None:
-                best = min(best, Fraction(minimum(slices, cand), length))
-    return base, found, viol, best
+    return viol
 
 
-def _sweep(table: PrefixTable, budget: _Budget, cond: _Condition, want_min: bool = False,
-           index: Optional[dict] = None):
-    """Every pair of rows i < j of table against cond's candidates and
-    windows (_Condition).  Returns the first witness in pair-by-pair order,
-    and with want_min the least count/length over all candidate windows
-    (exact when it passes).  index is the column index of _MessageBits, to
-    share with the other sweeps of a check.
-
-    Rows go in blocks (see the module doc): a block of R rows starts at a
-    row index divisible by R, R the largest such power of sigma_in up to
-    the cap (1 at row 0).  Each per-row input, "agrees with row r on input
-    q" and "has row r's codeword symbol at p", is one block bitset, built
-    from the runs of rows that share the prefix up to q or p
-    (_MessageBits.block), and counted by _block.  The block's charge is
-    pair_cost * |base| plus each candidate's found pairs times its windows'
-    costs; a block with a violation, or whose charge would pass the cap, is
-    charged up to its stopping pair (the lowest violating bit, or the first
-    bit at which cost_below passes the cap), which _pair then evaluates.
-    """
-    bits = _MessageBits(table, {} if index is None else index)
-    plan = _counters(cond)
-    pair_cost, size, sigma = cond.pair_cost, bits.size, bits.sigma
-    weights = [sum(w[3] for w in ws) for _, _, ws in cond.cands]
-    most = 1  # rows per block at most
-    while sigma > 1 and most * sigma * size <= _BLOCK_BITS:
-        most *= sigma
-    best = Fraction(1) if want_min else None
-
-    after = 0  # the row after the last block
-    while after < size:
-        i0, rows = after, 1  # the block's first row, and its rows
-        while i0 and rows < most and i0 % (rows * sigma) == 0:
-            rows *= sigma
-        after += rows
-        w = size - i0 - 1
-        nbits = rows * w
-        base, found, viol, best = _block(bits, cond, plan, i0, rows, best)
-
-        def cost_below(k: int) -> int:
-            low = (1 << k) - 1
-            charged = sum((f & low).bit_count() * wt for f, wt in zip(found, weights))
-            return pair_cost * (base & low).bit_count() + charged
-
-        cost, room = cost_below(nbits), budget.cap - budget.used
-        if not viol and cost <= room:
-            budget.spend(cost)
-            continue
-        stop = (viol & -viol).bit_length() - 1 if viol else nbits
-        if cost > room:  # the first pair whose charges pass the cap
-            stop = min(stop, bisect_right(range(1, nbits + 1), room, key=cost_below))
-        budget.spend(cost_below(stop))
-        r, k = divmod(stop, w)
-        x, cx = table[i0 + r]
-        y, cy = table[i0 + 1 + k]
-        witness = _pair(budget, cond, x, cx, y, cy)
-        if witness is None:
-            raise RuntimeError(f"sweep flagged pair ({i0 + r}, {i0 + 1 + k}) but it passes")
-        return witness, best
-    return None, best
+def _first_rows(table: PrefixTable, cond: _Condition, rows: int) -> List[Tuple[int, int]]:
+    """The first pair violating cond in rows 0 .. rows - 1 of table, as a
+    list of none or one: each row by _block, its lowest violating bit."""
+    bits, plan = _MessageBits(table, None if rows == 1 else {}), _counters(cond)
+    for x in range(rows):
+        viol = _block(bits, cond, plan, x)
+        if viol:
+            return [(x, x + (viol & -viol).bit_length())]
+    return []
 
 
 def _charges(table: PrefixTable, cond: _Condition, budget: _Budget):
-    """(stop, settle), charging what _sweep of cond would by arithmetic on the
-    digits of a pair: stop is [the first pair whose charges pass the cap] or
-    [], and settle(found) charges every pair, or with found or stop those
-    before the least of them, which _pair then evaluates."""
+    """(stop, settle), charging what _pair spends on the pairs of table in
+    pair-by-pair order by arithmetic on the digits of a pair: stop is [the
+    first pair whose charges pass the cap] or [], and settle(found) charges
+    every pair, or with found or stop those before the least of them, which
+    _pair then evaluates."""
     n, sigma, size = table.n, table.sigma, len(table)
     weights: Dict[Tuple[int, int], int] = defaultdict(int)
     for a, sp, windows in cond.cands:
@@ -479,17 +371,17 @@ def _parts(cols: List[int], need: int, lg: List[float], lg_sigma: float):
 
 
 def _dependences(table: PrefixTable, budget: _Budget, cond: _Condition) -> Optional[dict]:
-    """_sweep's outcome and charges for cond, from grouping checks (its
-    windows start at or after their sp).  A pair of candidate (a, sp)
+    """The pair-by-pair outcome and charges of cond, from grouping checks
+    (its windows start at or after their sp).  A pair of candidate (a, sp)
     agrees on A = [a, sp) and differs at sp, so it differs on each
     injective column of a window (one whose prefixes' symbols all differ):
     a window drops them from its columns and from the t differences it
     needs, and is dropped when it needs none.  Row 0, or every row up to
     the cap's stop if they are at most 1/_SETTLED_SHARE of the table, is
-    decided first by one-row blocks of the sweep's counters (_block),
-    before any key is made: a pair found there, or the cap's once its row
-    is decided, settles the check.  Else a violating pair agrees on a key
-    S of a window (_parts), a (w-t+1)-subset or a union of parts.  Each key
+    decided first by one-row blocks (_first_rows), before any key is
+    made: a pair found there, or the cap's once its row is decided,
+    settles the check.  Else a violating pair agrees on a key S of a
+    window (_parts), a (w-t+1)-subset or a union of parts.  Each key
     S + A, with the windows sharing it and R their sps, is a check: the
     pairs in its groups that differ on R (Groups.strays) are candidates,
     verified on the windows (_verified), and the first violating pair is
@@ -518,13 +410,9 @@ def _dependences(table: PrefixTable, budget: _Budget, cond: _Condition) -> Optio
         return settle([])
     live_cond = _Condition(live, 0)
     rows = stop[0][0] + 1 if stop and (stop[0][0] + 1) * _SETTLED_SHARE <= len(table) else 1
-    bits, plan = _MessageBits(table, None if rows == 1 else {}), _counters(live_cond)
-    for x in range(rows):  # x < M - 1, but for sigma_in = 1
-        viol = _block(bits, live_cond, plan, x, 1)[2]
-        if viol:
-            return settle([(x, x + (viol & -viol).bit_length())])
-    if stop and stop[0][0] < rows:
-        return settle([])
+    found = _first_rows(table, live_cond, rows)  # x < M - 1, but for sigma_in = 1
+    if found or stop and stop[0][0] < rows:
+        return settle(found)
     checks = {}
     for a, sp, kept in live:
         keys, subsets = [], []
@@ -628,6 +516,21 @@ def _grow(rows: Iterator, col: Sequence[int], sigma: int, d: int, keep: List[int
                 yield x, kids
 
 
+def _steps(table: PrefixTable, fire: List[int], only_n: bool = False) -> list:
+    """_grow's arguments after rows, depth d's at d - 1, for the pairs that
+    some depth e in [d, n] (e = n alone if only_n) could fire: a window of
+    w positions fires at c <= fire[w] differences, and each injective
+    column d .. e-1 (its prefixes' symbols all differ) adds one."""
+    n = table.n
+    inj = [0, *accumulate(len(set(col)) == len(col) for col in table.columns)]  # inj[e] - inj[d]
+    keeps = [[max(fire[e - s] - inj[e] + inj[d] for e in range(n if only_n else d, n + 1))
+              for s in range(d)] for d in range(1, n + 1)]
+    # whether sibling pairs can be kept, so that every row before is needed
+    fresh = [k[-1] >= inj[d + 1] - inj[d] for d, k in enumerate(keeps)]
+    return [(table.columns[d], table.sigma, d + 1, keep, any(fresh[d + 1:]))
+            for d, keep in enumerate(keeps)]
+
+
 def check_tree_distance(code: TreeCode, delta, cap: int = DEFAULT_EVAL_CAP) -> Verdict:
     """Distance certification against the definition: every pair of same-depth
     vertices (prefix pairs, all depths 1..n) has divergent distance >= delta.
@@ -639,24 +542,16 @@ def check_tree_distance(code: TreeCode, delta, cap: int = DEFAULT_EVAL_CAP) -> V
     with c differences over its window w has c + inj(d, e) or more over
     w + e - d at depth e, inj(d, e) the injective columns d .. e-1 (their
     prefixes' symbols all differ), so it is kept only while c <= ceil(delta
-    * (w + e - d)) - 1 - inj(d, e) for an e in [d, n].  After a failure,
-    depth n is grown anew toward e = n alone, lazily in row order, up to
-    its first violating row.  Charges are _sweep's (_charges); a depth
-    keeps no row at or past the one where the cap runs out."""
+    * (w + e - d)) - 1 - inj(d, e) for an e in [d, n] (_steps).  After a
+    failure, depth n is grown anew toward e = n alone, lazily in row order,
+    up to its first violating row.  Charges are the pair-by-pair sweep's
+    (_charges); a depth keeps no row at or past the one where the cap runs
+    out."""
     delta = as_fraction(delta)
     budget = _Budget(cap)
     table = _table(code, budget)
-    n, sigma = code.n, code.sigma_in
-    inj = [0, *accumulate(len(set(col)) == len(col) for col in table.columns)]  # inj[e] - inj[d]
+    n = code.n
     fire = [math.ceil(delta * w) - 1 for w in range(n + 1)]  # w positions violate at c <= fire[w]
-
-    def plan(only_n: bool) -> list:  # _grow's arguments after rows, depth d's at d - 1
-        keeps = [[max(fire[e - s] - inj[e] + inj[d] for e in range(n if only_n else d, n + 1))
-                  for s in range(d)] for d in range(1, n + 1)]
-        # whether sibling pairs can be kept, so that every row before is needed
-        fresh = [k[-1] >= inj[d + 1] - inj[d] for d, k in enumerate(keeps)]
-        return [(table.columns[d], sigma, d + 1, keep, any(fresh[d + 1:]))
-                for d, keep in enumerate(keeps)]
 
     def settle(d: int, rows: Iterator, kept: Optional[list] = None) -> Optional[dict]:
         stop, charge = _charges(table.prefix(d), _distance(d, delta), budget)
@@ -668,12 +563,12 @@ def check_tree_distance(code: TreeCode, delta, cap: int = DEFAULT_EVAL_CAP) -> V
                 kept.append((x, kids))
         return charge([])
 
-    rows, witness, steps = iter([(0, ())]), None, plan(False)
+    rows, witness, steps = iter([(0, ())]), None, _steps(table, fire)
     for d in range(1, n):
         kept: list = []
         witness = settle(d, _grow(rows, *steps[d - 1]), kept)
         if witness is not None:
-            rows, steps = iter([(0, ())]), plan(True)
+            rows, steps = iter([(0, ())]), _steps(table, fire, True)
             for e in range(1, n):
                 rows = _grow(rows, *steps[e - 1])
             break
@@ -684,11 +579,31 @@ def check_tree_distance(code: TreeCode, delta, cap: int = DEFAULT_EVAL_CAP) -> V
 
 
 def exact_distance(code: TreeCode, cap: int = DEFAULT_EVAL_CAP) -> Fraction:
-    """Exact minimum divergent distance over all same-depth vertex pairs."""
+    """Exact minimum divergent distance over all same-depth vertex pairs.
+
+    Every depth is first charged what its pair-by-pair sweep spends
+    (_charges), so a refusal comes before any pair is read.  The minimum is
+    the least ratio theta = c/w, 1 <= w <= n, at which some pair has
+    c <= theta * w (1 with no pair), by bisection over pruned pair
+    extension (_grow) up to the first depth holding such a pair."""
     budget = _Budget(cap)
-    table, index = _table(code, budget), {}
-    return min(_sweep(table.prefix(d), budget, _distance(d, Fraction(-1)), True, index)[1]
-               for d in range(1, code.n + 1))
+    table, n = _table(code, budget), code.n
+    for d in range(1, n + 1):
+        _charges(table.prefix(d), _distance(d, Fraction(-1)), budget)[1]([])
+
+    def reaches(theta: Fraction) -> bool:
+        fire, rows = [math.floor(theta * w) for w in range(n + 1)], iter([(0, ())])
+        for d, step in enumerate(_steps(table, fire), 1):
+            kept = []
+            for x, kids in _grow(rows, *step):
+                if any(c <= fire[d - s] for _, s, c in kids):
+                    return True
+                kept.append((x, kids))
+            rows = iter(kept)
+        return False
+
+    ratios = sorted({Fraction(c, w) for w in range(1, n + 1) for c in range(w + 1)})
+    return ratios[bisect_left(ratios, True, hi=len(ratios) - 1, key=reaches)]
 
 
 def check_immediacy_function(
@@ -850,7 +765,9 @@ def check_ghk_condition(
     """Aligned-window immediacy of the constant-rate construction: for every
     pair differing at i <= n - 2^t and every t with lg m <= t <= lg n - 1
     (m = (k0/eps) lg n), the codewords differ in >= delta * 2^(t+1) positions
-    of (i0, i0 + 2^(t+1)], i0 the largest multiple of 2^t below i."""
+    of (i0, i0 + 2^(t+1)], i0 the largest multiple of 2^t below i.  Decided
+    row by row (_first_rows) up to the cap's stop, not by grouping: a window
+    starts before the disagreement, where no column is a sure difference."""
     delta = as_fraction(delta)
     epsilon = as_fraction(epsilon)
     n = code.n
@@ -880,7 +797,9 @@ def check_ghk_condition(
         cands.append((pos - 1, pos - 1, [(i0, i0 + (2 << t), need[t][0], 1, {
             "i": pos, "t": t, "window": [i0 + 1, i0 + (2 << t)],
             "required": need[t][1]}) for t, i0 in starts]))
-    witness, _ = _sweep(table, budget, _Condition(cands, n))
+    cond = _Condition(cands, n)
+    stop, settle = _charges(table, cond, budget)
+    witness = settle(_first_rows(table, cond, stop[0][0] + 1 if stop else len(table) - 1))
     details = {} if witness else {"m": m, "t_values": ts, "vacuous": not ts}
     return Verdict(witness is None, witness, details, budget.used)
 

@@ -474,11 +474,15 @@ def test_engine_matches_scalar_sweep_on_multi_block_levels():
     assert '"passed":false' in assert_same("chs", code, None, (2, 2, 0))
 
 
-# ---------------- blocks of rows ----------------
+# ---------------- rows at powers of sigma ----------------
 #
-# _sweep takes rows in blocks of R rows (R = 1, 1, sigma, sigma^2, ... up to
-# the largest power of sigma with R * M <= _BLOCK_BITS): at n = 9 a full
-# block is 128 rows, at n = 10 64 rows, and at sigma_in = 3, n = 6 81 rows.
+# Pairs whose first row is a power of sigma_in, or a multiple of one, or
+# next to it: a bitset sweep that took rows in blocks of R rows (R = 1, 1,
+# sigma, sigma^2, ...) split its work there.  The engines count pairs by
+# rows (one row against all later ones), by grouping passes over prefixes
+# and by pruned pair extension, and every one of them must place these
+# pairs, their charges and a cap running out among them as the scalar
+# references do.
 
 
 def collision_code(n: int, sigma: int, i: int, j: int) -> TreeCode:
@@ -499,10 +503,10 @@ def _masked(n, lf, rg):
     "code,prop,delta,arg,caps",
     [
         (scrambled_prefix_code(9, 2), "distance", Fraction(1, 2), None, [1_300_000]),
-        # fails at depth 4, then the depth-9 sweep passes through every block
+        # fails at depth 4, then depth 9 passes through every row
         (_masked(9, (2,), (3, 4)), "distance", Fraction(1, 2), None, []),
         (_masked(9, (5,), (6, 7)), "imm", Fraction(3, 4), "exp", []),
-        # fails in the depth-9 sweep, the 512 rows of table.prefix(9) in blocks of 128
+        # fails at depth 9, in the 512 rows of table.prefix(9)
         (_masked(10, (8,), (9,)), "distance", Fraction(3, 4), None, []),
         (_masked(10, (3, 4), (5, 6, 7, 8)), "imm", Fraction(1, 2), "exp", []),
     ],
@@ -514,7 +518,7 @@ def test_engine_matches_scalar_sweep_across_full_blocks(code, prop, delta, arg, 
 
 
 def test_cap_runs_out_inside_a_full_block_at_n10():
-    # in the depth-10 sweep, in its first block of 64 rows (rows 64-127)
+    # at depth 10, in rows 64-127
     engine, reference = _pairs("distance", scrambled_prefix_code(10, 4), Fraction(1, 2), None)
     assert _outcome(engine, 2_000_000) == _outcome(reference, 2_000_000)
 
@@ -523,26 +527,24 @@ def _message(i: int, n: int, sigma: int) -> List[int]:
     return [i // sigma ** (n - 1 - q) % sigma for q in range(n)]
 
 
-# (n, sigma, i, j, properties, _BLOCK_BITS): the first violating pair (i, j)
-# in the last row of a block, or in the first row of the next
+# (n, sigma, i, j, properties): the first violating pair (i, j) in the row
+# before a multiple of a power of sigma, or in that row
 EDGES = [
-    (8, 2, 63, 64, ["eks"], None),  # last row of block [32, 64)
-    (8, 2, 64, 66, ["eks", "distance"], None),  # first row of block [64, 128)
-    (8, 2, 127, 128, ["eks"], 1 << 12),  # last row of a full block of 16 rows
-    (8, 2, 128, 130, ["eks", "distance"], 1 << 12),  # first row of the next
-    (9, 2, 256, 258, ["distance"], None),  # first row of the second block of 128
-    (6, 3, 162, 163, ["distance"], None),  # first row of the third block of 81
-    (4, 3, 26, 27, ["eks", "imm"], 1 << 11),  # last row of the block [18, 27) of 9
-    (4, 3, 27, 30, ["eks", "distance"], 1 << 11),  # first row of the next
+    (8, 2, 63, 64, ["eks"]),  # the row before 64
+    (8, 2, 64, 66, ["eks", "distance"]),
+    (8, 2, 127, 128, ["eks"]),  # the row before 128
+    (8, 2, 128, 130, ["eks", "distance"]),
+    (9, 2, 256, 258, ["distance"]),
+    (6, 3, 162, 163, ["distance"]),  # 2 * 81
+    (4, 3, 26, 27, ["eks", "imm"]),  # the row before 27
+    (4, 3, 27, 30, ["eks", "distance"]),
 ]
 EDGE_ARGS = {"eks": (Fraction(1, 2), None), "imm": (Fraction(1, 2), "unit"),
              "distance": (Fraction(3, 4), None)}
 
 
-@pytest.mark.parametrize("n,sigma,i,j,props,block_bits", EDGES)
-def test_first_violation_at_a_block_edge(monkeypatch, n, sigma, i, j, props, block_bits):
-    if block_bits is not None:
-        monkeypatch.setattr(verify, "_BLOCK_BITS", block_bits)
+@pytest.mark.parametrize("n,sigma,i,j,props", EDGES)
+def test_first_violation_at_a_block_edge(n, sigma, i, j, props):
     code = collision_code(n, sigma, i, j)
     for prop in props:
         delta, arg = EDGE_ARGS[prop]
@@ -563,8 +565,8 @@ class _Boundaries(verify._Budget):
 
 class _PairStarts(verify._Budget):
     """A budget that records what has been spent before each charge of
-    per_pair, the charge that opens a pair in the dyadic and quarter-split
-    references."""
+    per_pair, the charge that opens a pair in the immediacy-function,
+    dyadic, aligned and quarter-split references."""
 
     seen: List[int] = []
     per_pair = 0
@@ -576,47 +578,39 @@ class _PairStarts(verify._Budget):
 
 
 @pytest.mark.parametrize(
-    "code,prop,delta,arg,block_bits",
+    "code,prop,delta,arg",
     [
-        (scrambled_prefix_code(7, 1), "imm", Fraction(1, 2), "exp", None),
-        (scrambled_prefix_code(6, 1), "distance", Fraction(1, 2), None, 1 << 9),
-        (scrambled_prefix_code(4, 1), "ghk", Fraction(1, 2), 1, 1 << 8),
-        (scrambled_prefix_code(4, 1), "chs", None, (1, 2, 0), 1 << 6),
+        (scrambled_prefix_code(7, 1), "imm", Fraction(1, 2), "exp"),
+        (scrambled_prefix_code(6, 1), "distance", Fraction(1, 2), None),
+        (scrambled_prefix_code(4, 1), "ghk", Fraction(1, 2), 1),
+        (scrambled_prefix_code(4, 1), "chs", None, (1, 2, 0)),
         (table_code(4, 3, 5, [(7 * i * i + 3 * i + 1) % 5 for i in range(120)]),
-         "distance", Fraction(0), None, None),
-        (collision_code(4, 3, 40, 41), "eks", Fraction(1, 2), 2, 1 << 11),
+         "distance", Fraction(0), None),
+        (collision_code(4, 3, 40, 41), "eks", Fraction(1, 2), 2),
     ],
-    ids=["imm7", "distance6-blocks-of-8", "ghk4-blocks-of-8", "chs4-blocks-of-4",
-         "ternary4-distance", "ternary4-eks-blocks-of-9"],
+    ids=["imm7", "distance6", "ghk4", "chs4", "ternary4-distance", "ternary4-eks"],
 )
-def test_caps_at_every_block_boundary(monkeypatch, code, prop, delta, arg, block_bits):
-    """Each charge a passing block makes ends at a block boundary: the caps
-    one below, at and one above every boundary give the reference's
-    outcome (the aligned condition, in blocks of up to 8 rows of its 16).
-    The tree distance, immediacy-function, dyadic and quarter-split checks
-    make no blocks: they charge a stop by arithmetic from its pair, so for
-    them the caps sit at a sample of the reference's pair boundaries: first
-    pairs of rows, the last two pairs and pairs spread evenly between.
-    Tree distance charges each passing depth whole, so its caps also sit at
+def test_caps_at_every_block_boundary(monkeypatch, code, prop, delta, arg):
+    """No check charges pair by pair: each charges a stop by arithmetic
+    from its pair, so the caps, one below, at and one above each boundary,
+    sit at a sample of the reference's pair boundaries: first pairs of
+    rows, the last two pairs and pairs spread evenly between.  Tree
+    distance charges each passing depth whole, so its caps also sit at
     each charge it makes, the ends of the depths."""
-    if block_bits is not None:
-        monkeypatch.setattr(verify, "_BLOCK_BITS", block_bits)
     engine, reference = _pairs(prop, code, delta, arg)
-    boundaries = []
-    if prop in ("eks", "chs", "imm", "distance"):
-        # a distance pair is one charge, so the reference's pairs end where it spends
-        recorder = _Boundaries if prop == "distance" else _PairStarts
-        with monkeypatch.context() as m:
-            m.setattr(recorder, "seen", [])
-            m.setattr(_PairStarts, "per_pair", code.n)
-            m.setitem(globals(), "_Budget", recorder)  # the references' budget
-            _outcome(reference, verify.DEFAULT_EVAL_CAP)
-            starts, rows = recorder.seen, len(code.table)
-        firsts = [i * (rows - 1) - i * (i - 1) // 2 for i in range(rows - 1)]  # of pair (i, i + 1)
-        picks = firsts[:: len(firsts) // 6 + 1] + [len(starts) - 1, len(starts) - 2]
-        picks += range(0, len(starts), len(starts) // 6 + 1)
-        boundaries = sorted({starts[k] for k in picks if k < len(starts)})
-    if prop not in ("eks", "chs", "imm"):
+    # a distance pair is one charge, so the reference's pairs end where it spends
+    recorder = _Boundaries if prop == "distance" else _PairStarts
+    with monkeypatch.context() as m:
+        m.setattr(recorder, "seen", [])
+        m.setattr(_PairStarts, "per_pair", code.n)
+        m.setitem(globals(), "_Budget", recorder)  # the references' budget
+        _outcome(reference, verify.DEFAULT_EVAL_CAP)
+        starts, rows = recorder.seen, len(code.table)
+    firsts = [i * (rows - 1) - i * (i - 1) // 2 for i in range(rows - 1)]  # of pair (i, i + 1)
+    picks = firsts[:: len(firsts) // 6 + 1] + [len(starts) - 1, len(starts) - 2]
+    picks += range(0, len(starts), len(starts) // 6 + 1)
+    boundaries = sorted({starts[k] for k in picks if k < len(starts)})
+    if prop == "distance":
         with monkeypatch.context() as m:
             m.setattr(_Boundaries, "seen", [])
             m.setattr(verify, "_Budget", _Boundaries)
@@ -651,49 +645,54 @@ def test_exact_distance_matches_scalar_sweep_across_blocks():
     assert verify.exact_distance(code) == ref_exact_distance(code) == Fraction(1, 2)
 
 
-def test_sweep_adds_once_per_block_and_imm_and_dyadic_checks_add_none(monkeypatch):
-    """On the scrambled n = 8 code, exact_distance's sweeps grow their
-    bit-sliced counters with 232 adds, one set per block of rows (3,084
-    with one row per block).  The immediacy-function and dyadic checks,
-    which once made 244 and 107 such adds on this code, no longer sweep
-    pairs: every column is injective, so every window is dropped, and they
-    make none, not even for row 0."""
+def test_aligned_check_adds_once_per_row_and_other_checks_add_none(monkeypatch):
+    """The aligned check on the scrambled n = 4 code grows its bit-sliced
+    counters with 48 adds: one row at a time, the 4 positions of its one
+    window (0, 4] for each of the 12 rows with a later row differing at
+    input 1 or 2.  On the scrambled n = 8 code, exact_distance, and the
+    immediacy-function and dyadic checks, which once made 232, 244 and 107
+    such adds there, make none: every column is injective, so pruned pair
+    extension keeps no pair and every window is dropped, not even row 0 is
+    counted."""
     calls = []
     monkeypatch.setattr(verify, "add", lambda slices, e: calls.append(1) or add(slices, e))
+    v = verify.check_ghk_condition(scrambled_prefix_code(4, 11), 1, 1, Fraction(1, 2))
+    assert (v.passed, v.evaluations, len(calls)) == (True, 672, 48)
+    calls.clear()
     code = scrambled_prefix_code(8, 11)
     assert verify.exact_distance(code) == 1
-    assert len(calls) == 232
-    calls.clear()
-    with monkeypatch.context() as m:
-        m.setattr(verify, "_BLOCK_BITS", 1)
-        assert verify.exact_distance(code) == 1
-    assert len(calls) == 3084
-    calls.clear()
     assert verify.check_immediacy_function(code, IMM["exp"], Fraction(1, 2)).passed
     assert verify.check_eks_condition(code, Fraction(1, 2), 3).passed
     assert calls == []
 
 
-def test_only_ghk_and_exact_distance_sweep_pairs(monkeypatch):
-    """The immediacy-function, dyadic and quarter-split checks run on
-    grouping passes and tree distance on pruned pair extension; the aligned
-    condition and exact_distance keep the pair sweep.  The ternary table's
-    columns collide, so there the runner's row 0 and grouping passes run."""
-    swept = []
-    sweep = verify._sweep
-    monkeypatch.setattr(verify, "_sweep", lambda *a, **k: swept.append(1) or sweep(*a, **k))
+def test_no_pair_sweep_is_left_and_exact_distance_grows_pairs(monkeypatch):
+    """verify keeps no pair sweep: the aligned condition runs row by row
+    (_first_rows) on every row up to its end or the cap's stop, the
+    immediacy-function, dyadic and quarter-split checks on at most row 0
+    before their grouping passes (these tables are far below 256 rows
+    per settled row), tree distance and exact_distance on pruned pair
+    extension (_grow) with no row.  The ternary table's columns collide,
+    so there the runner's row 0 and grouping passes run."""
+    for name in ("_sweep", "_BLOCK_BITS", "_repeat", "_join"):
+        assert not hasattr(verify, name)
+    rows, grown = [], []
+    first_rows, grow = verify._first_rows, verify._grow
+    monkeypatch.setattr(verify, "_first_rows", lambda t, c, r: rows.append(r) or first_rows(t, c, r))
+    monkeypatch.setattr(verify, "_grow", lambda *a: grown.append(1) or grow(*a))
     ternary = table_code(4, 3, 5, [(7 * i * i + 3 * i + 1) % 5 for i in range(120)])
     for code in (scrambled_prefix_code(4, 3), ternary):
         for prop, delta, arg in (("eks", Fraction(1, 2), 2), ("chs", None, (1, 2, 0)),
                                  ("distance", Fraction(1, 2), None),
                                  ("distance", Fraction(2), None), ("imm", Fraction(1, 2), "exp"),
                                  ("imm", Fraction(1, 4), "unit"), ("ghk", Fraction(1, 2), 1)):
-            swept.clear()
+            rows.clear(), grown.clear()
             _outcome(_pairs(prop, code, delta, arg)[0], verify.DEFAULT_EVAL_CAP)
-            assert bool(swept) == (prop == "ghk"), (prop, delta)
-        swept.clear()
+            assert bool(grown) == (prop == "distance"), (prop, delta)
+            assert rows == ([len(code.table) - 1] if prop == "ghk" else [1] if rows else []), prop
+        rows.clear(), grown.clear()
         verify.exact_distance(code)
-        assert swept
+        assert grown and not rows
 
 
 @st.composite
@@ -835,9 +834,9 @@ def test_candidates_whose_descendants_all_violate_are_not_extended(monkeypatch):
     twelve positions at delta = 1: its candidate pair of prefixes (1, 2)
     violates whatever follows, so it gives its least messages at once,
     where extending it through every child pair would build 4^10 pairs.
-    The outcome is the sweep's with room to find the pair and at caps
-    stopping in the rows settled before grouping and past them, and the
-    check allocates under 8 MB."""
+    The outcome is that of every row decided row by row (_first_rows),
+    with room to find the pair and at caps stopping in the rows settled
+    before grouping and past them, and the check allocates under 8 MB."""
     n = 12
     columns = [list(range(2 ** d)) for d in range(1, n + 1)]
     columns[1][2] = columns[1][1]
@@ -853,8 +852,12 @@ def test_candidates_whose_descendants_all_violate_are_not_extended(monkeypatch):
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     assert peak < 8 << 20
+    def every_row(table, budget, cond):  # the pairs decided row by row, as the aligned check is
+        stop, settle = verify._charges(table, cond, budget)
+        return settle(verify._first_rows(table, cond, stop[0][0] + 1 if stop else len(table) - 1))
+
     with monkeypatch.context() as m:
-        m.setattr(verify, "_dependences", lambda *a: verify._sweep(*a)[0])
+        m.setattr(verify, "_dependences", every_row)
         swept = outcome(1 << 32)
         low, high = 2**n * n, json.loads(swept)["evaluations"]
         caps = [low + (high - low) * k // 1000 for k in (1, 3, 100, 500)] + [high - 1]
@@ -1007,3 +1010,64 @@ def test_distance_reads_depth_n_only_up_to_its_first_violating_row(monkeypatch):
     counts.clear()
     engine(verify.DEFAULT_EVAL_CAP)
     assert [counts[d][0] for d in range(3, 9)] == [1] * 6
+
+
+# ---------------- exact_distance by bisection ----------------
+
+
+def _exact_outcome(fn, code: TreeCode, cap: int):
+    try:
+        return fn(code, cap=cap)
+    except CapExceeded as exc:
+        return ("cap", exc.used, exc.cap)
+
+
+def _exact_cost(code: TreeCode) -> int:
+    """What ref_exact_distance spends in all."""
+    spent = [0]
+
+    class Recording(_Budget):
+        def spend(self, k: int) -> None:
+            super().spend(k)
+            spent.append(self.used)
+
+    with mock.patch.dict(globals(), _Budget=Recording):  # the reference's budget
+        ref_exact_distance(code)
+    return spent[-1]
+
+
+def assert_same_exact(code: TreeCode, caps=()) -> Fraction:
+    """exact_distance equals the reference at the default cap, at each cap
+    in caps and at nine caps spread evenly from M*n to the full cost, as a
+    value or as CapExceeded.used; returns the value."""
+    full = ref_exact_distance(code)
+    assert verify.exact_distance(code) == full
+    low, high = code.sigma_in**code.n * code.n, _exact_cost(code)
+    for cap in sorted(set(caps) | {low + (high - low) * k // 1000 for k in range(0, 1001, 125)}
+                      | {high - 1}):
+        assert (_exact_outcome(verify.exact_distance, code, cap)
+                == _exact_outcome(ref_exact_distance, code, cap)), cap
+    return full
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(code=distance_tables())
+def test_exact_distance_matches_scalar_sweep_at_caps_spread_over_its_cost(code):
+    """The bisection's value, and the refusal charged before it, equal the
+    reference's on random tables, sigma_in 2 or 3, some columns injective."""
+    assert_same_exact(code)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_exact_distance_of_a_one_symbol_input(n):
+    """With sigma_in = 1 there is no pair: the distance is 1, charged only
+    the table's n evaluations, and a cap of n - 1 refuses it."""
+    assert assert_same_exact(identity_code(n, 1), caps=[n - 1, n]) == 1
+    with pytest.raises(CapExceeded) as exc:
+        verify.exact_distance(identity_code(n, 1), cap=n - 1)
+    assert exc.value.used == n
+
+
+def test_exact_distance_of_the_layered_code_k3():
+    """The seed-0 layered code at k = 3 (n = 8) has exact distance 3/4."""
+    assert verify.exact_distance(eks_code(eks_params(3, Fraction(1, 2), seed=0))) == Fraction(3, 4)

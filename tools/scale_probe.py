@@ -4,6 +4,8 @@ Runs one check once, cap 2^40: check_neighborhood_decoding or
 ledger_replay on trivial_code(n) over the binary-merge partition,
 check_tree_distance(trivial_code(n), 1) (pruned pair extension: every
 column of the trivial code is injective, so at delta = 1 no pair is kept),
+exact_distance(trivial_code(n)) (the same extension, bisected over the
+ratios c/w, after every depth's pair-by-pair cost is charged),
 check_immediacy_function(trivial_code(n), exp, 1/2) (windows 2, 4, 8, ...;
 every column is injective, so every window is dropped before any grouping
 pass or row is read), check_eks_condition(trivial_code(n), 1/2, lg n) (n a
@@ -18,12 +20,16 @@ partition included):
 
     PYTHONPATH=src python tools/scale_probe.py --check neighborhood --n 18
     PYTHONPATH=src python tools/scale_probe.py --check distance --n 12
+    PYTHONPATH=src python tools/scale_probe.py --check exact --n 12
     PYTHONPATH=src python tools/scale_probe.py --check imm --n 18
     PYTHONPATH=src python tools/scale_probe.py --check eks --n 16
 
 It prints one JSON line: seconds (the call, table build included),
-peak_rss_mb (ru_maxrss), passed and evaluations.  Standard library only;
-point PYTHONPATH at another checkout's src/ to measure that one.
+peak_rss_mb (ru_maxrss), and passed and evaluations, or for exact the
+distance.  A check the cap refuses (imm from n = 19, whose full cost
+passes 2^40) prints refused, used and cap instead, and exits 3, as the
+CLI does.  Standard library only; point PYTHONPATH at another checkout's
+src/ to measure that one.
 """
 
 from __future__ import annotations
@@ -39,11 +45,13 @@ from treecodes.core import trivial_code
 from treecodes.entropy import ledger_replay
 from treecodes.partitions import IMM_FUNCTIONS, LaminarPartition, TaggedBlock
 from treecodes.verify import (
+    CapExceeded,
     check_chs_condition,
     check_eks_condition,
     check_immediacy_function,
     check_neighborhood_decoding,
     check_tree_distance,
+    exact_distance,
 )
 
 CAP = 1 << 40
@@ -64,33 +72,43 @@ def binary_merge_partition(n: int) -> LaminarPartition:
     return LaminarPartition(n=n, alpha=Fraction(1, 2), p0=p0, tagged=tuple(tagged))
 
 
+def run(check: str, code, partition: LaminarPartition) -> dict:
+    """The fields the check's outcome adds to the JSON line."""
+    n = code.n
+    if check == "exact":
+        return {"distance": str(exact_distance(code, cap=CAP))}
+    if check == "neighborhood":
+        verdict = check_neighborhood_decoding(code, partition, cap=CAP)
+    elif check == "distance":
+        verdict = check_tree_distance(code, 1, cap=CAP)
+    elif check == "imm":
+        verdict = check_immediacy_function(code, IMM_FUNCTIONS["exp"], Fraction(1, 2), cap=CAP)
+    elif check == "eks":
+        verdict = check_eks_condition(code, Fraction(1, 2), n.bit_length() - 1, cap=CAP)
+    elif check == "chs":
+        verdict = check_chs_condition(code, 1, 4, (16 // n).bit_length() - 1, cap=CAP)
+    else:
+        verdict = ledger_replay(code, partition, cap=CAP)[1]
+    return {"passed": verdict.passed, "evaluations": verdict.evaluations}
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--check", required=True,
-                    choices=("neighborhood", "replay", "distance", "imm", "eks", "chs"))
+                    choices=("neighborhood", "replay", "distance", "exact", "imm", "eks", "chs"))
     ap.add_argument("--n", type=int, required=True)
     args = ap.parse_args(argv)
     code, partition = trivial_code(args.n), binary_merge_partition(args.n)
     start = time.perf_counter()
-    if args.check == "neighborhood":
-        verdict = check_neighborhood_decoding(code, partition, cap=CAP)
-    elif args.check == "distance":
-        verdict = check_tree_distance(code, 1, cap=CAP)
-    elif args.check == "imm":
-        verdict = check_immediacy_function(code, IMM_FUNCTIONS["exp"], Fraction(1, 2), cap=CAP)
-    elif args.check == "eks":
-        verdict = check_eks_condition(code, Fraction(1, 2), args.n.bit_length() - 1, cap=CAP)
-    elif args.check == "chs":
-        verdict = check_chs_condition(code, 1, 4, (16 // args.n).bit_length() - 1, cap=CAP)
-    else:
-        verdict = ledger_replay(code, partition, cap=CAP)[1]
+    try:
+        fields, status = run(args.check, code, partition), 0
+    except CapExceeded as exc:
+        fields, status = {"refused": True, "used": exc.used, "cap": exc.cap}, 3
     seconds = time.perf_counter() - start
     peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB on Linux
     print(json.dumps({"check": args.check, "n": args.n, "seconds": round(seconds, 3),
-                      "peak_rss_mb": round(peak_kb / 1024, 1), "passed": verdict.passed,
-                      "evaluations": verdict.evaluations}))
-    return 0
-
+                      "peak_rss_mb": round(peak_kb / 1024, 1), **fields}))
+    return status
 
 if __name__ == "__main__":
     sys.exit(main())
