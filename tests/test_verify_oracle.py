@@ -686,11 +686,13 @@ def test_no_pair_sweep_is_left_and_exact_distance_grows_pairs(monkeypatch):
                                  ("distance", Fraction(1, 2), None),
                                  ("distance", Fraction(2), None), ("imm", Fraction(1, 2), "exp"),
                                  ("imm", Fraction(1, 4), "unit"), ("ghk", Fraction(1, 2), 1)):
-            rows.clear(), grown.clear()
+            rows.clear()
+            grown.clear()
             _outcome(_pairs(prop, code, delta, arg)[0], verify.DEFAULT_EVAL_CAP)
             assert bool(grown) == (prop == "distance"), (prop, delta)
             assert rows == ([len(code.table) - 1] if prop == "ghk" else [1] if rows else []), prop
-        rows.clear(), grown.clear()
+        rows.clear()
+        grown.clear()
         verify.exact_distance(code)
         assert grown and not rows
 
