@@ -16,6 +16,7 @@ from typing import Dict, Optional
 
 from . import verify
 from .core import TreeCode
+from .grouping import Plan
 from .dyadic import (
     as_fraction,
     ceil_lg_of_lg,
@@ -224,6 +225,8 @@ def audit_code(
     partition: LaminarPartition,
     ledger: Optional[DeficiencyLedger] = None,
     cap: int = verify.DEFAULT_EVAL_CAP,
+    *,
+    plan: Optional[Plan] = None,
 ) -> BoundReport:
     """Join a verified code to its rate bound: neighborhood decoding is
     certified first, and a code that fails it is refused.  The deficiency is
@@ -240,6 +243,7 @@ def audit_code(
     The bound needs the partition's size property |lf(B)| >= alpha|B| and its
     laminar property, so a partition without either is refused, naming the
     property and its first offending (level, block), before any table work.
+    A plan is handed to the decoding check (see grouping.Plan).
     """
     ledger = verify.checked_ledger(code, partition, ledger)
     for prop, where in (("size", partition.report.first_size_violation),
@@ -247,7 +251,7 @@ def audit_code(
         if where:
             raise ValueError(f"refusing to audit: the partition lacks the {prop} property "
                              f"at (level, block) {where}")
-    nd = verify.check_neighborhood_decoding(code, partition, ledger, cap=cap)
+    nd = verify.check_neighborhood_decoding(code, partition, ledger, cap=cap, plan=plan)
     if not nd.passed:
         raise ValueError(
             f"refusing to audit: neighborhood decoding failed at {nd.witness['level']}:"

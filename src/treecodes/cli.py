@@ -17,7 +17,7 @@ from functools import partial
 from pathlib import Path
 from typing import Dict, List, Optional
 
-from . import bounds, entropy, serialize, verify
+from . import bounds, entropy, grouping, serialize, verify
 from .constructions import eks_code, eks_params, random_code_search
 from .partitions import (
     IMM_FUNCTIONS,
@@ -203,8 +203,10 @@ def cmd_bound(args) -> int:
 def cmd_audit(args) -> int:
     code = serialize.code_from_json(_load_json(args.code))
     p, ledger = _partition(args)
-    report = bounds.audit_code(code, p, ledger, cap=args.cap)
-    led, verdict = entropy.ledger_replay(code, p, ledger, cap=args.cap)
+    # decoding and the replay read one Groups: a set both read is grouped once
+    plan = grouping.Plan(entropy.replay_columns(p).values())
+    report = bounds.audit_code(code, p, ledger, cap=args.cap, plan=plan)
+    led, verdict = entropy.ledger_replay(code, p, ledger, cap=args.cap, plan=plan)
     payload = {
         "bound": serialize.bound_report_to_json(report),
         "entropy": {

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import product
-from typing import Callable, Iterator, List, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 Message = Tuple[int, ...]
 Codeword = Tuple[int, ...]
@@ -149,6 +149,11 @@ def _digits(i: int, length: int, sigma: int) -> Message:
     return tuple(out)
 
 
+# PrefixTable.injective looks for a repeated symbol among this many first
+# prefixes of a longer column before it counts the column's symbols
+_HEAD = 1024
+
+
 class PrefixTable:
     """Every message's codeword, as prefix columns (see the module doc).
 
@@ -157,14 +162,50 @@ class PrefixTable:
     of length j+1 covers messages t * strides[j] onward, and at length q+1
     it has strides[j] // strides[q] extensions.  The row view
     table[i] -> (message, codeword) and iteration in message order rebuild
-    rows on demand; len() is the number of messages.
+    rows on demand; len() is the number of messages.  Two facts of column
+    j are found at their first use and kept: distinct(j), its number of
+    distinct symbols, and determines(j), whether its symbol fixes input j.
     """
 
-    __slots__ = ("n", "sigma", "sigma_out", "columns", "strides")
+    __slots__ = ("n", "sigma", "sigma_out", "columns", "strides", "_distinct", "_determines")
 
     def __init__(self, n: int, sigma: int, sigma_out: int, columns: List[Sequence[int]]) -> None:
         self.n, self.sigma, self.sigma_out, self.columns = n, sigma, sigma_out, columns
         self.strides = [sigma ** (n - 1 - j) for j in range(n)]
+        self._distinct: List[Optional[int]] = [None] * n
+        self._determines: List[Optional[bool]] = [None] * n
+
+    def distinct(self, j: int) -> int:
+        """The number of distinct symbols in column j."""
+        got = self._distinct[j]
+        if got is None:
+            got = self._distinct[j] = len(set(self.columns[j]))
+        return got
+
+    def determines(self, j: int) -> bool:
+        """Whether no symbol of column j comes with two values of input j,
+        the residue t mod sigma of its prefix t: each residue class is
+        checked against the symbol set of the classes before it."""
+        got = self._determines[j]
+        if got is None:
+            col, sigma, seen, got = self.columns[j], self.sigma, set(), True
+            for r in range(1, sigma):
+                seen.update(col[r - 1::sigma])
+                if not seen.isdisjoint(col[r::sigma]):
+                    got = False
+                    break
+            self._determines[j] = got
+        return got
+
+    def injective(self, j: int) -> bool:
+        """Whether the symbols of column j's prefixes all differ: not if they
+        outnumber the symbols or, in a column longer than _HEAD, its first
+        _HEAD prefixes repeat one (a column of few symbols does so at once),
+        else by distinct(j)."""
+        col = self.columns[j]
+        if len(col) > self.sigma_out or len(col) > _HEAD and len(set(col[:_HEAD])) < _HEAD:
+            return False
+        return self.distinct(j) == len(col)
 
     def __len__(self) -> int:
         return self.sigma**self.n

@@ -15,13 +15,13 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .bounds import rate_bound
 from .core import TreeCode
 from .dyadic import lg_exact
 from .partitions import DeficiencyLedger, LaminarPartition
-from .grouping import Groups
+from .grouping import Groups, Plan
 from .verify import DEFAULT_EVAL_CAP, Verdict, _Budget, _table, checked_ledger
 
 DEFAULT_TOL = 1e-9
@@ -182,11 +182,24 @@ class EntropyLedger:
     deficiency: int
 
 
+def replay_columns(p: LaminarPartition) -> Dict[Tuple[int, ...], FrozenSet[int]]:
+    """The position sets S whose entropies ledger_replay reads, sorted, each
+    with its codeword and input columns, in the order it reads them: p0's
+    blocks, then each tagged block's lf and rg before the block, so the
+    block is grouped as their pair."""
+    n = p.n
+    tagged = [s for level in p.tagged for tb in level for s in (tb.lf, tb.rg, tb.block)]
+    return {s: frozenset(c for v in s for c in (v - 1, n + v - 1))
+            for s in dict.fromkeys(tuple(sorted(b)) for b in list(p.p0) + tagged)}
+
+
 def ledger_replay(
     code: TreeCode,
     p: LaminarPartition,
     ledger: Optional[DeficiencyLedger] = None,
     cap: int = DEFAULT_EVAL_CAP,
+    *,
+    plan: Optional[Plan] = None,
 ) -> Tuple[EntropyLedger, Verdict]:
     """Replay the telescoping entropy argument on the systematic extension of
     code (symbol j is the pair (c_j, x_j), sigma' = sigma_out x sigma_in)
@@ -214,21 +227,15 @@ def ledger_replay(
     if lg_in is None or lg_out is None:
         raise ValueError("ledger replay requires power-of-two alphabet sizes")
 
-    def key(block: Sequence[int]) -> Tuple[int, ...]:
-        return tuple(sorted(block))
-
-    # lf and rg before their block, so the block is grouped as their pair
-    tagged = [s for level in p.tagged for tb in level for s in (tb.lf, tb.rg, tb.block)]
-    sets = dict.fromkeys(map(key, list(p.p0) + tagged))
+    columns = replay_columns(p)
     budget = _Budget(cap)
-    table = _table(code, budget, sum(map(len, sets)))
-    # the codeword and input columns of each S, read in this order
-    columns = {s: frozenset(c for v in s for c in (v - 1, n + v - 1)) for s in sets}
-    groups = Groups(table, columns.values())
+    table = _table(code, budget, sum(map(len, columns)))
+    requests = columns.values()
+    groups = Groups(table, requests) if plan is None else plan.groups(table, requests)
     entropies = {s: _entropy_of_multiset(groups.weights(cols)) for s, cols in columns.items()}
 
     def h_of(block: Sequence[int]) -> float:
-        return entropies[key(block)]
+        return entropies[tuple(sorted(block))]
 
     t_values: List[float] = [math.fsum(h_of(b) for b in p.p0)]
     block_margins: List[dict] = []

@@ -11,10 +11,20 @@ range(number of prefixes), and no pass or tally is made that this already
 answers.  Other ids refer to shared ints, the entries of one
 list(range(...)) per Groups, so a list of ids costs one reference per prefix.
 A single codeword column's ids are the table's own column, a typed array
-(core).  Every kind is read through the sequence interface, and compared by
-value: a list never equals a range.  A caller names its sets in the order
-it reads them, and each set's ids are dropped after their last read in that
-order.
+(core), or a range if the column is injective.  Every kind is read through
+the sequence interface, and compared by value: a list never equals a range.
+A caller names its sets in the order it reads them, and each set's ids are
+dropped after their last read in that order.
+
+A set that holds codeword position q and input position q groups as the set
+without the input when column q determines its input (no symbol of the
+column comes with two values of the input, core.PrefixTable.determines):
+the partition-product rule of TANE (Huhtala et al., 1999), if X -> A then
+grouping by X + A is grouping by X.  On the layered code every (c_v, x_v)
+of the entropy replay is c_v alone, so the replay reads the codeword sets
+that neighborhood decoding groups.  A Plan lets the two checks of
+treecodes audit read one Groups, planned for both, so such a set is grouped
+once.
 """
 
 from __future__ import annotations
@@ -64,7 +74,8 @@ class Groups:
     position q: one id per prefix of length q+1, equal exactly when two
     prefixes agree on every column of S, so the group of message i is the id
     of prefix i // table.strides[q] and a group of c prefixes holds
-    c * table.strides[q] messages.  A column's ids are its symbols.  Those of
+    c * table.strides[q] messages.  A column's ids are its symbols, or a
+    range if they all differ (PrefixTable.injective).  Those of
     a larger S pair the ids of T and S - T, for T the set grouped so far
     inside S that reaches furthest, then the largest (else the first half of
     S's positions), so S - T ends early; on a laminar partition a block pairs
@@ -79,15 +90,21 @@ class Groups:
 
     requests are the sets the caller will read, in the order it reads them;
     ids, first and weights each read one set, and must follow that order.
-    The pairing rule runs once, when the Groups is made, on the column sets
-    alone: it fixes every pass and how often each set is read, as a request
-    or as a part of a larger set.  A set's ids are kept from its pass to
-    their last read, then dropped.
+    Each request first drops every input column n + q whose codeword column
+    q it holds, where column q determines its input; a request of several
+    columns reduced to one still reads first-occurrence ids from ids and
+    first (a column's own ids are symbols), with one pass unless the column
+    is injective.  The pairing rule runs once, when the Groups is made, on
+    the reduced column sets alone: it fixes every pass and how often each
+    set is read, as a request or as a part of a larger set.  A set's ids
+    are kept from its pass to their last read, then dropped.
     """
 
     def __init__(self, table: PrefixTable, requests: Iterable[FrozenSet[int]]) -> None:
         self.table, self.n, self.sigma = table, table.n, table.sigma
         self._ints: List[int] = []  # 0, 1, ...: the shared ints ids refer to
+        # each request with the input columns its codeword columns determine dropped
+        self._reduced: Dict[FrozenSet[int], FrozenSet[int]] = {}
         # each set planned so far, in pass order, with its part T (None for a column)
         self._parts: Dict[FrozenSet[int], Optional[FrozenSet[int]]] = {}
         # each planned set's rank as a part: its last position, then its size
@@ -95,7 +112,17 @@ class Groups:
         self._reads: Counter = Counter()  # reads of each set left in the plan
         self._kept: Dict[FrozenSet[int], Grouped] = {}
         for cols in requests:
-            self._plan(cols)
+            self._plan(self._reduce(cols))
+
+    def _reduce(self, cols: FrozenSet[int]) -> FrozenSet[int]:
+        """cols without each input column n + q whose codeword column q it
+        also holds, where column q determines its input."""
+        got = self._reduced.get(cols)
+        if got is None:
+            n = self.n
+            got = self._reduced[cols] = cols - {n + q for q in cols if q < n and n + q in cols
+                                                and self.table.determines(q)}
+        return got
 
     def _plan(self, cols: FrozenSet[int]) -> None:
         """Count one read of a non-empty column set and, at its first, choose
@@ -119,8 +146,8 @@ class Groups:
         self._ints.extend(range(len(self._ints), size))
         return self._ints
 
-    def ids(self, cols: FrozenSet[int]) -> Grouped:
-        """The group ids of the next set read in the plan."""
+    def _grouped(self, cols: FrozenSet[int]) -> Grouped:
+        """The group ids of the next planned set read (a column's own)."""
         got = self._kept.pop(cols, None)
         if got is None:
             part = self._parts[cols]
@@ -128,10 +155,13 @@ class Groups:
                 (c,) = cols
                 if c >= self.n:  # input position c - n
                     got = Grouped(c - self.n, self.table.inputs(c - self.n), self.sigma)
+                elif self.table.injective(c):
+                    size = len(self.table.columns[c])
+                    got = Grouped(c, range(size), size)
                 else:
                     got = Grouped(c, self.table.columns[c], self.table.sigma_out)
             else:
-                coarse, fine = sorted((self.ids(part), self.ids(cols - part)),
+                coarse, fine = sorted((self._grouped(part), self._grouped(cols - part)),
                                       key=operator.attrgetter("q"))
                 size = len(self.table.columns[fine.q])
                 if any(isinstance(g.ids, range) and g.q == fine.q for g in (coarse, fine)):
@@ -148,6 +178,20 @@ class Groups:
             self._kept[cols] = got
         return got
 
+    def _renumbered(self, got: Grouped) -> Grouped:
+        """A column's ids as first-occurrence ids."""
+        if isinstance(got.ids, range):
+            return got
+        ids = _first_occurrences(got.ids, self._shared(len(got.ids)))
+        return Grouped(got.q, ids, len(ids))
+
+    def ids(self, cols: FrozenSet[int]) -> Grouped:
+        """The group ids of the next request read in the plan: first-occurrence
+        ids if it holds several columns, a column's own if one."""
+        reduced = self._reduced[cols]
+        got = self._grouped(reduced)
+        return self._renumbered(got) if len(cols) > 1 and len(reduced) == 1 else got
+
     def at(self, grouped: Grouped, q: int) -> Sequence[int]:
         """The ids of a grouped set at the finer granularity q."""
         return _widen(grouped.ids, self.table.strides[grouped.q] // self.table.strides[q])
@@ -156,7 +200,7 @@ class Groups:
         """For each prefix t at the set's granularity, the least prefix of
         that length that agrees with t on cols (a range when that is t)."""
         got = self.ids(cols)
-        return got.ids if len(cols) > 1 else _first_occurrences(got.ids, self._shared(len(got.ids)))
+        return (got if len(cols) > 1 else self._renumbered(got)).ids
 
     def strays(self, inputs: Grouped, ref: Sequence[int], q: int) -> List[int]:
         """The prefixes t of length q+1 whose grouped inputs differ from those
@@ -173,8 +217,34 @@ class Groups:
 
     def weights(self, cols: FrozenSet[int]) -> Dict[int, int]:
         """{group size in messages: number of such groups} of a column set."""
-        grouped = self.ids(cols)
+        grouped = self._grouped(self._reduced[cols])
         per = self.table.strides[grouped.q]
         if isinstance(grouped.ids, range):
             return {per: len(grouped.ids)}
         return {c * per: k for c, k in Counter(Counter(grouped.ids).values()).items()}
+
+
+class Plan:
+    """One Groups that two checks of one table read in turn.
+
+    later are the second check's requests.  The first check to call groups
+    makes the Groups, planned from its own requests followed by later, so
+    a set that both read is grouped once and kept from the first read to
+    the last.  The second check's call, which must name later and the same
+    table, reads that Groups.  A check calls groups only once its charges
+    are paid, so a refused check makes none.
+    """
+
+    def __init__(self, later: Iterable[FrozenSet[int]]) -> None:
+        self.later = list(later)
+        self._made: Optional[Groups] = None
+
+    def groups(self, table: PrefixTable, requests: Iterable[FrozenSet[int]]) -> Groups:
+        """The shared Groups, made at the first call."""
+        requests = list(requests)
+        if self._made is None:
+            self._made = Groups(table, requests + self.later)
+        elif requests != self.later or table is not self._made.table:
+            raise ValueError("the second check must read the sets planned for it, "
+                             "on the same table")
+        return self._made

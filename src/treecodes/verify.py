@@ -51,7 +51,7 @@ from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequenc
 
 from .bitslice import add, below
 from .core import PrefixTable, TreeCode
-from .grouping import Groups
+from .grouping import Groups, Plan
 from .dyadic import as_fraction, floor_lg, frac_str
 from .partitions import (
     DeficiencyLedger,
@@ -392,10 +392,10 @@ def _dependences(table: PrefixTable, budget: _Budget, cond: _Condition) -> Optio
     found by that window's keys.  No key holds more than w - t + 1
     columns of its own window, so a chain of such drops ends at a kept
     key."""
-    n, columns = table.n, table.columns
+    n = table.n
     stop, settle = _charges(table, cond, budget)
-    distinct = [len(set(col)) for col in columns]
-    lg, sure = list(map(math.log2, distinct)), list(map(operator.eq, distinct, map(len, columns)))
+    lg = [math.log2(table.distinct(p)) for p in range(n)]
+    sure = list(map(table.injective, range(n)))
     live = []  # each candidate with its windows, each with its columns and need
     for a, sp, windows in cond.cands:
         kept = []
@@ -522,7 +522,7 @@ def _steps(table: PrefixTable, fire: List[int], only_n: bool = False) -> list:
     w positions fires at c <= fire[w] differences, and each injective
     column d .. e-1 (its prefixes' symbols all differ) adds one."""
     n = table.n
-    inj = [0, *accumulate(len(set(col)) == len(col) for col in table.columns)]  # inj[e] - inj[d]
+    inj = [0, *accumulate(map(table.injective, range(n)))]  # inj[e] - inj[d]
     keeps = [[max(fire[e - s] - inj[e] + inj[d] for e in range(n if only_n else d, n + 1))
               for s in range(d)] for d in range(1, n + 1)]
     # whether sibling pairs can be kept, so that every row before is needed
@@ -646,6 +646,8 @@ def check_neighborhood_decoding(
     ledger: Optional[DeficiencyLedger] = None,
     cap: int = DEFAULT_EVAL_CAP,
     materialize_tables: bool = False,
+    *,
+    plan: Optional[Plan] = None,
 ) -> Verdict:
     """Per tagged block B (minus ledger exemptions): no two messages may
     disagree on lf(B) while their codewords agree on rg(B); equivalently the
@@ -666,7 +668,9 @@ def check_neighborhood_decoding(
     here (decoding is meaningful for any structurally valid tagged
     partition); structural defects are rejected as errors.  The
     M*(|lf|+|rg|) reads of every non-exempt block are charged with the
-    table, before any message is enumerated.
+    table, before any message is enumerated.  Given a plan
+    (grouping.Plan), the check reads the Groups it shares with a later
+    check, made once those charges are paid.
     """
     ledger = checked_ledger(code, p, ledger)
     n, sigma = code.n, code.sigma_in
@@ -679,7 +683,8 @@ def check_neighborhood_decoding(
     reads = sum(len(tb.lf) + len(tb.rg) for _, _, tb, cols in blocks if cols is not None)
     budget = _Budget(cap)
     table = _table(code, budget, reads)
-    groups = Groups(table, (c for *_, cols in blocks if cols for c in cols))
+    requests = (c for *_, cols in blocks if cols for c in cols)
+    groups = Groups(table, requests) if plan is None else plan.groups(table, requests)
 
     blocks_out: List[dict] = []
     tables_out: Dict[str, list] = {}

@@ -457,6 +457,39 @@ def test_audit_cap_covers_the_entropy_replay(tmp_path, capsys):
     assert run(capsys, *args, "10240")[0] == 0
 
 
+@pytest.mark.parametrize("cap,used,table", [
+    (2047, 2048, False),  # below M*n: decoding refuses at the table charge
+    (2048, 8192, False),  # M*n: decoding refuses at its reads' charge
+    (8191, 8192, False),
+    (8192, 10240, True),  # decoding passes; the replay refuses at its charge
+    (10239, 10240, True),
+])
+def test_audit_refusals_around_the_charges(tmp_path, capsys, monkeypatch, cap, used, table):
+    # layered k=3 over its dyadic partition (M = 256, n = 8), as in the test
+    # above: a refusal's exit code and stderr name the charge it stops at,
+    # and one at decoding's charges builds no table and no Groups
+    from treecodes import grouping
+
+    run(capsys, "build", "--recipe-json", '{"kind":"eks","k":3,"delta":"1/2","seed":0}',
+        "--out-dir", str(tmp_path))
+    built, made = [], []
+    original = core.all_codewords
+    monkeypatch.setattr(core, "all_codewords", lambda code: built.append(code) or original(code))
+
+    class Counting(grouping.Groups):
+        def __init__(self, *args) -> None:
+            made.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(grouping, "Groups", Counting)
+    rc = cli.main(["audit", "--code", str(tmp_path / "code.json"),
+                   "--partition", str(tmp_path / "partition.json"), "--cap", str(cap)])
+    captured = capsys.readouterr()
+    assert (rc, captured.out) == (3, "")
+    assert captured.err == f"cap exceeded: evaluation cap exceeded: {used} > {cap}\n"
+    assert (len(built), len(made)) == ((1, 1) if table else (0, 0))
+
+
 def test_audit_stdout_is_pinned(tmp_path, capsys):
     # the whole audit report of the layered k=3 code, bound and entropy
     # replay, byte for byte

@@ -15,6 +15,7 @@ and Groups.first must give the first members the row table gives.
 
 from __future__ import annotations
 
+import json
 import math
 import tracemalloc
 from collections import Counter
@@ -26,8 +27,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treecodes import grouping, verify
-from treecodes.bounds import rate_bound_deficient, rate_bound_plain
+from treecodes import cli, grouping, verify
+from treecodes.bounds import audit_code, rate_bound_deficient, rate_bound_plain
 from treecodes.constructions import eks_code, eks_params, table_code
 from treecodes.core import (
     Codeword,
@@ -39,7 +40,7 @@ from treecodes.core import (
     trivial_code,
 )
 from treecodes.dyadic import lg_exact
-from treecodes.entropy import DEFAULT_TOL, EntropyLedger, ledger_replay
+from treecodes.entropy import DEFAULT_TOL, EntropyLedger, ledger_replay, replay_columns
 from treecodes.grouping import Groups
 from treecodes.partitions import (
     DeficiencyLedger,
@@ -49,7 +50,7 @@ from treecodes.partitions import (
     chs_tagged_structure,
     eks_partition,
 )
-from treecodes.serialize import tabulate_code
+from treecodes.serialize import dumps_canonical, ledger_to_json, partition_to_json, tabulate_code
 from treecodes.synthetic import mask_block_code, scrambled_prefix_code
 from treecodes.verify import DEFAULT_EVAL_CAP, CapExceeded, Verdict, _Budget, checked_ledger
 
@@ -481,6 +482,67 @@ def test_grouping_with_an_injective_part_matches_the_row_table(case):
         assert groups.weights(cols) == ref_weights(code, cols)
 
 
+@st.composite
+def tables_with_determined_columns(draw):
+    """A table code over sigma_in 1, 2 or 3 and sigma_out = sigma_in * k,
+    k 1 or 2, each column drawn free (any symbols), determined (the symbol
+    of prefix t is t mod sigma_in plus sigma_in times a draw), or spoiled:
+    determined, then one prefix given the symbol of a prefix at another
+    residue, any two of the three with sigma_in = 3."""
+    sigma, k = draw(st.sampled_from([1, 2, 3])), draw(st.integers(1, 2))
+    n = draw(st.integers(1, 5 if sigma < 3 else 4))
+    labels = []
+    for d in range(1, n + 1):
+        size, kind = sigma**d, draw(st.sampled_from(["free", "determined", "spoiled"]))
+        if kind == "free":
+            labels += draw(st.lists(st.integers(0, sigma * k - 1), min_size=size, max_size=size))
+            continue
+        column = [t % sigma + sigma * draw(st.integers(0, k - 1)) for t in range(size)]
+        if kind == "spoiled" and sigma > 1:
+            t, shift = draw(st.integers(0, size - 1)), draw(st.integers(1, sigma - 1))
+            column[t] = column[(t + shift) % size]
+        labels += column
+    return table_code(n, sigma, sigma * k, labels)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(code=tables_with_determined_columns(), data=st.data())
+def test_dropped_input_columns_match_the_row_table(code, data):
+    """A codeword column determines its input where its symbol never comes
+    with two inputs.  Requests mixing codeword and input columns, {q, n+q}
+    among them, read the ids, first members and weights of the row table,
+    and so does a key S + A shaped as the dependence checks make them, its
+    codeword columns S sharing a position with its input range A, with the
+    strays of an input column R against it."""
+    n, table, rows = code.n, all_codewords(code), ref_all_codewords(code)
+    distinct = [len({cw[q] for _, cw in rows}) for q in range(n)]
+    assert list(map(table.distinct, range(n))) == distinct
+    assert list(map(table.determines, range(n))) == [
+        len({(cw[q], m[q]) for m, cw in rows}) == distinct[q] for q in range(n)]
+    q = data.draw(st.integers(0, n - 1))
+    mixed = [frozenset({q, n + q})] + [
+        frozenset(data.draw(st.sets(st.integers(0, 2 * n - 1), min_size=2, max_size=4)))
+        for _ in range(2)]
+    s = frozenset(data.draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=3)))
+    shared = data.draw(st.sampled_from(sorted(s)))
+    last = max(s)  # A ends by then, as a key's inputs end before its window
+    a, sp = data.draw(st.integers(0, shared)), data.draw(st.integers(shared + 1, last + 1))
+    key = s | frozenset(range(n + a, n + sp))
+    r = frozenset({n + data.draw(st.integers(0, last))})
+    groups = Groups(table, [cols for cols in mixed for _ in range(3)] + [r, key])
+    for cols in mixed:
+        ref = ref_first(code, cols, max(c % n for c in cols))
+        assert list(groups.ids(cols).ids) == ref
+        assert list(groups.first(cols)) == ref
+        assert groups.weights(cols) == ref_weights(code, cols)
+    inputs, ref = groups.ids(r), groups.first(key)
+    assert list(ref) == ref_first(code, key, last)
+    (v,) = r
+    row = [m for m, _ in rows[:: code.sigma_in ** (n - 1 - last)]]
+    assert groups.strays(inputs, ref, last) == [
+        t for t in range(len(ref)) if row[t][v - n] != row[ref[t]][v - n]]
+
+
 def _tabulated(code: TreeCode) -> TreeCode:
     t = tabulate_code(code)
     return table_code(t["n"], t["sigma_in"], t["sigma_out"], t["table"])
@@ -608,8 +670,8 @@ def test_neighborhood_check_groups_rg_and_lf_inputs_apart(monkeypatch, layered16
     made: Dict[frozenset, int] = {}
 
     class Recording(verify.Groups):
-        def ids(self, cols):
-            got = super().ids(cols)
+        def _grouped(self, cols):  # every set read, a request or a part
+            got = super()._grouped(cols)
             if len(cols) > 1:
                 made[cols] = len(got.ids)
             return got
@@ -629,37 +691,77 @@ def test_grouping_matches_tuple_grouping_on_the_layered_code_n16(layered16):
         assert replay[1].passed
 
 
-@pytest.mark.parametrize("check,quarter,passes,keys,tallied", [
-    (verify.check_neighborhood_decoding, False, 29, 336_392, 0),
-    (ledger_replay, False, 25, 353_598, 287_712),
-    (ledger_replay, True, 24, 300_350, 87_040),
-], ids=["neighborhood-dyadic", "replay-dyadic", "replay-quarter-split"])
-def test_grouping_passes_and_keys_on_the_layered_code_n16(
-        monkeypatch, layered16, check, quarter, passes, keys, tallied):
-    """Every grouping pass (and first-member pass of a single column) is
-    counted, and every id that weights tallies: a set dropped before its
-    last read and grouped again adds passes and keys, a pair with an
-    injective part is no pass, and an injective set is no tally."""
-    counted = [0, 0, 0]
+@pytest.fixture
+def counted(monkeypatch) -> List[int]:
+    """[passes, keys, tallied], counted while the test runs: every grouping
+    pass (and first-member pass of a single column) with its keys, and
+    every id that weights tallies."""
+    counts = [0, 0, 0]
     first_occurrences = grouping._first_occurrences
 
     def counting(keys, ints):
         got = first_occurrences(keys, ints)
-        counted[0] += 1
-        counted[1] += len(got)
+        counts[0] += 1
+        counts[1] += len(got)
         return got
 
     class Tallying(Counter):
         def __init__(self, ids=()):
             if isinstance(ids, Sequence):  # a set's ids, not group sizes
-                counted[2] += len(ids)
+                counts[2] += len(ids)
             super().__init__(ids)
 
     monkeypatch.setattr(grouping, "_first_occurrences", counting)
     monkeypatch.setattr(grouping, "Counter", Tallying)
+    return counts
+
+
+@pytest.mark.parametrize("check,quarter,passes,keys,tallied", [
+    (verify.check_neighborhood_decoding, False, 26, 336_356, 0),
+    (ledger_replay, False, 9, 222_528, 287_712),
+    (ledger_replay, True, 8, 169_280, 87_040),
+], ids=["neighborhood-dyadic", "replay-dyadic", "replay-quarter-split"])
+def test_grouping_passes_and_keys_on_the_layered_code_n16(
+        counted, layered16, check, quarter, passes, keys, tallied):
+    """A set dropped before its last read and grouped again adds passes
+    and keys, a pair with an injective part is no pass, an injective set is
+    no tally, and an injective column needs no first-member pass.  The
+    replay groups each (c_v, x_v) as c_v alone: on the layered code c_v
+    determines x_v."""
     args = chs_partition(1, 4, 0) if quarter else (eks_partition(4),)
     verdict = check(layered16, *args)
     assert (verdict[1] if check is ledger_replay else verdict).passed
+    assert counted == [passes, keys, tallied]
+
+
+def test_injective_columns_take_no_pass_on_a_scrambled_code_n16(counted):
+    """Every column of scrambled_prefix_code(16, 0) is injective: read as a
+    range, its pairs take no pass (26 passes before, 18 of them ending
+    all-distinct), and its first members none."""
+    assert verify.check_neighborhood_decoding(scrambled_prefix_code(16, 0), eks_partition(4)).passed
+    assert counted[:2] == [11, 26_468]
+
+
+@pytest.mark.parametrize("quarter,passes,keys,tallied", [
+    (False, 26, 336_356, 287_712),
+    (True, 10, 169_316, 87_040),
+], ids=["dyadic", "quarter-split"])
+def test_grouping_passes_and_keys_of_a_whole_audit_on_the_layered_code_n16(
+        counted, tmp_path, capsys, layered16, quarter, passes, keys, tallied):
+    """treecodes audit plans decoding and the replay on one Groups: on the
+    dyadic partition the replay reads only sets decoding grouped, so the
+    audit makes decoding's passes alone."""
+    p, ledger = chs_partition(1, 4, 0) if quarter else (eks_partition(4), None)
+    files = {"code": tabulate_code(layered16), "partition": partition_to_json(p)}
+    if ledger is not None:
+        files["ledger"] = ledger_to_json(ledger)
+    argv = ["audit"]
+    for name, obj in files.items():
+        (tmp_path / f"{name}.json").write_text(dumps_canonical(obj))
+        argv += [f"--{name}", str(tmp_path / f"{name}.json")]
+    counted[:] = [0, 0, 0]  # tabulate_code reads no grouping
+    assert cli.main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["entropy"]["passed"] is True
     assert counted == [passes, keys, tallied]
 
 
@@ -671,6 +773,36 @@ def test_replay_heap_peak_on_the_layered_code_n16(layered16):
     tracemalloc.start()
     try:
         assert ledger_replay(layered16, p)[1].passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12.5e6
+
+
+def test_a_plan_is_made_once_and_read_by_the_check_planned_for():
+    # the first call plans its own requests, then later's; the second call
+    # must name later, on the same table
+    table, later = all_codewords(trivial_code(4)), [frozenset({1, 5}), frozenset({3})]
+    plan = grouping.Plan(later)
+    groups = plan.groups(table, [frozenset({0})])
+    assert plan.groups(table, later) is groups
+    assert groups.weights(frozenset({0})) == {8: 2}
+    assert [groups.weights(cols) for cols in later] == [{4: 4}, {1: 16}]
+    for args in ((table, later[:1]), (all_codewords(trivial_code(4)), later)):
+        with pytest.raises(ValueError, match="the second check must read the sets planned"):
+            plan.groups(*args)
+
+
+def test_shared_plan_heap_peak_on_the_layered_code_n16(layered16):
+    # decoding and the replay on one plan, as treecodes audit runs them: a
+    # set both read is kept from decoding to the replay, under the bound
+    # of the replay alone
+    p = eks_partition(4)
+    tracemalloc.start()
+    try:
+        plan = grouping.Plan(replay_columns(p).values())
+        audit_code(layered16, p, plan=plan)
+        assert ledger_replay(layered16, p, plan=plan)[1].passed
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -499,3 +499,23 @@ def test_neighborhood_charges_every_block_before_enumeration():
     # the same total is what a passing check reports: trivial(8), 256 * (8 + 24)
     verdict = check_neighborhood_decoding(trivial_code(8), eks_partition(3), cap=256 * 32)
     assert verdict.passed and verdict.evaluations == 256 * 32
+
+
+def test_column_facts_are_counted_once_per_column_per_table(monkeypatch):
+    # exact_distance plans its pair extension on each bisection step, and
+    # check_tree_distance plans it twice after a failure: each reads the
+    # injective columns from the table, which builds one symbol set per
+    # column (every column here has at most 1,024 prefixes, so no head set);
+    # the tables are built first, as their build checks symbol types by sets
+    codes = scrambled_prefix_code(8, 3), scrambled_prefix_code(6, 0)
+    for code in codes:
+        code.table
+    built = []
+    for module in (core, verify):
+        monkeypatch.setattr(module, "set", lambda col: built.append(len(col)) or set(col),
+                            raising=False)
+    assert exact_distance(codes[0]) == 1
+    assert sorted(built) == [2**j for j in range(1, 9)]
+    built.clear()
+    assert not check_tree_distance(codes[1], Fraction(3, 2)).passed
+    assert sorted(built) == [2**j for j in range(1, 7)]

@@ -1,7 +1,10 @@
 """Time one check on trivial_code(n) and report this process's peak RSS.
 
 Runs one check once, cap 2^40: check_neighborhood_decoding or
-ledger_replay on trivial_code(n) over the binary-merge partition,
+ledger_replay on trivial_code(n) over the binary-merge partition, or both
+as treecodes audit runs them (audit_code, then ledger_replay, reading one
+grouping.Plan; the partition keeps the size property at n = 16, not at
+n = 18 or 20),
 check_tree_distance(trivial_code(n), 1) (pruned pair extension: every
 column of the trivial code is injective, so at delta = 1 no pair is kept),
 exact_distance(trivial_code(n)) (the same extension, bisected over the
@@ -19,16 +22,18 @@ process, one call per process, so ru_maxrss is that call's peak (import and
 partition included):
 
     PYTHONPATH=src python tools/scale_probe.py --check neighborhood --n 18
+    PYTHONPATH=src python tools/scale_probe.py --check audit --n 16
     PYTHONPATH=src python tools/scale_probe.py --check distance --n 12
     PYTHONPATH=src python tools/scale_probe.py --check exact --n 12
     PYTHONPATH=src python tools/scale_probe.py --check imm --n 18
     PYTHONPATH=src python tools/scale_probe.py --check eks --n 16
 
 It prints one JSON line: seconds (the call, table build included),
-peak_rss_mb (ru_maxrss), and passed and evaluations, or for exact the
-distance.  A check the cap refuses (imm from n = 19, whose full cost
-passes 2^40) prints refused, used and cap instead, and exits 3, as the
-CLI does.  Standard library only; point PYTHONPATH at another checkout's
+peak_rss_mb (ru_maxrss), passes (the grouping passes, each call of
+grouping._first_occurrences), and passed and evaluations (for audit,
+passed alone), or for exact the distance.  A check the cap refuses (imm
+from n = 19, whose full cost passes 2^40) prints refused, used and cap
+instead, and exits 3, as the CLI does.  Standard library only; point PYTHONPATH at another checkout's
 src/ to measure that one.
 """
 
@@ -41,8 +46,10 @@ import sys
 import time
 from fractions import Fraction
 
+from treecodes import grouping
+from treecodes.bounds import audit_code
 from treecodes.core import trivial_code
-from treecodes.entropy import ledger_replay
+from treecodes.entropy import ledger_replay, replay_columns
 from treecodes.partitions import IMM_FUNCTIONS, LaminarPartition, TaggedBlock
 from treecodes.verify import (
     CapExceeded,
@@ -55,6 +62,13 @@ from treecodes.verify import (
 )
 
 CAP = 1 << 40
+PASSES = [0]  # grouping passes made so far
+_first_occurrences = grouping._first_occurrences
+
+
+def _counted(keys, ints):
+    PASSES[0] += 1
+    return _first_occurrences(keys, ints)
 
 
 def binary_merge_partition(n: int) -> LaminarPartition:
@@ -77,6 +91,11 @@ def run(check: str, code, partition: LaminarPartition) -> dict:
     n = code.n
     if check == "exact":
         return {"distance": str(exact_distance(code, cap=CAP))}
+    if check == "audit":
+        plan = grouping.Plan(replay_columns(partition).values())
+        report = audit_code(code, partition, cap=CAP, plan=plan)
+        verdict = ledger_replay(code, partition, cap=CAP, plan=plan)[1]
+        return {"passed": report.satisfied and verdict.passed}
     if check == "neighborhood":
         verdict = check_neighborhood_decoding(code, partition, cap=CAP)
     elif check == "distance":
@@ -95,10 +114,12 @@ def run(check: str, code, partition: LaminarPartition) -> dict:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--check", required=True,
-                    choices=("neighborhood", "replay", "distance", "exact", "imm", "eks", "chs"))
+                    choices=("neighborhood", "replay", "audit", "distance", "exact", "imm", "eks",
+                             "chs"))
     ap.add_argument("--n", type=int, required=True)
     args = ap.parse_args(argv)
     code, partition = trivial_code(args.n), binary_merge_partition(args.n)
+    grouping._first_occurrences = _counted
     start = time.perf_counter()
     try:
         fields, status = run(args.check, code, partition), 0
@@ -107,7 +128,7 @@ def main(argv=None) -> int:
     seconds = time.perf_counter() - start
     peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB on Linux
     print(json.dumps({"check": args.check, "n": args.n, "seconds": round(seconds, 3),
-                      "peak_rss_mb": round(peak_kb / 1024, 1), **fields}))
+                      "peak_rss_mb": round(peak_kb / 1024, 1), "passes": PASSES[0], **fields}))
     return status
 
 if __name__ == "__main__":
