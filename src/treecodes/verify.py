@@ -23,12 +23,10 @@ in closed form, so the cap's stopping pair is known before any row is
 read, and the least violating pair found is charged what the pairs before
 it cost and re-evaluated by _pair: witnesses, evaluations and
 CapExceeded.used stay pair-by-pair.  The pairs are found by
-  * one-row blocks (_first_rows): row x against every later row at once,
-    by bit-sliced counters (_block), up to the cap's stop for the aligned
-    condition, whose windows start before the disagreement;
-  * grouping passes (_dependences), for the immediacy-function, dyadic and
-    quarter-split conditions, once row 0, or the few rows before the
-    cap's stop, is decided by one-row blocks;
+  * grouping passes (_dependences), for the immediacy-function, dyadic,
+    aligned and quarter-split conditions, once row 0, or the few rows
+    before the cap's stop, is decided by one-row blocks (_first_rows):
+    row x against every later row at once, by bit-sliced counters (_block);
   * pruned pair extension (_grow), for tree distance at each depth and
     for exact_distance, which bisects over the ratios c/w.
 
@@ -282,8 +280,9 @@ def _block(bits: _MessageBits, cond: _Condition, plan, x: int) -> int:
 
 
 def _first_rows(table: PrefixTable, cond: _Condition, rows: int) -> List[Tuple[int, int]]:
-    """The first pair violating cond in rows 0 .. rows - 1 of table, as a
-    list of none or one: each row by _block, its lowest violating bit."""
+    """The first pair violating cond in rows 0 .. rows - 1 of table, the
+    rows _dependences settles before grouping, as a list of none or one:
+    each row by _block, its lowest violating bit."""
     bits, plan = _MessageBits(table, None if rows == 1 else {}), _counters(cond)
     for x in range(rows):
         viol = _block(bits, cond, plan, x)
@@ -371,37 +370,42 @@ def _parts(cols: List[int], need: int, lg: List[float], lg_sigma: float):
 
 
 def _dependences(table: PrefixTable, budget: _Budget, cond: _Condition) -> Optional[dict]:
-    """The pair-by-pair outcome and charges of cond, from grouping checks
-    (its windows start at or after their sp).  A pair of candidate (a, sp)
-    agrees on A = [a, sp) and differs at sp, so it differs on each
-    injective column of a window (one whose prefixes' symbols all differ):
-    a window drops them from its columns and from the t differences it
-    needs, and is dropped when it needs none.  Row 0, or every row up to
-    the cap's stop if they are at most 1/_SETTLED_SHARE of the table, is
-    decided first by one-row blocks (_first_rows), before any key is
-    made: a pair found there, or the cap's once its row is decided,
-    settles the check.  Else a violating pair agrees on a key S of a
-    window (_parts), a (w-t+1)-subset or a union of parts.  Each key
-    S + A, with the windows sharing it and R their sps, is a check: the
-    pairs in its groups that differ on R (Groups.strays) are candidates,
-    verified on the windows (_verified), and the first violating pair is
-    the least of the cap's and the least verified candidate.  A key that
-    holds w' - t' + 1 columns of another window of its candidate and more
-    besides (w' and t' that window's columns and need, past the injective
+    """The pair-by-pair outcome and charges of cond, from grouping checks.
+    A pair of candidate (a, sp) agrees on A = [a, sp) and differs at sp,
+    so it differs on each injective column (one whose prefixes' symbols
+    all differ) at or after sp; before sp, where an aligned window
+    starts, no column is sure.  A window drops its sure columns from its
+    columns and from the t differences it needs, and is dropped when it
+    needs none.  Row 0, or every row up to the cap's stop if they are at
+    most 1/_SETTLED_SHARE of the table, is decided first by one-row
+    blocks (_first_rows), before any key is made: a pair found there, or
+    the cap's once its row is decided, settles the check.  Else a
+    violating pair agrees on a key S of a window (_parts), a
+    (w-t+1)-subset or a union of parts.  Each key S + A, with the windows
+    sharing it and R their sps, is a check: the pairs in its groups that
+    differ on R (Groups.strays) are candidates, verified on the windows
+    (_verified), and the first violating pair is the least of the cap's
+    and the least verified candidate.  A key ending before an sp of R
+    (an aligned window's; up to n = 16 its check's windows all end past
+    R) is read at R's granularity: each prefix's first member is the
+    first descendant of its ancestor's first member.  A key that holds
+    w' - t' + 1 columns of another window of its candidate and more
+    besides (w' and t' that window's columns and need, past the sure
     ones) is dropped: its violating pairs violate that window, and are
     found by that window's keys.  No key holds more than w - t + 1
     columns of its own window, so a chain of such drops ends at a kept
     key."""
     n = table.n
     stop, settle = _charges(table, cond, budget)
-    lg = [math.log2(table.distinct(p)) for p in range(n)]
+    if len(table) == 1:  # one message, no pair: sigma_in = 1
+        return settle([])
     sure = list(map(table.injective, range(n)))
     live = []  # each candidate with its windows, each with its columns and need
     for a, sp, windows in cond.cands:
         kept = []
         for window in windows:
             lo, hi, t = window[:3]
-            cols = [p for p in range(lo, hi) if not sure[p]]
+            cols = [p for p in range(lo, hi) if not (sure[p] and p >= sp)]
             if t > hi - lo - len(cols):
                 kept.append((*window, cols, t - (hi - lo - len(cols))))
         if kept:
@@ -410,9 +414,10 @@ def _dependences(table: PrefixTable, budget: _Budget, cond: _Condition) -> Optio
         return settle([])
     live_cond = _Condition(live, 0)
     rows = stop[0][0] + 1 if stop and (stop[0][0] + 1) * _SETTLED_SHARE <= len(table) else 1
-    found = _first_rows(table, live_cond, rows)  # x < M - 1, but for sigma_in = 1
+    found = _first_rows(table, live_cond, rows)  # x < M - 1
     if found or stop and stop[0][0] < rows:
         return settle(found)
+    lg = [math.log2(table.distinct(p)) for p in range(n)]
     checks = {}
     for a, sp, kept in live:
         keys, subsets = [], []
@@ -429,6 +434,9 @@ def _dependences(table: PrefixTable, budget: _Budget, cond: _Condition) -> Optio
     found = []
     for key, r, tests in checks:
         inputs, ref, q = groups.ids(r), groups.first(key), max(c for c in key if c < n)
+        if q < inputs.q:  # a key ending before an sp
+            w, q = table.strides[q] // table.strides[inputs.q], inputs.q
+            ref = [ref[t // w] * w for t in range(len(ref) * w)]
         strays = groups.strays(inputs, ref, q)
         if strays:
             found += _verified(table, ref, strays, q, tests)
@@ -771,8 +779,7 @@ def check_ghk_condition(
     pair differing at i <= n - 2^t and every t with lg m <= t <= lg n - 1
     (m = (k0/eps) lg n), the codewords differ in >= delta * 2^(t+1) positions
     of (i0, i0 + 2^(t+1)], i0 the largest multiple of 2^t below i.  Decided
-    row by row (_first_rows) up to the cap's stop, not by grouping: a window
-    starts before the disagreement, where no column is a sure difference."""
+    by grouping (_dependences), whose sure differences start at i, not i0."""
     delta = as_fraction(delta)
     epsilon = as_fraction(epsilon)
     n = code.n
@@ -788,23 +795,16 @@ def check_ghk_condition(
     inv_eps = 1 / epsilon
     if inv_eps.denominator != 1 or inv_eps.numerator & (inv_eps.numerator - 1):
         raise ValueError(f"1/epsilon = {inv_eps} must be a power-of-two integer")
-    m_frac = Fraction(k0) / epsilon * lg_n
-    assert m_frac.denominator == 1
-    m = m_frac.numerator
-    ts = [t for t in range(floor_lg(m), lg_n)] if m <= n else []
+    m = k0 * inv_eps.numerator * lg_n
+    ts = list(range(floor_lg(m), lg_n)) if m <= n else []
 
     budget = _Budget(cap)
     table = _table(code, budget)
-    need = {t: (math.ceil(delta * (2 << t)), frac_str(delta * (2 << t))) for t in ts}
-    cands = []
-    for pos in range(1, n + 1):
-        starts = [(t, ((pos - 1) >> t) << t) for t in ts if pos <= n - (1 << t)]
-        cands.append((pos - 1, pos - 1, [(i0, i0 + (2 << t), need[t][0], 1, {
-            "i": pos, "t": t, "window": [i0 + 1, i0 + (2 << t)],
-            "required": need[t][1]}) for t, i0 in starts]))
-    cond = _Condition(cands, n)
-    stop, settle = _charges(table, cond, budget)
-    witness = settle(_first_rows(table, cond, stop[0][0] + 1 if stop else len(table) - 1))
+    cands = [(sp, sp, [(i0, i0 + (2 << t), math.ceil(delta * (2 << t)), 1, {
+        "i": sp + 1, "t": t, "window": [i0 + 1, i0 + (2 << t)],
+        "required": frac_str(delta * (2 << t))})
+        for t in ts if sp < n - (1 << t) for i0 in [sp >> t << t]]) for sp in range(n)]
+    witness = _dependences(table, budget, _Condition(cands, n))
     details = {} if witness else {"m": m, "t_values": ts, "vacuous": not ts}
     return Verdict(witness is None, witness, details, budget.used)
 

@@ -312,6 +312,15 @@ def ref_chs_condition(code, m: int, l1: int, growth_shift: int,
     return Verdict(passed=True, witness=None, details=details, evaluations=budget.used)
 
 
+def every_row(table, budget, cond) -> Optional[dict]:
+    """The outcome of a grouping runner (verify._dependences, for which it
+    is patched in) decided row by row instead: _charges and _first_rows
+    over every row up to the cap's stop.  It reaches n = 16, where no
+    scalar sweep does."""
+    stop, settle = verify._charges(table, cond, budget)
+    return settle(verify._first_rows(table, cond, stop[0][0] + 1 if stop else len(table) - 1))
+
+
 # ---------------- comparison ----------------
 
 IMM = {"exp": lambda k: 2**k, "unit": lambda k: k}
@@ -629,12 +638,15 @@ def test_caps_at_every_block_boundary(monkeypatch, code, prop, delta, arg):
         (4, "eks", Fraction(2), 2),
         (4, "eks", Fraction(3, 2), 2),
         (4, "ghk", Fraction(1, 2), 1),
+        (256, "ghk", Fraction(3, 4), 1),
         (8, "chs", None, (1, 4, 1)),
     ],
 )
 def test_one_symbol_sigma_in(n, prop, delta, arg):
     """With sigma_in = 1 there is one message, so one row and no pair: each
-    certifier passes, charged only the table's n evaluations."""
+    certifier passes, charged only the table's n evaluations.  At n = 256
+    an aligned window spans up to 256 positions, far too many to split
+    into keys: the check must find that there is no pair first."""
     code = identity_code(n, 1)
     full = json.loads(assert_same(prop, code, delta, arg, caps=[n - 1, n]))
     assert full["passed"] and full["evaluations"] == n
@@ -645,19 +657,26 @@ def test_exact_distance_matches_scalar_sweep_across_blocks():
     assert verify.exact_distance(code) == ref_exact_distance(code) == Fraction(1, 2)
 
 
-def test_aligned_check_adds_once_per_row_and_other_checks_add_none(monkeypatch):
-    """The aligned check on the scrambled n = 4 code grows its bit-sliced
-    counters with 48 adds: one row at a time, the 4 positions of its one
-    window (0, 4] for each of the 12 rows with a later row differing at
-    input 1 or 2.  On the scrambled n = 8 code, exact_distance, and the
+def test_checks_add_only_where_injective_columns_leave_a_window_open(monkeypatch):
+    """On the scrambled n = 4 code every column is injective, so a pair
+    differing at input i differs in each column from i on.  The aligned
+    window (0, 4] of a pair differing at input 1 or 2 thus holds 4 or 3
+    sure differences: at delta = 1/2 it is dropped and the check makes no
+    bit-sliced add (row by row it made 48, 4 for each of 12 rows).  At
+    delta = 1 the window of input 2 needs column 1 too: row 0 alone is
+    counted, with the 4 adds of that window, and holds the least violating
+    pair.  On the scrambled n = 8 code, exact_distance, and the
     immediacy-function and dyadic checks, which once made 232, 244 and 107
-    such adds there, make none: every column is injective, so pruned pair
-    extension keeps no pair and every window is dropped, not even row 0 is
-    counted."""
+    such adds there, make none: every window is dropped, and pruned pair
+    extension keeps no pair."""
     calls = []
     monkeypatch.setattr(verify, "add", lambda slices, e: calls.append(1) or add(slices, e))
-    v = verify.check_ghk_condition(scrambled_prefix_code(4, 11), 1, 1, Fraction(1, 2))
-    assert (v.passed, v.evaluations, len(calls)) == (True, 672, 48)
+    code = scrambled_prefix_code(4, 11)
+    v = verify.check_ghk_condition(code, 1, 1, Fraction(1, 2))
+    assert (v.passed, v.evaluations, len(calls)) == (True, 672, 0)
+    v = verify.check_ghk_condition(code, 1, 1, Fraction(1))
+    assert (v.passed, v.evaluations, len(calls)) == (False, 81, 4)
+    assert v == ref_ghk_condition(code, 1, 1, Fraction(1))
     calls.clear()
     code = scrambled_prefix_code(8, 11)
     assert verify.exact_distance(code) == 1
@@ -667,18 +686,18 @@ def test_aligned_check_adds_once_per_row_and_other_checks_add_none(monkeypatch):
 
 
 def test_no_pair_sweep_is_left_and_exact_distance_grows_pairs(monkeypatch):
-    """verify keeps no pair sweep: the aligned condition runs row by row
-    (_first_rows) on every row up to its end or the cap's stop, the
-    immediacy-function, dyadic and quarter-split checks on at most row 0
-    before their grouping passes (these tables are far below 256 rows
-    per settled row), tree distance and exact_distance on pruned pair
-    extension (_grow) with no row.  The ternary table's columns collide,
-    so there the runner's row 0 and grouping passes run."""
+    """verify keeps no pair sweep: every window condition (the
+    immediacy-function, dyadic, aligned and quarter-split checks) reads at
+    most max(1, M/256) rows by bit-sliced blocks (_block) before its
+    grouping passes, and tree distance and exact_distance run on pruned
+    pair extension (_grow) with no row.  The ternary table's columns
+    collide, so there each window condition reads row 0; on the
+    scrambled table none reads a row."""
     for name in ("_sweep", "_BLOCK_BITS", "_repeat", "_join"):
         assert not hasattr(verify, name)
     rows, grown = [], []
-    first_rows, grow = verify._first_rows, verify._grow
-    monkeypatch.setattr(verify, "_first_rows", lambda t, c, r: rows.append(r) or first_rows(t, c, r))
+    block, grow = verify._block, verify._grow
+    monkeypatch.setattr(verify, "_block", lambda *a: rows.append(a[3]) or block(*a))
     monkeypatch.setattr(verify, "_grow", lambda *a: grown.append(1) or grow(*a))
     ternary = table_code(4, 3, 5, [(7 * i * i + 3 * i + 1) % 5 for i in range(120)])
     for code in (scrambled_prefix_code(4, 3), ternary):
@@ -690,7 +709,8 @@ def test_no_pair_sweep_is_left_and_exact_distance_grows_pairs(monkeypatch):
             grown.clear()
             _outcome(_pairs(prop, code, delta, arg)[0], verify.DEFAULT_EVAL_CAP)
             assert bool(grown) == (prop == "distance"), (prop, delta)
-            assert rows == ([len(code.table) - 1] if prop == "ghk" else [1] if rows else []), prop
+            assert len(rows) <= max(1, len(code.table) // verify._SETTLED_SHARE), prop
+            assert rows == ([0] if code is ternary and prop != "distance" else []), prop
         rows.clear()
         grown.clear()
         verify.exact_distance(code)
@@ -751,7 +771,7 @@ def test_runner_matches_scalar_sweep_where_windows_need_more_than_they_hold(code
 
 
 @st.composite
-def imm_cases(draw):
+def imm_cases(draw, prop="imm"):
     """An immediacy-function case on a random table, sigma_in 2 or 3, its
     choices made by a Random of a drawn seed (drawn choices repeat the
     first option of each again and again).  Each column is a permutation
@@ -765,13 +785,21 @@ def imm_cases(draw):
     split into as few parts as it needs differences, every key then a
     filter whose candidates _verified checks.  Tables of 64 rows or fewer
     settle row 0 alone before grouping, so a cap stopping the check past
-    it runs the grouping passes under the cap's stopping pair."""
+    it runs the grouping passes under the cap's stopping pair.  With prop
+    "ghk" it is an aligned case (k0 = 1) at n = 4, each column giving row
+    0's prefix a symbol of its own and the others one of one to four
+    symbols: keys then hold few columns, some wholly before the
+    disagreement."""
     rng = random.Random(draw(st.integers(0, 2**64 - 1)))
     sigma = rng.choice([2, 3])
-    n = rng.randint(2, 6 if sigma == 2 else 4)
+    n = 4 if prop == "ghk" else rng.randint(2, 6 if sigma == 2 else 4)
     columns = []
     for d in range(n):
         size, kind = sigma ** (d + 1), rng.random()
+        if prop == "ghk":
+            high = rng.randint(1, 4)
+            columns.append([0] + [rng.randint(1, high) for _ in range(size - 1)])
+            continue
         columns.append(rng.sample(range(size), size) if kind < 0.95 else
                        [rng.randrange(3) for _ in range(size)])
         if kind < 0.85 and size > 2:
@@ -787,7 +815,7 @@ def imm_cases(draw):
     # past 1, every pair violates every window
     delta = rng.choice(DELTAS[2:] * 3 + [Fraction(0), Fraction(5, 4), Fraction(3, 2), Fraction(2)])
     parts = rng.choice([(verify._SLACK, verify._EXACT_KEYS), (-math.inf, 0)])
-    return code, delta, rng.choice(sorted(IMM_KINDS)), parts
+    return code, delta, 1 if prop == "ghk" else rng.choice(sorted(IMM_KINDS)), parts
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
@@ -798,6 +826,18 @@ def test_imm_runner_matches_scalar_sweep_at_caps_spread_over_its_cost(case):
     code, delta, kind, (slack, exact) = case
     with mock.patch.multiple(verify, _SLACK=slack, _EXACT_KEYS=exact):
         assert_same("imm", code, delta, kind, cap_points=range(0, 1001, 125))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(case=imm_cases("ghk"))
+def test_aligned_runner_matches_scalar_sweep_where_keys_end_before_the_disagreement(case):
+    """The aligned window (0, 4] starts before the disagreement at input 2:
+    split into as few parts as it needs differences, a key can lie wholly
+    before it, coarser than the inputs it is tested on.  Outcomes equal the
+    reference's at nine caps spread evenly from M*n to the full cost."""
+    code, delta, arg, (slack, exact) = case
+    with mock.patch.multiple(verify, _SLACK=slack, _EXACT_KEYS=exact):
+        assert_same("ghk", code, delta, arg, cap_points=range(0, 1001, 125))
 
 
 def test_imm_runner_passes_the_layered_code_n16(monkeypatch):
@@ -812,6 +852,44 @@ def test_imm_runner_passes_the_layered_code_n16(monkeypatch):
     v = verify.check_immediacy_function(code, IMM["exp"], Fraction(1, 2), cap=1 << 44)
     assert (v.passed, v.evaluations) == (True, 75_162_451_968)
     assert verified
+
+
+def test_aligned_failure_on_the_layered_code_n16_is_every_rows(monkeypatch):
+    """The seed-0 layered code at k = 4 fails the aligned windows at delta
+    = 1/2 (k0 = 1, epsilon = 1) at i = 8, t = 3: the window [1, 16]
+    measures 7 after 6,795,792,898 evaluations, the outcome of every row
+    decided row by row.  Its columns 1-4 are injective but lie before the
+    disagreement, where a pair may agree: counted as sure differences,
+    they move the witness to a later pair."""
+    code = eks_code(eks_params(4, Fraction(1, 2), seed=0))
+    check = lambda c: verify.check_ghk_condition(code, 1, 1, Fraction(1, 2), cap=c)
+    got = _outcome(check, 1 << 44)
+    with monkeypatch.context() as m:
+        m.setattr(verify, "_dependences", every_row)
+        assert _outcome(check, 1 << 44) == got
+    v = json.loads(got)
+    assert (v["evaluations"], v["witness"]["i"], v["witness"]["t"], v["witness"]["window"],
+            v["witness"]["measured"]) == (6_795_792_898, 8, 3, [1, 16], 7)
+
+
+def test_aligned_passes_at_n16_with_the_sweeps_evaluations():
+    """The seed-0 layered code at k = 4 passes the aligned windows at
+    delta = 1/4, and scrambled_prefix_code(16, 0) at delta = 1/2, each
+    with a pair-by-pair sweep's 55,835,099,136 evaluations.  Every column
+    of the scrambled code is injective, so every window is dropped: the
+    check allocates under 16 MB, where row by row it read all 65,535 rows
+    and kept 600 MB of symbol bitsets."""
+    layered = eks_code(eks_params(4, Fraction(1, 2), seed=0))
+    v = verify.check_ghk_condition(layered, 1, 1, Fraction(1, 4), cap=1 << 44)
+    assert (v.passed, v.evaluations) == (True, 55_835_099_136)
+    code = scrambled_prefix_code(16, 0)
+    code.table  # built before the allocations are traced
+    tracemalloc.start()
+    v = verify.check_ghk_condition(code, 1, 1, Fraction(1, 2), cap=1 << 44)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert (v.passed, v.evaluations) == (True, 55_835_099_136)
+    assert peak < 16 << 20
 
 
 def test_verified_candidates_extend_through_every_child(monkeypatch):
@@ -854,10 +932,6 @@ def test_candidates_whose_descendants_all_violate_are_not_extended(monkeypatch):
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     assert peak < 8 << 20
-    def every_row(table, budget, cond):  # the pairs decided row by row, as the aligned check is
-        stop, settle = verify._charges(table, cond, budget)
-        return settle(verify._first_rows(table, cond, stop[0][0] + 1 if stop else len(table) - 1))
-
     with monkeypatch.context() as m:
         m.setattr(verify, "_dependences", every_row)
         swept = outcome(1 << 32)

@@ -12,8 +12,10 @@ ratios c/w, after every depth's pair-by-pair cost is charged),
 check_immediacy_function(trivial_code(n), exp, 1/2) (windows 2, 4, 8, ...;
 every column is injective, so every window is dropped before any grouping
 pass or row is read), check_eks_condition(trivial_code(n), 1/2, lg n) (n a
-power of two), or check_chs_condition(trivial_code(n), 1, 4, shift) with
-16 / 2^shift = n (n = 4, 8 or 16).
+power of two), check_chs_condition(trivial_code(n), 1, 4, shift) with
+16 / 2^shift = n (n = 4, 8 or 16), or check_ghk_condition(trivial_code(n),
+1, 1, 1/2) (k0 = 1, epsilon = 1; lg n must be a power of two, so n = 16 is
+the one size in reach).
 The binary-merge partition holds the singletons at level 0, and each level
 pairs adjacent blocks of the level below, the left one as lf and the right
 one as rg; when the count is odd, the last pair becomes the lf of a block
@@ -27,6 +29,7 @@ partition included):
     PYTHONPATH=src python tools/scale_probe.py --check exact --n 12
     PYTHONPATH=src python tools/scale_probe.py --check imm --n 18
     PYTHONPATH=src python tools/scale_probe.py --check eks --n 16
+    PYTHONPATH=src python tools/scale_probe.py --check ghk --n 16
 
 It prints one JSON line: seconds (the call, table build included),
 peak_rss_mb (ru_maxrss), passes (the grouping passes, each call of
@@ -55,6 +58,7 @@ from treecodes.verify import (
     CapExceeded,
     check_chs_condition,
     check_eks_condition,
+    check_ghk_condition,
     check_immediacy_function,
     check_neighborhood_decoding,
     check_tree_distance,
@@ -106,6 +110,8 @@ def run(check: str, code, partition: LaminarPartition) -> dict:
         verdict = check_eks_condition(code, Fraction(1, 2), n.bit_length() - 1, cap=CAP)
     elif check == "chs":
         verdict = check_chs_condition(code, 1, 4, (16 // n).bit_length() - 1, cap=CAP)
+    elif check == "ghk":
+        verdict = check_ghk_condition(code, 1, 1, Fraction(1, 2), cap=CAP)
     else:
         verdict = ledger_replay(code, partition, cap=CAP)[1]
     return {"passed": verdict.passed, "evaluations": verdict.evaluations}
@@ -115,7 +121,7 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--check", required=True,
                     choices=("neighborhood", "replay", "audit", "distance", "exact", "imm", "eks",
-                             "chs"))
+                             "chs", "ghk"))
     ap.add_argument("--n", type=int, required=True)
     args = ap.parse_args(argv)
     code, partition = trivial_code(args.n), binary_merge_partition(args.n)
