@@ -14,18 +14,19 @@ counter per chosen word gives its cell distance to every candidate at once.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain, repeat
 from operator import or_
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .bitslice import add, below, minimum
 from .core import LevelOrderChar, Message, TreeCode, check_table_size
 from .dyadic import as_fraction
 from .partitions import MAX_N
 from .rng import DetStream
+from .verify import _scan
 
 DEFAULT_B_SCHEDULE = (2, 3, 4, 6, 8)
 MAX_B = 16  # the widest cell a code file or recipe may name; the schedule stays within it
@@ -365,64 +366,14 @@ def _draw_levels(
         yield level
 
 
-def _reaches(levels: Iterable[Sequence[int]], n: int, theta: Fraction) -> bool:
-    """Whether some same-depth vertex pair of a depth-n labeling, read level
-    by level (depth 1 first), has divergent distance <= theta.  Levels are
-    read only up to the first depth that holds such a pair.
-
-    A depth-d pair with c differences over its window w has descendants at
-    depth d + k with window w + k and at least c differences, so none of them
-    can reach theta unless c <= theta * (w + n - d).  Only such pairs, kept
-    as (u, v, c), are extended to their four child pairs at the next depth,
-    beside that depth's new sibling pairs (window 1).
-    """
-    tn, td = theta.numerator, theta.denominator  # c <= theta * w iff c <= tn * w // td
-    kept: List[Tuple[int, int, int]] = []
-    for d, lab in enumerate(levels, 1):
-        nxt = []
-        fire, keep = tn // td, tn * (1 + n - d) // td
-        for u in range(0, len(lab), 2):
-            c = lab[u] != lab[u + 1]
-            if c <= fire:
-                return True
-            if c <= keep:
-                nxt.append((u, u + 1, c))
-        for u, v, c in kept:
-            w = (u ^ v).bit_length() + 1  # the child pairs' window
-            fire, keep = tn * w // td, tn * (w + n - d) // td
-            for x in (2 * u, 2 * u + 1):
-                lx = lab[x]
-                for y in (2 * v, 2 * v + 1):
-                    cy = c + (lx != lab[y])
-                    if cy <= fire:
-                        return True
-                    if cy <= keep:
-                        nxt.append((x, y, cy))
-        kept = nxt
-    return False
-
-
-def _scan(levels: Iterable[Sequence[int]], n: int, floor: Fraction) -> Fraction:
-    """Exact minimum divergent distance over all same-depth vertex pairs of a
-    depth-n labeling read level by level, or floor once some pair is at or
-    below floor (its levels then read only up to that pair's depth).
-
-    Otherwise every level has been read and kept, and the minimum, a ratio
-    c/w with 1 <= w <= n, is the least ratio above floor that _reaches
-    accepts, found by bisection on the kept levels.
-    """
-    kept: List[Sequence[int]] = []
-    if _reaches((kept.append(lab) or lab for lab in levels), n, floor):
-        return floor
-    ratios = sorted({Fraction(c, w) for w in range(1, n + 1) for c in range(w + 1)})
-    lo, hi = bisect_right(ratios, floor), len(ratios) - 1  # 1 is reached at depth 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if _reaches(kept, n, ratios[mid]):
-            hi = mid
-        else:
-            lo = mid + 1
-    return ratios[lo]
+def _bounds(n: int):
+    """verify._scan's bounds(num, den) on labelings of depth n, each made once
+    per caller: assuming no injective column, a pair is kept while c <= fire[n - s]."""
+    @lru_cache(maxsize=None)
+    def bounds(num: int, den: int) -> Tuple[List[int], List[List[int]]]:
+        fire = [num * w // den for w in range(n + 1)]
+        return fire, [[fire[n - s] for s in range(n)]] * n
+    return bounds
 
 
 def table_min_distance(n: int, table: Sequence[int]) -> Fraction:
@@ -430,7 +381,7 @@ def table_min_distance(n: int, table: Sequence[int]) -> Fraction:
     labeling; n < 1 or a table of the wrong length for n raises ValueError."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    return _scan(LevelOrderChar(n, 2, table).levels, n, Fraction(-1))
+    return _scan(LevelOrderChar(n, 2, table).levels, 2, n, Fraction(-1), _bounds(n))
 
 
 @dataclass(frozen=True)
@@ -463,13 +414,14 @@ def random_code_search(
         raise ValueError(f"target must be in (0, 1], got {target}")
     check_table_size(n, 2, f"n = {n} too deep to search")
     best: Tuple[Fraction, int, List[int]] | None = None
+    bounds = _bounds(n)
     for t in range(trials):
         table: List[int] = []
         levels = _draw_levels(n, sigma_out_size, DetStream(seed, "trial", t), table)
         # a scan that never hits the floor completes and is exact; an aborted
         # scan reports floor itself, which can never displace the best
         floor = Fraction(0) if best is None else best[0]
-        dist = _scan(levels, n, floor)
+        dist = _scan(levels, 2, n, floor, bounds)
         if best is None or dist > best[0]:
             # only the first trial can abort and still be kept (at distance
             # 0, exact): draw the rest of its table

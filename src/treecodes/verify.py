@@ -27,8 +27,8 @@ CapExceeded.used stay pair-by-pair.  The pairs are found by
     aligned and quarter-split conditions, once row 0, or the few rows
     before the cap's stop, is decided by one-row blocks (_first_rows):
     row x against every later row at once, by bit-sliced counters (_block);
-  * pruned pair extension (_grow), for tree distance at each depth and
-    for exact_distance, which bisects over the ratios c/w.
+  * pruned pair extension, in row order (_grow) for tree distance, and by
+    whole depths (_reaches) for exact_distance and search, bisected (_scan).
 
 Each condition keeps its own window convention: the generic immediacy window
 is half-open [s, s+w); the dyadic-layered condition uses (s, s+2^l]; the
@@ -45,7 +45,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, chain, combinations, compress
-from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .bitslice import add, below
 from .core import PrefixTable, TreeCode
@@ -510,7 +510,9 @@ def _grow(rows: Iterator, col: Sequence[int], sigma: int, d: int, keep: List[int
     """Depth d's rows from depth d - 1's, lazily: each prefix x of length d,
     in order, with its kept partners [(y, s, c)] in order of y (every x if
     dense, else those with any).  col is column d - 1, keep[s] the most
-    differences c a kept pair with first difference s has."""
+    differences c a kept pair with first difference s has.  Row order, not
+    _reaches' whole depths, gives check_tree_distance a depth's least violating
+    pair, the stop at the cap's row and depth n up to its first violating row."""
     for u, kept in rows:
         end = u * sigma + sigma
         for x in range(end - sigma, end):
@@ -528,15 +530,70 @@ def _steps(table: PrefixTable, fire: List[int], only_n: bool = False) -> list:
     """_grow's arguments after rows, depth d's at d - 1, for the pairs that
     some depth e in [d, n] (e = n alone if only_n) could fire: a window of
     w positions fires at c <= fire[w] differences, and each injective
-    column d .. e-1 (its prefixes' symbols all differ) adds one."""
+    column d .. e-1 (its prefixes' symbols all differ) adds one.  keep[-1]
+    is -1 where no sibling pair can be kept: _reaches then scans none."""
     n = table.n
     inj = [0, *accumulate(map(table.injective, range(n)))]  # inj[e] - inj[d]
     keeps = [[max(fire[e - s] - inj[e] + inj[d] for e in range(n if only_n else d, n + 1))
               for s in range(d)] for d in range(1, n + 1)]
-    # whether sibling pairs can be kept, so that every row before is needed
-    fresh = [k[-1] >= inj[d + 1] - inj[d] for d, k in enumerate(keeps)]
-    return [(table.columns[d], table.sigma, d + 1, keep, any(fresh[d + 1:]))
+    for d, keep in enumerate(keeps):  # a sibling pair differs on column d if injective
+        keep[-1] = keep[-1] if keep[-1] >= inj[d + 1] - inj[d] else -1
+    return [(table.columns[d], table.sigma, d + 1, keep, any(k[-1] >= 0 for k in keeps[d + 1:]))
             for d, keep in enumerate(keeps)]
+
+
+def _reaches(columns: Iterable, sigma: int, fire: List[int], keeps: Iterable) -> bool:
+    """Whether some same-depth pair of prefixes has c <= fire[w] differences
+    over its window of w positions, reading columns (depth 1 first) only up
+    to the first depth holding one, which is decided before any of its pairs
+    is built.  A depth-d pair with first difference s is kept, as (x, y, c),
+    while c <= keeps[d - 1][s], in buckets by s, newest first (bucket r has
+    window r + 1); its sibling pairs are not scanned if keeps[d - 1][d - 1] < 0."""
+    buckets, sibs = [], [*combinations(range(sigma), 2)]
+    for d, (col, keep) in enumerate(zip(columns, keeps), 1):
+        # a kept pair has c > fire[w]: its children fire only where fire steps up
+        for r, bucket in enumerate(buckets):
+            for u, v, c in bucket if (f := fire[r + 2]) > fire[r + 1] else ():
+                for x in range(u * sigma, u * sigma + sigma) if c <= f else ():
+                    sx = col[x]
+                    for y in range(v * sigma, v * sigma + sigma):
+                        if c + (sx != col[y]) <= f:
+                            return True
+        k, out = keep[d - 1], []
+        for i, j in sibs if k >= 0 else ():
+            for x in range(i, len(col), sigma):
+                if (e := col[x] != col[x - i + j]) <= k:
+                    if e <= fire[1]:
+                        return True
+                    out.append((x, x - i + j, e))
+        grown = [out]
+        for r, bucket in enumerate(buckets):
+            k, out = keep[d - 2 - r], []
+            for u, v, c in bucket if k > fire[r + 2] else ():  # else all it keeps fired
+                ys = range(v * sigma, v * sigma + sigma)
+                for x in range(u * sigma, u * sigma + sigma):
+                    sx = col[x]
+                    for y in ys:
+                        if (e := c + (sx != col[y])) <= k:
+                            out.append((x, y, e))
+            grown.append(out)
+        buckets = grown
+    return False
+
+
+def _scan(columns: Iterable, sigma: int, n: int, floor: Fraction, bounds: Callable) -> Fraction:
+    """The least c/w over the same-depth pairs of prefixes of a depth-n code
+    (1 with no pair), or floor if some pair is at or below it (none is below
+    0), its columns (depth 1 first) then read only up to that pair's depth.
+    Above floor, the ratios c/w, 1 <= w <= n, are bisected on the columns
+    kept, each decided by _reaches with its fire and keeps bounds(num, den)."""
+    kept: List[Sequence[int]] = [] if floor.numerator >= 0 else list(columns)
+    if floor.numerator >= 0 and _reaches((kept.append(col) or col for col in columns), sigma,
+                                         *bounds(*floor.as_integer_ratio())):
+        return floor
+    ratios = sorted({Fraction(c, w) for w in range(1, n + 1) for c in range(w + 1)})
+    return ratios[bisect_left(ratios, True, bisect_right(ratios, floor), len(ratios) - 1,
+                              key=lambda t: _reaches(kept, sigma, *bounds(*t.as_integer_ratio())))]
 
 
 def check_tree_distance(code: TreeCode, delta, cap: int = DEFAULT_EVAL_CAP) -> Verdict:
@@ -591,27 +648,17 @@ def exact_distance(code: TreeCode, cap: int = DEFAULT_EVAL_CAP) -> Fraction:
 
     Every depth is first charged what its pair-by-pair sweep spends
     (_charges), so a refusal comes before any pair is read.  The minimum is
-    the least ratio theta = c/w, 1 <= w <= n, at which some pair has
-    c <= theta * w (1 with no pair), by bisection over pruned pair
-    extension (_grow) up to the first depth holding such a pair."""
+    then _scan's, its pair extension kept by _steps' bounds, which count
+    the injective columns."""
     budget = _Budget(cap)
     table, n = _table(code, budget), code.n
     for d in range(1, n + 1):
         _charges(table.prefix(d), _distance(d, Fraction(-1)), budget)[1]([])
 
-    def reaches(theta: Fraction) -> bool:
-        fire, rows = [math.floor(theta * w) for w in range(n + 1)], iter([(0, ())])
-        for d, step in enumerate(_steps(table, fire), 1):
-            kept = []
-            for x, kids in _grow(rows, *step):
-                if any(c <= fire[d - s] for _, s, c in kids):
-                    return True
-                kept.append((x, kids))
-            rows = iter(kept)
-        return False
-
-    ratios = sorted({Fraction(c, w) for w in range(1, n + 1) for c in range(w + 1)})
-    return ratios[bisect_left(ratios, True, hi=len(ratios) - 1, key=reaches)]
+    def bounds(num: int, den: int) -> Tuple[List[int], List[List[int]]]:
+        fire = [num * w // den for w in range(n + 1)]
+        return fire, [step[3] for step in _steps(table, fire)]
+    return _scan(table.columns, table.sigma, n, Fraction(-1), bounds)
 
 
 def check_immediacy_function(

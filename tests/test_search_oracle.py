@@ -22,11 +22,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import treecodes.constructions as constructions
-from treecodes.constructions import random_code_search, table_min_distance
+import treecodes.verify as verify
+from treecodes.constructions import random_code_search, table_code, table_min_distance
 from treecodes.dyadic import as_fraction
 from treecodes.rng import DetStream
 from treecodes.verify import exact_distance
 from test_rng import ScalarDetStream
+from test_verify_oracle import ref_exact_distance
 
 # ---------------- reference: eager sampling, deepest depth first ----------------
 
@@ -169,10 +171,6 @@ def test_table_min_distance_matches_deepest_first_scan(case):
 # ---------------- the pruned decision and the bisection ----------------
 
 
-def _levels(n: int, table: Sequence[int]) -> List[List[int]]:
-    return [list(table[(1 << d) - 2:(1 << (d + 1)) - 2]) for d in range(1, n + 1)]
-
-
 def _ratios(n: int) -> List[Fraction]:
     return sorted({Fraction(c, w) for w in range(1, n + 1) for c in range(w + 1)})
 
@@ -198,40 +196,97 @@ def decisions(draw):
     return n, table, draw(st.sampled_from(_ratios(n) + [Fraction(-1), Fraction(0)]))
 
 
+@st.composite
+def ternary_decisions(draw):
+    """A sigma_in = 3 level-order table of depth 1..4 and a theta among its
+    ratios, -1 and 0.  Its labels are drawn from 1..5 symbols, or each
+    node's three child labels differ (as the search draws its pairs), so
+    that pairs below depth 1 decide."""
+    n, labels = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    nodes = sum(3**d for d in range(n))
+    if labels >= 3 and draw(st.booleans()):
+        table = [x for _ in range(nodes) for x in draw(st.permutations(range(labels)))[:3]]
+    else:
+        table = draw(st.lists(st.integers(0, labels - 1), min_size=3 * nodes, max_size=3 * nodes))
+    return n, table, draw(st.sampled_from(_ratios(n) + [Fraction(-1), Fraction(0)]))
+
+
+def _prefix_minima(sigma: int, n: int, table: Sequence[int]):
+    """The levels of a binary or ternary level-order table, and the exact
+    distance of each depth-d prefix code, d = 1..n, by the scalar references:
+    the deepest-first scan, or the pair sweep of verify's oracle."""
+    offsets = [sum(sigma**e for e in range(1, d + 1)) for d in range(n + 1)]
+    levels = [list(table[offsets[d - 1]:offsets[d]]) for d in range(1, n + 1)]
+    if sigma == 2:
+        return levels, [ref_min_distance_of_table(d, table[:offsets[d]], Fraction(-1))
+                        for d in range(1, n + 1)]
+    return levels, [ref_exact_distance(table_code(d, 3, 5, table[:offsets[d]]))
+                    for d in range(1, n + 1)]
+
+
+def _assert_reaches_reads_only_up_to_the_first_reaching_depth(sigma, case):
+    n, table, theta = case
+    levels, prefix_min = _prefix_minima(sigma, n, table)
+    counted = CountingLevels(levels)
+    got = verify._reaches(counted, sigma, *constructions._bounds(n)(*theta.as_integer_ratio()))
+    assert got == (prefix_min[-1] <= theta)
+    first = next((d for d, m in enumerate(prefix_min, 1) if m <= theta), n)
+    assert counted.read == first
+
+
 @settings(derandomize=True, deadline=None, max_examples=300)
 @given(case=decisions())
 def test_reaches_decides_the_minimum_reading_only_up_to_the_first_reaching_depth(case):
-    n, table, theta = case
-    levels = CountingLevels(_levels(n, table))
-    got = constructions._reaches(levels, n, theta)
-    assert got == (ref_min_distance_of_table(n, table, Fraction(-1)) <= theta)
-    prefix_min = [ref_min_distance_of_table(d, table[:(1 << (d + 1)) - 2], Fraction(-1))
-                  for d in range(1, n + 1)]
-    first = next((d for d, m in enumerate(prefix_min, 1) if m <= theta), n)
-    assert levels.read == first
+    # verify._reaches with the search's bounds, on binary tables
+    _assert_reaches_reads_only_up_to_the_first_reaching_depth(2, case)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(case=ternary_decisions())
+def test_reaches_on_ternary_tables_reads_only_up_to_the_first_reaching_depth(case):
+    _assert_reaches_reads_only_up_to_the_first_reaching_depth(3, case)
+
+
+def _assert_scan_bisects_only_over_ratios_above_the_floor(sigma, case):
+    # the first decision is at the floor (none at a floor below 0, which no
+    # pair reaches); a scan that does not stop there tries only ratios above
+    # it, at most ceil(lg K) of them for K candidates
+    n, table, floor = case
+    levels, prefix_min = _prefix_minima(sigma, n, table)
+    tried = []
+
+    def bounds(num, den):
+        tried.append(Fraction(num, den))
+        return search_bounds(num, den)
+
+    search_bounds = constructions._bounds(n)
+
+    decided = []
+    reaches = verify._reaches
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(verify, "_reaches", lambda *a: decided.append(1) or reaches(*a))
+        got = verify._scan(iter(levels), sigma, n, floor, bounds)
+    ref = prefix_min[-1]
+    assert got == (floor if ref <= floor else ref)
+    above = [r for r in _ratios(n) if r > floor]
+    assert len(decided) == len(tried)
+    if floor >= 0:
+        assert tried.pop(0) == floor
+    assert all(t > floor for t in tried)
+    assert len(tried) <= (len(above) - 1).bit_length()
 
 
 @settings(derandomize=True, deadline=None, max_examples=300)
 @given(case=decisions())
 def test_scan_bisects_only_over_ratios_above_the_floor(case):
-    # the first decision is at the floor; a scan that does not stop there
-    # tries only ratios above it, at most ceil(lg K) of them for K candidates
-    n, table, floor = case
-    tried = []
+    # verify._scan with the search's bounds, on binary tables
+    _assert_scan_bisects_only_over_ratios_above_the_floor(2, case)
 
-    def spy(levels, n, theta):
-        tried.append(theta)
-        return reaches(levels, n, theta)
 
-    reaches = constructions._reaches
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(constructions, "_reaches", spy)
-        got = constructions._scan(iter(_levels(n, table)), n, floor)
-    ref = ref_min_distance_of_table(n, table, Fraction(-1))
-    assert got == (floor if ref <= floor else ref)
-    above = [r for r in _ratios(n) if r > floor]
-    assert tried[0] == floor and all(t > floor for t in tried[1:])
-    assert len(tried) - 1 <= (len(above) - 1).bit_length()
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(case=ternary_decisions())
+def test_scan_on_ternary_tables_bisects_only_over_ratios_above_the_floor(case):
+    _assert_scan_bisects_only_over_ratios_above_the_floor(3, case)
 
 
 @pytest.mark.parametrize("n,trials,want", [(8, 2000, Fraction(1, 5)), (9, 1000, Fraction(1, 6)),

@@ -14,6 +14,7 @@ import math
 import random
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 from unittest import mock
 
@@ -689,16 +690,18 @@ def test_no_pair_sweep_is_left_and_exact_distance_grows_pairs(monkeypatch):
     """verify keeps no pair sweep: every window condition (the
     immediacy-function, dyadic, aligned and quarter-split checks) reads at
     most max(1, M/256) rows by bit-sliced blocks (_block) before its
-    grouping passes, and tree distance and exact_distance run on pruned
-    pair extension (_grow) with no row.  The ternary table's columns
+    grouping passes, tree distance runs on pruned pair extension in row
+    order (_grow), and exact_distance on pruned pair extension by whole
+    depths (_reaches), each with no row.  The ternary table's columns
     collide, so there each window condition reads row 0; on the
     scrambled table none reads a row."""
     for name in ("_sweep", "_BLOCK_BITS", "_repeat", "_join"):
         assert not hasattr(verify, name)
-    rows, grown = [], []
-    block, grow = verify._block, verify._grow
+    rows, grown, reached = [], [], []
+    block, grow, reaches = verify._block, verify._grow, verify._reaches
     monkeypatch.setattr(verify, "_block", lambda *a: rows.append(a[3]) or block(*a))
     monkeypatch.setattr(verify, "_grow", lambda *a: grown.append(1) or grow(*a))
+    monkeypatch.setattr(verify, "_reaches", lambda *a: reached.append(1) or reaches(*a))
     ternary = table_code(4, 3, 5, [(7 * i * i + 3 * i + 1) % 5 for i in range(120)])
     for code in (scrambled_prefix_code(4, 3), ternary):
         for prop, delta, arg in (("eks", Fraction(1, 2), 2), ("chs", None, (1, 2, 0)),
@@ -707,14 +710,15 @@ def test_no_pair_sweep_is_left_and_exact_distance_grows_pairs(monkeypatch):
                                  ("imm", Fraction(1, 4), "unit"), ("ghk", Fraction(1, 2), 1)):
             rows.clear()
             grown.clear()
+            reached.clear()
             _outcome(_pairs(prop, code, delta, arg)[0], verify.DEFAULT_EVAL_CAP)
-            assert bool(grown) == (prop == "distance"), (prop, delta)
+            assert bool(grown) == (prop == "distance") and not reached, (prop, delta)
             assert len(rows) <= max(1, len(code.table) // verify._SETTLED_SHARE), prop
             assert rows == ([0] if code is ternary and prop != "distance" else []), prop
         rows.clear()
         grown.clear()
         verify.exact_distance(code)
-        assert grown and not rows
+        assert reached and not grown and not rows
 
 
 @st.composite
@@ -1147,3 +1151,39 @@ def test_exact_distance_of_a_one_symbol_input(n):
 def test_exact_distance_of_the_layered_code_k3():
     """The seed-0 layered code at k = 3 (n = 8) has exact distance 3/4."""
     assert verify.exact_distance(eks_code(eks_params(3, Fraction(1, 2), seed=0))) == Fraction(3, 4)
+
+
+def test_exact_distance_of_the_layered_code_k4_within_its_memory():
+    """The seed-0 layered code at k = 4 (n = 16) has exact distance 4/7.
+    _reaches decides a depth before it builds that depth's pairs, so the
+    depth where a bisection step fires builds none: in a fresh process the
+    distance raises the peak RSS by about 14 MB over the built table, where
+    regrowing rows by _grow on each step took about 49 MB and building a
+    depth's pairs before deciding it about 62 MB.  The peak is the process's
+    VmHWM, since ru_maxrss keeps the forking process's; tracemalloc, which
+    traces each of the million pair tuples, slows the run some 60-fold."""
+    import os
+    import subprocess
+    import sys
+
+    if not os.path.exists("/proc/self/status"):
+        pytest.skip("no /proc/self/status to read the peak RSS from")
+    probe = """if True:
+        from fractions import Fraction
+        from treecodes.constructions import eks_code, eks_params
+        from treecodes.verify import exact_distance
+
+        def peak():
+            with open("/proc/self/status") as status:
+                return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+
+        code = eks_code(eks_params(4, Fraction(1, 2), seed=0))
+        code.table
+        before = peak()
+        print(exact_distance(code, cap=1 << 40), peak() - before)
+    """
+    src = str(Path(verify.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True).stdout.split()
+    assert Fraction(out[0]) == Fraction(4, 7)
+    assert int(out[1]) < 24 * 1024, f"peak RSS grew {out[1]} KB"

@@ -7,8 +7,9 @@ grouping.Plan; the partition keeps the size property at n = 16, not at
 n = 18 or 20),
 check_tree_distance(trivial_code(n), 1) (pruned pair extension: every
 column of the trivial code is injective, so at delta = 1 no pair is kept),
-exact_distance(trivial_code(n)) (the same extension, bisected over the
-ratios c/w, after every depth's pair-by-pair cost is charged),
+exact_distance(trivial_code(n)) (the search's engine, pair extension by
+whole depths with the same bounds, bisected over the ratios c/w after every
+depth's pair-by-pair cost is charged; no sibling pair is scanned),
 check_immediacy_function(trivial_code(n), exp, 1/2) (windows 2, 4, 8, ...;
 every column is injective, so every window is dropped before any grouping
 pass or row is read), check_eks_condition(trivial_code(n), 1/2, lg n) (n a
