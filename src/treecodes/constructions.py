@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import chain, repeat
 from operator import or_
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
@@ -26,7 +25,7 @@ from .core import LevelOrderChar, Message, TreeCode, check_table_size
 from .dyadic import as_fraction
 from .partitions import MAX_N
 from .rng import DetStream
-from .verify import _scan
+from .verify import _Bounds, _scan
 
 DEFAULT_B_SCHEDULE = (2, 3, 4, 6, 8)
 MAX_B = 16  # the widest cell a code file or recipe may name; the schedule stays within it
@@ -366,22 +365,12 @@ def _draw_levels(
         yield level
 
 
-def _bounds(n: int):
-    """verify._scan's bounds(num, den) on labelings of depth n, each made once
-    per caller: assuming no injective column, a pair is kept while c <= fire[n - s]."""
-    @lru_cache(maxsize=None)
-    def bounds(num: int, den: int) -> Tuple[List[int], List[List[int]]]:
-        fire = [num * w // den for w in range(n + 1)]
-        return fire, [[fire[n - s] for s in range(n)]] * n
-    return bounds
-
-
 def table_min_distance(n: int, table: Sequence[int]) -> Fraction:
     """Exact minimum divergent distance of a binary-input level-order
     labeling; n < 1 or a table of the wrong length for n raises ValueError."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    return _scan(LevelOrderChar(n, 2, table).levels, 2, n, Fraction(-1), _bounds(n))
+    return _scan(LevelOrderChar(n, 2, table).levels, 2, Fraction(-1), _Bounds([0] * n))
 
 
 @dataclass(frozen=True)
@@ -414,14 +403,14 @@ def random_code_search(
         raise ValueError(f"target must be in (0, 1], got {target}")
     check_table_size(n, 2, f"n = {n} too deep to search")
     best: Tuple[Fraction, int, List[int]] | None = None
-    bounds = _bounds(n)
+    bounds = _Bounds([0] * n)  # no column is assumed injective
     for t in range(trials):
         table: List[int] = []
         levels = _draw_levels(n, sigma_out_size, DetStream(seed, "trial", t), table)
         # a scan that never hits the floor completes and is exact; an aborted
         # scan reports floor itself, which can never displace the best
         floor = Fraction(0) if best is None else best[0]
-        dist = _scan(levels, 2, n, floor, bounds)
+        dist = _scan(levels, 2, floor, bounds)
         if best is None or dist > best[0]:
             # only the first trial can abort and still be kept (at distance
             # 0, exact): draw the rest of its table

@@ -162,18 +162,21 @@ class PrefixTable:
     of length j+1 covers messages t * strides[j] onward, and at length q+1
     it has strides[j] // strides[q] extensions.  The row view
     table[i] -> (message, codeword) and iteration in message order rebuild
-    rows on demand; len() is the number of messages.  Two facts of column
-    j are found at their first use and kept: distinct(j), its number of
-    distinct symbols, and determines(j), whether its symbol fixes input j.
+    rows on demand; len() is the number of messages.  Three facts of
+    column j are found at their first use and kept: distinct(j), its number
+    of distinct symbols, determines(j), whether its symbol fixes input j,
+    and injective(j), whether its prefixes' symbols all differ.
     """
 
-    __slots__ = ("n", "sigma", "sigma_out", "columns", "strides", "_distinct", "_determines")
+    __slots__ = ("n", "sigma", "sigma_out", "columns", "strides", "_distinct", "_determines",
+                 "_injective")
 
     def __init__(self, n: int, sigma: int, sigma_out: int, columns: List[Sequence[int]]) -> None:
         self.n, self.sigma, self.sigma_out, self.columns = n, sigma, sigma_out, columns
         self.strides = [sigma ** (n - 1 - j) for j in range(n)]
         self._distinct: List[Optional[int]] = [None] * n
         self._determines: List[Optional[bool]] = [None] * n
+        self._injective: List[Optional[bool]] = [None] * n
 
     def distinct(self, j: int) -> int:
         """The number of distinct symbols in column j."""
@@ -202,10 +205,13 @@ class PrefixTable:
         outnumber the symbols or, in a column longer than _HEAD, its first
         _HEAD prefixes repeat one (a column of few symbols does so at once),
         else by distinct(j)."""
-        col = self.columns[j]
-        if len(col) > self.sigma_out or len(col) > _HEAD and len(set(col[:_HEAD])) < _HEAD:
-            return False
-        return self.distinct(j) == len(col)
+        got = self._injective[j]
+        if got is None:
+            col = self.columns[j]
+            got = self._injective[j] = (
+                len(col) <= self.sigma_out and (len(col) <= _HEAD or len(set(col[:_HEAD])) == _HEAD)
+                and self.distinct(j) == len(col))
+        return got
 
     def __len__(self) -> int:
         return self.sigma**self.n

@@ -27,8 +27,8 @@ CapExceeded.used stay pair-by-pair.  The pairs are found by
     aligned and quarter-split conditions, once row 0, or the few rows
     before the cap's stop, is decided by one-row blocks (_first_rows):
     row x against every later row at once, by bit-sliced counters (_block);
-  * pruned pair extension, in row order (_grow) for tree distance, and by
-    whole depths (_reaches) for exact_distance and search, bisected (_scan).
+  * pruned pair extension kept by _keeps: in row order (_grow) for tree
+    distance, by whole depths (_reaches) for exact_distance and search (_scan).
 
 Each condition keeps its own window convention: the generic immediacy window
 is half-open [s, s+w); the dyadic-layered condition uses (s, s+2^l]; the
@@ -44,7 +44,7 @@ from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, chain, combinations, compress
+from itertools import accumulate, chain, combinations, compress, tee
 from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .bitslice import add, below
@@ -505,14 +505,29 @@ def _distance(d: int, delta: Fraction) -> _Condition:
                        for s in range(d)], 0, ratio=True)
 
 
-def _grow(rows: Iterator, col: Sequence[int], sigma: int, d: int, keep: List[int],
-          dense: bool) -> Iterator[Tuple[int, list]]:
+def _keeps(fire: List[int], injective: Sequence[int]) -> List[List[int]]:
+    """keeps[d - 1][s]: the most differences c a depth-d pair with first
+    difference s may carry while some depth e in [d, n] could fire it: w
+    positions fire at c <= fire[w], and each injective column d .. e-1
+    (injective[p] if column p's prefixes' symbols all differ) adds one.
+    keeps[d - 1][d - 1] is -1 where no sibling pair can be kept."""
+    n, inj = len(injective), [0, *accumulate(injective)]  # inj[e] - inj[d] over d .. e-1
+    keeps = [[max(fire[e - s] - inj[e] + inj[d] for e in range(d, n + 1)) for s in range(d)]
+             for d in range(1, n + 1)]
+    for keep, sure in zip(keeps, injective):  # a sibling pair differs on an injective column
+        keep[-1] = keep[-1] if keep[-1] >= sure else -1
+    return keeps
+
+
+def _grow(rows: Iterator, table: PrefixTable, d: int,
+          keeps: List[List[int]]) -> Iterator[Tuple[int, list]]:
     """Depth d's rows from depth d - 1's, lazily: each prefix x of length d,
-    in order, with its kept partners [(y, s, c)] in order of y (every x if
-    dense, else those with any).  col is column d - 1, keep[s] the most
-    differences c a kept pair with first difference s has.  Row order, not
-    _reaches' whole depths, gives check_tree_distance a depth's least violating
+    in order, with its kept partners [(y, s, c)], c <= keeps[d - 1][s], in
+    order of y (every x if a later depth keeps sibling pairs, else those with
+    any).  Row order gives check_tree_distance a depth's least violating
     pair, the stop at the cap's row and depth n up to its first violating row."""
+    col, keep, dense = table.columns[d - 1], keeps[d - 1], any(k[-1] >= 0 for k in keeps[d:])
+    sigma = table.sigma
     for u, kept in rows:
         end = u * sigma + sigma
         for x in range(end - sigma, end):
@@ -524,22 +539,6 @@ def _grow(rows: Iterator, col: Sequence[int], sigma: int, d: int, keep: List[int
                         kids.append((y, s, e))
             if kids or dense:
                 yield x, kids
-
-
-def _steps(table: PrefixTable, fire: List[int], only_n: bool = False) -> list:
-    """_grow's arguments after rows, depth d's at d - 1, for the pairs that
-    some depth e in [d, n] (e = n alone if only_n) could fire: a window of
-    w positions fires at c <= fire[w] differences, and each injective
-    column d .. e-1 (its prefixes' symbols all differ) adds one.  keep[-1]
-    is -1 where no sibling pair can be kept: _reaches then scans none."""
-    n = table.n
-    inj = [0, *accumulate(map(table.injective, range(n)))]  # inj[e] - inj[d]
-    keeps = [[max(fire[e - s] - inj[e] + inj[d] for e in range(n if only_n else d, n + 1))
-              for s in range(d)] for d in range(1, n + 1)]
-    for d, keep in enumerate(keeps):  # a sibling pair differs on column d if injective
-        keep[-1] = keep[-1] if keep[-1] >= inj[d + 1] - inj[d] else -1
-    return [(table.columns[d], table.sigma, d + 1, keep, any(k[-1] >= 0 for k in keeps[d + 1:]))
-            for d, keep in enumerate(keeps)]
 
 
 def _reaches(columns: Iterable, sigma: int, fire: List[int], keeps: Iterable) -> bool:
@@ -581,19 +580,33 @@ def _reaches(columns: Iterable, sigma: int, fire: List[int], keeps: Iterable) ->
     return False
 
 
-def _scan(columns: Iterable, sigma: int, n: int, floor: Fraction, bounds: Callable) -> Fraction:
-    """The least c/w over the same-depth pairs of prefixes of a depth-n code
-    (1 with no pair), or floor if some pair is at or below it (none is below
-    0), its columns (depth 1 first) then read only up to that pair's depth.
-    Above floor, the ratios c/w, 1 <= w <= n, are bisected on the columns
-    kept, each decided by _reaches with its fire and keeps bounds(num, den)."""
+class _Bounds(dict):
+    """The c/w, 1 <= w <= len(injective), in order (ratios), and _reaches'
+    fire, num * w // den, and _keeps at each (num, den), made at first read."""
+
+    def __init__(self, injective: Sequence[int]) -> None:
+        self.injective, n = injective, len(injective)
+        self.ratios = sorted({Fraction(c, w) for w in range(1, n + 1) for c in range(w + 1)})
+
+    def __missing__(self, ratio: Tuple[int, int]) -> tuple:
+        fire = [ratio[0] * w // ratio[1] for w in range(len(self.injective) + 1)]
+        got = self[ratio] = fire, _keeps(fire, self.injective)
+        return got
+
+
+def _scan(columns: Iterable, sigma: int, floor: Fraction, bounds: _Bounds) -> Fraction:
+    """The least c/w over the same-depth pairs of prefixes of a code (1 with
+    no pair), or floor if some pair is at or below it (none is below 0), its
+    columns (depth 1 first) then read only up to that pair's depth.  Above
+    floor, bounds.ratios are bisected on the columns kept, each decided by
+    _reaches with its bounds."""
     kept: List[Sequence[int]] = [] if floor.numerator >= 0 else list(columns)
     if floor.numerator >= 0 and _reaches((kept.append(col) or col for col in columns), sigma,
-                                         *bounds(*floor.as_integer_ratio())):
+                                         *bounds[floor.as_integer_ratio()]):
         return floor
-    ratios = sorted({Fraction(c, w) for w in range(1, n + 1) for c in range(w + 1)})
+    ratios = bounds.ratios
     return ratios[bisect_left(ratios, True, bisect_right(ratios, floor), len(ratios) - 1,
-                              key=lambda t: _reaches(kept, sigma, *bounds(*t.as_integer_ratio())))]
+                              key=lambda t: _reaches(kept, sigma, *bounds[t.as_integer_ratio()]))]
 
 
 def check_tree_distance(code: TreeCode, delta, cap: int = DEFAULT_EVAL_CAP) -> Verdict:
@@ -607,38 +620,30 @@ def check_tree_distance(code: TreeCode, delta, cap: int = DEFAULT_EVAL_CAP) -> V
     with c differences over its window w has c + inj(d, e) or more over
     w + e - d at depth e, inj(d, e) the injective columns d .. e-1 (their
     prefixes' symbols all differ), so it is kept only while c <= ceil(delta
-    * (w + e - d)) - 1 - inj(d, e) for an e in [d, n] (_steps).  After a
-    failure, depth n is grown anew toward e = n alone, lazily in row order,
-    up to its first violating row.  Charges are the pair-by-pair sweep's
-    (_charges); a depth keeps no row at or past the one where the cap runs
-    out."""
-    delta = as_fraction(delta)
-    budget = _Budget(cap)
-    table = _table(code, budget)
-    n = code.n
+    * (w + e - d)) - 1 - inj(d, e) for an e in [d, n] (_keeps).  Each depth
+    is grown once, on every row of the one above; past a failure depth n is
+    read up to its first violating row.  Charges are the pair-by-pair
+    sweep's (_charges); a depth keeps no row at or past the cap's stop."""
+    delta, budget = as_fraction(delta), _Budget(cap)
+    table, n = _table(code, budget), code.n
     fire = [math.ceil(delta * w) - 1 for w in range(n + 1)]  # w positions violate at c <= fire[w]
+    keeps = _keeps(fire, [*map(table.injective, range(n))])
 
-    def settle(d: int, rows: Iterator, kept: Optional[list] = None) -> Optional[dict]:
+    def settle(d: int, rows: Iterator) -> Optional[dict]:
         stop, charge = _charges(table.prefix(d), _distance(d, delta), budget)
         for x, kids in rows:
             y = next((y for y, s, c in kids if c <= fire[d - s]), None)
             if y is not None or stop and x >= stop[0][0]:
                 return charge([] if y is None else [(x, y)])
-            if kept is not None:
-                kept.append((x, kids))
         return charge([])
 
-    rows, witness, steps = iter([(0, ())]), None, _steps(table, fire)
+    rows, witness = iter([(0, ())]), None
     for d in range(1, n):
-        kept: list = []
-        witness = settle(d, _grow(rows, *steps[d - 1]), kept)
-        if witness is not None:
-            rows, steps = iter([(0, ())]), _steps(table, fire, True)
-            for e in range(1, n):
-                rows = _grow(rows, *steps[e - 1])
-            break
-        rows = iter(kept)
-    full_witness = settle(n, _grow(rows, *steps[n - 1]))
+        rows = _grow(rows, table, d, keeps)
+        if witness is None:  # settle reads a copy: the rows it read are grown on too
+            read, rows = tee(rows)
+            witness = settle(d, read)
+    full_witness = settle(n, _grow(rows, table, n, keeps))
     return Verdict(witness is None and full_witness is None, witness or full_witness,
                    {"full_messages_pass": full_witness is None}, budget.used)
 
@@ -648,17 +653,12 @@ def exact_distance(code: TreeCode, cap: int = DEFAULT_EVAL_CAP) -> Fraction:
 
     Every depth is first charged what its pair-by-pair sweep spends
     (_charges), so a refusal comes before any pair is read.  The minimum is
-    then _scan's, its pair extension kept by _steps' bounds, which count
-    the injective columns."""
+    then _scan's, kept by _keeps over the injective columns."""
     budget = _Budget(cap)
     table, n = _table(code, budget), code.n
     for d in range(1, n + 1):
         _charges(table.prefix(d), _distance(d, Fraction(-1)), budget)[1]([])
-
-    def bounds(num: int, den: int) -> Tuple[List[int], List[List[int]]]:
-        fire = [num * w // den for w in range(n + 1)]
-        return fire, [step[3] for step in _steps(table, fire)]
-    return _scan(table.columns, table.sigma, n, Fraction(-1), bounds)
+    return _scan(table.columns, table.sigma, Fraction(-1), _Bounds([*map(table.injective, range(n))]))
 
 
 def check_immediacy_function(

@@ -228,7 +228,8 @@ def _assert_reaches_reads_only_up_to_the_first_reaching_depth(sigma, case):
     n, table, theta = case
     levels, prefix_min = _prefix_minima(sigma, n, table)
     counted = CountingLevels(levels)
-    got = verify._reaches(counted, sigma, *constructions._bounds(n)(*theta.as_integer_ratio()))
+    # the search's bounds at theta: no column is assumed injective
+    got = verify._reaches(counted, sigma, *verify._Bounds([0] * n)[theta.as_integer_ratio()])
     assert got == (prefix_min[-1] <= theta)
     first = next((d for d, m in enumerate(prefix_min, 1) if m <= theta), n)
     assert counted.read == first
@@ -253,19 +254,13 @@ def _assert_scan_bisects_only_over_ratios_above_the_floor(sigma, case):
     # it, at most ceil(lg K) of them for K candidates
     n, table, floor = case
     levels, prefix_min = _prefix_minima(sigma, n, table)
-    tried = []
-
-    def bounds(num, den):
-        tried.append(Fraction(num, den))
-        return search_bounds(num, den)
-
-    search_bounds = constructions._bounds(n)
-
+    bounds = verify._Bounds([0] * n)  # the search's, each ratio's in the order first read
     decided = []
     reaches = verify._reaches
     with pytest.MonkeyPatch.context() as m:
         m.setattr(verify, "_reaches", lambda *a: decided.append(1) or reaches(*a))
-        got = verify._scan(iter(levels), sigma, n, floor, bounds)
+        got = verify._scan(iter(levels), sigma, floor, bounds)
+    tried = [Fraction(*t) for t in bounds]
     ref = prefix_min[-1]
     assert got == (floor if ref <= floor else ref)
     above = [r for r in _ratios(n) if r > floor]
@@ -287,6 +282,17 @@ def test_scan_bisects_only_over_ratios_above_the_floor(case):
 @given(case=ternary_decisions())
 def test_scan_on_ternary_tables_bisects_only_over_ratios_above_the_floor(case):
     _assert_scan_bisects_only_over_ratios_above_the_floor(3, case)
+
+
+def test_search_makes_each_ratios_bounds_once(monkeypatch):
+    # one search shares its bounds between its trials' scans: _keeps runs
+    # once for each ratio any trial decides
+    fires = []
+    keeps = verify._keeps
+    monkeypatch.setattr(verify, "_keeps",
+                        lambda fire, inj: fires.append(tuple(fire)) or keeps(fire, inj))
+    random_code_search(6, 4, trials=300, seed=0)
+    assert fires and len(fires) == len(set(fires))
 
 
 @pytest.mark.parametrize("n,trials,want", [(8, 2000, Fraction(1, 5)), (9, 1000, Fraction(1, 6)),

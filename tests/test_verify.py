@@ -502,12 +502,13 @@ def test_neighborhood_charges_every_block_before_enumeration():
 
 
 def test_column_facts_are_counted_once_per_column_per_table(monkeypatch):
-    # exact_distance plans its pair extension on each bisection step, and
-    # check_tree_distance plans it twice after a failure: each reads the
-    # injective columns from the table, which builds one symbol set per
-    # column (every column here has at most 1,024 prefixes, so no head set);
-    # the tables are built first, as their build checks symbol types by sets
-    codes = scrambled_prefix_code(8, 3), scrambled_prefix_code(6, 0)
+    # exact_distance and check_tree_distance read the injective columns
+    # from the table, which builds one symbol set per column, and a head
+    # set of its first 1,024 prefixes before that for a longer column, once
+    # per table: a second check builds none.  The tables are built first,
+    # as their build checks symbol types by sets
+    # scrambled_prefix_code(12, 0)'s columns 11 and 12 pass 1,024 prefixes
+    codes = scrambled_prefix_code(8, 3), scrambled_prefix_code(6, 0), scrambled_prefix_code(12, 0)
     for code in codes:
         code.table
     built = []
@@ -519,3 +520,10 @@ def test_column_facts_are_counted_once_per_column_per_table(monkeypatch):
     built.clear()
     assert not check_tree_distance(codes[1], Fraction(3, 2)).passed
     assert sorted(built) == [2**j for j in range(1, 7)]
+    built.clear()
+    assert check_tree_distance(codes[2], Fraction(1, 2), cap=1 << 40).passed
+    assert sorted(built) == sorted([2**j for j in range(1, 13)] + [1024, 1024])
+    built.clear()
+    assert exact_distance(codes[2], cap=1 << 40) == 1
+    assert check_tree_distance(codes[2], Fraction(1), cap=1 << 40).passed
+    assert built == []

@@ -451,6 +451,22 @@ def test_engine_matches_scalar_sweep_on_scrambled_code_n8(prop, delta, arg):
     assert '"passed":true' in passed
 
 
+def test_quarter_split_can_pass_while_a_block_fails_to_decode():
+    """Below the scale 16 the derivation needs, the quarter-split condition
+    can pass while a block fails to decode: masked on the first tagged
+    block of its own (1, 4, 1) structure, the scrambled n = 8 code passes,
+    and the decoding re-check fails at level 1, block 0, on message 0 and
+    message 1 then seven 0s, as the reference's does."""
+    first = chs_tagged_structure(1, 4, 1)[0].tagged[0][0]
+    code = mask_block_code(scrambled_prefix_code(8, 0), first)
+    full = json.loads(assert_same("chs", code, None, (1, 4, 1)))
+    assert full["passed"]
+    assert full["details"]["derivation_scale_ok"] is False
+    assert full["details"]["nd_passed"] is False
+    nd = full["details"]["nd_witness"]
+    assert (nd["level"], nd["block"], nd["x"], nd["y"]) == (1, 0, [0] * 8, [1] + [0] * 7)
+
+
 def test_engine_matches_scalar_sweep_on_ternary_input():
     # sigma_in = 3, n = 4: 81 messages, every depth-d stride a power of three
     labels = [(7 * i * i + 3 * i + 1) % 5 for i in range(3 + 9 + 27 + 81)]
@@ -1048,8 +1064,8 @@ def _grown(monkeypatch):
     counts: Dict[int, Tuple[int, int]] = {}
     grow = verify._grow
 
-    def counting(rows, col, sigma, d, *rest):
-        for x, kids in grow(rows, col, sigma, d, *rest):
+    def counting(rows, table, d, keeps):
+        for x, kids in grow(rows, table, d, keeps):
             got = counts.get(d, (0, 0))
             counts[d] = (got[0] + 1, got[1] + len(kids))
             yield x, kids
@@ -1062,8 +1078,8 @@ def test_distance_keeps_no_pair_where_injective_columns_forbid_one(monkeypatch):
     """Every column of the trivial and scrambled codes is injective, so a
     pair gains a difference at every depth: at delta <= 1 none can violate,
     and none is kept.  Past 1 every pair violates: depth 1 fails on its
-    first pair, and depth n is then grown from the root only along row 0,
-    whose partners are every other prefix."""
+    first pair, and every depth after it is read only along row 0, grown
+    on from depth 1's row 0, whose partners are every other prefix."""
     counts = _grown(monkeypatch)
     for code in (trivial_code(12), scrambled_prefix_code(9, 3)):
         for delta in (Fraction(1, 2), Fraction(1)):
@@ -1071,13 +1087,33 @@ def test_distance_keeps_no_pair_where_injective_columns_forbid_one(monkeypatch):
     assert counts == {}
     v = verify.check_tree_distance(trivial_code(12), Fraction(11, 10), cap=1 << 40)
     assert (v.witness["x"], v.witness["y"]) == ([0], [1])
-    # depth 1 is grown twice: as the failing depth, then toward depth 12
-    assert counts == {1: (2, 2), **{d: (1, 2**d - 1) for d in range(2, 13)}}
+    # depth 1 is grown once: its failing row 0 is the row depth 2 grows on
+    assert counts == {1: (1, 1), **{d: (1, 2**d - 1) for d in range(2, 13)}}
+
+
+def test_distance_grows_each_depth_once(monkeypatch):
+    """Each depth is grown once, from the rows of the depth above: after a
+    failure, the rows its settle read (the witness row too) and then the
+    rest of its rows.  On the identity code at delta = 2/3 depth 2 fails,
+    and the depth-8 witness descends from the depth-2 witness row; on the
+    repaired-at-depth-2 code at delta = 1/2 depth 1 fails and the full
+    messages pass.  The outcomes are the reference's."""
+    grow, calls = verify._grow, []
+    monkeypatch.setattr(verify, "_grow",
+                        lambda rows, table, d, keeps: calls.append(d) or grow(rows, table, d, keeps))
+    for code, delta, depth in ((identity_code(8), Fraction(2, 3), 2),
+                               (_repaired_at_depth_2(), Fraction(1, 2), 1)):
+        full = json.loads(assert_same("distance", code, delta))
+        assert full["witness"]["depth"] == depth
+        assert full["details"]["full_messages_pass"] == (depth == 1)
+        calls.clear()
+        verify.check_tree_distance(code, delta)
+        assert calls == list(range(1, code.n + 1))
 
 
 def test_distance_reads_depth_n_only_up_to_its_first_violating_row(monkeypatch):
     """After a failure at a depth below n, depth n's rows are grown in
-    order from the root, up to the first row with a violating partner.  On the
+    order, up to the first row with a violating partner.  On the
     identity code at delta = 2/3, depth 2 fails on ([0, 0], [1, 0]), and
     at depth 8 message 0 violates with message 2 (one difference over the
     window of positions 7 and 8): each depth from 3 on grows its row 0 alone."""
