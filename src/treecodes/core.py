@@ -24,7 +24,6 @@ they read TreeCode.table, so a refused check converts no label.
 
 from __future__ import annotations
 
-import math
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
@@ -78,14 +77,16 @@ class TreeCode:
         return all_codewords(self)
 
     @property
-    def rate(self) -> Fraction | float:
-        """1 / lg|sigma_out|, exact for a power of two; a one-symbol alphabet has none."""
+    def rate(self) -> Fraction:
+        """1 / lg|sigma_out|, exact; refused for sigma_out = 1 (none) and for
+        a size not a power of two (irrational: see dyadic.lg_bounds)."""
         size = self.sigma_out
         if size == 1:
             raise ValueError("a one-symbol output alphabet has no rate: lg 1 = 0")
-        if size & (size - 1) == 0:
-            return Fraction(1, size.bit_length() - 1)
-        return 1.0 / math.log2(size)
+        if size & (size - 1):
+            raise ValueError(f"the rate 1 / lg {size} is irrational: "
+                             "dyadic.lg_bounds gives a certified enclosure of lg sigma_out")
+        return Fraction(1, size.bit_length() - 1)
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,10 @@
 """Group ids of column sets over a prefix-column message table.
 
-The grouping checks (neighborhood decoding in verify, the entropy replay in
-entropy) ask how the messages split when grouped by the symbols on a set of
-codeword positions, possibly with some input positions.  Small-int ids built
+The grouping checks ask how the messages split when grouped by the symbols
+on a set of codeword positions, possibly with some input positions: the
+entropy replay (entropy) weighs the groups, and verify asks them one
+question, Groups.strays: do the symbols and inputs on a key determine the
+inputs on a set R?  Small-int ids built
 pair by pair replace a tuple per message per set; on a laminar partition the
 ids of a block reuse those of its parts.  A set of several columns has
 first-occurrence ids (each prefix's id is the first prefix of its group), so
@@ -89,7 +91,8 @@ class Groups:
     one shared list of ints.  Every set is grouped once.
 
     requests are the sets the caller will read, in the order it reads them;
-    ids, first and weights each read one set, and must follow that order.
+    ids, first and weights each read one set, strays two (the inputs, then
+    the key), and they must follow that order.
     Each request first drops every input column n + q whose codeword column
     q it holds, where column q determines its input; a request of several
     columns reduced to one still reads first-occurrence ids from ids and
@@ -192,28 +195,38 @@ class Groups:
         got = self._grouped(reduced)
         return self._renumbered(got) if len(cols) > 1 and len(reduced) == 1 else got
 
-    def at(self, grouped: Grouped, q: int) -> Sequence[int]:
-        """The ids of a grouped set at the finer granularity q."""
-        return _widen(grouped.ids, self.table.strides[grouped.q] // self.table.strides[q])
+    def _first(self, cols: FrozenSet[int]) -> Grouped:
+        """The next request read in the plan, as first-occurrence ids."""
+        got = self.ids(cols)
+        return got if len(cols) > 1 else self._renumbered(got)
 
     def first(self, cols: FrozenSet[int]) -> Sequence[int]:
         """For each prefix t at the set's granularity, the least prefix of
         that length that agrees with t on cols (a range when that is t)."""
-        got = self.ids(cols)
-        return (got if len(cols) > 1 else self._renumbered(got)).ids
+        return self._first(cols).ids
 
-    def strays(self, inputs: Grouped, ref: Sequence[int], q: int) -> List[int]:
-        """The prefixes t of length q+1 whose grouped inputs differ from those
-        of ref[t], the first prefix of t's group (first at granularity q), in
-        order.  Ids compare by value: a range of input ids differs from any
-        list."""
-        if isinstance(ref, range):
-            return []
-        ids = self.at(inputs, q)
-        got = list(map(ids.__getitem__, ref))
-        if not isinstance(ids, range) and got == ids:
-            return []
-        return list(compress(range(len(got)), map(operator.ne, got, ids)))
+    def strays(self, inputs: FrozenSet[int], key: FrozenSet[int]
+               ) -> Tuple[int, Sequence[int], List[int]]:
+        """The dependence test: do the symbols and inputs on key determine the
+        inputs in the set inputs?  The two sets are the next two requests read,
+        in that order, compared at q, the finer of their ids' granularities:
+        the coarser set's ids are widened to it, input ids by repetition and a
+        key's first members to first descendants, first[t // w] * w.  Returns
+        (q, first, strays): first[t] is the first prefix of length q+1 in t's
+        key group, and strays are the prefixes t whose inputs differ from those
+        of first[t], in order.  Ids compare by value: a range of input ids
+        differs from any list."""
+        got, keyed = self.ids(inputs), self._first(key)
+        q, strides = max(got.q, keyed.q), self.table.strides
+        w = strides[keyed.q] // strides[q]
+        first = keyed.ids if w == 1 else _widen([f * w for f in keyed.ids], w)
+        if isinstance(first, range):
+            return q, first, []
+        ids = _widen(got.ids, strides[got.q] // strides[q])
+        vals = list(map(ids.__getitem__, first))
+        if vals == ids:
+            return q, first, []
+        return q, first, list(compress(range(len(vals)), map(operator.ne, vals, ids)))
 
     def weights(self, cols: FrozenSet[int]) -> Dict[int, int]:
         """{group size in messages: number of such groups} of a column set."""

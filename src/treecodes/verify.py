@@ -385,10 +385,9 @@ def _dependences(table: PrefixTable, budget: _Budget, cond: _Condition) -> Optio
     sharing it and R their sps, is a check: the pairs in its groups that
     differ on R (Groups.strays) are candidates, verified on the windows
     (_verified), and the first violating pair is the least of the cap's
-    and the least verified candidate.  A key ending before an sp of R
-    (an aligned window's; up to n = 16 its check's windows all end past
-    R) is read at R's granularity: each prefix's first member is the
-    first descendant of its ancestor's first member.  A key that holds
+    and the least verified candidate.  Groups.strays compares a key and
+    its R at the finer of their granularities, so a key ending before an
+    sp of R (an aligned window's) is read at R's.  A key that holds
     w' - t' + 1 columns of another window of its candidate and more
     besides (w' and t' that window's columns and need, past the sure
     ones) is dropped: its violating pairs violate that window, and are
@@ -433,13 +432,9 @@ def _dependences(table: PrefixTable, budget: _Budget, cond: _Condition) -> Optio
     groups = Groups(table, (s for key, r, _ in checks for s in (r, key)))
     found = []
     for key, r, tests in checks:
-        inputs, ref, q = groups.ids(r), groups.first(key), max(c for c in key if c < n)
-        if q < inputs.q:  # a key ending before an sp
-            w, q = table.strides[q] // table.strides[inputs.q], inputs.q
-            ref = [ref[t // w] * w for t in range(len(ref) * w)]
-        strays = groups.strays(inputs, ref, q)
+        q, first, strays = groups.strays(r, key)
         if strays:
-            found += _verified(table, ref, strays, q, tests)
+            found += _verified(table, first, strays, q, tests)
     return settle(found)
 
 
@@ -708,37 +703,34 @@ def check_neighborhood_decoding(
     disagree on lf(B) while their codewords agree on rg(B); equivalently the
     map c(x)_rg(B) -> x_lf(B) is well defined, and can be materialized.
 
-    This is a functional-dependence property.  A block whose lf ends after
-    its rg fails for every code with sigma_in >= 2: rg is emitted before
-    lf's last input q' is read, so messages 0 and strides[q'] collide, and
-    they are its witness.  Any other block is decided by one gather and
-    compare over the length-(q+1) prefixes, q rg's last position (none when
-    each rg group is one prefix, its first members a range): it passes
-    iff every prefix has the lf inputs of the first prefix of its rg group
-    (grouping.Groups.first; rg and lf inputs are grouped apart, and the
-    halves of a laminar block once and reused, each set's ids dropped after
-    their last read).  The first prefix that does
-    not is the witness: the earliest message whose rg-restriction collides
-    with an earlier one's.  The size and laminar properties are NOT required
+    This is a functional-dependence property: each non-exempt block is one
+    query, grouping.Groups.strays(lf inputs, rg), a gather and compare over
+    the length-(q+1) prefixes, q the later of lf's and rg's last positions
+    (none when each rg group is one prefix).  It passes iff every prefix has
+    the lf inputs of the first prefix of its rg group (rg and lf inputs
+    grouped apart, the halves of a laminar block once and reused).  The first
+    prefix that does not is the witness: the earliest message whose
+    rg-restriction collides with an earlier one's.  So a block whose lf ends
+    after its rg, at q, fails for every code with sigma_in >= 2 at messages
+    0 and strides[q]: rg is emitted before x_q is read, so prefix 1 shares
+    prefix 0's rg group.  The size and laminar properties are NOT required
     here (decoding is meaningful for any structurally valid tagged
     partition); structural defects are rejected as errors.  The
     M*(|lf|+|rg|) reads of every non-exempt block are charged with the
-    table, before any message is enumerated.  Given a plan
-    (grouping.Plan), the check reads the Groups it shares with a later
-    check, made once those charges are paid.
+    table, before any message is enumerated.  Given a plan (grouping.Plan),
+    the check reads the Groups it shares with a later check, made once those
+    charges are paid.
     """
     ledger = checked_ledger(code, p, ledger)
-    n, sigma = code.n, code.sigma_in
-    # each block with its lf inputs and rg columns, None if exempt; () if rg
-    # is emitted before lf's last input is read (and sigma_in > 1)
+    n = code.n
+    # each block with its lf inputs and rg columns, None if exempt
     blocks = [(level, bi, tb, None if bi in ledger.blocks_at(level)
-               else () if max(tb.lf) > max(tb.rg) and sigma > 1
                else (frozenset(n + v - 1 for v in tb.lf), frozenset(v - 1 for v in tb.rg)))
               for level in range(1, p.ell + 1) for bi, tb in enumerate(p.tagged[level - 1])]
     reads = sum(len(tb.lf) + len(tb.rg) for _, _, tb, cols in blocks if cols is not None)
     budget = _Budget(cap)
     table = _table(code, budget, reads)
-    requests = (c for *_, cols in blocks if cols for c in cols)
+    requests = (c for *_, cols in blocks if cols is not None for c in cols)
     groups = Groups(table, requests) if plan is None else plan.groups(table, requests)
 
     blocks_out: List[dict] = []
@@ -750,20 +742,12 @@ def check_neighborhood_decoding(
             entry["passed"] = None
             blocks_out.append(entry)
             continue
-        q = max(tb.rg) - 1
-        pair = None  # (an earlier message, the earliest message colliding with it)
-        if not cols:
-            # rg is emitted before lf's last input is read: the first two
-            # prefixes as long as lf agree on rg and differ on lf
-            pair = (0, table.strides[max(tb.lf) - 1])
-        else:  # lf ends with or before rg (or sigma_in = 1): compare at rg's granularity
-            lf, ref = groups.ids(cols[0]), groups.first(cols[1])
-            strays = groups.strays(lf, ref, q)
-            if strays:
-                # the first message of the first length-(q+1) prefix whose lf
-                # inputs differ from those of the first prefix of its rg group
-                pair = (ref[strays[0]] * table.strides[q], strays[0] * table.strides[q])
-            del lf, strays  # freed before the next block's passes
+        q, first, strays = groups.strays(*cols)
+        # (an earlier message, the earliest colliding with it): the first
+        # messages of the first stray prefix's first member and of the stray
+        step = table.strides[q]
+        pair = (first[strays[0]] * step, strays[0] * step) if strays else None
+        del strays  # freed before the next block's passes
         block_witness = None if pair is None else dict(
             level=level, block=bi, lf=list(tb.lf), rg=list(tb.rg),
             x=list(table.message(pair[0])), y=list(table.message(pair[1])))
@@ -773,7 +757,7 @@ def check_neighborhood_decoding(
             if first_witness is None:
                 first_witness = block_witness
         elif materialize_tables:
-            tables_out[f"{level}:{bi}"] = _decoding_table(table, tb, ref, q)
+            tables_out[f"{level}:{bi}"] = _decoding_table(table, tb, first, q)
         blocks_out.append(entry)
     details = {"blocks": blocks_out}
     if materialize_tables:
@@ -781,12 +765,12 @@ def check_neighborhood_decoding(
     return Verdict(first_witness is None, first_witness, details, budget.used)
 
 
-def _decoding_table(table: PrefixTable, tb, ref: Sequence[int], q: int) -> list:
+def _decoding_table(table: PrefixTable, tb, first: Sequence[int], q: int) -> list:
     """[rg symbols, lf inputs] for each rg group of a decodable block, sorted,
     read off the first length-(q+1) prefix of the group (the distinct ids
-    of ref, groups.first of its rg)."""
+    of first, the rg first members Groups.strays gave)."""
     rows = []
-    for t in dict.fromkeys(ref):
+    for t in dict.fromkeys(first):
         x, cx = table[t * table.strides[q]]
         rows.append(([cx[v - 1] for v in tb.rg], [x[v - 1] for v in tb.lf]))
     return [list(row) for row in sorted(rows)]

@@ -14,17 +14,6 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from treecodes import acceptance, cli, constructions, core, partitions, serialize, verify
-from treecodes.cli import (
-    _FORMULAS,
-    _PROPERTIES,
-    IMM_FUNCTIONS,
-    cmd_audit,
-    cmd_bound,
-    cmd_build,
-    cmd_search,
-    cmd_selftest,
-    cmd_verify,
-)
 
 
 def run(capsys, *args):
@@ -1014,69 +1003,6 @@ def test_checks_and_reports_are_looked_up_at_each_call(tmp_path, capsys, monkeyp
     assert calls == ["check_tree_distance", "eq5_report"]
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The reference: the parser cli.main built on every call before the
-    subcommand table, verbatim but for the description (cli's docstring)."""
-    ap = argparse.ArgumentParser(prog="treecodes", description=cli.__doc__)
-    ap.add_argument("--format", choices=("json", "text"), default="json")
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    b = sub.add_parser("build", help="materialize codes/partitions from a recipe")
-    b.add_argument("--recipe", help="recipe JSON file ('-' for stdin)")
-    b.add_argument("--recipe-json", help="recipe JSON inline")
-    b.add_argument("--out-dir", required=True)
-    b.set_defaults(fn=cmd_build)
-
-    v = sub.add_parser("verify", help="run a brute-force certifier")
-    v.add_argument("--code", required=True)
-    v.add_argument(
-        "--property",
-        required=True,
-        choices=tuple(_PROPERTIES),
-    )
-    v.add_argument("--delta", default="1/2")
-    v.add_argument("--imm", choices=sorted(IMM_FUNCTIONS), default="exp")
-    v.add_argument("--partition")
-    v.add_argument("--ledger")
-    v.add_argument("--tables", action="store_true", help="materialize decoding tables")
-    v.add_argument("--k", type=int)
-    v.add_argument("--k0", type=int)
-    v.add_argument("--epsilon", default="1")
-    v.add_argument("--m", type=int)
-    v.add_argument("--l1", type=int)
-    v.add_argument("--shift", type=int, default=0)
-    v.add_argument("--cap", type=int, default=verify.DEFAULT_EVAL_CAP)
-    v.set_defaults(fn=cmd_verify)
-
-    bo = sub.add_parser("bound", help="evaluate a bound formula exactly")
-    bo.add_argument("--formula", required=True, choices=tuple(_FORMULAS))
-    bo.add_argument("--params", required=True, help="JSON object of named inputs")
-    bo.set_defaults(fn=cmd_bound)
-
-    au = sub.add_parser("audit", help="verify, then compare measured alphabet to the bound")
-    au.add_argument("--code", required=True)
-    au.add_argument("--partition", required=True)
-    au.add_argument("--ledger")
-    au.add_argument("--cap", type=int, default=verify.DEFAULT_EVAL_CAP)
-    au.set_defaults(fn=cmd_audit)
-
-    se = sub.add_parser("search", help="seeded random labeling search")
-    se.add_argument("--n", type=int, required=True)
-    se.add_argument("--sigma", type=int, required=True)
-    se.add_argument("--trials", type=int, default=1000)
-    se.add_argument("--seed", type=int, default=0)
-    se.add_argument("--target")
-    se.add_argument("--out-dir")
-    se.set_defaults(fn=cmd_search)
-
-    st = sub.add_parser("selftest", help="run the acceptance criteria")
-    st.add_argument("--list", action="store_true")
-    st.add_argument("--ablate", action="store_true")
-    st.add_argument("--only", type=int, nargs="+", default=None)
-    st.set_defaults(fn=cmd_selftest)
-    return ap
-
-
 def _files(d):
     """Input files for the parser tests: codes, an eks partition for n = 4, a
     chs partition (n = 16) with its ledger and a recipe, plus bad files."""
@@ -1148,21 +1074,26 @@ def test_oracle_argv_use_every_flag_of_every_subcommand():
 def test_parser_matches_the_reference_on_every_path_but_top_level_help(
     tmp_path, capsys, monkeypatch
 ):
+    """The reference is the parser cli.main once built on every call, before
+    the subcommand table: its (exit code, stdout, stderr) on each argv of
+    _ORACLE_ARGV, at 80 columns with the input directory written {dir},
+    are pinned in data/cli_parser_pins.json."""
+    pins = json.loads((Path(__file__).parent / "data" / "cli_parser_pins.json").read_text())
+    assert [pin["argv"] for pin in pins] == _ORACLE_ARGV
+    monkeypatch.setenv("COLUMNS", "80")
     _files(tmp_path)
     capsys.readouterr()
-    for argv in _ORACLE_ARGV:
-        argv = [a.replace("{dir}", str(tmp_path)) for a in argv]
-        got = _run_main(argv)
-        with monkeypatch.context() as m:
-            m.setattr(cli, "_parse", lambda args: build_parser().parse_args(args))
-            want = _run_main(argv)
+    for pin in pins:
+        argv = [a.replace("{dir}", str(tmp_path)) for a in pin["argv"]]
+        rc, out, err = _run_main(argv)
+        out, err = (text.replace(str(tmp_path), "{dir}") for text in (out, err))
         if argv in (["-h"], ["--format", "text", "--help"]):
             # the subcommands are listed as one help text; usage and
             # description are unchanged
-            assert got[0] == want[0] == 0 and got[2] == want[2] == ""
-            assert got[1].split("\n\n")[:2] == want[1].split("\n\n")[:2]
+            assert rc == pin["exit"] == 0 and err == pin["stderr"] == ""
+            assert out.split("\n\n")[:2] == pin["stdout"].split("\n\n")[:2]
         else:
-            assert got == want, argv
+            assert (rc, out, err) == (pin["exit"], pin["stdout"], pin["stderr"]), argv
 
 
 @pytest.mark.parametrize("name", sorted(cli._COMMANDS))
@@ -1189,14 +1120,13 @@ def test_a_call_builds_two_parsers_and_only_its_subcommands_flags(
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
     monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counting_add)
     seen = []
-    for parse in (cli._parse, cli._parse, lambda args: build_parser().parse_args(args)):
-        monkeypatch.setattr(cli, "_parse", parse)
+    for _ in range(2):
         counts.update(parsers=0, arguments=0)
         assert _run_main(argv)[0] == 0
         seen.append(dict(counts))
     # top level: -h, --format, the subcommand; then -h and the subcommand's flags
     mine = {"parsers": 2, "arguments": 4 + len(cli._COMMANDS[name][2])}
-    assert seen == [mine, mine, {"parsers": 7, "arguments": 40}]
+    assert seen == [mine, mine]
     if name == "verify":
         assert mine["arguments"] == 18
 

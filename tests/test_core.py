@@ -21,7 +21,9 @@ from treecodes.verify import check_neighborhood_decoding, check_online_property
 def test_rate_and_alphabet_size_refusal():
     assert TreeCode(2, 2, 8, max).rate == Fraction(1, 3)
     assert TreeCode(2, 3, 2, max).rate == Fraction(1, 1)
-    assert abs(TreeCode(2, 2, 3, max).rate - 1 / 1.5849625) < 1e-6
+    # lg 3 is irrational: no float stands in for the rate
+    with pytest.raises(ValueError, match=r"rate 1 / lg 3 is irrational: dyadic\.lg_bounds"):
+        TreeCode(2, 2, 3, max).rate
     for sizes, got in (((0, 2), 0), ((2, 0), 0), ((-1, 2), -1)):
         with pytest.raises(ValueError, match=f"alphabet size must be >= 1, got {got}$"):
             TreeCode(2, *sizes, max)

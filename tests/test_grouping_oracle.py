@@ -535,12 +535,50 @@ def test_dropped_input_columns_match_the_row_table(code, data):
         assert list(groups.ids(cols).ids) == ref
         assert list(groups.first(cols)) == ref
         assert groups.weights(cols) == ref_weights(code, cols)
-    inputs, ref = groups.ids(r), groups.first(key)
-    assert list(ref) == ref_first(code, key, last)
+    q, first, strays = groups.strays(r, key)
+    assert q == last and list(first) == ref_first(code, key, last)
     (v,) = r
     row = [m for m, _ in rows[:: code.sigma_in ** (n - 1 - last)]]
-    assert groups.strays(inputs, ref, last) == [
-        t for t in range(len(ref)) if row[t][v - n] != row[ref[t]][v - n]]
+    assert strays == [t for t in range(len(first)) if row[t][v - n] != row[first[t]][v - n]]
+
+
+@st.composite
+def dependence_queries(draw):
+    """A table code over sigma_in 2 or 3 and at most 3 output symbols (so
+    groups mix), an input set R ending at position e, and a key S whose
+    last position, a codeword column or an input, lies before, at or after
+    e, with codeword columns and inputs before it."""
+    sigma = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(2, 5 if sigma == 2 else 4))
+    sigma_out = draw(st.integers(1, 3))
+    size = sum(sigma**j for j in range(1, n + 1))
+    labels = draw(st.lists(st.integers(0, sigma_out - 1), min_size=size, max_size=size))
+    e, last = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    r = frozenset(n + p for p in draw(st.sets(st.integers(0, e), max_size=2))) | {n + e}
+    earlier = [c for c in range(2 * n) if c % n < last]
+    before = draw(st.sets(st.sampled_from(earlier), max_size=3)) if earlier else set()
+    key = frozenset(before) | {last + n * draw(st.integers(0, 1))}
+    return table_code(n, sigma, sigma_out, labels), r, key
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(case=dependence_queries())
+def test_strays_match_the_row_table(case):
+    """Groups.strays(R, S) reads R and S at the finer of their
+    granularities q.  Its first members are the row table's first prefix of
+    length q+1 agreeing on S: for a key ending before R, the first
+    descendant of the key group's first member, not that member itself.
+    Its strays are the prefixes whose inputs on R differ from their first
+    member's."""
+    code, r, key = case
+    n = code.n
+    q, first, strays = Groups(all_codewords(code), [r, key]).strays(r, key)
+    assert q == max(c % n for c in r | key)
+    want = ref_first(code, key, q)
+    assert list(first) == want
+    row = [m for m, _ in ref_all_codewords(code)[:: code.sigma_in ** (n - 1 - q)]]
+    assert strays == [t for t in range(len(want))
+                      if any(row[t][v - n] != row[want[t]][v - n] for v in r)]
 
 
 def _tabulated(code: TreeCode) -> TreeCode:
@@ -622,10 +660,11 @@ def test_block_whose_lf_reaches_past_its_rg_fails_at_the_reference_witness():
 
 
 @pytest.mark.parametrize("sigma", [2, 3])
-def test_blocks_whose_lf_ends_after_their_rg_are_decided_directly(sigma):
+def test_blocks_whose_lf_ends_after_their_rg_fail_at_their_first_two_prefixes(sigma):
     # each block but the last ends its lf after its rg, at lf's last
-    # position v: whatever the labels, it fails at message 0 and message
-    # sigma^(n-v), the first messages of the first two length-v prefixes
+    # position v, and is decided by the one query like any block: whatever
+    # the labels, it fails at message 0 and message sigma^(n-v), the first
+    # messages of the first two length-v prefixes
     p = LaminarPartition(4, Fraction(1, 2), ((1,), (2,), (3,), (4,)), (
         (TaggedBlock((2,), (1,)), TaggedBlock((4,), (3,))),
         (TaggedBlock((3, 4), (1, 2)),),
