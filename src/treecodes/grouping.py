@@ -195,15 +195,12 @@ class Groups:
         got = self._grouped(reduced)
         return self._renumbered(got) if len(cols) > 1 and len(reduced) == 1 else got
 
-    def _first(self, cols: FrozenSet[int]) -> Grouped:
-        """The next request read in the plan, as first-occurrence ids."""
+    def first(self, cols: FrozenSet[int]) -> Grouped:
+        """The next request read in the plan, as first-occurrence ids: for
+        each prefix t at the set's granularity q, the least prefix of that
+        length that agrees with t on cols (a range when that is t)."""
         got = self.ids(cols)
         return got if len(cols) > 1 else self._renumbered(got)
-
-    def first(self, cols: FrozenSet[int]) -> Sequence[int]:
-        """For each prefix t at the set's granularity, the least prefix of
-        that length that agrees with t on cols (a range when that is t)."""
-        return self._first(cols).ids
 
     def strays(self, inputs: FrozenSet[int], key: FrozenSet[int]
                ) -> Tuple[int, Sequence[int], List[int]]:
@@ -216,7 +213,7 @@ class Groups:
         key group, and strays are the prefixes t whose inputs differ from those
         of first[t], in order.  Ids compare by value: a range of input ids
         differs from any list."""
-        got, keyed = self.ids(inputs), self._first(key)
+        got, keyed = self.ids(inputs), self.first(key)
         q, strides = max(got.q, keyed.q), self.table.strides
         w = strides[keyed.q] // strides[q]
         first = keyed.ids if w == 1 else _widen([f * w for f in keyed.ids], w)

@@ -2,23 +2,24 @@
 it names must catch it.
 
 An entry is (file under src/, exact source snippet, replacement, test node
-ids).  For each entry the harness copies src/ to a temporary directory,
-replaces the snippet there, and runs only the listed tests with the copy
-first on the path; pytest must report a failure.  A snippet that does
-not occur exactly once is itself an error, so the list cannot rot
-silently when the code it names changes.  Run from the repository root:
+ids).  For each entry the harness copies src/ to a temporary directory and
+runs only the listed tests with the copy first on the path, twice: on the
+unmutated copy, where they must pass, and after replacing the snippet,
+where pytest must report a failure.  A listed test that fails unmutated,
+and a snippet that does not occur exactly once, are errors, so the list
+cannot rot silently when the code or the tests it names change.  Run from
+the repository root:
 
-    python tools/mutants.py             # every entry
-    python tools/mutants.py --only 0 2  # entries 0 and 2
+    python tools/mutants.py
 
 It prints one line per entry, caught, SURVIVED or an error, with the
-seconds its tests took, and exits 0 only if every entry run is caught.
+seconds its tests took, and exits 0 only if every entry is caught.  To
+run one entry's tests by hand, run pytest on its node ids.
 Standard library only; it is not part of the test suite.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import shutil
 import subprocess
@@ -61,8 +62,22 @@ MUTANTS = [
 ]
 
 
+def pytest(src: Path, tests: List[str]) -> subprocess.CompletedProcess:
+    """The listed tests run with the copy src/ first on the path."""
+    # pyproject.toml puts src/ first on the path; -o points it at the copy
+    return subprocess.run([sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+                           "-o", f"pythonpath={src}", *tests],
+                          cwd=ROOT, env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"),
+                          capture_output=True, text=True)
+
+
+def last_line(got: subprocess.CompletedProcess) -> str:
+    return " ".join((got.stdout + got.stderr).strip().splitlines()[-1:])
+
+
 def run(mutant: Mutant, work: Path) -> str:
-    """The outcome of one entry: its tests run on a mutated copy of src/."""
+    """The outcome of one entry: its tests run on a copy of src/, unmutated
+    and then mutated."""
     src = work / "src"
     shutil.rmtree(src, ignore_errors=True)
     shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
@@ -70,35 +85,29 @@ def run(mutant: Mutant, work: Path) -> str:
     text = path.read_text()
     if text.count(mutant.snippet) != 1:
         return f"ERROR: the snippet occurs {text.count(mutant.snippet)} times in {mutant.file}"
+    got = pytest(src, mutant.tests)
+    if got.returncode != 0:
+        return f"ERROR: unmutated, pytest exited {got.returncode}: {last_line(got)}"
     path.write_text(text.replace(mutant.snippet, mutant.replacement))
-    # pyproject.toml puts src/ first on the path; -o points it at the copy
-    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
-    got = subprocess.run([sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-                          "-o", f"pythonpath={src}", *mutant.tests],
-                         cwd=ROOT, env=env, capture_output=True, text=True)
+    got = pytest(src, mutant.tests)
     if got.returncode == 1:
         return "caught"
     if got.returncode == 0:
         return "SURVIVED"
-    tail = (got.stdout + got.stderr).strip().splitlines()[-1:]
-    return f"ERROR: pytest exited {got.returncode}: {' '.join(tail)}"
+    return f"ERROR: pytest exited {got.returncode}: {last_line(got)}"
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--only", type=int, nargs="+", help="run these entries (0-based)")
-    args = ap.parse_args(argv)
-    chosen = range(len(MUTANTS)) if args.only is None else args.only
+def main() -> int:
     caught = 0
     with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
-        for i in chosen:
+        for i, mutant in enumerate(MUTANTS):
             start = time.perf_counter()
-            outcome = run(MUTANTS[i], Path(tmp))
+            outcome = run(mutant, Path(tmp))
             caught += outcome == "caught"
-            print(f"{i}  {time.perf_counter() - start:7.1f} s  {outcome}  {MUTANTS[i].name}",
+            print(f"{i}  {time.perf_counter() - start:7.1f} s  {outcome}  {mutant.name}",
                   flush=True)
-    print(f"{caught} of {len(chosen)} caught")
-    return 0 if caught == len(chosen) else 1
+    print(f"{caught} of {len(MUTANTS)} caught")
+    return 0 if caught == len(MUTANTS) else 1
 
 
 if __name__ == "__main__":
