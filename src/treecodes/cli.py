@@ -2,7 +2,8 @@
 
 Exit codes: 0 pass, 1 usage or bad input, 2 property fail, 3 evaluation cap
 exceeded (including a message table too large for the cap, refused before it
-is enumerated), 4 internal error.  All inputs and outputs are JSON; identical
+is enumerated and, read from a canonical table-code file, before its labels
+are decoded), 4 internal error.  All inputs and outputs are JSON; identical
 (recipe, seed, caps) always produce byte-identical artifacts.
 """
 
@@ -19,6 +20,7 @@ from typing import Dict, List, Optional
 
 from . import bounds, entropy, grouping, serialize, verify
 from .constructions import eks_code, eks_params, random_code_search
+from .core import TreeCode
 from .partitions import (
     IMM_FUNCTIONS,
     ImmediacySpec,
@@ -63,6 +65,15 @@ def _load_json(path: str) -> dict:
     if path == "-":
         return json.load(sys.stdin)
     return json.loads(Path(path).read_text())
+
+
+def _load_code(path: str) -> TreeCode:
+    """The code of a --code file.  A table-code file as dumps_canonical
+    writes it is read from its header (serialize.read_table_code), its
+    labels decoded only when a check reads its table; any other file, and
+    '-' (stdin), is parsed whole."""
+    code = serialize.read_table_code(Path(path).read_bytes()) if path != "-" else None
+    return code or serialize.code_from_json(_load_json(path))
 
 
 # each partition recipe kind's form, read to its partition and its ledger
@@ -147,7 +158,7 @@ def cmd_verify(args) -> int:
     if delta <= 0:
         raise ValueError(f"--delta must be > 0, got {args.delta}")
     args.delta = delta
-    verdict = check(args, serialize.code_from_json(_load_json(args.code)))
+    verdict = check(args, _load_code(args.code))
     _emit(args, serialize.verdict_to_json(verdict))
     return EXIT_PASS if verdict.passed else EXIT_FAIL
 
@@ -201,7 +212,7 @@ def cmd_bound(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    code = serialize.code_from_json(_load_json(args.code))
+    code = _load_code(args.code)
     p, ledger = _partition(args)
     # decoding and the replay read one Groups: a set both read is grouped once
     plan = grouping.Plan(entropy.replay_columns(p).values())

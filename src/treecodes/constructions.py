@@ -341,10 +341,12 @@ def eks_code(params: EKSParams, zero_rows: Sequence[int] = ()) -> TreeCode:
     return TreeCode(params.n, 2, 1 << (b * (k + 1)), LayeredChar(params, zeroed), name=tag)
 
 
-def table_code(n: int, sigma_in: int, sigma_out: int, table: Sequence[int]) -> TreeCode:
+def table_code(n: int, sigma_in: int, sigma_out: int, table, count: Optional[int] = None) -> TreeCode:
     """A tree code tabulated in level order: for each depth j = 1..n, the edge
-    labels below each depth-(j-1) node in lexicographic order."""
-    char = LevelOrderChar(n, sigma_in, table)
+    labels below each depth-(j-1) node in lexicographic order.  Given a
+    count, table is a function returning that many labels, called on the
+    first read of the code's table (see core.LevelOrderChar)."""
+    char = LevelOrderChar(n, sigma_in, table, count)
     return TreeCode(n, sigma_in, sigma_out, char, name=f"table[{n}]")
 
 

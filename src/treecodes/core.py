@@ -19,7 +19,9 @@ cell; a list of ints past 2^64 symbols).  all_codewords hands a
 LevelOrderChar those arrays in place of its levels, so the code and its
 table share one copy.  all_codewords enumerates the table with no size
 limit of its own: the certifiers charge the table to their budget before
-they read TreeCode.table, so a refused check converts no label.
+they read TreeCode.table, so a refused check converts no label, and a
+table read from a canonical code file (serialize.read_table_code) decodes
+none.
 """
 
 from __future__ import annotations
@@ -307,28 +309,54 @@ def check_table_size(n: int, sigma: int, what: str) -> None:
         raise ValueError(f"{what}: {sigma}^1 + ... + {sigma}^{n} > {MAX_TABLE_ENTRIES} entries")
 
 
+def _cut(labels: Sequence[int], offsets: List[int]) -> List[Sequence[int]]:
+    """Level-order labels cut into one level per depth at level_offsets."""
+    return [labels[lo:hi] for lo, hi in zip(offsets, offsets[1:])]
+
+
 class LevelOrderChar:
     """char_fn of a code tabulated in level order: for each depth j = 1..n,
     the labels of the sigma^j length-j prefixes in lexicographic order.
 
     Holds the labels as one level per depth, cut where level_offsets says
     each depth starts.  A table whose length is not sigma + sigma^2 + ... +
-    sigma^n raises ValueError, a deep table with few labels at once.  This is
+    sigma^n raises ValueError, a deep table with few labels at once.  Given
+    a count, labels is instead a function returning that many labels: the
+    count is checked at once, and the function is called on the first read
+    of the levels, then dropped with all it holds, so a code loaded from a
+    file decodes no label before its table is charged and read.  This is
     the one reader of the layout: columns() hands out the levels, which
     all_codewords replaces by the table's typed columns.
     """
 
-    __slots__ = ("n", "sigma", "levels")
+    __slots__ = ("n", "sigma", "_levels", "_decode")
 
-    def __init__(self, n: int, sigma: int, labels: Sequence[int]) -> None:
-        offsets = level_offsets(n, sigma, len(labels))
+    def __init__(self, n: int, sigma: int, labels, count: Optional[int] = None) -> None:
+        got = len(labels) if count is None else count
+        offsets = level_offsets(n, sigma, got)
         if len(offsets) <= n:
-            raise ValueError(f"table has {len(labels)} labels, want "
-                             f"{sigma}^1 + ... + {sigma}^{n} > {len(labels)}")
-        if offsets[-1] != len(labels):
-            raise ValueError(f"table has {len(labels)} labels, want {offsets[-1]}")
+            raise ValueError(f"table has {got} labels, want "
+                             f"{sigma}^1 + ... + {sigma}^{n} > {got}")
+        if offsets[-1] != got:
+            raise ValueError(f"table has {got} labels, want {offsets[-1]}")
         self.n, self.sigma = n, sigma
-        self.levels = [labels[lo:hi] for lo, hi in zip(offsets, offsets[1:])]
+        self._levels: Optional[List[Sequence[int]]] = None
+        self._decode: Optional[Callable[[], List[Sequence[int]]]] = None
+        if count is None:
+            self._levels = _cut(labels, offsets)
+        else:
+            self._decode = lambda: _cut(labels(), offsets)
+
+    @property
+    def levels(self) -> List[Sequence[int]]:
+        decode = self._decode  # read once: codes may be shared across threads
+        if decode is not None:
+            self._levels, self._decode = decode(), None
+        return self._levels
+
+    @levels.setter
+    def levels(self, columns: List[Sequence[int]]) -> None:
+        self._levels, self._decode = columns, None
 
     def __call__(self, prefix: Message) -> int:
         idx = 0

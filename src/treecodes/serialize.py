@@ -6,9 +6,11 @@ newline) so identical objects serialize to identical bytes.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
+from functools import partial
 from itertools import chain
-from typing import Any, Callable, List, NamedTuple, Tuple
+from typing import Any, Callable, List, NamedTuple, Optional, Tuple
 
 from . import constructions
 from .bounds import BoundReport
@@ -139,6 +141,47 @@ def code_from_json(obj: dict) -> TreeCode:
         raise ValueError(f"unknown code kind {kind!r}")
     code = form.load(obj, f"{kind} code")
     return constructions.eks_code(code) if kind == "eks" else code
+
+
+# what dumps_canonical writes for a table code before its labels: the keys
+# in sorted order, each integer field a JSON integer
+_TABLE_HEAD = re.compile(rb'\{"kind":"table","n":(0|[1-9][0-9]*),"sigma_in":(0|[1-9][0-9]*),'
+                         rb'"sigma_out":(0|[1-9][0-9]*),"table":\[')
+_LABEL_BYTES = b"0123456789,"
+
+
+def _labels(data: bytes) -> list:
+    """The labels of a table-code file, decoded."""
+    return json.loads(data)["table"]
+
+
+def read_table_code(data: bytes) -> Optional[TreeCode]:
+    """The code of a table-code file as dumps_canonical writes it, a trailing
+    newline or none, built from its header: the labels are decoded by
+    _labels on the first read of the code's table, which every check charges
+    first, so a refused check decodes none.  At once, the labels must be
+    digits and commas only, as many as the table's depth wants (commas + 1).
+    Any other file, or one whose header builds no code, gives None: the
+    caller parses it whole (json.loads, code_from_json), with that path's
+    messages.  So a truncated table is refused as by the whole parse, and
+    only labels that pass both checks and still fail to decode ("01", "1,,2",
+    a trailing comma, a label past int()'s digit limit) are refused later:
+    when the table is read, after the M*n charge and every check before it."""
+    head = _TABLE_HEAD.match(data)
+    tail = next((t for t in (b"]}\n", b"]}") if data.endswith(t)), None)
+    if head is None or tail is None:
+        return None
+    # the labels lie between head and tail; deleting digits and commas from
+    # the file must leave only what those two hold besides
+    start, stop = head.end(), len(data) - len(tail)
+    if data.translate(None, _LABEL_BYTES) != head[0].translate(None, _LABEL_BYTES) + tail:
+        return None
+    try:
+        n, sigma_in, sigma_out = map(int, head.groups())
+        return constructions.table_code(n, sigma_in, sigma_out, partial(_labels, data),
+                                        data.count(b",", start, stop) + 1 if start < stop else 0)
+    except ValueError:
+        return None
 
 
 # -------------------- partitions --------------------

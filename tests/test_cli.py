@@ -1005,8 +1005,9 @@ def test_checks_and_reports_are_looked_up_at_each_call(tmp_path, capsys, monkeyp
 
 
 def _files(d):
-    """Input files for the parser tests: codes, an eks partition for n = 4, a
-    chs partition (n = 16) with its ledger and a recipe, plus bad files."""
+    """Input files for the parser tests: codes (one a canonical table file,
+    read from its header), an eks partition for n = 4, a chs partition
+    (n = 16) with its ledger and a recipe, plus bad files."""
     assert cli.main(["build", "--recipe-json", '{"kind":"eks_partition","k":2}',
                      "--out-dir", str(d)]) == 0
     assert cli.main(["build", "--recipe-json", '{"kind":"chs_partition","m":1,"l1":4,"shift":0}',
@@ -1015,7 +1016,9 @@ def _files(d):
                        ("code8.json", '{"kind":"trivial","n":8}'),
                        ("code16.json", '{"kind":"trivial","n":16}'),
                        ("recipe.json", '{"kind":"trivial","n":3}'),
-                       ("array.json", "[1, 2]"), ("bad.json", "{"), ("text.txt", "x")):
+                       ("array.json", "[1, 2]"), ("bad.json", "{"), ("text.txt", "x"),
+                       ("table8.json", serialize.dumps_canonical(
+                           serialize.tabulate_code(core.trivial_code(8))))):
         (d / name).write_text(text)
 
 
@@ -1070,6 +1073,16 @@ def test_oracle_argv_use_every_flag_of_every_subcommand():
     for name, (_, _, flags) in cli._COMMANDS.items():
         used = {a.split("=")[0] for argv in _ORACLE_ARGV if argv[:1] == [name] for a in argv}
         assert set(flags) <= used, name
+
+
+def test_an_omitted_shift_prints_what_shift_0_prints(tmp_path):
+    # the one chs entry of _ORACLE_ARGV passes --shift, so it cannot see the
+    # default; at n = 16 only shift 0 fits m = 1, l1 = 4
+    _files(tmp_path)
+    argv = ["verify", "--code", str(tmp_path / "code16.json"), "--property", "chs",
+            "--m", "1", "--l1", "4"]
+    omitted = _run_main(argv)
+    assert omitted == _run_main(argv + ["--shift", "0"]) != _run_main(argv + ["--shift", "1"])
 
 
 def test_parser_matches_the_reference_on_every_path_but_top_level_help(
@@ -1192,7 +1205,7 @@ def _json_text(draw, cases):
 
 _STRINGS = {
     "--recipe": _files_of("recipe.json", "code.json", "partition.json"),
-    "--code": _files_of("code.json", "code8.json", "partition.json"),
+    "--code": _files_of("code.json", "code8.json", "table8.json", "partition.json"),
     "--partition": _files_of("partition.json", "chs/partition.json", "code.json"),
     "--ledger": _files_of("chs/ledger.json", "partition.json"),
     "--out-dir": st.just("{dir}/out"), "--delta": st.sampled_from(_FRACTIONS),
@@ -1242,6 +1255,8 @@ def fuzz_dir(tmp_path_factory):
 
 @example(argv=["verify", "--code", "{dir}/code8.json", "--property", "distance",
                "--delta", "1", "--cap", "2047"])
+@example(argv=["verify", "--code", "{dir}/table8.json", "--property", "distance",
+               "--delta", "1", "--cap", "2047"])
 @example(argv=["audit", "--code", "{dir}/code.json", "--partition", "{dir}/partition.json",
                "--cap", "63"])
 @settings(derandomize=True, max_examples=250, deadline=None,
@@ -1249,17 +1264,19 @@ def fuzz_dir(tmp_path_factory):
 @given(argv=_argv())
 def test_fuzzed_argv_exits_0_to_3_and_names_every_refusal(fuzz_dir, argv):
     argv = [a.replace("{dir}", str(fuzz_dir)) for a in argv]
-    with mock.patch.object(core, "all_codewords", wraps=core.all_codewords) as tables:
+    with mock.patch.object(core, "all_codewords", wraps=core.all_codewords) as tables, \
+            mock.patch.object(serialize, "_labels", wraps=serialize._labels) as decodes:
         rc, _, err = _run_main(argv)
     assert rc in (0, 1, 2, 3), (argv, err)
     assert "internal error" not in err and "Traceback" not in err, argv
     assert rc != 1 or err, argv
     if rc == 3:
         # the timing-free form of "exit 3 returns at once": a code whose M*n
-        # table charge passes the cap is refused before its table is built
-        # (each flag is drawn at most once)
+        # table charge passes the cap is refused before its table is built,
+        # and a canonical table file's labels are never decoded (each flag
+        # is drawn at most once)
         text = Path(argv[argv.index("--code") + 1]).read_text()
         code = serialize.code_from_json(json.loads(text))
         cap = int(argv[argv.index("--cap") + 1]) if "--cap" in argv else verify.DEFAULT_EVAL_CAP
         if code.sigma_in**code.n * code.n > cap:
-            assert tables.call_count == 0, argv
+            assert tables.call_count == 0 and decodes.call_count == 0, argv

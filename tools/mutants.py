@@ -59,6 +59,16 @@ MUTANTS = [
            "(f := fire[r + 2]) > fire[r + 1]", "(f := fire[r + 1]) > fire[r + 1]",
            ["tests/test_search_oracle.py::"
             "test_reaches_decides_the_minimum_reading_only_up_to_the_first_reaching_depth"]),
+    Mutant("LevelOrderChar: a file's labels decoded at load",
+           "treecodes/core.py",
+           "self._decode = lambda: _cut(labels(), offsets)",
+           "self._levels = _cut(labels(), offsets)",
+           ["tests/test_code_files.py::test_a_check_refused_at_the_table_charge_decodes_no_label",
+            "tests/test_cli.py::test_fuzzed_argv_exits_0_to_3_and_names_every_refusal"]),
+    Mutant("cli: --shift defaults to 1",
+           "treecodes/cli.py",
+           '"--shift": {"type": int, "default": 0}', '"--shift": {"type": int, "default": 1}',
+           ["tests/test_cli.py::test_an_omitted_shift_prints_what_shift_0_prints"]),
 ]
 
 
