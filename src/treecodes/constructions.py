@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import chain, repeat, tee
 from operator import or_
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -25,7 +25,7 @@ from .core import LevelOrderChar, Message, TreeCode, check_table_size
 from .dyadic import as_fraction
 from .partitions import MAX_N
 from .rng import DetStream
-from .verify import _Bounds, _scan
+from .verify import _Bounds, _least, _reaches, _scan
 
 DEFAULT_B_SCHEDULE = (2, 3, 4, 6, 8)
 MAX_B = 16  # the widest cell a code file or recipe may name; the schedule stays within it
@@ -350,10 +350,9 @@ def table_code(n: int, sigma_in: int, sigma_out: int, table, count: Optional[int
     return TreeCode(n, sigma_in, sigma_out, char, name=f"table[{n}]")
 
 
-def _draw_levels(
-    n: int, sigma_out: int, stream: DetStream, table: List[int]
-) -> Iterator[List[int]]:
-    """Draw a random labeling level by level, appending each level to table.
+def _draw_levels(n: int, sigma_out: int, stream: DetStream) -> Iterator[List[int]]:
+    """A random labeling of depth n, level by level, each level drawn when
+    read.
 
     Any two equal sibling labels certify distance 0 outright (the two
     depth-one-divergence paths agree on their whole window), so each node's
@@ -361,10 +360,7 @@ def _draw_levels(
     allows it.
     """
     sizes = [1 << d for d in range(n)]
-    levels = stream.pair_levels(sigma_out, sizes) if sigma_out >= 2 else ([0, 0] * c for c in sizes)
-    for level in levels:
-        table.extend(level)
-        yield level
+    return stream.pair_levels(sigma_out, sizes) if sigma_out >= 2 else ([0, 0] * c for c in sizes)
 
 
 def table_min_distance(n: int, table: Sequence[int]) -> Fraction:
@@ -394,8 +390,14 @@ def random_code_search(
     """Sample random labelings, certify each exactly, keep the best.
 
     Deterministic given the seed: trial t draws from its own counter-based
-    stream, and the best is kept by (distance, -trial).  A depth n whose
-    table passes core.MAX_TABLE_ENTRIES (n >= 20) is refused before any trial.
+    stream, and the best is kept by (distance, -trial).  Each trial is first
+    tested at the floor, the best distance so far (0 before any): its levels
+    are drawn only up to the first depth holding a pair at or below it, and
+    such a trial is dropped (the first is kept, at distance 0, with its whole
+    table).  A trial with no such pair is the new best: its distance is
+    bisected above the floor on the levels it drew (verify._least).  A depth
+    n whose table passes core.MAX_TABLE_ENTRIES (n >= 20) is refused before
+    any trial.
     """
     for field, value in (("n", n), ("sigma", sigma_out_size), ("trials", trials)):
         if value < 1:
@@ -404,26 +406,25 @@ def random_code_search(
     if target is not None and not 0 < target <= 1:
         raise ValueError(f"target must be in (0, 1], got {target}")
     check_table_size(n, 2, f"n = {n} too deep to search")
-    best: Tuple[Fraction, int, List[int]] | None = None
+    best: Tuple[Fraction, int, List[List[int]]] | None = None
     bounds = _Bounds([0] * n)  # no column is assumed injective
+    floor = Fraction(0)
+    fire, keeps = bounds[0, 1]  # the floor's
     for t in range(trials):
-        table: List[int] = []
-        levels = _draw_levels(n, sigma_out_size, DetStream(seed, "trial", t), table)
-        # a scan that never hits the floor completes and is exact; an aborted
-        # scan reports floor itself, which can never displace the best
-        floor = Fraction(0) if best is None else best[0]
-        dist = _scan(levels, 2, floor, bounds)
-        if best is None or dist > best[0]:
-            # only the first trial can abort and still be kept (at distance
-            # 0, exact): draw the rest of its table
-            for _ in levels:
-                pass
-            best = (dist, t, table)
-        if target is not None and best[0] >= target:
+        reads, levels = tee(_draw_levels(n, sigma_out_size, DetStream(seed, "trial", t)))
+        if not _reaches(reads, 2, fire, keeps):  # every pair is above the floor
+            levels = list(levels)
+            best = (_least(levels, 2, floor, bounds), t, levels)
+        elif best is None:  # the first trial, at distance 0: its whole table is drawn
+            best = (floor, t, list(levels))
+        else:
+            continue
+        floor = best[0]
+        fire, keeps = bounds[floor.as_integer_ratio()]
+        if target is not None and floor >= target:
             break
 
     assert best is not None
-    code = table_code(n, 2, sigma_out_size, best[2])
-    return SearchResult(
-        code=code, table=tuple(best[2]), distance=best[0], trial=best[1], trials=trials
-    )
+    table = list(chain.from_iterable(best[2]))
+    return SearchResult(code=table_code(n, 2, sigma_out_size, table), table=tuple(table),
+                        distance=best[0], trial=best[1], trials=trials)

@@ -288,7 +288,10 @@ def level_offsets(n: int, sigma: int, limit: int) -> List[int]:
     """Where depths 1..n start in a level-order table, then its length: n + 1
     offsets.  The level sizes sigma^j are summed only until they pass limit,
     so a deep table is measured at once; the list then ends at the first
-    offset past limit."""
+    offset past limit.  An alphabet sigma < 1, whose sizes never pass it,
+    raises ValueError before any is summed."""
+    if sigma < 1:
+        raise ValueError(f"alphabet size must be >= 1, got {sigma}")
     offsets, size = [0], 1
     for _ in range(n):
         if offsets[-1] > limit:

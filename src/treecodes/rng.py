@@ -1,9 +1,11 @@
 """Counter-based deterministic randomness, keyed by (seed, context labels).
 
 A stream is one byte sequence: block i is sha256(f"{key}|{i}"), read in
-order.  Streams are independent per key, so parallel trials can draw without
-shared state and results merge deterministically.  Built on SHA-256 as a
-PRF; no cryptographic claim is made or needed, only cross-platform
+order and hashed only when a read needs its bytes (_fill appends a single
+block to the bytes left unread as it hashes it, and joins several with them
+in one step).  Streams are independent per key, so parallel trials can draw
+without shared state and results merge deterministically.  Built on SHA-256
+as a PRF; no cryptographic claim is made or needed, only cross-platform
 reproducibility.
 
 A draw below n reads big-endian candidates of the fewest whole bytes that
@@ -36,18 +38,26 @@ class DetStream:
     """An infinite deterministic byte stream with convenience draws."""
 
     def __init__(self, seed: int, *context: object) -> None:
-        key = f"{seed}|" + "|".join(str(c) for c in context)
-        # block i is sha256(f"{key}|{i}"): the shared prefix is hashed once
-        self._prefix = hashlib.sha256(f"{key}|".encode())
+        # block i is sha256(f"{key}|{i}"), key being the seed, "|" and the
+        # context labels joined by "|": the shared prefix is hashed once
+        self._prefix = hashlib.sha256(f"{seed}|{'|'.join(map(str, context))}|".encode())
         self._counter = 0  # blocks computed
         self._buf = b""
         self._pos = 0  # bytes before _pos are consumed
 
     def _fill(self, need: int) -> None:
         """Hold at least need unconsumed bytes, computing only the blocks
-        that takes and joining them in one step."""
+        that takes: one block is appended as it is hashed, more are joined
+        in one step."""
         short = need - len(self._buf) + self._pos
         if short <= 0:
+            return
+        if short <= 32:
+            h = self._prefix.copy()
+            h.update(b"%d" % self._counter)
+            self._counter += 1
+            self._buf = self._buf[self._pos :] + h.digest()
+            self._pos = 0
             return
         first = self._counter
         self._counter += (short + 31) >> 5

@@ -147,7 +147,7 @@ def code_from_json(obj: dict) -> TreeCode:
 # in sorted order, each integer field a JSON integer
 _TABLE_HEAD = re.compile(rb'\{"kind":"table","n":(0|[1-9][0-9]*),"sigma_in":(0|[1-9][0-9]*),'
                          rb'"sigma_out":(0|[1-9][0-9]*),"table":\[')
-_LABEL_BYTES = b"0123456789,"
+_DIGITS = b"0123456789"
 
 
 def _labels(data: bytes) -> list:
@@ -171,15 +171,16 @@ def read_table_code(data: bytes) -> Optional[TreeCode]:
     tail = next((t for t in (b"]}\n", b"]}") if data.endswith(t)), None)
     if head is None or tail is None:
         return None
-    # the labels lie between head and tail; deleting digits and commas from
-    # the file must leave only what those two hold besides
-    start, stop = head.end(), len(data) - len(tail)
-    if data.translate(None, _LABEL_BYTES) != head[0].translate(None, _LABEL_BYTES) + tail:
+    # the labels lie between head and tail; deleting the file's digits must
+    # leave the head's other bytes, then only the labels' commas, then tail
+    rest, bare = data.translate(None, _DIGITS), head[0].translate(None, _DIGITS)
+    commas = len(rest) - len(bare) - len(tail)
+    if rest != bare + b"," * commas + tail:
         return None
     try:
         n, sigma_in, sigma_out = map(int, head.groups())
         return constructions.table_code(n, sigma_in, sigma_out, partial(_labels, data),
-                                        data.count(b",", start, stop) + 1 if start < stop else 0)
+                                        commas + 1 if head.end() + len(tail) < len(data) else 0)
     except ValueError:
         return None
 

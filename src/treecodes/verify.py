@@ -28,7 +28,8 @@ CapExceeded.used stay pair-by-pair.  The pairs are found by
     before the cap's stop, is decided by one-row blocks (_first_rows):
     row x against every later row at once, by bit-sliced counters (_block);
   * pruned pair extension kept by _keeps: in row order (_grow) for tree
-    distance, by whole depths (_reaches) for exact_distance and search (_scan).
+    distance, by whole depths (_reaches) for exact_distance and search:
+    a test at a floor, then a bisection above it (_least), as in _scan.
 
 Each condition keeps its own window convention: the generic immediacy window
 is half-open [s, s+w); the dyadic-layered condition uses (s, s+2^l]; the
@@ -593,15 +594,23 @@ def _scan(columns: Iterable, sigma: int, floor: Fraction, bounds: _Bounds) -> Fr
     """The least c/w over the same-depth pairs of prefixes of a code (1 with
     no pair), or floor if some pair is at or below it (none is below 0), its
     columns (depth 1 first) then read only up to that pair's depth.  Above
-    floor, bounds.ratios are bisected on the columns kept, each decided by
-    _reaches with its bounds."""
+    floor, it is _least's, on the columns kept."""
     kept: List[Sequence[int]] = [] if floor.numerator >= 0 else list(columns)
     if floor.numerator >= 0 and _reaches((kept.append(col) or col for col in columns), sigma,
                                          *bounds[floor.as_integer_ratio()]):
         return floor
+    return _least(kept, sigma, floor, bounds)
+
+
+def _least(columns: Sequence, sigma: int, floor: Fraction, bounds: _Bounds) -> Fraction:
+    """The least c/w over the same-depth pairs of prefixes of a code (1 with
+    no pair), given that none is at or below floor: bounds.ratios above
+    floor are bisected on its columns (all n, depth 1 first), each decided
+    by _reaches with its bounds."""
     ratios = bounds.ratios
     return ratios[bisect_left(ratios, True, bisect_right(ratios, floor), len(ratios) - 1,
-                              key=lambda t: _reaches(kept, sigma, *bounds[t.as_integer_ratio()]))]
+                              key=lambda t: _reaches(columns, sigma,
+                                                     *bounds[t.as_integer_ratio()]))]
 
 
 def check_tree_distance(code: TreeCode, delta, cap: int = DEFAULT_EVAL_CAP) -> Verdict:

@@ -1117,6 +1117,38 @@ def test_parser_matches_the_reference_on_every_path_but_top_level_help(
             assert (rc, out, err) == (pin["exit"], pin["stdout"], pin["stderr"]), argv
 
 
+def _parser_structure(monkeypatch):
+    """Every parser cli.main builds, by prog, walked: each action's option
+    strings, dest, default, type, choices, nargs and required, as JSON."""
+    parsers, parse = {}, argparse.ArgumentParser.parse_known_args
+
+    def walking(self, *args, **kwargs):
+        parsers[self.prog] = [
+            {"option_strings": a.option_strings, "dest": a.dest, "default": a.default,
+             "type": getattr(a.type, "__name__", a.type),
+             "choices": None if a.choices is None else list(a.choices), "nargs": a.nargs,
+             "required": a.required}
+            for a in self._actions]
+        return parse(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", walking)
+    for name in cli._COMMANDS:
+        assert _run_main([name, "-h"])[0] == 0
+    return parsers
+
+
+def test_parser_structure_matches_the_reference_on_any_python(monkeypatch):
+    """The reference parser's actions, walked, are pinned in
+    data/cli_parser_structure.json: unlike its help and error texts, they
+    do not change between Python versions (3.10 on)."""
+    pins = json.loads((Path(__file__).parent / "data" / "cli_parser_structure.json").read_text())
+    got = _parser_structure(monkeypatch)
+    progs = ["treecodes", *(f"treecodes {name}" for name in cli._COMMANDS)]
+    assert sorted(got) == sorted(pins) == sorted(progs)
+    for prog, actions in pins.items():
+        assert got[prog] == actions, prog
+
+
 @pytest.mark.parametrize("name", sorted(cli._COMMANDS))
 def test_a_call_builds_two_parsers_and_only_its_subcommands_flags(
     tmp_path, monkeypatch, name

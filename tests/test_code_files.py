@@ -154,6 +154,26 @@ def test_a_truncated_table_or_a_malformed_header_exits_1_whatever_the_cap(tmp_pa
         assert rc == 1 and err.startswith("invalid input: "), name
 
 
+@pytest.mark.parametrize("n", [1000, 10**12])
+@pytest.mark.parametrize("sigma_in", [0, -1])
+def test_an_input_alphabet_below_1_is_refused_before_any_level_is_sized(tmp_path, sigma_in, n):
+    # sigma_in^j never passes a limit: level_offsets used to size all n
+    # levels, once in the header reader (sigma_in = 0) and again in the
+    # whole parse, before the alphabet was refused
+    text = f'{{"kind":"table","n":{n},"sigma_in":{sigma_in},"sigma_out":2,"table":[]}}\n'
+    sized, level_offsets = [], core.level_offsets
+
+    def counting(*args):
+        offsets = level_offsets(*args)
+        sized.append(len(offsets))
+        return offsets
+
+    with mock.patch.object(core, "level_offsets", counting):
+        got = _main(_verify(_file(tmp_path, text), CAPS[1]))
+    assert got == (1, "", f"invalid input: alphabet size must be >= 1, got {sigma_in}\n")
+    assert sized == []
+
+
 @pytest.mark.parametrize("name", sorted(NOT_JSON))
 def test_labels_that_are_not_json_are_refused_when_the_table_is_read(tmp_path, name):
     path = _file(tmp_path, NOT_JSON[name])

@@ -4,10 +4,12 @@ from itertools import product
 import pytest
 
 from treecodes.core import (
+    MAX_TABLE_ENTRIES,
     TreeCode,
     all_codewords,
     divergent_distance,
     identity_code,
+    level_offsets,
     make_systematic,
     messages,
     trivial_code,
@@ -30,6 +32,13 @@ def test_rate_and_alphabet_size_refusal():
     # the sizes are checked before n
     with pytest.raises(ValueError, match="alphabet size"):
         TreeCode(0, 0, 2, max)
+
+
+@pytest.mark.parametrize("sigma", [0, -1])
+def test_level_offsets_refuse_an_alphabet_below_1_at_once(sigma):
+    # its level sizes never pass the limit: n of them were summed
+    with pytest.raises(ValueError, match=f"alphabet size must be >= 1, got {sigma}$"):
+        level_offsets(10**12, sigma, MAX_TABLE_ENTRIES)
 
 
 def test_a_one_symbol_output_alphabet_has_no_rate():

@@ -59,6 +59,22 @@ MUTANTS = [
            "(f := fire[r + 2]) > fire[r + 1]", "(f := fire[r + 1]) > fire[r + 1]",
            ["tests/test_search_oracle.py::"
             "test_reaches_decides_the_minimum_reading_only_up_to_the_first_reaching_depth"]),
+    Mutant("_reaches: sibling pairs scanned only where a depth keeps a difference",
+           "treecodes/verify.py",
+           "for i, j in sibs if k >= 0 else ():", "for i, j in sibs if k > 0 else ():",
+           ["tests/test_search_oracle.py::test_scan_bisects_only_over_ratios_above_the_floor"]),
+    Mutant("_keeps: fire[e - s - 1] for fire[e - s]",
+           "treecodes/verify.py",
+           "fire[e - s]", "fire[e - s - 1]",
+           ["tests/test_search_oracle.py::test_search_matches_eager_deepest_first_search"]),
+    Mutant("DetStream._fill: a one-block refill leaves the counter where it was",
+           "treecodes/rng.py",
+           "self._counter += 1", "self._counter += 0",
+           ["tests/test_rng.py::test_stream_is_sha256_of_key_and_counter"]),
+    Mutant("random_code_search: a trial above the floor kept at the floor, unbisected",
+           "treecodes/constructions.py",
+           "best = (_least(levels, 2, floor, bounds), t, levels)", "best = (floor, t, levels)",
+           ["tests/test_search_oracle.py::test_search_matches_eager_deepest_first_search"]),
     Mutant("LevelOrderChar: a file's labels decoded at load",
            "treecodes/core.py",
            "self._decode = lambda: _cut(labels(), offsets)",
