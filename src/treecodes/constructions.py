@@ -25,7 +25,7 @@ from .core import LevelOrderChar, Message, TreeCode, check_table_size
 from .dyadic import as_fraction
 from .partitions import MAX_N
 from .rng import DetStream
-from .verify import _Bounds, _least, _reaches, _scan
+from .verify import _Bounds, _least, _reaches
 
 DEFAULT_B_SCHEDULE = (2, 3, 4, 6, 8)
 MAX_B = 16  # the widest cell a code file or recipe may name; the schedule stays within it
@@ -368,7 +368,7 @@ def table_min_distance(n: int, table: Sequence[int]) -> Fraction:
     labeling; n < 1 or a table of the wrong length for n raises ValueError."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    return _scan(LevelOrderChar(n, 2, table).levels, 2, Fraction(-1), _Bounds([0] * n))
+    return _least(LevelOrderChar(n, 2, table).levels, 2, Fraction(-1), _Bounds([0] * n))
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,8 @@ CapExceeded.used stay pair-by-pair.  The pairs are found by
     row x against every later row at once, by bit-sliced counters (_block);
   * pruned pair extension kept by _keeps: in row order (_grow) for tree
     distance, by whole depths (_reaches) for exact_distance and search:
-    a test at a floor, then a bisection above it (_least), as in _scan.
+    one bisection over the ratios above a floor (_least), each step a
+    _reaches; the search tests its floor with _reaches first.
 
 Each condition keeps its own window convention: the generic immediacy window
 is half-open [s, s+w); the dyadic-layered condition uses (s, s+2^l]; the
@@ -143,8 +144,8 @@ def checked_ledger(code: TreeCode, p: LaminarPartition,
 
 
 class _MessageBits:
-    """Bitsets over the rows of a table (bit j is row j, lexicographic): the
-    messages of a code's table, or the vertices of a depth-d prefix table.
+    """Bitsets over the rows of a code's table (bit j is message j, in
+    lexicographic order).
 
     same_input[q][a]: the rows with input symbol a at position q, a
     periodic pattern.  Codeword-symbol sets are built from the prefix columns
@@ -228,20 +229,20 @@ def _pair(budget: _Budget, cond: _Condition, x, cx, y, cy) -> Optional[dict]:
 
 def _counters(cond: _Condition):
     """_block's plan of cond's windows: each candidate's window ids, and for
-    each counter, keyed (first position, step), its windows (length, t,
-    id): windows sharing an end share one counter, grown from that end."""
+    each window start, its windows (length, t, id), shortest first: windows
+    sharing a start share one counter, grown forward from it."""
     keys: dict = {}  # (lo, hi, t): id
     links = [[keys.setdefault(w[:3], len(keys)) for w in ws] for _, _, ws in cond.cands]
-    by_lo = len({k[0] for k in keys}) <= len({k[1] for k in keys})
     groups = defaultdict(list)
     for (lo, hi, t), ki in sorted(keys.items(), key=lambda kv: kv[0][1] - kv[0][0]):
-        groups[(lo, 1) if by_lo else (hi - 1, -1)].append((hi - lo, t, ki))
+        groups[lo].append((hi - lo, t, ki))
     return links, groups, len(keys)
 
 
 def _block(bits: _MessageBits, cond: _Condition, plan, x: int) -> int:
     """Row x against the rows after it on cond, planned by _counters: the
-    pairs violating a window, bit k the pair of row x with row x + 1 + k."""
+    pairs violating a window, bit k the pair of row x with row x + 1 + k,
+    counted by one bit-sliced counter per window start, grown forward."""
     links, groups, nkeys = plan
     full = (1 << (bits.size - x - 1)) - 1
     built: Dict[Tuple[int, bool], int] = {}
@@ -265,14 +266,14 @@ def _block(bits: _MessageBits, cond: _Condition, plan, x: int) -> int:
             per_key[ki] |= found
 
     viol = 0
-    for (start, step), checks in groups.items():
+    for lo, checks in groups.items():
         slices: List[int] = []
         added = 0
         for length, t, ki in checks:
             cand = per_key[ki]
             if not cand:
                 continue
-            for p in range(start + step * added, start + step * length, step):
+            for p in range(lo + added, lo + length):
                 add(slices, same(p, False) ^ full)
             added = length
             if t > 0:
@@ -590,23 +591,12 @@ class _Bounds(dict):
         return got
 
 
-def _scan(columns: Iterable, sigma: int, floor: Fraction, bounds: _Bounds) -> Fraction:
-    """The least c/w over the same-depth pairs of prefixes of a code (1 with
-    no pair), or floor if some pair is at or below it (none is below 0), its
-    columns (depth 1 first) then read only up to that pair's depth.  Above
-    floor, it is _least's, on the columns kept."""
-    kept: List[Sequence[int]] = [] if floor.numerator >= 0 else list(columns)
-    if floor.numerator >= 0 and _reaches((kept.append(col) or col for col in columns), sigma,
-                                         *bounds[floor.as_integer_ratio()]):
-        return floor
-    return _least(kept, sigma, floor, bounds)
-
-
 def _least(columns: Sequence, sigma: int, floor: Fraction, bounds: _Bounds) -> Fraction:
     """The least c/w over the same-depth pairs of prefixes of a code (1 with
     no pair), given that none is at or below floor: bounds.ratios above
     floor are bisected on its columns (all n, depth 1 first), each decided
-    by _reaches with its bounds."""
+    by _reaches with its bounds.  From floor -1, below every ratio, it is
+    the exact minimum."""
     ratios = bounds.ratios
     return ratios[bisect_left(ratios, True, bisect_right(ratios, floor), len(ratios) - 1,
                               key=lambda t: _reaches(columns, sigma,
@@ -657,12 +647,12 @@ def exact_distance(code: TreeCode, cap: int = DEFAULT_EVAL_CAP) -> Fraction:
 
     Every depth is first charged what its pair-by-pair sweep spends
     (_charges), so a refusal comes before any pair is read.  The minimum is
-    then _scan's, kept by _keeps over the injective columns."""
+    then _least's from -1, kept by _keeps over the injective columns."""
     budget = _Budget(cap)
     table, n = _table(code, budget), code.n
     for d in range(1, n + 1):
         _charges(table.prefix(d), _distance(d, Fraction(-1)), budget)[1]([])
-    return _scan(table.columns, table.sigma, Fraction(-1), _Bounds([*map(table.injective, range(n))]))
+    return _least(table.columns, table.sigma, Fraction(-1), _Bounds([*map(table.injective, range(n))]))
 
 
 def check_immediacy_function(

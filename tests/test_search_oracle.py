@@ -248,40 +248,42 @@ def test_reaches_on_ternary_tables_reads_only_up_to_the_first_reaching_depth(cas
     _assert_reaches_reads_only_up_to_the_first_reaching_depth(3, case)
 
 
-def _assert_scan_bisects_only_over_ratios_above_the_floor(sigma, case):
-    # the first decision is at the floor (none at a floor below 0, which no
-    # pair reaches); a scan that does not stop there tries only ratios above
-    # it, at most ceil(lg K) of them for K candidates
+def _assert_least_bisects_only_over_ratios_above_the_floor(sigma, case):
+    # above a floor the minimum exceeds (-1 included), the bisection gives
+    # the minimum, trying only ratios above the floor, at most ceil(lg K)
+    # of them for K candidates; at a floor the minimum does not exceed, the
+    # search's floor test, a decision at the floor, reaches it
     n, table, floor = case
     levels, prefix_min = _prefix_minima(sigma, n, table)
     bounds = verify._Bounds([0] * n)  # the search's, each ratio's in the order first read
+    ref = prefix_min[-1]
+    if ref <= floor:
+        assert verify._reaches(iter(levels), sigma, *bounds[floor.as_integer_ratio()])
+        return
     decided = []
     reaches = verify._reaches
     with pytest.MonkeyPatch.context() as m:
         m.setattr(verify, "_reaches", lambda *a: decided.append(1) or reaches(*a))
-        got = verify._scan(iter(levels), sigma, floor, bounds)
+        got = verify._least(levels, sigma, floor, bounds)
     tried = [Fraction(*t) for t in bounds]
-    ref = prefix_min[-1]
-    assert got == (floor if ref <= floor else ref)
+    assert got == ref
     above = [r for r in _ratios(n) if r > floor]
     assert len(decided) == len(tried)
-    if floor >= 0:
-        assert tried.pop(0) == floor
     assert all(t > floor for t in tried)
     assert len(tried) <= (len(above) - 1).bit_length()
 
 
 @settings(derandomize=True, deadline=None, max_examples=300)
 @given(case=decisions())
-def test_scan_bisects_only_over_ratios_above_the_floor(case):
-    # verify._scan with the search's bounds, on binary tables
-    _assert_scan_bisects_only_over_ratios_above_the_floor(2, case)
+def test_least_bisects_only_over_ratios_above_the_floor(case):
+    # verify._least with the search's bounds, on binary tables
+    _assert_least_bisects_only_over_ratios_above_the_floor(2, case)
 
 
 @settings(derandomize=True, deadline=None, max_examples=40)
 @given(case=ternary_decisions())
-def test_scan_on_ternary_tables_bisects_only_over_ratios_above_the_floor(case):
-    _assert_scan_bisects_only_over_ratios_above_the_floor(3, case)
+def test_least_on_ternary_tables_bisects_only_over_ratios_above_the_floor(case):
+    _assert_least_bisects_only_over_ratios_above_the_floor(3, case)
 
 
 def test_search_makes_each_ratios_bounds_once(monkeypatch):

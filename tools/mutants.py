@@ -62,11 +62,35 @@ MUTANTS = [
     Mutant("_reaches: sibling pairs scanned only where a depth keeps a difference",
            "treecodes/verify.py",
            "for i, j in sibs if k >= 0 else ():", "for i, j in sibs if k > 0 else ():",
-           ["tests/test_search_oracle.py::test_scan_bisects_only_over_ratios_above_the_floor"]),
+           ["tests/test_search_oracle.py::test_least_bisects_only_over_ratios_above_the_floor"]),
     Mutant("_keeps: fire[e - s - 1] for fire[e - s]",
            "treecodes/verify.py",
            "fire[e - s]", "fire[e - s - 1]",
            ["tests/test_search_oracle.py::test_search_matches_eager_deepest_first_search"]),
+    Mutant("_Bounds: ceil(theta w) - 1 for floor(theta w) in _reaches' fire",
+           "treecodes/verify.py",
+           "ratio[0] * w // ratio[1]", "-(-ratio[0] * w // ratio[1]) - 1",
+           ["tests/test_search_oracle.py::test_search_matches_eager_deepest_first_search"]),
+    Mutant("_dependences: a key's inputs A one input short",
+           "treecodes/verify.py",
+           "frozenset(range(n + a, n + sp))", "frozenset(range(n + a, n + sp - 1))",
+           ["tests/test_verify_oracle.py::test_engine_matches_scalar_sweep_on_random_tables"]),
+    Mutant("_block: a forward counter skips its first column",
+           "treecodes/verify.py",
+           "range(lo + added, lo + length)", "range(lo + added + 1, lo + length)",
+           ["tests/test_verify_oracle.py::test_engine_matches_scalar_sweep_on_random_tables"]),
+    Mutant("check_tree_distance: rows read before a witness not grown on",
+           "treecodes/verify.py",
+           "read, rows = tee(rows)", "read = rows",
+           ["tests/test_verify_oracle.py::test_engine_matches_scalar_sweep_on_random_tables"]),
+    Mutant("PrefixTable.determines: only input residues 0 and 1 tested",
+           "treecodes/core.py",
+           "for r in range(1, sigma):", "for r in range(1, min(sigma, 2)):",
+           ["tests/test_grouping_oracle.py::test_first_members_match_the_row_table"]),
+    Mutant("Groups: n + q dropped without the determination test",
+           "treecodes/grouping.py",
+           "and self.table.determines(q)}", "}",
+           ["tests/test_grouping_oracle.py::test_first_members_match_the_row_table"]),
     Mutant("DetStream._fill: a one-block refill leaves the counter where it was",
            "treecodes/rng.py",
            "self._counter += 1", "self._counter += 0",
