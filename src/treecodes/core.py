@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import product
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 Message = Tuple[int, ...]
 Codeword = Tuple[int, ...]
@@ -109,6 +109,12 @@ def messages(alphabet_size: int, n: int) -> Iterator[Message]:
     return product(range(alphabet_size), repeat=n)
 
 
+def symbol_typecode(size: int) -> Optional[str]:
+    """The array typecode of the narrowest unsigned item that holds every
+    symbol below size: B, H, I or Q, or None past 2^64 symbols."""
+    return next((c for c in "BHIQ" if size <= 256 ** array(c).itemsize), None)
+
+
 def prefix_columns(code: TreeCode) -> List[Sequence[int]]:
     """Column j: the symbols of the length-(j+1) prefixes, in lexicographic
     order.  A char_fn with columns() and the code's own n and sigma builds
@@ -116,10 +122,12 @@ def prefix_columns(code: TreeCode) -> List[Sequence[int]]:
     trivial code's ranges); any other is walked, one call per prefix.  On
     either path a column not sigma^(j+1) long, a symbol that is not an int
     in [0, |sigma_out|) (naming its prefix), or a count of columns other
-    than n raises ValueError.  Each checked column is then stored as a
-    typed array (see the module doc)."""
+    than n raises ValueError.  A column that is already an unsigned typed
+    array holds only ints >= 0, so only its largest symbol is checked.
+    Each checked column is then stored as a typed array (see the module
+    doc)."""
     sigma, f, size = code.sigma_in, code.char_fn, code.sigma_out
-    typecode = next((c for c in "BHIQ" if size <= 256 ** array(c).itemsize), None)
+    typecode = symbol_typecode(size)
     if hasattr(f, "columns") and (f.n, f.sigma) == (code.n, sigma):
         cols = iter(f.columns())
     else:
@@ -128,7 +136,8 @@ def prefix_columns(code: TreeCode) -> List[Sequence[int]]:
     for j, col in zip(range(code.n), cols):
         if len(col) != sigma ** (j + 1):
             raise ValueError(f"column {j + 1} has {len(col)} symbols, want {sigma}^{j + 1}")
-        if not (set(map(type, col)) <= {int} and 0 <= min(col) and max(col) < size):
+        if not (max(col) < size if isinstance(col, array) and col.typecode in "BHIQ"
+                else set(map(type, col)) <= {int} and 0 <= min(col) and max(col) < size):
             for t, sym in enumerate(col):
                 if not (type(sym) is int and 0 <= sym < size):
                     raise ValueError(
@@ -167,8 +176,9 @@ class PrefixTable:
     table[i] -> (message, codeword) and iteration in message order rebuild
     rows on demand; len() is the number of messages.  Three facts of
     column j are found at their first use and kept: distinct(j), its number
-    of distinct symbols, determines(j), whether its symbol fixes input j,
-    and injective(j), whether its prefixes' symbols all differ.
+    of distinct symbols, determines(j, p), whether its symbol fixes input
+    p <= j (kept per (j, p)), and injective(j), whether its prefixes'
+    symbols all differ.
     """
 
     __slots__ = ("n", "sigma", "sigma_out", "columns", "strides", "_distinct", "_determines",
@@ -178,7 +188,7 @@ class PrefixTable:
         self.n, self.sigma, self.sigma_out, self.columns = n, sigma, sigma_out, columns
         self.strides = [sigma ** (n - 1 - j) for j in range(n)]
         self._distinct: List[Optional[int]] = [None] * n
-        self._determines: List[Optional[bool]] = [None] * n
+        self._determines: Dict[Tuple[int, int], bool] = {}
         self._injective: List[Optional[bool]] = [None] * n
 
     def distinct(self, j: int) -> int:
@@ -188,19 +198,32 @@ class PrefixTable:
             got = self._distinct[j] = len(set(self.columns[j]))
         return got
 
-    def determines(self, j: int) -> bool:
-        """Whether no symbol of column j comes with two values of input j,
-        the residue t mod sigma of its prefix t: each residue class is
-        checked against the symbol set of the classes before it."""
-        got = self._determines[j]
+    def determines(self, j: int, p: int) -> bool:
+        """Whether column j's symbol fixes input p <= j: no symbol of the
+        column comes with two values of digit p of its prefix.  The prefixes
+        t with digit p equal to r, t // sigma^(j-p) = r mod sigma, form
+        residue class r, runs of sigma^(j-p) prefixes every sigma^(j-p+1);
+        each class's symbols are checked against those of the classes
+        before it, read as whichever are fewer: its runs, or one strided
+        slice per offset in a run."""
+        got = self._determines.get((j, p))
         if got is None:
             col, sigma, seen, got = self.columns[j], self.sigma, set(), True
+            run = sigma ** (j - p)
+            period, runs = run * sigma, len(col) // (run * sigma)
+
+            def symbols(r: int) -> List[Sequence[int]]:
+                lo = r * run
+                if run <= runs:
+                    return [col[k::period] for k in range(lo, lo + run)]
+                return [col[a + lo:a + lo + run] for a in range(0, len(col), period)]
+
             for r in range(1, sigma):
-                seen.update(col[r - 1::sigma])
-                if not seen.isdisjoint(col[r::sigma]):
+                seen.update(*symbols(r - 1))
+                if not all(map(seen.isdisjoint, symbols(r))):
                     got = False
                     break
-            self._determines[j] = got
+            self._determines[(j, p)] = got
         return got
 
     def injective(self, j: int) -> bool:

@@ -10,10 +10,15 @@ ids of a block reuse those of its parts.  A set of several columns has
 first-occurrence ids (each prefix's id is the first prefix of its group), so
 every id is below M.  Where every prefix is its own group, the ids are
 range(number of prefixes), and no pass or tally is made that this already
-answers.  Other ids refer to shared ints, the entries of one
-list(range(...)) per Groups, so a list of ids costs one reference per prefix.
-A single codeword column's ids are the table's own column, a typed array
-(core), or a range if the column is injective.  Every kind is read through
+answers.  Where few prefixes share a group, the ids are stripped (TANE's
+stripped partitions): only the prefixes that repeat an earlier prefix's
+group are held, with their first members, so a larger set is refined, a
+dependence tested and the groups tallied over the shared prefixes alone.
+Other ids refer to shared ints, the entries of one list(range(...)) per
+Groups, so a list of ids costs one reference per prefix.  A single
+codeword column's ids are the table's own column, a typed array (core), or
+a range if the column is injective; a set of input positions alone has
+arithmetic first-occurrence ids, with no pass.  Every kind is read through
 the sequence interface, and compared by value: a list never equals a range.
 A caller names its sets in the order it reads them, and each set's ids are
 dropped after their last read in that order.
@@ -32,9 +37,9 @@ once.
 from __future__ import annotations
 
 import operator
-from collections import Counter
+from collections import Counter, abc
 from itertools import chain, compress, repeat
-from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .core import PrefixTable
 
@@ -43,17 +48,82 @@ class Grouped(NamedTuple):
     """A column set's group ids: one per prefix of length q+1, below bound."""
 
     q: int
-    ids: Sequence[int]  # a column's own typed array, a range, or a list of shared ints
+    ids: Sequence[int]  # a column's own typed array, a range, a list of shared ints, or stripped
     bound: int
+
+
+# a set's ids are kept stripped when at most 1 / _SPARSE of its prefixes
+# repeat an earlier prefix's group
+_SPARSE = 4
+
+
+class _Stripped(abc.Sequence):
+    """First-occurrence ids of size prefixes, few of which share a group:
+    later, ascending, are the prefixes that repeat an earlier prefix's
+    group, and heads[i] is the first prefix of later[i]'s group.  Every
+    other prefix is its own first member.  Indexing and iteration give the
+    ids of every prefix."""
+
+    __slots__ = ("size", "later", "heads", "_of")
+
+    def __init__(self, size: int, later: List[int], heads: List[int]) -> None:
+        self.size, self.later, self.heads = size, later, heads
+        self._of = dict(zip(later, heads))
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __getitem__(self, t: int) -> int:
+        return self._of.get(t, t)
+
+    def __iter__(self) -> Iterator[int]:
+        return map(self._of.get, range(self.size), range(self.size))
+
+    def members(self) -> List[int]:
+        """The prefixes of the groups of two or more, ascending."""
+        return sorted(chain(self.later, dict.fromkeys(self.heads)))
+
+
+def _strip(ids: List[int], ints: Sequence[int], groups: int, size: int) -> Sequence[int]:
+    """The ids of size prefixes from a pass or a refinement: ids[i] is the
+    first member of prefix ints[i]'s group, and there are groups of them.
+    A range when each prefix is its own group; the list itself when it
+    covers all size prefixes and more than 1 / _SPARSE of them repeat an
+    earlier prefix's group; else stripped, every prefix outside ints being
+    its own group."""
+    if groups == len(ids):
+        return range(size)
+    if len(ids) == size and (size - groups) * _SPARSE > size:
+        return ids
+    later = list(compress(range(len(ids)), map(operator.ne, ids, ints)))
+    return _Stripped(size, [ints[i] for i in later], [ids[i] for i in later])
 
 
 def _first_occurrences(keys, ints: List[int]) -> Sequence[int]:
     """For each key, the entry of ints (0, 1, ..., at least one per key) at
     the index of the first key equal to it: range(len) when every key is
-    distinct."""
+    distinct, stripped when few keys repeat an earlier one."""
     first: Dict[int, int] = {}
     ids = list(map(first.setdefault, keys, ints))
-    return range(len(ids)) if len(first) == len(ids) else ids
+    return _strip(ids, ints, len(first), len(ids))
+
+
+def _refined(keys, members: List[int], size: int) -> Sequence[int]:
+    """The ids of size prefixes grouped by keys, one per member (ascending),
+    every other prefix its own group: a range or stripped."""
+    first: Dict[int, int] = {}
+    ids = list(map(first.setdefault, keys, members))
+    return _strip(ids, members, len(first), size)
+
+
+def _at(ids: Sequence[int], r: int, prefixes: List[int]) -> Iterator[int]:
+    """The ids of the given prefixes, read at a granularity r times finer
+    than that of ids."""
+    if r > 1:
+        prefixes = [t // r for t in prefixes]
+    if isinstance(ids, _Stripped):
+        return map(ids._of.get, prefixes, prefixes)
+    return map(ids.__getitem__, prefixes)
 
 
 def _widen(ids: Sequence[int], r: int) -> Sequence[int]:
@@ -77,18 +147,26 @@ class Groups:
     prefixes agree on every column of S, so the group of message i is the id
     of prefix i // table.strides[q] and a group of c prefixes holds
     c * table.strides[q] messages.  A column's ids are its symbols, or a
-    range if they all differ (PrefixTable.injective).  Those of
+    range if they all differ (PrefixTable.injective); a set of input
+    positions alone gives each prefix the first member of its group,
+    itself with its digits outside the set zeroed, with no pass.  Those of
     a larger S pair the ids of T and S - T, for T the set grouped so far
     inside S that reaches furthest, then the largest (else the first half of
     S's positions), so S - T ends early; on a laminar partition a block pairs
     its lf and rg, blocks of the level below.  If either part's ids are a
     range at S's granularity, each prefix is its own group of that part and
-    so of S: S's ids are a range, with no pass.  Otherwise the pass keys are
-    a * bound + b, a the ids of the part that ends first (the coarser), scaled
-    by the other's bound at a's own granularity and only then widened, and b
-    the other's ids.  It maps the keys to first-occurrence ids, below the
-    number of prefixes: a range when the keys are distinct, else entries of
-    one shared list of ints.  Every set is grouped once.
+    so of S: S's ids are a range, with no pass.  If a part's ids at S's
+    granularity are stripped, S's groups split only that part's shared
+    groups: S is refined over those prefixes alone, keyed by the part's
+    first member and the other part's id at each, and is stripped too.
+    Otherwise the pass keys are a * bound + b, a the ids of the part that
+    ends first (the coarser), scaled by the other's bound at a's own
+    granularity and only then widened, and b the other's ids.  It maps the
+    keys to first-occurrence ids, below the number of prefixes: a range
+    when the keys are distinct, stripped when at most 1 / _SPARSE of the
+    prefixes repeat an earlier one's group (the pass's dict counts the
+    groups), else entries of one shared list of ints.  Every set is grouped
+    once.
 
     requests are the sets the caller will read, in the order it reads them;
     ids, first and weights each read one set, strays two (the inputs, then
@@ -124,7 +202,7 @@ class Groups:
         if got is None:
             n = self.n
             got = self._reduced[cols] = cols - {n + q for q in cols if q < n and n + q in cols
-                                                and self.table.determines(q)}
+                                                and self.table.determines(q, q)}
         return got
 
     def _plan(self, cols: FrozenSet[int]) -> None:
@@ -134,7 +212,7 @@ class Groups:
         if cols in self._parts:
             return
         part = None
-        if len(cols) > 1:
+        if len(cols) > 1 and min(cols) < self.n:  # input positions alone take no part
             part = max((t for t in self._parts if t < cols), key=self._ranks.__getitem__,
                        default=None)
             if part is None:  # the columns of the first half of the positions
@@ -154,7 +232,9 @@ class Groups:
         got = self._kept.pop(cols, None)
         if got is None:
             part = self._parts[cols]
-            if part is None:
+            if part is None and len(cols) > 1:
+                got = self._inputs(sorted(c - self.n for c in cols))
+            elif part is None:
                 (c,) = cols
                 if c >= self.n:  # input position c - n
                     got = Grouped(c - self.n, self.table.inputs(c - self.n), self.sigma)
@@ -164,22 +244,56 @@ class Groups:
                 else:
                     got = Grouped(c, self.table.columns[c], self.table.sigma_out)
             else:
-                coarse, fine = sorted((self._grouped(part), self._grouped(cols - part)),
-                                      key=operator.attrgetter("q"))
-                size = len(self.table.columns[fine.q])
-                if any(isinstance(g.ids, range) and g.q == fine.q for g in (coarse, fine)):
-                    ids = range(size)
-                else:
-                    scaled = map(operator.mul, coarse.ids, repeat(fine.bound))
-                    r = self.table.strides[coarse.q] // self.table.strides[fine.q]
-                    keys = map(operator.add, _widen(list(scaled) if r > 1 else scaled, r),
-                               fine.ids)
-                    ids = _first_occurrences(keys, self._shared(size))
-                got = Grouped(fine.q, ids, size)
+                got = self._paired(self._grouped(part), self._grouped(cols - part))
         self._reads[cols] -= 1
         if self._reads[cols] > 0:
             self._kept[cols] = got
         return got
+
+    def _inputs(self, positions: List[int]) -> Grouped:
+        """The first-occurrence ids of several input positions (ascending):
+        at the last one, q, prefix t's first member is t with its digits
+        outside positions zeroed, built from the last digit up, with no
+        pass: a digit outside positions repeats the ids of the digits after
+        it, one inside adds its place value to each (a range when every
+        digit up to q is inside)."""
+        q = positions[-1]
+        size = len(self.table.columns[q])
+        if len(positions) == q + 1:
+            return Grouped(q, range(size), size)
+        shared, ids = self._shared(size), [0]
+        for p in range(q, -1, -1):
+            if p not in positions:
+                ids *= self.sigma
+            else:
+                place = len(ids)
+                ids = list(chain.from_iterable(
+                    map(shared.__getitem__, map(operator.add, ids, repeat(d * place)))
+                    for d in range(self.sigma)))
+        return Grouped(q, ids, size)
+
+    def _paired(self, *parts: Grouped) -> Grouped:
+        """The ids of the union of two sets from theirs, at the finer
+        granularity q: a range if either part's ids are a range at q; a
+        refinement of a stripped part at q, over its prefixes that share a
+        group; else a pass over every prefix."""
+        coarse, fine = sorted(parts, key=operator.attrgetter("q"))
+        size, strides = len(self.table.columns[fine.q]), self.table.strides
+        if any(isinstance(g.ids, range) and g.q == fine.q for g in parts):
+            return Grouped(fine.q, range(size), size)
+        sparse = [g for g in parts if isinstance(g.ids, _Stripped) and g.q == fine.q]
+        if sparse:
+            part = min(sparse, key=lambda g: len(g.ids.later))
+            other = coarse if part is fine else fine
+            members = part.ids.members()
+            scaled = map(operator.mul, _at(part.ids, 1, members), repeat(other.bound))
+            keys = map(operator.add, scaled, _at(other.ids, strides[other.q] // strides[fine.q],
+                                                 members))
+            return Grouped(fine.q, _refined(keys, members, size), size)
+        scaled = map(operator.mul, coarse.ids, repeat(fine.bound))
+        r = strides[coarse.q] // strides[fine.q]
+        keys = map(operator.add, _widen(list(scaled) if r > 1 else scaled, r), fine.ids)
+        return Grouped(fine.q, _first_occurrences(keys, self._shared(size)), size)
 
     def _renumbered(self, got: Grouped) -> Grouped:
         """A column's ids as first-occurrence ids."""
@@ -211,26 +325,39 @@ class Groups:
         key's first members to first descendants, first[t // w] * w.  Returns
         (q, first, strays): first[t] is the first prefix of length q+1 in t's
         key group, and strays are the prefixes t whose inputs differ from those
-        of first[t], in order.  Ids compare by value: a range of input ids
-        differs from any list."""
+        of first[t], in order.  A stripped key at q is tested over its later
+        prefixes alone, each against its first member; a range key has no
+        strays.  Ids compare by value: a range of input ids differs from any
+        list."""
         got, keyed = self.ids(inputs), self.first(key)
         q, strides = max(got.q, keyed.q), self.table.strides
         w = strides[keyed.q] // strides[q]
         first = keyed.ids if w == 1 else _widen([f * w for f in keyed.ids], w)
         if isinstance(first, range):
             return q, first, []
-        ids = _widen(got.ids, strides[got.q] // strides[q])
+        r = strides[got.q] // strides[q]
+        if isinstance(first, _Stripped):  # only its later prefixes can stray
+            later = first.later
+            return q, first, list(compress(later, map(operator.ne, _at(got.ids, r, later),
+                                                      _at(got.ids, r, first.heads))))
+        ids = _widen(got.ids, r)
         vals = list(map(ids.__getitem__, first))
         if vals == ids:
             return q, first, []
         return q, first, list(compress(range(len(vals)), map(operator.ne, vals, ids)))
 
     def weights(self, cols: FrozenSet[int]) -> Dict[int, int]:
-        """{group size in messages: number of such groups} of a column set."""
+        """{group size in messages: number of such groups} of a column set,
+        tallied over the later prefixes of stripped ids, with no tally for a
+        range."""
         grouped = self._grouped(self._reduced[cols])
         per = self.table.strides[grouped.q]
         if isinstance(grouped.ids, range):
             return {per: len(grouped.ids)}
+        if isinstance(grouped.ids, _Stripped):  # tallied over its later prefixes
+            sizes = Counter(Counter(grouped.ids.heads).values())
+            alone = len(grouped.ids) - len(grouped.ids.later) - sum(sizes.values())
+            return {(c + 1) * per: k for c, k in sizes.items()} | ({per: alone} if alone else {})
         return {c * per: k for c, k in Counter(Counter(grouped.ids).values()).items()}
 
 

@@ -7,14 +7,16 @@ from __future__ import annotations
 
 import json
 import re
+from array import array
 from fractions import Fraction
 from functools import partial
 from itertools import chain
-from typing import Any, Callable, List, NamedTuple, Optional, Tuple
+from typing import Any, Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import constructions
 from .bounds import BoundReport
-from .core import TreeCode, check_table_size, identity_code, prefix_columns, trivial_code
+from .core import (TreeCode, check_table_size, identity_code, prefix_columns, symbol_typecode,
+                   trivial_code)
 from .dyadic import as_fraction, frac_str
 from .partitions import MAX_N, DeficiencyLedger, LaminarPartition, TaggedBlock
 from .verify import Verdict
@@ -150,9 +152,16 @@ _TABLE_HEAD = re.compile(rb'\{"kind":"table","n":(0|[1-9][0-9]*),"sigma_in":(0|[
 _DIGITS = b"0123456789"
 
 
-def _labels(data: bytes) -> list:
-    """The labels of a table-code file, decoded."""
-    return json.loads(data)["table"]
+def _labels(data: bytes, sigma_out: int) -> Sequence[int]:
+    """The labels of a table-code file, decoded into an array of the
+    narrowest unsigned item that holds sigma_out - 1 (core.symbol_typecode),
+    or kept as a list if one does not fit, for prefix_columns to name."""
+    labels = json.loads(data)["table"]
+    typecode = symbol_typecode(sigma_out)
+    try:
+        return labels if typecode is None else array(typecode, labels)
+    except OverflowError:
+        return labels
 
 
 def read_table_code(data: bytes) -> Optional[TreeCode]:
@@ -179,7 +188,7 @@ def read_table_code(data: bytes) -> Optional[TreeCode]:
         return None
     try:
         n, sigma_in, sigma_out = map(int, head.groups())
-        return constructions.table_code(n, sigma_in, sigma_out, partial(_labels, data),
+        return constructions.table_code(n, sigma_in, sigma_out, partial(_labels, data, sigma_out),
                                         commas + 1 if head.end() + len(tail) < len(data) else 0)
     except ValueError:
         return None

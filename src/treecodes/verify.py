@@ -11,8 +11,10 @@ rationals and every failure carries a witness that re-verifies in isolation.
 
 The table is the code's own TreeCode.table, core.all_codewords' typed
 prefix columns built once per code, and a partition's structural check its
-own LaminarPartition.report.  Neighborhood decoding compares
-each prefix with the first prefix of its rg group (grouping.Groups).
+own LaminarPartition.report.  Neighborhood decoding decides a block of
+one input and one column by whether the column determines the input, and
+any other by comparing each prefix with the first prefix of its rg group
+(grouping.Groups).
 
 The five pair conditions (distance, immediacy function, dyadic, aligned,
 quarter-split) are data, a _Condition each, decided with the outcome and
@@ -702,8 +704,12 @@ def check_neighborhood_decoding(
     disagree on lf(B) while their codewords agree on rg(B); equivalently the
     map c(x)_rg(B) -> x_lf(B) is well defined, and can be materialized.
 
-    This is a functional-dependence property: each non-exempt block is one
-    query, grouping.Groups.strays(lf inputs, rg), a gather and compare over
+    This is a functional-dependence property.  A block of one input p and
+    one column j >= p passes iff column j determines input p
+    (PrefixTable.determines(j, p)), which decides it with no grouping unless
+    its decoding table is materialized.  Every other non-exempt block, and
+    one that fails that test, is one query,
+    grouping.Groups.strays(lf inputs, rg), a gather and compare over
     the length-(q+1) prefixes, q the later of lf's and rg's last positions
     (none when each rg group is one prefix).  It passes iff every prefix has
     the lf inputs of the first prefix of its rg group (rg and lf inputs
@@ -729,6 +735,16 @@ def check_neighborhood_decoding(
     reads = sum(len(tb.lf) + len(tb.rg) for _, _, tb, cols in blocks if cols is not None)
     budget = _Budget(cap)
     table = _table(code, budget, reads)
+
+    def decided(tb) -> bool:
+        """Whether a block of one input and one column no earlier passes, its
+        column determining its input: with no query (no sets), unless its
+        decoding table is materialized."""
+        return (not materialize_tables and len(tb.lf) == len(tb.rg) == 1 and tb.lf[0] <= tb.rg[0]
+                and table.determines(tb.rg[0] - 1, tb.lf[0] - 1))
+
+    blocks = [(level, bi, tb, () if cols and decided(tb) else cols)
+              for level, bi, tb, cols in blocks]
     requests = (c for *_, cols in blocks if cols is not None for c in cols)
     groups = Groups(table, requests) if plan is None else plan.groups(table, requests)
 
@@ -741,12 +757,14 @@ def check_neighborhood_decoding(
             entry["passed"] = None
             blocks_out.append(entry)
             continue
-        q, first, strays = groups.strays(*cols)
-        # (an earlier message, the earliest colliding with it): the first
-        # messages of the first stray prefix's first member and of the stray
-        step = table.strides[q]
-        pair = (first[strays[0]] * step, strays[0] * step) if strays else None
-        del strays  # freed before the next block's passes
+        pair = None
+        if cols:
+            q, first, strays = groups.strays(*cols)
+            # (an earlier message, the earliest colliding with it): the first
+            # messages of the first stray prefix's first member and of the stray
+            step = table.strides[q]
+            pair = (first[strays[0]] * step, strays[0] * step) if strays else None
+            del strays  # freed before the next block's passes
         block_witness = None if pair is None else dict(
             level=level, block=bi, lf=list(tb.lf), rg=list(tb.rg),
             x=list(table.message(pair[0])), y=list(table.message(pair[1])))

@@ -225,3 +225,19 @@ def test_a_decoded_table_drops_the_file_bytes(files16):
     assert len(code.table) == 1 << 16
     assert code.char_fn._decode is None
     assert code.char_fn.levels is code.table.columns
+
+
+def test_labels_are_decoded_into_the_narrowest_unsigned_array_or_named_if_one_does_not_fit(
+        tmp_path):
+    # SIGMA_OUT = 4 fits one-byte items: the levels are decoded as such and
+    # become the table's columns unconverted.  A label past 255 fits no
+    # such item, so the labels stay a list and prefix_columns names it, as
+    # the whole parse does
+    code = read_table_code(CANONICAL.encode())
+    levels = code.char_fn.levels
+    assert {level.typecode for level in levels} == {"B"}
+    assert all(column is level for column, level in zip(code.table.columns, levels))
+    path = _file(tmp_path, _with(lambda t: t.__setitem__(0, "256")))
+    rc, out, err = _main(_verify(path, CAPS[1]))
+    assert (rc, out) == (1, "") and "symbol 256 at prefix [0] is outside the output alphabet" in err
+    assert (rc, out, err) == _whole(_verify(path, CAPS[1]))

@@ -17,11 +17,13 @@ from __future__ import annotations
 
 import json
 import math
+import random
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -517,7 +519,7 @@ def test_dropped_input_columns_match_the_row_table(code, data):
     n, table, rows = code.n, all_codewords(code), ref_all_codewords(code)
     distinct = [len({cw[q] for _, cw in rows}) for q in range(n)]
     assert list(map(table.distinct, range(n))) == distinct
-    assert list(map(table.determines, range(n))) == [
+    assert [table.determines(q, q) for q in range(n)] == [
         len({(cw[q], m[q]) for m, cw in rows}) == distinct[q] for q in range(n)]
     q = data.draw(st.integers(0, n - 1))
     mixed = [frozenset({q, n + q})] + [
@@ -579,6 +581,103 @@ def test_strays_match_the_row_table(case):
     row = [m for m, _ in ref_all_codewords(code)[:: code.sigma_in ** (n - 1 - q)]]
     assert strays == [t for t in range(len(want))
                       if any(row[t][v - n] != row[want[t]][v - n] for v in r)]
+
+
+@st.composite
+def columns_fixing_inputs(draw):
+    """A table code over sigma_in 2 or 3, each column drawn free (symbols
+    below 2 * sigma_in), fixing its input p (the symbol of prefix t is
+    digit p of t plus sigma_in times a draw below 2) for some p up to the
+    column's own, or spoiled: fixing p, then one prefix given the symbol of
+    a prefix with another digit p."""
+    sigma = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(1, 5 if sigma == 2 else 4))
+    labels = []
+    for j in range(n):
+        size, kind = sigma ** (j + 1), draw(st.sampled_from(["free", "fixing", "spoiled"]))
+        if kind == "free":
+            labels += draw(st.lists(st.integers(0, 2 * sigma - 1), min_size=size, max_size=size))
+            continue
+        run = sigma ** (j - draw(st.integers(0, j)))  # prefixes per run of one digit p
+        column = [t // run % sigma + sigma * draw(st.integers(0, 1)) for t in range(size)]
+        if kind == "spoiled":
+            t, shift = draw(st.integers(0, size - 1)), draw(st.integers(1, sigma - 1))
+            column[t] = column[(t + shift * run) % size]
+        labels += column
+    return table_code(n, sigma, 2 * sigma, labels)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(code=columns_fixing_inputs())
+def test_determines_matches_its_scalar_definition(code):
+    """Column j determines input p <= j exactly when no symbol of the column
+    comes with two values of input p, over the row table."""
+    n, table, rows = code.n, all_codewords(code), ref_all_codewords(code)
+    for j in range(n):
+        for p in range(j + 1):
+            scalar = len({(cw[j], m[p]) for m, cw in rows}) == len({cw[j] for _, cw in rows})
+            assert table.determines(j, p) == scalar, (j, p)
+
+
+@st.composite
+def near_injective_tables(draw):
+    """A binary table code at n <= 10 over 2^8 or 2^12 symbols, so that
+    pairs of late columns group nearly every prefix alone, with a tagged
+    partition."""
+    n = draw(st.integers(6, 10))
+    sigma_out = draw(st.sampled_from([1 << 8, 1 << 12]))
+    size = 2 ** (n + 1) - 2
+    labels = draw(st.lists(st.integers(0, sigma_out - 1), min_size=size, max_size=size))
+    p, ledger = draw(tagged_partitions(n))
+    return table_code(n, 2, sigma_out, labels), p, ledger
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(case=near_injective_tables())
+def test_grouping_matches_tuple_grouping_on_near_injective_tables(case):
+    """Stripped sets (few prefixes sharing a group) are refined, tested and
+    tallied over their shared prefixes: decoding, with and without its
+    tables, and the replay match the tuple grouping."""
+    code, p, ledger = case
+    assert_same_decoding(code, p, ledger)
+    assert_same_replay(code, p, ledger)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(data=st.data())
+def test_a_planted_collision_is_the_witness(data):
+    """On a binary n = 8 table whose every column's labels differ, two
+    messages x and y that differ only on lf(B) for a block B of the dyadic
+    partition are given the same labels on rg(B): their two prefixes at
+    rg's last position form the only group of two, and B alone fails, with
+    them as its witness.  An rg of four columns is refined from stripped
+    parts."""
+    p = eks_partition(3)
+    level = data.draw(st.integers(1, p.ell))
+    bi = data.draw(st.integers(0, len(p.tagged[level - 1]) - 1))
+    tb = p.tagged[level - 1][bi]
+    x = data.draw(st.lists(st.integers(0, 1), min_size=8, max_size=8))
+    flips = data.draw(st.sets(st.sampled_from(tb.lf), min_size=1))
+    y = [b ^ (v in flips) for v, b in enumerate(x, 1)]
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    levels = [rng.sample(range(1 << 12), 2**d) for d in range(1, 9)]
+
+    def node(m, v):  # the index of m's length-v prefix
+        return int("".join(map(str, m[:v])), 2)
+
+    for v in tb.rg:
+        levels[v - 1][node(y, v)] = levels[v - 1][node(x, v)]
+    code = table_code(8, 2, 1 << 12, [label for level_ in levels for label in level_])
+    q = max(tb.rg)
+    lo, hi = sorted((x[:q] + [0] * (8 - q), y[:q] + [0] * (8 - q)))
+    with mock.patch.object(grouping, "_refined", wraps=grouping._refined) as refined:
+        verdict = verify.check_neighborhood_decoding(code, p)
+    assert verdict.witness == dict(level=level, block=bi, lf=list(tb.lf), rg=list(tb.rg),
+                                   x=lo, y=hi)
+    assert [e["passed"] for e in verdict.details["blocks"]].count(False) == 1
+    assert refined.called or len(tb.rg) < 4
+    assert assert_same_decoding(code, p, all_caps=False) == verdict
+    assert_same_replay(code, p, all_caps=False)
 
 
 def _tabulated(code: TreeCode) -> TreeCode:
@@ -704,8 +803,10 @@ def layered16() -> TreeCode:
 
 def test_neighborhood_check_groups_rg_and_lf_inputs_apart(monkeypatch, layered16):
     """On the n=16 dyadic check, rg columns and lf inputs are grouped apart:
-    22 multi-column sets, 3 of them with one id per message, and no set
-    mixes codeword and input columns."""
+    18 multi-column sets, 3 of them with one id per message, and no set
+    mixes codeword and input columns.  A set of inputs alone takes no part
+    (22 sets before, with the parts {x1,x2,x4}, {x1..x4,x8}, {x1..x6,x8}
+    and {x9,x10,x12} that paired lf inputs)."""
     made: Dict[frozenset, int] = {}
 
     class Recording(verify.Groups):
@@ -717,7 +818,7 @@ def test_neighborhood_check_groups_rg_and_lf_inputs_apart(monkeypatch, layered16
 
     monkeypatch.setattr(verify, "Groups", Recording)
     assert verify.check_neighborhood_decoding(layered16, eks_partition(4)).passed
-    assert len(made) == 22
+    assert len(made) == 18
     assert sum(size == 1 << 16 for size in made.values()) == 3
     assert all(max(cols) < 16 or min(cols) >= 16 for cols in made)
 
@@ -732,17 +833,22 @@ def test_grouping_matches_tuple_grouping_on_the_layered_code_n16(layered16):
 
 @pytest.fixture
 def counted(monkeypatch) -> List[int]:
-    """[passes, keys, tallied], counted while the test runs: every grouping
-    pass (and first-member pass of a single column) with its keys, and
-    every id that weights tallies."""
-    counts = [0, 0, 0]
-    first_occurrences = grouping._first_occurrences
+    """[passes, keys, tallied, refined], counted while the test runs: every
+    grouping pass (and first-member pass of a single column) with its keys,
+    every id that weights tallies, and every shared prefix that a
+    refinement of a stripped set reads."""
+    counts = [0, 0, 0, 0]
+    first_occurrences, refined = grouping._first_occurrences, grouping._refined
 
     def counting(keys, ints):
         got = first_occurrences(keys, ints)
         counts[0] += 1
         counts[1] += len(got)
         return got
+
+    def refining(keys, members, size):
+        counts[3] += len(members)
+        return refined(keys, members, size)
 
     class Tallying(Counter):
         def __init__(self, ids=()):
@@ -751,42 +857,48 @@ def counted(monkeypatch) -> List[int]:
             super().__init__(ids)
 
     monkeypatch.setattr(grouping, "_first_occurrences", counting)
+    monkeypatch.setattr(grouping, "_refined", refining)
     monkeypatch.setattr(grouping, "Counter", Tallying)
     return counts
 
 
-@pytest.mark.parametrize("check,quarter,passes,keys,tallied", [
-    (verify.check_neighborhood_decoding, False, 26, 336_356, 0),
-    (ledger_replay, False, 9, 222_528, 287_712),
-    (ledger_replay, True, 8, 169_280, 87_040),
+@pytest.mark.parametrize("check,quarter,passes,keys,tallied,refined", [
+    (verify.check_neighborhood_decoding, False, 7, 152_896, 0, 1_424),
+    (ledger_replay, False, 7, 152_896, 213_832, 1_424),
+    (ledger_replay, True, 8, 169_280, 82_520, 0),
 ], ids=["neighborhood-dyadic", "replay-dyadic", "replay-quarter-split"])
 def test_grouping_passes_and_keys_on_the_layered_code_n16(
-        counted, layered16, check, quarter, passes, keys, tallied):
+        counted, layered16, check, quarter, passes, keys, tallied, refined):
     """A set dropped before its last read and grouped again adds passes
     and keys, a pair with an injective part is no pass, an injective set is
     no tally, and an injective column needs no first-member pass.  The
     replay groups each (c_v, x_v) as c_v alone: on the layered code c_v
-    determines x_v."""
+    determines x_v.  Decoding makes no pass for a set of inputs alone, nor
+    for a level-1 block (one input, one column that determines it).  A
+    stripped part is refined over its shared prefixes: {c9..c12} over the
+    912 of {c11, c12}, {c9..c16} over the 512 of {c13..c16}, and a stripped
+    set is tallied over its later prefixes ({c13..c16}: 256, not 65,536)."""
     args = chs_partition(1, 4, 0) if quarter else (eks_partition(4),)
     verdict = check(layered16, *args)
     assert (verdict[1] if check is ledger_replay else verdict).passed
-    assert counted == [passes, keys, tallied]
+    assert counted == [passes, keys, tallied, refined]
 
 
 def test_injective_columns_take_no_pass_on_a_scrambled_code_n16(counted):
     """Every column of scrambled_prefix_code(16, 0) is injective: read as a
     range, its pairs take no pass (26 passes before, 18 of them ending
-    all-distinct), and its first members none."""
+    all-distinct), and its first members none.  Its lf inputs' ids are
+    arithmetic (11 passes, 26,468 keys, before), so decoding makes none."""
     assert verify.check_neighborhood_decoding(scrambled_prefix_code(16, 0), eks_partition(4)).passed
-    assert counted[:2] == [11, 26_468]
+    assert counted[:2] == [0, 0]
 
 
-@pytest.mark.parametrize("quarter,passes,keys,tallied", [
-    (False, 26, 336_356, 287_712),
-    (True, 10, 169_316, 87_040),
+@pytest.mark.parametrize("quarter,passes,keys,tallied,refined", [
+    (False, 7, 152_896, 213_832, 1_424),
+    (True, 9, 169_312, 82_520, 0),
 ], ids=["dyadic", "quarter-split"])
 def test_grouping_passes_and_keys_of_a_whole_audit_on_the_layered_code_n16(
-        counted, tmp_path, capsys, layered16, quarter, passes, keys, tallied):
+        counted, tmp_path, capsys, layered16, quarter, passes, keys, tallied, refined):
     """treecodes audit plans decoding and the replay on one Groups: on the
     dyadic partition the replay reads only sets decoding grouped, so the
     audit makes decoding's passes alone."""
@@ -798,10 +910,10 @@ def test_grouping_passes_and_keys_of_a_whole_audit_on_the_layered_code_n16(
     for name, obj in files.items():
         (tmp_path / f"{name}.json").write_text(dumps_canonical(obj))
         argv += [f"--{name}", str(tmp_path / f"{name}.json")]
-    counted[:] = [0, 0, 0]  # tabulate_code reads no grouping
+    counted[:] = [0, 0, 0, 0]  # tabulate_code reads no grouping
     assert cli.main(argv) == 0
     assert json.loads(capsys.readouterr().out)["entropy"]["passed"] is True
-    assert counted == [passes, keys, tallied]
+    assert counted == [passes, keys, tallied, refined]
 
 
 def test_replay_heap_peak_on_the_layered_code_n16(layered16):

@@ -89,8 +89,20 @@ MUTANTS = [
            ["tests/test_grouping_oracle.py::test_first_members_match_the_row_table"]),
     Mutant("Groups: n + q dropped without the determination test",
            "treecodes/grouping.py",
-           "and self.table.determines(q)}", "}",
+           "and self.table.determines(q, q)}", "}",
            ["tests/test_grouping_oracle.py::test_first_members_match_the_row_table"]),
+    Mutant("_Stripped.members: a refinement skips each shared group's first member",
+           "treecodes/grouping.py",
+           "sorted(chain(self.later, dict.fromkeys(self.heads)))", "sorted(self.later)",
+           ["tests/test_grouping_oracle.py::test_a_planted_collision_is_the_witness"]),
+    Mutant("PrefixTable.determines: the residue classes of input p + 1 read for p",
+           "treecodes/core.py",
+           "run = sigma ** (j - p)", "run = sigma ** max(j - p - 1, 0)",
+           ["tests/test_grouping_oracle.py::test_determines_matches_its_scalar_definition"]),
+    Mutant("Groups.weights: a stripped set's tally drops its singleton groups",
+           "treecodes/grouping.py",
+           "| ({per: alone} if alone else {})", "",
+           ["tests/test_grouping_oracle.py::test_a_planted_collision_is_the_witness"]),
     Mutant("DetStream._fill: a one-block refill leaves the counter where it was",
            "treecodes/rng.py",
            "self._counter += 1", "self._counter += 0",

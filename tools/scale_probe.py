@@ -1,8 +1,9 @@
-"""Time one check on trivial_code(n) and report this process's peak RSS.
+"""Time one check on trivial_code(n), or on a random binary table, and
+report this process's peak RSS.
 
 Runs one check once, cap 2^40: check_neighborhood_decoding or
 ledger_replay on trivial_code(n) over the binary-merge partition, or both
-as treecodes audit runs them (audit_code, then ledger_replay, reading one
+as treecodes audit runs them (decoding, then ledger_replay, reading one
 grouping.Plan; the partition keeps the size property at n = 16, not at
 n = 18 or 20),
 check_tree_distance(trivial_code(n), 1) (pruned pair extension: every
@@ -17,6 +18,11 @@ power of two), check_chs_condition(trivial_code(n), 1, 4, shift) with
 16 / 2^shift = n (n = 4, 8 or 16), or check_ghk_condition(trivial_code(n),
 1, 1, 1/2) (k0 = 1, epsilon = 1; lg n must be a power of two, so n = 16 is
 the one size in reach).
+With --sigma-out K --seed S the code is instead a random binary table
+code of depth n over K output symbols, its labels drawn in level order by
+random.Random(S).randrange(K), a table on which most late column sets group
+nearly every prefix alone; decoding then fails at most blocks, each with
+its witness, and the replay needs K a power of two.
 The binary-merge partition holds the singletons at level 0, and each level
 pairs adjacent blocks of the level below, the left one as lf and the right
 one as rg; when the count is odd, the last pair becomes the lf of a block
@@ -31,27 +37,32 @@ partition included):
     PYTHONPATH=src python tools/scale_probe.py --check imm --n 18
     PYTHONPATH=src python tools/scale_probe.py --check eks --n 16
     PYTHONPATH=src python tools/scale_probe.py --check ghk --n 16
+    PYTHONPATH=src python tools/scale_probe.py --check audit --n 16 --sigma-out 4096 --seed 1
 
 It prints one JSON line: seconds (the call, table build included),
-peak_rss_mb (ru_maxrss), passes (the grouping passes, each call of
-grouping._first_occurrences), and passed and evaluations (for audit,
-passed alone), or for exact the distance.  A check the cap refuses (imm
-from n = 19, whose full cost passes 2^40) prints refused, used and cap
-instead, and exits 3, as the CLI does.  Standard library only; point PYTHONPATH at another checkout's
-src/ to measure that one.
+peak_rss_mb (ru_maxrss), passes and keys (the grouping passes, each call
+of grouping._first_occurrences, and the prefixes they read), refined (the
+shared prefixes read by refinements of stripped sets, grouping._refined),
+and passed and evaluations (for audit, passed alone, with the three counts
+also split into decoding's and the replay's), or for exact the distance.
+A check the cap refuses (imm from n = 19, whose full cost passes 2^40)
+prints refused, used and cap instead, and exits 3, as the CLI does.
+Standard library only; point PYTHONPATH at another checkout's src/ to
+measure that one.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import random
 import resource
 import sys
 import time
 from fractions import Fraction
 
 from treecodes import grouping
-from treecodes.bounds import audit_code
+from treecodes.constructions import table_code
 from treecodes.core import trivial_code
 from treecodes.entropy import ledger_replay, replay_columns
 from treecodes.partitions import IMM_FUNCTIONS, LaminarPartition, TaggedBlock
@@ -67,13 +78,27 @@ from treecodes.verify import (
 )
 
 CAP = 1 << 40
-PASSES = [0]  # grouping passes made so far
-_first_occurrences = grouping._first_occurrences
+COUNTS = {"passes": 0, "keys": 0, "refined": 0}  # grouping work done so far
+_first_occurrences, _refined = grouping._first_occurrences, grouping._refined
 
 
 def _counted(keys, ints):
-    PASSES[0] += 1
-    return _first_occurrences(keys, ints)
+    got = _first_occurrences(keys, ints)
+    COUNTS["passes"] += 1
+    COUNTS["keys"] += len(got)
+    return got
+
+
+def _counted_refined(keys, members, size):
+    COUNTS["refined"] += len(members)
+    return _refined(keys, members, size)
+
+
+def random_table_code(n: int, sigma_out: int, seed: int):
+    """A binary table code of depth n whose labels random.Random(seed)
+    draws in level order, each below sigma_out."""
+    rng = random.Random(seed)
+    return table_code(n, 2, sigma_out, [rng.randrange(sigma_out) for _ in range(2 ** (n + 1) - 2)])
 
 
 def binary_merge_partition(n: int) -> LaminarPartition:
@@ -98,9 +123,11 @@ def run(check: str, code, partition: LaminarPartition) -> dict:
         return {"distance": str(exact_distance(code, cap=CAP))}
     if check == "audit":
         plan = grouping.Plan(replay_columns(partition).values())
-        report = audit_code(code, partition, cap=CAP, plan=plan)
+        decoded = check_neighborhood_decoding(code, partition, cap=CAP, plan=plan)
+        decoding = dict(COUNTS)
         verdict = ledger_replay(code, partition, cap=CAP, plan=plan)[1]
-        return {"passed": report.satisfied and verdict.passed}
+        return {"passed": decoded.passed and verdict.passed, "decoding": decoding,
+                "replay": {k: COUNTS[k] - decoding[k] for k in COUNTS}}
     if check == "neighborhood":
         verdict = check_neighborhood_decoding(code, partition, cap=CAP)
     elif check == "distance":
@@ -124,9 +151,13 @@ def main(argv=None) -> int:
                     choices=("neighborhood", "replay", "audit", "distance", "exact", "imm", "eks",
                              "chs", "ghk"))
     ap.add_argument("--n", type=int, required=True)
+    ap.add_argument("--sigma-out", type=int, help="a random table over this many symbols")
+    ap.add_argument("--seed", type=int, default=0, help="the random table's seed")
     args = ap.parse_args(argv)
-    code, partition = trivial_code(args.n), binary_merge_partition(args.n)
-    grouping._first_occurrences = _counted
+    code = (trivial_code(args.n) if args.sigma_out is None
+            else random_table_code(args.n, args.sigma_out, args.seed))
+    partition = binary_merge_partition(args.n)
+    grouping._first_occurrences, grouping._refined = _counted, _counted_refined
     start = time.perf_counter()
     try:
         fields, status = run(args.check, code, partition), 0
@@ -134,8 +165,9 @@ def main(argv=None) -> int:
         fields, status = {"refused": True, "used": exc.used, "cap": exc.cap}, 3
     seconds = time.perf_counter() - start
     peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB on Linux
-    print(json.dumps({"check": args.check, "n": args.n, "seconds": round(seconds, 3),
-                      "peak_rss_mb": round(peak_kb / 1024, 1), "passes": PASSES[0], **fields}))
+    table = {} if args.sigma_out is None else {"sigma_out": args.sigma_out, "seed": args.seed}
+    print(json.dumps({"check": args.check, "n": args.n, **table, "seconds": round(seconds, 3),
+                      "peak_rss_mb": round(peak_kb / 1024, 1), **COUNTS, **fields}))
     return status
 
 if __name__ == "__main__":
