@@ -21,7 +21,7 @@ from operator import or_
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .bitslice import add, below, minimum
-from .core import LevelOrderChar, Message, TreeCode, check_table_size
+from .core import _BIT, LevelOrderChar, Message, TreeCode, check_table_size
 from .dyadic import as_fraction
 from .partitions import MAX_N
 from .rng import DetStream
@@ -63,9 +63,6 @@ class BlockCode:
         for v in bits:
             m = (m << 1) | v
         return self.codewords[m]
-
-
-_BIT = [bytes(x >> t & 1 for x in range(256)) for t in range(8)]
 
 
 def _bit_planes(words: Sequence[int], width: int) -> List[int]:

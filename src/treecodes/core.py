@@ -162,8 +162,29 @@ def _digits(i: int, length: int, sigma: int) -> Message:
 
 
 # PrefixTable.injective looks for a repeated symbol among this many first
-# prefixes of a longer column before it counts the column's symbols
+# prefixes of a longer column before it counts the column's symbols, and
+# determines screens each bit plane of a column on them
 _HEAD = 1024
+
+# _BIT[t] translates each byte to its bit t, as a byte 0 or 1
+_BIT = [bytes(x >> t & 1 for x in range(256)) for t in range(8)]
+
+
+def _carries(col: array, run: int) -> bool:
+    """Whether one bit of every symbol of a binary-input column equals, or
+    everywhere differs from, the digit of its prefix that flips every run
+    prefixes: a bit plane is one strided byte slice of the column,
+    translated by _BIT, screened on the first _HEAD prefixes and only then
+    read whole."""
+    w, head, whole = col.itemsize, col[:_HEAD].tobytes(), b""
+    half = len(col) // (2 * run)
+    digit, flipped = (bytes(run) + b"\1" * run) * half, (b"\1" * run + bytes(run)) * half
+    for b, bit in product(range(w), _BIT):
+        if head[b::w].translate(bit) in (digit[:_HEAD], flipped[:_HEAD]):
+            whole = whole or col.tobytes()
+            if whole[b::w].translate(bit) in (digit, flipped):
+                return True
+    return False
 
 
 class PrefixTable:
@@ -200,12 +221,14 @@ class PrefixTable:
 
     def determines(self, j: int, p: int) -> bool:
         """Whether column j's symbol fixes input p <= j: no symbol of the
-        column comes with two values of digit p of its prefix.  The prefixes
-        t with digit p equal to r, t // sigma^(j-p) = r mod sigma, form
-        residue class r, runs of sigma^(j-p) prefixes every sigma^(j-p+1);
-        each class's symbols are checked against those of the classes
-        before it, read as whichever are fewer: its runs, or one strided
-        slice per offset in a run."""
+        column comes with two values of digit p of its prefix.  On binary
+        input a typed column is certified at once when a bit of every symbol
+        carries the digit or its complement (_carries).  Otherwise the
+        prefixes t with digit p equal to r, t // sigma^(j-p) = r mod sigma,
+        form residue class r, runs of sigma^(j-p) prefixes every
+        sigma^(j-p+1); each class's symbols are checked against those of the
+        classes before it, read as whichever are fewer: its runs, or one
+        strided slice per offset in a run."""
         got = self._determines.get((j, p))
         if got is None:
             col, sigma, seen, got = self.columns[j], self.sigma, set(), True
@@ -218,11 +241,12 @@ class PrefixTable:
                     return [col[k::period] for k in range(lo, lo + run)]
                 return [col[a + lo:a + lo + run] for a in range(0, len(col), period)]
 
-            for r in range(1, sigma):
-                seen.update(*symbols(r - 1))
-                if not all(map(seen.isdisjoint, symbols(r))):
-                    got = False
-                    break
+            if not (sigma == 2 and isinstance(col, array) and _carries(col, run)):
+                for r in range(1, sigma):
+                    seen.update(*symbols(r - 1))
+                    if not all(map(seen.isdisjoint, symbols(r))):
+                        got = False
+                        break
             self._determines[(j, p)] = got
         return got
 

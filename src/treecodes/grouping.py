@@ -6,7 +6,9 @@ entropy replay (entropy) weighs the groups, and verify asks them one
 question, Groups.strays: do the symbols and inputs on a key determine the
 inputs on a set R?  Small-int ids built
 pair by pair replace a tuple per message per set; on a laminar partition the
-ids of a block reuse those of its parts.  A set of several columns has
+ids of a block reuse those of its parts.  A pass keys each prefix by one
+unsigned item whose bytes hold its two parts' ids side by side, laid by
+strided slices of the parts' bytes.  A set of several columns has
 first-occurrence ids (each prefix's id is the first prefix of its group), so
 every id is below M.  Where every prefix is its own group, the ids are
 range(number of prefixes), and no pass or tally is made that this already
@@ -37,11 +39,12 @@ once.
 from __future__ import annotations
 
 import operator
+from array import array
 from collections import Counter, abc
-from itertools import chain, compress, repeat
+from itertools import chain, compress, product, repeat
 from typing import Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
-from .core import PrefixTable
+from .core import PrefixTable, symbol_typecode
 
 
 class Grouped(NamedTuple):
@@ -138,6 +141,14 @@ def _widen(ids: Sequence[int], r: int) -> Sequence[int]:
     return out
 
 
+def _bytes(g: Grouped) -> Tuple[bytes, int]:
+    """g's ids as the bytes of an array of the narrowest unsigned items, and
+    the item size (a column's own array as it is)."""
+    typecode = symbol_typecode(g.bound)
+    ids = g.ids if getattr(g.ids, "typecode", None) == typecode else array(typecode, g.ids)
+    return ids.tobytes(), ids.itemsize
+
+
 class Groups:
     """Group ids of column sets over one prefix table, read in a fixed order.
 
@@ -157,16 +168,17 @@ class Groups:
     range at S's granularity, each prefix is its own group of that part and
     so of S: S's ids are a range, with no pass.  If a part's ids at S's
     granularity are stripped, S's groups split only that part's shared
-    groups: S is refined over those prefixes alone, keyed by the part's
-    first member and the other part's id at each, and is stripped too.
-    Otherwise the pass keys are a * bound + b, a the ids of the part that
-    ends first (the coarser), scaled by the other's bound at a's own
-    granularity and only then widened, and b the other's ids.  It maps the
-    keys to first-occurrence ids, below the number of prefixes: a range
-    when the keys are distinct, stripped when at most 1 / _SPARSE of the
-    prefixes repeat an earlier one's group (the pass's dict counts the
-    groups), else entries of one shared list of ints.  Every set is grouped
-    once.
+    groups: S is refined over those prefixes alone, keyed by the pair of the
+    part's first member and the other part's id at each, and is stripped
+    too.  Otherwise each prefix's pass key is one unsigned item (_packed):
+    its first bytes hold the finer part's id, the next the id of the part
+    that ends first (the coarser), repeated in place once per finer prefix,
+    so keys are equal exactly when id pairs are; a part of 8-byte ids is
+    first renumbered.  The pass maps the keys to first-occurrence ids,
+    below the number of prefixes: a range when the keys are distinct,
+    stripped when at most 1 / _SPARSE of the prefixes repeat an earlier
+    one's group (the pass's dict counts the groups), else entries of one
+    shared list of ints.  Every set is grouped once.
 
     requests are the sets the caller will read, in the order it reads them;
     ids, first and weights each read one set, strays two (the inputs, then
@@ -286,17 +298,37 @@ class Groups:
             part = min(sparse, key=lambda g: len(g.ids.later))
             other = coarse if part is fine else fine
             members = part.ids.members()
-            scaled = map(operator.mul, _at(part.ids, 1, members), repeat(other.bound))
-            keys = map(operator.add, scaled, _at(other.ids, strides[other.q] // strides[fine.q],
-                                                 members))
+            keys = zip(_at(part.ids, 1, members),
+                       _at(other.ids, strides[other.q] // strides[fine.q], members))
             return Grouped(fine.q, _refined(keys, members, size), size)
-        scaled = map(operator.mul, coarse.ids, repeat(fine.bound))
-        r = strides[coarse.q] // strides[fine.q]
-        keys = map(operator.add, _widen(list(scaled) if r > 1 else scaled, r), fine.ids)
+        keys = self._packed(coarse, fine, strides[coarse.q] // strides[fine.q])
         return Grouped(fine.q, _first_occurrences(keys, self._shared(size)), size)
 
+    def _packed(self, coarse: Grouped, fine: Grouped, r: int) -> memoryview:
+        """The pass keys of two parts at fine's granularity, r times finer
+        than coarse's: one unsigned item per prefix, whose first bytes hold
+        fine's id and the next coarse's, each coarse id laid r times in place
+        by strided slices of the parts' bytes, so two keys are equal exactly
+        when their id pairs are.  A part whose ids take 8 bytes or more (its
+        bound past 2^32), too wide to share 8 bytes with the other, is first
+        renumbered to first-occurrence ids, below its number of prefixes."""
+        coarse, fine = (self._renumbered(g) if g.bound > 1 << 32 else g for g in (coarse, fine))
+        (cb, wc), (fb, wf) = map(_bytes, (coarse, fine))
+        key = symbol_typecode(256 ** (wc + wf))
+        w, count = array(key).itemsize, len(coarse.ids)
+        out = bytearray(len(fine.ids) * w)
+        for b in range(wf):
+            out[b::w] = fb[b::wf]
+        if r <= count:  # copy k of every coarse id, every r-th item from item k
+            for k, b in product(range(r), range(wc)):
+                out[k * w + wf + b::r * w] = cb[b::wc]
+        else:  # the r copies of coarse id i, items i * r to i * r + r - 1
+            for i, b in product(range(count), range(wc)):
+                out[i * r * w + wf + b:(i + 1) * r * w:w] = cb[i * wc + b:i * wc + b + 1] * r
+        return memoryview(out).cast(key)
+
     def _renumbered(self, got: Grouped) -> Grouped:
-        """A column's ids as first-occurrence ids."""
+        """A set's ids as first-occurrence ids."""
         if isinstance(got.ids, range):
             return got
         ids = _first_occurrences(got.ids, self._shared(len(got.ids)))

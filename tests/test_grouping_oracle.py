@@ -19,8 +19,10 @@ import json
 import math
 import random
 import tracemalloc
+from array import array
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 from unittest import mock
@@ -33,8 +35,10 @@ from treecodes import cli, grouping, verify
 from treecodes.bounds import audit_code, rate_bound_deficient, rate_bound_plain
 from treecodes.constructions import eks_code, eks_params, table_code
 from treecodes.core import (
+    _HEAD,
     Codeword,
     Message,
+    PrefixTable,
     TreeCode,
     all_codewords,
     make_systematic,
@@ -434,6 +438,72 @@ def test_first_members_match_the_row_table(case, data):
         assert list(groups.first(cols).ids) == ref_first(code, cols, max(c % n for c in cols))
 
 
+# the kinds of ids a part of a pass can hold: (array typecode, bound), a
+# bound of None being the part's prefix count
+PART_KINDS = {"range": (None, None), "list": (None, None), "stripped": (None, None),
+              "B": ("B", 1 << 8), "H": ("H", 1 << 16), "I": ("I", 1 << 32),
+              "Q, 2^40": ("Q", 1 << 40), "Q, 2^64": ("Q", 1 << 64), "list past 2^64": (None, 1 << 70)}
+
+
+def part_of_kind(kind: str, q: int, rng: random.Random) -> grouping.Grouped:
+    """Ids at granularity q (2^(q+1) prefixes) of one kind: a range, a list
+    below the prefix count, first-occurrence ids stripped, an array of
+    unsigned items of one typecode, or a list past 2^64.  Values come from
+    a pool of one to four, so groups repeat."""
+    size = 2 ** (q + 1)
+    if kind == "range":
+        return grouping.Grouped(q, range(size), size)
+    typecode, bound = PART_KINDS[kind]
+    bound = bound or size
+    pool = [rng.randrange(bound) for _ in range(rng.randint(1, 4))]
+    ids = [rng.choice(pool) for _ in range(size)]
+    if kind == "stripped":
+        firsts: dict = {}
+        ids = [firsts.setdefault(v, t) for t, v in enumerate(ids)]
+        later = [t for t in range(size) if ids[t] != t]
+        return grouping.Grouped(q, grouping._Stripped(size, later, [ids[t] for t in later]), size)
+    return grouping.Grouped(q, ids if typecode is None else array(typecode, ids), bound)
+
+
+@pytest.mark.parametrize("qc,qf", [(3, 3), (2, 4), (0, 4)],
+                         ids=["r=1", "r-at-most-the-coarse-count", "r-past-the-coarse-count"])
+def test_packed_pass_keys_group_as_the_id_pairs(qc, qf):
+    """A pass of a coarse part at qc and a fine part at qf, r = 2^(qf - qc)
+    fine prefixes per coarse one, gives each prefix t the first prefix with
+    the same pair (coarse id of t // r, fine id of t): ref_first's rule on
+    a table whose two columns hold the parts' ids.  Every kind of part is
+    paired with every kind, 8-byte and list ids renumbered first."""
+    rng, r = random.Random(f"packed {qc} {qf}"), 2 ** (qf - qc)
+    groups = Groups(all_codewords(trivial_code(5)), [])
+    for coarse_kind, fine_kind in product(PART_KINDS, repeat=2):
+        for _ in range(3):
+            coarse, fine = part_of_kind(coarse_kind, qc, rng), part_of_kind(fine_kind, qf, rng)
+            firsts: dict = {}
+            want = [firsts.setdefault((coarse.ids[t // r], fine.ids[t]), t)
+                    for t in range(len(fine.ids))]
+            got = groups._paired(coarse, fine)
+            assert (got.q, list(got.ids), got.bound) == (qf, want, len(want)), \
+                (coarse_kind, fine_kind)
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(data=st.data())
+def test_first_members_match_the_row_table_over_wide_symbols(data):
+    """Columns over 2^40 symbols (8-byte items) or past 2^64 (lists of
+    ints) are renumbered before a pass packs them with another part."""
+    sigma_out = data.draw(st.sampled_from([1 << 40, 1 << 70]))
+    n = data.draw(st.integers(2, 6))
+    pool = data.draw(st.lists(st.integers(0, sigma_out - 1), min_size=1, max_size=4))
+    size = 2 ** (n + 1) - 2
+    code = table_code(n, 2, sigma_out, data.draw(st.lists(st.sampled_from(pool), min_size=size,
+                                                          max_size=size)))
+    sets = [frozenset(data.draw(st.sets(st.integers(0, 2 * n - 1), min_size=2, max_size=4)))
+            for _ in range(3)]
+    groups = Groups(all_codewords(code), sets)
+    for cols in sets:
+        assert list(groups.first(cols).ids) == ref_first(code, cols, max(c % n for c in cols))
+
+
 def ref_weights(code: TreeCode, cols) -> Dict[int, int]:
     """{group size in messages: number of such groups} of the messages
     grouped by their codeword symbols and inputs on cols."""
@@ -617,6 +687,44 @@ def test_determines_matches_its_scalar_definition(code):
         for p in range(j + 1):
             scalar = len({(cw[j], m[p]) for m, cw in rows}) == len({cw[j] for _, cw in rows})
             assert table.determines(j, p) == scalar, (j, p)
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(data=st.data())
+def test_determines_on_binary_columns_matches_a_dict_of_sets(data):
+    """On binary input, determines(j, p) of a typed column equals the set of
+    digits p seen with each symbol having one member, for a column with a
+    bit that carries digit p, its complement, two bits whose xor carries
+    it, free symbols from a small pool, or (past _HEAD prefixes) a carrying
+    bit spoiled after the first _HEAD prefixes by a prefix given the symbol
+    of one with the other digit."""
+    typecode = data.draw(st.sampled_from("BHIQ"))
+    kind = data.draw(st.sampled_from(["bit", "complement", "xor", "free", "spoiled late"]))
+    j = data.draw(st.integers(10, 11) if kind == "spoiled late" else st.integers(0, 11))
+    p = data.draw(st.integers(0, j))
+    size, run, width = 2 ** (j + 1), 2 ** (j - p), 8 * array(typecode).itemsize
+    s, other = data.draw(st.lists(st.integers(0, width - 1), min_size=2, max_size=2, unique=True))
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    digit = [t // run % 2 for t in range(size)]
+    if kind == "free":
+        pool = [rng.getrandbits(width) for _ in range(3)]
+        col = [rng.choice(pool) for _ in range(size)]
+    else:
+        col = [rng.getrandbits(width) & ~(1 << s) for _ in range(size)]
+        for t in range(size):
+            bit = digit[t] ^ (kind == "complement") ^ (kind == "xor" and col[t] >> other & 1)
+            col[t] |= bit << s
+        if kind == "spoiled late":
+            t = rng.randrange(_HEAD, size)
+            col[t] = col[t ^ run]  # t ^ run differs from t on digit p alone
+    classes: Dict[int, set] = {}
+    for t, sym in enumerate(col):
+        classes.setdefault(sym, set()).add(digit[t])
+    table = PrefixTable(j + 1, 2, 2**width, [array(typecode, [0]) * 2 ** (i + 1) for i in range(j)]
+                        + [array(typecode, col)])
+    want = all(len(v) == 1 for v in classes.values())
+    assert table.determines(j, p) == want
+    assert want == (kind != "spoiled late") or kind == "free"
 
 
 @st.composite

@@ -117,6 +117,33 @@ MUTANTS = [
            "self._levels = _cut(labels(), offsets)",
            ["tests/test_code_files.py::test_a_check_refused_at_the_table_charge_decodes_no_label",
             "tests/test_cli.py::test_fuzzed_argv_exits_0_to_3_and_names_every_refusal"]),
+    Mutant("Groups._packed: the coarse part repeated r - 1 times",
+           "treecodes/grouping.py",
+           "product(range(r), range(wc))", "product(range(r - 1), range(wc))",
+           ["tests/test_grouping_oracle.py::test_packed_pass_keys_group_as_the_id_pairs"]),
+    Mutant("Groups._packed: coarse bytes written at the fine part's offset",
+           "treecodes/grouping.py",
+           "out[k * w + wf + b::r * w]", "out[k * w + b::r * w]",
+           ["tests/test_grouping_oracle.py::test_packed_pass_keys_group_as_the_id_pairs"]),
+    Mutant("PrefixTable.determines: a bit plane accepted on its head screen alone",
+           "treecodes/core.py",
+           "if whole[b::w].translate(bit) in (digit, flipped):", "if True:",
+           ["tests/test_grouping_oracle.py::"
+            "test_determines_on_binary_columns_matches_a_dict_of_sets"]),
+    Mutant("_distance: a witness measured as the count, not the ratio",
+           "treecodes/verify.py",
+           "for s in range(d)], 0, ratio=True)", "for s in range(d)], 0, ratio=False)",
+           ["tests/test_verify.py::test_distance_witness_reverifies"]),
+    Mutant("PrefixTable.prefix(d) keeping d + 1 columns",
+           "treecodes/core.py",
+           "self.sigma_out, self.columns[:d])", "self.sigma_out, self.columns[:d + 1])",
+           ["tests/test_core.py::test_prefix_table_of_depth_d_shares_the_first_d_columns"]),
+    Mutant("_pair: a witness without its window's fields",
+           "treecodes/verify.py",
+           "dict(fields, x=list(x), y=list(y), measured=measured)",
+           "dict(x=list(x), y=list(y), measured=measured)",
+           ["tests/test_verify.py::test_distance_witness_reverifies",
+            "tests/test_verify.py::test_eks_witness_reverifies"]),
     Mutant("cli: --shift defaults to 1",
            "treecodes/cli.py",
            '"--shift": {"type": int, "default": 0}', '"--shift": {"type": int, "default": 1}',
