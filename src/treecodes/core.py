@@ -274,10 +274,6 @@ class PrefixTable:
         first d columns, shared, not copied."""
         return PrefixTable(d, self.sigma, self.sigma_out, self.columns[:d])
 
-    def inputs(self, q: int) -> List[int]:
-        """Input symbol q (0-based) of each length-(q+1) prefix."""
-        return list(range(self.sigma)) * self.sigma**q
-
     def __getitem__(self, i: int) -> Tuple[Message, Codeword]:
         if not 0 <= i < len(self):
             raise IndexError(f"message index {i} outside 0..{len(self) - 1}")

@@ -16,14 +16,16 @@ answers.  Where few prefixes share a group, the ids are stripped (TANE's
 stripped partitions): only the prefixes that repeat an earlier prefix's
 group are held, with their first members, so a larger set is refined, a
 dependence tested and the groups tallied over the shared prefixes alone.
-Other ids refer to shared ints, the entries of one list(range(...)) per
-Groups, so a list of ids costs one reference per prefix.  A single
-codeword column's ids are the table's own column, a typed array (core), or
-a range if the column is injective; a set of input positions alone has
+A pass and a refinement run one kernel, _first_occurrences.  Other ids
+refer to shared ints, the entries of one list(range(...)) per Groups, so a
+list of ids costs one reference per prefix.  A single codeword column's
+ids are the table's own column, a typed array (core), or a range if the
+column is injective; a set of input positions alone, one or several, has
 arithmetic first-occurrence ids, with no pass.  Every kind is read through
 the sequence interface, and compared by value: a list never equals a range.
 A caller names its sets in the order it reads them, and each set's ids are
-dropped after their last read in that order.
+dropped after their last read in that order: first and weights read one
+set, strays two.
 
 A set that holds codeword position q and input position q groups as the set
 without the input when column q determines its input (no symbol of the
@@ -102,18 +104,11 @@ def _strip(ids: List[int], ints: Sequence[int], groups: int, size: int) -> Seque
     return _Stripped(size, [ints[i] for i in later], [ids[i] for i in later])
 
 
-def _first_occurrences(keys, ints: List[int]) -> Sequence[int]:
-    """For each key, the entry of ints (0, 1, ..., at least one per key) at
-    the index of the first key equal to it: range(len) when every key is
-    distinct, stripped when few keys repeat an earlier one."""
-    first: Dict[int, int] = {}
-    ids = list(map(first.setdefault, keys, ints))
-    return _strip(ids, ints, len(first), len(ids))
-
-
-def _refined(keys, members: List[int], size: int) -> Sequence[int]:
-    """The ids of size prefixes grouped by keys, one per member (ascending),
-    every other prefix its own group: a range or stripped."""
+def _first_occurrences(keys, members: Sequence[int], size: int) -> Sequence[int]:
+    """The ids of size prefixes grouped by keys, one per member (the prefixes
+    keyed, ascending: the shared ints in a full pass), every other prefix its
+    own group: a key's id is the member of the first key equal to it.  A
+    range when the keys are distinct, stripped when few repeat an earlier one."""
     first: Dict[int, int] = {}
     ids = list(map(first.setdefault, keys, members))
     return _strip(ids, members, len(first), size)
@@ -159,14 +154,15 @@ class Groups:
     of prefix i // table.strides[q] and a group of c prefixes holds
     c * table.strides[q] messages.  A column's ids are its symbols, or a
     range if they all differ (PrefixTable.injective); a set of input
-    positions alone gives each prefix the first member of its group,
-    itself with its digits outside the set zeroed, with no pass.  Those of
-    a larger S pair the ids of T and S - T, for T the set grouped so far
-    inside S that reaches furthest, then the largest (else the first half of
-    S's positions), so S - T ends early; on a laminar partition a block pairs
-    its lf and rg, blocks of the level below.  If either part's ids are a
-    range at S's granularity, each prefix is its own group of that part and
-    so of S: S's ids are a range, with no pass.  If a part's ids at S's
+    positions alone, one or several, gives each prefix the first member of
+    its group, itself with its digits outside the set zeroed, with no pass
+    (_inputs).  Those of a larger S pair the ids of T and S - T, for T the
+    set grouped so far inside S that reaches furthest, then the largest
+    (else the first half of S's positions), so S - T ends early; on a
+    laminar partition a block pairs its lf and rg, blocks of the level
+    below.  If either part's ids are a range at S's granularity, each prefix
+    is its own group of that part and so of S: S's ids are a range, with no
+    pass.  If a part's ids at S's
     granularity are stripped, S's groups split only that part's shared
     groups: S is refined over those prefixes alone, keyed by the pair of the
     part's first member and the other part's id at each, and is stripped
@@ -181,15 +177,15 @@ class Groups:
     shared list of ints.  Every set is grouped once.
 
     requests are the sets the caller will read, in the order it reads them;
-    ids, first and weights each read one set, strays two (the inputs, then
-    the key), and they must follow that order.
+    first and weights each read one set, strays two (the inputs, then the
+    key), and they must follow that order.
     Each request first drops every input column n + q whose codeword column
-    q it holds, where column q determines its input; a request of several
-    columns reduced to one still reads first-occurrence ids from ids and
-    first (a column's own ids are symbols), with one pass unless the column
-    is injective.  The pairing rule runs once, when the Groups is made, on
-    the reduced column sets alone: it fixes every pass and how often each
-    set is read, as a request or as a part of a larger set.  A set's ids
+    q it holds, where column q determines its input; first renumbers a
+    request reduced to one codeword column (a column's own ids are
+    symbols), with one pass unless the column is injective.  The pairing
+    rule runs once, when the Groups is made, on the reduced column sets
+    alone: it fixes every pass and how often each set is read, as a
+    request or as a part of a larger set.  A set's ids
     are kept from its pass to their last read, then dropped.
     """
 
@@ -243,46 +239,45 @@ class Groups:
         """The group ids of the next planned set read (a column's own)."""
         got = self._kept.pop(cols, None)
         if got is None:
-            part = self._parts[cols]
-            if part is None and len(cols) > 1:
-                got = self._inputs(sorted(c - self.n for c in cols))
-            elif part is None:
-                (c,) = cols
-                if c >= self.n:  # input position c - n
-                    got = Grouped(c - self.n, self.table.inputs(c - self.n), self.sigma)
-                elif self.table.injective(c):
-                    size = len(self.table.columns[c])
-                    got = Grouped(c, range(size), size)
-                else:
-                    got = Grouped(c, self.table.columns[c], self.table.sigma_out)
-            else:
+            part, c = self._parts[cols], min(cols)
+            if part is not None:
                 got = self._paired(self._grouped(part), self._grouped(cols - part))
+            elif c >= self.n:  # input positions alone
+                got = self._inputs(sorted(v - self.n for v in cols))
+            elif self.table.injective(c):  # a codeword column
+                size = len(self.table.columns[c])
+                got = Grouped(c, range(size), size)
+            else:
+                got = Grouped(c, self.table.columns[c], self.table.sigma_out)
         self._reads[cols] -= 1
         if self._reads[cols] > 0:
             self._kept[cols] = got
         return got
 
     def _inputs(self, positions: List[int]) -> Grouped:
-        """The first-occurrence ids of several input positions (ascending):
-        at the last one, q, prefix t's first member is t with its digits
-        outside positions zeroed, built from the last digit up, with no
-        pass: a digit outside positions repeats the ids of the digits after
-        it, one inside adds its place value to each (a range when every
-        digit up to q is inside)."""
-        q = positions[-1]
+        """The first-occurrence ids of input positions (ascending): at the
+        last one, q, prefix t's first member is t with its digits outside
+        positions zeroed, built from the last digit up, with no pass: a
+        digit outside positions repeats the ids of the digits after it, one
+        inside adds its place value to each (a range when every digit up to
+        q is inside).  The bound, 1 + sum((sigma - 1) * sigma^(q - p)) over
+        positions p (sigma for one), is the last id + 1, and the shared ints
+        grow only to it."""
+        q, sigma = positions[-1], self.sigma
         size = len(self.table.columns[q])
         if len(positions) == q + 1:
             return Grouped(q, range(size), size)
-        shared, ids = self._shared(size), [0]
+        bound = 1 + sum((sigma - 1) * sigma ** (q - p) for p in positions)
+        shared, ids = self._shared(bound), [0]
         for p in range(q, -1, -1):
             if p not in positions:
-                ids *= self.sigma
+                ids *= sigma
             else:
                 place = len(ids)
                 ids = list(chain.from_iterable(
                     map(shared.__getitem__, map(operator.add, ids, repeat(d * place)))
-                    for d in range(self.sigma)))
-        return Grouped(q, ids, size)
+                    for d in range(sigma)))
+        return Grouped(q, ids, bound)
 
     def _paired(self, *parts: Grouped) -> Grouped:
         """The ids of the union of two sets from theirs, at the finer
@@ -300,9 +295,9 @@ class Groups:
             members = part.ids.members()
             keys = zip(_at(part.ids, 1, members),
                        _at(other.ids, strides[other.q] // strides[fine.q], members))
-            return Grouped(fine.q, _refined(keys, members, size), size)
+            return Grouped(fine.q, _first_occurrences(keys, members, size), size)
         keys = self._packed(coarse, fine, strides[coarse.q] // strides[fine.q])
-        return Grouped(fine.q, _first_occurrences(keys, self._shared(size)), size)
+        return Grouped(fine.q, _first_occurrences(keys, self._shared(size), size), size)
 
     def _packed(self, coarse: Grouped, fine: Grouped, r: int) -> memoryview:
         """The pass keys of two parts at fine's granularity, r times finer
@@ -331,22 +326,17 @@ class Groups:
         """A set's ids as first-occurrence ids."""
         if isinstance(got.ids, range):
             return got
-        ids = _first_occurrences(got.ids, self._shared(len(got.ids)))
-        return Grouped(got.q, ids, len(ids))
-
-    def ids(self, cols: FrozenSet[int]) -> Grouped:
-        """The group ids of the next request read in the plan: first-occurrence
-        ids if it holds several columns, a column's own if one."""
-        reduced = self._reduced[cols]
-        got = self._grouped(reduced)
-        return self._renumbered(got) if len(cols) > 1 and len(reduced) == 1 else got
+        size = len(got.ids)
+        return Grouped(got.q, _first_occurrences(got.ids, self._shared(size), size), size)
 
     def first(self, cols: FrozenSet[int]) -> Grouped:
         """The next request read in the plan, as first-occurrence ids: for
         each prefix t at the set's granularity q, the least prefix of that
-        length that agrees with t on cols (a range when that is t)."""
-        got = self.ids(cols)
-        return got if len(cols) > 1 else self._renumbered(got)
+        length that agrees with t on cols (a range when that is t).  Only a
+        lone codeword column, whose ids are its symbols, is renumbered."""
+        reduced = self._reduced[cols]
+        got = self._grouped(reduced)
+        return self._renumbered(got) if len(reduced) == 1 and min(reduced) < self.n else got
 
     def strays(self, inputs: FrozenSet[int], key: FrozenSet[int]
                ) -> Tuple[int, Sequence[int], List[int]]:
@@ -359,9 +349,10 @@ class Groups:
         key group, and strays are the prefixes t whose inputs differ from those
         of first[t], in order.  A stripped key at q is tested over its later
         prefixes alone, each against its first member; a range key has no
-        strays.  Ids compare by value: a range of input ids differs from any
-        list."""
-        got, keyed = self.ids(inputs), self.first(key)
+        strays.  The inputs are read as grouped (any ids equal exactly when
+        the inputs are), the key through first.  Ids compare by value: a
+        range of input ids differs from any list."""
+        got, keyed = self._grouped(inputs), self.first(key)
         q, strides = max(got.q, keyed.q), self.table.strides
         w = strides[keyed.q] // strides[q]
         first = keyed.ids if w == 1 else _widen([f * w for f in keyed.ids], w)

@@ -22,7 +22,7 @@ import tracemalloc
 from array import array
 from collections import Counter
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 from unittest import mock
@@ -438,6 +438,26 @@ def test_first_members_match_the_row_table(case, data):
         assert list(groups.first(cols).ids) == ref_first(code, cols, max(c % n for c in cols))
 
 
+@pytest.mark.parametrize("sigma", [2, 3])
+def test_input_set_ids_are_first_members_below_their_exact_bound(sigma):
+    """A set of input positions alone, one or several, is grouped with no
+    pass: its ids are the row table's first members, its bound is the last
+    id + 1 (the largest, sigma for one input), and a fresh Groups grows its
+    shared ints to that bound and no further, not to the prefix count."""
+    n = 4
+    code = table_code(n, sigma, 2, [0] * sum(sigma**j for j in range(1, n + 1)))
+    table = all_codewords(code)
+    for size in range(1, n + 1):
+        for positions in combinations(range(n), size):
+            cols = frozenset(n + p for p in positions)
+            groups = Groups(table, [cols])
+            got = groups.first(cols)
+            assert list(got.ids) == ref_first(code, cols, positions[-1])
+            assert got.bound == got.ids[-1] + 1
+            assert size > 1 or got.bound == sigma
+            assert len(groups._ints) <= got.bound
+
+
 # the kinds of ids a part of a pass can hold: (array typecode, bound), a
 # bound of None being the part's prefix count
 PART_KINDS = {"range": (None, None), "list": (None, None), "stripped": (None, None),
@@ -545,11 +565,9 @@ def sets_with_an_injective_part(draw):
 def test_grouping_with_an_injective_part_matches_the_row_table(case):
     code, sets = case
     n = code.n
-    groups = Groups(all_codewords(code), [cols for cols in sets for _ in range(3)])
+    groups = Groups(all_codewords(code), [cols for cols in sets for _ in range(2)])
     for cols in sets:
         ref = ref_first(code, cols, max(c % n for c in cols))
-        ids = groups.ids(cols).ids
-        assert list(ids) == ref if len(cols) > 1 else len(ids) == len(ref)
         assert list(groups.first(cols).ids) == ref
         assert groups.weights(cols) == ref_weights(code, cols)
 
@@ -601,10 +619,9 @@ def test_dropped_input_columns_match_the_row_table(code, data):
     a, sp = data.draw(st.integers(0, shared)), data.draw(st.integers(shared + 1, last + 1))
     key = s | frozenset(range(n + a, n + sp))
     r = frozenset({n + data.draw(st.integers(0, last))})
-    groups = Groups(table, [cols for cols in mixed for _ in range(3)] + [r, key])
+    groups = Groups(table, [cols for cols in mixed for _ in range(2)] + [r, key])
     for cols in mixed:
         ref = ref_first(code, cols, max(c % n for c in cols))
-        assert list(groups.ids(cols).ids) == ref
         assert list(groups.first(cols).ids) == ref
         assert groups.weights(cols) == ref_weights(code, cols)
     q, first, strays = groups.strays(r, key)
@@ -778,12 +795,15 @@ def test_a_planted_collision_is_the_witness(data):
     code = table_code(8, 2, 1 << 12, [label for level_ in levels for label in level_])
     q = max(tb.rg)
     lo, hi = sorted((x[:q] + [0] * (8 - q), y[:q] + [0] * (8 - q)))
-    with mock.patch.object(grouping, "_refined", wraps=grouping._refined) as refined:
+    with mock.patch.object(grouping, "_first_occurrences",
+                           wraps=grouping._first_occurrences) as kernel:
         verdict = verify.check_neighborhood_decoding(code, p)
+    # a refinement keys fewer members than the set has prefixes
+    refined = any(len(c.args[1]) < c.args[2] for c in kernel.call_args_list)
     assert verdict.witness == dict(level=level, block=bi, lf=list(tb.lf), rg=list(tb.rg),
                                    x=lo, y=hi)
     assert [e["passed"] for e in verdict.details["blocks"]].count(False) == 1
-    assert refined.called or len(tb.rg) < 4
+    assert refined or len(tb.rg) < 4
     assert assert_same_decoding(code, p, all_caps=False) == verdict
     assert_same_replay(code, p, all_caps=False)
 
@@ -944,19 +964,18 @@ def counted(monkeypatch) -> List[int]:
     """[passes, keys, tallied, refined], counted while the test runs: every
     grouping pass (and first-member pass of a single column) with its keys,
     every id that weights tallies, and every shared prefix that a
-    refinement of a stripped set reads."""
+    refinement of a stripped set reads.  Passes and refinements share one
+    kernel; a refinement keys fewer members than the set has prefixes."""
     counts = [0, 0, 0, 0]
-    first_occurrences, refined = grouping._first_occurrences, grouping._refined
+    first_occurrences = grouping._first_occurrences
 
-    def counting(keys, ints):
-        got = first_occurrences(keys, ints)
-        counts[0] += 1
-        counts[1] += len(got)
-        return got
-
-    def refining(keys, members, size):
-        counts[3] += len(members)
-        return refined(keys, members, size)
+    def counting(keys, members, size):
+        if len(members) < size:
+            counts[3] += len(members)
+        else:
+            counts[0] += 1
+            counts[1] += size
+        return first_occurrences(keys, members, size)
 
     class Tallying(Counter):
         def __init__(self, ids=()):
@@ -965,7 +984,6 @@ def counted(monkeypatch) -> List[int]:
             super().__init__(ids)
 
     monkeypatch.setattr(grouping, "_first_occurrences", counting)
-    monkeypatch.setattr(grouping, "_refined", refining)
     monkeypatch.setattr(grouping, "Counter", Tallying)
     return counts
 

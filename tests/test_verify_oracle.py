@@ -764,20 +764,25 @@ def test_runner_matches_scalar_sweep_at_caps_spread_over_its_cost(case):
     assert_same(prop, code, delta, arg, cap_points=range(0, 1001, 125))
 
 
+@pytest.mark.parametrize("x", [0, 1])
 @pytest.mark.parametrize("q", [1, 4])
-def test_runner_finds_a_disagreement_at_each_end_of_a_windows_range(q):
-    """Messages 0 and y = 2^(8-q) of n = 8 differ only at input q, the
+def test_runner_finds_a_disagreement_at_each_end_of_a_windows_range(q, x):
+    """Messages x and y = x + 2^(8-q) of n = 8 differ only at input q, the
     first or the last input of the range (0, 4] of the dyadic window (4, 8];
     their length-6, 7 and 8 prefixes share labels, so their codewords differ
     in 1 < 2 positions of that window, and in none of the smaller windows.
-    A check whose inputs lacked input q would miss them."""
+    A check whose inputs lacked input q would miss them.  At x = 1 the pair
+    lies past row 0, which the row settle decides alone, so only a grouping
+    check whose R holds input q finds it."""
     labels = [(5 * t + 3) % 2**d for d in range(1, 9) for t in range(2**d)]
-    for d in (6, 7, 8):  # the prefix of message y at depth d is 2^(d - q)
+    y = x + 2 ** (8 - q)
+    for d in (6, 7, 8):  # the prefixes of messages x and y at depth d
         offset = 2**d - 2
-        labels[offset + 2 ** (d - q)] = labels[offset]
+        labels[offset + (y >> 8 - d)] = labels[offset + (x >> 8 - d)]
     code = table_code(8, 2, 256, labels)
     full = json.loads(assert_same("eks", code, Fraction(1, 2), 3))
-    assert full["witness"]["ell"] == 2 and full["witness"]["y"] == _message(2 ** (8 - q), 8, 2)
+    assert full["witness"]["ell"] == 2
+    assert (full["witness"]["x"], full["witness"]["y"]) == (_message(x, 8, 2), _message(y, 8, 2))
 
 
 @pytest.mark.parametrize("delta", [Fraction(3, 2), Fraction(2)])

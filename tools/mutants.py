@@ -144,6 +144,46 @@ MUTANTS = [
            "dict(x=list(x), y=list(y), measured=measured)",
            ["tests/test_verify.py::test_distance_witness_reverifies",
             "tests/test_verify.py::test_eks_witness_reverifies"]),
+    Mutant("Groups._paired: a range part taken as injective at any granularity",
+           "treecodes/grouping.py",
+           "isinstance(g.ids, range) and g.q == fine.q for g in parts",
+           "isinstance(g.ids, range) for g in parts",
+           ["tests/test_grouping_oracle.py::"
+            "test_grouping_with_an_injective_part_matches_the_row_table"]),
+    Mutant("Groups.weights: a range weighed as {1: size}",
+           "treecodes/grouping.py",
+           "return {per: len(grouped.ids)}", "return {1: len(grouped.ids)}",
+           ["tests/test_grouping_oracle.py::"
+            "test_grouping_with_an_injective_part_matches_the_row_table"]),
+    Mutant("_first_occurrences: a refinement stripped over its members, not its prefixes",
+           "treecodes/grouping.py",
+           "_strip(ids, members, len(first), size)", "_strip(ids, members, len(first), len(ids))",
+           ["tests/test_grouping_oracle.py::test_a_planted_collision_is_the_witness"]),
+    Mutant("exact_distance: its depths' charges removed",
+           "treecodes/verify.py",
+           "_charges(table.prefix(d), _distance(d, Fraction(-1)), budget)[1]([])", "pass",
+           ["tests/test_verify_oracle.py::"
+            "test_exact_distance_matches_scalar_sweep_at_caps_spread_over_its_cost"]),
+    Mutant("check_eks_condition: a window one position late",
+           "treecodes/verify.py",
+           "[(s, s + (1 << ell), need[ell][0]", "[(s + 1, s + 1 + (1 << ell), need[ell][0]",
+           ["tests/test_verify.py::test_eks_reduction_fail_to_fail_at_block"]),
+    Mutant("_parts: one subset fewer per window",
+           "treecodes/verify.py",
+           "for u in range(m)], m - need + 1)]", "for u in range(m)], m - need + 1)][1:]",
+           ["tests/test_verify_oracle.py::test_engine_matches_scalar_sweep_on_random_tables"]),
+    Mutant("_dependences: a key's R one sp short at its start",
+           "treecodes/verify.py",
+           "frozenset(n + test[0] for test in tests)",
+           "frozenset(n + test[0] for test in tests[1:] or tests)",
+           ["tests/test_verify_oracle.py::"
+            "test_runner_finds_a_disagreement_at_each_end_of_a_windows_range"]),
+    Mutant("_dependences: a key's R one sp short at its end",
+           "treecodes/verify.py",
+           "frozenset(n + test[0] for test in tests)",
+           "frozenset(n + test[0] for test in tests[:-1] or tests)",
+           ["tests/test_verify_oracle.py::"
+            "test_runner_finds_a_disagreement_at_each_end_of_a_windows_range"]),
     Mutant("cli: --shift defaults to 1",
            "treecodes/cli.py",
            '"--shift": {"type": int, "default": 0}', '"--shift": {"type": int, "default": 1}',

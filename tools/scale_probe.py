@@ -40,9 +40,10 @@ partition included):
     PYTHONPATH=src python tools/scale_probe.py --check audit --n 16 --sigma-out 4096 --seed 1
 
 It prints one JSON line: seconds (the call, table build included),
-peak_rss_mb (ru_maxrss), passes and keys (the grouping passes, each call
-of grouping._first_occurrences, and the prefixes they read), refined (the
-shared prefixes read by refinements of stripped sets, grouping._refined),
+peak_rss_mb (ru_maxrss), passes and keys (the grouping passes and the
+prefixes they read), refined (the shared prefixes read by refinements of
+stripped sets), each counted at grouping._first_occurrences, the one kernel
+of both, where a refinement is a call with fewer members than prefixes,
 and passed and evaluations (for audit, passed alone, with the three counts
 also split into decoding's and the replay's), or for exact the distance.
 A check the cap refuses (imm from n = 19, whose full cost passes 2^40)
@@ -79,19 +80,16 @@ from treecodes.verify import (
 
 CAP = 1 << 40
 COUNTS = {"passes": 0, "keys": 0, "refined": 0}  # grouping work done so far
-_first_occurrences, _refined = grouping._first_occurrences, grouping._refined
+_first_occurrences = grouping._first_occurrences
 
 
-def _counted(keys, ints):
-    got = _first_occurrences(keys, ints)
-    COUNTS["passes"] += 1
-    COUNTS["keys"] += len(got)
-    return got
-
-
-def _counted_refined(keys, members, size):
-    COUNTS["refined"] += len(members)
-    return _refined(keys, members, size)
+def _counted(keys, members, size):
+    if len(members) < size:  # a refinement of a stripped set
+        COUNTS["refined"] += len(members)
+    else:
+        COUNTS["passes"] += 1
+        COUNTS["keys"] += size
+    return _first_occurrences(keys, members, size)
 
 
 def random_table_code(n: int, sigma_out: int, seed: int):
@@ -157,7 +155,7 @@ def main(argv=None) -> int:
     code = (trivial_code(args.n) if args.sigma_out is None
             else random_table_code(args.n, args.sigma_out, args.seed))
     partition = binary_merge_partition(args.n)
-    grouping._first_occurrences, grouping._refined = _counted, _counted_refined
+    grouping._first_occurrences = _counted
     start = time.perf_counter()
     try:
         fields, status = run(args.check, code, partition), 0
