@@ -183,6 +183,8 @@ def eq5_report(k: int, measured_lg_sigma=None) -> BoundReport:
     of the plain bound at alpha = 1/2, ell = k.  This id is sometimes quoted
     as a floor on |sigma| itself, which the general bound does not give; the
     lg form is what this function evaluates (see README)."""
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
     value = rate_bound_plain(Fraction(1, 2), k, 1)
     measured = None if measured_lg_sigma is None else as_fraction(measured_lg_sigma)
     if measured is not None and measured < 0:
@@ -199,6 +201,8 @@ def eq5_report(k: int, measured_lg_sigma=None) -> BoundReport:
 
 def eq33_report(m: int, n: int) -> BoundReport:
     """lg|sigma| >= (m-1)/4: the deficient bound at alpha = 1/4, D = n."""
+    if m < 0:
+        raise ValueError(f"m must be >= 0, got {m}")
     value = rate_bound_deficient(Fraction(1, 4), m, n, n, 1)
     assert value == Fraction(m - 1, 4)
     return BoundReport("eq33", "lg_sigma >=", _inputs(m=m, n=n), value, vacuous=value <= 0)

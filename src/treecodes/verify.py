@@ -27,8 +27,8 @@ it cost and re-evaluated by _pair: witnesses, evaluations and
 CapExceeded.used stay pair-by-pair.  The pairs are found by
   * grouping passes (_dependences), for the immediacy-function, dyadic,
     aligned and quarter-split conditions, once row 0, or the few rows
-    before the cap's stop, is decided by one-row blocks (_first_rows):
-    row x against every later row at once, by bit-sliced counters (_block);
+    before the cap's stop, is decided row by row (_first_rows): row x
+    against every later row at once, one bit-sliced counter per window;
   * pruned pair extension kept by _keeps: in row order (_grow) for tree
     distance, by whole depths (_reaches) for exact_distance and search:
     one bisection over the ratios above a floor (_least), each step a
@@ -68,8 +68,8 @@ _SLACK = 2
 # a window with at most this many subset keys takes them all, with no candidate
 _EXACT_KEYS = 8
 # the rows up to the cap's stop are settled one by one if they are at most
-# 1/_SETTLED_SHARE of the table (else row 0 alone): at M = 2^16 a one-row
-# block costs 0.6-1 ms, and the grouping passes of a check 0.3-0.45 s
+# 1/_SETTLED_SHARE of the table (else row 0 alone): at M = 2^16 a settled
+# row costs 0.5-1.5 ms, and the grouping passes of a check 0.3-0.45 s
 _SETTLED_SHARE = 256
 
 
@@ -155,7 +155,7 @@ class _MessageBits:
     memory grows with the rows a check reaches.  They read index, each
     column's prefixes by symbol, built on first use; with no index each set
     scans its column, which for row 0 alone takes no index of M entries.
-    block() lays either kind out for one row of _block.
+    _first_rows reads either kind shifted past the row it decides.
     """
 
     def __init__(self, table: PrefixTable,
@@ -188,17 +188,9 @@ class _MessageBits:
             bits = self._symbols[(p, sym)] = (starts << run) - starts
         return bits
 
-    def block(self, p: int, inputs: bool, x: int) -> int:
-        """Bit k is set when row x + 1 + k has row x's input symbol (inputs)
-        or codeword symbol at position p."""
-        t = x // self.table.strides[p]  # row x's prefix of length p+1
-        if inputs:
-            return self.same_input[p][t % self.sigma] >> (x + 1)
-        return self.same_symbol(p, self.table.columns[p][t]) >> (x + 1)
-
 
 class _Condition(NamedTuple):
-    """A pair condition as data, for _charges, _block, _dependences and _pair.
+    """A pair condition as data, for _charges, _first_rows, _dependences and _pair.
 
     cands holds (a, sp, windows) in evaluation order: the pairs whose inputs
     agree on [a, sp) and differ at sp, each checked on its windows (lo, hi,
@@ -229,67 +221,39 @@ def _pair(budget: _Budget, cond: _Condition, x, cx, y, cy) -> Optional[dict]:
     return None
 
 
-def _counters(cond: _Condition):
-    """_block's plan of cond's windows: each candidate's window ids, and for
-    each window start, its windows (length, t, id), shortest first: windows
-    sharing a start share one counter, grown forward from it."""
-    keys: dict = {}  # (lo, hi, t): id
-    links = [[keys.setdefault(w[:3], len(keys)) for w in ws] for _, _, ws in cond.cands]
-    groups = defaultdict(list)
-    for (lo, hi, t), ki in sorted(keys.items(), key=lambda kv: kv[0][1] - kv[0][0]):
-        groups[lo].append((hi - lo, t, ki))
-    return links, groups, len(keys)
-
-
-def _block(bits: _MessageBits, cond: _Condition, plan, x: int) -> int:
-    """Row x against the rows after it on cond, planned by _counters: the
-    pairs violating a window, bit k the pair of row x with row x + 1 + k,
-    counted by one bit-sliced counter per window start, grown forward."""
-    links, groups, nkeys = plan
-    full = (1 << (bits.size - x - 1)) - 1
-    built: Dict[Tuple[int, bool], int] = {}
-
-    def same(p: int, inputs: bool) -> int:  # bits.block for this row, built once
-        got = built.get((p, inputs))
-        if got is None:
-            got = built[(p, inputs)] = bits.block(p, inputs, x)
-        return got
-
-    per_key = [0] * nkeys
-    prev, agree, q = -1, 0, 0
-    for (a, sp, _), ks in zip(cond.cands, links):
-        if a != prev or sp < q:
-            prev, agree, q = a, full, a
-        while q < sp:
-            agree &= same(q, True)
-            q += 1
-        found = agree & ~same(sp, True)
-        for ki in ks:
-            per_key[ki] |= found
-
-    viol = 0
-    for lo, checks in groups.items():
-        slices: List[int] = []
-        added = 0
-        for length, t, ki in checks:
-            cand = per_key[ki]
-            if not cand:
-                continue
-            for p in range(lo + added, lo + length):
-                add(slices, same(p, False) ^ full)
-            added = length
-            if t > 0:
-                viol |= below(slices, t, cand)
-    return viol
-
-
 def _first_rows(table: PrefixTable, cond: _Condition, rows: int) -> List[Tuple[int, int]]:
     """The first pair violating cond in rows 0 .. rows - 1 of table, the
-    rows _dependences settles before grouping, as a list of none or one:
-    each row by _block, its lowest violating bit."""
-    bits, plan = _MessageBits(table, None if rows == 1 else {}), _counters(cond)
+    rows _dependences settles before grouping, as a list of none or one.
+    Row x meets every later row at once, bit k the pair (x, x + 1 + k):
+    each candidate's pairs are gathered per window (lo, hi, t), and each
+    window with pairs counts [lo, hi) by a bit-sliced counter of its own."""
+    bits, row = _MessageBits(table, None if rows == 1 else {}), {}
+
+    def same(p: int, inputs: bool) -> int:  # row x's bitsets at p, read once a row
+        got = row.get((p, inputs))
+        if got is None:
+            t = x // table.strides[p]  # row x's prefix of length p+1
+            got = row[(p, inputs)] = (bits.same_input[p][t % bits.sigma] if inputs else
+                                      bits.same_symbol(p, table.columns[p][t])) >> (x + 1)
+        return got
+
     for x in range(rows):
-        viol = _block(bits, cond, plan, x)
+        full = (1 << (bits.size - x - 1)) - 1
+        row.clear()
+        pairs: Dict[Tuple[int, int, int], int] = defaultdict(int)
+        for a, sp, windows in cond.cands:
+            agree = full & ~same(sp, True)
+            for q in range(a, sp):
+                agree &= same(q, True)
+            for window in windows:
+                pairs[window[:3]] |= agree
+        viol = 0
+        for (lo, hi, t), cand in pairs.items():
+            if cand and t > 0:
+                slices: List[int] = []
+                for p in range(lo, hi):
+                    add(slices, same(p, False) ^ full)
+                viol |= below(slices, t, cand)
         if viol:
             return [(x, x + (viol & -viol).bit_length())]
     return []
@@ -381,8 +345,8 @@ def _dependences(table: PrefixTable, budget: _Budget, cond: _Condition) -> Optio
     starts, no column is sure.  A window drops its sure columns from its
     columns and from the t differences it needs, and is dropped when it
     needs none.  Row 0, or every row up to the cap's stop if they are at
-    most 1/_SETTLED_SHARE of the table, is decided first by one-row
-    blocks (_first_rows), before any key is made: a pair found there, or
+    most 1/_SETTLED_SHARE of the table, is decided first row by row
+    (_first_rows), before any key is made: a pair found there, or
     the cap's once its row is decided, settles the check.  Else a
     violating pair agrees on a key S of a window (_parts), a
     (w-t+1)-subset or a union of parts.  Each key S + A, with the windows

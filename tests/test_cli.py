@@ -696,12 +696,13 @@ def test_selftest_only_with_no_ids_exits_1_having_run_nothing(capsys):
      "k must be >= 0, got -1"),
     (["build", "--recipe-json", '{"kind":"trivial","n":-3}', "--out-dir", "{dir}/out"],
      "n must be >= 1, got -3"),
-    (["bound", "--formula", "eq5", "--params", '{"k":-2}'], "ell must be >= 0, got -2"),
+    (["bound", "--formula", "eq5", "--params", '{"k":-2}'], "k must be >= 0, got -2"),
+    (["bound", "--formula", "eq33", "--params", '{"m":-3,"n":8}'], "m must be >= 0, got -3"),
     (["bound", "--formula", "eq26", "--params",
       '{"kind":"general","delta":"1/2","n":16,"t":2,"ell":0}'],
      "the general kind needs t >= 1 and ell >= 1, got t = 2, ell = 0"),
 ], ids=["eks-recipe-k0", "verify-eks-k-minus-1", "trivial-n-minus-3", "eq5-k-minus-2",
-        "eq26-general-ell-0"])
+        "eq33-m-minus-3", "eq26-general-ell-0"])
 def test_k_or_n_out_of_range_exits_1_naming_it(tmp_path, capsys, argv, message):
     (tmp_path / "code.json").write_text('{"kind":"trivial","n":4}')
     rc = cli.main([a.replace("{dir}", str(tmp_path)) for a in argv])

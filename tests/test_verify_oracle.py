@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from treecodes import serialize, verify
@@ -377,14 +377,49 @@ def assert_same(prop, code, delta=Fraction(1, 2), arg=None, caps=(), cap_points=
     engine, reference = _pairs(prop, code, delta, arg)
     full = _outcome(reference, verify.DEFAULT_EVAL_CAP)
     assert _outcome(engine, verify.DEFAULT_EVAL_CAP) == full
-    caps = set(caps)
-    if isinstance(full, str) and cap_points:
-        low = code.sigma_in**code.n * code.n
-        high = json.loads(full)["evaluations"]
-        caps |= {low + (high - low) * k // 1000 for k in cap_points} | {high - 1, high}
-    for cap in sorted(caps):
+    for cap in sorted(set(caps) | _spread(code, full, cap_points)):
         assert _outcome(engine, cap) == _outcome(reference, cap), cap
     return full
+
+
+def _spread(code: TreeCode, full, cap_points) -> set:
+    """The caps cap_points[k]/1000 of the way from M*n to the cost of the
+    full outcome, and one below and at that cost; none if it refused."""
+    if not isinstance(full, str) or not cap_points:
+        return set()
+    low, high = code.sigma_in**code.n * code.n, json.loads(full)["evaluations"]
+    return {low + (high - low) * k // 1000 for k in cap_points} | {high - 1, high}
+
+
+def assert_same_by_grouping(prop, code, delta=Fraction(1, 2), arg=None, cap_points=()):
+    """assert_same for a runner condition with the row settle
+    (verify._first_rows) finding nothing, so that the outcome must come
+    from the grouping checks alone: at the default cap, and at each
+    cap_points[k]/1000 of the way from M*n to the full sweep's cost whose
+    stopping pair lies past the settled rows (a stop inside them is taken
+    as settled)."""
+    engine, reference = _pairs(prop, code, delta, arg)
+    stops, charges = [], verify._charges
+
+    def charged(table, cond, budget):
+        stop, settle = charges(table, cond, budget)
+        stops.append(stop)
+        return stop, settle
+
+    def settled(stop) -> bool:  # row 0, or rows at most 1/_SETTLED_SHARE of the table
+        return bool(stop) and (stop[0][0] == 0 or
+                               (stop[0][0] + 1) * verify._SETTLED_SHARE <= len(code.table))
+
+    full, compared = _outcome(reference, verify.DEFAULT_EVAL_CAP), []
+    with mock.patch.multiple(verify, _first_rows=lambda *a: [], _charges=charged):
+        for cap in sorted({verify.DEFAULT_EVAL_CAP} | _spread(code, full, cap_points)):
+            stops.clear()
+            got = _outcome(engine, cap)
+            if not any(map(settled, stops)):
+                assert got == (full if cap == verify.DEFAULT_EVAL_CAP else
+                               _outcome(reference, cap)), cap
+                compared.append(cap)
+    assert verify.DEFAULT_EVAL_CAP in compared
 
 
 @st.composite
@@ -437,6 +472,17 @@ def test_engine_matches_scalar_sweep_on_masked_codes_n8(seed):
     assert_same("imm", code, Fraction(3, 4), "exp")
     assert_same("distance", code, Fraction(1, 2))
     assert_same("chs", code, None, (1, 4, 1))
+
+
+@pytest.mark.parametrize("seed", range(len(BLOCKS3)))
+def test_grouping_alone_matches_scalar_sweep_on_masked_codes_n8(seed):
+    """The masked codes' runner conditions with the row settle finding
+    nothing: where a check fails in row 0, the grouping checks alone must
+    now find the pair."""
+    code = mask_block_code(scrambled_prefix_code(8, seed), BLOCKS3[seed])
+    assert_same_by_grouping("eks", code, Fraction(1, 2), 3)
+    assert_same_by_grouping("imm", code, Fraction(3, 4), "exp")
+    assert_same_by_grouping("chs", code, None, (1, 4, 1))
 
 
 @pytest.mark.parametrize(
@@ -704,18 +750,20 @@ def test_checks_add_only_where_injective_columns_leave_a_window_open(monkeypatch
 
 def test_no_pair_sweep_is_left_and_exact_distance_grows_pairs(monkeypatch):
     """verify keeps no pair sweep: every window condition (the
-    immediacy-function, dyadic, aligned and quarter-split checks) reads at
-    most max(1, M/256) rows by bit-sliced blocks (_block) before its
-    grouping passes, tree distance runs on pruned pair extension in row
-    order (_grow), and exact_distance on pruned pair extension by whole
-    depths (_reaches), each with no row.  The ternary table's columns
-    collide, so there each window condition reads row 0; on the
-    scrambled table none reads a row."""
-    for name in ("_sweep", "_BLOCK_BITS", "_repeat", "_join"):
+    immediacy-function, dyadic, aligned and quarter-split checks) settles
+    at most max(1, M/256) rows (_first_rows) before its grouping passes,
+    tree distance runs on pruned pair extension in row order (_grow), and
+    exact_distance on pruned pair extension by whole depths (_reaches),
+    each with no row.  The ternary table's columns collide, so there each
+    window condition settles row 0; on the scrambled table none settles a
+    row."""
+    for name in ("_sweep", "_BLOCK_BITS", "_repeat", "_join", "_block", "_counters"):
         assert not hasattr(verify, name)
+    assert not hasattr(verify._MessageBits, "block")
     rows, grown, reached = [], [], []
-    block, grow, reaches = verify._block, verify._grow, verify._reaches
-    monkeypatch.setattr(verify, "_block", lambda *a: rows.append(a[3]) or block(*a))
+    first_rows, grow, reaches = verify._first_rows, verify._grow, verify._reaches
+    monkeypatch.setattr(verify, "_first_rows",
+                        lambda *a: rows.extend(range(a[2])) or first_rows(*a))
     monkeypatch.setattr(verify, "_grow", lambda *a: grown.append(1) or grow(*a))
     monkeypatch.setattr(verify, "_reaches", lambda *a: reached.append(1) or reaches(*a))
     ternary = table_code(4, 3, 5, [(7 * i * i + 3 * i + 1) % 5 for i in range(120)])
@@ -795,6 +843,34 @@ def test_runner_matches_scalar_sweep_where_windows_need_more_than_they_hold(code
     assert '"passed":false' in full
 
 
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(case=runner_cases())
+def test_grouping_alone_matches_scalar_sweep_at_caps_spread_over_its_cost(case):
+    """The cases above with the row settle finding nothing: outcomes equal
+    the reference's at the default cap and at those of the nine spread
+    caps whose stopping pair lies past row 0.  Past delta = 1 the windows
+    are left to the row settle (see below), so those cases are skipped."""
+    prop, code, delta, arg = case
+    assume(delta is None or delta <= 1)
+    assert_same_by_grouping(prop, code, delta, arg, cap_points=range(0, 1001, 125))
+
+
+@pytest.mark.parametrize("delta", [Fraction(3, 2), Fraction(2)])
+@pytest.mark.parametrize("code", [scrambled_prefix_code(4, 1), collision_code(2, 3, 0, 1)],
+                         ids=["scrambled4", "ternary2"])
+def test_windows_that_need_more_than_they_hold_are_left_to_the_row_settle(code, delta):
+    """A window needing more differences than it has columns makes no
+    grouping key: every pair of its candidates violates it, the least of
+    them in row 0, which the row settle always decides.  With the settle
+    finding nothing, no grouping check flags a pair, and the check passes
+    charged the whole sweep, what the reference charges at delta = 0."""
+    k = floor_lg(code.n)
+    assert not verify.check_eks_condition(code, delta, k).passed
+    with mock.patch.object(verify, "_first_rows", lambda *a: []):
+        v = verify.check_eks_condition(code, delta, k)
+    assert (v.passed, v.evaluations) == (True, ref_eks_condition(code, Fraction(0), k).evaluations)
+
+
 @st.composite
 def imm_cases(draw, prop="imm"):
     """An immediacy-function case on a random table, sigma_in 2 or 3, its
@@ -863,6 +939,20 @@ def test_aligned_runner_matches_scalar_sweep_where_keys_end_before_the_disagreem
     code, delta, arg, (slack, exact) = case
     with mock.patch.multiple(verify, _SLACK=slack, _EXACT_KEYS=exact):
         assert_same("ghk", code, delta, arg, cap_points=range(0, 1001, 125))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(case=st.one_of(runner_cases(), imm_cases().map(lambda c: ("imm", *c[:3])),
+                      imm_cases("ghk").map(lambda c: ("ghk", *c[:3]))))
+def test_row_settle_alone_matches_scalar_sweep_at_caps_spread_over_its_cost(case):
+    """The row settle on every row of a small table: with _dependences
+    replaced by every_row, the dyadic, quarter-split, immediacy-function
+    and aligned cases above (sigma_in 2 and 3, delta 0 and past 1, aligned
+    windows starting before the disagreement) equal the reference's at
+    nine caps spread evenly from M*n to the full cost."""
+    prop, code, delta, arg = case
+    with mock.patch.object(verify, "_dependences", every_row):
+        assert_same(prop, code, delta, arg, cap_points=range(0, 1001, 125))
 
 
 def test_imm_runner_passes_the_layered_code_n16(monkeypatch):

@@ -75,10 +75,15 @@ MUTANTS = [
            "treecodes/verify.py",
            "frozenset(range(n + a, n + sp))", "frozenset(range(n + a, n + sp - 1))",
            ["tests/test_verify_oracle.py::test_engine_matches_scalar_sweep_on_random_tables"]),
-    Mutant("_block: a forward counter skips its first column",
+    Mutant("_first_rows: a window's counter skips its first column",
            "treecodes/verify.py",
-           "range(lo + added, lo + length)", "range(lo + added + 1, lo + length)",
+           "for p in range(lo, hi):", "for p in range(lo + 1, hi):",
            ["tests/test_verify_oracle.py::test_engine_matches_scalar_sweep_on_random_tables"]),
+    Mutant("_first_rows: a candidate's input agreement one position short",
+           "treecodes/verify.py",
+           "for q in range(a, sp):", "for q in range(a + 1, sp):",
+           ["tests/test_verify_oracle.py::"
+            "test_row_settle_alone_matches_scalar_sweep_at_caps_spread_over_its_cost"]),
     Mutant("check_tree_distance: rows read before a witness not grown on",
            "treecodes/verify.py",
            "read, rows = tee(rows)", "read = rows",
